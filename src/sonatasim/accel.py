@@ -145,11 +145,16 @@ def plain_params(
 
 
 def with_overrides(params: AccelParams, **kwargs) -> AccelParams:
-    """Replace tuning fields, recomputing alpha when delta or mu change."""
-    if ("delta" in kwargs or "mu" in kwargs) and "alpha" not in kwargs:
-        mu = kwargs.get("mu", params.mu)
-        delta = kwargs.get("delta", params.delta)
+    """Replace tuning fields, re-deriving what depends on them: alpha when
+    delta or mu change, and the mode-L surrogate weight L + delta when delta
+    changes."""
+    mu = kwargs.get("mu", params.mu)
+    delta = kwargs.get("delta", params.delta)
+    if "delta" in kwargs or "mu" in kwargs:
         kwargs["alpha"] = math.sqrt(mu / (mu + delta))
+    if "delta" in kwargs and params.surrogate.kind == "L":
+        weight = params.surrogate.weight - params.delta + delta
+        kwargs["surrogate"] = Surrogate("L", weight)
     return replace(params, **kwargs)
 
 
@@ -214,13 +219,7 @@ def acc_sonata_run(
 
     _, rounds = sonata._as_mixer(W)
     comm_cost = 2 * rounds if count_half_duplex else rounds
-    solver = None
-    if (
-        params.surrogate.kind == "F"
-        and p.loss_kind == "quadratic-ridge"
-        and p.reg.kind == "zero"
-    ):
-        solver = sonata.QuadraticFullSolver(p, delta + params.surrogate.weight)
+    solver = sonata.LocalSolver(p, params.surrogate, delta)
 
     comms = 0
     observer.on_init(comms, X, Y, Z)
@@ -233,7 +232,7 @@ def acc_sonata_run(
             G_shift = sonata.shifted_grads(p, X, delta, Z)
             drift = np.linalg.norm(Y_warm.mean(axis=0) - G_shift.mean(axis=0))
             scale = 1.0 + np.linalg.norm(G_shift.mean(axis=0))
-            if drift > 1e-8 * scale:
+            if not drift <= 1e-8 * scale:  # also catches a NaN drift
                 raise AssertionError(
                     f"tracking identity violated at outer {k}: drift {drift}"
                 )

@@ -41,7 +41,6 @@ DEFAULT_CONFIG = {
     "algorithm": {
         "mode": "F",
         "delta": None,
-        "alpha": None,
         "T": None,
         "K_max": 200,
         "c_seq": 0.5,
@@ -114,6 +113,23 @@ def build_regularizer(block: dict) -> problems.Regularizer:
     raise ConfigError(f"regularizer.kind: unknown kind {kind!r}")
 
 
+def ridge_config(
+    block: dict, seed: int, n: int | None = None, lam: float | None = None
+) -> datagen.SyntheticRidgeConfig:
+    """Generator settings from a ``problem.synthetic`` block, with n and lam
+    optionally overridden."""
+    return datagen.SyntheticRidgeConfig(
+        m=int(block["m"]),
+        n=int(block["n"] if n is None else n),
+        d=int(block["d"]),
+        mu0=float(block.get("mu0", 1.0)),
+        L0=float(block.get("L0", 1000.0)),
+        lam=float(block.get("lam", 0.0) if lam is None else lam),
+        noise_std=float(block.get("noise_std", datagen.DEFAULT_NOISE_STD)),
+        seed=seed,
+    )
+
+
 def build_problem(cfg: dict) -> problems.ProblemSpec:
     block = cfg["problem"]
     reg = build_regularizer(cfg["regularizer"])
@@ -121,17 +137,7 @@ def build_problem(cfg: dict) -> problems.ProblemSpec:
         raise ConfigError("problem: exactly one of 'synthetic' or 'dataset' required")
     if "synthetic" in block:
         s = block["synthetic"]
-        gen_cfg = datagen.SyntheticRidgeConfig(
-            m=int(s["m"]),
-            n=int(s["n"]),
-            d=int(s["d"]),
-            mu0=float(s.get("mu0", 1.0)),
-            L0=float(s.get("L0", 1000.0)),
-            lam=float(s.get("lam", 0.0)),
-            noise_std=float(s.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-            seed=int(s.get("seed", cfg["seed"])),
-        )
-        p = datagen.gen_ridge(gen_cfg)
+        p = datagen.gen_ridge(ridge_config(s, int(s.get("seed", cfg["seed"]))))
         p.reg = reg
         return p
     ds = block["dataset"]
@@ -188,7 +194,7 @@ def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelPar
             K_max=int(alg["K_max"]),
         )
         overrides = {}
-        for key in ("delta", "alpha", "T"):
+        for key in ("delta", "T"):
             if alg.get(key) is not None:
                 overrides[key] = alg[key] if key == "T" else float(alg[key])
         if overrides:
@@ -315,16 +321,7 @@ def calibrate_n_for_beta(
     """
 
     def measure(n):
-        cfg = datagen.SyntheticRidgeConfig(
-            m=int(base["m"]),
-            d=int(base["d"]),
-            n=n,
-            mu0=float(base.get("mu0", 1.0)),
-            L0=float(base.get("L0", 1000.0)),
-            lam=float(base.get("lam", 0.0)),
-            noise_std=float(base.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-            seed=seed,
-        )
+        cfg = ridge_config(base, seed, n=n)
         return problems.estimate_constants(datagen.gen_ridge(cfg)).beta_hat
 
     n = max(int(n_start), 10)
@@ -368,28 +365,9 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     instances = []
     if axis in ("beta_over_mu", "samples"):
         for n in points:
-            gen_cfg = datagen.SyntheticRidgeConfig(
-                m=int(base["m"]),
-                d=int(base["d"]),
-                n=int(n),
-                mu0=float(base.get("mu0", 1.0)),
-                L0=float(base.get("L0", 1000.0)),
-                lam=float(base.get("lam", 0.0)),
-                noise_std=float(base.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-                seed=seed,
-            )
-            instances.append((float(n), gen_cfg))
+            instances.append((float(n), ridge_config(base, seed, n=int(n))))
     elif axis == "kappa":
-        probe = datagen.SyntheticRidgeConfig(
-            m=int(base["m"]),
-            d=int(base["d"]),
-            n=int(base["n"]),
-            mu0=float(base.get("mu0", 1.0)),
-            L0=float(base.get("L0", 1000.0)),
-            lam=0.0,
-            noise_std=float(base.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-            seed=seed,
-        )
+        probe = ridge_config(base, seed, lam=0.0)
         c0 = problems.estimate_constants(datagen.gen_ridge(probe))
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
         ratio_target = c0.beta_hat / c0.mu_hat
@@ -405,17 +383,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             n_new = calibrate_n_for_beta(
                 dict(base, lam=lam), seed, ratio_target * mu_new, int(base["n"])
             )
-            gen_cfg = datagen.SyntheticRidgeConfig(
-                m=int(base["m"]),
-                d=int(base["d"]),
-                n=n_new,
-                mu0=float(base.get("mu0", 1.0)),
-                L0=float(base.get("L0", 1000.0)),
-                lam=lam,
-                noise_std=float(base.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-                seed=seed,
-            )
-            instances.append((kt, gen_cfg))
+            instances.append((kt, ridge_config(base, seed, n=n_new, lam=lam)))
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
 

@@ -26,7 +26,7 @@ class OracleNotConvergedError(RuntimeError):
 
 class ShiftedObjective:
     """u_k(x) = f(x) + delta/(2m) sum_i ||x - z_i||^2 + r(x), with fast batched
-    evaluation (closed quadratic form when the loss is quadratic)."""
+    evaluation (closed quadratic form when the loss has exact curvature)."""
 
     def __init__(self, p: ProblemSpec, delta: float = 0.0, Z=None):
         self.p = p
@@ -34,18 +34,15 @@ class ShiftedObjective:
         self.Z = None if Z is None else np.asarray(Z, dtype=float)
         self.z_bar = None if self.Z is None else self.Z.mean(axis=0)
         self.z_sq_mean = 0.0 if self.Z is None else float((self.Z**2).sum(axis=1).mean())
-        if p.loss_kind == "quadratic-ridge":
-            H = p.meta.get("_hessian_stack")
-            if H is None:
-                H = np.stack([problems.local_hessian(p, i) for i in range(p.m)])
-                p.meta["_hessian_stack"] = H
-            self._H = H.mean(axis=0)
+        self.exact = p.loss.exact
+        self._H = problems.curvature(p).H_bar
+        if self.exact:
             self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
             self._c = float((p.b**2).sum(axis=1).mean() / (2.0 * p.n))
 
     def smooth_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if self.p.loss_kind == "quadratic-ridge":
+        if self.exact:
             v = 0.5 * x @ (self._H @ x) - self._h @ x + self._c
         else:
             v = problems.average_value(self.p, x)
@@ -61,7 +58,7 @@ class ShiftedObjective:
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.p.loss_kind == "quadratic-ridge":
+        if self.exact:
             g = self._H @ x - self._h
         else:
             g = problems.average_grad(self.p, x)
@@ -70,17 +67,10 @@ class ShiftedObjective:
         return g
 
     def smoothness(self) -> float:
-        if self.p.loss_kind == "quadratic-ridge":
-            L = float(np.linalg.eigvalsh(self._H)[-1])
-        else:
-            H_bar = np.mean(
-                [problems.hessian_bound(self.p, i) for i in range(self.p.m)], axis=0
-            )
-            L = float(np.linalg.eigvalsh(H_bar)[-1])
-        return L + self.delta
+        return float(np.linalg.eigvalsh(self._H)[-1]) + self.delta
 
     def strong_convexity(self) -> float:
-        if self.p.loss_kind == "quadratic-ridge":
+        if self.exact:
             mu = float(np.linalg.eigvalsh(self._H)[0])
         else:
             mu = self.p.lam
@@ -110,7 +100,7 @@ def centralized_solve(
     gradient until the gradient-mapping norm drops below tol.
     """
     obj = ShiftedObjective(p, delta, Z)
-    if p.loss_kind == "quadratic-ridge" and p.reg.kind == "zero":
+    if obj.exact and p.reg.kind == "zero":
         K = obj._H + delta * np.eye(p.d)
         rhs = obj._h + (delta * obj.z_bar if delta != 0.0 else 0.0)
         x = np.linalg.solve(K, rhs)

@@ -1,7 +1,8 @@
 """Local loss oracles, the nonsmooth term, and data-driven constant estimation.
 
 A distributed problem is a collection of m agent losses f_i plus a shared
-nonsmooth term r.  Three loss families are supported:
+nonsmooth term r.  Three loss families are supported, one entry each in
+``LOSSES``, so every oracle has a single code path:
 
 * ``quadratic-ridge``:  f_i(x) = 1/(2n) ||A_i x - b_i||^2 + lam * ||x||^2
 * ``smooth-hinge``:     f_i(x) = 1/n sum_j hinge(b_ij <x, a_ij>) + lam/2 ||x||^2
@@ -14,14 +15,9 @@ multiple workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-
-LOSS_KINDS = ("quadratic-ridge", "smooth-hinge", "logistic")
-
-# Curvature cap of the scalar loss second derivative, used by the Hessian
-# upper bounds H_i for the non-quadratic losses.
-CURVATURE_CAP = {"smooth-hinge": 1.0, "logistic": 0.25}
 
 
 class DegenerateProblemError(ValueError):
@@ -53,6 +49,8 @@ class ProblemSpec:
     ``A`` is stacked (m, n, d), ``b`` is (m, n).  Every agent has identical n
     and d by construction.  ``meta`` carries generator side-information
     (planted solution, covariance spectrum) and never affects the oracles.
+    The loss kind and the data are fixed at construction: :func:`curvature`
+    is memoized on the instance.
     """
 
     loss_kind: str
@@ -63,15 +61,17 @@ class ProblemSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.loss_kind not in LOSSES:
+            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         self.A = np.ascontiguousarray(self.A, dtype=float)
         self.b = np.ascontiguousarray(self.b, dtype=float)
         if self.A.ndim != 3 or self.b.shape != self.A.shape[:2]:
             raise ValueError("A must be (m, n, d) and b (m, n)")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.is_classification and not np.all(np.abs(self.b) == 1.0):
+        if not self.loss.exact and not np.all(np.abs(self.b) == 1.0):
             raise ValueError("classification labels must be +/-1")
-        self._local_smooth_cache = None
+        self._curvature = None
 
     @property
     def m(self) -> int:
@@ -86,8 +86,8 @@ class ProblemSpec:
         return self.A.shape[2]
 
     @property
-    def is_classification(self) -> bool:
-        return self.loss_kind != "quadratic-ridge"
+    def loss(self) -> Loss:
+        return LOSSES[self.loss_kind]
 
 
 def smooth_hinge(t):
@@ -102,11 +102,6 @@ def smooth_hinge_deriv(t):
     return np.where(t > 1.0, 0.0, np.where(t < 0.0, -1.0, t - 1.0))
 
 
-def _logistic(t):
-    # log(1 + exp(-t)) computed stably for any sign of t
-    return np.logaddexp(0.0, -t)
-
-
 def _sigmoid(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -116,15 +111,40 @@ def _sigmoid(t):
     return out
 
 
-def _logistic_deriv(t):
-    # d/dt log(1 + exp(-t)) = -sigmoid(-t)
-    return -_sigmoid(-t)
+@dataclass(frozen=True)
+class Loss:
+    """One loss family in terms of the prediction t = <a, x> and the label b.
+
+    f_i(x) = mean_j value(t_ij, b_ij) + ridge/2 * lam * ||x||^2, and its
+    Hessian is bounded by H_i = cap * A_i^T A_i / n + ridge * lam * I, with
+    equality when ``exact`` is set.
+    """
+
+    value: Callable  # elementwise loss value
+    deriv: Callable  # elementwise derivative in t
+    cap: float  # bound on the second derivative in t
+    ridge: float
+    exact: bool
 
 
-def _check_point(x, d):
+# Labels enter the classification losses through the margin b * t.
+# log(1 + exp(-bt)) and its derivative -b * sigmoid(-bt) are evaluated stably
+# for either sign of the margin.
+LOSSES = {
+    "quadratic-ridge": Loss(lambda t, b: 0.5 * (t - b) ** 2, lambda t, b: t - b, 1.0, 2.0, True),
+    "smooth-hinge": Loss(
+        lambda t, b: smooth_hinge(b * t), lambda t, b: smooth_hinge_deriv(b * t) * b, 1.0, 1.0, False
+    ),
+    "logistic": Loss(
+        lambda t, b: np.logaddexp(0.0, -b * t), lambda t, b: -_sigmoid(-b * t) * b, 0.25, 1.0, False
+    ),
+}
+
+
+def _check_point(x, *shape):
     x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"expected point of dimension {d}, got shape {x.shape}")
+    if x.shape != shape:
+        raise ValueError(f"expected a point of shape {shape}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite point")
     return x
@@ -133,55 +153,35 @@ def _check_point(x, d):
 def local_value(p: ProblemSpec, i: int, x) -> float:
     """Value of agent i's local loss f_i at x."""
     x = _check_point(x, p.d)
-    if p.loss_kind == "quadratic-ridge":
-        res = p.A[i] @ x - p.b[i]
-        return float(res @ res / (2.0 * p.n) + p.lam * (x @ x))
-    margins = p.b[i] * (p.A[i] @ x)
-    loss = smooth_hinge(margins) if p.loss_kind == "smooth-hinge" else _logistic(margins)
-    return float(loss.mean() + 0.5 * p.lam * (x @ x))
+    loss = p.loss.value(p.A[i] @ x, p.b[i])
+    return float(loss.mean() + 0.5 * p.loss.ridge * p.lam * (x @ x))
 
 
 def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
     """Exact gradient of agent i's local loss at x."""
     x = _check_point(x, p.d)
-    if p.loss_kind == "quadratic-ridge":
-        return p.A[i].T @ (p.A[i] @ x - p.b[i]) / p.n + 2.0 * p.lam * x
-    margins = p.b[i] * (p.A[i] @ x)
-    dl = smooth_hinge_deriv(margins) if p.loss_kind == "smooth-hinge" else _logistic_deriv(margins)
-    return p.A[i].T @ (dl * p.b[i]) / p.n + p.lam * x
+    dl = p.loss.deriv(p.A[i] @ x, p.b[i])
+    return p.A[i].T @ dl / p.n + p.loss.ridge * p.lam * x
 
 
 def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Gradients of every agent at its own point: X is (m, d), result is (m, d)."""
-    if p.loss_kind == "quadratic-ridge":
-        res = np.einsum("mnd,md->mn", p.A, X) - p.b
-        return np.einsum("mnd,mn->md", p.A, res) / p.n + 2.0 * p.lam * X
-    margins = p.b * np.einsum("mnd,md->mn", p.A, X)
-    dl = smooth_hinge_deriv(margins) if p.loss_kind == "smooth-hinge" else _logistic_deriv(margins)
-    return np.einsum("mnd,mn->md", p.A, dl * p.b) / p.n + p.lam * X
+    dl = p.loss.deriv(np.einsum("mnd,md->mn", p.A, X), p.b)
+    return np.einsum("mnd,mn->md", p.A, dl) / p.n + p.loss.ridge * p.lam * X
 
 
 def average_value(p: ProblemSpec, x) -> float:
     """Smooth part of the global objective, f(x) = (1/m) sum_i f_i(x)."""
     x = _check_point(x, p.d)
-    if p.loss_kind == "quadratic-ridge":
-        res = np.einsum("mnd,d->mn", p.A, x) - p.b
-        return float((res * res).sum() / (2.0 * p.n * p.m) + p.lam * (x @ x))
-    margins = p.b * np.einsum("mnd,d->mn", p.A, x)
-    loss = smooth_hinge(margins) if p.loss_kind == "smooth-hinge" else _logistic(margins)
-    reg_coef = 0.5 * p.lam
-    return float(loss.mean() + reg_coef * (x @ x))
+    loss = p.loss.value(np.einsum("mnd,d->mn", p.A, x), p.b)
+    return float(loss.mean() + 0.5 * p.loss.ridge * p.lam * (x @ x))
 
 
 def average_grad(p: ProblemSpec, x) -> np.ndarray:
     """Gradient of f = (1/m) sum_i f_i at x."""
     x = _check_point(x, p.d)
-    if p.loss_kind == "quadratic-ridge":
-        res = np.einsum("mnd,d->mn", p.A, x) - p.b
-        return np.einsum("mnd,mn->d", p.A, res) / (p.n * p.m) + 2.0 * p.lam * x
-    margins = p.b * np.einsum("mnd,d->mn", p.A, x)
-    dl = smooth_hinge_deriv(margins) if p.loss_kind == "smooth-hinge" else _logistic_deriv(margins)
-    return np.einsum("mnd,mn->d", p.A, dl * p.b) / (p.n * p.m) + p.lam * x
+    dl = p.loss.deriv(np.einsum("mnd,d->mn", p.A, x), p.b)
+    return np.einsum("mnd,mn->d", p.A, dl) / (p.n * p.m) + p.loss.ridge * p.lam * x
 
 
 def r_value(p: ProblemSpec, x, feas_tol: float = 1e-9) -> float:
@@ -196,9 +196,12 @@ def r_value(p: ProblemSpec, x, feas_tol: float = 1e-9) -> float:
     return float("inf")
 
 
-def prox_r(p: ProblemSpec, x, step: float) -> np.ndarray:
-    """Proximal map of r with the given step: argmin_y r(y) + ||y - x||^2 / (2 step)."""
-    if step <= 0:
+def prox_r(p: ProblemSpec, x, step) -> np.ndarray:
+    """Proximal map of r with the given step: argmin_y r(y) + ||y - x||^2 / (2 step).
+
+    Elementwise, so x may be a stack of points with step broadcast against it.
+    """
+    if not np.all(np.asarray(step) > 0):
         raise ValueError("step must be > 0")
     x = np.asarray(x, dtype=float)
     reg = p.reg
@@ -210,34 +213,55 @@ def prox_r(p: ProblemSpec, x, step: float) -> np.ndarray:
     return np.clip(x, reg.lo, reg.hi)
 
 
-def local_hessian(p: ProblemSpec, i: int) -> np.ndarray:
-    """Exact Hessian of f_i for the quadratic loss (constant in x)."""
-    if p.loss_kind != "quadratic-ridge":
-        raise ValueError("exact Hessians are only available for quadratic-ridge")
-    return p.A[i].T @ p.A[i] / p.n + 2.0 * p.lam * np.eye(p.d)
-
-
 def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
     """Data-dependent upper bound H_i on agent i's Hessian.
 
     Exact for the quadratic loss; for classification losses it caps the scalar
     curvature at 1 (hinge) or 1/4 (logistic).
     """
-    if p.loss_kind == "quadratic-ridge":
-        return local_hessian(p, i)
-    c = CURVATURE_CAP[p.loss_kind]
-    Ab = p.A[i] * p.b[i][:, None]
-    return c * (Ab.T @ Ab) / p.n + p.lam * np.eye(p.d)
+    return p.loss.cap * (p.A[i].T @ p.A[i]) / p.n + p.loss.ridge * p.lam * np.eye(p.d)
+
+
+def local_hessian(p: ProblemSpec, i: int) -> np.ndarray:
+    """Exact Hessian of f_i for an exact-curvature loss (constant in x)."""
+    if not p.loss.exact:
+        raise ValueError(f"no exact Hessian for the {p.loss_kind} loss")
+    return hessian_bound(p, i)
+
+
+def hessian_bounds(p: ProblemSpec) -> np.ndarray:
+    """All m Hessian bounds stacked (m, d, d); callers must not keep it on p."""
+    H = np.empty((p.m, p.d, p.d))
+    for i in range(p.m):
+        H[i] = hessian_bound(p, i)
+    return H
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """Small summaries of the Hessian bounds H_i: their mean H_bar, each
+    agent's largest eigenvalue, and beta = max_i ||H_i - H_bar||_2."""
+
+    H_bar: np.ndarray
+    lmax: np.ndarray
+    beta: float
+
+
+def curvature(p: ProblemSpec) -> Curvature:
+    """The curvature summaries of p, memoized on p."""
+    if p._curvature is None:
+        H = hessian_bounds(p)
+        H_bar = H.mean(axis=0)
+        lmax = np.linalg.eigvalsh(H)[:, -1]
+        H -= H_bar
+        beta = np.abs(np.linalg.eigvalsh(H)[:, [0, -1]]).max()
+        p._curvature = Curvature(H_bar, lmax, float(beta))
+    return p._curvature
 
 
 def local_smoothness(p: ProblemSpec) -> np.ndarray:
-    """Per-agent smoothness bounds (largest eigenvalue of H_i), memoized."""
-    if p._local_smooth_cache is None:
-        vals = np.empty(p.m)
-        for i in range(p.m):
-            vals[i] = np.linalg.eigvalsh(hessian_bound(p, i))[-1]
-        p._local_smooth_cache = vals
-    return p._local_smooth_cache
+    """Per-agent smoothness bounds (largest eigenvalue of H_i)."""
+    return curvature(p).lmax
 
 
 @dataclass(frozen=True)
@@ -266,24 +290,21 @@ class Constants:
 def estimate_constants(p: ProblemSpec) -> Constants:
     """Estimate (mu, L, Lmx, beta) from the data.
 
-    Quadratic losses use exact Hessian eigenvalues.  Classification losses use
-    the curvature-capped bounds H_i: mu_hat = lam, L_hat = mean_i lmax(H_i),
-    and beta_hat = max_i ||H_i - mean_j H_j||_2.
+    Exact-curvature losses use the eigenvalues of the average Hessian.
+    Classification losses use the curvature-capped bounds H_i: mu_hat = lam,
+    L_hat = mean_i lmax(H_i).  beta_hat = max_i ||H_i - mean_j H_j||_2.
     """
-    H = np.stack([hessian_bound(p, i) for i in range(p.m)])
-    H_bar = H.mean(axis=0)
-    lmax_i = np.array([np.linalg.eigvalsh(Hi)[-1] for Hi in H])
-    beta = max(np.linalg.eigvalsh(Hi - H_bar)[[0, -1]].__abs__().max() for Hi in H)
-    if p.loss_kind == "quadratic-ridge":
-        w = np.linalg.eigvalsh(H_bar)
+    curv = curvature(p)
+    if p.loss.exact:
+        w = np.linalg.eigvalsh(curv.H_bar)
         mu, L = w[0], w[-1]
     else:
         mu = p.lam
-        L = lmax_i.mean()
+        L = curv.lmax.mean()
     if mu <= 1e-12 * max(1.0, L):
         raise DegenerateProblemError(
             "no strong convexity: lam = 0 with a rank-deficient average Hessian"
-            if p.loss_kind == "quadratic-ridge"
+            if p.loss.exact
             else "no strong convexity: classification losses require lam > 0"
         )
-    return Constants(float(mu), float(L), float(lmax_i.max()), float(beta))
+    return Constants(float(mu), float(L), float(curv.lmax.max()), curv.beta)

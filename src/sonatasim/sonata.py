@@ -1,5 +1,5 @@
-"""Inner loop: per-agent surrogate subproblems followed by one combined
-consensus + gradient-tracking exchange.
+"""Inner loop: one local surrogate step for every agent followed by one
+combined consensus + gradient-tracking exchange.
 
 Each agent i keeps an optimization copy x_i and a tracking variable y_i that
 estimates the global gradient.  One iteration is
@@ -13,9 +13,11 @@ one iteration costs W.rounds_per_application communication rounds.
 
 Two surrogates are supported: the full local function plus a similarity-sized
 proximal term ("F"), and plain linearization with an L-sized proximal term
-("L", which collapses to one proximal-gradient step).  The implementation is
-vectorized over agents; the per-agent subproblems only read previous-round
-state, so results are identical to any parallel schedule.
+("L", which collapses to one proximal-gradient step).  One
+:class:`LocalSolver`, built once per run, takes the local step of all m
+agents at once: a closed form, one proximal step, or proximal gradient on the
+whole stack.  The subproblems only read previous-round state, so results are
+identical to any parallel schedule.
 """
 
 from __future__ import annotations
@@ -68,110 +70,72 @@ def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z) -> np.ndarray:
     return G
 
 
-def hessian_stack(p: ProblemSpec) -> np.ndarray:
-    """Stacked exact local Hessians (quadratic losses only), memoized on p."""
-    cached = p.meta.get("_hessian_stack")
-    if cached is None:
-        cached = np.stack([problems.local_hessian(p, i) for i in range(p.m)])
-        p.meta["_hessian_stack"] = cached
-    return cached
+def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters):
+    """Iterative mode-F local step of all agents at once.
 
-
-class QuadraticFullSolver:
-    """Closed-form local step for kind "F" on quadratic losses with r = zero.
-
-    Solves (H_i + (delta+beta) I) x = H_i x_i + (delta+beta) x_i - y_i per
-    agent; the proximal centers z_i cancel out of the optimality condition.
-    Factors the (constant) system matrices once.
+    Agent i minimizes f_i(v) + delta/2||v-z_i||^2 + beta/2||v-x_i||^2
+    + <y_i - g_i, v> + r(v) by proximal gradient with its own step steps[i].
+    Its row freezes once its gradient mapping drops to tol, so every row and
+    its iteration count match a loop over agents.  Returns (X_half, whether
+    all agents converged, the largest iteration count).
     """
-
-    def __init__(self, p: ProblemSpec, coef: float):
-        H = hessian_stack(p)
-        self.H = H
-        self.coef = coef
-        self.K_inv = np.linalg.inv(H + coef * np.eye(p.d))
-
-    def solve(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        rhs = np.einsum("mab,mb->ma", self.H, X) + self.coef * X - Y
-        return np.einsum("mab,mb->ma", self.K_inv, rhs)
-
-
-def _prox_gradient_subproblem(
-    p, i, x_i, y_i, g_i, surrogate, delta, z_i, tol, max_iters
-):
-    """Iterative local step for kind "F" when no closed form applies.
-
-    Minimizes f_i(x) + delta/2||x-z_i||^2 + beta/2||x-x_i||^2
-    + <y_i - g_i, x> + r(x) by proximal gradient with step 1/L_sub.
-    """
-    beta = surrogate.weight
-    L_sub = problems.local_smoothness(p)[i] + delta + beta
-    step = 1.0 / L_sub
-    lin = y_i - g_i
-    x = x_i.copy()
+    step = steps[:, None]
+    lin = Y - G
+    V = X.copy()
+    active = np.ones(p.m, dtype=bool)
     for it in range(max_iters):
-        grad = problems.local_grad(p, i, x) + beta * (x - x_i) + lin
+        problems._check_point(V, p.m, p.d)
+        grad = problems.batch_grads(p, V) + beta * (V - X) + lin
         if delta != 0.0:
-            grad = grad + delta * (x - z_i)
-        x_next = prox_r(p, x - step * grad, step)
-        move = np.linalg.norm(x_next - x) / step
-        x = x_next
-        if move <= tol:
-            return x, True, it + 1
-    return x, False, max_iters
+            grad = grad + delta * (V - Z)
+        V_next = prox_r(p, V - step * grad, step)
+        move = np.linalg.norm(V_next - V, axis=1) / steps
+        V[active] = V_next[active]
+        active &= ~(move <= tol)
+        if not active.any():
+            return V, True, it + 1
+    return V, False, max_iters
 
 
-def local_subproblem(
-    p: ProblemSpec,
-    i: int,
-    x_i,
-    y_i,
-    g_i,
-    surrogate: Surrogate,
-    delta: float = 0.0,
-    z_i=None,
-    tol: float = 1e-10,
-    max_iters: int = 5000,
-):
-    """Solve one agent's local subproblem; returns (x_half, converged, inner_iters)."""
-    x_i = np.asarray(x_i, dtype=float)
-    y_i = np.asarray(y_i, dtype=float)
-    if surrogate.kind == "L":
-        step = 1.0 / surrogate.weight
-        return prox_r(p, x_i - step * y_i, step), True, 0
-    if p.loss_kind == "quadratic-ridge" and p.reg.kind == "zero":
-        H = problems.local_hessian(p, i)
-        coef = delta + surrogate.weight
-        x = np.linalg.solve(H + coef * np.eye(p.d), H @ x_i + coef * x_i - y_i)
-        return x, True, 0
-    if z_i is None:
-        z_i = x_i
-    g_i = np.asarray(g_i, dtype=float)
-    return _prox_gradient_subproblem(
-        p, i, x_i, y_i, g_i, surrogate, delta, z_i, tol, max_iters
-    )
+class LocalSolver:
+    """The local step of all m agents for one surrogate and proximal shift.
 
+    Mode L is one proximal-gradient step on the whole stack.  Mode F on an
+    exact-curvature loss with r = zero is the closed form
+    x_i - (H_i + (delta+beta) I)^-1 y_i: the proximal centers and the
+    gradient cache cancel out of the optimality condition.  Every other mode-F
+    case runs :func:`_prox_gradient_subproblem`.  Build it once per run; the
+    closed form factors its (constant) system matrices here.
+    """
 
-def _solve_all_subproblems(p, X, Y, G, surrogate, delta, Z, solver, tol, max_iters):
-    if surrogate.kind == "L":
-        step = 1.0 / surrogate.weight
-        V = X - step * Y
-        if p.reg.kind == "zero":
-            return V, True, 0
-        return np.stack([prox_r(p, v, step) for v in V]), True, 0
-    if solver is not None:
-        return solver.solve(X, Y), True, 0
-    X_half = np.empty_like(X)
-    ok = True
-    iters = 0
-    for i in range(p.m):
-        z_i = Z[i] if Z is not None else X[i]
-        X_half[i], conv, it = _prox_gradient_subproblem(
-            p, i, X[i], Y[i], G[i], surrogate, delta, z_i, tol, max_iters
+    def __init__(self, p: ProblemSpec, surrogate: Surrogate, delta: float = 0.0):
+        self.p = p
+        self.surrogate = surrogate
+        self.delta = delta
+        self.K_inv = self.steps = None
+        if surrogate.kind == "L":
+            return
+        if p.loss.exact and p.reg.kind == "zero":
+            K = problems.hessian_bounds(p)
+            K += (delta + surrogate.weight) * np.eye(p.d)
+            self.K_inv = np.linalg.inv(K)
+        else:
+            self.steps = 1.0 / (problems.curvature(p).lmax + delta + surrogate.weight)
+
+    def solve(self, X, Y, G, Z=None, tol: float = 1e-10, max_iters: int = 5000):
+        """Local step from (m, d) stacks of points X, trackers Y, shifted local
+        gradients G and proximal centers Z (default X); returns
+        (X_half, converged, inner_iters)."""
+        if self.surrogate.kind == "L":
+            step = 1.0 / self.surrogate.weight
+            return prox_r(self.p, X - step * Y, step), True, 0
+        if self.K_inv is not None:
+            return X - np.einsum("mab,mb->ma", self.K_inv, Y), True, 0
+        Z = X if Z is None else Z
+        beta = self.surrogate.weight
+        return _prox_gradient_subproblem(
+            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, max_iters
         )
-        ok = ok and conv
-        iters = max(iters, it)
-    return X_half, ok, iters
 
 
 def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float = 0.0, Z=None):
@@ -219,17 +183,12 @@ def sonata_run(
 
     comms = comms_start
     result = SonataResult(X, Y, G, comms)
-    use_closed_form = (
-        surrogate.kind == "F"
-        and p.loss_kind == "quadratic-ridge"
-        and p.reg.kind == "zero"
-    )
-    if use_closed_form and solver is None:
-        solver = QuadraticFullSolver(p, delta + surrogate.weight)
+    if solver is None:
+        solver = LocalSolver(p, surrogate, delta)
 
     for t in range(1, T + 1):
-        X_half, converged, iters = _solve_all_subproblems(
-            p, X, Y, G, surrogate, delta, Z, solver, subproblem_tol, max_inner_iters
+        X_half, converged, iters = solver.solve(
+            X, Y, G, Z, subproblem_tol, max_inner_iters
         )
         X, Y, G = gossip_round(X_half, Y, G, W, p, delta, Z)
         comms += cost

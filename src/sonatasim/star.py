@@ -2,7 +2,11 @@
 broadcasts the aggregate gradient, and no tracking variable is needed.
 
 Equivalent to the mesh algorithms run with the rank-one averaging matrix
-(deviation zero), up to the initialization of the tracking variable.
+(deviation zero), up to the initialization of the tracking variable.  The
+outer and inner loops here are written independently of the mesh ones as a
+cross-check; the workers' local step is the shared
+:class:`~sonatasim.sonata.LocalSolver`, called on stacks in which every row
+holds the shared point.
 """
 
 from __future__ import annotations
@@ -11,51 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import problems
 from .accel import AccelParams
-from .problems import ProblemSpec, prox_r
-from .sonata import Surrogate
-
-
-def _shifted_local_grad(p, i, x, delta, z):
-    g = problems.local_grad(p, i, x)
-    if delta != 0.0:
-        g = g + delta * (x - z)
-    return g
-
-
-def _shifted_avg_grad(p, x, delta, z):
-    g = problems.average_grad(p, x)
-    if delta != 0.0:
-        g = g + delta * (x - z)
-    return g
-
-
-def _star_subproblem(p, i, x, correction, surrogate, delta, z, tol, max_iters):
-    """argmin ftilde_i(v; x) + <correction, v - x> + r(v) at the shared point x."""
-    if surrogate.kind == "L":
-        step = 1.0 / surrogate.weight
-        g = _shifted_local_grad(p, i, x, delta, z)
-        return prox_r(p, x - step * (g + correction), step)
-    if p.loss_kind == "quadratic-ridge" and p.reg.kind == "zero":
-        H = problems.local_hessian(p, i)
-        coef = delta + surrogate.weight
-        g = _shifted_local_grad(p, i, x, delta, z)
-        rhs = (H + coef * np.eye(p.d)) @ x - (g + correction)
-        return np.linalg.solve(H + coef * np.eye(p.d), rhs)
-    beta = surrogate.weight
-    L_sub = problems.local_smoothness(p)[i] + delta + beta
-    step = 1.0 / L_sub
-    v = x.copy()
-    for _ in range(max_iters):
-        grad = problems.local_grad(p, i, v) + beta * (v - x) + correction
-        if delta != 0.0:
-            grad = grad + delta * (v - z)
-        v_next = prox_r(p, v - step * grad, step)
-        if np.linalg.norm(v_next - v) / step <= tol:
-            return v_next
-        v = v_next
-    return v
+from .problems import ProblemSpec
+from .sonata import LocalSolver, Surrogate, shifted_grads
 
 
 def sonata_star_run(
@@ -80,17 +42,14 @@ def sonata_star_run(
     rank-one averaging matrix.
     """
     x = np.array(x0, dtype=float)
-    if z is None:
-        z = x.copy()
+    Z = np.tile(x if z is None else z, (p.m, 1))
+    solver = LocalSolver(p, surrogate, delta)
     comms = comms_start
     for t in range(1, T + 1):
-        g_avg = _shifted_avg_grad(p, x, delta, z)
-        halves = np.empty((p.m, p.d))
-        for i in range(p.m):
-            corr = g_avg - _shifted_local_grad(p, i, x, delta, z)
-            halves[i] = _star_subproblem(
-                p, i, x, corr, surrogate, delta, z, subproblem_tol, max_inner_iters
-            )
+        X = np.tile(x, (p.m, 1))
+        G = shifted_grads(p, X, delta, Z)
+        Y = np.tile(G.mean(axis=0), (p.m, 1))
+        halves, _, _ = solver.solve(X, Y, G, Z, subproblem_tol, max_inner_iters)
         x = halves.mean(axis=0)
         comms += 1
         if on_step is not None:

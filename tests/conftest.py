@@ -25,12 +25,12 @@ def rng():
     return np.random.default_rng(np.random.SeedSequence(99))
 
 
-def hinge_problem(m=4, n=40, d=6, lam=1e-2, seed=5, reg=None):
+def classification_problem(loss_kind, m, n, d, lam, seed, reg=None):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     A = rng.standard_normal((m, n, d))
     b = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
     return problems.ProblemSpec(
-        loss_kind="smooth-hinge",
+        loss_kind=loss_kind,
         A=A,
         b=b,
         lam=lam,
@@ -38,7 +38,9 @@ def hinge_problem(m=4, n=40, d=6, lam=1e-2, seed=5, reg=None):
     )
 
 
+def hinge_problem(m=4, n=40, d=6, lam=1e-2, seed=5, reg=None):
+    return classification_problem("smooth-hinge", m, n, d, lam, seed, reg)
+
+
 def logistic_problem(m=4, n=40, d=6, lam=1e-2, seed=6, reg=None):
-    p = hinge_problem(m, n, d, lam, seed, reg)
-    p.loss_kind = "logistic"
-    return p
+    return classification_problem("logistic", m, n, d, lam, seed, reg)

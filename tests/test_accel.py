@@ -71,6 +71,13 @@ class TestTune:
         p = with_overrides(tune(c, "F"), delta=8.0)
         assert p.alpha == pytest.approx(math.sqrt(1.0 / 9.0))
 
+    def test_with_overrides_rederives_mode_l_weight(self):
+        c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
+        p = with_overrides(tune(c, "L"), delta=100.0)
+        assert p.surrogate.kind == "L"
+        assert p.surrogate.weight == pytest.approx(10.0 + 100.0)
+        assert with_overrides(tune(c, "F"), delta=100.0).surrogate == Surrogate("F", 4.0)
+
     def test_extrapolation_coefficient_range(self):
         for delta in (0.0, 0.5, 10.0, 1e6):
             mu = 1.0
@@ -137,6 +144,15 @@ class TestAccSonataRun:
         )
         for a, b in zip(seen, plain):
             assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_non_finite_tracking_start_raises(
+        self, small_ridge, small_ridge_constants, small_gossip
+    ):
+        # a NaN drift compares False against any tolerance
+        p = small_ridge
+        params = tune(small_ridge_constants, "F")
+        with pytest.raises(AssertionError, match="tracking identity"):
+            acc_sonata_run(p, params, small_gossip, K_max=2, Y0=np.full((p.m, p.d), np.nan))
 
     def test_comm_counter_is_k_times_t_times_rounds(
         self, small_ridge, small_ridge_constants, small_gossip

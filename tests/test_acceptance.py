@@ -2,9 +2,11 @@
 its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import csv
 import math
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,26 @@ from sonatasim.sonata import Surrogate
 def _report(number, name, elapsed, budget, detail=""):
     print(f"ACCEPTANCE {number:>2} {name}: PASS ({elapsed:.2f}s < {budget}s) {detail}")
     assert elapsed < budget, f"runtime budget exceeded: {elapsed:.1f}s >= {budget}s"
+
+
+RUNS = Path(__file__).resolve().parent.parent / "runs"
+
+
+def _assert_matches_committed(out, name):
+    """The regenerated sweep summary equals the committed reference copy:
+    integer columns and sweep points exactly, measured floats to 1e-9."""
+    with open(out / "summary.csv", newline="") as fh:
+        fresh = list(csv.DictReader(fh))
+    with open(RUNS / name / "summary.csv", newline="") as fh:
+        committed = list(csv.DictReader(fh))
+    assert len(fresh) == len(committed)
+    for got, want in zip(fresh, committed):
+        assert got.keys() == want.keys()
+        for key in ("axis", "n", "comms_F", "comms_L"):
+            assert got[key] == want[key], (key, got, want)
+        assert float(got["point"]) == float(want["point"])
+        for key in ("lam", "beta_over_mu_hat", "kappa_hat"):
+            assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-9), key
 
 
 def _timer():
@@ -161,17 +183,18 @@ def test_criterion_05_outer_linear_rate():
             f"beta/mu={ratio:.0f}, factor={factor:.4f} <= {required:.4f}, K={res.K_done}")
 
 
-def test_criterion_06_sqrt_beta_over_mu_scaling():
+def test_criterion_06_sqrt_beta_over_mu_scaling(tmp_path):
     done = _timer()
     seed = _pilot_seed()
     cfg = cli.load_config(None, {
         "seed": seed,
         "problem": {"synthetic": {"m": 30, "d": 25, "n": 400, "mu0": 1.0, "L0": 1000.0, "lam": 0.0}},
         "topology": {"kind": "erdos_renyi", "p": 0.5},
-        "output": "runs/acceptance-bmu",
+        "output": str(tmp_path / "acceptance-bmu"),
     })
     out = cli.resolve_output(cfg["output"])
     meta = cli.execute_sweep(cfg, "beta_over_mu", [50, 180, 600, 2000, 7000], out, 1e-4)
+    _assert_matches_committed(out, "acceptance-bmu")
     rows = meta["rows"]
     assert all(r["comms_F"] is not None and r["comms_L"] is not None for r in rows)
     bm = np.array([r["beta_over_mu_hat"] for r in rows])
@@ -190,7 +213,7 @@ def test_criterion_06_sqrt_beta_over_mu_scaling():
             f"slope={slope:.3f}, L-var={l_var:.2%}, kappa-var={kap_var:.2%}")
 
 
-def test_criterion_07_sqrt_kappa_scaling():
+def test_criterion_07_sqrt_kappa_scaling(tmp_path):
     done = _timer()
     seed = _pilot_seed()
     base_n = 5000
@@ -201,10 +224,11 @@ def test_criterion_07_sqrt_kappa_scaling():
         "seed": seed,
         "problem": {"synthetic": {"m": 30, "d": 25, "n": base_n, "mu0": 1.0, "L0": 1000.0, "lam": 0.0}},
         "topology": {"kind": "erdos_renyi", "p": 0.5},
-        "output": "runs/acceptance-kappa",
+        "output": str(tmp_path / "acceptance-kappa"),
     })
     out = cli.resolve_output(cfg["output"])
     meta = cli.execute_sweep(cfg, "kappa", targets, out, 1e-4)
+    _assert_matches_committed(out, "acceptance-kappa")
     rows = meta["rows"]
     assert all(r["comms_F"] is not None and r["comms_L"] is not None for r in rows)
     kap = np.array([r["kappa_hat"] for r in rows])

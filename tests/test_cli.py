@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,22 @@ class TestRun:
         out = cli.resolve_output(cfg["output"])
         meta = execute_run(cfg, out)
         assert meta["result"]["converged"]
+
+    def test_mode_l_delta_override_rederives_surrogate_weight(self, tmp_path):
+        # a stale weight L + delta_tuned made this run diverge to an infinite gap
+        cfg = load_config(None, {
+            "algorithm": {"mode": "L", "delta": 1e5, "K_max": 30},
+            "problem": {"synthetic": {"m": 10, "n": 100, "d": 10}},
+            "output": str(tmp_path / "out"),
+        })
+        out = cli.resolve_output(cfg["output"])
+        meta = execute_run(cfg, out)
+        L_hat = meta["constants"]["L_hat"]
+        assert meta["params"]["surrogate_weight"] == pytest.approx(L_hat + 1e5, rel=1e-12)
+        with open(out / "trajectory.csv") as fh:
+            first_gap = float(next(csv.DictReader(fh))["gap"])
+        final_gap = meta["result"]["final_gap"]
+        assert math.isfinite(final_gap) and final_gap < first_gap
 
     def test_dataset_problem_block(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -148,6 +165,12 @@ class TestMainEntry:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert cli.main(["run", "-c", str(bad)]) == 2
+
+    def test_alpha_is_not_a_config_field(self, tmp_path, capsys):
+        # alpha is fixed by mu and delta, so the config has no knob for it
+        path = write_config(tmp_path, base_config(tmp_path, algorithm={"alpha": 0.5}))
+        assert cli.main(["run", "-c", path]) == 2
+        assert "unknown config field" in capsys.readouterr().err
 
     def test_lowerbound_subcommand(self, tmp_path, capsys):
         rc = cli.main(

@@ -86,7 +86,7 @@ class TestMetropolisHastings:
 class TestExactAveraging:
     def test_averages_in_one_round(self):
         W = exact_averaging(3)
-        out = W.mix(np.array([[1.0], [2.0], [6.0]]))
+        out = W.W @ np.array([[1.0], [2.0], [6.0]])
         assert out == pytest.approx(np.full((3, 1), 3.0))
         assert W.rho == 0.0
 

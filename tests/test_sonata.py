@@ -5,9 +5,9 @@ from conftest import hinge_problem
 from sonatasim import diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
+    LocalSolver,
     Surrogate,
     gossip_round,
-    local_subproblem,
     shifted_grads,
     sonata_run,
     tracking_gap,
@@ -19,54 +19,101 @@ def cold_start(p):
     return X0, problems.batch_grads(p, X0)
 
 
+def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000):
+    """Reference for one agent's iterative local step, written as a plain loop."""
+    step = 1.0 / (np.linalg.eigvalsh(problems.hessian_bound(p, i))[-1] + delta + beta)
+    v = x.copy()
+    for it in range(max_iters):
+        grad = problems.local_grad(p, i, v) + beta * (v - x) + (y - g) + delta * (v - z)
+        v_next = problems.prox_r(p, v - step * grad, step)
+        done = np.linalg.norm(v_next - v) / step <= tol
+        v = v_next
+        if done:
+            return v, it + 1
+    return v, max_iters
+
+
 class TestLocalSubproblem:
     def test_linearized_kind_is_explicit_step(self, small_ridge, rng):
         p = small_ridge
-        x = rng.standard_normal(p.d)
-        y = rng.standard_normal(p.d)
-        out, ok, _ = local_subproblem(p, 0, x, y, None, Surrogate("L", 7.0))
+        X = rng.standard_normal((p.m, p.d))
+        Y = rng.standard_normal((p.m, p.d))
+        out, ok, _ = LocalSolver(p, Surrogate("L", 7.0)).solve(X, Y, None)
         assert ok
-        assert out == pytest.approx(x - y / 7.0, abs=1e-14)
+        assert out == pytest.approx(X - Y / 7.0, abs=1e-14)
 
     def test_full_kind_closed_form_vs_iterative(self, small_ridge, rng):
         # solve the same strongly convex subproblem by plain gradient descent
         p = small_ridge
         i, beta, delta = 1, 5.0, 2.0
-        x = rng.standard_normal(p.d)
-        z = rng.standard_normal(p.d)
-        y = rng.standard_normal(p.d)
-        g = problems.local_grad(p, i, x) + delta * (x - z)
-        out, ok, _ = local_subproblem(p, i, x, y, g, Surrogate("F", beta), delta=delta, z_i=z)
+        X = rng.standard_normal((p.m, p.d))
+        Z = rng.standard_normal((p.m, p.d))
+        Y = rng.standard_normal((p.m, p.d))
+        G = shifted_grads(p, X, delta, Z)
+        out, ok, _ = LocalSolver(p, Surrogate("F", beta), delta).solve(X, Y, G, Z)
         assert ok
+        x, z, g = X[i], Z[i], G[i]
         H = problems.local_hessian(p, i)
         L_sub = np.linalg.eigvalsh(H)[-1] + delta + beta
         v = x.copy()
-        lin = y - g
+        lin = Y[i] - g
         for _ in range(4000):
             grad = problems.local_grad(p, i, v) + delta * (v - z) + beta * (v - x) + lin
             v = v - grad / L_sub
-        assert out == pytest.approx(v, abs=1e-9)
+        assert out[i] == pytest.approx(v, abs=1e-9)
 
     def test_large_prox_weight_collapses_to_current_point(self, small_ridge, rng):
         p = small_ridge
-        x = rng.standard_normal(p.d)
-        y = rng.standard_normal(p.d)
-        g = problems.local_grad(p, 0, x)
-        out, _, _ = local_subproblem(p, 0, x, y, g, Surrogate("F", 1e12))
-        assert np.linalg.norm(out - x) <= 1e-9
+        X = rng.standard_normal((p.m, p.d))
+        Y = rng.standard_normal((p.m, p.d))
+        out, _, _ = LocalSolver(p, Surrogate("F", 1e12)).solve(X, Y, problems.batch_grads(p, X))
+        assert np.linalg.norm(out - X) <= 1e-9
 
     def test_iterative_path_with_l1(self, rng):
         p = hinge_problem(reg=Regularizer("l1", weight=0.01))
-        x = rng.standard_normal(p.d)
-        y = problems.local_grad(p, 0, x)
-        out, ok, iters = local_subproblem(p, 0, x, y, y, Surrogate("F", 3.0), tol=1e-10)
+        X = rng.standard_normal((p.m, p.d))
+        Y = problems.batch_grads(p, X)
+        out, ok, iters = LocalSolver(p, Surrogate("F", 3.0)).solve(X, Y, Y, tol=1e-10)
         assert ok and iters > 0
-        # optimality: gradient mapping of the subproblem vanishes
+        # optimality: gradient mapping of every agent's subproblem vanishes
         beta = 3.0
-        grad = problems.local_grad(p, 0, out) + beta * (out - x)
+        grad = problems.batch_grads(p, out) + beta * (out - X)
         step = 1e-3
         moved = problems.prox_r(p, out - step * grad, step)
-        assert np.linalg.norm(moved - out) / step <= 1e-6
+        assert np.linalg.norm(moved - out, axis=1).max() / step <= 1e-6
+
+    def test_batched_prox_gradient_matches_per_agent_loop(self, rng):
+        # agents with feature scales a decade apart take different steps and
+        # stop after different numbers of iterations
+        m, n, d = 4, 30, 5
+        A = rng.standard_normal((m, n, d)) * np.array([0.3, 1.0, 2.0, 4.0])[:, None, None]
+        b = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
+        p = problems.ProblemSpec("smooth-hinge", A, b, lam=0.05, reg=Regularizer("l1", weight=0.02))
+        beta, delta, tol = 0.7, 0.4, 1e-6
+        X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
+        G = shifted_grads(p, X, delta, Z)
+
+        def reference(max_iters=5000):
+            runs = [
+                per_agent_prox_gradient(p, i, X[i], Y[i], G[i], Z[i], beta, delta, tol, max_iters)
+                for i in range(m)
+            ]
+            return np.array([v for v, _ in runs]), [k for _, k in runs]
+
+        ref, counts = reference()
+        assert len(set(counts)) > 1
+        solver = LocalSolver(p, Surrogate("F", beta), delta)
+        out, ok, iters = solver.solve(X, Y, G, Z, tol=tol)
+        assert ok and iters == max(counts)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        # cut the batched run just at and just past each agent's own count:
+        # every row must have moved exactly min(cut, count_i) times
+        for cut in sorted({c + s for c in counts for s in (0, 1)}):
+            ref_cut, _ = reference(cut)
+            out_cut, ok_cut, iters_cut = solver.solve(X, Y, G, Z, tol=tol, max_iters=cut)
+            assert np.max(np.abs(out_cut - ref_cut)) <= 1e-12
+            assert ok_cut == (cut >= max(counts))
+            assert iters_cut == min(cut, max(counts))
 
 
 class TestGossipRound:
