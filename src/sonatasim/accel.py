@@ -11,12 +11,17 @@ the average-tracking identity valid across the change of objective: the
 previous loop tracked gradients shifted toward z_prev, the new one must track
 gradients shifted toward z, and the two differ by exactly delta * (z_prev - z)
 on average.
+
+The proximal coefficient delta fixes the momentum root
+alpha = sqrt(mu / (mu + delta)) and, in mode L, the model constant L + delta.
+:class:`AccelParams` stores neither: both are derived from delta on access, so
+``dataclasses.replace(params, delta=...)`` is consistent by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,28 +40,38 @@ class PerfectlyConditionedError(ValueError):
 
 @dataclass(frozen=True)
 class AccelParams:
-    """Tuning bundle: proximal coefficient, momentum root, inner length."""
+    """Tuning bundle: mode, proximal coefficient, inner length, strong
+    convexity, and the surrogate constant before the proximal shift (the
+    similarity-sized prox weight in mode F, the smoothness L in mode L)."""
 
     mode: str  # "F" | "L"
     delta: float
-    alpha: float
     T: int
     mu: float
-    surrogate: Surrogate
+    weight: float
     c_seq: float = 0.5
     K_max: int = 200
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if abs(self.alpha**2 * (self.mu + self.delta) - self.mu) > 1e-12 * max(
-            1.0, self.mu
-        ):
-            raise ValueError("alpha must equal sqrt(mu / (mu + delta))")
+        if self.mode not in ("F", "L"):
+            raise ValueError("mode must be 'F' or 'L'")
         if self.T < 1 or self.delta < 0:
             raise ValueError("need T >= 1 and delta >= 0")
+        if not (self.mu > 0 and self.weight > 0):
+            raise ValueError("need mu > 0 and weight > 0")
         if not 0 < self.c_seq < 1:
             raise ValueError("c_seq must be in (0, 1)")
+
+    @property
+    def alpha(self) -> float:
+        return math.sqrt(self.mu / (self.mu + self.delta))
+
+    @property
+    def surrogate(self) -> Surrogate:
+        """Mode L models the shifted loss, whose smoothness is L + delta."""
+        if self.mode == "L":
+            return Surrogate("L", self.weight + self.delta)
+        return Surrogate("F", self.weight)
 
     @property
     def extrapolation_coef(self) -> float:
@@ -66,17 +81,23 @@ class AccelParams:
 def tune(
     constants: Constants,
     mode: str,
-    c_seq: float = 0.5,
+    *,
+    delta: float | None = None,
+    T: int | None = None,
     mu_override: float | None = None,
     tuning_variant: str = "main",
+    c_seq: float = 0.5,
     K_max: int = 200,
 ) -> AccelParams:
-    """Theory-driven tuning: delta and T from the estimated constants.
+    """Theory-driven tuning from the estimated constants; a given delta or T
+    replaces the tuned value.
 
-    Mode F sets delta = beta - mu with T = ceil(log(beta/mu)); mode L sets
-    delta = L - mu with T = ceil(log(kappa)).  ``tuning_variant="alt"`` swaps
-    in the alternative pairing T_F = ceil(1.4 log(L/mu)), T_L =
-    ceil(log(beta/mu)).
+    Mode F tunes delta = beta - mu with T = ceil(log(beta/mu)); mode L tunes
+    delta = L - mu with T = ceil(log(kappa)); T is at least 1.
+    ``tuning_variant="alt"`` swaps in the alternative pairing T_F =
+    ceil(1.4 log(L/mu)), T_L = ceil(log(beta/mu)).  Only a tuned delta needs
+    the mode's premise (beta > mu for F, kappa > 1 for L), so ``delta=0.0``,
+    the plain inner method, runs on any instance.
     """
     if mode not in ("F", "L"):
         raise ValueError("mode must be 'F' or 'L'")
@@ -84,78 +105,22 @@ def tune(
         raise ValueError("tuning_variant must be 'main' or 'alt'")
     mu = float(mu_override) if mu_override is not None else constants.mu_hat
     beta, L = constants.beta_hat, constants.L_hat
-    if mode == "F":
-        if beta <= mu:
+    if delta is None:
+        if mode == "F" and beta <= mu:
             raise DegenerateSimilarityError(
-                f"beta_hat={beta} <= mu_hat={mu}: run the plain inner loop instead"
+                f"beta_hat={beta} <= mu_hat={mu}: nothing to accelerate; run the "
+                "plain inner loop (--plain or algorithm.delta: 0)"
             )
-        delta = beta - mu
-        T = math.ceil(math.log(beta / mu)) if tuning_variant == "main" else math.ceil(
-            1.4 * math.log(L / mu)
-        )
-        surrogate = Surrogate("F", beta)
-    else:
-        if L <= mu:
+        if mode == "L" and L <= mu:
             raise PerfectlyConditionedError(f"kappa_hat={L / mu} <= 1: nothing to accelerate")
-        delta = L - mu
-        T = math.ceil(math.log(L / mu)) if tuning_variant == "main" else math.ceil(
-            math.log(beta / mu)
-        )
-        surrogate = Surrogate("L", L + delta)
-    alpha = math.sqrt(mu / (mu + delta))
-    return AccelParams(
-        mode=mode,
-        delta=delta,
-        alpha=alpha,
-        T=max(1, T),
-        mu=mu,
-        surrogate=surrogate,
-        c_seq=c_seq,
-        K_max=K_max,
-    )
-
-
-def plain_params(
-    constants: Constants, mode: str, T: int | None = None, K_max: int = 200
-) -> AccelParams:
-    """delta = 0 variant: the outer loop degenerates to the plain inner method.
-
-    T only sets the spacing of gap evaluations here; its default mirrors the
-    accelerated tuning but tolerates degenerate constants (beta <= mu, or
-    kappa ~ 1), where the accelerated variants refuse to run.
-    """
-    mu = constants.mu_hat
+        delta = (beta if mode == "F" else L) - mu
     if T is None:
-        ratio = constants.beta_hat / mu if mode == "F" else constants.kappa_hat
-        T = max(1, math.ceil(math.log(max(ratio, 1.0))))
-    if mode == "F":
-        weight = constants.beta_hat if constants.beta_hat > 0 else mu
-        surrogate = Surrogate("F", weight)
-    else:
-        surrogate = Surrogate("L", constants.L_hat)
-    return AccelParams(
-        mode=mode,
-        delta=0.0,
-        alpha=1.0,
-        T=T,
-        mu=mu,
-        surrogate=surrogate,
-        K_max=K_max,
-    )
-
-
-def with_overrides(params: AccelParams, **kwargs) -> AccelParams:
-    """Replace tuning fields, re-deriving what depends on them: alpha when
-    delta or mu change, and the mode-L surrogate weight L + delta when delta
-    changes."""
-    mu = kwargs.get("mu", params.mu)
-    delta = kwargs.get("delta", params.delta)
-    if "delta" in kwargs or "mu" in kwargs:
-        kwargs["alpha"] = math.sqrt(mu / (mu + delta))
-    if "delta" in kwargs and params.surrogate.kind == "L":
-        weight = params.surrogate.weight - params.delta + delta
-        kwargs["surrogate"] = Surrogate("L", weight)
-    return replace(params, **kwargs)
+        scale, top = 1.0, beta if mode == "F" else L
+        if tuning_variant == "alt":
+            scale, top = (1.4, L) if mode == "F" else (1.0, beta)
+        T = max(1, math.ceil(scale * math.log(max(top / mu, 1.0))))
+    weight = (beta if beta > 0 else mu) if mode == "F" else L
+    return AccelParams(mode, float(delta), T, mu, weight, c_seq, K_max)
 
 
 class RunObserver:
@@ -200,17 +165,20 @@ def acc_sonata_run(
     subproblem_tol: float = 1e-10,
     max_inner_iters: int = 5000,
     count_half_duplex: bool = False,
-    check_tracking: bool = True,
 ) -> AccelResult:
     """Run up to K_max outer iterations; stop early once gap_fn(X) <= target_gap.
 
     Y0 defaults to each agent's own local gradient at the start point.  On a
     star-equivalent (exact averaging) network the caller may override it with
     the averaged gradient, which the hub can compute in one round.
+
+    The shifted gradients at each outer boundary are evaluated once: they
+    check the tracking identity (a violated or non-finite drift raises) and
+    seed the inner loop's gradient cache.
     """
     K = K_max if K_max is not None else params.K_max
     observer = observer or RunObserver()
-    delta, alpha, T = params.delta, params.alpha, params.T
+    delta, T, surrogate = params.delta, params.T, params.surrogate
 
     X = np.zeros((p.m, p.d)) if X0 is None else np.array(X0, dtype=float)
     Z = X.copy()
@@ -219,7 +187,7 @@ def acc_sonata_run(
 
     _, rounds = sonata._as_mixer(W)
     comm_cost = 2 * rounds if count_half_duplex else rounds
-    solver = sonata.LocalSolver(p, params.surrogate, delta)
+    solver = sonata.LocalSolver(p, surrogate, delta)
 
     comms = 0
     observer.on_init(comms, X, Y, Z)
@@ -228,14 +196,11 @@ def acc_sonata_run(
     for k in range(K):
         Y_warm = Y + delta * (Z_prev - Z)
         observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
-        if check_tracking:
-            G_shift = sonata.shifted_grads(p, X, delta, Z)
-            drift = np.linalg.norm(Y_warm.mean(axis=0) - G_shift.mean(axis=0))
-            scale = 1.0 + np.linalg.norm(G_shift.mean(axis=0))
-            if not drift <= 1e-8 * scale:  # also catches a NaN drift
-                raise AssertionError(
-                    f"tracking identity violated at outer {k}: drift {drift}"
-                )
+        G = sonata.shifted_grads(p, X, delta, Z)
+        drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
+        scale = 1.0 + np.linalg.norm(G.mean(axis=0))
+        if not drift <= 1e-8 * scale:  # also catches a NaN drift
+            raise AssertionError(f"tracking identity violated at outer {k}: drift {drift}")
 
         inner = sonata.sonata_run(
             p,
@@ -243,9 +208,10 @@ def acc_sonata_run(
             Y_warm,
             T,
             W,
-            params.surrogate,
+            surrogate,
             delta=delta,
             Z=Z,
+            G0=G,
             solver=solver,
             subproblem_tol=subproblem_tol,
             max_inner_iters=max_inner_iters,

@@ -23,6 +23,11 @@ from . import accel, datagen, diagnostics, network, problems, sonata
 
 DEFAULT_TARGET_GAP = 1e-4
 
+# A few extra inner iterations on top of the tuned length keep the inner
+# solves uniformly tight across a sweep, so the measured communication
+# counts isolate the outer-rate scaling.
+SWEEP_T_EXTRA = 4
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "problem": {
@@ -47,11 +52,8 @@ DEFAULT_CONFIG = {
         "target_gap": DEFAULT_TARGET_GAP,
         "mu_override": None,
         "tuning_variant": "main",
-        "plain": False,
         "subproblem_tol": 1e-10,
         "max_inner_iters": 5000,
-        "count_half_duplex": False,
-        "sweep_T_extra": 4,
     },
     "diagnostics": {"potentials": False, "oracle_tol": 1e-12},
     "output": "runs/out",
@@ -182,24 +184,16 @@ def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelPar
     mode = alg["mode"]
     if mode not in ("F", "L"):
         raise ConfigError(f"algorithm.mode: must be 'F' or 'L', got {mode!r}")
-    if alg.get("plain"):
-        params = accel.plain_params(constants, mode, T=alg.get("T"), K_max=int(alg["K_max"]))
-    else:
-        params = accel.tune(
-            constants,
-            mode,
-            c_seq=float(alg["c_seq"]),
-            mu_override=alg.get("mu_override"),
-            tuning_variant=alg.get("tuning_variant", "main"),
-            K_max=int(alg["K_max"]),
-        )
-        overrides = {}
-        for key in ("delta", "T"):
-            if alg.get(key) is not None:
-                overrides[key] = alg[key] if key == "T" else float(alg[key])
-        if overrides:
-            params = accel.with_overrides(params, **overrides)
-    return params
+    return accel.tune(
+        constants,
+        mode,
+        delta=alg.get("delta"),
+        T=alg.get("T"),
+        mu_override=alg.get("mu_override"),
+        tuning_variant=alg.get("tuning_variant", "main"),
+        c_seq=float(alg["c_seq"]),
+        K_max=int(alg["K_max"]),
+    )
 
 
 def _constants_dict(c: problems.Constants) -> dict:
@@ -252,7 +246,6 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         target_gap=None if target_gap is None else float(target_gap),
         subproblem_tol=float(alg["subproblem_tol"]),
         max_inner_iters=int(alg["max_inner_iters"]),
-        count_half_duplex=bool(alg["count_half_duplex"]),
     )
     builder.traj.write_csv(out_dir / "trajectory.csv")
     meta = {
@@ -280,21 +273,12 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     return meta
 
 
-def _tuned_T(constants, mode):
-    """Tuned inner length for the mode, falling back to the plain variant when
-    the mode's acceleration premise does not hold for this instance."""
-    try:
-        return accel.tune(constants, mode).T
-    except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
-        return accel.plain_params(constants, mode).T
-
-
 def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
     alg = dict(alg, mode=mode, T=T_override if T_override is not None else alg.get("T"))
     try:
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
-        params = accel.plain_params(constants, mode, T=alg.get("T"), K_max=int(alg["K_max"]))
+        params = tune_from_config(constants, dict(alg, delta=0.0))
     oracle = diagnostics.centralized_solve(p)
     builder = diagnostics.TrajectoryBuilder(p, oracle, params)
     accel.acc_sonata_run(
@@ -394,12 +378,10 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         constants = problems.estimate_constants(p)
         prepared.append((point, gen_cfg, p, constants))
 
-    # A few extra inner iterations on top of the tuned length keep the inner
-    # solves uniformly tight across the sweep, so the measured communication
-    # counts isolate the outer-rate scaling.
-    T_extra = int(alg.get("sweep_T_extra", 4))
-    T_f = max(_tuned_T(c, "F") for _, _, _, c in prepared) + T_extra
-    T_l = max(_tuned_T(c, "L") for _, _, _, c in prepared) + T_extra
+    # T does not depend on delta; a given delta skips the degenerate-instance
+    # checks, so instances where a mode cannot accelerate still count.
+    T_f = max(accel.tune(c, "F", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
+    T_l = max(accel.tune(c, "L", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
 
     rows = []
     for point, gen_cfg, p, constants in prepared:
@@ -530,7 +512,7 @@ def _overrides_from_args(args) -> dict:
         if val is not None:
             alg[name] = val
     if getattr(args, "plain", False):
-        alg["plain"] = True
+        alg["delta"] = 0.0
     if alg:
         over["algorithm"] = alg
     if getattr(args, "potentials", False):
@@ -612,6 +594,11 @@ def main(argv=None) -> int:
         datagen.LibsvmParseError,
         datagen.InsufficientDataError,
         FileNotFoundError,
+        network.UnreachableTargetError,
+        network.InstanceTooLargeError,
+        problems.DegenerateProblemError,
+        accel.DegenerateSimilarityError,
+        accel.PerfectlyConditionedError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

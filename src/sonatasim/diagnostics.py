@@ -306,9 +306,9 @@ def comms_to_accuracy(traj: Trajectory, eps: float):
 class TrajectoryBuilder(RunObserver):
     """Observer that assembles a Trajectory from an accelerated run.
 
-    With ``potentials=True`` it re-solves the shifted problem at every outer
-    iteration to evaluate the inner potential, and evaluates the outer
-    potential after every extrapolation.
+    It evaluates the outer potential after every extrapolation.  With
+    ``potentials=True`` it also re-solves the shifted problem at every outer
+    iteration to evaluate the inner potential.
     """
 
     def __init__(
@@ -329,8 +329,6 @@ class TrajectoryBuilder(RunObserver):
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
         self._last_inner: dict | None = None
-        self._e_prev_final = 0.0
-        self._X_by_outer: dict[int, np.ndarray] = {}
         self.P0: float | None = None
         self.eps_seq: list[float] = []
 
@@ -349,7 +347,6 @@ class TrajectoryBuilder(RunObserver):
         )
 
     def on_init(self, comms, X, Y, Z):
-        self._X_by_outer[-1] = np.array(X)
         self.P0 = outer_potential(
             self.p, X, X, self.params.alpha, self.params.mu, 0.0, self.oracle
         )
@@ -379,7 +376,6 @@ class TrajectoryBuilder(RunObserver):
         self._row(k, t, comms, X, Y, g_plus_e=g_plus_e)
 
     def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
-        self._X_by_outer[k] = np.array(X)
         P_next = outer_potential(
             self.p,
             X_prev,
@@ -401,9 +397,6 @@ class TrajectoryBuilder(RunObserver):
             rec.P_after = P_next
             rec.eps_next = self.eps_seq[-1]
             rec.termination_ok = rec.g_e_final <= rec.eps_next
-
-    def outer_iterate(self, k: int) -> np.ndarray:
-        return self._X_by_outer[k]
 
 
 def measure_epsilon_constant(P0: float, alpha: float, g_e_finals) -> float:

@@ -105,11 +105,8 @@ def complete_graph(m: int) -> Graph:
 
 def _deviation_norm(W: np.ndarray) -> float:
     """Spectral norm of W - 11^T/m, computed on the symmetric part."""
-    m = W.shape[0]
-    M = W - np.full((m, m), 1.0 / m)
-    M = 0.5 * (M + M.T)
-    w = np.linalg.eigvalsh(M)
-    return float(max(abs(w[0]), abs(w[-1])))
+    lo, hi = _bulk_interval(W)
+    return max(abs(lo), abs(hi))
 
 
 def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
@@ -151,10 +148,6 @@ class GossipMatrix:
     @property
     def m(self) -> int:
         return self.W.shape[0]
-
-    def mix(self, X: np.ndarray) -> np.ndarray:
-        """One application of W to stacked agent rows (m, d)."""
-        return self.W @ X
 
 
 def metropolis_hastings(g: Graph) -> GossipMatrix:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.accel import (
@@ -10,9 +13,7 @@ from sonatasim.accel import (
     PerfectlyConditionedError,
     RunObserver,
     acc_sonata_run,
-    plain_params,
     tune,
-    with_overrides,
 )
 from sonatasim.problems import Constants
 from sonatasim.sonata import Surrogate
@@ -66,30 +67,49 @@ class TestTune:
         assert p.mu == 0.25
         assert p.alpha == pytest.approx(math.sqrt(0.25 / 4.0))
 
-    def test_with_overrides_recomputes_alpha(self):
+    def test_replace_delta_recomputes_alpha(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
-        p = with_overrides(tune(c, "F"), delta=8.0)
+        p = replace(tune(c, "F"), delta=8.0)
         assert p.alpha == pytest.approx(math.sqrt(1.0 / 9.0))
+        assert tune(c, "F", delta=8.0) == p
 
-    def test_with_overrides_rederives_mode_l_weight(self):
+    def test_replace_delta_rederives_mode_l_weight(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
-        p = with_overrides(tune(c, "L"), delta=100.0)
+        p = replace(tune(c, "L"), delta=100.0)
         assert p.surrogate.kind == "L"
         assert p.surrogate.weight == pytest.approx(10.0 + 100.0)
-        assert with_overrides(tune(c, "F"), delta=100.0).surrogate == Surrogate("F", 4.0)
+        assert replace(tune(c, "F"), delta=100.0).surrogate == Surrogate("F", 4.0)
+
+    def test_given_delta_skips_degenerate_checks(self):
+        # delta = 0 is the plain inner method; it needs no acceleration premise
+        c = Constants(mu_hat=5.0, L_hat=5.0, Lmx_hat=5.0, beta_hat=0.0)
+        pf = tune(c, "F", delta=0.0)
+        assert pf.alpha == 1.0 and pf.T == 1
+        assert pf.surrogate == Surrogate("F", 5.0)  # beta = 0 falls back to mu
+        pl = tune(c, "L", delta=0.0)
+        assert pl.surrogate == Surrogate("L", 5.0)
 
     def test_extrapolation_coefficient_range(self):
         for delta in (0.0, 0.5, 10.0, 1e6):
-            mu = 1.0
-            p = AccelParams(
-                mode="F",
-                delta=delta,
-                alpha=math.sqrt(mu / (mu + delta)),
-                T=1,
-                mu=mu,
-                surrogate=Surrogate("F", 1.0),
-            )
+            p = AccelParams(mode="F", delta=delta, T=1, mu=1.0, weight=1.0)
             assert 0.0 <= p.extrapolation_coef < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["F", "L"]),
+        mu=st.floats(1e-6, 1e6),
+        delta=st.floats(0.0, 1e6),
+        weight=st.floats(1e-6, 1e6),
+        new_delta=st.floats(0.0, 1e6),
+    )
+    def test_derived_values_follow_replaced_delta(self, mode, mu, delta, weight, new_delta):
+        tuned = AccelParams(mode=mode, delta=delta, T=1, mu=mu, weight=weight)
+        for p in (tuned, replace(tuned, delta=new_delta)):
+            assert abs(p.alpha**2 * (p.mu + p.delta) - p.mu) <= 1e-12 * max(1.0, p.mu)
+            if mode == "L":
+                assert p.surrogate.weight == p.weight + p.delta
+            else:
+                assert p.surrogate.weight == p.weight
 
 
 class TestAccSonataRun:
@@ -122,7 +142,7 @@ class TestAccSonataRun:
         self, small_ridge, small_ridge_constants, small_gossip
     ):
         p = small_ridge
-        params = plain_params(small_ridge_constants, "F", T=3)
+        params = tune(small_ridge_constants, "F", delta=0.0, T=3)
         seen = []
 
         class Cap(RunObserver):
@@ -271,18 +291,8 @@ class TestSingleMachineEquivalence:
         c = problems.estimate_constants(p)
         mu = c.mu_hat
         delta = 0.5 * (c.L_hat - mu)
-        weight = 0.3 * c.L_hat if mode == "F" else c.L_hat + delta
-        return (
-            AccelParams(
-                mode=mode,
-                delta=delta,
-                alpha=math.sqrt(mu / (mu + delta)),
-                T=3,
-                mu=mu,
-                surrogate=Surrogate(mode, weight),
-            ),
-            c,
-        )
+        weight = 0.3 * c.L_hat if mode == "F" else c.L_hat
+        return AccelParams(mode=mode, delta=delta, T=3, mu=mu, weight=weight), c
 
     def test_full_surrogate_matches_reference(self):
         p = single_agent_problem()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sonatasim import accel, cli, datagen, diagnostics, network, problems, sonata, star
-from sonatasim.sonata import Surrogate
 
 
 def _report(number, name, elapsed, budget, detail=""):
@@ -116,7 +115,7 @@ def test_criterion_03_tracking_conservation():
             worst[0] = max(worst[0], sonata.tracking_gap(p, X, Y, params.delta, self.Z))
             checks[0] += 1
 
-    accel.acc_sonata_run(p, params, W, K_max=20, observer=Watch(), check_tracking=False)
+    accel.acc_sonata_run(p, params, W, K_max=20, observer=Watch())
     assert worst[0] <= 1e-10
     _report(3, "tracking conservation", done(), 10.0,
             f"max drift {worst[0]:.2e} over {checks[0]} checks (K=20, T={params.T})")
@@ -292,10 +291,7 @@ def test_criterion_10_degenerate_equivalences():
     p1 = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
     c1 = problems.estimate_constants(p1)
     mu, delta, beta = c1.mu_hat, 0.5 * (c1.L_hat - c1.mu_hat), 0.3 * c1.L_hat
-    params = accel.AccelParams(
-        mode="F", delta=delta, alpha=math.sqrt(mu / (mu + delta)), T=3, mu=mu,
-        surrogate=Surrogate("F", beta),
-    )
+    params = accel.AccelParams(mode="F", delta=delta, T=3, mu=mu, weight=beta)
     outs = []
 
     class Cap(accel.RunObserver):
@@ -322,7 +318,7 @@ def test_criterion_10_degenerate_equivalences():
     p = datagen.gen_ridge(cfg)
     c = problems.estimate_constants(p)
     W = network.metropolis_hastings(network.erdos_renyi(6, 0.6, seed=4))
-    pp = accel.plain_params(c, "F", T=3)
+    pp = accel.tune(c, "F", delta=0.0, T=3)
     acc_iters = []
 
     class Cap2(accel.RunObserver):

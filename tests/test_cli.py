@@ -9,6 +9,8 @@ from sonatasim import cli
 from sonatasim.cli import ConfigError, execute_run, execute_sweep, load_config, lowerbound_check
 
 FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
+# many samples on few features: local Hessians nearly agree, so beta_hat < mu_hat
+DEGENERATE_SYNTHETIC = {"m": 4, "n": 20000, "d": 3, "L0": 1.5}
 
 
 def base_config(tmp_path, **extra):
@@ -171,6 +173,47 @@ class TestMainEntry:
         path = write_config(tmp_path, base_config(tmp_path, algorithm={"alpha": 0.5}))
         assert cli.main(["run", "-c", path]) == 2
         assert "unknown config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("plain", True), ("sweep_T_extra", 4), ("count_half_duplex", False)]
+    )
+    def test_removed_algorithm_fields_rejected(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path, base_config(tmp_path, algorithm={field: value}))
+        assert cli.main(["run", "-c", path]) == 2
+        assert "unknown config field" in capsys.readouterr().err
+
+    def test_plain_flag_runs_on_degenerate_constants(self, tmp_path, capsys):
+        # beta_hat < mu_hat: mode F cannot accelerate, but delta = 0 runs anyway
+        cfg = base_config(tmp_path, problem={"synthetic": DEGENERATE_SYNTHETIC})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "-c", path]) == 2
+        assert "--plain" in capsys.readouterr().err
+        assert cli.main(["run", "-c", path, "--plain"]) == 0
+        meta = json.loads((Path(cfg["output"]) / "metadata.json").read_text())
+        assert meta["params"]["delta"] == 0.0
+        assert meta["params"]["alpha"] == 1.0
+        assert meta["effective_config"]["algorithm"]["delta"] == 0.0
+
+    @pytest.mark.parametrize(
+        "block,argv",
+        [
+            ({"topology": {"kind": "erdos_renyi", "p": 0.6, "target_rho": 0}}, None),
+            (
+                {"problem": {"dataset": {"path": str(FIXTURE), "m": 4, "loss": "logistic", "lam": 0}}},
+                None,
+            ),
+            ({"problem": {"synthetic": DEGENERATE_SYNTHETIC}}, None),
+            (None, ["lowerbound-check", "--rho", "0.9999999"]),
+        ],
+        ids=["target-rho-zero", "logistic-lam-zero", "degenerate-similarity", "too-many-nodes"],
+    )
+    def test_library_input_errors_exit_2(self, tmp_path, capsys, block, argv):
+        # each of these used to escape main as a traceback with exit 1
+        if block is not None:
+            argv = ["run", "-c", write_config(tmp_path, base_config(tmp_path, **block))]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
 
     def test_lowerbound_subcommand(self, tmp_path, capsys):
         rc = cli.main(
