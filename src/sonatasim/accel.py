@@ -55,8 +55,8 @@ class AccelParams:
     def __post_init__(self):
         if self.mode not in ("F", "L"):
             raise ValueError("mode must be 'F' or 'L'")
-        if self.T < 1 or self.delta < 0:
-            raise ValueError("need T >= 1 and delta >= 0")
+        if not (isinstance(self.T, int) and self.T >= 1 and self.delta >= 0):
+            raise ValueError(f"need integer T >= 1 and delta >= 0, got {self.T!r}, {self.delta!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
         if not 0 < self.c_seq < 1:
@@ -104,6 +104,8 @@ def tune(
     if tuning_variant not in ("main", "alt"):
         raise ValueError("tuning_variant must be 'main' or 'alt'")
     mu = float(mu_override) if mu_override is not None else constants.mu_hat
+    if not mu > 0:
+        raise ValueError(f"mu must be > 0, got {mu}")
     beta, L = constants.beta_hat, constants.L_hat
     if delta is None:
         if mode == "F" and beta <= mu:

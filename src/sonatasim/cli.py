@@ -180,20 +180,35 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix:
     return W
 
 
+def _number(alg: dict, name: str, kind):
+    """algorithm.<name> as a float or int; a value kind rejects is a config error."""
+    try:
+        return kind(alg[name])
+    except (TypeError, ValueError):
+        raise ConfigError(f"algorithm.{name}: expected a number, got {alg[name]!r}") from None
+
+
 def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelParams:
+    """accel.tune on an algorithm block; a field value it rejects is a config error."""
     mode = alg["mode"]
     if mode not in ("F", "L"):
         raise ConfigError(f"algorithm.mode: must be 'F' or 'L', got {mode!r}")
-    return accel.tune(
-        constants,
-        mode,
-        delta=alg.get("delta"),
-        T=alg.get("T"),
-        mu_override=alg.get("mu_override"),
-        tuning_variant=alg.get("tuning_variant", "main"),
-        c_seq=float(alg["c_seq"]),
-        K_max=int(alg["K_max"]),
-    )
+    c_seq, K_max = _number(alg, "c_seq", float), _number(alg, "K_max", int)
+    try:
+        return accel.tune(
+            constants,
+            mode,
+            delta=alg.get("delta"),
+            T=alg.get("T"),
+            mu_override=alg.get("mu_override"),
+            tuning_variant=alg.get("tuning_variant", "main"),
+            c_seq=c_seq,
+            K_max=K_max,
+        )
+    except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"algorithm: {exc}") from None
 
 
 def _constants_dict(c: problems.Constants) -> dict:
@@ -236,16 +251,15 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         constants=constants,
         potentials=bool(cfg["diagnostics"]["potentials"]),
     )
-    target_gap = alg.get("target_gap")
     result = accel.acc_sonata_run(
         p,
         params,
         W,
         observer=builder,
-        gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
-        target_gap=None if target_gap is None else float(target_gap),
-        subproblem_tol=float(alg["subproblem_tol"]),
-        max_inner_iters=int(alg["max_inner_iters"]),
+        gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
+        target_gap=None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
+        subproblem_tol=_number(alg, "subproblem_tol", float),
+        max_inner_iters=_number(alg, "max_inner_iters", int),
     )
     builder.traj.write_csv(out_dir / "trajectory.csv")
     meta = {
@@ -286,10 +300,10 @@ def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
         params,
         W,
         observer=builder,
-        gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
+        gap_fn=lambda X: builder.traj.rows[-1].gap,
         target_gap=eps,
-        subproblem_tol=float(alg["subproblem_tol"]),
-        max_inner_iters=int(alg["max_inner_iters"]),
+        subproblem_tol=_number(alg, "subproblem_tol", float),
+        max_inner_iters=_number(alg, "max_inner_iters", int),
     )
     return diagnostics.comms_to_accuracy(builder.traj, eps), params
 

@@ -40,21 +40,18 @@ class ShiftedObjective:
             self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
             self._c = float((p.b**2).sum(axis=1).mean() / (2.0 * p.n))
 
-    def smooth_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+    def values(self, X):
+        """u at a (d,) point (a float) or at every row of a (k, d) stack."""
+        X = np.asarray(X, dtype=float)
         if self.exact:
-            v = 0.5 * x @ (self._H @ x) - self._h @ x + self._c
+            v = 0.5 * np.einsum("...d,...d->...", X @ self._H, X) - X @ self._h + self._c
         else:
-            v = problems.average_value(self.p, x)
+            v = problems.average_value(self.p, X)
         if self.delta != 0.0:
-            v += self.delta * (0.5 * (x @ x) - self.z_bar @ x + 0.5 * self.z_sq_mean)
-        return float(v)
-
-    def value(self, x) -> float:
-        return self.smooth_value(x) + r_value(self.p, x)
-
-    def values(self, X) -> np.ndarray:
-        return np.array([self.value(x) for x in np.asarray(X, dtype=float)])
+            sq = np.einsum("...d,...d->...", X, X)
+            v = v + self.delta * (0.5 * sq - X @ self.z_bar + 0.5 * self.z_sq_mean)
+        v = v + r_value(self.p, X)
+        return float(v) if X.ndim == 1 else v
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -85,6 +82,10 @@ class Oracle:
     u_star: float
     objective: ShiftedObjective
 
+    def suboptimality(self, X) -> float:
+        """Mean of u(x_i) - u_star over the rows of X."""
+        return float(self.objective.values(X).mean() - self.u_star)
+
 
 def centralized_solve(
     p: ProblemSpec,
@@ -105,7 +106,7 @@ def centralized_solve(
         rhs = obj._h + (delta * obj.z_bar if delta != 0.0 else 0.0)
         x = np.linalg.solve(K, rhs)
         x = x + np.linalg.solve(K, rhs - K @ x)  # one refinement pass
-        return Oracle(x, obj.value(x), obj)
+        return Oracle(x, obj.values(x), obj)
 
     L = obj.smoothness()
     mu = obj.strong_convexity()
@@ -121,7 +122,7 @@ def centralized_solve(
         x = x_next
         gm = (x - prox_r(p, x - step * obj.grad(x), step)) * L
         if np.linalg.norm(gm) <= tol:
-            return Oracle(x, obj.value(x), obj)
+            return Oracle(x, obj.values(x), obj)
     raise OracleNotConvergedError(f"no convergence to {tol} in {max_iters} iterations")
 
 
@@ -134,9 +135,7 @@ def consensus_error(X) -> float:
 
 def optimality_gap(p: ProblemSpec, X, oracle: Oracle) -> float:
     """max of average objective suboptimality and average consensus error."""
-    X = np.asarray(X, dtype=float)
-    sub = float(oracle.objective.values(X).mean() - oracle.u_star)
-    return max(sub, consensus_error(X))
+    return max(oracle.suboptimality(X), consensus_error(X))
 
 
 def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
@@ -173,10 +172,8 @@ def inner_potential(
     """g + e of the inner loop: average shifted suboptimality plus weighted
     consensus and tracking errors.  ``oracle_k`` must solve the same shifted
     problem the states are evolving on."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     c_x, c_y = error_weights(constants, mode)
-    g = float(oracle_k.objective.values(X).mean() - oracle_k.u_star)
+    g = oracle_k.suboptimality(X)
     e = c_x * consensus_error(X) + c_y * consensus_error(Y)
     return {"g": g, "e": e, "total": g + e}
 
@@ -189,9 +186,8 @@ def outer_potential(
     X = np.asarray(X, dtype=float)
     X_prev = np.asarray(X_prev, dtype=float)
     V = X_prev + (X - X_prev) / alpha
-    sub = float(oracle.objective.values(X).mean() - oracle.u_star)
     dist = float(((V - oracle.x_star) ** 2).sum(axis=1).mean())
-    return sub + 0.5 * mu * dist + e_prev_final
+    return oracle.suboptimality(X) + 0.5 * mu * dist + e_prev_final
 
 
 @dataclass(frozen=True)
@@ -266,9 +262,6 @@ class Trajectory:
     rows: list = field(default_factory=list)
     outer: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.rows])
 
     def comms(self) -> np.ndarray:
         return np.array([r.comms for r in self.rows])

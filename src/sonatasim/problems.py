@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+FEAS_TOL = 1e-9  # box feasibility tolerance of r_value
+
 
 class DegenerateProblemError(ValueError):
     """The problem has no usable strong convexity (mu_hat <= 0)."""
@@ -170,11 +172,17 @@ def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     return np.einsum("mnd,mn->md", p.A, dl) / p.n + p.loss.ridge * p.lam * X
 
 
-def average_value(p: ProblemSpec, x) -> float:
-    """Smooth part of the global objective, f(x) = (1/m) sum_i f_i(x)."""
-    x = _check_point(x, p.d)
-    loss = p.loss.value(np.einsum("mnd,d->mn", p.A, x), p.b)
-    return float(loss.mean() + 0.5 * p.loss.ridge * p.lam * (x @ x))
+def average_value(p: ProblemSpec, X):
+    """Smooth part of the global objective, f(x) = (1/m) sum_i f_i(x), at a
+    (d,) point (a float) or at every row of a (k, d) stack (a (k,) array)."""
+    X = _check_point(X, *np.shape(X)[:-1][:1], p.d)  # (d,) or (k, d)
+    stack = np.atleast_2d(X)
+    A, b = p.A.reshape(-1, p.d), p.b.reshape(-1)
+    out = 0.5 * p.loss.ridge * p.lam * np.einsum("kd,kd->k", stack, stack)
+    # Blocks of at most d rows keep the (rows, m*n) predictions no larger than A.
+    for s in range(0, len(stack), p.d):
+        out[s : s + p.d] += p.loss.value(stack[s : s + p.d] @ A.T, b).mean(axis=1)
+    return float(out[0]) if X.ndim == 1 else out
 
 
 def average_grad(p: ProblemSpec, x) -> np.ndarray:
@@ -184,16 +192,19 @@ def average_grad(p: ProblemSpec, x) -> np.ndarray:
     return np.einsum("mnd,mn->d", p.A, dl) / (p.n * p.m) + p.loss.ridge * p.lam * x
 
 
-def r_value(p: ProblemSpec, x, feas_tol: float = 1e-9) -> float:
-    """Value of the nonsmooth term r at x (inf outside the box, up to feas_tol)."""
+def r_value(p: ProblemSpec, X):
+    """Value of the nonsmooth term r at a (d,) point (a float) or at every row
+    of a (k, d) stack (a (k,) array); inf outside the box, up to FEAS_TOL."""
+    X = np.asarray(X, dtype=float)
     reg = p.reg
     if reg.kind == "zero":
-        return 0.0
-    if reg.kind == "l1":
-        return float(reg.weight * np.abs(x).sum())
-    if np.all(x >= reg.lo - feas_tol) and np.all(x <= reg.hi + feas_tol):
-        return 0.0
-    return float("inf")
+        r = np.zeros(X.shape[:-1])
+    elif reg.kind == "l1":
+        r = reg.weight * np.abs(X).sum(axis=-1)
+    else:
+        inside = (X >= reg.lo - FEAS_TOL) & (X <= reg.hi + FEAS_TOL)
+        r = np.where(inside.all(axis=-1), 0.0, np.inf)
+    return float(r) if X.ndim == 1 else r
 
 
 def prox_r(p: ProblemSpec, x, step) -> np.ndarray:

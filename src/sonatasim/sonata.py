@@ -49,7 +49,6 @@ class Surrogate:
 class SonataResult:
     X: np.ndarray
     Y: np.ndarray
-    G: np.ndarray  # gradient cache: shifted local gradient at each agent's x
     comms: int
     subproblem_converged: list = field(default_factory=list)  # one flag per iteration
     inner_iterations: list = field(default_factory=list)
@@ -182,7 +181,7 @@ def sonata_run(
     cost = comm_cost if comm_cost is not None else rounds
 
     comms = comms_start
-    result = SonataResult(X, Y, G, comms)
+    result = SonataResult(X, Y, comms)
     if solver is None:
         solver = LocalSolver(p, surrogate, delta)
 
@@ -197,7 +196,7 @@ def sonata_run(
         if on_step is not None:
             on_step(t, comms, X, Y)
 
-    result.X, result.Y, result.G, result.comms = X, Y, G, comms
+    result.X, result.Y, result.comms = X, Y, comms
     return result
 
 

@@ -215,6 +215,30 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tuning_variant", "x"),
+            ("mu_override", -1),
+            ("mu_override", 0),
+            ("c_seq", 2),
+            ("T", 0),
+            ("T", 2.5),
+            ("delta", -1),
+            ("delta", math.nan),
+            ("K_max", "a"),
+            ("target_gap", "x"),
+            ("subproblem_tol", "x"),
+            ("max_inner_iters", "x"),
+        ],
+    )
+    def test_bad_algorithm_values_exit_2(self, tmp_path, capsys, field, value):
+        # each of these used to escape main as a traceback with exit 1
+        path = write_config(tmp_path, base_config(tmp_path, algorithm={field: value}))
+        assert cli.main(["run", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_lowerbound_subcommand(self, tmp_path, capsys):
         rc = cli.main(
             ["lowerbound-check", "--rho", "0.9", "--d", "8", "--mu", "0.02",

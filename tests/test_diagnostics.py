@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hinge_problem
+from conftest import classification_problem, hinge_problem
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
     Oracle,
@@ -34,7 +34,7 @@ class TestCentralizedSolve:
         obj = oracle.objective
         for _ in range(100):
             x = oracle.x_star + rng.standard_normal(small_ridge.d)
-            assert obj.value(x) >= oracle.u_star - 1e-12
+            assert obj.values(x) >= oracle.u_star - 1e-12
 
     def test_gradient_mapping_at_solution(self):
         p = hinge_problem(lam=0.05)
@@ -82,7 +82,7 @@ class TestOptimalityGap:
         oracle = centralized_solve(small_ridge)
         x = oracle.x_star + 0.5
         X = np.tile(x, (small_ridge.m, 1))
-        expect = oracle.objective.value(x) - oracle.u_star
+        expect = oracle.objective.values(x) - oracle.u_star
         assert optimality_gap(small_ridge, X, oracle) == pytest.approx(expect)
 
     def test_consensus_arm_counts_spread(self, small_ridge, rng):
@@ -93,6 +93,26 @@ class TestOptimalityGap:
         gap = optimality_gap(small_ridge, X, oracle)
         assert gap >= consensus_error(X) - 1e-12
         assert consensus_error(X) == pytest.approx((E**2).sum(axis=1).mean())
+
+    def test_recorded_gap_stands_in_for_the_gap_fn(
+        self, small_ridge, small_ridge_constants, small_gossip
+    ):
+        # the last row of an outer iteration is recorded at the X its end tests
+        p, W = small_ridge, small_gossip
+        params = accel.tune(small_ridge_constants, "F")
+        oracle = centralized_solve(p)
+
+        def run(observer, gap_fn):
+            return accel.acc_sonata_run(
+                p, params, W, K_max=40, observer=observer, gap_fn=gap_fn, target_gap=0.05
+            )
+
+        plain = run(TrajectoryBuilder(p, oracle, params), lambda X: optimality_gap(p, X, oracle))
+        builder = TrajectoryBuilder(p, oracle, params)
+        reused = run(builder, lambda X: builder.traj.rows[-1].gap)
+        assert plain.converged and plain.K_done < 40
+        assert reused.gaps == plain.gaps
+        assert (reused.K_done, reused.comms) == (plain.K_done, plain.comms)
 
 
 class TestInnerPotential:
@@ -157,7 +177,7 @@ class TestOuterPotential:
         mu = 3.7
         X0 = np.zeros((p.m, p.d))
         P0 = outer_potential(p, X0, X0, alpha=0.5, mu=mu, e_prev_final=0.0, oracle=oracle)
-        expect = (oracle.objective.value(np.zeros(p.d)) - oracle.u_star) + 0.5 * mu * (
+        expect = (oracle.objective.values(np.zeros(p.d)) - oracle.u_star) + 0.5 * mu * (
             oracle.x_star @ oracle.x_star
         )
         assert P0 == pytest.approx(expect)
@@ -275,6 +295,37 @@ class TestFitContraction:
             fit_contraction_factor([0.0, 0.0])
 
 
+def _reference_values(p, delta, Z, X):
+    """u at each row of X by a loop over rows and agents."""
+    out = []
+    for x in X:
+        v = sum(problems.local_value(p, i, x) for i in range(p.m)) / p.m
+        if delta != 0.0:
+            v += delta / (2 * p.m) * np.sum((x[None, :] - Z) ** 2)
+        if p.reg.kind == "l1":
+            v += p.reg.weight * np.abs(x).sum()
+        if p.reg.kind == "box" and not np.all((x >= p.reg.lo) & (x <= p.reg.hi)):
+            v = np.inf
+        out.append(v)
+    return np.array(out)
+
+
+REGULARIZERS = {
+    "zero": Regularizer(),
+    "l1": Regularizer("l1", weight=0.05),
+    "box": Regularizer("box", lo=-0.6, hi=0.6),
+}
+
+
+def _problem(loss_kind, reg):
+    if loss_kind == "quadratic-ridge":
+        cfg = datagen.SyntheticRidgeConfig(m=5, n=60, d=6, mu0=1.0, L0=50.0, lam=0.01, seed=3)
+        p = datagen.gen_ridge(cfg)
+        p.reg = reg
+        return p
+    return classification_problem(loss_kind, 5, 60, 6, 0.02, seed=4, reg=reg)
+
+
 class TestShiftedObjective:
     def test_matches_direct_evaluation(self, small_ridge, rng):
         p = small_ridge
@@ -285,7 +336,7 @@ class TestShiftedObjective:
         direct = problems.average_value(p, x) + delta / (2 * p.m) * np.sum(
             (x[None, :] - Z) ** 2
         )
-        assert obj.value(x) == pytest.approx(direct, rel=1e-12)
+        assert obj.values(x) == pytest.approx(direct, rel=1e-12)
 
     def test_gradient_consistency(self, small_ridge, rng):
         p = small_ridge
@@ -296,5 +347,54 @@ class TestShiftedObjective:
         for j in range(0, p.d, 3):
             e = np.zeros(p.d)
             e[j] = h
-            fd = (obj.smooth_value(x + e) - obj.smooth_value(x - e)) / (2 * h)
+            fd = (obj.values(x + e) - obj.values(x - e)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.8])
+    @pytest.mark.parametrize("reg", list(REGULARIZERS))
+    @pytest.mark.parametrize("loss_kind", ["quadratic-ridge", "smooth-hinge", "logistic"])
+    def test_matches_reference_loop(self, loss_kind, reg, delta):
+        p = _problem(loss_kind, REGULARIZERS[reg])
+        rng = np.random.default_rng(17)
+        Z = rng.standard_normal((p.m, p.d)) if delta else None
+        # k > d rows, so the evaluation runs in more than one block; some
+        # rows leave the box, where u is inf
+        X = 0.3 * rng.standard_normal((2 * p.d + 3, p.d))
+        X[0] = 0.0
+        X[1, 0] = 2.0
+        got = ShiftedObjective(p, delta, Z).values(X)
+        ref = _reference_values(p, delta, Z, X)
+        assert got.shape == ref.shape
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        if reg == "box":
+            assert not finite[1]
+        np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=0.0)
+        if delta == 0.0 and reg == "zero":
+            np.testing.assert_allclose(problems.average_value(p, X), ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("loss_kind", ["quadratic-ridge", "logistic"])
+    def test_point_gives_scalar_of_row_zero(self, loss_kind):
+        p = _problem(loss_kind, REGULARIZERS["l1"])
+        X = 0.3 * np.random.default_rng(5).standard_normal((4, p.d))
+        obj = ShiftedObjective(p, 0.5, X)
+        v = obj.values(X[0])
+        assert isinstance(v, float)
+        assert v == pytest.approx(obj.values(X)[0], rel=1e-12)
+        assert problems.average_value(p, X[0]) == pytest.approx(
+            problems.average_value(p, X)[0], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("loss_kind", ["smooth-hinge", "logistic"])
+    def test_non_finite_row_raises(self, loss_kind):
+        p = _problem(loss_kind, REGULARIZERS["zero"])
+        X = np.zeros((p.m, p.d))
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ShiftedObjective(p).values(X)
+
+    def test_stack_shape_checked(self):
+        p = _problem("logistic", REGULARIZERS["zero"])
+        for bad in (np.zeros((3, p.d + 1)), np.zeros((2, 3, p.d)), np.zeros(())):
+            with pytest.raises(ValueError, match="shape"):
+                problems.average_value(p, bad)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonatasim import network, problems
 from sonatasim.network import (
@@ -149,6 +151,28 @@ class TestChebyshev:
         W = exact_averaging(4)
         acc = chebyshev_accelerate(W, 3)
         assert acc.rho <= 1e-12
+
+    # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(2, 30),
+        p=st.floats(0.4, 1.0),
+        seed=st.integers(0, 2**16),
+        M=st.integers(1, 6),
+    )
+    def test_random_graphs_stay_doubly_stochastic_within_closed_form(self, m, p, seed, M):
+        base = metropolis_hastings(erdos_renyi(m, p, seed=seed))
+        acc = chebyshev_accelerate(base, M)
+        assert np.max(np.abs(acc.W - acc.W.T)) <= 1e-12
+        assert_doubly_stochastic(acc.W)
+        # closed form 1 / T_M(psi(1)), psi mapping the bulk [lo, hi] onto [-1, 1]
+        bulk = np.linalg.eigvalsh(base.W - np.full((m, m), 1.0 / m))
+        lo, hi = bulk[0], bulk[-1]
+        if hi - lo < 1e-13:
+            bound = 0.0  # the bulk is one point, which the affine map zeroes
+        else:
+            bound = 1.0 / np.cosh(M * np.arccosh((2.0 - hi - lo) / (hi - lo)))
+        assert acc.rho <= bound + 1e-8
 
 
 class TestRoundsForTarget:
