@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems, sonata
-from .problems import Constants, ProblemSpec
+from .problems import Constants, InputError, ProblemSpec
 from .sonata import Surrogate
 
 
-class DegenerateSimilarityError(ValueError):
+class DegenerateSimilarityError(InputError):
     """Mode F tuning needs beta_hat > mu_hat; use delta = 0 (plain inner loop)."""
 
 
-class PerfectlyConditionedError(ValueError):
+class PerfectlyConditionedError(InputError):
     """Mode L tuning needs kappa_hat > 1."""
 
 
@@ -57,6 +57,8 @@ class AccelParams:
             raise ValueError("mode must be 'F' or 'L'")
         if not (isinstance(self.T, int) and self.T >= 1 and self.delta >= 0):
             raise ValueError(f"need integer T >= 1 and delta >= 0, got {self.T!r}, {self.delta!r}")
+        if not (isinstance(self.K_max, int) and self.K_max >= 0):
+            raise ValueError(f"K_max must be an integer >= 0, got {self.K_max!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
         if not 0 < self.c_seq < 1:

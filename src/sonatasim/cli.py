@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -55,7 +57,7 @@ DEFAULT_CONFIG = {
         "subproblem_tol": 1e-10,
         "max_inner_iters": 5000,
     },
-    "diagnostics": {"potentials": False, "oracle_tol": 1e-12},
+    "diagnostics": {"potentials": False},
     "output": "runs/out",
 }
 
@@ -64,8 +66,8 @@ class ConfigError(ValueError):
     pass
 
 
-# problem/topology/regularizer blocks are free-form (validated by their
-# builders); algorithm and diagnostics merge field by field.
+# problem/topology/regularizer blocks are replaced whole and checked by the
+# constructors they feed; algorithm and diagnostics merge field by field.
 _REPLACE_BLOCKS = ("problem", "topology", "regularizer", "output", "seed")
 
 
@@ -89,6 +91,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                 user = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except OSError as exc:
+            raise ConfigError(f"{path}: {exc.strerror}") from None
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
@@ -104,111 +108,92 @@ def resolve_output(cfg_output: str) -> Path:
     return path
 
 
-def build_regularizer(block: dict) -> problems.Regularizer:
-    kind = block.get("kind", "zero")
-    if kind == "zero":
-        return problems.Regularizer()
-    if kind == "l1":
-        return problems.Regularizer("l1", weight=float(block["weight"]))
-    if kind == "box":
-        return problems.Regularizer("box", lo=float(block["lo"]), hi=float(block["hi"]))
-    raise ConfigError(f"regularizer.kind: unknown kind {kind!r}")
+def _call(block: str, fn, *args, **fields):
+    """fn(*args, **fields) for config block ``block``: a field fn does not
+    take, a missing one, or a value fn rejects is a ConfigError naming the block."""
+    try:
+        inspect.signature(fn).bind(*args, **fields)
+        return fn(*args, **fields)
+    except problems.InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{block}: {exc}") from None
 
 
-def ridge_config(
-    block: dict, seed: int, n: int | None = None, lam: float | None = None
-) -> datagen.SyntheticRidgeConfig:
-    """Generator settings from a ``problem.synthetic`` block, with n and lam
-    optionally overridden."""
-    return datagen.SyntheticRidgeConfig(
-        m=int(block["m"]),
-        n=int(block["n"] if n is None else n),
-        d=int(block["d"]),
-        mu0=float(block.get("mu0", 1.0)),
-        L0=float(block.get("L0", 1000.0)),
-        lam=float(block.get("lam", 0.0) if lam is None else lam),
-        noise_std=float(block.get("noise_std", datagen.DEFAULT_NOISE_STD)),
-        seed=seed,
-    )
+def build_regularizer(cfg: dict) -> problems.Regularizer:
+    return _call("regularizer", problems.Regularizer, **cfg["regularizer"])
+
+
+def ridge_config(cfg: dict) -> datagen.SyntheticRidgeConfig:
+    """Generator settings from the ``problem.synthetic`` block; its seed
+    defaults to the run's."""
+    block = {"seed": cfg["seed"], **cfg["problem"]["synthetic"]}
+    return _call("problem.synthetic", datagen.SyntheticRidgeConfig, **block)
 
 
 def build_problem(cfg: dict) -> problems.ProblemSpec:
     block = cfg["problem"]
-    reg = build_regularizer(cfg["regularizer"])
+    reg = build_regularizer(cfg)
     if ("synthetic" in block) == ("dataset" in block):
         raise ConfigError("problem: exactly one of 'synthetic' or 'dataset' required")
     if "synthetic" in block:
-        s = block["synthetic"]
-        p = datagen.gen_ridge(ridge_config(s, int(s.get("seed", cfg["seed"]))))
+        p = datagen.gen_ridge(ridge_config(cfg))
         p.reg = reg
         return p
-    ds = block["dataset"]
-    path = ds["path"]
-    if not Path(path).exists():
+    ds = {"seed": cfg["seed"], **block["dataset"], "reg": reg}
+    path = ds.pop("path", None)
+    if path is None or not os.path.isfile(path):
         raise ConfigError(f"problem.dataset.path: no such file {path!r}")
-    return datagen.load_libsvm(
-        path,
-        m=int(ds["m"]),
-        loss_kind=ds.get("loss", "smooth-hinge"),
-        lam=float(ds.get("lam", 0.0)),
-        limit=ds.get("limit"),
-        seed=int(ds.get("seed", cfg["seed"])),
-        reg=reg,
-    )
+    return _call("problem.dataset", datagen.load_libsvm, path, **ds)
+
+
+# topology.kind -> graph builder, called with the node count, the topology
+# seed and the block's remaining fields.  Each looks its network function up
+# at call time, so a wrapper installed on the module (bench/tracing.py) sees it.
+_GRAPHS = {
+    "erdos_renyi": lambda m, seed, p=0.5: network.erdos_renyi(m, p, seed),
+    "line": lambda m, seed: network.line_graph(m),
+    "star": lambda m, seed: network.star_graph(m),
+    "complete": lambda m, seed: network.complete_graph(m),
+}
 
 
 def build_gossip(cfg: dict, m: int) -> network.GossipMatrix:
-    topo = cfg["topology"]
-    kind = topo["kind"]
-    if kind == "exact_averaging":
-        return network.exact_averaging(m)
-    if kind == "erdos_renyi":
-        g = network.erdos_renyi(m, float(topo.get("p", 0.5)), int(topo.get("seed", cfg["seed"])))
-    elif kind == "line":
-        g = network.line_graph(m)
-    elif kind == "star":
-        g = network.star_graph(m)
-    elif kind == "complete":
-        g = network.complete_graph(m)
-    else:
+    topo = {"seed": cfg["seed"], **cfg["topology"]}
+    kind, target = topo.pop("kind", None), topo.pop("target_rho", None)
+    if kind == "exact_averaging":  # W = 11^T/m: no graph and nothing to accelerate
+        return _call("topology", lambda m, seed: network.exact_averaging(m), m=m, **topo)
+    if kind not in _GRAPHS:
         raise ConfigError(f"topology.kind: unknown kind {kind!r}")
-    W = network.metropolis_hastings(g)
-    target = topo.get("target_rho")
+    W = network.metropolis_hastings(_call("topology", _GRAPHS[kind], m=m, **topo))
     if target is not None:
-        M = network.rounds_for_target(W.rho, float(target))
+        M = _call("topology", network.rounds_for_target, base_rho=W.rho, target_rho=target)
         W = network.chebyshev_accelerate(W, M)
     return W
 
 
-def _number(alg: dict, name: str, kind):
-    """algorithm.<name> as a float or int; a value kind rejects is a config error."""
+def _number(alg: dict, name: str, kind, positive: bool = False):
+    """algorithm.<name> as a float or int; a value kind rejects, or with
+    positive set one that is not exactly a finite value > 0, is a config error."""
+    value = alg[name]
     try:
-        return kind(alg[name])
+        number = kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"algorithm.{name}: expected a number, got {alg[name]!r}") from None
+        number = None
+    if number is None or positive and not (0 < number < math.inf and number == value):
+        what = f"a finite {kind.__name__} > 0" if positive else "a number"
+        raise ConfigError(f"algorithm.{name}: expected {what}, got {value!r}")
+    return number
+
+
+# algorithm fields that the run reads; every other one is a keyword of accel.tune
+_RUN_FIELDS = ("target_gap", "subproblem_tol", "max_inner_iters")
 
 
 def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelParams:
     """accel.tune on an algorithm block; a field value it rejects is a config error."""
-    mode = alg["mode"]
-    if mode not in ("F", "L"):
-        raise ConfigError(f"algorithm.mode: must be 'F' or 'L', got {mode!r}")
-    c_seq, K_max = _number(alg, "c_seq", float), _number(alg, "K_max", int)
-    try:
-        return accel.tune(
-            constants,
-            mode,
-            delta=alg.get("delta"),
-            T=alg.get("T"),
-            mu_override=alg.get("mu_override"),
-            tuning_variant=alg.get("tuning_variant", "main"),
-            c_seq=c_seq,
-            K_max=K_max,
-        )
-    except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"algorithm: {exc}") from None
+    tuning = {k: v for k, v in alg.items() if k not in _RUN_FIELDS}
+    return _call("algorithm", accel.tune, constants=constants, **tuning)
 
 
 def _constants_dict(c: problems.Constants) -> dict:
@@ -236,6 +221,26 @@ def _params_dict(params: accel.AccelParams) -> dict:
     }
 
 
+def _recorded_run(p, params, W, alg: dict, target_gap, **builder_kwargs):
+    """acc_sonata_run observed by a TrajectoryBuilder, stopping once the
+    recorded gap reaches target_gap; returns (result, trajectory)."""
+    subproblem_tol = _number(alg, "subproblem_tol", float, positive=True)
+    max_inner_iters = _number(alg, "max_inner_iters", int, positive=True)
+    oracle = diagnostics.centralized_solve(p)
+    builder = diagnostics.TrajectoryBuilder(p, oracle, params, **builder_kwargs)
+    result = accel.acc_sonata_run(
+        p,
+        params,
+        W,
+        observer=builder,
+        gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
+        target_gap=target_gap,
+        subproblem_tol=subproblem_tol,
+        max_inner_iters=max_inner_iters,
+    )
+    return result, builder.traj
+
+
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     """One full experiment; writes trajectory.csv + metadata.json, returns metadata."""
     p = build_problem(cfg)
@@ -243,25 +248,16 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     W = build_gossip(cfg, p.m)
     alg = cfg["algorithm"]
     params = tune_from_config(constants, alg)
-    oracle = diagnostics.centralized_solve(p, tol=float(cfg["diagnostics"]["oracle_tol"]))
-    builder = diagnostics.TrajectoryBuilder(
-        p,
-        oracle,
-        params,
-        constants=constants,
-        potentials=bool(cfg["diagnostics"]["potentials"]),
-    )
-    result = accel.acc_sonata_run(
+    result, traj = _recorded_run(
         p,
         params,
         W,
-        observer=builder,
-        gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
-        target_gap=None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
-        subproblem_tol=_number(alg, "subproblem_tol", float),
-        max_inner_iters=_number(alg, "max_inner_iters", int),
+        alg,
+        None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
+        constants=constants,
+        potentials=bool(cfg["diagnostics"]["potentials"]),
     )
-    builder.traj.write_csv(out_dir / "trajectory.csv")
+    traj.write_csv(out_dir / "trajectory.csv")
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
         "seed": cfg["seed"],
@@ -293,23 +289,12 @@ def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
         params = tune_from_config(constants, dict(alg, delta=0.0))
-    oracle = diagnostics.centralized_solve(p)
-    builder = diagnostics.TrajectoryBuilder(p, oracle, params)
-    accel.acc_sonata_run(
-        p,
-        params,
-        W,
-        observer=builder,
-        gap_fn=lambda X: builder.traj.rows[-1].gap,
-        target_gap=eps,
-        subproblem_tol=_number(alg, "subproblem_tol", float),
-        max_inner_iters=_number(alg, "max_inner_iters", int),
-    )
-    return diagnostics.comms_to_accuracy(builder.traj, eps), params
+    _, traj = _recorded_run(p, params, W, alg, eps)
+    return diagnostics.comms_to_accuracy(traj, eps), params
 
 
 def calibrate_n_for_beta(
-    base: dict, seed: int, beta_target: float, n_start: int, tol: float = 0.06
+    base: datagen.SyntheticRidgeConfig, beta_target: float, n_start: int, tol: float = 0.06
 ) -> int:
     """Pick n so the measured similarity lands near beta_target.
 
@@ -319,7 +304,7 @@ def calibrate_n_for_beta(
     """
 
     def measure(n):
-        cfg = ridge_config(base, seed, n=n)
+        cfg = dataclasses.replace(base, n=n)
         return problems.estimate_constants(datagen.gen_ridge(cfg)).beta_hat
 
     n = max(int(n_start), 10)
@@ -356,16 +341,16 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         raise ConfigError("sweep requires a synthetic problem block")
     if not points:
         raise ConfigError("sweep needs at least one axis point")
-    base = dict(cfg["problem"]["synthetic"])
-    seed = int(base.get("seed", cfg["seed"]))
+    base = ridge_config(cfg)
+    reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
 
     instances = []
     if axis in ("beta_over_mu", "samples"):
         for n in points:
-            instances.append((float(n), ridge_config(base, seed, n=int(n))))
+            instances.append((float(n), dataclasses.replace(base, n=int(n))))
     elif axis == "kappa":
-        probe = ridge_config(base, seed, lam=0.0)
+        probe = dataclasses.replace(base, lam=0.0)
         c0 = problems.estimate_constants(datagen.gen_ridge(probe))
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
         ratio_target = c0.beta_hat / c0.mu_hat
@@ -379,16 +364,16 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
                 lam = 0.5 * (L_sigma - kt * mu_sigma) / (kt - 1.0)
             mu_new = mu_sigma + 2 * lam
             n_new = calibrate_n_for_beta(
-                dict(base, lam=lam), seed, ratio_target * mu_new, int(base["n"])
+                dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n
             )
-            instances.append((kt, ridge_config(base, seed, n=n_new, lam=lam)))
+            instances.append((kt, dataclasses.replace(base, n=n_new, lam=lam)))
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
 
     prepared = []
     for point, gen_cfg in instances:
         p = datagen.gen_ridge(gen_cfg)
-        p.reg = build_regularizer(cfg["regularizer"])
+        p.reg = reg
         constants = problems.estimate_constants(p)
         prepared.append((point, gen_cfg, p, constants))
 
@@ -407,7 +392,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
                 "axis": axis,
                 "point": point,
                 "n": gen_cfg.n,
-                "lam": gen_cfg.lam,
+                "lam": float(gen_cfg.lam),
                 "beta_over_mu_hat": constants.beta_hat / constants.mu_hat,
                 "kappa_hat": constants.kappa_hat,
                 "comms_F": comms_f,
@@ -604,16 +589,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        datagen.LibsvmParseError,
-        datagen.InsufficientDataError,
-        FileNotFoundError,
-        network.UnreachableTargetError,
-        network.InstanceTooLargeError,
-        problems.DegenerateProblemError,
-        accel.DegenerateSimilarityError,
-        accel.PerfectlyConditionedError,
-    ) as exc:
+    except problems.InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (diagnostics.OracleNotConvergedError, network.TopologyError) as exc:

@@ -8,20 +8,21 @@ i's data does not depend on how many agents follow it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemSpec, Regularizer
+from .problems import InputError, ProblemSpec, Regularizer
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 
 
-class LibsvmParseError(ValueError):
+class LibsvmParseError(InputError):
     """A line of the input file does not parse as 'label idx:val ...'."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(InputError):
     """Fewer usable samples than agents."""
 
 
@@ -40,12 +41,18 @@ class SyntheticRidgeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("m", 1), ("n", 1), ("d", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
         if not 0 < self.mu0 <= self.L0:
             raise ValueError("need 0 < mu0 <= L0")
-        if self.m < 1 or self.n < 1 or self.d < 1:
-            raise ValueError("m, n, d must be >= 1")
-        if self.lam < 0 or self.noise_std < 0:
+        if not (self.lam >= 0 and self.noise_std >= 0):
             raise ValueError("lam and noise_std must be >= 0")
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """A count or seed is an integer >= low; a fraction or a string is an error."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator):
@@ -116,7 +123,7 @@ def _map_labels(labels: np.ndarray) -> np.ndarray:
 def load_libsvm(
     path,
     m: int,
-    loss_kind: str = "smooth-hinge",
+    loss: str = "smooth-hinge",
     lam: float = 0.0,
     limit: int | None = None,
     seed: int = 0,
@@ -127,6 +134,7 @@ def load_libsvm(
     Keeps the first ``limit`` samples (post-parse, pre-shuffle) when given;
     drops the remainder of an uneven split so every agent holds the same n.
     """
+    _check_int("m", m, 1)
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -157,7 +165,7 @@ def load_libsvm(
     A = features[keep].reshape(m, n, d)
     b = labels[keep].reshape(m, n)
     return ProblemSpec(
-        loss_kind=loss_kind,
+        loss_kind=loss,
         A=A,
         b=b,
         lam=lam,

@@ -311,14 +311,12 @@ class TrajectoryBuilder(RunObserver):
         params: AccelParams,
         constants: Constants | None = None,
         potentials: bool = False,
-        oracle_tol: float = 1e-12,
     ):
         self.p = p
         self.oracle = oracle
         self.params = params
         self.constants = constants
         self.potentials = potentials and constants is not None
-        self.oracle_tol = oracle_tol
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
         self._last_inner: dict | None = None
@@ -349,9 +347,7 @@ class TrajectoryBuilder(RunObserver):
     def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
         if not self.potentials:
             return
-        self._oracle_k = centralized_solve(
-            self.p, tol=self.oracle_tol, delta=self.params.delta, Z=Z
-        )
+        self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
         self._last_inner = inner_potential(
             self.p, X, Y_warm, self.constants, self.params.mode, self._oracle_k
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import ProblemSpec, Regularizer
+from .problems import InputError, ProblemSpec, Regularizer
 
 DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
 
@@ -21,11 +21,11 @@ class TopologyError(RuntimeError):
     """Random topology generation failed to produce a connected graph."""
 
 
-class UnreachableTargetError(ValueError):
+class UnreachableTargetError(InputError):
     """Requested spectral target cannot be reached by polynomial acceleration."""
 
 
-class InstanceTooLargeError(ValueError):
+class InstanceTooLargeError(InputError):
     """The required node count exceeds the allowed maximum."""
 
 
@@ -71,15 +71,15 @@ def _connected(m, edges) -> bool:
 
 
 def erdos_renyi(m: int, p: float, seed: int = 0, max_resamples: int = 100) -> Graph:
-    """Sample each pair independently with probability p; resample until connected."""
+    """Sample each pair independently with probability p (one uniform per pair
+    i < j, in row-major order); resample until connected."""
     if m < 2 or not 0 < p <= 1:
         raise ValueError("need m >= 2 and p in (0, 1]")
+    rows, cols = np.triu_indices(m, 1)
     root = np.random.SeedSequence(seed)
     for attempt_seq in root.spawn(max_resamples):
-        rng = np.random.default_rng(attempt_seq)
-        edges = frozenset(
-            (i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p
-        )
+        keep = np.random.default_rng(attempt_seq).random(rows.size) < p
+        edges = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
         if _connected(m, edges):
             return Graph(m, edges)
     raise TopologyError(f"no connected graph in {max_resamples} resamples (p={p})")

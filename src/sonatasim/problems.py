@@ -22,7 +22,12 @@ import numpy as np
 FEAS_TOL = 1e-9  # box feasibility tolerance of r_value
 
 
-class DegenerateProblemError(ValueError):
+class InputError(ValueError):
+    """Input the library cannot work with (data, instance or target); the CLI
+    reports every subclass as an input error with exit code 2."""
+
+
+class DegenerateProblemError(InputError):
     """The problem has no usable strong convexity (mu_hat <= 0)."""
 
 
@@ -31,17 +36,17 @@ class Regularizer:
     """Descriptor of the nonsmooth term r: zero, l1(weight), or a box constraint."""
 
     kind: str = "zero"  # "zero" | "l1" | "box"
-    weight: float = 0.0
-    lo: float = 0.0
-    hi: float = 0.0
+    weight: float | None = None  # required by l1
+    lo: float | None = None  # lo and hi required by box
+    hi: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "l1", "box"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind == "l1" and self.weight < 0:
-            raise ValueError("l1 weight must be >= 0")
-        if self.kind == "box" and not self.lo <= self.hi:
-            raise ValueError("box requires lo <= hi")
+        if self.kind == "l1" and (self.weight is None or not self.weight >= 0):
+            raise ValueError(f"l1 requires a weight >= 0, got {self.weight!r}")
+        if self.kind == "box" and (self.lo is None or self.hi is None or not self.lo <= self.hi):
+            raise ValueError(f"box requires lo <= hi, got lo={self.lo!r}, hi={self.hi!r}")
 
 
 @dataclass

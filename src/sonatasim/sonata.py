@@ -51,7 +51,6 @@ class SonataResult:
     Y: np.ndarray
     comms: int
     subproblem_converged: list = field(default_factory=list)  # one flag per iteration
-    inner_iterations: list = field(default_factory=list)
 
 
 def _as_mixer(W) -> tuple[np.ndarray, int]:
@@ -186,13 +185,12 @@ def sonata_run(
         solver = LocalSolver(p, surrogate, delta)
 
     for t in range(1, T + 1):
-        X_half, converged, iters = solver.solve(
+        X_half, converged, _ = solver.solve(
             X, Y, G, Z, subproblem_tol, max_inner_iters
         )
         X, Y, G = gossip_round(X_half, Y, G, W, p, delta, Z)
         comms += cost
         result.subproblem_converged.append(converged)
-        result.inner_iterations.append(iters)
         if on_step is not None:
             on_step(t, comms, X, Y)
 

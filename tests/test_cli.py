@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from sonatasim import cli
+from sonatasim import accel, cli, datagen, network, problems
 from sonatasim.cli import ConfigError, execute_run, execute_sweep, load_config, lowerbound_check
 
 FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
 # many samples on few features: local Hessians nearly agree, so beta_hat < mu_hat
 DEGENERATE_SYNTHETIC = {"m": 4, "n": 20000, "d": 3, "L0": 1.5}
+DATASET = {"path": str(FIXTURE), "lam": 0.1}
 
 
 def base_config(tmp_path, **extra):
@@ -230,6 +231,11 @@ class TestMainEntry:
             ("target_gap", "x"),
             ("subproblem_tol", "x"),
             ("max_inner_iters", "x"),
+            ("subproblem_tol", -1),
+            ("subproblem_tol", 0),
+            ("subproblem_tol", math.nan),
+            ("max_inner_iters", 0),
+            ("max_inner_iters", 2.5),
         ],
     )
     def test_bad_algorithm_values_exit_2(self, tmp_path, capsys, field, value):
@@ -238,6 +244,60 @@ class TestMainEntry:
         assert cli.main(["run", "-c", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "block,config",
+        [
+            ("problem.synthetic", {"synthetic": {"m": 8, "d": 10}}),
+            ("problem.synthetic", {"synthetic": {"m": 8, "n": 150, "d": 10, "L_0": 5}}),
+            ("problem.synthetic", {"synthetic": {"m": 4.5, "n": 150, "d": 10}}),
+            ("problem.synthetic", {"synthetic": {"m": "x", "n": 150, "d": 10}}),
+            ("regularizer", {"kind": "l1"}),
+            ("regularizer", {"kind": "box"}),
+            ("regularizer", {"kind": "box", "lo": 1, "hi": 0}),
+            ("topology", {"kind": "erdos_renyi", "p": 0.6, "target-rho": 0.01}),
+            ("topology", {"kind": "line", "p": 0.3}),
+            ("topology", {"kind": "erdos_renyi", "p": 2}),
+            ("problem.dataset", {"dataset": dict(DATASET)}),
+            ("problem.dataset", {"dataset": dict(DATASET, m=4, loss_kind="logistic")}),
+            ("problem.dataset", {"dataset": dict(DATASET, m=4, loss="logit")}),
+        ],
+        ids=[
+            "synthetic-missing-n", "synthetic-L_0", "synthetic-fractional-m", "synthetic-string-m",
+            "l1-without-weight", "box-without-bounds", "box-lo-above-hi",
+            "target-rho-misspelt", "line-with-p", "erdos-renyi-p-2",
+            "dataset-missing-m", "dataset-loss_kind", "dataset-unknown-loss",
+        ],
+    )
+    def test_bad_block_fields_exit_2(self, tmp_path, capsys, block, config):
+        # each of these used to run silently or escape main as a traceback with exit 1
+        key = block.split(".")[0]
+        path = write_config(tmp_path, base_config(tmp_path, **{key: config}))
+        assert cli.main(["run", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}:") and "Traceback" not in err
+
+    def test_oracle_tol_is_not_a_config_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path, diagnostics={"oracle_tol": 1e-10}))
+        assert cli.main(["run", "-c", path]) == 2
+        assert "unknown config field 'diagnostics.oracle_tol'" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", "-c", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_library_input_errors_share_one_base(self):
+        # main maps this base to exit 2 with one except clause
+        for cls in (
+            datagen.LibsvmParseError,
+            datagen.InsufficientDataError,
+            network.UnreachableTargetError,
+            network.InstanceTooLargeError,
+            problems.DegenerateProblemError,
+            accel.DegenerateSimilarityError,
+            accel.PerfectlyConditionedError,
+        ):
+            assert issubclass(cls, problems.InputError)
 
     def test_lowerbound_subcommand(self, tmp_path, capsys):
         rc = cli.main(

@@ -52,6 +52,20 @@ class TestGraphs:
         assert erdos_renyi(12, 0.3, seed=5).edges == erdos_renyi(12, 0.3, seed=5).edges
         assert erdos_renyi(12, 0.3, seed=5).edges != erdos_renyi(12, 0.3, seed=6).edges
 
+    @pytest.mark.parametrize(
+        "m,p,seed", [(3, 0.4, 0), (12, 0.3, 5), (30, 0.5, 1), (100, 0.05, 7), (1000, 0.01, 3)]
+    )
+    def test_er_matches_per_pair_draws(self, m, p, seed):
+        # one rng.random() per pair in row-major order, resampled until connected
+        for attempt in np.random.SeedSequence(seed).spawn(100):
+            rng = np.random.default_rng(attempt)
+            edges = frozenset(
+                (i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p
+            )
+            if network._connected(m, edges):
+                break
+        assert erdos_renyi(m, p, seed).edges == edges
+
     def test_line_and_star(self):
         assert line_graph(3).edges == frozenset({(0, 1), (1, 2)})
         assert star_graph(4).edges == frozenset({(0, 1), (0, 2), (0, 3)})
