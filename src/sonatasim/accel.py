@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems, sonata
-from .problems import Constants, InputError, ProblemSpec
+from .problems import Constants, DivergenceError, InputError, ProblemSpec
 from .sonata import Surrogate
 
 
@@ -204,7 +204,7 @@ def acc_sonata_run(
         drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
         scale = 1.0 + np.linalg.norm(G.mean(axis=0))
         if not drift <= 1e-8 * scale:  # also catches a NaN drift
-            raise AssertionError(f"tracking identity violated at outer {k}: drift {drift}")
+            raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
 
         inner = sonata.sonata_run(
             p,

@@ -592,7 +592,7 @@ def main(argv=None) -> int:
     except problems.InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (diagnostics.OracleNotConvergedError, network.TopologyError) as exc:
+    except problems.RuntimeFailure as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     return 0

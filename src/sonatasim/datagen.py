@@ -50,8 +50,8 @@ class SyntheticRidgeConfig:
 
 
 def _check_int(name: str, value, low: int) -> None:
-    """A count or seed is an integer >= low; a fraction or a string is an error."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """A count or seed is an integer >= low; a fraction, a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -135,6 +135,8 @@ def load_libsvm(
     drops the remainder of an uneven split so every agent holds the same n.
     """
     _check_int("m", m, 1)
+    if limit is not None:
+        _check_int("limit", limit, 1)
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import problems
 from .accel import AccelParams, RunObserver
-from .problems import Constants, ProblemSpec, prox_r, r_value
+from .problems import Constants, ProblemSpec, r_value
 
 INNER_CONTRACTION = {"F": 33.0 / 34.0, "L": 9.0 / 10.0}
 
 
-class OracleNotConvergedError(RuntimeError):
+class OracleNotConvergedError(problems.RuntimeFailure):
     """The centralized reference solver hit its iteration cap."""
 
 
@@ -63,16 +63,6 @@ class ShiftedObjective:
             g = g + self.delta * (x - self.z_bar)
         return g
 
-    def smoothness(self) -> float:
-        return float(np.linalg.eigvalsh(self._H)[-1]) + self.delta
-
-    def strong_convexity(self) -> float:
-        if self.exact:
-            mu = float(np.linalg.eigvalsh(self._H)[0])
-        else:
-            mu = self.p.lam
-        return mu + self.delta
-
 
 @dataclass(frozen=True)
 class Oracle:
@@ -97,8 +87,8 @@ def centralized_solve(
     """Solve the (shifted) global problem to high accuracy.
 
     Quadratic losses with r = zero use a direct symmetric solve plus one round
-    of iterative refinement; everything else runs an accelerated proximal
-    gradient until the gradient-mapping norm drops below tol.
+    of iterative refinement; everything else runs :func:`problems.prox_gradient`
+    on one row until the gradient-mapping norm drops below tol.
     """
     obj = ShiftedObjective(p, delta, Z)
     if obj.exact and p.reg.kind == "zero":
@@ -108,22 +98,18 @@ def centralized_solve(
         x = x + np.linalg.solve(K, rhs - K @ x)  # one refinement pass
         return Oracle(x, obj.values(x), obj)
 
-    L = obj.smoothness()
-    mu = obj.strong_convexity()
+    w = np.linalg.eigvalsh(obj._H)
+    L = w[-1] + delta
+    mu = (w[0] if obj.exact else p.lam) + delta
     if mu <= 0:
         raise ValueError("centralized solve requires a strongly convex problem")
-    theta = (np.sqrt(L / mu) - 1.0) / (np.sqrt(L / mu) + 1.0)
-    step = 1.0 / L
-    x = np.zeros(p.d)
-    v = x.copy()
-    for it in range(max_iters):
-        x_next = prox_r(p, v - step * obj.grad(v), step)
-        v = x_next + theta * (x_next - x)
-        x = x_next
-        gm = (x - prox_r(p, x - step * obj.grad(x), step)) * L
-        if np.linalg.norm(gm) <= tol:
-            return Oracle(x, obj.values(x), obj)
-    raise OracleNotConvergedError(f"no convergence to {tol} in {max_iters} iterations")
+    step = np.array([1.0 / L])
+    X, converged, _ = problems.prox_gradient(
+        p, lambda V: obj.grad(V[0])[None], np.zeros((1, p.d)), step, mu * step, tol, max_iters
+    )
+    if not converged:
+        raise OracleNotConvergedError(f"no convergence to {tol} in {max_iters} iterations")
+    return Oracle(X[0], obj.values(X[0]), obj)
 
 
 def consensus_error(X) -> float:
@@ -261,7 +247,6 @@ class OuterRecord:
 class Trajectory:
     rows: list = field(default_factory=list)
     outer: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def comms(self) -> np.ndarray:
         return np.array([r.comms for r in self.rows])

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, Regularizer
+from .problems import InputError, ProblemSpec, Regularizer, RuntimeFailure
 
 DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
 
 
-class TopologyError(RuntimeError):
+class TopologyError(RuntimeFailure):
     """Random topology generation failed to produce a connected graph."""
 
 

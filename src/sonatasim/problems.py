@@ -31,6 +31,15 @@ class DegenerateProblemError(InputError):
     """The problem has no usable strong convexity (mu_hat <= 0)."""
 
 
+class RuntimeFailure(RuntimeError):
+    """A computation on accepted input failed; the CLI reports every subclass
+    as a runtime failure with exit code 1."""
+
+
+class DivergenceError(RuntimeFailure):
+    """An iterate became non-finite or a run invariant was violated."""
+
+
 @dataclass(frozen=True)
 class Regularizer:
     """Descriptor of the nonsmooth term r: zero, l1(weight), or a box constraint."""
@@ -43,6 +52,10 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("zero", "l1", "box"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
+        own = {"zero": (), "l1": ("weight",), "box": ("lo", "hi")}[self.kind]
+        stray = [f for f in ("weight", "lo", "hi") if f not in own and getattr(self, f) is not None]
+        if stray:
+            raise ValueError(f"a {self.kind} regularizer takes no {', '.join(stray)}")
         if self.kind == "l1" and (self.weight is None or not self.weight >= 0):
             raise ValueError(f"l1 requires a weight >= 0, got {self.weight!r}")
         if self.kind == "box" and (self.lo is None or self.hi is None or not self.lo <= self.hi):
@@ -229,6 +242,34 @@ def prox_r(p: ProblemSpec, x, step) -> np.ndarray:
     return np.clip(x, reg.lo, reg.hi)
 
 
+def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int):
+    """Accelerated proximal gradient on a (k, d) stack of independent problems.
+
+    Row i minimizes s_i + r from X0[i] with step steps[i] and momentum
+    (1 - sqrt(q_i)) / (1 + sqrt(q_i)), q_i = mu_i * steps[i] for a
+    mu_i-strongly convex s_i; grad(V) returns the (k, d) gradients of the s_i.
+    A row freezes once its gradient mapping at the extrapolated point is at
+    most tol.  Returns (X, whether all rows converged, the largest iteration
+    count); a non-finite iterate raises DivergenceError.
+    """
+    step = steps[:, None]
+    theta = ((1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q)))[:, None]
+    X = np.array(X0, dtype=float)
+    V = X.copy()
+    active = np.ones(len(X), dtype=bool)
+    for it in range(max_iters):
+        X_next = prox_r(p, V - step * grad(V), step)
+        if not np.all(np.isfinite(X_next)):
+            raise DivergenceError(f"non-finite iterate at proximal-gradient iteration {it + 1}")
+        move = np.linalg.norm(X_next - V, axis=1) / steps
+        V[active] = (X_next + theta * (X_next - X))[active]
+        X[active] = X_next[active]
+        active &= ~(move <= tol)
+        if not active.any():
+            return X, True, it + 1
+    return X, False, max_iters
+
+
 def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
     """Data-dependent upper bound H_i on agent i's Hessian.
 
@@ -273,11 +314,6 @@ def curvature(p: ProblemSpec) -> Curvature:
         beta = np.abs(np.linalg.eigvalsh(H)[:, [0, -1]]).max()
         p._curvature = Curvature(H_bar, lmax, float(beta))
     return p._curvature
-
-
-def local_smoothness(p: ProblemSpec) -> np.ndarray:
-    """Per-agent smoothness bounds (largest eigenvalue of H_i)."""
-    return curvature(p).lmax
 
 
 @dataclass(frozen=True)

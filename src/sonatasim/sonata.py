@@ -15,9 +15,9 @@ Two surrogates are supported: the full local function plus a similarity-sized
 proximal term ("F"), and plain linearization with an L-sized proximal term
 ("L", which collapses to one proximal-gradient step).  One
 :class:`LocalSolver`, built once per run, takes the local step of all m
-agents at once: a closed form, one proximal step, or proximal gradient on the
-whole stack.  The subproblems only read previous-round state, so results are
-identical to any parallel schedule.
+agents at once: a closed form, one proximal step, or accelerated proximal
+gradient on the whole stack.  The subproblems only read previous-round
+state, so results are identical to any parallel schedule.
 """
 
 from __future__ import annotations
@@ -72,27 +72,17 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters)
     """Iterative mode-F local step of all agents at once.
 
     Agent i minimizes f_i(v) + delta/2||v-z_i||^2 + beta/2||v-x_i||^2
-    + <y_i - g_i, v> + r(v) by proximal gradient with its own step steps[i].
-    Its row freezes once its gradient mapping drops to tol, so every row and
-    its iteration count match a loop over agents.  Returns (X_half, whether
-    all agents converged, the largest iteration count).
+    + <y_i - g_i, v> + r(v), which is (ridge*lam + beta + delta)-strongly
+    convex, by :func:`problems.prox_gradient` from x_i with step steps[i].
+    Returns (X_half, whether all agents converged, the largest iteration count).
     """
-    step = steps[:, None]
     lin = Y - G
-    V = X.copy()
-    active = np.ones(p.m, dtype=bool)
-    for it in range(max_iters):
-        problems._check_point(V, p.m, p.d)
-        grad = problems.batch_grads(p, V) + beta * (V - X) + lin
-        if delta != 0.0:
-            grad = grad + delta * (V - Z)
-        V_next = prox_r(p, V - step * grad, step)
-        move = np.linalg.norm(V_next - V, axis=1) / steps
-        V[active] = V_next[active]
-        active &= ~(move <= tol)
-        if not active.any():
-            return V, True, it + 1
-    return V, False, max_iters
+
+    def grad(V):
+        return problems.batch_grads(p, V) + beta * (V - X) + lin + delta * (V - Z)
+
+    q = (p.loss.ridge * p.lam + beta + delta) * steps
+    return problems.prox_gradient(p, grad, X, steps, q, tol, max_iters)
 
 
 class LocalSolver:
@@ -102,8 +92,9 @@ class LocalSolver:
     exact-curvature loss with r = zero is the closed form
     x_i - (H_i + (delta+beta) I)^-1 y_i: the proximal centers and the
     gradient cache cancel out of the optimality condition.  Every other mode-F
-    case runs :func:`_prox_gradient_subproblem`.  Build it once per run; the
-    closed form factors its (constant) system matrices here.
+    case runs :func:`_prox_gradient_subproblem`, accelerated proximal gradient
+    on the whole stack.  Build it once per run; the closed form factors its
+    (constant) system matrices here.
     """
 
     def __init__(self, p: ProblemSpec, surrogate: Surrogate, delta: float = 0.0):

@@ -171,7 +171,7 @@ class TestAccSonataRun:
         # a NaN drift compares False against any tolerance
         p = small_ridge
         params = tune(small_ridge_constants, "F")
-        with pytest.raises(AssertionError, match="tracking identity"):
+        with pytest.raises(problems.DivergenceError, match="tracking identity"):
             acc_sonata_run(p, params, small_gossip, K_max=2, Y0=np.full((p.m, p.d), np.nan))
 
     def test_comm_counter_is_k_times_t_times_rounds(

@@ -1,11 +1,12 @@
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from sonatasim import accel, cli, datagen, network, problems
+from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.cli import ConfigError, execute_run, execute_sweep, load_config, lowerbound_check
 
 FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
@@ -176,6 +177,35 @@ class TestMainEntry:
         assert "unknown config field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "good_calls,message",
+        [(1, "tracking identity violated"), (2, "non-finite iterate")],
+        ids=["tracking-check", "local-step"],
+    )
+    def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch, good_calls, message):
+        # gradients turn NaN after good_calls calls: the first call seeds the
+        # trackers, the second is the tracking check, the third the local step.
+        # Both failures used to escape main as a traceback.
+        batch_grads, calls = problems.batch_grads, itertools.count()
+
+        def failing(p, X):
+            return batch_grads(p, X) * (1.0 if next(calls) < good_calls else math.nan)
+
+        monkeypatch.setattr(problems, "batch_grads", failing)
+        cfg = base_config(tmp_path, problem={"dataset": dict(DATASET, m=4)})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure:") and message in err and "Traceback" not in err
+
+    def test_library_runtime_errors_share_one_base(self):
+        # main maps this base to exit 1 with one except clause
+        for cls in (
+            diagnostics.OracleNotConvergedError,
+            network.TopologyError,
+            problems.DivergenceError,
+        ):
+            assert issubclass(cls, problems.RuntimeFailure)
+
+    @pytest.mark.parametrize(
         "field,value", [("plain", True), ("sweep_T_extra", 4), ("count_half_duplex", False)]
     )
     def test_removed_algorithm_fields_rejected(self, tmp_path, capsys, field, value):
@@ -252,21 +282,28 @@ class TestMainEntry:
             ("problem.synthetic", {"synthetic": {"m": 8, "n": 150, "d": 10, "L_0": 5}}),
             ("problem.synthetic", {"synthetic": {"m": 4.5, "n": 150, "d": 10}}),
             ("problem.synthetic", {"synthetic": {"m": "x", "n": 150, "d": 10}}),
+            ("problem.synthetic", {"synthetic": {"m": 8, "n": 150, "d": True}}),
             ("regularizer", {"kind": "l1"}),
             ("regularizer", {"kind": "box"}),
             ("regularizer", {"kind": "box", "lo": 1, "hi": 0}),
+            ("regularizer", {"kind": "zero", "weight": 5}),
+            ("regularizer", {"kind": "box", "lo": 0, "hi": 1, "weight": 0.1}),
             ("topology", {"kind": "erdos_renyi", "p": 0.6, "target-rho": 0.01}),
             ("topology", {"kind": "line", "p": 0.3}),
             ("topology", {"kind": "erdos_renyi", "p": 2}),
             ("problem.dataset", {"dataset": dict(DATASET)}),
             ("problem.dataset", {"dataset": dict(DATASET, m=4, loss_kind="logistic")}),
             ("problem.dataset", {"dataset": dict(DATASET, m=4, loss="logit")}),
+            ("problem.dataset", {"dataset": dict(DATASET, m=4, limit=-40)}),
         ],
         ids=[
             "synthetic-missing-n", "synthetic-L_0", "synthetic-fractional-m", "synthetic-string-m",
+            "synthetic-bool-d",
             "l1-without-weight", "box-without-bounds", "box-lo-above-hi",
+            "zero-with-weight", "box-with-weight",
             "target-rho-misspelt", "line-with-p", "erdos-renyi-p-2",
             "dataset-missing-m", "dataset-loss_kind", "dataset-unknown-loss",
+            "dataset-negative-limit",
         ],
     )
     def test_bad_block_fields_exit_2(self, tmp_path, capsys, block, config):

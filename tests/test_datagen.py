@@ -96,6 +96,12 @@ class TestLoadLibsvm:
         p3 = load_libsvm(FIXTURE, m=4, lam=0.1, seed=9)
         assert not np.array_equal(p1.A, p3.A)
 
+    @pytest.mark.parametrize("limit", [-40, 0, 2.5, "99", True])
+    def test_bad_limit_rejected(self, limit):
+        # a negative limit used to slice from the end: -40 kept 160 of 200 samples
+        with pytest.raises(ValueError, match="limit"):
+            load_libsvm(FIXTURE, m=4, limit=limit)
+
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("+1 1:0.5\n-1 oops\n")

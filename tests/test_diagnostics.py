@@ -47,7 +47,7 @@ class TestCentralizedSolve:
         p = hinge_problem(lam=0.05, reg=Regularizer("l1", weight=0.01))
         oracle = centralized_solve(p, tol=1e-11)
         # fixed point of the proximal-gradient map
-        L = oracle.objective.smoothness()
+        L = np.linalg.eigvalsh(problems.curvature(p).H_bar)[-1]
         step = 1.0 / L
         moved = problems.prox_r(p, oracle.x_star - step * oracle.objective.grad(oracle.x_star), step)
         assert np.linalg.norm(moved - oracle.x_star) * L <= 1e-9

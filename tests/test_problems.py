@@ -118,6 +118,22 @@ class TestGradients:
             assert G[i] == pytest.approx(local_grad(small_ridge, i, X[i]), abs=1e-12)
 
 
+class TestRegularizer:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "zero", "weight": 5.0},
+            {"kind": "zero", "lo": 0.0},
+            {"kind": "l1", "weight": 0.1, "hi": 1.0},
+            {"kind": "box", "lo": 0.0, "hi": 1.0, "weight": 0.1},
+        ],
+    )
+    def test_field_of_another_kind_rejected(self, fields):
+        # such a field used to be accepted and ignored
+        with pytest.raises(ValueError, match="takes no"):
+            Regularizer(**fields)
+
+
 class TestProx:
     def test_zero_is_identity(self, small_ridge, rng):
         x = rng.standard_normal(small_ridge.d)

@@ -20,17 +20,20 @@ def cold_start(p):
 
 
 def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000):
-    """Reference for one agent's iterative local step, written as a plain loop."""
+    """Reference for one agent's iterative local step, written as a plain
+    accelerated proximal-gradient loop."""
     step = 1.0 / (np.linalg.eigvalsh(problems.hessian_bound(p, i))[-1] + delta + beta)
-    v = x.copy()
+    q = (p.loss.ridge * p.lam + beta + delta) * step
+    theta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
+    u, v = x.copy(), x.copy()
     for it in range(max_iters):
         grad = problems.local_grad(p, i, v) + beta * (v - x) + (y - g) + delta * (v - z)
-        v_next = problems.prox_r(p, v - step * grad, step)
-        done = np.linalg.norm(v_next - v) / step <= tol
-        v = v_next
+        u_next = problems.prox_r(p, v - step * grad, step)
+        done = np.linalg.norm(u_next - v) / step <= tol
+        u, v = u_next, u_next + theta * (u_next - u)
         if done:
-            return v, it + 1
-    return v, max_iters
+            return u, it + 1
+    return u, max_iters
 
 
 class TestLocalSubproblem:
@@ -82,13 +85,22 @@ class TestLocalSubproblem:
         moved = problems.prox_r(p, out - step * grad, step)
         assert np.linalg.norm(moved - out, axis=1).max() / step <= 1e-6
 
-    def test_batched_prox_gradient_matches_per_agent_loop(self, rng):
+    @pytest.mark.parametrize(
+        "loss_kind, reg",
+        [
+            ("smooth-hinge", Regularizer("l1", weight=0.02)),
+            ("logistic", Regularizer("box", lo=-0.5, hi=0.5)),
+            ("quadratic-ridge", Regularizer("l1", weight=0.02)),
+        ],
+        ids=["hinge-l1", "logistic-box", "quadratic-l1"],
+    )
+    def test_batched_prox_gradient_matches_per_agent_loop(self, rng, loss_kind, reg):
         # agents with feature scales a decade apart take different steps and
         # stop after different numbers of iterations
         m, n, d = 4, 30, 5
         A = rng.standard_normal((m, n, d)) * np.array([0.3, 1.0, 2.0, 4.0])[:, None, None]
         b = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
-        p = problems.ProblemSpec("smooth-hinge", A, b, lam=0.05, reg=Regularizer("l1", weight=0.02))
+        p = problems.ProblemSpec(loss_kind, A, b, lam=0.05, reg=reg)
         beta, delta, tol = 0.7, 0.4, 1e-6
         X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
         G = shifted_grads(p, X, delta, Z)
@@ -182,7 +194,7 @@ class TestSonataRun:
         A = rng.standard_normal((1, 30, 6))
         b = rng.standard_normal((1, 30))
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
-        L_surr = problems.local_smoothness(p)[0]
+        L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
         res = sonata_run(p, X0, Y0, 12, np.eye(1), Surrogate("L", L_surr))
         x = np.zeros(6)
