@@ -96,7 +96,35 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
+    _check_values(cfg, DEFAULT_CONFIG)
     return cfg
+
+
+def _check_values(cfg: dict, defaults, path=""):
+    """Reject a JSON true/false in a field whose default is not a boolean
+    (float(True) == 1.0 passes any numeric check) and a non-finite number,
+    which metadata.json could not echo back."""
+    for key, val in cfg.items():
+        default = defaults.get(key) if isinstance(defaults, dict) else None
+        if isinstance(val, dict):
+            _check_values(val, default, path + key + ".")
+        elif isinstance(val, bool) and not isinstance(default, bool):
+            raise ConfigError(f"{path[:-1] or key}: {key!r} takes no boolean, got {json.dumps(val)}")
+        elif isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{path[:-1] or key}: {key!r} takes a finite number, got {val!r}")
+
+
+def _json(obj, indent=None) -> str:
+    """obj as JSON text; a non-finite number in it is a DivergenceError, so
+    that NaN or Infinity never reaches an output."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise problems.DivergenceError(f"non-finite value in the output ({exc})") from None
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(_json(obj, indent=2) + "\n")
 
 
 def resolve_output(cfg_output: str) -> Path:
@@ -277,9 +305,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
             "subproblems_converged": all(result.subproblem_converged),
         },
     }
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "metadata.json", meta)
     return meta
 
 
@@ -341,6 +367,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         raise ConfigError("sweep requires a synthetic problem block")
     if not points:
         raise ConfigError("sweep needs at least one axis point")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"sweep eps must be a finite number > 0, got {eps!r}")
     base = ridge_config(cfg)
     reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
@@ -417,9 +445,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         "rows": rows,
         "effective_config": cfg,
     }
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "metadata.json", meta)
     return meta
 
 
@@ -557,25 +583,23 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, _overrides_from_args(args))
             out_dir = resolve_output(cfg["output"])
             meta = execute_run(cfg, out_dir)
-            print(json.dumps({"output": str(out_dir), **meta["result"]}, sort_keys=True))
-            print(json.dumps({"params": meta["params"], "constants": meta["constants"]}, sort_keys=True))
+            print(_json({"output": str(out_dir), **meta["result"]}))
+            print(_json({"params": meta["params"], "constants": meta["constants"]}))
             return 0
         if args.command == "sweep":
             cfg = load_config(args.config, _overrides_from_args(args))
             out_dir = resolve_output(cfg["output"])
             points = [float(tok) for tok in args.points.split(",") if tok]
             meta = execute_sweep(cfg, args.axis, points, out_dir, args.eps)
-            print(json.dumps({"output": str(out_dir), "rows": meta["rows"]}, sort_keys=True))
+            print(_json({"output": str(out_dir), "rows": meta["rows"]}))
             return 0
         if args.command == "lowerbound-check":
             report = lowerbound_check(args.mu, args.beta, args.rho, args.d, args.rounds)
             if args.output:
                 out_dir = resolve_output(args.output)
-                with open(out_dir / "lowerbound.json", "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _write_json(out_dir / "lowerbound.json", report)
             summary = {k: v for k, v in report.items() if k != "max_index_per_round"}
-            print(json.dumps(summary, sort_keys=True))
+            print(_json(summary))
             if not report["support_ok"]:
                 print("support-propagation invariant violated", file=sys.stderr)
                 return 1
@@ -584,7 +608,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, _overrides_from_args(args))
             p = build_problem(cfg)
             constants = problems.estimate_constants(p)
-            print(json.dumps(_constants_dict(constants), indent=2, sort_keys=True))
+            print(_json(_constants_dict(constants), indent=2))
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

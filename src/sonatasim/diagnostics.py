@@ -37,7 +37,11 @@ class ShiftedObjective:
         self.exact = p.loss.exact
         self._H = problems.curvature(p).H_bar
         if self.exact:
-            self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
+            stats = problems.gram(p)
+            if stats is not None:
+                self._h = stats[1].mean(axis=0)
+            else:  # d > n: from A
+                self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
             self._c = float((p.b**2).sum(axis=1).mean() / (2.0 * p.n))
 
     def values(self, X):

@@ -70,7 +70,9 @@ class ProblemSpec:
     and d by construction.  ``meta`` carries generator side-information
     (planted solution, covariance spectrum) and never affects the oracles.
     The loss kind and the data are fixed at construction: :func:`curvature`
-    is memoized on the instance.
+    is memoized on the instance, and so, for an exact-curvature loss with
+    d <= n, is the per-agent Gram stack of :func:`gram` that serves the
+    gradients, the curvature and the closed-form local step.
     """
 
     loss_kind: str
@@ -92,6 +94,7 @@ class ProblemSpec:
         if not self.loss.exact and not np.all(np.abs(self.b) == 1.0):
             raise ValueError("classification labels must be +/-1")
         self._curvature = None
+        self._gram = None
 
     @property
     def m(self) -> int:
@@ -184,8 +187,26 @@ def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
     return p.A[i].T @ dl / p.n + p.loss.ridge * p.lam * x
 
 
+def gram(p: ProblemSpec):
+    """The data Gram stack A_i^T A_i / n (m, d, d) and A_i^T b_i / n (m, d),
+    memoized on p, or None for a loss without exact curvature or with d > n,
+    where the stack would be larger than A.  Both arrays are read-only."""
+    if not p.loss.exact or p.d > p.n:
+        return None
+    if p._gram is None:
+        At = p.A.transpose(0, 2, 1)
+        H, h = np.matmul(At, p.A) / p.n, np.matmul(At, p.b[:, :, None])[..., 0] / p.n
+        H.flags.writeable = h.flags.writeable = False
+        p._gram = (H, h)
+    return p._gram
+
+
 def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Gradients of every agent at its own point: X is (m, d), result is (m, d)."""
+    stats = gram(p)
+    if stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
+        H, h = stats
+        return np.matmul(H, X[:, :, None])[..., 0] - h + p.loss.ridge * p.lam * X
     dl = p.loss.deriv(np.einsum("mnd,md->mn", p.A, X), p.b)
     return np.einsum("mnd,mn->md", p.A, dl) / p.n + p.loss.ridge * p.lam * X
 
@@ -287,11 +308,14 @@ def local_hessian(p: ProblemSpec, i: int) -> np.ndarray:
 
 
 def hessian_bounds(p: ProblemSpec) -> np.ndarray:
-    """All m Hessian bounds stacked (m, d, d); callers must not keep it on p."""
-    H = np.empty((p.m, p.d, p.d))
-    for i in range(p.m):
-        H[i] = hessian_bound(p, i)
-    return H
+    """All m Hessian bounds stacked (m, d, d), a new array on every call;
+    callers must not keep it on p."""
+    stats = gram(p)
+    if stats is not None:
+        H = stats[0]
+    else:
+        H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
+    return H + p.loss.ridge * p.lam * np.eye(p.d)
 
 
 @dataclass(frozen=True)

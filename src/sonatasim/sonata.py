@@ -94,7 +94,8 @@ class LocalSolver:
     gradient cache cancel out of the optimality condition.  Every other mode-F
     case runs :func:`_prox_gradient_subproblem`, accelerated proximal gradient
     on the whole stack.  Build it once per run; the closed form factors its
-    (constant) system matrices here.
+    (constant) system matrices here, from :func:`problems.hessian_bounds`
+    (the memoized Gram stack when d <= n).
     """
 
     def __init__(self, p: ProblemSpec, surrogate: Surrogate, delta: float = 0.0):

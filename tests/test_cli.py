@@ -196,6 +196,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--k-max", "3"], ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"]],
+        ids=["run", "lowerbound-check"],
+    )
+    def test_non_finite_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # a NaN gap used to be written to metadata.json as NaN with exit 0
+        monkeypatch.setattr(diagnostics, "optimality_gap", lambda p, X, oracle: math.nan)
+        if argv[0] == "run":
+            argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("runtime failure: non-finite value")
+        assert "Traceback" not in captured.err and "NaN" not in captured.out
+        assert not any(f.suffix == ".json" for f in (tmp_path / "out").iterdir())
+
     def test_library_runtime_errors_share_one_base(self):
         # main maps this base to exit 1 with one except clause
         for cls in (
@@ -314,6 +330,41 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {block}:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field,block",
+        [
+            ("problem.synthetic.lam", {"problem": {"synthetic": {"m": 8, "n": 150, "d": 10, "lam": True}}}),
+            ("problem.synthetic.mu0", {"problem": {"synthetic": {"m": 8, "n": 150, "d": 10, "mu0": True}}}),
+            ("problem.synthetic.L0", {"problem": {"synthetic": {"m": 8, "n": 150, "d": 10, "L0": True}}}),
+            ("problem.synthetic.noise_std",
+             {"problem": {"synthetic": {"m": 8, "n": 150, "d": 10, "noise_std": False}}}),
+            ("problem.dataset.lam", {"problem": {"dataset": dict(DATASET, m=4, lam=True)}}),
+            ("regularizer.weight", {"regularizer": {"kind": "l1", "weight": True}}),
+            ("regularizer.lo", {"regularizer": {"kind": "box", "lo": False, "hi": 1.0}}),
+            ("regularizer.hi", {"regularizer": {"kind": "box", "lo": 0.0, "hi": True}}),
+            ("topology.p", {"topology": {"kind": "erdos_renyi", "p": True}}),
+            ("topology.target_rho", {"topology": {"kind": "erdos_renyi", "p": 0.6, "target_rho": True}}),
+            ("algorithm.target_gap", {"algorithm": {"target_gap": True}}),
+            ("algorithm.subproblem_tol", {"algorithm": {"subproblem_tol": True}}),
+            ("algorithm.max_inner_iters", {"algorithm": {"max_inner_iters": True}}),
+            ("algorithm.c_seq", {"algorithm": {"c_seq": True}}),
+            ("algorithm.delta", {"algorithm": {"delta": False}}),
+            ("seed", {"seed": True}),
+            ("algorithm.target_gap", {"algorithm": {"target_gap": math.inf}}),
+        ],
+    )
+    def test_boolean_or_non_finite_in_numeric_field_exit_2(self, tmp_path, capsys, field, block):
+        # float(True) == 1.0: each boolean used to run to exit 0 with the field read as 1
+        path = write_config(tmp_path, base_config(tmp_path, **block))
+        assert cli.main(["run", "-c", path]) == 2
+        block, _, leaf = field.rpartition(".")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block or leaf}: {leaf!r}") and "Traceback" not in err
+
+    def test_boolean_field_still_takes_a_boolean(self, tmp_path):
+        cfg = load_config(None, {"diagnostics": {"potentials": True}})
+        assert cfg["diagnostics"]["potentials"] is True
+
     def test_oracle_tol_is_not_a_config_field(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path, diagnostics={"oracle_tol": 1e-10}))
         assert cli.main(["run", "-c", path]) == 2
@@ -377,6 +428,14 @@ class TestSweep:
         out = cli.resolve_output(cfg["output"])
         with pytest.raises(ConfigError, match="at least one"):
             execute_sweep(cfg, "samples", [], out, 1e-3)
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_eps_rejected(self, tmp_path, eps):
+        # a NaN eps used to be echoed into metadata.json; -1 ran to "not-reached"
+        cfg = load_config(None, base_config(tmp_path))
+        out = cli.resolve_output(cfg["output"])
+        with pytest.raises(ConfigError, match="eps"):
+            execute_sweep(cfg, "samples", [100], out, eps)
 
     def test_kappa_target_below_one_rejected(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))

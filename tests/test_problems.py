@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hinge_problem, logistic_problem
-from sonatasim import problems
+from sonatasim import diagnostics, problems
+from sonatasim.sonata import LocalSolver, Surrogate
 from sonatasim.problems import (
     DegenerateProblemError,
     ProblemSpec,
@@ -227,6 +228,63 @@ class TestConstants:
         Hh = problems.hessian_bound(ph, 0) - ph.lam * np.eye(ph.d)
         Hl = problems.hessian_bound(pl, 0) - pl.lam * np.eye(pl.d)
         assert Hh == pytest.approx(4.0 * Hl)
+
+
+def random_quad(m, n, d, lam, seed=3):
+    rng = np.random.default_rng(seed)
+    A, b = rng.standard_normal((m, n, d)), rng.standard_normal((m, n))
+    return ProblemSpec("quadratic-ridge", A, b, lam=lam)
+
+
+NO_GRAM = {
+    "quadratic-n-below-d": lambda: random_quad(4, 5, 8, lam=0.3),
+    "hinge": hinge_problem,
+    "logistic": logistic_problem,
+}
+
+
+class TestGramMemo:
+    """Exact-curvature d <= n instances keep one Gram stack; all others use A."""
+
+    @pytest.mark.parametrize("m,n,d", [(6, 120, 10), (3, 7, 7), (1, 40, 5)])
+    def test_gradients_match_the_data_path(self, m, n, d):
+        p = random_quad(m, n, d, lam=0.3)
+        X = np.random.default_rng(2).standard_normal((m, d))
+        G = problems.batch_grads(p, X)
+        assert not any(a.flags.writeable for a in problems.gram(p))
+        expect = np.stack([local_grad(p, i, X[i]) for i in range(m)])  # from A
+        assert np.all(np.linalg.norm(G - expect, axis=1) <= 1e-12 * np.linalg.norm(expect, axis=1))
+
+    @pytest.mark.parametrize("make", NO_GRAM.values(), ids=NO_GRAM.keys())
+    def test_no_memo_kept(self, make):
+        p = make()
+        problems.batch_grads(p, np.ones((p.m, p.d)))
+        estimate_constants(p)
+        diagnostics.ShiftedObjective(p)
+        LocalSolver(p, Surrogate("F", 1.0))
+        assert problems.gram(p) is None and p._gram is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_quad(6, 120, 10, lam=0.3), *NO_GRAM.values()],
+        ids=["quadratic", *NO_GRAM.keys()],
+    )
+    def test_hessian_bounds_equal_the_stacked_bounds(self, make):
+        p = make()
+        expect = np.stack([problems.hessian_bound(p, i) for i in range(p.m)])
+        assert np.array_equal(problems.hessian_bounds(p), expect)
+        assert np.array_equal(problems.hessian_bounds(p), expect)  # the memo is not written
+
+    def test_constants_leave_the_memo_intact(self):
+        # curvature subtracts H_bar from its stack in place, which must be a copy
+        X = np.random.default_rng(4).standard_normal((6, 8))
+        first = random_quad(6, 60, 8, lam=0.2)
+        G = problems.batch_grads(first, X)
+        estimate_constants(first)
+        assert np.array_equal(problems.batch_grads(first, X), G)
+        second = random_quad(6, 60, 8, lam=0.2)
+        estimate_constants(second)
+        assert np.array_equal(problems.batch_grads(second, X), G)
 
 
 class TestLabelsValidation:
