@@ -49,7 +49,6 @@ class AccelParams:
     T: int
     mu: float
     weight: float
-    c_seq: float = 0.5
     K_max: int = 200
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ class AccelParams:
             raise ValueError(f"K_max must be an integer >= 0, got {self.K_max!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
-        if not 0 < self.c_seq < 1:
-            raise ValueError("c_seq must be in (0, 1)")
 
     @property
     def alpha(self) -> float:
@@ -87,24 +84,20 @@ def tune(
     delta: float | None = None,
     T: int | None = None,
     mu_override: float | None = None,
-    tuning_variant: str = "main",
-    c_seq: float = 0.5,
     K_max: int = 200,
 ) -> AccelParams:
     """Theory-driven tuning from the estimated constants; a given delta or T
     replaces the tuned value.
 
     Mode F tunes delta = beta - mu with T = ceil(log(beta/mu)); mode L tunes
-    delta = L - mu with T = ceil(log(kappa)); T is at least 1.
-    ``tuning_variant="alt"`` swaps in the alternative pairing T_F =
-    ceil(1.4 log(L/mu)), T_L = ceil(log(beta/mu)).  Only a tuned delta needs
-    the mode's premise (beta > mu for F, kappa > 1 for L), so ``delta=0.0``,
-    the plain inner method, runs on any instance.
+    delta = L - mu with T = ceil(log(kappa)); T is at least 1.  Any other
+    inner length is a given T.  ``mu_override`` replaces mu_hat, and so
+    alpha.  Only a tuned delta needs the mode's premise (beta > mu for F,
+    kappa > 1 for L), so ``delta=0.0``, the plain inner method, runs on any
+    instance.
     """
     if mode not in ("F", "L"):
         raise ValueError("mode must be 'F' or 'L'")
-    if tuning_variant not in ("main", "alt"):
-        raise ValueError("tuning_variant must be 'main' or 'alt'")
     mu = float(mu_override) if mu_override is not None else constants.mu_hat
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -119,12 +112,10 @@ def tune(
             raise PerfectlyConditionedError(f"kappa_hat={L / mu} <= 1: nothing to accelerate")
         delta = (beta if mode == "F" else L) - mu
     if T is None:
-        scale, top = 1.0, beta if mode == "F" else L
-        if tuning_variant == "alt":
-            scale, top = (1.4, L) if mode == "F" else (1.0, beta)
-        T = max(1, math.ceil(scale * math.log(max(top / mu, 1.0))))
+        top = beta if mode == "F" else L
+        T = max(1, math.ceil(math.log(max(top / mu, 1.0))))
     weight = (beta if beta > 0 else mu) if mode == "F" else L
-    return AccelParams(mode, float(delta), T, mu, weight, c_seq, K_max)
+    return AccelParams(mode, float(delta), T, mu, weight, K_max)
 
 
 class RunObserver:
@@ -164,15 +155,16 @@ def acc_sonata_run(
     observer: RunObserver | None = None,
     gap_fn=None,
     target_gap: float | None = None,
-    X0=None,
     Y0=None,
     subproblem_tol: float = 1e-10,
     max_inner_iters: int = 5000,
-    count_half_duplex: bool = False,
 ) -> AccelResult:
-    """Run up to K_max outer iterations; stop early once gap_fn(X) <= target_gap.
+    """Run up to K_max outer iterations from X = 0; stop early once
+    gap_fn(X) <= target_gap.
 
-    Y0 defaults to each agent's own local gradient at the start point.  On a
+    W is a :class:`~sonatasim.network.GossipMatrix`; every inner iteration
+    costs its ``rounds_per_application`` communication rounds.  Y0 defaults
+    to each agent's own local gradient at the start point.  On a
     star-equivalent (exact averaging) network the caller may override it with
     the averaged gradient, which the hub can compute in one round.
 
@@ -184,13 +176,11 @@ def acc_sonata_run(
     observer = observer or RunObserver()
     delta, T, surrogate = params.delta, params.T, params.surrogate
 
-    X = np.zeros((p.m, p.d)) if X0 is None else np.array(X0, dtype=float)
+    X = np.zeros((p.m, p.d))
     Z = X.copy()
     Z_prev = X.copy()
     Y = problems.batch_grads(p, X) if Y0 is None else np.array(Y0, dtype=float)
 
-    _, rounds = sonata._as_mixer(W)
-    comm_cost = 2 * rounds if count_half_duplex else rounds
     solver = sonata.LocalSolver(p, surrogate, delta)
 
     comms = 0
@@ -220,7 +210,6 @@ def acc_sonata_run(
             subproblem_tol=subproblem_tol,
             max_inner_iters=max_inner_iters,
             comms_start=comms,
-            comm_cost=comm_cost,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )
         X_prev, X, Y, comms = X, inner.X, inner.Y, inner.comms

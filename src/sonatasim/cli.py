@@ -50,10 +50,8 @@ DEFAULT_CONFIG = {
         "delta": None,
         "T": None,
         "K_max": 200,
-        "c_seq": 0.5,
         "target_gap": DEFAULT_TARGET_GAP,
         "mu_override": None,
-        "tuning_variant": "main",
         "subproblem_tol": 1e-10,
         "max_inner_iters": 5000,
     },
@@ -244,18 +242,18 @@ def _params_dict(params: accel.AccelParams) -> dict:
         "mu": params.mu,
         "surrogate_kind": params.surrogate.kind,
         "surrogate_weight": params.surrogate.weight,
-        "c_seq": params.c_seq,
         "K_max": params.K_max,
     }
 
 
-def _recorded_run(p, params, W, alg: dict, target_gap, **builder_kwargs):
-    """acc_sonata_run observed by a TrajectoryBuilder, stopping once the
-    recorded gap reaches target_gap; returns (result, trajectory)."""
+def _recorded_run(p, params, W, alg: dict, target_gap, constants=None):
+    """acc_sonata_run observed by a TrajectoryBuilder (recording the
+    potentials when given constants), stopping once the recorded gap reaches
+    target_gap; returns (result, trajectory)."""
     subproblem_tol = _number(alg, "subproblem_tol", float, positive=True)
     max_inner_iters = _number(alg, "max_inner_iters", int, positive=True)
     oracle = diagnostics.centralized_solve(p)
-    builder = diagnostics.TrajectoryBuilder(p, oracle, params, **builder_kwargs)
+    builder = diagnostics.TrajectoryBuilder(p, oracle, params, constants)
     result = accel.acc_sonata_run(
         p,
         params,
@@ -282,8 +280,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         W,
         alg,
         None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
-        constants=constants,
-        potentials=bool(cfg["diagnostics"]["potentials"]),
+        constants if cfg["diagnostics"]["potentials"] else None,
     )
     traj.write_csv(out_dir / "trajectory.csv")
     meta = {
@@ -369,6 +366,13 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         raise ConfigError("sweep needs at least one axis point")
     if not 0 < eps < math.inf:
         raise ConfigError(f"sweep eps must be a finite number > 0, got {eps!r}")
+    if axis not in ("beta_over_mu", "samples", "kappa"):
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    for point in points:
+        if axis == "kappa" and not 1 < point < math.inf:
+            raise ConfigError(f"kappa target must be finite and exceed 1, got {point!r}")
+        if axis != "kappa" and not (1 <= point < math.inf and point == int(point)):
+            raise ConfigError(f"{axis} point must be an integer >= 1, got {point!r}")
     base = ridge_config(cfg)
     reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
@@ -377,15 +381,13 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     if axis in ("beta_over_mu", "samples"):
         for n in points:
             instances.append((float(n), dataclasses.replace(base, n=int(n))))
-    elif axis == "kappa":
+    else:
         probe = dataclasses.replace(base, lam=0.0)
         c0 = problems.estimate_constants(datagen.gen_ridge(probe))
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
         ratio_target = c0.beta_hat / c0.mu_hat
         for kappa_target in points:
             kt = float(kappa_target)
-            if kt <= 1.0:
-                raise ConfigError(f"kappa target must exceed 1, got {kt}")
             if kt >= L_sigma / mu_sigma:
                 lam = 0.0
             else:
@@ -395,8 +397,6 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
                 dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n
             )
             instances.append((kt, dataclasses.replace(base, n=n_new, lam=lam)))
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
 
     prepared = []
     for point, gen_cfg in instances:
@@ -484,16 +484,19 @@ def lowerbound_check(
 ) -> dict:
     """Build the prescribed-deviation line gossip and the split-quadratic
     instance, run the accelerated method, and report cut and support metrics."""
+    if rounds < 1:
+        raise problems.InputError(f"rounds must be >= 1, got {rounds}")
     W, m = network.line_gossip_for_rho(rho_target, max_m)
+    # Half-duplex counting: the tracking exchange reads gradients at the
+    # already-mixed x, so one local+gossip iteration moves information up to
+    # two hops.  The support bound is stated in physical rounds.
+    W = dataclasses.replace(W, rounds_per_application=2)
     p = network.hard_instance(mu, beta, m, d)
     constants = problems.estimate_constants(p)
     params = accel.tune(constants, "F")
     d_c = network.cut_distance(m)
     tracker = SupportTracker(p.meta["left"], d_c)
-    # Half-duplex counting: the tracking exchange reads gradients at the
-    # already-mixed x, so one local+gossip iteration moves information up to
-    # two hops.  The support bound is stated in physical rounds.
-    K = max(1, math.ceil(rounds / (2 * params.T)))
+    K = math.ceil(rounds / (W.rounds_per_application * params.T))
     oracle = diagnostics.centralized_solve(p)
     result = accel.acc_sonata_run(
         p,
@@ -502,7 +505,6 @@ def lowerbound_check(
         K_max=K,
         observer=tracker,
         gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
-        count_half_duplex=True,
     )
     cut_bound = 0.16 * math.sqrt(1.0 / (1.0 - rho_target))
     return {
@@ -589,7 +591,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cfg = load_config(args.config, _overrides_from_args(args))
             out_dir = resolve_output(cfg["output"])
-            points = [float(tok) for tok in args.points.split(",") if tok]
+            try:
+                points = [float(tok) for tok in args.points.split(",") if tok]
+            except ValueError:
+                raise ConfigError(f"--points: not a list of numbers: {args.points!r}") from None
             meta = execute_sweep(cfg, args.axis, points, out_dir, args.eps)
             print(_json({"output": str(out_dir), "rows": meta["rows"]}))
             return 0

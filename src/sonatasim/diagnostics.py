@@ -237,14 +237,12 @@ class TrajRow:
 
 @dataclass
 class OuterRecord:
-    k: int
-    comms_end: int
-    g_e_warm: float | None
-    g_e_final: float | None
-    e_final: float | None
-    P_after: float | None
-    eps_next: float | None
-    termination_ok: bool | None
+    """Inner potential at the warm start and at the end of one outer
+    iteration, and the outer potential after its extrapolation."""
+
+    g_e_warm: float
+    g_e_final: float | None = None
+    P_after: float | None = None
 
 
 @dataclass
@@ -288,9 +286,10 @@ def comms_to_accuracy(traj: Trajectory, eps: float):
 class TrajectoryBuilder(RunObserver):
     """Observer that assembles a Trajectory from an accelerated run.
 
-    It evaluates the outer potential after every extrapolation.  With
-    ``potentials=True`` it also re-solves the shifted problem at every outer
-    iteration to evaluate the inner potential.
+    It evaluates the outer potential after every extrapolation.  Given
+    ``constants`` it also records the potentials: it re-solves the shifted
+    problem at every outer iteration to evaluate the inner potential, and
+    keeps one :class:`OuterRecord` per outer iteration.
     """
 
     def __init__(
@@ -299,18 +298,15 @@ class TrajectoryBuilder(RunObserver):
         oracle: Oracle,
         params: AccelParams,
         constants: Constants | None = None,
-        potentials: bool = False,
     ):
         self.p = p
         self.oracle = oracle
         self.params = params
         self.constants = constants
-        self.potentials = potentials and constants is not None
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
         self._last_inner: dict | None = None
         self.P0: float | None = None
-        self.eps_seq: list[float] = []
 
     def _row(self, k, t, comms, X, Y, g_plus_e=None, P_k=None):
         self.traj.rows.append(
@@ -330,23 +326,20 @@ class TrajectoryBuilder(RunObserver):
         self.P0 = outer_potential(
             self.p, X, X, self.params.alpha, self.params.mu, 0.0, self.oracle
         )
-        self.eps_seq = [self.P0]
         self._row(0, 0, comms, X, Y, P_k=self.P0)
 
     def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
-        if not self.potentials:
+        if self.constants is None:
             return
         self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
         self._last_inner = inner_potential(
             self.p, X, Y_warm, self.constants, self.params.mode, self._oracle_k
         )
-        self.traj.outer.append(
-            OuterRecord(k, comms, self._last_inner["total"], None, None, None, None, None)
-        )
+        self.traj.outer.append(OuterRecord(self._last_inner["total"]))
 
     def on_inner_step(self, k, t, comms, X, Y):
         g_plus_e = None
-        if self.potentials and self._oracle_k is not None:
+        if self._oracle_k is not None:
             self._last_inner = inner_potential(
                 self.p, X, Y, self.constants, self.params.mode, self._oracle_k
             )
@@ -360,21 +353,15 @@ class TrajectoryBuilder(RunObserver):
             X,
             self.params.alpha,
             self.params.mu,
-            self._last_inner["e"] if (self.potentials and self._last_inner) else 0.0,
+            self._last_inner["e"] if self._last_inner else 0.0,
             self.oracle,
         )
-        ca = self.params.c_seq * self.params.alpha
-        self.eps_seq.append(self.eps_seq[-1] * (1.0 - ca))
         if self.traj.rows:
             self.traj.rows[-1].P_k = P_next
-        if self.potentials and self.traj.outer:
+        if self.traj.outer:
             rec = self.traj.outer[-1]
-            rec.comms_end = comms
             rec.g_e_final = self._last_inner["total"]
-            rec.e_final = self._last_inner["e"]
             rec.P_after = P_next
-            rec.eps_next = self.eps_seq[-1]
-            rec.termination_ok = rec.g_e_final <= rec.eps_next
 
 
 def measure_epsilon_constant(P0: float, alpha: float, g_e_finals) -> float:

@@ -29,6 +29,10 @@ class InstanceTooLargeError(InputError):
     """The required node count exceeds the allowed maximum."""
 
 
+class FixtureParameterError(InputError):
+    """A lower-bound fixture parameter lies outside its range."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected connected graph on nodes 0..m-1; self-loops implied, not stored."""
@@ -122,8 +126,12 @@ def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
 class GossipMatrix:
     """Doubly stochastic mixing matrix with cached spectral deviation rho.
 
-    ``rounds_per_application`` is the number of physical communication rounds
-    that one multiplication by W stands for (the polynomial degree).
+    ``rounds_per_application`` is what one iteration of the algorithms costs:
+    the number of physical communication rounds that one multiplication by W
+    stands for (the polynomial degree after Chebyshev acceleration).  The
+    algorithms count communication from this field alone, so a different
+    accounting is a W built with a different value, e.g. doubled to count
+    half-duplex rounds.
     """
 
     W: np.ndarray
@@ -284,7 +292,7 @@ def line_gossip_for_rho(
     the weight parameter of one edge until the deviation matches.
     """
     if not 0 < rho_target < 1:
-        raise ValueError("rho_target must be in (0, 1)")
+        raise FixtureParameterError(f"rho_target must be in (0, 1), got {rho_target}")
     m = 2
     while line_rho_value(rho_target, m + 1) < rho_target:
         m += 1
@@ -362,11 +370,11 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
     ridge.  Communication across the line cut is the only way support spreads.
     """
     if not 0 <= mu < 1 or not 0 < beta < 1:
-        raise ValueError("need mu in [0, 1) and beta in (0, 1)")
+        raise FixtureParameterError(f"need mu in [0, 1) and beta in (0, 1), got {mu}, {beta}")
     if d < 4 or d % 2:
-        raise ValueError("d must be even and >= 4")
+        raise FixtureParameterError(f"d must be even and >= 4, got {d}")
     if m < 2:
-        raise ValueError("m must be >= 2")
+        raise FixtureParameterError(f"m must be >= 2, got {m}")
     left, right = boundary_classes(m)
     scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
 

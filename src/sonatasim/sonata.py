@@ -53,13 +53,6 @@ class SonataResult:
     subproblem_converged: list = field(default_factory=list)  # one flag per iteration
 
 
-def _as_mixer(W) -> tuple[np.ndarray, int]:
-    """Accept a GossipMatrix or a raw doubly stochastic ndarray (tests only)."""
-    if hasattr(W, "W"):
-        return W.W, W.rounds_per_application
-    return np.asarray(W, dtype=float), 1
-
-
 def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z) -> np.ndarray:
     """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point."""
     G = problems.batch_grads(p, X)
@@ -131,11 +124,10 @@ class LocalSolver:
 def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float = 0.0, Z=None):
     """Communication step: mix the x's, refresh gradients at the mixed points, mix the
     tracking variables with the fresh gradient differences folded in."""
-    W_mat, _ = _as_mixer(W)
-    X_new = W_mat @ X_half
+    X_new = W.W @ X_half
     G_new = shifted_grads(p, X_new, delta, Z)
     # associate as y + (difference): the correction is small near convergence
-    Y_new = W_mat @ (Y + (G_new - G))
+    Y_new = W.W @ (Y + (G_new - G))
     return X_new, Y_new, G_new
 
 
@@ -154,10 +146,10 @@ def sonata_run(
     subproblem_tol: float = 1e-10,
     max_inner_iters: int = 5000,
     comms_start: int = 0,
-    comm_cost: int | None = None,
     on_step=None,
 ) -> SonataResult:
-    """Run T iterations (local step + communication step) from (X0, Y0).
+    """Run T iterations (local step + communication step) from (X0, Y0); each
+    costs ``W.rounds_per_application`` communication rounds.
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
@@ -168,8 +160,6 @@ def sonata_run(
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
     G = np.array(G0, dtype=float) if G0 is not None else shifted_grads(p, X, delta, Z)
-    _, rounds = _as_mixer(W)
-    cost = comm_cost if comm_cost is not None else rounds
 
     comms = comms_start
     result = SonataResult(X, Y, comms)
@@ -181,7 +171,7 @@ def sonata_run(
             X, Y, G, Z, subproblem_tol, max_inner_iters
         )
         X, Y, G = gossip_round(X_half, Y, G, W, p, delta, Z)
-        comms += cost
+        comms += W.rounds_per_application
         result.subproblem_converged.append(converged)
         if on_step is not None:
             on_step(t, comms, X, Y)

@@ -74,14 +74,13 @@ def acc_sonata_star_run(
     *,
     gap_fn=None,
     target_gap: float | None = None,
-    x0=None,
     subproblem_tol: float = 1e-10,
     max_inner_iters: int = 5000,
     on_inner_step=None,
 ) -> StarResult:
-    """Accelerated outer loop on the star architecture: shared x and z."""
+    """Accelerated outer loop on the star architecture: shared x and z, from x = 0."""
     K = K_max if K_max is not None else params.K_max
-    x = np.zeros(p.d) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(p.d)
     z = x.copy()
     comms = 0
     result = StarResult(x, z, 0, comms, False)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hinge_problem
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.accel import (
     AccelParams,
@@ -15,7 +16,7 @@ from sonatasim.accel import (
     acc_sonata_run,
     tune,
 )
-from sonatasim.problems import Constants
+from sonatasim.problems import Constants, Regularizer
 from sonatasim.sonata import Surrogate
 
 
@@ -40,11 +41,6 @@ class TestTune:
         assert tune(c2, "F").T == 1
         c3 = Constants(mu_hat=1.0, L_hat=math.e**3, Lmx_hat=math.e**3, beta_hat=2.0)
         assert tune(c3, "L").T == 3
-
-    def test_alt_variant_swaps_pairing(self):
-        c = Constants(mu_hat=1.0, L_hat=50.0, Lmx_hat=60.0, beta_hat=8.0)
-        assert tune(c, "F", tuning_variant="alt").T == math.ceil(1.4 * math.log(50.0))
-        assert tune(c, "L", tuning_variant="alt").T == math.ceil(math.log(8.0))
 
     def test_degenerate_modes_raise(self):
         c = Constants(mu_hat=5.0, L_hat=50.0, Lmx_hat=60.0, beta_hat=2.0)
@@ -187,10 +183,10 @@ class TestAccSonataRun:
     def test_half_duplex_flag_doubles_count(
         self, small_ridge, small_ridge_constants, small_gossip
     ):
+        # half-duplex accounting is a W that charges two rounds per application
         params = tune(small_ridge_constants, "F")
-        res = acc_sonata_run(
-            small_ridge, params, small_gossip, K_max=3, count_half_duplex=True
-        )
+        W = replace(small_gossip, rounds_per_application=2)
+        res = acc_sonata_run(small_ridge, params, W, K_max=3)
         assert res.comms == 2 * 3 * params.T
 
     def test_target_gap_stops_early(self, small_ridge, small_ridge_constants, small_gossip):
@@ -223,6 +219,45 @@ class TestAccSonataRun:
         )
         factor = diagnostics.fit_contraction_factor(res.gaps)
         assert factor < 1.0
+
+
+@pytest.fixture(scope="module")
+def hinge_l1():
+    p = hinge_problem(m=6, lam=0.05, reg=Regularizer("l1", weight=0.01))
+    return p, problems.estimate_constants(p)
+
+
+class TestTrackingProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hinge=st.booleans(),
+        mode=st.sampled_from(["F", "L"]),
+        delta_over_L=st.floats(0.0, 10.0),
+        T=st.integers(1, 6),
+        K_max=st.integers(1, 4),
+    )
+    def test_identity_holds_under_any_delta_and_T(
+        self, small_ridge, small_ridge_constants, small_gossip, hinge_l1,
+        hinge, mode, delta_over_L, T, K_max,
+    ):
+        # the identity does not depend on how well the local step is solved,
+        # so a short inner solve keeps every draw cheap
+        p, c = hinge_l1 if hinge else (small_ridge, small_ridge_constants)
+        params = tune(c, mode, delta=delta_over_L * c.L_hat, T=T)
+        worst = []
+
+        class Watch(RunObserver):
+            def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+                self.Z = np.array(Z)
+
+            def on_inner_step(self, k, t, comms, X, Y):
+                G = sonata.shifted_grads(p, X, params.delta, self.Z)
+                gap = sonata.tracking_gap(p, X, Y, params.delta, self.Z)
+                worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
+
+        acc_sonata_run(p, params, small_gossip, K_max, observer=Watch(), max_inner_iters=20)
+        assert len(worst) == K_max * T
+        assert max(worst) <= 1e-10
 
 
 class TestCompositeObjective:

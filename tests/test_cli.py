@@ -222,7 +222,15 @@ class TestMainEntry:
             assert issubclass(cls, problems.RuntimeFailure)
 
     @pytest.mark.parametrize(
-        "field,value", [("plain", True), ("sweep_T_extra", 4), ("count_half_duplex", False)]
+        "field,value",
+        [
+            ("plain", True),
+            ("sweep_T_extra", 4),
+            ("count_half_duplex", False),
+            ("c_seq", 2),
+            ("c_seq", True),
+            ("tuning_variant", "x"),
+        ],
     )
     def test_removed_algorithm_fields_rejected(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path, base_config(tmp_path, algorithm={field: value}))
@@ -265,10 +273,8 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("tuning_variant", "x"),
             ("mu_override", -1),
             ("mu_override", 0),
-            ("c_seq", 2),
             ("T", 0),
             ("T", 2.5),
             ("delta", -1),
@@ -347,7 +353,7 @@ class TestMainEntry:
             ("algorithm.target_gap", {"algorithm": {"target_gap": True}}),
             ("algorithm.subproblem_tol", {"algorithm": {"subproblem_tol": True}}),
             ("algorithm.max_inner_iters", {"algorithm": {"max_inner_iters": True}}),
-            ("algorithm.c_seq", {"algorithm": {"c_seq": True}}),
+            ("algorithm.K_max", {"algorithm": {"K_max": True}}),
             ("algorithm.delta", {"algorithm": {"delta": False}}),
             ("seed", {"seed": True}),
             ("algorithm.target_gap", {"algorithm": {"target_gap": math.inf}}),
@@ -373,6 +379,26 @@ class TestMainEntry:
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "-c", str(tmp_path / "absent.json")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rho", "nan"],
+            ["--rho", "1.5"],
+            ["--rho", "0"],
+            ["--rho", "0.9", "--mu", "nan"],
+            ["--rho", "0.9", "--beta", "0"],
+            ["--rho", "0.9", "--d", "5"],
+            ["--rho", "0.9", "--rounds", "0"],
+        ],
+        ids=["rho-nan", "rho-1.5", "rho-0", "mu-nan", "beta-0", "d-odd", "rounds-0"],
+    )
+    def test_bad_lowerbound_flags_exit_2(self, capsys, flags):
+        # each of these used to escape main as a ValueError traceback with
+        # exit 1; --rounds 0 ran one outer iteration
+        assert cli.main(["lowerbound-check", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
 
     def test_library_input_errors_share_one_base(self):
         # main maps this base to exit 2 with one except clause
@@ -442,6 +468,35 @@ class TestSweep:
         out = cli.resolve_output(cfg["output"])
         with pytest.raises(ConfigError, match="exceed 1"):
             execute_sweep(cfg, "kappa", [0.5], out, 1e-3)
+
+    @pytest.mark.parametrize(
+        "axis,points",
+        [
+            ("samples", "abc"),
+            ("samples", "nan"),
+            ("samples", "0"),
+            ("samples", "-5"),
+            ("beta_over_mu", "100.7"),
+            ("beta_over_mu", "150,inf"),
+            ("kappa", "nan"),
+            ("kappa", "inf"),
+            ("kappa", "20,1"),
+        ],
+    )
+    def test_bad_points_rejected_before_any_instance(
+        self, tmp_path, capsys, monkeypatch, axis, points
+    ):
+        # each used to end in a traceback, run a truncated n, or run the whole
+        # sweep before failing on a non-finite output
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(datagen, "gen_ridge", no_instance)
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert cli.main(["sweep", "-c", path, "--axis", axis, "--points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_kappa_axis_holds_similarity_ratio(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))

@@ -227,7 +227,7 @@ class TestPotentialDecay:
         M = network.rounds_for_target(base.rho, admissible_rho(c, "F"))
         W = network.chebyshev_accelerate(base, M)
         oracle = centralized_solve(p)
-        builder = TrajectoryBuilder(p, oracle, params, constants=c, potentials=True)
+        builder = TrajectoryBuilder(p, oracle, params, constants=c)
         accel.acc_sonata_run(p, params, W, K_max=20, observer=builder)
         return p, c, params, builder
 
@@ -273,7 +273,7 @@ class TestNonnegativity:
         params = accel.tune(c, "F")
         W = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=1))
         oracle = centralized_solve(p)
-        builder = TrajectoryBuilder(p, oracle, params, constants=c, potentials=True)
+        builder = TrajectoryBuilder(p, oracle, params, constants=c)
         accel.acc_sonata_run(p, params, W, K_max=10, observer=builder)
         tol = -1e-9 * builder.P0
         for row in builder.traj.rows:

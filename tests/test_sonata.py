@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -134,7 +137,8 @@ class TestGossipRound:
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
         G = problems.batch_grads(p, X)
-        X2, Y2, G2 = gossip_round(X, Y, G, np.eye(p.m), p)
+        identity = SimpleNamespace(W=np.eye(p.m), rounds_per_application=1)
+        X2, Y2, G2 = gossip_round(X, Y, G, identity, p)
         assert np.array_equal(X2, X)
         assert Y2 == pytest.approx(Y, abs=1e-14)
 
@@ -186,7 +190,8 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         res = sonata_run(p, X0, Y0, 7, small_gossip, Surrogate("F", 5.0), comms_start=3)
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
-        res2 = sonata_run(p, X0, Y0, 7, small_gossip, Surrogate("F", 5.0), comm_cost=2)
+        doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
+        res2 = sonata_run(p, X0, Y0, 7, doubled, Surrogate("F", 5.0))
         assert res2.comms == 14
 
     def test_single_agent_reduces_to_proximal_gradient(self):
@@ -196,7 +201,7 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 12, np.eye(1), Surrogate("L", L_surr))
+        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), Surrogate("L", L_surr))
         x = np.zeros(6)
         for _ in range(12):
             x = x - problems.local_grad(p, 0, x) / L_surr
@@ -209,7 +214,7 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         beta = 2.0
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 9, np.eye(1), Surrogate("F", beta))
+        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), Surrogate("F", beta))
         H = problems.local_hessian(p, 0)
         h = A[0].T @ b[0] / 30
         x = np.zeros(6)
