@@ -138,7 +138,6 @@ class RunObserver:
 class AccelResult:
     X: np.ndarray
     Y: np.ndarray
-    Z: np.ndarray
     K_done: int
     comms: int
     converged: bool
@@ -185,7 +184,7 @@ def acc_sonata_run(
 
     comms = 0
     observer.on_init(comms, X, Y, Z)
-    result = AccelResult(X, Y, Z, 0, comms, False)
+    result = AccelResult(X, Y, 0, comms, False)
 
     for k in range(K):
         Y_warm = Y + delta * (Z_prev - Z)
@@ -226,5 +225,5 @@ def acc_sonata_run(
                 result.converged = True
                 break
 
-    result.X, result.Y, result.Z, result.comms = X, Y, Z, comms
+    result.X, result.Y, result.comms = X, Y, comms
     return result

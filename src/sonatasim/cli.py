@@ -125,11 +125,19 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_json(obj, indent=2) + "\n")
 
 
-def resolve_output(cfg_output: str) -> Path:
+def output_path(cfg_output: str) -> Path:
+    """The output directory a config names, under SONATASIM_OUTPUT_DIR when
+    that is set and the name is relative; nothing is created."""
     base = os.environ.get("SONATASIM_OUTPUT_DIR")
     path = Path(cfg_output)
     if base and not path.is_absolute():
         path = Path(base) / path
+    return path
+
+
+def resolve_output(cfg_output: str) -> Path:
+    """:func:`output_path`, created."""
+    path = output_path(cfg_output)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -268,7 +276,8 @@ def _recorded_run(p, params, W, alg: dict, target_gap, constants=None):
 
 
 def execute_run(cfg: dict, out_dir: Path) -> dict:
-    """One full experiment; writes trajectory.csv + metadata.json, returns metadata."""
+    """One full experiment; writes trajectory.csv + metadata.json, returns
+    metadata.  out_dir is created only once the run has finished."""
     p = build_problem(cfg)
     constants = problems.estimate_constants(p)
     W = build_gossip(cfg, p.m)
@@ -282,6 +291,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
         constants if cfg["diagnostics"]["potentials"] else None,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj.write_csv(out_dir / "trajectory.csv")
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
@@ -358,7 +368,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     covariance; ``kappa`` varies the ridge coefficient to hit target condition
     numbers while recalibrating n to hold the similarity ratio fixed.  T is
     frozen per mode across the sweep (largest tuned value) so the measured
-    communication counts isolate the outer-rate dependence.
+    communication counts isolate the outer-rate dependence.  out_dir is
+    created only once every point has run.
     """
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
@@ -428,6 +439,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             }
         )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -583,18 +595,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = load_config(args.config, _overrides_from_args(args))
-            out_dir = resolve_output(cfg["output"])
+            out_dir = output_path(cfg["output"])
             meta = execute_run(cfg, out_dir)
             print(_json({"output": str(out_dir), **meta["result"]}))
             print(_json({"params": meta["params"], "constants": meta["constants"]}))
             return 0
         if args.command == "sweep":
             cfg = load_config(args.config, _overrides_from_args(args))
-            out_dir = resolve_output(cfg["output"])
             try:
                 points = [float(tok) for tok in args.points.split(",") if tok]
             except ValueError:
                 raise ConfigError(f"--points: not a list of numbers: {args.points!r}") from None
+            out_dir = output_path(cfg["output"])
             meta = execute_sweep(cfg, args.axis, points, out_dir, args.eps)
             print(_json({"output": str(out_dir), "rows": meta["rows"]}))
             return 0

@@ -8,7 +8,9 @@ i's data does not depend on how many agents follow it.
 
 from __future__ import annotations
 
+import math
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +18,12 @@ import numpy as np
 from .problems import InputError, ProblemSpec, Regularizer
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
+_MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
 
 
 class LibsvmParseError(InputError):
-    """A line of the input file does not parse as 'label idx:val ...'."""
+    """A line of the input file does not parse as 'label idx:val ...' with a
+    finite label and finite values."""
 
 
 class InsufficientDataError(InputError):
@@ -91,24 +95,30 @@ def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
     )
 
 
-def _parse_libsvm_line(line: str, lineno: int):
+def _line_error(line: str, lineno: int) -> LibsvmParseError:
+    """The error for a line the reader rejected, naming its first bad part:
+    the label, then each 'idx:val' token in turn."""
     parts = line.split()
     try:
         label = float(parts[0])
-    except (ValueError, IndexError):
-        raise LibsvmParseError(f"line {lineno}: missing or bad label") from None
-    pairs = []
+    except ValueError:
+        return LibsvmParseError(f"line {lineno}: missing or bad label")
+    if not math.isfinite(label):
+        return LibsvmParseError(f"line {lineno}: non-finite label {parts[0]!r}")
     for tok in parts[1:]:
         try:
             idx, val = tok.split(":", 1)
             idx = int(idx)
             val = float(val)
         except ValueError:
-            raise LibsvmParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            return LibsvmParseError(f"line {lineno}: bad feature token {tok!r}")
         if idx < 1:
-            raise LibsvmParseError(f"line {lineno}: feature indices are 1-based")
-        pairs.append((idx, val))
-    return label, pairs
+            return LibsvmParseError(f"line {lineno}: feature indices are 1-based")
+        if idx > _MAX_INDEX:
+            return LibsvmParseError(f"line {lineno}: feature index {idx} out of range")
+        if not math.isfinite(val):
+            return LibsvmParseError(f"line {lineno}: non-finite feature value {tok!r}")
+    raise AssertionError(f"line {lineno} was rejected but has no bad part")
 
 
 def _map_labels(labels: np.ndarray) -> np.ndarray:
@@ -131,35 +141,70 @@ def load_libsvm(
 ) -> ProblemSpec:
     """Read a LIBSVM text file, densify, shuffle by seed, shard across m agents.
 
-    Keeps the first ``limit`` samples (post-parse, pre-shuffle) when given;
-    drops the remainder of an uneven split so every agent holds the same n.
+    Every line must parse, with a finite label and finite values, or a
+    LibsvmParseError names it; a repeated index keeps its last value.  Keeps
+    the first ``limit`` samples (post-parse, pre-shuffle) when given; drops
+    the remainder of an uneven split so every agent holds the same n.
     """
     _check_int("m", m, 1)
     if limit is not None:
         _check_int("limit", limit, 1)
-    rows = []
+    # Streamed into flat buffers: per sample its label and feature count, per
+    # feature its 1-based index and value.
+    labels, counts, index, values = array("d"), array("q"), array("q"), array("d")
+    keys_prev = index_prev = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append(_parse_libsvm_line(line, lineno))
-    if limit is not None:
-        rows = rows[:limit]
-    if len(rows) < m:
-        raise InsufficientDataError(f"{len(rows)} samples for {m} agents")
+            parts = line.split()
+            pieces = line.replace(":", " ").split()
+            F = len(parts) - 1
+            try:
+                # Each feature token holds one colon with text on both sides
+                # exactly when these checks pass; pieces is then
+                # [label, idx_1, val_1, ..., idx_F, val_F].
+                if (
+                    line.count(":") != F
+                    or len(pieces) != 2 * F + 1
+                    or not all(":" in tok for tok in parts[1:])
+                ):
+                    raise ValueError
+                label = float(pieces[0])
+                keys = pieces[1::2]
+                if keys != keys_prev:  # the rows of a dense file share their indices
+                    keys_prev, index_prev = keys, array("q", map(int, keys))
+                    if keys and min(index_prev) < 1:
+                        raise ValueError
+                row = array("d", map(float, pieces[2::2]))
+                if not (math.isfinite(label) and all(map(math.isfinite, row))):
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise _line_error(line, lineno) from None
+            labels.append(label)
+            counts.append(F)
+            index.extend(index_prev)
+            values.extend(row)
+    N = len(labels) if limit is None else min(len(labels), limit)
+    if N < m:
+        raise InsufficientDataError(f"{N} samples for {m} agents")
 
-    d = max((idx for _, pairs in rows for idx, _ in pairs), default=0)
+    counts = np.frombuffer(counts, dtype=np.int64)[:N]
+    nnz = int(counts.sum())
+    index = np.frombuffer(index, dtype=np.int64)[:nnz]
+    vals = np.frombuffer(values)[:nnz]
+    d = int(index.max()) if nnz else 0
     if d == 0:
         raise LibsvmParseError("no features found in file")
-    N = len(rows)
+    flat = np.repeat(np.arange(N) * d - 1, counts)  # position of row r, index idx: r*d + idx-1
+    flat += index
+    if not np.all(flat[1:] > flat[:-1]):  # unsorted or repeated: an index's last value wins
+        flat, last = np.unique(flat[::-1], return_index=True)
+        vals = vals[::-1][last]
     features = np.zeros((N, d))
-    labels = np.empty(N)
-    for r, (label, pairs) in enumerate(rows):
-        labels[r] = label
-        for idx, val in pairs:
-            features[r, idx - 1] = val
-    labels = _map_labels(labels)
+    features.reshape(-1)[flat] = vals
+    labels = _map_labels(np.frombuffer(labels)[:N])
 
     order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(N)
     n = N // m

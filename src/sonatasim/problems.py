@@ -126,12 +126,14 @@ def smooth_hinge_deriv(t):
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)), from e = exp(-|t|) <= 1 so neither branch overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _log1pexp(z):
+    """log(1 + exp(z)) = max(z, 0) + log(1 + exp(-|z|)), overflow-free."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ LOSSES = {
         lambda t, b: smooth_hinge(b * t), lambda t, b: smooth_hinge_deriv(b * t) * b, 1.0, 1.0, False
     ),
     "logistic": Loss(
-        lambda t, b: np.logaddexp(0.0, -b * t), lambda t, b: -_sigmoid(-b * t) * b, 0.25, 1.0, False
+        lambda t, b: _log1pexp(-b * t), lambda t, b: -_sigmoid(-b * t) * b, 0.25, 1.0, False
     ),
 }
 
@@ -207,8 +209,8 @@ def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     if stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
         H, h = stats
         return np.matmul(H, X[:, :, None])[..., 0] - h + p.loss.ridge * p.lam * X
-    dl = p.loss.deriv(np.einsum("mnd,md->mn", p.A, X), p.b)
-    return np.einsum("mnd,mn->md", p.A, dl) / p.n + p.loss.ridge * p.lam * X
+    dl = p.loss.deriv(np.matmul(p.A, X[:, :, None])[..., 0], p.b)  # (m, n)
+    return np.matmul(dl[:, None, :], p.A)[:, 0, :] / p.n + p.loss.ridge * p.lam * X
 
 
 def average_value(p: ProblemSpec, X):
@@ -227,8 +229,8 @@ def average_value(p: ProblemSpec, X):
 def average_grad(p: ProblemSpec, x) -> np.ndarray:
     """Gradient of f = (1/m) sum_i f_i at x."""
     x = _check_point(x, p.d)
-    dl = p.loss.deriv(np.einsum("mnd,d->mn", p.A, x), p.b)
-    return np.einsum("mnd,mn->d", p.A, dl) / (p.n * p.m) + p.loss.ridge * p.lam * x
+    dl = p.loss.deriv(p.A @ x, p.b)  # (m, n)
+    return dl.reshape(-1) @ p.A.reshape(-1, p.d) / (p.n * p.m) + p.loss.ridge * p.lam * x
 
 
 def r_value(p: ProblemSpec, X):

@@ -60,7 +60,6 @@ def sonata_star_run(
 @dataclass
 class StarResult:
     x: np.ndarray
-    z: np.ndarray
     K_done: int
     comms: int
     converged: bool
@@ -83,7 +82,7 @@ def acc_sonata_star_run(
     x = np.zeros(p.d)
     z = x.copy()
     comms = 0
-    result = StarResult(x, z, 0, comms, False)
+    result = StarResult(x, 0, comms, False)
     for k in range(K):
         x_prev = x
         x, comms = sonata_star_run(
@@ -110,5 +109,5 @@ def acc_sonata_star_run(
             if target_gap is not None and gap <= target_gap:
                 result.converged = True
                 break
-    result.x, result.z, result.comms = x, z, comms
+    result.x, result.comms = x, comms
     return result

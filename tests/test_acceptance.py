@@ -3,6 +3,7 @@ its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import csv
+import json
 import math
 import time
 from functools import lru_cache
@@ -23,8 +24,15 @@ RUNS = Path(__file__).resolve().parent.parent / "runs"
 
 
 def _assert_matches_committed(out, name):
-    """The regenerated sweep summary equals the committed reference copy:
-    integer columns and sweep points exactly, measured floats to 1e-9."""
+    """The regenerated sweep equals the committed reference copy: in the
+    summary, integer columns and sweep points exactly and measured floats to
+    1e-9; in the metadata, the effective config in every key but the output,
+    which loads back as a config unchanged."""
+    fresh_config = json.loads((out / "metadata.json").read_text())["effective_config"]
+    committed_config = json.loads((RUNS / name / "metadata.json").read_text())["effective_config"]
+    assert cli.load_config(None, committed_config) == committed_config
+    fresh_config.pop("output"), committed_config.pop("output")
+    assert fresh_config == committed_config
     with open(out / "summary.csv", newline="") as fh:
         fresh = list(csv.DictReader(fh))
     with open(RUNS / name / "summary.csv", newline="") as fh:

@@ -212,6 +212,44 @@ class TestMainEntry:
         assert "Traceback" not in captured.err and "NaN" not in captured.out
         assert not any(f.suffix == ".json" for f in (tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize(
+        "bad_line,lineno",
+        [("-1 1:0.3 2:nan", 3), ("+1 1:inf 2:0.1", 2), ("nan 1:0.2 2:0.4", 4)],
+        ids=["nan-value", "inf-value", "nan-label"],
+    )
+    def test_non_finite_libsvm_input_exit_2(self, tmp_path, capsys, bad_line, lineno):
+        # a NaN or inf value used to reach estimate_constants and end in a
+        # ValueError traceback; a NaN label was mapped to +/-1 silently
+        lines = ["+1 1:0.5 2:0.1", "-1 1:0.2 2:0.7", "+1 1:0.9 2:0.3", "-1 1:0.4 2:0.8"]
+        lines[lineno - 1] = bad_line
+        data = tmp_path / "data.libsvm"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = base_config(tmp_path, problem={"dataset": {"path": str(data), "m": 2, "lam": 0.1}})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: line {lineno}: non-finite") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--axis", "samples", "--points", "abc"],
+            ["sweep", "--axis", "samples", "--points", "0"],
+            ["sweep", "--axis", "samples", "--points", "100", "--eps", "-1"],
+            ["run"],
+        ],
+        ids=["points-abc", "points-0", "eps-negative", "run-missing-dataset"],
+    )
+    def test_rejected_command_creates_no_output_dir(self, tmp_path, capsys, argv):
+        # the output directory used to be created before these inputs were checked
+        cfg = base_config(tmp_path)
+        if argv[0] == "run":
+            cfg["problem"] = {"dataset": dict(DATASET, path=str(tmp_path / "absent.libsvm"), m=4)}
+        out = tmp_path / "rejected"
+        assert cli.main([*argv, "-c", write_config(tmp_path, cfg), "--output", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_library_runtime_errors_share_one_base(self):
         # main maps this base to exit 1 with one except clause
         for cls in (

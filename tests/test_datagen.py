@@ -1,6 +1,8 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from pathlib import Path
 
 from sonatasim import datagen, diagnostics, problems
 from sonatasim.datagen import (
@@ -12,6 +14,57 @@ from sonatasim.datagen import (
 )
 
 FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
+
+# Comments, blank lines, a label-only row, unsorted and repeated indices, and
+# runs of rows sharing their indices.
+IRREGULAR = """# header comment
++1 1:0.5 3:-1.25 3:2.0
+
+-1 2:1e-3
++1
+-1 5:3.5 1:0.25
+  # indented comment
++1 1:1 2:2 3:3 4:4 5:5
+-1 1:-1 2:-2 3:-3 4:-4 5:-5
++1 1:0.1 2:0.2 3:0.3 4:0.4 5:0.5
+-1 4:-0.0 2:7 4:1.5
++1 1:9 2:8 3:7 4:6 5:5 6:4
+-1 1:.5 2:+1.5E2 3:1_0
+"""
+
+
+def reference_load(path, m, limit=None, seed=0):
+    """load_libsvm by the plain recipe: each line parsed token by token into
+    a dict (a repeated index keeps its last value), densified, labels mapped,
+    then shuffled by seed and sharded."""
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        label, *tokens = line.split()
+        features = {}
+        for token in tokens:
+            idx, val = token.split(":")
+            features[int(idx)] = float(val)
+        rows.append((float(label), features))
+    rows = rows[:limit]
+    N, d = len(rows), max(max(f, default=0) for _, f in rows)
+    X, y = np.zeros((N, d)), np.array([label for label, _ in rows])
+    for r, (_, features) in enumerate(rows):
+        for idx, val in features.items():
+            X[r, idx - 1] = val
+    values = np.unique(y)
+    if values.size == 2:
+        y = np.where(y == values[0], -1.0, 1.0)
+    order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(N)
+    n = N // m
+    keep = order[: n * m]
+    return X[keep].reshape(m, n, d), y[keep].reshape(m, n)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestGenRidge:
@@ -101,6 +154,59 @@ class TestLoadLibsvm:
         # a negative limit used to slice from the end: -40 kept 160 of 200 samples
         with pytest.raises(ValueError, match="limit"):
             load_libsvm(FIXTURE, m=4, limit=limit)
+
+    @pytest.mark.parametrize(
+        "source,m,limit,seed",
+        [("fixture", 5, None, 0), ("fixture", 3, 99, 4), ("irregular", 3, None, 1), ("irregular", 2, 7, 3)],
+    )
+    def test_bit_identical_to_reference_parse(self, tmp_path, source, m, limit, seed):
+        path = FIXTURE
+        if source == "irregular":
+            path = tmp_path / "irregular.libsvm"
+            path.write_text(IRREGULAR)
+        p = load_libsvm(path, m=m, limit=limit, seed=seed, lam=0.1)
+        A, b = reference_load(path, m, limit, seed)
+        assert same_bits(p.A, A) and same_bits(p.b, b)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("+1 1:0.5\n-1 oops\n", "line 2: bad feature token 'oops'"),
+            ("+1 0:0.5\n", "line 1: feature indices are 1-based"),
+            ("# c\n\n+1 1:1\n-1 -2:1\n", "line 4: feature indices are 1-based"),
+            ("abc 1:0.5\n", "line 1: missing or bad label"),
+            ("+1:1 2:3\n", "line 1: missing or bad label"),
+            ("+1 1:0.5 2:1\n-1 1:0.5 2:x\n", "line 2: bad feature token '2:x'"),
+            ("+1 1:2:3 5\n", "line 1: bad feature token '1:2:3'"),
+            ("+1 1 :2\n", "line 1: bad feature token '1'"),
+            ("+1 :5\n", "line 1: bad feature token ':5'"),
+            ("+1 5:\n", "line 1: bad feature token '5:'"),
+            ("+1 1:1.5\n-1 1.5:2\n", "line 2: bad feature token '1.5:2'"),
+            ("+1 1:0.5\n-1 2:nan\n", "line 2: non-finite feature value '2:nan'"),
+            ("+1 1:inf\n", "line 1: non-finite feature value '1:inf'"),
+            ("+1 1:1 2:1\n-1 1:-Infinity 2:1\n", "line 2: non-finite feature value '1:-Infinity'"),
+            ("nan 1:0.5\n-1 1:1\n", "line 1: non-finite label 'nan'"),
+            ("+1 1:0.5\ninf 1:1\n", "line 2: non-finite label 'inf'"),
+            ("+1 99999999999999999999:1\n", "line 1: feature index 99999999999999999999 out of range"),
+        ],
+        ids=[
+            "no-colon", "zero-index", "negative-index-after-comments", "bad-label", "colon-in-label",
+            "bad-value-same-indices", "two-colons", "space-before-colon", "empty-index",
+            "empty-value", "fractional-index", "nan-value", "inf-value", "minus-infinity-value",
+            "nan-label", "inf-label", "index-overflow",
+        ],
+    )
+    def test_bad_line_names_line_and_token(self, tmp_path, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(LibsvmParseError, match=f"^{re.escape(message)}$"):
+            load_libsvm(f, m=1)
+
+    def test_bad_line_past_limit_still_rejected(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("+1 1:0.5\n-1 1:0.25\n+1 1:nan\n")
+        with pytest.raises(LibsvmParseError, match="line 3"):
+            load_libsvm(f, m=1, limit=2)
 
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"

@@ -287,6 +287,53 @@ class TestGramMemo:
         assert np.array_equal(problems.batch_grads(second, X), G)
 
 
+def masked_sigmoid(t):
+    """1 / (1 + exp(-t)) by sign masks, the formula the kernel must reproduce."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestLossKernels:
+    """The elementwise loss kernels and the gradients computed from A."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+
+    def grid(self):
+        draws = np.random.default_rng(7).standard_normal(100_000) * np.logspace(-3, 3, 100_000)
+        return np.concatenate([self.EDGES, draws])
+
+    def test_sigmoid_bit_identical_to_masked_formula(self):
+        t = self.grid()
+        got, want = problems._sigmoid(t), masked_sigmoid(t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_logistic_value_within_4_ulp_of_logaddexp(self, label):
+        t = self.grid()
+        got = problems.LOSSES["logistic"].value(t, np.full_like(t, label))
+        want = np.logaddexp(0.0, -label * t)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(want[finite]))
+
+    @pytest.mark.parametrize("make", NO_GRAM.values(), ids=NO_GRAM.keys())
+    def test_gradients_from_A_match_per_agent_loop(self, make):
+        p = make()
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((p.m, p.d))
+        G = problems.batch_grads(p, X)
+        expect = np.stack([local_grad(p, i, X[i]) for i in range(p.m)])
+        assert np.all(np.linalg.norm(G - expect, axis=1) <= 1e-13 * np.linalg.norm(expect, axis=1))
+        x = rng.standard_normal(p.d)
+        g = problems.average_grad(p, x)
+        expect = np.mean([local_grad(p, i, x) for i in range(p.m)], axis=0)
+        assert np.linalg.norm(g - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
 class TestLabelsValidation:
     def test_classification_rejects_non_pm1(self):
         with pytest.raises(ValueError):
