@@ -16,6 +16,7 @@ The proximal coefficient delta fixes the momentum root
 alpha = sqrt(mu / (mu + delta)) and, in mode L, the model constant L + delta.
 :class:`AccelParams` stores neither: both are derived from delta on access, so
 ``dataclasses.replace(params, delta=...)`` is consistent by construction.
+It also owns the run length K_max and the accuracy of the local step.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class PerfectlyConditionedError(InputError):
 
 @dataclass(frozen=True)
 class AccelParams:
-    """Tuning bundle: mode, proximal coefficient, inner length, strong
-    convexity, and the surrogate constant before the proximal shift (the
-    similarity-sized prox weight in mode F, the smoothness L in mode L)."""
+    """Run settings: mode, proximal coefficient, inner length, strong
+    convexity, the surrogate constant before the proximal shift (the
+    similarity-sized prox weight in mode F, the smoothness L in mode L), run
+    length, and the tolerance and iteration cap of an iterative local step."""
 
     mode: str  # "F" | "L"
     delta: float
@@ -50,6 +52,8 @@ class AccelParams:
     mu: float
     weight: float
     K_max: int = 200
+    subproblem_tol: float = 1e-10
+    max_inner_iters: int = 5000
 
     def __post_init__(self):
         if self.mode not in ("F", "L"):
@@ -60,6 +64,11 @@ class AccelParams:
             raise ValueError(f"K_max must be an integer >= 0, got {self.K_max!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
+        tol, cap = self.subproblem_tol, self.max_inner_iters
+        if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+            raise ValueError(f"subproblem_tol must be a finite number > 0, got {tol!r}")
+        if not (isinstance(cap, int) and cap >= 1):
+            raise ValueError(f"max_inner_iters must be an integer >= 1, got {cap!r}")
 
     @property
     def alpha(self) -> float:
@@ -76,6 +85,11 @@ class AccelParams:
     def extrapolation_coef(self) -> float:
         return (1.0 - self.alpha) / (1.0 + self.alpha)
 
+    def local_solver(self, p: ProblemSpec) -> sonata.LocalSolver:
+        """The local step of every inner iteration of a run on p."""
+        tol, cap = self.subproblem_tol, self.max_inner_iters
+        return sonata.LocalSolver(p, self.surrogate, self.delta, tol, cap)
+
 
 def tune(
     constants: Constants,
@@ -84,10 +98,13 @@ def tune(
     delta: float | None = None,
     T: int | None = None,
     mu_override: float | None = None,
-    K_max: int = 200,
+    K_max: int = AccelParams.K_max,
+    subproblem_tol: float = AccelParams.subproblem_tol,
+    max_inner_iters: int = AccelParams.max_inner_iters,
 ) -> AccelParams:
     """Theory-driven tuning from the estimated constants; a given delta or T
-    replaces the tuned value.
+    replaces the tuned value, and the run length and local-step accuracy pass
+    through to :class:`AccelParams`.
 
     Mode F tunes delta = beta - mu with T = ceil(log(beta/mu)); mode L tunes
     delta = L - mu with T = ceil(log(kappa)); T is at least 1.  Any other
@@ -115,7 +132,7 @@ def tune(
         top = beta if mode == "F" else L
         T = max(1, math.ceil(math.log(max(top / mu, 1.0))))
     weight = (beta if beta > 0 else mu) if mode == "F" else L
-    return AccelParams(mode, float(delta), T, mu, weight, K_max)
+    return AccelParams(mode, float(delta), T, mu, weight, K_max, subproblem_tol, max_inner_iters)
 
 
 class RunObserver:
@@ -149,17 +166,14 @@ def acc_sonata_run(
     p: ProblemSpec,
     params: AccelParams,
     W,
-    K_max: int | None = None,
     *,
     observer: RunObserver | None = None,
     gap_fn=None,
     target_gap: float | None = None,
     Y0=None,
-    subproblem_tol: float = 1e-10,
-    max_inner_iters: int = 5000,
 ) -> AccelResult:
-    """Run up to K_max outer iterations from X = 0; stop early once
-    gap_fn(X) <= target_gap.
+    """Run up to params.K_max outer iterations from X = 0, every local step
+    by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap.
 
     W is a :class:`~sonatasim.network.GossipMatrix`; every inner iteration
     costs its ``rounds_per_application`` communication rounds.  Y0 defaults
@@ -171,22 +185,21 @@ def acc_sonata_run(
     check the tracking identity (a violated or non-finite drift raises) and
     seed the inner loop's gradient cache.
     """
-    K = K_max if K_max is not None else params.K_max
     observer = observer or RunObserver()
-    delta, T, surrogate = params.delta, params.T, params.surrogate
+    delta = params.delta
 
     X = np.zeros((p.m, p.d))
     Z = X.copy()
     Z_prev = X.copy()
     Y = problems.batch_grads(p, X) if Y0 is None else np.array(Y0, dtype=float)
 
-    solver = sonata.LocalSolver(p, surrogate, delta)
+    solver = params.local_solver(p)
 
     comms = 0
     observer.on_init(comms, X, Y, Z)
     result = AccelResult(X, Y, 0, comms, False)
 
-    for k in range(K):
+    for k in range(params.K_max):
         Y_warm = Y + delta * (Z_prev - Z)
         observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
         G = sonata.shifted_grads(p, X, delta, Z)
@@ -199,15 +212,11 @@ def acc_sonata_run(
             p,
             X,
             Y_warm,
-            T,
+            params.T,
             W,
-            surrogate,
-            delta=delta,
+            solver,
             Z=Z,
             G0=G,
-            solver=solver,
-            subproblem_tol=subproblem_tol,
-            max_inner_iters=max_inner_iters,
             comms_start=comms,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )

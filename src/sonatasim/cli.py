@@ -33,27 +33,20 @@ SWEEP_T_EXTRA = 4
 DEFAULT_CONFIG = {
     "seed": 0,
     "problem": {
-        "synthetic": {
-            "m": 30,
-            "n": 500,
-            "d": 25,
-            "mu0": 1.0,
-            "L0": 1000.0,
-            "lam": 0.0,
-            "noise_std": datagen.DEFAULT_NOISE_STD,
-        }
+        "synthetic": {"m": 30, "n": 500, "d": 25},
     },
     "regularizer": {"kind": "zero"},
     "topology": {"kind": "erdos_renyi", "p": 0.5},
+    # every field but target_gap is a keyword of accel.tune, which checks it
     "algorithm": {
         "mode": "F",
         "delta": None,
         "T": None,
-        "K_max": 200,
+        "K_max": accel.AccelParams.K_max,
         "target_gap": DEFAULT_TARGET_GAP,
         "mu_override": None,
-        "subproblem_tol": 1e-10,
-        "max_inner_iters": 5000,
+        "subproblem_tol": accel.AccelParams.subproblem_tol,
+        "max_inner_iters": accel.AccelParams.max_inner_iters,
     },
     "diagnostics": {"potentials": False},
     "output": "runs/out",
@@ -206,28 +199,20 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix:
     return W
 
 
-def _number(alg: dict, name: str, kind, positive: bool = False):
-    """algorithm.<name> as a float or int; a value kind rejects, or with
-    positive set one that is not exactly a finite value > 0, is a config error."""
-    value = alg[name]
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or positive and not (0 < number < math.inf and number == value):
-        what = f"a finite {kind.__name__} > 0" if positive else "a number"
-        raise ConfigError(f"algorithm.{name}: expected {what}, got {value!r}")
-    return number
-
-
-# algorithm fields that the run reads; every other one is a keyword of accel.tune
-_RUN_FIELDS = ("target_gap", "subproblem_tol", "max_inner_iters")
-
-
 def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelParams:
-    """accel.tune on an algorithm block; a field value it rejects is a config error."""
-    tuning = {k: v for k, v in alg.items() if k not in _RUN_FIELDS}
+    """accel.tune on an algorithm block but target_gap; a value it rejects is a config error."""
+    tuning = {k: v for k, v in alg.items() if k != "target_gap"}
     return _call("algorithm", accel.tune, constants=constants, **tuning)
+
+
+def effective_config(cfg: dict) -> dict:
+    """cfg with the generator's or reader's defaults filled into its problem
+    block, but the seed, which follows the top-level one unless set."""
+    kind = "synthetic" if "synthetic" in cfg["problem"] else "dataset"
+    fn = datagen.SyntheticRidgeConfig if kind == "synthetic" else datagen.load_libsvm
+    defaults = {q.name: q.default for q in inspect.signature(fn).parameters.values()
+                if q.default is not q.empty and q.name not in ("seed", "reg")}
+    return {**cfg, "problem": {**cfg["problem"], kind: {**defaults, **cfg["problem"][kind]}}}
 
 
 def _constants_dict(c: problems.Constants) -> dict:
@@ -254,12 +239,10 @@ def _params_dict(params: accel.AccelParams) -> dict:
     }
 
 
-def _recorded_run(p, params, W, alg: dict, target_gap, constants=None):
+def _recorded_run(p, params, W, target_gap, constants=None):
     """acc_sonata_run observed by a TrajectoryBuilder (recording the
     potentials when given constants), stopping once the recorded gap reaches
     target_gap; returns (result, trajectory)."""
-    subproblem_tol = _number(alg, "subproblem_tol", float, positive=True)
-    max_inner_iters = _number(alg, "max_inner_iters", int, positive=True)
     oracle = diagnostics.centralized_solve(p)
     builder = diagnostics.TrajectoryBuilder(p, oracle, params, constants)
     result = accel.acc_sonata_run(
@@ -269,8 +252,6 @@ def _recorded_run(p, params, W, alg: dict, target_gap, constants=None):
         observer=builder,
         gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
         target_gap=target_gap,
-        subproblem_tol=subproblem_tol,
-        max_inner_iters=max_inner_iters,
     )
     return result, builder.traj
 
@@ -281,14 +262,17 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     p = build_problem(cfg)
     constants = problems.estimate_constants(p)
     W = build_gossip(cfg, p.m)
-    alg = cfg["algorithm"]
-    params = tune_from_config(constants, alg)
+    params = tune_from_config(constants, cfg["algorithm"])
+    target_gap = cfg["algorithm"]["target_gap"]
+    try:
+        target_gap = None if target_gap is None else float(target_gap)
+    except (TypeError, ValueError):
+        raise ConfigError(f"algorithm.target_gap: expected a number, got {target_gap!r}") from None
     result, traj = _recorded_run(
         p,
         params,
         W,
-        alg,
-        None if alg.get("target_gap") is None else _number(alg, "target_gap", float),
+        target_gap,
         constants if cfg["diagnostics"]["potentials"] else None,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +280,7 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
         "seed": cfg["seed"],
-        "effective_config": cfg,
+        "effective_config": effective_config(cfg),
         "constants": _constants_dict(constants),
         "params": _params_dict(params),
         "network": {
@@ -322,7 +306,7 @@ def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
         params = tune_from_config(constants, dict(alg, delta=0.0))
-    _, traj = _recorded_run(p, params, W, alg, eps)
+    _, traj = _recorded_run(p, params, W, eps)
     return diagnostics.comms_to_accuracy(traj, eps), params
 
 
@@ -364,12 +348,12 @@ def calibrate_n_for_beta(
 def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps: float) -> dict:
     """Sweep an instance axis and record comms-to-eps for both surrogate modes.
 
-    ``beta_over_mu`` and ``samples`` vary the local sample size at fixed
-    covariance; ``kappa`` varies the ridge coefficient to hit target condition
-    numbers while recalibrating n to hold the similarity ratio fixed.  T is
-    frozen per mode across the sweep (largest tuned value) so the measured
-    communication counts isolate the outer-rate dependence.  out_dir is
-    created only once every point has run.
+    ``beta_over_mu`` varies the local sample size at fixed covariance;
+    ``kappa`` varies the ridge coefficient to hit target condition numbers
+    while recalibrating n to hold the similarity ratio fixed.  T is frozen per
+    mode across the sweep (largest tuned value) so the measured communication
+    counts isolate the outer-rate dependence.  out_dir is created only once
+    every point has run.
     """
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
@@ -377,7 +361,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         raise ConfigError("sweep needs at least one axis point")
     if not 0 < eps < math.inf:
         raise ConfigError(f"sweep eps must be a finite number > 0, got {eps!r}")
-    if axis not in ("beta_over_mu", "samples", "kappa"):
+    if axis not in ("beta_over_mu", "kappa"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     for point in points:
         if axis == "kappa" and not 1 < point < math.inf:
@@ -389,7 +373,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     alg = cfg["algorithm"]
 
     instances = []
-    if axis in ("beta_over_mu", "samples"):
+    if axis == "beta_over_mu":
         for n in points:
             instances.append((float(n), dataclasses.replace(base, n=int(n))))
     else:
@@ -455,7 +439,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         "T_F": T_f,
         "T_L": T_l,
         "rows": rows,
-        "effective_config": cfg,
+        "effective_config": effective_config(cfg),
     }
     _write_json(out_dir / "metadata.json", meta)
     return meta
@@ -506,15 +490,15 @@ def lowerbound_check(
     p = network.hard_instance(mu, beta, m, d)
     constants = problems.estimate_constants(p)
     params = accel.tune(constants, "F")
+    K = math.ceil(rounds / (W.rounds_per_application * params.T))
+    params = dataclasses.replace(params, K_max=K)
     d_c = network.cut_distance(m)
     tracker = SupportTracker(p.meta["left"], d_c)
-    K = math.ceil(rounds / (W.rounds_per_application * params.T))
     oracle = diagnostics.centralized_solve(p)
     result = accel.acc_sonata_run(
         p,
         params,
         W,
-        K_max=K,
         observer=tracker,
         gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
     )
@@ -546,7 +530,7 @@ def _overrides_from_args(args) -> dict:
     if getattr(args, "output", None):
         over["output"] = args.output
     alg = {}
-    for name in ("mode", "K_max", "target_gap", "T"):
+    for name in ("mode", "K_max", "target_gap"):
         val = getattr(args, name.lower(), None)
         if val is not None:
             alg[name] = val
@@ -576,7 +560,7 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="scaling study -> summary CSV")
     _add_common(sweep_p)
-    sweep_p.add_argument("--axis", required=True, choices=["beta_over_mu", "kappa", "samples"])
+    sweep_p.add_argument("--axis", required=True, choices=["beta_over_mu", "kappa"])
     sweep_p.add_argument("--points", required=True, help="comma-separated axis points")
     sweep_p.add_argument("--eps", type=float, default=DEFAULT_TARGET_GAP)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -142,9 +143,10 @@ def load_libsvm(
     """Read a LIBSVM text file, densify, shuffle by seed, shard across m agents.
 
     Every line must parse, with a finite label and finite values, or a
-    LibsvmParseError names it; a repeated index keeps its last value.  Keeps
-    the first ``limit`` samples (post-parse, pre-shuffle) when given; drops
-    the remainder of an uneven split so every agent holds the same n.
+    LibsvmParseError names it; a repeated index keeps its last value, and a
+    dense matrix larger than physical memory is refused.  Keeps the first
+    ``limit`` samples (post-parse, pre-shuffle) when given; drops the
+    remainder of an uneven split so every agent holds the same n.
     """
     _check_int("m", m, 1)
     if limit is not None:
@@ -197,6 +199,10 @@ def load_libsvm(
     d = int(index.max()) if nnz else 0
     if d == 0:
         raise LibsvmParseError("no features found in file")
+    nbytes = N * d * 8  # Python ints: no overflow
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        size = f"{N} x {d} matrix of {nbytes / 2**30:.4g} GiB"
+        raise LibsvmParseError(f"largest feature index {d} needs a dense {size}, more than memory")
     flat = np.repeat(np.arange(N) * d - 1, counts)  # position of row r, index idx: r*d + idx-1
     flat += index
     if not np.all(flat[1:] > flat[:-1]):  # unsorted or repeated: an index's last value wins

@@ -107,14 +107,9 @@ def complete_graph(m: int) -> Graph:
     return Graph(m, frozenset((i, j) for i in range(m) for j in range(i + 1, m)))
 
 
-def _deviation_norm(W: np.ndarray) -> float:
-    """Spectral norm of W - 11^T/m, computed on the symmetric part."""
-    lo, hi = _bulk_interval(W)
-    return max(abs(lo), abs(hi))
-
-
 def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
-    """[min, max] of the non-consensus eigenvalues of a symmetric DS matrix."""
+    """[min, max] of the non-consensus eigenvalues of a symmetric DS matrix:
+    those of W - 11^T/m, whose spectral norm is the larger magnitude."""
     m = W.shape[0]
     M = W - np.full((m, m), 1.0 / m)
     M = 0.5 * (M + M.T)
@@ -124,7 +119,8 @@ def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class GossipMatrix:
-    """Doubly stochastic mixing matrix with cached spectral deviation rho.
+    """Doubly stochastic mixing matrix with its bulk interval [lo, hi]
+    (measured once, when not given) and spectral deviation rho derived from it.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one multiplication by W
@@ -135,7 +131,7 @@ class GossipMatrix:
     """
 
     W: np.ndarray
-    rho: float = field(default=None)  # type: ignore[assignment]
+    bulk: tuple[float, float] = field(default=None)  # type: ignore[assignment]
     rounds_per_application: int = 1
 
     def __post_init__(self):
@@ -146,8 +142,8 @@ class GossipMatrix:
             np.abs(self.W.T @ ones - ones)
         ) > DS_TOL:
             raise ValueError("matrix is not doubly stochastic within 1e-12")
-        if self.rho is None:
-            self.rho = _deviation_norm(self.W)
+        if self.bulk is None:
+            self.bulk = _bulk_interval(self.W)
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if self.rounds_per_application < 1:
@@ -156,6 +152,10 @@ class GossipMatrix:
     @property
     def m(self) -> int:
         return self.W.shape[0]
+
+    @property
+    def rho(self) -> float:
+        return max(map(abs, self.bulk))
 
 
 def metropolis_hastings(g: Graph) -> GossipMatrix:
@@ -174,7 +174,7 @@ def exact_averaging(m: int) -> GossipMatrix:
     """W = 11^T/m: one round of exact averaging (master-node consensus)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return GossipMatrix(np.full((m, m), 1.0 / m), rho=0.0)
+    return GossipMatrix(np.full((m, m), 1.0 / m), bulk=(0.0, 0.0))
 
 
 def _cheb_scalars(z: float, M: int) -> float:
@@ -201,7 +201,7 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix:
     if not base.rho < 1:
         raise ValueError("base must have rho < 1")
     m = base.m
-    lo, hi = _bulk_interval(base.W)
+    lo, hi = base.bulk
 
     if hi - lo < 1e-13:
         # bulk collapsed to a point c: the affine (W - cI)/(1 - c) zeroes it
@@ -300,12 +300,12 @@ def line_gossip_for_rho(
             raise InstanceTooLargeError(f"needs more than {max_m} nodes")
 
     lo_a, hi_a = 0.0, 1.0 - 1e-15
-    f_lo = _deviation_norm(_line_gossip_matrix(m, lo_a, rho_target)) - rho_target
+    f_lo = max(map(abs, _bulk_interval(_line_gossip_matrix(m, lo_a, rho_target)))) - rho_target
     if f_lo > 0:
         raise AssertionError("bracket failure: rho at a=0 should be below target")
     for _ in range(200):
         mid = 0.5 * (lo_a + hi_a)
-        f_mid = _deviation_norm(_line_gossip_matrix(m, mid, rho_target)) - rho_target
+        f_mid = max(map(abs, _bulk_interval(_line_gossip_matrix(m, mid, rho_target)))) - rho_target
         if abs(f_mid) <= tol * 1e-3:
             lo_a = hi_a = mid
             break

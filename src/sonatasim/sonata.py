@@ -14,10 +14,11 @@ one iteration costs W.rounds_per_application communication rounds.
 Two surrogates are supported: the full local function plus a similarity-sized
 proximal term ("F"), and plain linearization with an L-sized proximal term
 ("L", which collapses to one proximal-gradient step).  One
-:class:`LocalSolver`, built once per run, takes the local step of all m
-agents at once: a closed form, one proximal step, or accelerated proximal
-gradient on the whole stack.  The subproblems only read previous-round
-state, so results are identical to any parallel schedule.
+:class:`LocalSolver`, built once per run, defines the local step whole
+(surrogate, shift delta, accuracy) and takes it for all m agents at once: a
+closed form, one proximal step, or accelerated proximal gradient on the whole
+stack.  The subproblems only read previous-round state, so results are
+identical to any parallel schedule.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters)
 
 
 class LocalSolver:
-    """The local step of all m agents for one surrogate and proximal shift.
+    """The local step of all m agents for one surrogate and proximal shift,
+    to tolerance ``tol`` within ``max_iters`` iterations when iterative.
 
     Mode L is one proximal-gradient step on the whole stack.  Mode F on an
     exact-curvature loss with r = zero is the closed form
@@ -91,10 +93,14 @@ class LocalSolver:
     (the memoized Gram stack when d <= n).
     """
 
-    def __init__(self, p: ProblemSpec, surrogate: Surrogate, delta: float = 0.0):
+    def __init__(
+        self, p: ProblemSpec, surrogate: Surrogate, delta: float, tol: float, max_iters: int
+    ):
         self.p = p
         self.surrogate = surrogate
         self.delta = delta
+        self.tol = tol
+        self.max_iters = max_iters
         self.K_inv = self.steps = None
         if surrogate.kind == "L":
             return
@@ -105,7 +111,7 @@ class LocalSolver:
         else:
             self.steps = 1.0 / (problems.curvature(p).lmax + delta + surrogate.weight)
 
-    def solve(self, X, Y, G, Z=None, tol: float = 1e-10, max_iters: int = 5000):
+    def solve(self, X, Y, G, Z=None):
         """Local step from (m, d) stacks of points X, trackers Y, shifted local
         gradients G and proximal centers Z (default X); returns
         (X_half, converged, inner_iters)."""
@@ -117,7 +123,7 @@ class LocalSolver:
         Z = X if Z is None else Z
         beta = self.surrogate.weight
         return _prox_gradient_subproblem(
-            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, max_iters
+            self.p, X, Y, G, Z, beta, self.delta, self.steps, self.tol, self.max_iters
         )
 
 
@@ -137,19 +143,16 @@ def sonata_run(
     Y0,
     T: int,
     W,
-    surrogate: Surrogate,
+    solver: LocalSolver,
     *,
-    delta: float = 0.0,
     Z=None,
     G0=None,
-    solver=None,
-    subproblem_tol: float = 1e-10,
-    max_inner_iters: int = 5000,
     comms_start: int = 0,
     on_step=None,
 ) -> SonataResult:
     """Run T iterations (local step + communication step) from (X0, Y0); each
-    costs ``W.rounds_per_application`` communication rounds.
+    costs ``W.rounds_per_application`` communication rounds.  The local step
+    and the gradients' proximal shift delta are ``solver``'s.
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
@@ -159,18 +162,14 @@ def sonata_run(
     Y = np.array(Y0, dtype=float)
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
-    G = np.array(G0, dtype=float) if G0 is not None else shifted_grads(p, X, delta, Z)
+    G = np.array(G0, dtype=float) if G0 is not None else shifted_grads(p, X, solver.delta, Z)
 
     comms = comms_start
     result = SonataResult(X, Y, comms)
-    if solver is None:
-        solver = LocalSolver(p, surrogate, delta)
 
     for t in range(1, T + 1):
-        X_half, converged, _ = solver.solve(
-            X, Y, G, Z, subproblem_tol, max_inner_iters
-        )
-        X, Y, G = gossip_round(X_half, Y, G, W, p, delta, Z)
+        X_half, converged, _ = solver.solve(X, Y, G, Z)
+        X, Y, G = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
         comms += W.rounds_per_application
         result.subproblem_converged.append(converged)
         if on_step is not None:

@@ -17,23 +17,21 @@ import numpy as np
 
 from .accel import AccelParams
 from .problems import ProblemSpec
-from .sonata import LocalSolver, Surrogate, shifted_grads
+from .sonata import LocalSolver, shifted_grads
 
 
 def sonata_star_run(
     p: ProblemSpec,
     x0,
     T: int,
-    surrogate: Surrogate,
+    solver: LocalSolver,
     *,
-    delta: float = 0.0,
     z=None,
-    subproblem_tol: float = 1e-10,
-    max_inner_iters: int = 5000,
     comms_start: int = 0,
     on_step=None,
 ):
-    """T master/workers iterations from the shared point x0; returns (x_T, comms).
+    """T master/workers iterations from the shared point x0, local steps by
+    ``solver`` (whose delta shifts the gradients toward z); returns (x_T, comms).
 
     Each iteration: workers send local gradients, master broadcasts the
     average, workers solve their surrogate subproblem with the correction
@@ -43,13 +41,12 @@ def sonata_star_run(
     """
     x = np.array(x0, dtype=float)
     Z = np.tile(x if z is None else z, (p.m, 1))
-    solver = LocalSolver(p, surrogate, delta)
     comms = comms_start
     for t in range(1, T + 1):
         X = np.tile(x, (p.m, 1))
-        G = shifted_grads(p, X, delta, Z)
+        G = shifted_grads(p, X, solver.delta, Z)
         Y = np.tile(G.mean(axis=0), (p.m, 1))
-        halves, _, _ = solver.solve(X, Y, G, Z, subproblem_tol, max_inner_iters)
+        halves, _, _ = solver.solve(X, Y, G, Z)
         x = halves.mean(axis=0)
         comms += 1
         if on_step is not None:
@@ -69,31 +66,26 @@ class StarResult:
 def acc_sonata_star_run(
     p: ProblemSpec,
     params: AccelParams,
-    K_max: int | None = None,
     *,
     gap_fn=None,
     target_gap: float | None = None,
-    subproblem_tol: float = 1e-10,
-    max_inner_iters: int = 5000,
     on_inner_step=None,
 ) -> StarResult:
-    """Accelerated outer loop on the star architecture: shared x and z, from x = 0."""
-    K = K_max if K_max is not None else params.K_max
+    """Accelerated outer loop on the star architecture: shared x and z, from
+    x = 0, for up to params.K_max outer iterations with one local solver."""
     x = np.zeros(p.d)
     z = x.copy()
     comms = 0
     result = StarResult(x, 0, comms, False)
-    for k in range(K):
+    solver = params.local_solver(p)
+    for k in range(params.K_max):
         x_prev = x
         x, comms = sonata_star_run(
             p,
             x,
             params.T,
-            params.surrogate,
-            delta=params.delta,
+            solver,
             z=z,
-            subproblem_tol=subproblem_tol,
-            max_inner_iters=max_inner_iters,
             comms_start=comms,
             on_step=(
                 None

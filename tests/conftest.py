@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sonatasim import datagen, network, problems
+from sonatasim import datagen, network, problems, sonata
+from sonatasim.accel import AccelParams
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,17 @@ def small_gossip():
 @pytest.fixture
 def rng():
     return np.random.default_rng(np.random.SeedSequence(99))
+
+
+def local_solver(
+    p,
+    surrogate,
+    delta=0.0,
+    tol=AccelParams.subproblem_tol,
+    max_iters=AccelParams.max_inner_iters,
+):
+    """A LocalSolver with the run's default accuracy unless given."""
+    return sonata.LocalSolver(p, surrogate, delta, tol, max_iters)
 
 
 def classification_problem(loss_kind, m, n, d, lam, seed, reg=None):

@@ -85,6 +85,31 @@ class TestTune:
         pl = tune(c, "L", delta=0.0)
         assert pl.surrogate == Surrogate("L", 5.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("K_max", -1),
+            ("subproblem_tol", 0),
+            ("subproblem_tol", -1e-3),
+            ("subproblem_tol", math.inf),
+            ("subproblem_tol", math.nan),
+            ("subproblem_tol", "1e-10"),
+            ("max_inner_iters", 0),
+            ("max_inner_iters", 2.5),
+            ("max_inner_iters", "x"),
+        ],
+    )
+    def test_run_settings_are_checked(self, field, value):
+        c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
+        with pytest.raises(ValueError, match=field):
+            tune(c, "F", **{field: value})
+
+    def test_local_solver_carries_run_settings(self, small_ridge, small_ridge_constants):
+        params = tune(small_ridge_constants, "L", subproblem_tol=1e-6, max_inner_iters=7)
+        solver = params.local_solver(small_ridge)
+        assert (solver.surrogate, solver.delta) == (params.surrogate, params.delta)
+        assert (solver.tol, solver.max_iters) == (1e-6, 7)
+
     def test_extrapolation_coefficient_range(self):
         for delta in (0.0, 0.5, 10.0, 1e6):
             p = AccelParams(mode="F", delta=delta, T=1, mu=1.0, weight=1.0)
@@ -131,7 +156,7 @@ class TestAccSonataRun:
                     worst[0], sonata.tracking_gap(p, X, Y, params.delta, self.delta_z)
                 )
 
-        acc_sonata_run(p, params, small_gossip, K_max=20, observer=Watch())
+        acc_sonata_run(p, replace(params, K_max=20), small_gossip, observer=Watch())
         assert worst[0] <= 1e-10
 
     def test_delta_zero_equals_plain_inner_loop(
@@ -145,7 +170,7 @@ class TestAccSonataRun:
             def on_inner_step(self, k, t, comms, X, Y):
                 seen.append(np.array(X))
 
-        acc_sonata_run(p, params, small_gossip, K_max=6, observer=Cap())
+        acc_sonata_run(p, replace(params, K_max=6), small_gossip, observer=Cap())
         X0 = np.zeros((p.m, p.d))
         Y0 = problems.batch_grads(p, X0)
         plain = []
@@ -155,7 +180,7 @@ class TestAccSonataRun:
             Y0,
             18,
             small_gossip,
-            params.surrogate,
+            params.local_solver(p),
             on_step=lambda t, cm, X, Y: plain.append(np.array(X)),
         )
         for a, b in zip(seen, plain):
@@ -168,7 +193,9 @@ class TestAccSonataRun:
         p = small_ridge
         params = tune(small_ridge_constants, "F")
         with pytest.raises(problems.DivergenceError, match="tracking identity"):
-            acc_sonata_run(p, params, small_gossip, K_max=2, Y0=np.full((p.m, p.d), np.nan))
+            acc_sonata_run(
+                p, replace(params, K_max=2), small_gossip, Y0=np.full((p.m, p.d), np.nan)
+            )
 
     def test_comm_counter_is_k_times_t_times_rounds(
         self, small_ridge, small_ridge_constants, small_gossip
@@ -177,7 +204,7 @@ class TestAccSonataRun:
         base = small_gossip
         W = network.chebyshev_accelerate(base, 3)
         params = tune(small_ridge_constants, "F")
-        res = acc_sonata_run(p, params, W, K_max=5)
+        res = acc_sonata_run(p, replace(params, K_max=5), W)
         assert res.comms == 5 * params.T * W.rounds_per_application
 
     def test_half_duplex_flag_doubles_count(
@@ -186,7 +213,7 @@ class TestAccSonataRun:
         # half-duplex accounting is a W that charges two rounds per application
         params = tune(small_ridge_constants, "F")
         W = replace(small_gossip, rounds_per_application=2)
-        res = acc_sonata_run(small_ridge, params, W, K_max=3)
+        res = acc_sonata_run(small_ridge, replace(params, K_max=3), W)
         assert res.comms == 2 * 3 * params.T
 
     def test_target_gap_stops_early(self, small_ridge, small_ridge_constants, small_gossip):
@@ -195,9 +222,8 @@ class TestAccSonataRun:
         params = tune(small_ridge_constants, "F")
         res = acc_sonata_run(
             p,
-            params,
+            replace(params, K_max=200),
             small_gossip,
-            K_max=200,
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
             target_gap=1e-6,
         )
@@ -212,9 +238,8 @@ class TestAccSonataRun:
         params = tune(small_ridge_constants, "F")
         res = acc_sonata_run(
             p,
-            params,
+            replace(params, K_max=40),
             small_gossip,
-            K_max=40,
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
         )
         factor = diagnostics.fit_contraction_factor(res.gaps)
@@ -255,7 +280,9 @@ class TestTrackingProperty:
                 gap = sonata.tracking_gap(p, X, Y, params.delta, self.Z)
                 worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
 
-        acc_sonata_run(p, params, small_gossip, K_max, observer=Watch(), max_inner_iters=20)
+        acc_sonata_run(
+            p, replace(params, K_max=K_max, max_inner_iters=20), small_gossip, observer=Watch()
+        )
         assert len(worst) == K_max * T
         assert max(worst) <= 1e-10
 
@@ -272,7 +299,7 @@ class TestCompositeObjective:
         oracle = diagnostics.centralized_solve(p, tol=1e-12)
         params = tune(c, "F")
         res = acc_sonata_run(
-            p, params, small_gossip, K_max=150,
+            p, replace(params, K_max=150), small_gossip,
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
             target_gap=1e-7,
         )
@@ -294,7 +321,7 @@ class TestCompositeObjective:
             def on_inner_step(self, k, t, comms, X, Y):
                 seen.append(np.array(X))
 
-        acc_sonata_run(p, params, small_gossip, K_max=10, observer=Cap())
+        acc_sonata_run(p, replace(params, K_max=10), small_gossip, observer=Cap())
         final = seen[-1]
         assert final.min() >= -1e-12 and final.max() <= 4.0 + 1e-12
 
@@ -307,9 +334,8 @@ class TestCompositeObjective:
         p.reg = Regularizer("l1", weight=0.1)
         c = problems.estimate_constants(p)
         params = tune(c, "F")
-        res = acc_sonata_run(
-            p, params, small_gossip, K_max=3, max_inner_iters=2, subproblem_tol=1e-14
-        )
+        params = replace(params, K_max=3, max_inner_iters=2, subproblem_tol=1e-14)
+        res = acc_sonata_run(p, params, small_gossip)
         assert res.K_done == 3
         assert not all(res.subproblem_converged)
 
@@ -339,7 +365,7 @@ class TestSingleMachineEquivalence:
             def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
                 outs.append(X[0].copy())
 
-        acc_sonata_run(p, params, network.exact_averaging(1), K_max=8, observer=Cap())
+        acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
 
         H = problems.local_hessian(p, 0)
         h = p.A[0].T @ p.b[0] / p.n
@@ -367,7 +393,7 @@ class TestSingleMachineEquivalence:
             def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
                 outs.append(X[0].copy())
 
-        acc_sonata_run(p, params, network.exact_averaging(1), K_max=8, observer=Cap())
+        acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
 
         H = problems.local_hessian(p, 0)
         h = p.A[0].T @ p.b[0] / p.n

@@ -11,11 +11,26 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "data" / "sample200.libsvm"
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_bench_module("tracing")
+
+
+def traced_job(job, spec, out_dir):
+    """job(spec, out_dir) with every boundary traced; returns the recorder
+    after checking that the per-layer metrics can be computed from it."""
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    with tracing.installed(rec, full=True):
+        job(spec, out_dir)
+    tracing.layer_metrics(rec, 1.0)
+    return rec
 
 
 def test_traced_boundaries_are_library_attributes():
@@ -49,3 +64,32 @@ def test_traced_dataset_run(tmp_path, monkeypatch):
     assert rec.stats["write_csv.bytes"] > 0 and len(rec.runs) == 1
     # the tracer counts the local steps' iterations and none of the oracle's
     assert rec.stats["inner_iters.sum"] == sum(counts) > 0
+
+
+def test_traced_ridge_sweep_job(tmp_path):
+    workloads = load_bench_module("workloads")
+    config = {
+        "seed": 3,
+        "problem": {"synthetic": {"m": 6, "n": 60, "d": 5, "L0": 100.0}},
+        "topology": {"kind": "erdos_renyi", "p": 0.6, "seed": 1},
+        "output": str(tmp_path / "out"),
+    }
+    spec = {"config": config, "axis": "beta_over_mu", "points": [60], "eps": 1e-3}
+    rec = traced_job(workloads._ridge_sweep_job, spec, tmp_path / "out")
+    assert len(rec.runs) == 2  # one accelerated run per surrogate mode
+    assert all(run["comms"] > 0 for run in rec.runs)
+    assert rec.stats["iterations"] > 0
+
+
+def test_traced_gossip_job(tmp_path):
+    workloads = load_bench_module("workloads")
+    spec = {
+        "ridge": {"m": 12, "n": 10, "d": 6, "mu0": 1.0, "L0": 100.0, "seed": 7},
+        "topology": {"kind": "erdos_renyi", "p": 0.4, "target_rho": 0.3, "seed": 1},
+        "mode": "L",
+        "target_gap": 1e-6,
+    }
+    rec = traced_job(workloads._gossip_job, spec, tmp_path)
+    (run,) = rec.runs
+    assert run["converged"] and run["rounds_per_application"] > 1
+    assert rec.stats["edges"] > 0

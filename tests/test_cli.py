@@ -99,6 +99,33 @@ class TestRun:
         meta = execute_run(cfg, out)
         assert meta["constants"]["mu_hat"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize(
+        "problem,filled",
+        [
+            (
+                {"synthetic": {"m": 8, "n": 150, "d": 10}},
+                {"mu0": 1.0, "L0": 1000.0, "lam": 0.0, "noise_std": datagen.DEFAULT_NOISE_STD},
+            ),
+            ({"dataset": dict(DATASET, m=4)}, {"loss": "smooth-hinge", "limit": None}),
+        ],
+        ids=["synthetic", "dataset"],
+    )
+    def test_metadata_records_defaulted_problem_fields(self, tmp_path, problem, filled):
+        # a replaced problem block used to leave its generator or reader
+        # defaults out of effective_config
+        cfg = load_config(None, base_config(tmp_path, problem=problem, output=str(tmp_path / "a")))
+        cfg["algorithm"]["K_max"] = 5
+        execute_run(cfg, tmp_path / "a")
+        saved = json.loads((tmp_path / "a" / "metadata.json").read_text())["effective_config"]
+        (kind, block), = problem.items()
+        assert saved["problem"] == {kind: {**block, **filled}}
+        # fed back as a config, the recorded one runs the same problem
+        rerun = load_config(None, dict(saved, output=str(tmp_path / "b")))
+        execute_run(rerun, tmp_path / "b")
+        for name in ("trajectory.csv", "metadata.json"):
+            a, b = ((tmp_path / sub / name).read_text() for sub in "ab")
+            assert a == b.replace(str(tmp_path / "b"), str(tmp_path / "a"))
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SONATASIM_OUTPUT_DIR", str(tmp_path / "redirected"))
         out = cli.resolve_output("runs/exp")
@@ -230,12 +257,22 @@ class TestMainEntry:
         assert err.startswith(f"input error: line {lineno}: non-finite") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_libsvm_exit_2(self, tmp_path, capsys):
+        # an index of 2^63 - 1 used to overflow the dense layout and exit 2
+        # as "config error: problem.dataset: array is too big"
+        data = tmp_path / "wide.libsvm"
+        data.write_text(f"+1 1:0.5\n-1 {2**63 - 1}:1\n")
+        cfg = base_config(tmp_path, problem={"dataset": {"path": str(data), "m": 1, "lam": 0.1}})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: largest feature index") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--axis", "samples", "--points", "abc"],
-            ["sweep", "--axis", "samples", "--points", "0"],
-            ["sweep", "--axis", "samples", "--points", "100", "--eps", "-1"],
+            ["sweep", "--axis", "beta_over_mu", "--points", "abc"],
+            ["sweep", "--axis", "beta_over_mu", "--points", "0"],
+            ["sweep", "--axis", "beta_over_mu", "--points", "100", "--eps", "-1"],
             ["run"],
         ],
         ids=["points-abc", "points-0", "eps-negative", "run-missing-dataset"],
@@ -326,6 +363,7 @@ class TestMainEntry:
             ("subproblem_tol", math.nan),
             ("max_inner_iters", 0),
             ("max_inner_iters", 2.5),
+            ("max_inner_iters", -1),
         ],
     )
     def test_bad_algorithm_values_exit_2(self, tmp_path, capsys, field, value):
@@ -467,7 +505,7 @@ class TestMainEntry:
         cfg["problem"]["synthetic"]["d"] = 8
         path = write_config(tmp_path, cfg)
         rc = cli.main(
-            ["sweep", "-c", path, "--axis", "samples", "--points", "100,400", "--eps", "1e-3"]
+            ["sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100,400", "--eps", "1e-3"]
         )
         assert rc == 0
         with open(Path(cfg["output"]) / "summary.csv") as fh:
@@ -481,7 +519,7 @@ class TestSweep:
         cfg = load_config(None, base_config(tmp_path))
         cfg["algorithm"]["K_max"] = 1  # far too few outer iterations
         out = cli.resolve_output(cfg["output"])
-        meta = execute_sweep(cfg, "samples", [100.0], out, 1e-12)
+        meta = execute_sweep(cfg, "beta_over_mu", [100.0], out, 1e-12)
         assert meta["rows"][0]["comms_F"] is None
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -491,7 +529,7 @@ class TestSweep:
         cfg = load_config(None, base_config(tmp_path))
         out = cli.resolve_output(cfg["output"])
         with pytest.raises(ConfigError, match="at least one"):
-            execute_sweep(cfg, "samples", [], out, 1e-3)
+            execute_sweep(cfg, "beta_over_mu", [], out, 1e-3)
 
     @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
     def test_bad_eps_rejected(self, tmp_path, eps):
@@ -499,7 +537,17 @@ class TestSweep:
         cfg = load_config(None, base_config(tmp_path))
         out = cli.resolve_output(cfg["output"])
         with pytest.raises(ConfigError, match="eps"):
-            execute_sweep(cfg, "samples", [100], out, eps)
+            execute_sweep(cfg, "beta_over_mu", [100], out, eps)
+
+    def test_samples_axis_is_gone(self, tmp_path):
+        # it was a second name for beta_over_mu, building the same instances
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--axis", "samples", "--points", "100"])
+        assert exc.value.code == 2
+        cfg = load_config(None, base_config(tmp_path))
+        with pytest.raises(ConfigError, match="unknown sweep axis"):
+            execute_sweep(cfg, "samples", [100], tmp_path / "out", 1e-3)
+        assert not (tmp_path / "out").exists()
 
     def test_kappa_target_below_one_rejected(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
@@ -510,10 +558,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "axis,points",
         [
-            ("samples", "abc"),
-            ("samples", "nan"),
-            ("samples", "0"),
-            ("samples", "-5"),
+            ("beta_over_mu", "abc"),
+            ("beta_over_mu", "nan"),
+            ("beta_over_mu", "0"),
+            ("beta_over_mu", "-5"),
             ("beta_over_mu", "100.7"),
             ("beta_over_mu", "150,inf"),
             ("kappa", "nan"),

@@ -220,6 +220,15 @@ class TestLoadLibsvm:
         with pytest.raises(LibsvmParseError, match="1-based"):
             load_libsvm(f, m=1)
 
+    @pytest.mark.parametrize("index", [10**12, 2**63 - 1])
+    def test_unallocatable_dense_matrix_rejected(self, tmp_path, index):
+        # the dense matrix is sized by the largest index: 10^12 used to end in
+        # a MemoryError traceback, 2^63 - 1 in an int64 overflow
+        path = tmp_path / "wide.libsvm"
+        path.write_text(f"+1 1:0.5\n-1 {index}:1\n")
+        with pytest.raises(LibsvmParseError, match=f"largest feature index {index} "):
+            load_libsvm(path, m=1)
+
     def test_insufficient_samples(self, tmp_path):
         f = tmp_path / "two.txt"
         f.write_text("+1 1:0.5\n-1 2:1.0\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestOptimalityGap:
 
         def run(observer, gap_fn):
             return accel.acc_sonata_run(
-                p, params, W, K_max=40, observer=observer, gap_fn=gap_fn, target_gap=0.05
+                p, replace(params, K_max=40), W, observer=observer, gap_fn=gap_fn, target_gap=0.05
             )
 
         plain = run(TrajectoryBuilder(p, oracle, params), lambda X: optimality_gap(p, X, oracle))
@@ -228,7 +230,7 @@ class TestPotentialDecay:
         W = network.chebyshev_accelerate(base, M)
         oracle = centralized_solve(p)
         builder = TrajectoryBuilder(p, oracle, params, constants=c)
-        accel.acc_sonata_run(p, params, W, K_max=20, observer=builder)
+        accel.acc_sonata_run(p, replace(params, K_max=20), W, observer=builder)
         return p, c, params, builder
 
     def test_proposition_style_bound_on_outer_potential(self):
@@ -274,7 +276,7 @@ class TestNonnegativity:
         W = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=1))
         oracle = centralized_solve(p)
         builder = TrajectoryBuilder(p, oracle, params, constants=c)
-        accel.acc_sonata_run(p, params, W, K_max=10, observer=builder)
+        accel.acc_sonata_run(p, replace(params, K_max=10), W, observer=builder)
         tol = -1e-9 * builder.P0
         for row in builder.traj.rows:
             assert row.gap >= tol

@@ -161,6 +161,22 @@ class TestChebyshev:
                     if abs(i - j) > M:
                         assert acc.W[i, j] == 0.0
 
+    def test_base_spectrum_is_not_decomposed_again(self, monkeypatch):
+        # the base's bulk interval is read from the base, measured when it was
+        # built; the only decomposition left is the result's own rho check
+        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        acc = chebyshev_accelerate(base, 4)
+        assert shapes == [(12, 12)]
+        assert acc.rho == max(abs(acc.bulk[0]), abs(acc.bulk[1]))
+
     def test_point_bulk_collapses_to_averaging(self):
         W = exact_averaging(4)
         acc = chebyshev_accelerate(W, 3)

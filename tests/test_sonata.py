@@ -4,11 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import hinge_problem
+from conftest import hinge_problem, local_solver
 from sonatasim import diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
-    LocalSolver,
     Surrogate,
     gossip_round,
     shifted_grads,
@@ -44,7 +43,7 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, ok, _ = LocalSolver(p, Surrogate("L", 7.0)).solve(X, Y, None)
+        out, ok, _ = local_solver(p, Surrogate("L", 7.0)).solve(X, Y, None)
         assert ok
         assert out == pytest.approx(X - Y / 7.0, abs=1e-14)
 
@@ -56,7 +55,7 @@ class TestLocalSubproblem:
         Z = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
         G = shifted_grads(p, X, delta, Z)
-        out, ok, _ = LocalSolver(p, Surrogate("F", beta), delta).solve(X, Y, G, Z)
+        out, ok, _ = local_solver(p, Surrogate("F", beta), delta).solve(X, Y, G, Z)
         assert ok
         x, z, g = X[i], Z[i], G[i]
         H = problems.local_hessian(p, i)
@@ -72,14 +71,14 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, _, _ = LocalSolver(p, Surrogate("F", 1e12)).solve(X, Y, problems.batch_grads(p, X))
+        out, _, _ = local_solver(p, Surrogate("F", 1e12)).solve(X, Y, problems.batch_grads(p, X))
         assert np.linalg.norm(out - X) <= 1e-9
 
     def test_iterative_path_with_l1(self, rng):
         p = hinge_problem(reg=Regularizer("l1", weight=0.01))
         X = rng.standard_normal((p.m, p.d))
         Y = problems.batch_grads(p, X)
-        out, ok, iters = LocalSolver(p, Surrogate("F", 3.0)).solve(X, Y, Y, tol=1e-10)
+        out, ok, iters = local_solver(p, Surrogate("F", 3.0), tol=1e-10).solve(X, Y, Y)
         assert ok and iters > 0
         # optimality: gradient mapping of every agent's subproblem vanishes
         beta = 3.0
@@ -117,15 +116,16 @@ class TestLocalSubproblem:
 
         ref, counts = reference()
         assert len(set(counts)) > 1
-        solver = LocalSolver(p, Surrogate("F", beta), delta)
-        out, ok, iters = solver.solve(X, Y, G, Z, tol=tol)
+        solver = local_solver(p, Surrogate("F", beta), delta, tol)
+        out, ok, iters = solver.solve(X, Y, G, Z)
         assert ok and iters == max(counts)
         assert np.max(np.abs(out - ref)) <= 1e-12
         # cut the batched run just at and just past each agent's own count:
         # every row must have moved exactly min(cut, count_i) times
         for cut in sorted({c + s for c in counts for s in (0, 1)}):
             ref_cut, _ = reference(cut)
-            out_cut, ok_cut, iters_cut = solver.solve(X, Y, G, Z, tol=tol, max_iters=cut)
+            cut_solver = local_solver(p, Surrogate("F", beta), delta, tol, cut)
+            out_cut, ok_cut, iters_cut = cut_solver.solve(X, Y, G, Z)
             assert np.max(np.abs(out_cut - ref_cut)) <= 1e-12
             assert ok_cut == (cut >= max(counts))
             assert iters_cut == min(cut, max(counts))
@@ -171,7 +171,7 @@ class TestSonataRun:
     def test_zero_iterations_returns_input(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 0, small_gossip, Surrogate("F", 5.0))
+        res = sonata_run(p, X0, Y0, 0, small_gossip, local_solver(p, Surrogate("F", 5.0)))
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
 
@@ -182,16 +182,17 @@ class TestSonataRun:
             "quadratic-ridge", np.stack([A] * 6), np.stack([b] * 6), lam=0.1
         )
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 8, small_gossip, Surrogate("F", 1.0))
+        res = sonata_run(p, X0, Y0, 8, small_gossip, local_solver(p, Surrogate("F", 1.0)))
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
     def test_comm_counting(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 7, small_gossip, Surrogate("F", 5.0), comms_start=3)
+        solver = local_solver(p, Surrogate("F", 5.0))
+        res = sonata_run(p, X0, Y0, 7, small_gossip, solver, comms_start=3)
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
-        res2 = sonata_run(p, X0, Y0, 7, doubled, Surrogate("F", 5.0))
+        res2 = sonata_run(p, X0, Y0, 7, doubled, solver)
         assert res2.comms == 14
 
     def test_single_agent_reduces_to_proximal_gradient(self):
@@ -201,7 +202,8 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), Surrogate("L", L_surr))
+        solver = local_solver(p, Surrogate("L", L_surr))
+        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), solver)
         x = np.zeros(6)
         for _ in range(12):
             x = x - problems.local_grad(p, 0, x) / L_surr
@@ -214,7 +216,8 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         beta = 2.0
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), Surrogate("F", beta))
+        solver = local_solver(p, Surrogate("F", beta))
+        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver)
         H = problems.local_hessian(p, 0)
         h = A[0].T @ b[0] / 30
         x = np.zeros(6)
@@ -242,8 +245,7 @@ class TestSonataRun:
             Y0,
             11,
             W,
-            Surrogate("F", c.beta_hat),
-            delta=delta,
+            local_solver(p, Surrogate("F", c.beta_hat), delta),
             Z=Z,
             on_step=lambda t, cm, X, Y: vals.append(
                 diagnostics.inner_potential(p, X, Y, c, "F", oracle_k)["total"]

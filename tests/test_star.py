@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 
-from conftest import hinge_problem
+from conftest import hinge_problem, local_solver
 from sonatasim import accel, network, problems, sonata, star
 from sonatasim.sonata import Surrogate
 
@@ -17,8 +19,9 @@ class TestSonataStarEquivalence:
         if delta != 0.0:
             g_avg = g_avg + delta * (x0 - z)
         Y0 = np.tile(g_avg, (m, 1))
-        mesh = sonata.sonata_run(p, X0, Y0, T, W, surrogate, delta=delta, Z=Z)
-        xs, comms = star.sonata_star_run(p, x0, T, surrogate, delta=delta, z=z)
+        solver = local_solver(p, surrogate, delta)
+        mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z)
+        xs, comms = star.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
 
     def test_full_surrogate_quadratic(self, small_ridge, small_ridge_constants):
@@ -61,13 +64,12 @@ class TestAccStarEquivalence:
         # supply the hub-averaged gradient as the tracking start so the first
         # inner correction matches the master/workers algorithm exactly
         Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
-        accel.acc_sonata_run(p, params, W, K_max=7, observer=Cap(), Y0=Y0)
+        accel.acc_sonata_run(p, replace(params, K_max=7), W, observer=Cap(), Y0=Y0)
 
         star_outer = []
         star.acc_sonata_star_run(
             p,
-            params,
-            K_max=7,
+            replace(params, K_max=7),
             on_inner_step=lambda k, t, c, x: star_outer.append(x.copy())
             if t == params.T
             else None,
@@ -84,8 +86,7 @@ class TestAccStarEquivalence:
         params = accel.tune(small_ridge_constants, "F")
         res = star.acc_sonata_star_run(
             p,
-            params,
-            K_max=100,
+            replace(params, K_max=100),
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
             target_gap=1e-8,
         )
