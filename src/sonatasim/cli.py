@@ -87,8 +87,19 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
+    _check_problem_keys(cfg["problem"])
     _check_values(cfg, DEFAULT_CONFIG)
     return cfg
+
+
+def _check_problem_keys(block):
+    """The problem block, replaced whole by _merge, holds a problem source
+    and nothing else, so a misspelt sibling of it does not go unnoticed."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"problem: expected an object, got {json.dumps(block)}")
+    for key in block:
+        if key not in ("synthetic", "dataset"):
+            raise ConfigError(f"unknown config field {'problem.' + key!r}")
 
 
 def _check_values(cfg: dict, defaults, path=""):
@@ -239,23 +250,6 @@ def _params_dict(params: accel.AccelParams) -> dict:
     }
 
 
-def _recorded_run(p, params, W, target_gap, constants=None):
-    """acc_sonata_run observed by a TrajectoryBuilder (recording the
-    potentials when given constants), stopping once the recorded gap reaches
-    target_gap; returns (result, trajectory)."""
-    oracle = diagnostics.centralized_solve(p)
-    builder = diagnostics.TrajectoryBuilder(p, oracle, params, constants)
-    result = accel.acc_sonata_run(
-        p,
-        params,
-        W,
-        observer=builder,
-        gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
-        target_gap=target_gap,
-    )
-    return result, builder.traj
-
-
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     """One full experiment; writes trajectory.csv + metadata.json, returns
     metadata.  out_dir is created only once the run has finished."""
@@ -268,15 +262,23 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         target_gap = None if target_gap is None else float(target_gap)
     except (TypeError, ValueError):
         raise ConfigError(f"algorithm.target_gap: expected a number, got {target_gap!r}") from None
-    result, traj = _recorded_run(
+    # the potentials are recorded when the builder is given the constants
+    builder = diagnostics.TrajectoryBuilder(
+        p,
+        diagnostics.centralized_solve(p),
+        params,
+        constants if cfg["diagnostics"]["potentials"] else None,
+    )
+    result = accel.acc_sonata_run(
         p,
         params,
         W,
-        target_gap,
-        constants if cfg["diagnostics"]["potentials"] else None,
+        observer=builder,
+        gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
+        target_gap=target_gap,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj.write_csv(out_dir / "trajectory.csv")
+    builder.traj.write_csv(out_dir / "trajectory.csv")
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
         "seed": cfg["seed"],
@@ -301,13 +303,18 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
 
 
 def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
+    """Communication rounds until the gap first reaches eps in ``mode`` (None
+    if it never does), from a run that stops once its outer iterate does."""
     alg = dict(alg, mode=mode, T=T_override if T_override is not None else alg.get("T"))
     try:
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
         params = tune_from_config(constants, dict(alg, delta=0.0))
-    _, traj = _recorded_run(p, params, W, eps)
-    return diagnostics.comms_to_accuracy(traj, eps), params
+    counter = diagnostics.CommsToAccuracy(p, diagnostics.centralized_solve(p), eps)
+    accel.acc_sonata_run(
+        p, params, W, observer=counter, gap_fn=lambda X: counter.gap, target_gap=eps
+    )
+    return counter.comms
 
 
 def calibrate_n_for_beta(
@@ -408,8 +415,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     rows = []
     for point, gen_cfg, p, constants in prepared:
         W = build_gossip(cfg, p.m)
-        comms_f, _ = _comms_for_mode(p, constants, W, alg, "F", eps, T_override=T_f)
-        comms_l, _ = _comms_for_mode(p, constants, W, alg, "L", eps, T_override=T_l)
+        comms_f = _comms_for_mode(p, constants, W, alg, "F", eps, T_override=T_f)
+        comms_l = _comms_for_mode(p, constants, W, alg, "L", eps, T_override=T_l)
         rows.append(
             {
                 "axis": axis,

@@ -76,9 +76,14 @@ class Oracle:
     u_star: float
     objective: ShiftedObjective
 
-    def suboptimality(self, X) -> float:
-        """Mean of u(x_i) - u_star over the rows of X."""
-        return float(self.objective.values(X).mean() - self.u_star)
+    def suboptimality(self, X):
+        """Mean of u(x_i) - u_star over the rows of an (m, d) X (a float), or
+        over each (m, d) slice of a (k, m, d) stack (a (k,) array), from one
+        evaluation of u on all the stack's rows."""
+        X = np.asarray(X, dtype=float)
+        u = self.objective.values(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+        gap = u.mean(axis=-1) - self.u_star
+        return float(gap) if X.ndim == 2 else gap
 
 
 def centralized_solve(
@@ -116,16 +121,21 @@ def centralized_solve(
     return Oracle(X[0], obj.values(X[0]), obj)
 
 
-def consensus_error(X) -> float:
-    """(1/m) sum_i ||x_i - x_bar||^2."""
+def consensus_error(X):
+    """(1/m) sum_i ||x_i - x_bar||^2 of an (m, d) X (a float), or of each
+    (m, d) slice of a (k, m, d) stack (a (k,) array)."""
     X = np.asarray(X, dtype=float)
-    centered = X - X.mean(axis=0)
-    return float((centered**2).sum(axis=1).mean())
+    centered = X - X.mean(axis=-2, keepdims=True)
+    err = (centered**2).sum(axis=-1).mean(axis=-1)
+    return float(err) if X.ndim == 2 else err
 
 
-def optimality_gap(p: ProblemSpec, X, oracle: Oracle) -> float:
-    """max of average objective suboptimality and average consensus error."""
-    return max(oracle.suboptimality(X), consensus_error(X))
+def optimality_gap(p: ProblemSpec, X, oracle: Oracle):
+    """max of average objective suboptimality and average consensus error at
+    an (m, d) X (a float), or at each (m, d) slice of a (k, m, d) stack (a
+    (k,) array); NaN in either arm is NaN."""
+    gap = np.maximum(oracle.suboptimality(X), consensus_error(X))
+    return float(gap) if np.ndim(gap) == 0 else gap
 
 
 def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
@@ -362,6 +372,47 @@ class TrajectoryBuilder(RunObserver):
             rec = self.traj.outer[-1]
             rec.g_e_final = self._last_inner["total"]
             rec.P_after = P_next
+
+
+class CommsToAccuracy(RunObserver):
+    """Observer that records only what :func:`comms_to_accuracy` reads of a
+    trajectory: the first cumulative communication count at which the gap is
+    <= eps (``comms``, None until then), and the gap at the latest outer
+    iterate (``gap``, what the run's stop test reads).
+
+    It holds the inner iterates of one outer iteration and evaluates their
+    gaps at its end in one stacked :func:`optimality_gap` call.  A non-finite
+    gap raises :class:`problems.DivergenceError`.
+    """
+
+    def __init__(self, p: ProblemSpec, oracle: Oracle, eps: float):
+        self.p = p
+        self.oracle = oracle
+        self.eps = eps
+        self.comms: int | None = None
+        self.gap: float | None = None
+        self._X: list = []  # each inner step's X is a fresh array
+        self._comms: list = []
+
+    def _record(self, gaps, comms):
+        if not np.isfinite(gaps).all():
+            raise problems.DivergenceError(f"non-finite optimality gap by comms {comms[-1]}")
+        if self.comms is None:
+            hit = np.flatnonzero(gaps <= self.eps)
+            if hit.size:
+                self.comms = comms[hit[0]]
+        self.gap = float(gaps[-1])
+
+    def on_init(self, comms, X, Y, Z):
+        self._record(optimality_gap(self.p, X[None], self.oracle), [comms])
+
+    def on_inner_step(self, k, t, comms, X, Y):
+        self._X.append(X)
+        self._comms.append(comms)
+
+    def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+        self._record(optimality_gap(self.p, np.stack(self._X), self.oracle), self._comms)
+        self._X, self._comms = [], []
 
 
 def measure_epsilon_constant(P0: float, alpha: float, g_e_finals) -> float:

@@ -79,6 +79,11 @@ def test_traced_ridge_sweep_job(tmp_path):
     assert len(rec.runs) == 2  # one accelerated run per surrogate mode
     assert all(run["comms"] > 0 for run in rec.runs)
     assert rec.stats["iterations"] > 0
+    # the sweep's gaps pass the traced boundary, so diagnostics.share cannot
+    # read 0: one call at each run's start and one stacked call per outer iteration
+    metrics = load_tracing().layer_metrics(rec, 1.0)
+    assert metrics["diagnostics.optimality_gap.calls"] == metrics["accel.outer_iters"] + 2
+    assert metrics["diagnostics.share"] > 0
 
 
 def test_traced_gossip_job(tmp_path):

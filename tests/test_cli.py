@@ -171,6 +171,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exactly one"):
             cli.build_problem(cfg)
 
+    @pytest.mark.parametrize("problem", [[], "synthetic", None], ids=["list", "string", "null"])
+    def test_problem_must_be_an_object(self, problem):
+        with pytest.raises(ConfigError, match="problem: expected an object"):
+            load_config(None, {"problem": problem})
+
     def test_missing_dataset_file(self):
         cfg = load_config(None, {"problem": {"dataset": {"path": "/no/such/file", "m": 2}}})
         with pytest.raises(ConfigError, match="no such file"):
@@ -238,6 +243,31 @@ class TestMainEntry:
         assert captured.err.startswith("runtime failure: non-finite value")
         assert "Traceback" not in captured.err and "NaN" not in captured.out
         assert not any(f.suffix == ".json" for f in (tmp_path / "out").iterdir())
+
+    def test_non_finite_sweep_gap_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a NaN gap never reached eps, so the sweep wrote not-reached with exit 0
+        monkeypatch.setattr(diagnostics, "optimality_gap", lambda p, X, oracle: math.nan)
+        path = write_config(tmp_path, base_config(tmp_path))
+        argv = ["sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100", "--eps", "1e-3"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("runtime failure: non-finite optimality gap")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--axis", "beta_over_mu", "--points", "100"]],
+        ids=["run", "sweep"],
+    )
+    def test_misspelt_problem_key_exit_2(self, tmp_path, capsys, argv):
+        # problem is replaced whole, so a stray sibling of the source used to run silently
+        problem = {"synthetic": base_config(tmp_path)["problem"]["synthetic"], "datset": DATASET}
+        path = write_config(tmp_path, base_config(tmp_path, problem=problem))
+        assert cli.main([*argv, "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config field 'problem.datset'")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "bad_line,lineno",

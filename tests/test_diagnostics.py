@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import classification_problem, hinge_problem
+from conftest import classification_problem, hinge_problem, logistic_problem
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
+    CommsToAccuracy,
     Oracle,
     ShiftedObjective,
     TrajectoryBuilder,
@@ -115,6 +116,89 @@ class TestOptimalityGap:
         assert plain.converged and plain.K_done < 40
         assert reused.gaps == plain.gaps
         assert (reused.K_done, reused.comms) == (plain.K_done, plain.comms)
+
+
+class TestStackedGap:
+    @pytest.mark.parametrize(
+        "loss,delta",
+        [("quadratic", 0.0), ("logistic-l1", 0.0), ("quadratic", 2.5), ("logistic-l1", 0.7)],
+    )
+    def test_stack_matches_per_slice_calls(self, loss, delta, rng):
+        if loss == "quadratic":  # exact curvature: the closed quadratic form
+            p = datagen.gen_ridge(datagen.SyntheticRidgeConfig(m=5, n=40, d=6, lam=0.0, seed=3))
+        else:
+            p = logistic_problem(reg=Regularizer("l1", weight=0.01))
+        Z = rng.standard_normal((p.m, p.d)) if delta else None
+        oracle = centralized_solve(p, delta=delta, Z=Z)
+        stack = oracle.x_star + 0.3 * rng.standard_normal((7, p.m, p.d))
+        stack[2] = oracle.x_star  # a slice at the optimum, where the arms nearly vanish
+        gaps = optimality_gap(p, stack, oracle)
+        assert gaps.shape == (7,)
+        for fn, got in (
+            (lambda X: optimality_gap(p, X, oracle), gaps),
+            (oracle.suboptimality, oracle.suboptimality(stack)),
+            (consensus_error, consensus_error(stack)),
+        ):
+            singles = [fn(X) for X in stack]
+            assert all(type(v) is float for v in singles)
+            np.testing.assert_allclose(got, singles, rtol=0, atol=1e-12)
+
+    def test_nan_in_either_arm_is_nan(self, small_ridge):
+        oracle = centralized_solve(small_ridge)
+        X = np.tile(oracle.x_star, (small_ridge.m, 1))
+        X[1, 0] = np.nan
+        assert np.isnan(optimality_gap(small_ridge, X, oracle))
+        assert np.isnan(optimality_gap(small_ridge, np.stack([X, X]), oracle)).all()
+
+
+class TestCommsToAccuracyObserver:
+    """The gap-only observer counts what comms_to_accuracy reads from a full
+    trajectory, in a run that stops at the same outer iteration."""
+
+    def _both(self, p, params, eps):
+        W = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=4))
+        oracle = centralized_solve(p)
+        builder = TrajectoryBuilder(p, oracle, params)
+        full = accel.acc_sonata_run(
+            p, params, W, observer=builder, gap_fn=lambda X: builder.traj.rows[-1].gap,
+            target_gap=eps,
+        )
+        counter = CommsToAccuracy(p, oracle, eps)
+        lean = accel.acc_sonata_run(
+            p, params, W, observer=counter, gap_fn=lambda X: counter.gap, target_gap=eps
+        )
+        assert (lean.K_done, lean.comms, lean.converged) == (full.K_done, full.comms, full.converged)
+        # the stacked evaluation rounds X @ H differently: equal to 1e-12
+        assert counter.gap == pytest.approx(builder.traj.rows[-1].gap, rel=0, abs=1e-12)
+        return counter.comms, comms_to_accuracy(builder.traj, eps)
+
+    @pytest.mark.parametrize("mode", ["F", "L"])
+    def test_quadratic_without_regularizer(self, small_ridge, small_ridge_constants, mode):
+        params = replace(accel.tune(small_ridge_constants, mode), K_max=100)
+        lean, full = self._both(small_ridge, params, 1e-4)
+        assert lean == full is not None
+
+    @pytest.mark.parametrize("mode", ["F", "L"])
+    def test_iterative_local_step_with_l1(self, mode):
+        p = hinge_problem(lam=0.05, reg=Regularizer("l1", weight=0.01))
+        params = replace(accel.tune(problems.estimate_constants(p), mode), K_max=60)
+        if mode == "F":
+            assert params.local_solver(p).steps is not None  # the iterative local step
+        lean, full = self._both(p, params, 1e-6)
+        assert lean == full is not None
+
+    def test_target_never_reached(self, small_ridge, small_ridge_constants):
+        params = replace(accel.tune(small_ridge_constants, "F"), K_max=3)
+        assert self._both(small_ridge, params, 1e-14) == (None, None)
+
+    def test_non_finite_gap_raises(self, small_ridge):
+        counter = CommsToAccuracy(small_ridge, centralized_solve(small_ridge), 1e-4)
+        X = np.zeros((small_ridge.m, small_ridge.d))
+        counter.on_init(0, X, X, X)
+        counter.on_inner_step(0, 1, 1, X + np.inf, X)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(problems.DivergenceError, match="non-finite optimality gap"):
+                counter.on_outer_end(0, 1, X, X, X, X, X)
 
 
 class TestInnerPotential:
