@@ -30,6 +30,13 @@ DEFAULT_TARGET_GAP = 1e-4
 # counts isolate the outer-rate scaling.
 SWEEP_T_EXTRA = 4
 
+
+def _keyword_defaults(fn, *skip) -> dict:
+    """The parameters of fn that have a default, but those named in skip."""
+    return {q.name: q.default for q in inspect.signature(fn).parameters.values()
+            if q.default is not q.empty and q.name not in skip}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "problem": {
@@ -38,16 +45,7 @@ DEFAULT_CONFIG = {
     "regularizer": {"kind": "zero"},
     "topology": {"kind": "erdos_renyi", "p": 0.5},
     # every field but target_gap is a keyword of accel.tune, which checks it
-    "algorithm": {
-        "mode": "F",
-        "delta": None,
-        "T": None,
-        "K_max": accel.AccelParams.K_max,
-        "target_gap": DEFAULT_TARGET_GAP,
-        "mu_override": None,
-        "subproblem_tol": accel.AccelParams.subproblem_tol,
-        "max_inner_iters": accel.AccelParams.max_inner_iters,
-    },
+    "algorithm": {"mode": "F", **_keyword_defaults(accel.tune), "target_gap": DEFAULT_TARGET_GAP},
     "diagnostics": {"potentials": False},
     "output": "runs/out",
 }
@@ -93,13 +91,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _check_problem_keys(block):
-    """The problem block, replaced whole by _merge, holds a problem source
-    and nothing else, so a misspelt sibling of it does not go unnoticed."""
+    """The problem block, replaced whole by _merge, holds exactly one problem
+    source and nothing else, so a misspelt sibling of it does not go unnoticed."""
     if not isinstance(block, dict):
         raise ConfigError(f"problem: expected an object, got {json.dumps(block)}")
     for key in block:
         if key not in ("synthetic", "dataset"):
             raise ConfigError(f"unknown config field {'problem.' + key!r}")
+    if len(block) != 1:
+        raise ConfigError("problem: exactly one of 'synthetic' or 'dataset' required")
 
 
 def _check_values(cfg: dict, defaults, path=""):
@@ -172,8 +172,6 @@ def ridge_config(cfg: dict) -> datagen.SyntheticRidgeConfig:
 def build_problem(cfg: dict) -> problems.ProblemSpec:
     block = cfg["problem"]
     reg = build_regularizer(cfg)
-    if ("synthetic" in block) == ("dataset" in block):
-        raise ConfigError("problem: exactly one of 'synthetic' or 'dataset' required")
     if "synthetic" in block:
         p = datagen.gen_ridge(ridge_config(cfg))
         p.reg = reg
@@ -221,8 +219,7 @@ def effective_config(cfg: dict) -> dict:
     block, but the seed, which follows the top-level one unless set."""
     kind = "synthetic" if "synthetic" in cfg["problem"] else "dataset"
     fn = datagen.SyntheticRidgeConfig if kind == "synthetic" else datagen.load_libsvm
-    defaults = {q.name: q.default for q in inspect.signature(fn).parameters.values()
-                if q.default is not q.empty and q.name not in ("seed", "reg")}
+    defaults = _keyword_defaults(fn, "seed", "reg")
     return {**cfg, "problem": {**cfg["problem"], kind: {**defaults, **cfg["problem"][kind]}}}
 
 
@@ -302,15 +299,16 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     return meta
 
 
-def _comms_for_mode(p, constants, W, alg, mode, eps, T_override=None):
-    """Communication rounds until the gap first reaches eps in ``mode`` (None
-    if it never does), from a run that stops once its outer iterate does."""
+def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T_override=None):
+    """Communication rounds until the gap to ``oracle`` first reaches eps in
+    ``mode`` (None if it never does), from a run that stops once its outer
+    iterate does."""
     alg = dict(alg, mode=mode, T=T_override if T_override is not None else alg.get("T"))
     try:
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
         params = tune_from_config(constants, dict(alg, delta=0.0))
-    counter = diagnostics.CommsToAccuracy(p, diagnostics.centralized_solve(p), eps)
+    counter = diagnostics.CommsToAccuracy(p, oracle, eps)
     accel.acc_sonata_run(
         p, params, W, observer=counter, gap_fn=lambda X: counter.gap, target_gap=eps
     )
@@ -412,11 +410,13 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     T_f = max(accel.tune(c, "F", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
     T_l = max(accel.tune(c, "L", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
 
+    # every point has the base's m agents, so one gossip matrix serves them all
+    W = build_gossip(cfg, base.m)
     rows = []
     for point, gen_cfg, p, constants in prepared:
-        W = build_gossip(cfg, p.m)
-        comms_f = _comms_for_mode(p, constants, W, alg, "F", eps, T_override=T_f)
-        comms_l = _comms_for_mode(p, constants, W, alg, "L", eps, T_override=T_l)
+        oracle = diagnostics.centralized_solve(p)
+        comms_f = _comms_for_mode(p, oracle, constants, W, alg, "F", eps, T_override=T_f)
+        comms_l = _comms_for_mode(p, oracle, constants, W, alg, "L", eps, T_override=T_l)
         rows.append(
             {
                 "axis": axis,

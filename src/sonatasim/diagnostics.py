@@ -9,7 +9,7 @@ feeds back into the algorithms.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,10 +45,13 @@ class ShiftedObjective:
             self._c = float((p.b**2).sum(axis=1).mean() / (2.0 * p.n))
 
     def values(self, X):
-        """u at a (d,) point (a float) or at every row of a (k, d) stack."""
+        """u at a (d,) point (a float), at every row of a (k, d) stack, or at
+        every row of each slice of a (k, m, d) stack, a slice computed as on its own."""
         X = np.asarray(X, dtype=float)
-        if self.exact:
+        if self.exact:  # a stacked matmul runs one X @ H per slice
             v = 0.5 * np.einsum("...d,...d->...", X @ self._H, X) - X @ self._h + self._c
+        elif X.ndim == 3:
+            v = np.stack([problems.average_value(self.p, x) for x in X])
         else:
             v = problems.average_value(self.p, X)
         if self.delta != 0.0:
@@ -78,11 +81,13 @@ class Oracle:
 
     def suboptimality(self, X):
         """Mean of u(x_i) - u_star over the rows of an (m, d) X (a float), or
-        over each (m, d) slice of a (k, m, d) stack (a (k,) array), from one
-        evaluation of u on all the stack's rows."""
+        over each (m, d) slice of a (k, m, d) stack (a (k,) array), each slice
+        equal to its own (m, d) call; NaN where X is not finite."""
         X = np.asarray(X, dtype=float)
-        u = self.objective.values(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
-        gap = u.mean(axis=-1) - self.u_star
+        if np.isfinite(X).all():
+            gap = self.objective.values(X).mean(axis=-1) - self.u_star
+        else:  # u rejects a non-finite point
+            gap = np.full(X.shape[:-2], np.nan)
         return float(gap) if X.ndim == 2 else gap
 
 
@@ -230,11 +235,12 @@ def potential_constants(
 # ---------------------------------------------------------------------------
 
 CSV_SCHEMA_VERSION = 1
-CSV_FIELDS = ("k", "t", "comms", "gap", "consensus_err", "tracking_err", "g_plus_e", "P_k")
 
 
 @dataclass
 class TrajRow:
+    """One trajectory.csv row; the fields are its columns, in order."""
+
     k: int
     t: int
     comms: int
@@ -243,6 +249,9 @@ class TrajRow:
     tracking_err: float
     g_plus_e: float | None = None
     P_k: float | None = None
+
+
+CSV_FIELDS = tuple(f.name for f in fields(TrajRow))
 
 
 @dataclass
@@ -268,18 +277,14 @@ class Trajectory:
             writer = csv.writer(fh)
             writer.writerow(CSV_FIELDS)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.k,
-                        r.t,
-                        r.comms,
-                        f"{r.gap:.17g}",
-                        f"{r.consensus_err:.17g}",
-                        f"{r.tracking_err:.17g}",
-                        "" if r.g_plus_e is None else f"{r.g_plus_e:.17g}",
-                        "" if r.P_k is None else f"{r.P_k:.17g}",
-                    ]
-                )
+                writer.writerow(_csv_cell(getattr(r, name)) for name in CSV_FIELDS)
+
+
+def _csv_cell(v):
+    """A float written to round-trip, an int as is, None as an empty cell."""
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else v
 
 
 def comms_to_accuracy(traj: Trajectory, eps: float):
@@ -321,14 +326,8 @@ class TrajectoryBuilder(RunObserver):
     def _row(self, k, t, comms, X, Y, g_plus_e=None, P_k=None):
         self.traj.rows.append(
             TrajRow(
-                k=k,
-                t=t,
-                comms=comms,
-                gap=optimality_gap(self.p, X, self.oracle),
-                consensus_err=consensus_error(X),
-                tracking_err=consensus_error(Y),
-                g_plus_e=g_plus_e,
-                P_k=P_k,
+                k, t, comms, optimality_gap(self.p, X, self.oracle),
+                consensus_error(X), consensus_error(Y), g_plus_e, P_k,
             )
         )
 

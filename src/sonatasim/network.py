@@ -50,11 +50,7 @@ class Graph:
             raise ValueError("graph must be connected")
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.array(list(self.edges), dtype=int).reshape(-1), minlength=self.m)
 
 
 def _connected(m, edges) -> bool:
@@ -161,11 +157,9 @@ class GossipMatrix:
 def metropolis_hastings(g: Graph) -> GossipMatrix:
     """w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal fills to row sum 1."""
     deg = g.degrees()
+    i, j = np.array(list(g.edges), dtype=int).reshape(-1, 2).T
     W = np.zeros((g.m, g.m))
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
+    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return GossipMatrix(W)
 

@@ -12,6 +12,13 @@ def small_ridge():
 
 
 @pytest.fixture(scope="session")
+def ridge_sweep_instance():
+    """The instance of the ridge-sweep benchmark and the acceptance sweep's n=600 point."""
+    cfg = datagen.SyntheticRidgeConfig(m=30, n=600, d=25, mu0=1.0, L0=1000.0, lam=0.0, seed=23)
+    return datagen.gen_ridge(cfg)
+
+
+@pytest.fixture(scope="session")
 def small_ridge_constants(small_ridge):
     return problems.estimate_constants(small_ridge)
 

@@ -269,8 +269,9 @@ def test_criterion_08_f_dominates_l_under_similarity():
     p, c = chosen
     cfg = cli.load_config(None, {"seed": 1, "topology": {"kind": "erdos_renyi", "p": 0.5}})
     W = cli.build_gossip(cfg, p.m)
-    comms_f = cli._comms_for_mode(p, c, W, cfg["algorithm"], "F", 1e-4)
-    comms_l = cli._comms_for_mode(p, c, W, cfg["algorithm"], "L", 1e-4)
+    oracle = diagnostics.centralized_solve(p)
+    comms_f = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "F", 1e-4)
+    comms_l = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "L", 1e-4)
     assert comms_f is not None and comms_l is not None
     assert comms_f <= 0.5 * comms_l
     _report(8, "F-vs-L dominance", done(), 30.0,

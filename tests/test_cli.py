@@ -1,9 +1,14 @@
+import collections
 import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sonatasim import accel, cli, datagen, diagnostics, network, problems
@@ -13,6 +18,7 @@ FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
 # many samples on few features: local Hessians nearly agree, so beta_hat < mu_hat
 DEGENERATE_SYNTHETIC = {"m": 4, "n": 20000, "d": 3, "L0": 1.5}
 DATASET = {"path": str(FIXTURE), "lam": 0.1}
+TWO_SOURCES = {"synthetic": {"m": 6, "n": 100, "d": 5}, "dataset": dict(DATASET, m=4)}
 
 
 def base_config(tmp_path, **extra):
@@ -167,9 +173,9 @@ class TestConfigValidation:
             load_config(None, {"algorithm": {"bogus": 2}})
 
     def test_problem_source_exclusive(self, tmp_path):
-        cfg = load_config(None, {"problem": {}})
-        with pytest.raises(ConfigError, match="exactly one"):
-            cli.build_problem(cfg)
+        for problem in ({}, TWO_SOURCES):
+            with pytest.raises(ConfigError, match="exactly one"):
+                load_config(None, {"problem": problem})
 
     @pytest.mark.parametrize("problem", [[], "synthetic", None], ids=["list", "string", "null"])
     def test_problem_must_be_an_object(self, problem):
@@ -185,6 +191,13 @@ class TestConfigValidation:
         cfg = load_config(None, {"topology": {"kind": "torus"}})
         with pytest.raises(ConfigError, match="topology.kind"):
             cli.build_gossip(cfg, 4)
+
+    def test_exact_averaging_topology(self):
+        W = cli.build_gossip(load_config(None, {"topology": {"kind": "exact_averaging"}}), 5)
+        assert np.array_equal(W.W, np.full((5, 5), 0.2)) and W.rho == 0.0
+        cfg = load_config(None, {"topology": {"kind": "exact_averaging", "p": 0.5}})
+        with pytest.raises(ConfigError, match="topology: .*'p'"):
+            cli.build_gossip(cfg, 5)
 
 
 class TestMainEntry:
@@ -209,14 +222,20 @@ class TestMainEntry:
         assert "unknown config field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "good_calls,message",
-        [(1, "tracking identity violated"), (2, "non-finite iterate")],
-        ids=["tracking-check", "local-step"],
+        "mode,good_calls,message",
+        [
+            ("F", 1, "tracking identity violated"),
+            ("F", 2, "non-finite iterate"),
+            ("L", 3, "tracking identity violated at outer 1: drift nan"),
+        ],
+        ids=["tracking-check", "local-step", "mode-L-gap"],
     )
-    def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch, good_calls, message):
+    def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch, mode, good_calls, message):
         # gradients turn NaN after good_calls calls: the first call seeds the
         # trackers, the second is the tracking check, the third the local step.
-        # Both failures used to escape main as a traceback.
+        # Each failure used to escape main as a traceback; in mode L the local
+        # step takes a NaN gradient without failing, and the gap of its NaN
+        # iterate raised ValueError where it is now NaN.
         batch_grads, calls = problems.batch_grads, itertools.count()
 
         def failing(p, X):
@@ -224,6 +243,7 @@ class TestMainEntry:
 
         monkeypatch.setattr(problems, "batch_grads", failing)
         cfg = base_config(tmp_path, problem={"dataset": dict(DATASET, m=4)})
+        cfg["algorithm"]["mode"] = mode
         assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure:") and message in err and "Traceback" not in err
@@ -316,6 +336,44 @@ class TestMainEntry:
         assert cli.main([*argv, "-c", write_config(tmp_path, cfg), "--output", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--axis", "beta_over_mu", "--points", "100"], ["estimate-constants"]],
+        ids=["run", "sweep", "estimate-constants"],
+    )
+    def test_two_problem_sources_exit_2(self, tmp_path, capsys, argv):
+        # sweep used to take the synthetic block and exit 0
+        cfg = base_config(tmp_path, problem=TWO_SOURCES)
+        out = tmp_path / "rejected"
+        assert cli.main([*argv, "-c", write_config(tmp_path, cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: problem: exactly one of 'synthetic' or 'dataset' required\n"
+        assert not out.exists()
+
+    def test_sweep_of_a_dataset_exit_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, problem={"dataset": dict(DATASET, m=4)})
+        argv = ["sweep", "-c", write_config(tmp_path, cfg), "--axis", "beta_over_mu", "--points", "100"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: sweep requires a synthetic problem block\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_seed_and_potentials_flags(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert cli.main(["run", "-c", path, "--seed", "9", "--potentials", "--k-max", "3"]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["seed"] == 9 and meta["effective_config"]["diagnostics"]["potentials"]
+        with open(tmp_path / "out" / "trajectory.csv") as fh:
+            inner = [r for r in csv.DictReader(fh) if int(r["t"]) >= 1]
+        assert inner and all(r["g_plus_e"] != "" for r in inner)
+
+    def test_lowerbound_support_violation_exit_1(self, capsys, monkeypatch):
+        # a cut this long allows no support growth past the first two indices
+        monkeypatch.setattr(network, "cut_distance", lambda m: 10**6)
+        assert cli.main(["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "30"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["support_ok"] is False
+        assert captured.err == "support-propagation invariant violated\n"
 
     def test_library_runtime_errors_share_one_base(self):
         # main maps this base to exit 1 with one except clause
@@ -545,6 +603,36 @@ class TestMainEntry:
 
 
 class TestSweep:
+    def test_one_gossip_build_and_one_oracle_per_point(self, tmp_path, monkeypatch):
+        counts = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "build_gossip")
+        count(diagnostics, "centralized_solve")
+        cfg = load_config(None, base_config(tmp_path))
+        meta = execute_sweep(cfg, "beta_over_mu", [100.0, 400.0], tmp_path / "sweep", 1e-3)
+        assert len(meta["rows"]) == 2
+        assert counts == {"build_gossip": 1, "centralized_solve": 2}
+
+    def test_degenerate_mode_f_runs_plain(self, tmp_path):
+        # beta_hat < mu_hat leaves mode F nothing to accelerate: it runs delta = 0
+        cfg = load_config(None, {
+            "seed": 2,
+            "problem": {"synthetic": {"m": 6, "n": 400, "d": 4, "mu0": 1, "L0": 1}},
+            "output": str(tmp_path / "out"),
+        })
+        row = execute_sweep(cfg, "beta_over_mu", [400.0], tmp_path / "out", 1e-4)["rows"][0]
+        assert row["beta_over_mu_hat"] < 1
+        assert row["comms_F"] == 6
+
     def test_not_reached_recorded(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
         cfg["algorithm"]["K_max"] = 1  # far too few outer iterations
@@ -640,3 +728,28 @@ class TestLowerboundCheck:
         assert report["m"] == 2
         assert report["cut_bound_ok"] is None
         assert report["support_ok"]
+
+
+class TestProcessExit:
+    """``python -m sonatasim.cli`` exits with main's code and prints no traceback."""
+
+    def _run(self, tmp_path, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "sonatasim.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+
+    def test_estimate_constants_exit_0(self, tmp_path):
+        cfg = {"problem": {"synthetic": {"m": 4, "n": 30, "d": 3}}}
+        proc = self._run(tmp_path, "estimate-constants", "-c", write_config(tmp_path, cfg))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["mu_hat"] > 0
+
+    def test_config_error_exit_2(self, tmp_path):
+        cfg = {"problem": TWO_SOURCES, "output": str(tmp_path / "out")}
+        path = write_config(tmp_path, cfg)
+        proc = self._run(tmp_path, "sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100")
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")

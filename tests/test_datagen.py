@@ -241,6 +241,18 @@ class TestLoadLibsvm:
         p = load_libsvm(f, m=1, lam=0.1)
         assert set(p.b[0]) == {-1.0, 1.0}
 
+    def test_label_mapping_one_value(self, tmp_path):
+        f = tmp_path / "labels.txt"
+        f.write_text("-1 1:1.0\n-1 1:2.0\n")
+        assert list(load_libsvm(f, m=1, lam=0.1).b[0]) == [-1.0, -1.0]
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3), (0, 0)], ids=["three-values", "one-value-not-pm1"])
+    def test_label_mapping_rejected(self, tmp_path, labels):
+        f = tmp_path / "labels.txt"
+        f.write_text("".join(f"{y} 1:1.0\n" for y in labels))
+        with pytest.raises(LibsvmParseError, match="cannot map labels"):
+            load_libsvm(f, m=1, lam=0.1)
+
     def test_fixture_loads_and_estimates(self):
         p = load_libsvm(FIXTURE, m=5, lam=0.05)
         assert p.m == 5 and p.n == 40 and p.d == 12

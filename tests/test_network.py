@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sonatasim import network, problems
 from sonatasim.network import (
+    Graph,
     GossipMatrix,
     InstanceTooLargeError,
     UnreachableTargetError,
@@ -75,6 +76,7 @@ class TestGraphs:
 
     def test_degrees(self):
         assert list(star_graph(4).degrees()) == [3, 1, 1, 1]
+        assert list(Graph(1, frozenset()).degrees()) == [0]
 
 
 class TestMetropolisHastings:
@@ -91,6 +93,20 @@ class TestMetropolisHastings:
         assert W.W[1, 1] == pytest.approx(1 / 3)
         # eigenvalues of W - J/3 are {2/3, 0}; largest magnitude 2/3
         assert W.rho == pytest.approx(2 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "g",
+        [erdos_renyi(30, 0.5, seed=1), erdos_renyi(8, 0.6, seed=4), line_graph(6), star_graph(5),
+         complete_graph(4)],
+        ids=["er30", "er8", "line", "star", "complete"],
+    )
+    def test_matches_per_edge_loop(self, g):
+        deg = [sum(i in e for e in g.edges) for i in range(g.m)]
+        ref = np.zeros((g.m, g.m))
+        for i, j in g.edges:
+            ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
+        assert np.array_equal(metropolis_hastings(g).W, ref)
 
     def test_doubly_stochastic_and_cached_rho(self):
         for g in (erdos_renyi(15, 0.4, seed=2), line_graph(9), star_graph(7)):
