@@ -97,7 +97,6 @@ def tune(
     *,
     delta: float | None = None,
     T: int | None = None,
-    mu_override: float | None = None,
     K_max: int = AccelParams.K_max,
     subproblem_tol: float = AccelParams.subproblem_tol,
     max_inner_iters: int = AccelParams.max_inner_iters,
@@ -108,17 +107,13 @@ def tune(
 
     Mode F tunes delta = beta - mu with T = ceil(log(beta/mu)); mode L tunes
     delta = L - mu with T = ceil(log(kappa)); T is at least 1.  Any other
-    inner length is a given T.  ``mu_override`` replaces mu_hat, and so
-    alpha.  Only a tuned delta needs the mode's premise (beta > mu for F,
-    kappa > 1 for L), so ``delta=0.0``, the plain inner method, runs on any
-    instance.
+    inner length is a given T.  Only a tuned delta needs the mode's premise
+    (beta > mu for F, kappa > 1 for L), so ``delta=0.0``, the plain inner
+    method, runs on any instance.
     """
     if mode not in ("F", "L"):
         raise ValueError("mode must be 'F' or 'L'")
-    mu = float(mu_override) if mu_override is not None else constants.mu_hat
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    beta, L = constants.beta_hat, constants.L_hat
+    mu, beta, L = constants.mu_hat, constants.beta_hat, constants.L_hat
     if delta is None:
         if mode == "F" and beta <= mu:
             raise DegenerateSimilarityError(

@@ -23,8 +23,6 @@ import numpy as np
 
 from . import accel, datagen, diagnostics, network, problems, sonata
 
-DEFAULT_TARGET_GAP = 1e-4
-
 # A few extra inner iterations on top of the tuned length keep the inner
 # solves uniformly tight across a sweep, so the measured communication
 # counts isolate the outer-rate scaling.
@@ -44,8 +42,9 @@ DEFAULT_CONFIG = {
     },
     "regularizer": {"kind": "zero"},
     "topology": {"kind": "erdos_renyi", "p": 0.5},
-    # every field but target_gap is a keyword of accel.tune, which checks it
-    "algorithm": {"mode": "F", **_keyword_defaults(accel.tune), "target_gap": DEFAULT_TARGET_GAP},
+    # every field but target_gap is a keyword of accel.tune, which checks it;
+    # target_gap is where run stops and what sweep measures to (its --eps)
+    "algorithm": {"mode": "F", **_keyword_defaults(accel.tune), "target_gap": 1e-4},
     "diagnostics": {"potentials": False},
     "output": "runs/out",
 }
@@ -208,6 +207,18 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix:
     return W
 
 
+def _check_target_gap(value, sweep: bool) -> float | None:
+    """algorithm.target_gap, the gap a run stops at and a sweep measures to
+    (its --eps): a finite number > 0, or for a run null (no early stop)."""
+    if value is None and not sweep:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        name = "sweep eps (algorithm.target_gap)" if sweep else "algorithm.target_gap"
+        expected = "a finite number > 0" + ("" if sweep else " or null")
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    return float(value)
+
+
 def tune_from_config(constants: problems.Constants, alg: dict) -> accel.AccelParams:
     """accel.tune on an algorithm block but target_gap; a value it rejects is a config error."""
     tuning = {k: v for k, v in alg.items() if k != "target_gap"}
@@ -250,15 +261,11 @@ def _params_dict(params: accel.AccelParams) -> dict:
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     """One full experiment; writes trajectory.csv + metadata.json, returns
     metadata.  out_dir is created only once the run has finished."""
+    target_gap = _check_target_gap(cfg["algorithm"]["target_gap"], sweep=False)
     p = build_problem(cfg)
     constants = problems.estimate_constants(p)
     W = build_gossip(cfg, p.m)
     params = tune_from_config(constants, cfg["algorithm"])
-    target_gap = cfg["algorithm"]["target_gap"]
-    try:
-        target_gap = None if target_gap is None else float(target_gap)
-    except (TypeError, ValueError):
-        raise ConfigError(f"algorithm.target_gap: expected a number, got {target_gap!r}") from None
     # the potentials are recorded when the builder is given the constants
     builder = diagnostics.TrajectoryBuilder(
         p,
@@ -299,11 +306,11 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     return meta
 
 
-def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T_override=None):
+def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T):
     """Communication rounds until the gap to ``oracle`` first reaches eps in
-    ``mode`` (None if it never does), from a run that stops once its outer
-    iterate does."""
-    alg = dict(alg, mode=mode, T=T_override if T_override is not None else alg.get("T"))
+    ``mode`` with inner length T (None: tuned), None if it never does, from
+    a run that stops once its outer iterate does."""
+    alg = dict(alg, mode=mode, T=T)
     try:
         params = tune_from_config(constants, alg)
     except (accel.DegenerateSimilarityError, accel.PerfectlyConditionedError):
@@ -317,20 +324,23 @@ def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T_override=None):
 
 def calibrate_n_for_beta(
     base: datagen.SyntheticRidgeConfig, beta_target: float, n_start: int, tol: float = 0.06
-) -> int:
+) -> tuple[datagen.SyntheticRidgeConfig, problems.ProblemSpec, problems.Constants]:
     """Pick n so the measured similarity lands near beta_target.
 
     Secant iteration on log n with the locally measured decay exponent
-    (roughly n^-1/2, steeper at small n); only returns a value whose
-    similarity was actually measured within tolerance or at the last probe.
+    (roughly n^-1/2, steeper at small n); returns the generator config, the
+    instance and the constants of the last probe, whose similarity is within
+    tolerance unless the iteration gave up.
     """
 
     def measure(n):
         cfg = dataclasses.replace(base, n=n)
-        return problems.estimate_constants(datagen.gen_ridge(cfg)).beta_hat
+        p = datagen.gen_ridge(cfg)
+        return cfg, p, problems.estimate_constants(p)
 
     n = max(int(n_start), 10)
-    history = [(n, measure(n))]
+    last = measure(n)
+    history = [(n, last[2].beta_hat)]
     for _ in range(8):
         n_cur, beta = history[-1]
         ratio = beta / beta_target
@@ -346,8 +356,18 @@ def calibrate_n_for_beta(
         n_next = max(10, int(round(n_cur * ratio ** (1.0 / exponent))))
         if n_next == n_cur:
             break
-        history.append((n_next, measure(n_next)))
-    return history[-1][0]
+        last = measure(n_next)
+        history.append((n_next, last[2].beta_hat))
+    return last
+
+
+# Fields a sweep sets itself or has no use for: any other value than the
+# default would be recorded in metadata.json without taking effect.
+_SWEEP_UNUSED = {
+    ("algorithm", "mode"): "a sweep runs both modes",
+    ("algorithm", "T"): "a sweep fixes T per mode across its points",
+    ("diagnostics", "potentials"): "a sweep records no potentials",
+}
 
 
 def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps: float) -> dict:
@@ -357,15 +377,21 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     ``kappa`` varies the ridge coefficient to hit target condition numbers
     while recalibrating n to hold the similarity ratio fixed.  T is frozen per
     mode across the sweep (largest tuned value) so the measured communication
-    counts isolate the outer-rate dependence.  out_dir is created only once
-    every point has run.
+    counts isolate the outer-rate dependence.  eps is recorded as the
+    effective config's ``algorithm.target_gap``.  out_dir is created only
+    once every point has run.
     """
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
+    for (block, key), reason in _SWEEP_UNUSED.items():
+        val, default = cfg[block][key], DEFAULT_CONFIG[block][key]
+        if val != default:
+            raise ConfigError(
+                f"{block}.{key}: {reason}; leave it at {json.dumps(default)}, got {json.dumps(val)}"
+            )
     if not points:
         raise ConfigError("sweep needs at least one axis point")
-    if not 0 < eps < math.inf:
-        raise ConfigError(f"sweep eps must be a finite number > 0, got {eps!r}")
+    eps = _check_target_gap(eps, sweep=True)
     if axis not in ("beta_over_mu", "kappa"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
     for point in points:
@@ -377,10 +403,12 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
 
-    instances = []
+    prepared = []  # (point, generator config, instance, constants)
     if axis == "beta_over_mu":
         for n in points:
-            instances.append((float(n), dataclasses.replace(base, n=int(n))))
+            gen_cfg = dataclasses.replace(base, n=int(n))
+            p = datagen.gen_ridge(gen_cfg)
+            prepared.append((float(n), gen_cfg, p, problems.estimate_constants(p)))
     else:
         probe = dataclasses.replace(base, lam=0.0)
         c0 = problems.estimate_constants(datagen.gen_ridge(probe))
@@ -393,17 +421,12 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             else:
                 lam = 0.5 * (L_sigma - kt * mu_sigma) / (kt - 1.0)
             mu_new = mu_sigma + 2 * lam
-            n_new = calibrate_n_for_beta(
+            calibrated = calibrate_n_for_beta(
                 dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n
             )
-            instances.append((kt, dataclasses.replace(base, n=n_new, lam=lam)))
-
-    prepared = []
-    for point, gen_cfg in instances:
-        p = datagen.gen_ridge(gen_cfg)
-        p.reg = reg
-        constants = problems.estimate_constants(p)
-        prepared.append((point, gen_cfg, p, constants))
+            prepared.append((kt, *calibrated))
+    for _, _, p, _ in prepared:
+        p.reg = reg  # the constants are the loss's alone
 
     # T does not depend on delta; a given delta skips the degenerate-instance
     # checks, so instances where a mode cannot accelerate still count.
@@ -415,8 +438,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     rows = []
     for point, gen_cfg, p, constants in prepared:
         oracle = diagnostics.centralized_solve(p)
-        comms_f = _comms_for_mode(p, oracle, constants, W, alg, "F", eps, T_override=T_f)
-        comms_l = _comms_for_mode(p, oracle, constants, W, alg, "L", eps, T_override=T_l)
+        comms_f = _comms_for_mode(p, oracle, constants, W, alg, "F", eps, T_f)
+        comms_l = _comms_for_mode(p, oracle, constants, W, alg, "L", eps, T_l)
         rows.append(
             {
                 "axis": axis,
@@ -446,7 +469,7 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
         "T_F": T_f,
         "T_L": T_l,
         "rows": rows,
-        "effective_config": effective_config(cfg),
+        "effective_config": effective_config(dict(cfg, algorithm=dict(alg, target_gap=eps))),
     }
     _write_json(out_dir / "metadata.json", meta)
     return meta
@@ -569,7 +592,7 @@ def main(argv=None) -> int:
     _add_common(sweep_p)
     sweep_p.add_argument("--axis", required=True, choices=["beta_over_mu", "kappa"])
     sweep_p.add_argument("--points", required=True, help="comma-separated axis points")
-    sweep_p.add_argument("--eps", type=float, default=DEFAULT_TARGET_GAP)
+    sweep_p.add_argument("--eps", dest="target_gap", type=float, help="algorithm.target_gap")
 
     lb_p = sub.add_parser("lowerbound-check", help="hard-instance fixture report")
     lb_p.add_argument("--mu", type=float, default=0.01)
@@ -598,7 +621,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"--points: not a list of numbers: {args.points!r}") from None
             out_dir = output_path(cfg["output"])
-            meta = execute_sweep(cfg, args.axis, points, out_dir, args.eps)
+            meta = execute_sweep(cfg, args.axis, points, out_dir, cfg["algorithm"]["target_gap"])
             print(_json({"output": str(out_dir), "rows": meta["rows"]}))
             return 0
         if args.command == "lowerbound-check":

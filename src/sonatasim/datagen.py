@@ -92,7 +92,7 @@ def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
         b=b,
         lam=cfg.lam,
         reg=Regularizer(),
-        meta={"x_star_planted": x_star, "sigma_eigs": np.sort(eigs), "config": cfg},
+        meta={"x_star_planted": x_star, "sigma_eigs": np.sort(eigs)},
     )
 
 
@@ -223,5 +223,4 @@ def load_libsvm(
         b=b,
         lam=lam,
         reg=reg if reg is not None else Regularizer(),
-        meta={"source": str(path), "total_samples": N},
     )

@@ -166,14 +166,7 @@ def admissible_rho(constants: Constants, mode: str) -> float:
     raise ValueError("mode must be 'F' or 'L'")
 
 
-def inner_potential(
-    p: ProblemSpec,
-    X,
-    Y,
-    constants: Constants,
-    mode: str,
-    oracle_k: Oracle,
-) -> dict:
+def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> dict:
     """g + e of the inner loop: average shifted suboptimality plus weighted
     consensus and tracking errors.  ``oracle_k`` must solve the same shifted
     problem the states are evolving on."""
@@ -184,7 +177,7 @@ def inner_potential(
 
 
 def outer_potential(
-    p: ProblemSpec, X_prev, X, alpha: float, mu: float, e_prev_final: float, oracle: Oracle
+    X_prev, X, alpha: float, mu: float, e_prev_final: float, oracle: Oracle
 ) -> float:
     """Suboptimality plus a momentum-corrected distance to the solution plus
     the carried-over inner error: decays linearly on compliant runs."""
@@ -255,22 +248,14 @@ CSV_FIELDS = tuple(f.name for f in fields(TrajRow))
 
 
 @dataclass
-class OuterRecord:
-    """Inner potential at the warm start and at the end of one outer
-    iteration, and the outer potential after its extrapolation."""
-
-    g_e_warm: float
-    g_e_final: float | None = None
-    P_after: float | None = None
-
-
-@dataclass
 class Trajectory:
-    rows: list = field(default_factory=list)
-    outer: list = field(default_factory=list)
+    """The rows of trajectory.csv and, when the potentials are recorded, the
+    inner potential at each outer iteration's warm start.  The final inner
+    potential and the outer potential after the extrapolation of outer
+    iteration k are the ``g_plus_e`` and ``P_k`` of its last row."""
 
-    def comms(self) -> np.ndarray:
-        return np.array([r.comms for r in self.rows])
+    rows: list = field(default_factory=list)
+    g_e_warm: list = field(default_factory=list)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -304,7 +289,7 @@ class TrajectoryBuilder(RunObserver):
     It evaluates the outer potential after every extrapolation.  Given
     ``constants`` it also records the potentials: it re-solves the shifted
     problem at every outer iteration to evaluate the inner potential, and
-    keeps one :class:`OuterRecord` per outer iteration.
+    keeps its value at each warm start.
     """
 
     def __init__(
@@ -332,9 +317,7 @@ class TrajectoryBuilder(RunObserver):
         )
 
     def on_init(self, comms, X, Y, Z):
-        self.P0 = outer_potential(
-            self.p, X, X, self.params.alpha, self.params.mu, 0.0, self.oracle
-        )
+        self.P0 = outer_potential(X, X, self.params.alpha, self.params.mu, 0.0, self.oracle)
         self._row(0, 0, comms, X, Y, P_k=self.P0)
 
     def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
@@ -342,35 +325,26 @@ class TrajectoryBuilder(RunObserver):
             return
         self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
         self._last_inner = inner_potential(
-            self.p, X, Y_warm, self.constants, self.params.mode, self._oracle_k
+            X, Y_warm, self.constants, self.params.mode, self._oracle_k
         )
-        self.traj.outer.append(OuterRecord(self._last_inner["total"]))
+        self.traj.g_e_warm.append(self._last_inner["total"])
 
     def on_inner_step(self, k, t, comms, X, Y):
         g_plus_e = None
         if self._oracle_k is not None:
             self._last_inner = inner_potential(
-                self.p, X, Y, self.constants, self.params.mode, self._oracle_k
+                X, Y, self.constants, self.params.mode, self._oracle_k
             )
             g_plus_e = self._last_inner["total"]
         self._row(k, t, comms, X, Y, g_plus_e=g_plus_e)
 
     def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+        e_final = self._last_inner["e"] if self._last_inner else 0.0
         P_next = outer_potential(
-            self.p,
-            X_prev,
-            X,
-            self.params.alpha,
-            self.params.mu,
-            self._last_inner["e"] if self._last_inner else 0.0,
-            self.oracle,
+            X_prev, X, self.params.alpha, self.params.mu, e_final, self.oracle
         )
         if self.traj.rows:
             self.traj.rows[-1].P_k = P_next
-        if self.traj.outer:
-            rec = self.traj.outer[-1]
-            rec.g_e_final = self._last_inner["total"]
-            rec.P_after = P_next
 
 
 class CommsToAccuracy(RunObserver):

@@ -393,5 +393,5 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
         b=b,
         lam=mu / 2.0,  # ridge term lam*||x||^2 contributes mu*I to every Hessian
         reg=Regularizer(),
-        meta={"mu": mu, "beta": beta, "left": left, "right": right},
+        meta={"left": left},
     )

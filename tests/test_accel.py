@@ -57,12 +57,6 @@ class TestTune:
         assert pl.surrogate.kind == "L"
         assert pl.surrogate.weight == pytest.approx(10.0 + 9.0)  # L + delta
 
-    def test_mu_override(self):
-        c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
-        p = tune(c, "F", mu_override=0.25)
-        assert p.mu == 0.25
-        assert p.alpha == pytest.approx(math.sqrt(0.25 / 4.0))
-
     def test_replace_delta_recomputes_alpha(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
         p = replace(tune(c, "F"), delta=8.0)

@@ -148,11 +148,11 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     X0 = np.zeros((p.m, p.d))
     Y0 = sonata.shifted_grads(p, X0, params.delta, Z)
     oracle_k = diagnostics.centralized_solve(p, delta=params.delta, Z=Z)
-    vals = [diagnostics.inner_potential(p, X0, Y0, c, mode, oracle_k)["total"]]
+    vals = [diagnostics.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
     sonata.sonata_run(
         p, X0, Y0, T, W, params.local_solver(p), Z=Z,
         on_step=lambda t, cm, X, Y: vals.append(
-            diagnostics.inner_potential(p, X, Y, c, mode, oracle_k)["total"]
+            diagnostics.inner_potential(X, Y, c, mode, oracle_k)["total"]
         ),
     )
     ratios = np.array(vals[1:]) / np.array(vals[:-1])
@@ -270,8 +270,8 @@ def test_criterion_08_f_dominates_l_under_similarity():
     cfg = cli.load_config(None, {"seed": 1, "topology": {"kind": "erdos_renyi", "p": 0.5}})
     W = cli.build_gossip(cfg, p.m)
     oracle = diagnostics.centralized_solve(p)
-    comms_f = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "F", 1e-4)
-    comms_l = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "L", 1e-4)
+    comms_f = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "F", 1e-4, None)
+    comms_l = cli._comms_for_mode(p, oracle, c, W, cfg["algorithm"], "L", 1e-4, None)
     assert comms_f is not None and comms_l is not None
     assert comms_f <= 0.5 * comms_l
     _report(8, "F-vs-L dominance", done(), 30.0,

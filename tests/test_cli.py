@@ -393,6 +393,7 @@ class TestMainEntry:
             ("c_seq", 2),
             ("c_seq", True),
             ("tuning_variant", "x"),
+            ("mu_override", 0.5),
         ],
     )
     def test_removed_algorithm_fields_rejected(self, tmp_path, capsys, field, value):
@@ -436,14 +437,15 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("mu_override", -1),
-            ("mu_override", 0),
             ("T", 0),
             ("T", 2.5),
             ("delta", -1),
             ("delta", math.nan),
             ("K_max", "a"),
             ("target_gap", "x"),
+            ("target_gap", "1e-3"),
+            ("target_gap", -1),
+            ("target_gap", 0),
             ("subproblem_tol", "x"),
             ("max_inner_iters", "x"),
             ("subproblem_tol", -1),
@@ -649,13 +651,50 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least one"):
             execute_sweep(cfg, "beta_over_mu", [], out, 1e-3)
 
-    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf, None, "1e-3"])
     def test_bad_eps_rejected(self, tmp_path, eps):
         # a NaN eps used to be echoed into metadata.json; -1 ran to "not-reached"
         cfg = load_config(None, base_config(tmp_path))
         out = cli.resolve_output(cfg["output"])
         with pytest.raises(ConfigError, match="eps"):
             execute_sweep(cfg, "beta_over_mu", [100], out, eps)
+
+    @pytest.mark.parametrize("value", ["1e-3", None], ids=["string", "null"])
+    def test_target_gap_not_a_number_exit_2(self, tmp_path, capsys, value):
+        # a string target used to run and be echoed into metadata.json as a
+        # string; null, no target, is a run's choice and means nothing to a sweep
+        cfg = base_config(tmp_path)
+        cfg["algorithm"]["target_gap"] = value
+        argv = ["sweep", "-c", write_config(tmp_path, cfg), "--axis", "beta_over_mu", "--points", "100"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep eps (algorithm.target_gap):")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "block,field,value",
+        [("algorithm", "T", 1), ("algorithm", "mode", "L"), ("diagnostics", "potentials", True)],
+    )
+    def test_fields_a_sweep_does_not_use_exit_2(self, tmp_path, capsys, block, field, value):
+        # the sweep sets T and mode itself and records no potentials, yet each
+        # value used to be recorded in metadata.json with exit 0
+        cfg = base_config(tmp_path, diagnostics={})
+        cfg[block][field] = value
+        argv = ["sweep", "-c", write_config(tmp_path, cfg), "--axis", "beta_over_mu", "--points", "100"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {block}.{field}: a sweep ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps_flag,recorded", [(["--eps", "1e-3"], 1e-3), ([], 1e-5)])
+    def test_eps_is_the_recorded_target_gap(self, tmp_path, capsys, eps_flag, recorded):
+        # the config's target_gap, unused, used to be recorded next to --eps;
+        # without --eps the sweep runs to it
+        cfg = base_config(tmp_path)
+        cfg["algorithm"]["target_gap"] = 0.5 if eps_flag else 1e-5
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100", *eps_flag]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["eps"] == recorded
+        assert meta["effective_config"]["algorithm"]["target_gap"] == recorded
 
     def test_samples_axis_is_gone(self, tmp_path):
         # it was a second name for beta_over_mu, building the same instances

@@ -234,7 +234,7 @@ class TestInnerPotential:
         ok = centralized_solve(p, delta=delta, Z=Z)
         X = np.tile(ok.x_star, (p.m, 1))
         Y = np.tile(ok.objective.grad(ok.x_star), (p.m, 1))
-        pot = inner_potential(p, X, Y, small_ridge_constants, "F", ok)
+        pot = inner_potential(X, Y, small_ridge_constants, "F", ok)
         assert pot["total"] <= 1e-9 * max(1.0, abs(ok.u_star))
 
     def test_error_term_linear_in_weights(self, small_ridge, small_ridge_constants, rng):
@@ -243,7 +243,7 @@ class TestInnerPotential:
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
         c_x, c_y = error_weights(small_ridge_constants, "F")
-        pot = inner_potential(p, X, Y, small_ridge_constants, "F", ok)
+        pot = inner_potential(X, Y, small_ridge_constants, "F", ok)
         assert pot["e"] == pytest.approx(
             c_x * consensus_error(X) + c_y * consensus_error(Y)
         )
@@ -287,7 +287,7 @@ class TestOuterPotential:
         oracle = centralized_solve(p)
         mu = 3.7
         X0 = np.zeros((p.m, p.d))
-        P0 = outer_potential(p, X0, X0, alpha=0.5, mu=mu, e_prev_final=0.0, oracle=oracle)
+        P0 = outer_potential(X0, X0, alpha=0.5, mu=mu, e_prev_final=0.0, oracle=oracle)
         expect = (oracle.objective.values(np.zeros(p.d)) - oracle.u_star) + 0.5 * mu * (
             oracle.x_star @ oracle.x_star
         )
@@ -298,7 +298,7 @@ class TestOuterPotential:
         oracle = centralized_solve(p)
         X_prev = rng.standard_normal((p.m, p.d))
         X = rng.standard_normal((p.m, p.d))
-        P = outer_potential(p, X_prev, X, 0.6, 2.0, 0.1, oracle)
+        P = outer_potential(X_prev, X, 0.6, 2.0, 0.1, oracle)
         sub = oracle.objective.values(X).mean() - oracle.u_star
         assert P >= sub
 
@@ -342,37 +342,45 @@ class TestPotentialDecay:
         accel.acc_sonata_run(p, replace(params, K_max=20), W, observer=builder)
         return p, c, params, builder
 
+    @staticmethod
+    def _outer_ends(builder):
+        """The last trajectory row of each outer iteration: its g_plus_e is the
+        final inner potential, its P_k the outer potential after extrapolation."""
+        return list({r.k: r for r in builder.traj.rows[1:]}.values())
+
     def test_proposition_style_bound_on_outer_potential(self):
         p, c, params, builder = self._compliant_run()
-        recs = builder.traj.outer
+        ends = self._outer_ends(builder)
+        assert len(ends) == 20
         P0 = builder.P0
-        c_meas = measure_epsilon_constant(P0, params.alpha, [r.g_e_final for r in recs])
+        c_meas = measure_epsilon_constant(P0, params.alpha, [r.g_plus_e for r in ends])
         assert c_meas > 0
         c_eval = min(c_meas, 0.9)
         # termination rule holds at c_eval for every outer iteration
-        for k, r in enumerate(recs):
-            assert r.g_e_final <= P0 * (1 - c_eval * params.alpha) ** (k + 1) + 1e-12
+        for k, r in enumerate(ends):
+            assert r.g_plus_e <= P0 * (1 - c_eval * params.alpha) ** (k + 1) + 1e-12
         pc = potential_constants(c, "F", params.alpha, c_eval, params.delta)
-        for k, r in enumerate(recs):
+        for k, r in enumerate(ends):
             bound = pc.c2 * P0 * (1 - c_eval * params.alpha) ** (k + 1)
-            assert r.P_after <= bound
+            assert r.P_k <= bound
 
     def test_warm_start_potential_stays_bounded_relative_to_eps(self):
         p, c, params, builder = self._compliant_run()
-        recs = builder.traj.outer
+        ends = self._outer_ends(builder)
         P0 = builder.P0
         c_meas = min(
-            measure_epsilon_constant(P0, params.alpha, [r.g_e_final for r in recs]), 0.9
+            measure_epsilon_constant(P0, params.alpha, [r.g_plus_e for r in ends]), 0.9
         )
         ratios = [
-            r.g_e_warm / (P0 * (1 - c_meas * params.alpha) ** k)
-            for k, r in enumerate(recs)
+            g_e_warm / (P0 * (1 - c_meas * params.alpha) ** k)
+            for k, g_e_warm in enumerate(builder.traj.g_e_warm)
         ]
+        assert len(ratios) == 20
         assert max(ratios) <= 50.0  # bounded, no blow-up across restarts
 
     def test_trajectory_comms_strictly_increasing(self):
         _, _, _, builder = self._compliant_run()
-        comms = builder.traj.comms()
+        comms = [r.comms for r in builder.traj.rows]
         assert np.all(np.diff(comms) > 0)
 
 

@@ -238,7 +238,7 @@ class TestSonataRun:
         X0 = np.zeros((p.m, p.d))
         Y0 = shifted_grads(p, X0, delta, Z)
         oracle_k = diagnostics.centralized_solve(p, delta=delta, Z=Z)
-        vals = [diagnostics.inner_potential(p, X0, Y0, c, "F", oracle_k)["total"]]
+        vals = [diagnostics.inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
         sonata_run(
             p,
             X0,
@@ -248,7 +248,7 @@ class TestSonataRun:
             local_solver(p, Surrogate("F", c.beta_hat), delta),
             Z=Z,
             on_step=lambda t, cm, X, Y: vals.append(
-                diagnostics.inner_potential(p, X, Y, c, "F", oracle_k)["total"]
+                diagnostics.inner_potential(X, Y, c, "F", oracle_k)["total"]
             ),
         )
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
