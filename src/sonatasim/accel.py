@@ -86,9 +86,10 @@ class AccelParams:
         return (1.0 - self.alpha) / (1.0 + self.alpha)
 
     def local_solver(self, p: ProblemSpec) -> sonata.LocalSolver:
-        """The local step of every inner iteration of a run on p."""
+        """The local step of every inner iteration of a run on p, with
+        subproblem_tol the floor of the :data:`sonata.FORCING` rule."""
         tol, cap = self.subproblem_tol, self.max_inner_iters
-        return sonata.LocalSolver(p, self.surrogate, self.delta, tol, cap)
+        return sonata.LocalSolver(p, self.surrogate, self.delta, tol, cap, sonata.FORCING)
 
 
 def tune(

@@ -272,8 +272,9 @@ def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int
     (1 - sqrt(q_i)) / (1 + sqrt(q_i)), q_i = mu_i * steps[i] for a
     mu_i-strongly convex s_i; grad(V) returns the (k, d) gradients of the s_i.
     A row freezes once its gradient mapping at the extrapolated point is at
-    most tol.  Returns (X, whether all rows converged, the largest iteration
-    count); a non-finite iterate raises DivergenceError.
+    most tol, a scalar or a (k,) array of per-row tolerances.  Returns (X,
+    whether all rows converged, the largest iteration count); a non-finite
+    iterate raises DivergenceError.
     """
     step = steps[:, None]
     theta = ((1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q)))[:, None]

@@ -19,6 +19,13 @@ proximal term ("F"), and plain linearization with an L-sized proximal term
 closed form, one proximal step, or accelerated proximal gradient on the whole
 stack.  The subproblems only read previous-round state, so results are
 identical to any parallel schedule.
+
+The iterative local step is inexact by design: a run's solver (built by
+:meth:`~sonatasim.accel.AccelParams.local_solver`) stops agent i at
+max(tol, FORCING * r0_i), where r0_i is the gradient mapping of its
+subproblem at the warm start x_i.  r0_i shrinks with the outer error, so the
+local accuracy tightens geometrically as the run converges, as in inexact
+Newton methods' forcing terms and Catalyst's relative stopping test.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ import numpy as np
 
 from . import problems
 from .problems import ProblemSpec, prox_r
+
+# forcing term of a run's iterative local step (see the module docstring)
+FORCING = 1e-2
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,9 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters)
 
     Agent i minimizes f_i(v) + delta/2||v-z_i||^2 + beta/2||v-x_i||^2
     + <y_i - g_i, v> + r(v), which is (ridge*lam + beta + delta)-strongly
-    convex, by :func:`problems.prox_gradient` from x_i with step steps[i].
-    Returns (X_half, whether all agents converged, the largest iteration count).
+    convex, by :func:`problems.prox_gradient` from x_i with step steps[i] to
+    tolerance tol, a scalar or one entry per agent.  Returns (X_half,
+    whether all agents converged, the largest iteration count).
     """
     lin = Y - G
 
@@ -81,7 +92,9 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters)
 
 class LocalSolver:
     """The local step of all m agents for one surrogate and proximal shift,
-    to tolerance ``tol`` within ``max_iters`` iterations when iterative.
+    within ``max_iters`` iterations when iterative.  An iterative step stops
+    agent i at max(tol, forcing * r0_i), r0_i the gradient mapping of its
+    subproblem at the warm start x_i; ``forcing=0`` is the absolute rule.
 
     Mode L is one proximal-gradient step on the whole stack.  Mode F on an
     exact-curvature loss with r = zero is the closed form
@@ -94,13 +107,20 @@ class LocalSolver:
     """
 
     def __init__(
-        self, p: ProblemSpec, surrogate: Surrogate, delta: float, tol: float, max_iters: int
+        self,
+        p: ProblemSpec,
+        surrogate: Surrogate,
+        delta: float,
+        tol: float,
+        max_iters: int,
+        forcing: float = 0.0,
     ):
         self.p = p
         self.surrogate = surrogate
         self.delta = delta
         self.tol = tol
         self.max_iters = max_iters
+        self.forcing = forcing
         self.K_inv = self.steps = None
         if surrogate.kind == "L":
             return
@@ -122,8 +142,15 @@ class LocalSolver:
             return X - np.einsum("mab,mb->ma", self.K_inv, Y), True, 0
         Z = X if Z is None else Z
         beta = self.surrogate.weight
+        tol = self.tol
+        if self.forcing:
+            # at v = x_i the subproblem's gradient is y_i: the linear term
+            # y_i - g_i cancels the shifted local gradient g_i
+            step = self.steps[:, None]
+            r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
+            tol = np.maximum(tol, self.forcing * r0)
         return _prox_gradient_subproblem(
-            self.p, X, Y, G, Z, beta, self.delta, self.steps, self.tol, self.max_iters
+            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, self.max_iters
         )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hinge_problem
+from conftest import hinge_problem, logistic_problem
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.accel import (
     AccelParams,
@@ -279,6 +279,51 @@ class TestTrackingProperty:
         )
         assert len(worst) == K_max * T
         assert max(worst) <= 1e-10
+
+
+class TestInexactLocalSteps:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: hinge_problem(m=6, lam=0.05, reg=Regularizer("l1", weight=0.01)),
+            lambda: logistic_problem(m=6, lam=0.05, reg=Regularizer("box", lo=-0.5, hi=0.5)),
+            lambda: logistic_problem(m=6, lam=0.05, reg=Regularizer("l1", weight=0.01)),
+        ],
+        ids=["hinge-l1", "logistic-box", "logistic-l1"],
+    )
+    def test_forcing_term_keeps_the_communication_count(self, small_gossip, monkeypatch, make):
+        # stopping each local step at FORCING times its warm-start gradient
+        # mapping must not cost a single extra communication round
+        p = make()
+        oracle = diagnostics.centralized_solve(p, tol=1e-12)
+        params = replace(tune(problems.estimate_constants(p), "F"), K_max=200)
+        target = 1e-8
+        solve = sonata._prox_gradient_subproblem
+
+        def run():
+            iters = []
+
+            def counted(*args):
+                out = solve(*args)
+                iters.append(out[2])
+                return out
+
+            monkeypatch.setattr(sonata, "_prox_gradient_subproblem", counted)
+            res = acc_sonata_run(
+                p, params, small_gossip,
+                gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
+                target_gap=target,
+            )
+            return res, sum(iters)
+
+        inexact, inexact_iters = run()
+        monkeypatch.setattr(sonata, "FORCING", 0.0)
+        exact, exact_iters = run()
+        assert inexact.converged and exact.converged
+        assert all(inexact.subproblem_converged)
+        assert (inexact.K_done, inexact.comms) == (exact.K_done, exact.comms)
+        assert inexact.gaps[-1] <= target
+        assert inexact_iters < exact_iters
 
 
 class TestCompositeObjective:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import hinge_problem, local_solver
-from sonatasim import diagnostics, network, problems, sonata
+from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
     Surrogate,
@@ -21,9 +21,10 @@ def cold_start(p):
     return X0, problems.batch_grads(p, X0)
 
 
-def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000):
+def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000, forcing=0.0):
     """Reference for one agent's iterative local step, written as a plain
-    accelerated proximal-gradient loop."""
+    accelerated proximal-gradient loop.  The agent's own tolerance is
+    max(tol, forcing * its gradient mapping at the start x)."""
     step = 1.0 / (np.linalg.eigvalsh(problems.hessian_bound(p, i))[-1] + delta + beta)
     q = (p.loss.ridge * p.lam + beta + delta) * step
     theta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
@@ -31,6 +32,8 @@ def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000):
     for it in range(max_iters):
         grad = problems.local_grad(p, i, v) + beta * (v - x) + (y - g) + delta * (v - z)
         u_next = problems.prox_r(p, v - step * grad, step)
+        if it == 0:
+            tol = max(tol, forcing * np.linalg.norm(u_next - x) / step)
         done = np.linalg.norm(u_next - v) / step <= tol
         u, v = u_next, u_next + theta * (u_next - u)
         if done:
@@ -129,6 +132,63 @@ class TestLocalSubproblem:
             assert np.max(np.abs(out_cut - ref_cut)) <= 1e-12
             assert ok_cut == (cut >= max(counts))
             assert iters_cut == min(cut, max(counts))
+
+    @pytest.mark.parametrize(
+        "loss_kind, reg",
+        [
+            ("smooth-hinge", Regularizer("l1", weight=0.02)),
+            ("logistic", Regularizer("box", lo=-0.5, hi=0.5)),
+            ("quadratic-ridge", Regularizer("l1", weight=0.02)),
+        ],
+        ids=["hinge-l1", "logistic-box", "quadratic-l1"],
+    )
+    def test_forcing_term_stops_each_row_at_its_own_tolerance(self, rng, loss_kind, reg):
+        # the agents of the batched test, each stopped at
+        # max(tol, forcing * its warm-start gradient mapping)
+        m, n, d = 4, 30, 5
+        A = rng.standard_normal((m, n, d)) * np.array([0.3, 1.0, 2.0, 4.0])[:, None, None]
+        b = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
+        p = problems.ProblemSpec(loss_kind, A, b, lam=0.05, reg=reg)
+        beta, delta, tol, forcing = 0.7, 0.4, 1e-6, 1e-2
+        X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
+        G = shifted_grads(p, X, delta, Z)
+
+        def reference(c):
+            runs = [
+                per_agent_prox_gradient(p, i, X[i], Y[i], G[i], Z[i], beta, delta, tol, forcing=c)
+                for i in range(p.m)
+            ]
+            return np.array([v for v, _ in runs]), [k for _, k in runs]
+
+        ref, counts = reference(forcing)
+        _, exact_counts = reference(0.0)
+        assert all(c < e for c, e in zip(counts, exact_counts)) and len(set(counts)) > 1
+        solver = sonata.LocalSolver(p, Surrogate("F", beta), delta, tol, 5000, forcing=forcing)
+        out, ok, iters = solver.solve(X, Y, G, Z)
+        assert ok and iters == max(counts)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+        # forcing 0 is the absolute rule, bit for bit
+        absolute = sonata.LocalSolver(p, Surrogate("F", beta), delta, tol, 5000, forcing=0.0)
+        steps = absolute.steps
+        direct = sonata._prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, 5000)
+        out0, ok0, iters0 = absolute.solve(X, Y, G, Z)
+        assert np.array_equal(out0, direct[0]) and (ok0, iters0) == direct[1:]
+        assert iters0 == max(exact_counts)
+
+    def test_nan_row_raises_at_first_iteration(self, rng):
+        # a NaN row makes its forcing tolerance NaN, which no move satisfies;
+        # the non-finite iterate must still stop the step at once
+        p = hinge_problem(m=4, lam=0.05, reg=Regularizer("l1", weight=0.01))
+        params = accel.tune(problems.estimate_constants(p), "F")
+        solver = params.local_solver(p)
+        assert solver.forcing == sonata.FORCING > 0
+        for poisoned in ("X", "Y"):
+            X, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
+            {"X": X, "Y": Y}[poisoned][2, 1] = np.nan
+            G = shifted_grads(p, X, params.delta, Z)
+            with pytest.raises(problems.DivergenceError, match="iteration 1$"):
+                solver.solve(X, Y, G, Z)
 
 
 class TestGossipRound:

@@ -78,6 +78,33 @@ class TestAccStarEquivalence:
         for a, b in zip(mesh_outer, star_outer):
             assert np.max(np.abs(a - b[None, :])) <= 1e-12
 
+    def test_accelerated_iterative_paths_match(self):
+        # non-quadratic mode F: both sides take their local step from
+        # params.local_solver, so both stop it by the same forcing rule
+        p = hinge_problem(m=3, n=25, d=5, lam=0.05, reg=problems.Regularizer("l1", weight=0.01))
+        params = replace(accel.tune(problems.estimate_constants(p), "F"), K_max=7)
+        assert params.local_solver(p).forcing == sonata.FORCING > 0
+        W = network.exact_averaging(p.m)
+        mesh_outer = []
+
+        class Cap(accel.RunObserver):
+            def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+                mesh_outer.append(X.copy())
+
+        Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
+        accel.acc_sonata_run(p, params, W, observer=Cap(), Y0=Y0)
+        star_outer = []
+        star.acc_sonata_star_run(
+            p,
+            params,
+            on_inner_step=lambda k, t, c, x: star_outer.append(x.copy())
+            if t == params.T
+            else None,
+        )
+        assert len(mesh_outer) == len(star_outer) == 7
+        for a, b in zip(mesh_outer, star_outer):
+            assert np.max(np.abs(a - b[None, :])) <= 1e-9
+
     def test_star_converges(self, small_ridge, small_ridge_constants):
         from sonatasim import diagnostics
 
