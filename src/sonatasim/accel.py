@@ -16,7 +16,7 @@ The proximal coefficient delta fixes the momentum root
 alpha = sqrt(mu / (mu + delta)) and, in mode L, the model constant L + delta.
 :class:`AccelParams` stores neither: both are derived from delta on access, so
 ``dataclasses.replace(params, delta=...)`` is consistent by construction.
-It also owns the run length K_max and the accuracy of the local step.
+It also owns the run length K_max.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class PerfectlyConditionedError(InputError):
 class AccelParams:
     """Run settings: mode, proximal coefficient, inner length, strong
     convexity, the surrogate constant before the proximal shift (the
-    similarity-sized prox weight in mode F, the smoothness L in mode L), run
-    length, and the tolerance and iteration cap of an iterative local step."""
+    similarity-sized prox weight in mode F, the smoothness L in mode L) and
+    run length."""
 
     mode: str  # "F" | "L"
     delta: float
@@ -52,8 +52,6 @@ class AccelParams:
     mu: float
     weight: float
     K_max: int = 200
-    subproblem_tol: float = 1e-10
-    max_inner_iters: int = 5000
 
     def __post_init__(self):
         if self.mode not in ("F", "L"):
@@ -64,11 +62,6 @@ class AccelParams:
             raise ValueError(f"K_max must be an integer >= 0, got {self.K_max!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
-        tol, cap = self.subproblem_tol, self.max_inner_iters
-        if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
-            raise ValueError(f"subproblem_tol must be a finite number > 0, got {tol!r}")
-        if not (isinstance(cap, int) and cap >= 1):
-            raise ValueError(f"max_inner_iters must be an integer >= 1, got {cap!r}")
 
     @property
     def alpha(self) -> float:
@@ -86,10 +79,13 @@ class AccelParams:
         return (1.0 - self.alpha) / (1.0 + self.alpha)
 
     def local_solver(self, p: ProblemSpec) -> sonata.LocalSolver:
-        """The local step of every inner iteration of a run on p, with
-        subproblem_tol the floor of the :data:`sonata.FORCING` rule."""
-        tol, cap = self.subproblem_tol, self.max_inner_iters
-        return sonata.LocalSolver(p, self.surrogate, self.delta, tol, cap, sonata.FORCING)
+        """The local step of every inner iteration of a run on p, to the
+        accuracy of :data:`sonata.SUBPROBLEM_TOL`, :data:`sonata.MAX_INNER_ITERS`
+        and :data:`sonata.FORCING`, read here rather than bound as defaults."""
+        return sonata.LocalSolver(
+            p, self.surrogate, self.delta,
+            sonata.SUBPROBLEM_TOL, sonata.MAX_INNER_ITERS, sonata.FORCING,
+        )
 
 
 def tune(
@@ -99,12 +95,10 @@ def tune(
     delta: float | None = None,
     T: int | None = None,
     K_max: int = AccelParams.K_max,
-    subproblem_tol: float = AccelParams.subproblem_tol,
-    max_inner_iters: int = AccelParams.max_inner_iters,
 ) -> AccelParams:
     """Theory-driven tuning from the estimated constants; a given delta or T
-    replaces the tuned value, and the run length and local-step accuracy pass
-    through to :class:`AccelParams`.
+    replaces the tuned value, and the run length passes through to
+    :class:`AccelParams`.
 
     Mode F tunes delta = beta - mu with T = ceil(log(beta/mu)); mode L tunes
     delta = L - mu with T = ceil(log(kappa)); T is at least 1.  Any other
@@ -128,7 +122,7 @@ def tune(
         top = beta if mode == "F" else L
         T = max(1, math.ceil(math.log(max(top / mu, 1.0))))
     weight = (beta if beta > 0 else mu) if mode == "F" else L
-    return AccelParams(mode, float(delta), T, mu, weight, K_max, subproblem_tol, max_inner_iters)
+    return AccelParams(mode, float(delta), T, mu, weight, K_max)
 
 
 class RunObserver:

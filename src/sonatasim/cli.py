@@ -170,16 +170,17 @@ def ridge_config(cfg: dict) -> datagen.SyntheticRidgeConfig:
 
 def build_problem(cfg: dict) -> problems.ProblemSpec:
     block = cfg["problem"]
-    reg = build_regularizer(cfg)
+    reg = build_regularizer(cfg)  # checked before any data is generated or read
     if "synthetic" in block:
         p = datagen.gen_ridge(ridge_config(cfg))
-        p.reg = reg
-        return p
-    ds = {"seed": cfg["seed"], **block["dataset"], "reg": reg}
-    path = ds.pop("path", None)
-    if path is None or not os.path.isfile(path):
-        raise ConfigError(f"problem.dataset.path: no such file {path!r}")
-    return _call("problem.dataset", datagen.load_libsvm, path, **ds)
+    else:
+        ds = {"seed": cfg["seed"], **block["dataset"]}
+        path = ds.pop("path", None)
+        if path is None or not os.path.isfile(path):
+            raise ConfigError(f"problem.dataset.path: no such file {path!r}")
+        p = _call("problem.dataset", datagen.load_libsvm, path, **ds)
+    p.reg = reg
+    return p
 
 
 # topology.kind -> graph builder, called with the node count, the topology
@@ -230,7 +231,7 @@ def effective_config(cfg: dict) -> dict:
     block, but the seed, which follows the top-level one unless set."""
     kind = "synthetic" if "synthetic" in cfg["problem"] else "dataset"
     fn = datagen.SyntheticRidgeConfig if kind == "synthetic" else datagen.load_libsvm
-    defaults = _keyword_defaults(fn, "seed", "reg")
+    defaults = _keyword_defaults(fn, "seed")
     return {**cfg, "problem": {**cfg["problem"], kind: {**defaults, **cfg["problem"][kind]}}}
 
 
@@ -323,20 +324,25 @@ def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T):
 
 
 def calibrate_n_for_beta(
-    base: datagen.SyntheticRidgeConfig, beta_target: float, n_start: int, tol: float = 0.06
+    base: datagen.SyntheticRidgeConfig, beta_target: float, n_start: int, tol: float = 0.06,
+    known: tuple | None = None,
 ) -> tuple[datagen.SyntheticRidgeConfig, problems.ProblemSpec, problems.Constants]:
     """Pick n so the measured similarity lands near beta_target.
 
     Secant iteration on log n with the locally measured decay exponent
     (roughly n^-1/2, steeper at small n); returns the generator config, the
     instance and the constants of the last probe, whose similarity is within
-    tolerance unless the iteration gave up.
+    tolerance unless the iteration gave up.  Each config is generated once;
+    ``known``, a (config, instance, constants) already measured, is one of them.
     """
+    probes = {} if known is None else {known[0]: known}
 
     def measure(n):
         cfg = dataclasses.replace(base, n=n)
-        p = datagen.gen_ridge(cfg)
-        return cfg, p, problems.estimate_constants(p)
+        if cfg not in probes:
+            p = datagen.gen_ridge(cfg)
+            probes[cfg] = cfg, p, problems.estimate_constants(p)
+        return probes[cfg]
 
     n = max(int(n_start), 10)
     last = measure(n)
@@ -411,7 +417,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             prepared.append((float(n), gen_cfg, p, problems.estimate_constants(p)))
     else:
         probe = dataclasses.replace(base, lam=0.0)
-        c0 = problems.estimate_constants(datagen.gen_ridge(probe))
+        p0 = datagen.gen_ridge(probe)
+        c0 = problems.estimate_constants(p0)
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
         ratio_target = c0.beta_hat / c0.mu_hat
         for kappa_target in points:
@@ -421,8 +428,10 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             else:
                 lam = 0.5 * (L_sigma - kt * mu_sigma) / (kt - 1.0)
             mu_new = mu_sigma + 2 * lam
+            # a lam = 0 point starts from the probe's instance
             calibrated = calibrate_n_for_beta(
-                dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n
+                dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n,
+                known=(probe, p0, c0),
             )
             prepared.append((kt, *calibrated))
     for _, _, p, _ in prepared:
@@ -500,19 +509,12 @@ class SupportTracker(accel.RunObserver):
         self._check(comms, X)
 
 
-def lowerbound_check(
-    mu: float,
-    beta: float,
-    rho_target: float,
-    d: int,
-    rounds: int = 50,
-    max_m: int = 4096,
-) -> dict:
+def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: int = 50) -> dict:
     """Build the prescribed-deviation line gossip and the split-quadratic
     instance, run the accelerated method, and report cut and support metrics."""
     if rounds < 1:
         raise problems.InputError(f"rounds must be >= 1, got {rounds}")
-    W, m = network.line_gossip_for_rho(rho_target, max_m)
+    W, m = network.line_gossip_for_rho(rho_target)
     # Half-duplex counting: the tracking exchange reads gradients at the
     # already-mixed x, so one local+gossip iteration moves information up to
     # two hops.  The support bound is stated in physical rounds.

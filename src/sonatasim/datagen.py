@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, Regularizer
+from .problems import InputError, ProblemSpec
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 _MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
@@ -91,7 +91,6 @@ def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
         A=A,
         b=b,
         lam=cfg.lam,
-        reg=Regularizer(),
         meta={"x_star_planted": x_star, "sigma_eigs": np.sort(eigs)},
     )
 
@@ -138,7 +137,6 @@ def load_libsvm(
     lam: float = 0.0,
     limit: int | None = None,
     seed: int = 0,
-    reg: Regularizer | None = None,
 ) -> ProblemSpec:
     """Read a LIBSVM text file, densify, shuffle by seed, shard across m agents.
 
@@ -217,10 +215,4 @@ def load_libsvm(
     keep = order[: n * m]
     A = features[keep].reshape(m, n, d)
     b = labels[keep].reshape(m, n)
-    return ProblemSpec(
-        loss_kind=loss,
-        A=A,
-        b=b,
-        lam=lam,
-        reg=reg if reg is not None else Regularizer(),
-    )
+    return ProblemSpec(loss_kind=loss, A=A, b=b, lam=lam)

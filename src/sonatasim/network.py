@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, Regularizer, RuntimeFailure
+from .problems import InputError, ProblemSpec, RuntimeFailure
 
 DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
 
@@ -392,6 +392,5 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
         A=A,
         b=b,
         lam=mu / 2.0,  # ridge term lam*||x||^2 contributes mu*I to every Hessian
-        reg=Regularizer(),
         meta={"left": left},
     )

@@ -22,10 +22,11 @@ identical to any parallel schedule.
 
 The iterative local step is inexact by design: a run's solver (built by
 :meth:`~sonatasim.accel.AccelParams.local_solver`) stops agent i at
-max(tol, FORCING * r0_i), where r0_i is the gradient mapping of its
-subproblem at the warm start x_i.  r0_i shrinks with the outer error, so the
-local accuracy tightens geometrically as the run converges, as in inexact
-Newton methods' forcing terms and Catalyst's relative stopping test.
+max(SUBPROBLEM_TOL, FORCING * r0_i), where r0_i is the gradient mapping of
+its subproblem at the warm start x_i, or after MAX_INNER_ITERS iterations.
+r0_i shrinks with the outer error, so the local accuracy tightens
+geometrically as the run converges, as in inexact Newton methods' forcing
+terms and Catalyst's relative stopping test.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ import numpy as np
 from . import problems
 from .problems import ProblemSpec, prox_r
 
-# forcing term of a run's iterative local step (see the module docstring)
+# forcing term, tolerance floor and iteration cap of a run's iterative local
+# step (see the module docstring)
 FORCING = 1e-2
+SUBPROBLEM_TOL = 1e-10
+MAX_INNER_ITERS = 5000
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sonatasim import datagen, network, problems, sonata
-from sonatasim.accel import AccelParams
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +36,10 @@ def local_solver(
     p,
     surrogate,
     delta=0.0,
-    tol=AccelParams.subproblem_tol,
-    max_iters=AccelParams.max_inner_iters,
+    tol=sonata.SUBPROBLEM_TOL,
+    max_iters=sonata.MAX_INNER_ITERS,
 ):
-    """A LocalSolver with the run's default accuracy unless given."""
+    """A LocalSolver with a run's floor and cap unless given, without its forcing term."""
     return sonata.LocalSolver(p, surrogate, delta, tol, max_iters)
 
 

@@ -83,14 +83,6 @@ class TestTune:
         "field,value",
         [
             ("K_max", -1),
-            ("subproblem_tol", 0),
-            ("subproblem_tol", -1e-3),
-            ("subproblem_tol", math.inf),
-            ("subproblem_tol", math.nan),
-            ("subproblem_tol", "1e-10"),
-            ("max_inner_iters", 0),
-            ("max_inner_iters", 2.5),
-            ("max_inner_iters", "x"),
         ],
     )
     def test_run_settings_are_checked(self, field, value):
@@ -99,10 +91,12 @@ class TestTune:
             tune(c, "F", **{field: value})
 
     def test_local_solver_carries_run_settings(self, small_ridge, small_ridge_constants):
-        params = tune(small_ridge_constants, "L", subproblem_tol=1e-6, max_inner_iters=7)
+        params = tune(small_ridge_constants, "L")
         solver = params.local_solver(small_ridge)
         assert (solver.surrogate, solver.delta) == (params.surrogate, params.delta)
-        assert (solver.tol, solver.max_iters) == (1e-6, 7)
+        assert (solver.tol, solver.max_iters, solver.forcing) == (
+            sonata.SUBPROBLEM_TOL, sonata.MAX_INNER_ITERS, sonata.FORCING
+        )
 
     def test_extrapolation_coefficient_range(self):
         for delta in (0.0, 0.5, 10.0, 1e6):
@@ -259,8 +253,7 @@ class TestTrackingProperty:
         self, small_ridge, small_ridge_constants, small_gossip, hinge_l1,
         hinge, mode, delta_over_L, T, K_max,
     ):
-        # the identity does not depend on how well the local step is solved,
-        # so a short inner solve keeps every draw cheap
+        # the identity does not depend on how well the local step is solved
         p, c = hinge_l1 if hinge else (small_ridge, small_ridge_constants)
         params = tune(c, mode, delta=delta_over_L * c.L_hat, T=T)
         worst = []
@@ -274,9 +267,7 @@ class TestTrackingProperty:
                 gap = sonata.tracking_gap(p, X, Y, params.delta, self.Z)
                 worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
 
-        acc_sonata_run(
-            p, replace(params, K_max=K_max, max_inner_iters=20), small_gossip, observer=Watch()
-        )
+        acc_sonata_run(p, replace(params, K_max=K_max), small_gossip, observer=Watch())
         assert len(worst) == K_max * T
         assert max(worst) <= 1e-10
 
@@ -364,7 +355,7 @@ class TestCompositeObjective:
         final = seen[-1]
         assert final.min() >= -1e-12 and final.max() <= 4.0 + 1e-12
 
-    def test_subproblem_cap_is_flagged_not_fatal(self, small_gossip):
+    def test_subproblem_cap_is_flagged_not_fatal(self, small_gossip, monkeypatch):
         from sonatasim.problems import Regularizer
         from sonatasim import datagen
 
@@ -372,8 +363,9 @@ class TestCompositeObjective:
         p = datagen.gen_ridge(cfg)
         p.reg = Regularizer("l1", weight=0.1)
         c = problems.estimate_constants(p)
-        params = tune(c, "F")
-        params = replace(params, K_max=3, max_inner_iters=2, subproblem_tol=1e-14)
+        params = replace(tune(c, "F"), K_max=3)
+        monkeypatch.setattr(sonata, "MAX_INNER_ITERS", 2)
+        monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", 1e-14)
         res = acc_sonata_run(p, params, small_gossip)
         assert res.K_done == 3
         assert not all(res.subproblem_converged)

@@ -15,6 +15,7 @@ from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.cli import ConfigError, execute_run, execute_sweep, load_config, lowerbound_check
 
 FIXTURE = Path(__file__).parent / "data" / "sample200.libsvm"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # many samples on few features: local Hessians nearly agree, so beta_hat < mu_hat
 DEGENERATE_SYNTHETIC = {"m": 4, "n": 20000, "d": 3, "L0": 1.5}
 DATASET = {"path": str(FIXTURE), "lam": 0.1}
@@ -191,6 +192,12 @@ class TestConfigValidation:
         cfg = load_config(None, {"topology": {"kind": "torus"}})
         with pytest.raises(ConfigError, match="topology.kind"):
             cli.build_gossip(cfg, 4)
+
+    def test_readme_config_example_loads_unchanged(self, tmp_path):
+        # the JSON block under "Config file" lists every field, each a valid value
+        section = README.read_text().split("### Config file", 1)[1]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert load_config(write_config(tmp_path, example)) == example
 
     def test_exact_averaging_topology(self):
         W = cli.build_gossip(load_config(None, {"topology": {"kind": "exact_averaging"}}), 5)
@@ -446,14 +453,6 @@ class TestMainEntry:
             ("target_gap", "1e-3"),
             ("target_gap", -1),
             ("target_gap", 0),
-            ("subproblem_tol", "x"),
-            ("max_inner_iters", "x"),
-            ("subproblem_tol", -1),
-            ("subproblem_tol", 0),
-            ("subproblem_tol", math.nan),
-            ("max_inner_iters", 0),
-            ("max_inner_iters", 2.5),
-            ("max_inner_iters", -1),
         ],
     )
     def test_bad_algorithm_values_exit_2(self, tmp_path, capsys, field, value):
@@ -517,8 +516,8 @@ class TestMainEntry:
             ("topology.p", {"topology": {"kind": "erdos_renyi", "p": True}}),
             ("topology.target_rho", {"topology": {"kind": "erdos_renyi", "p": 0.6, "target_rho": True}}),
             ("algorithm.target_gap", {"algorithm": {"target_gap": True}}),
-            ("algorithm.subproblem_tol", {"algorithm": {"subproblem_tol": True}}),
-            ("algorithm.max_inner_iters", {"algorithm": {"max_inner_iters": True}}),
+            ("algorithm.T", {"algorithm": {"T": True}}),
+            ("topology.seed", {"topology": {"kind": "erdos_renyi", "p": 0.6, "seed": True}}),
             ("algorithm.K_max", {"algorithm": {"K_max": True}}),
             ("algorithm.delta", {"algorithm": {"delta": False}}),
             ("seed", {"seed": True}),
@@ -541,6 +540,15 @@ class TestMainEntry:
         path = write_config(tmp_path, base_config(tmp_path, diagnostics={"oracle_tol": 1e-10}))
         assert cli.main(["run", "-c", path]) == 2
         assert "unknown config field 'diagnostics.oracle_tol'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["subproblem_tol", "max_inner_iters"])
+    def test_local_step_accuracy_is_not_a_config_field(self, tmp_path, capsys, field):
+        # the local step's floor and cap are sonata.SUBPROBLEM_TOL and MAX_INNER_ITERS
+        path = write_config(tmp_path, base_config(tmp_path, algorithm={field: 1}))
+        assert cli.main(["run", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown config field 'algorithm.{field}'")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "-c", str(tmp_path / "absent.json")]) == 2
@@ -751,6 +759,26 @@ class TestSweep:
         assert abs(bm[0] - bm[1]) / min(bm) <= 0.3
         kap = [r["kappa_hat"] for r in rows]
         assert kap[0] > 2.0 * kap[1]
+
+    def test_kappa_sweep_generates_each_instance_once(self, tmp_path, monkeypatch):
+        # a lam = 0 point used to regenerate the sweep's probe as its first
+        # calibration probe, and a calibration that revisits an n (here the
+        # second point's) regenerated that instance
+        made = []
+        gen_ridge = datagen.gen_ridge
+
+        def recording(cfg):
+            made.append(cfg)
+            return gen_ridge(cfg)
+
+        synthetic = {"m": 8, "n": 400, "d": 6, "mu0": 1.0, "L0": 100.0, "lam": 0.0}
+        cfg = load_config(None, base_config(tmp_path, seed=3, problem={"synthetic": synthetic}))
+        kappa0 = problems.estimate_constants(gen_ridge(cli.ridge_config(cfg))).kappa_hat
+        monkeypatch.setattr(datagen, "gen_ridge", recording)
+        out = cli.output_path(cfg["output"])
+        meta = execute_sweep(cfg, "kappa", [kappa0, kappa0 / 2.0], out, 1e-3)
+        assert meta["rows"][0]["lam"] == 0.0 and meta["rows"][1]["lam"] > 0.0
+        assert len(made) == len(set(made)) >= 3
 
 
 class TestLowerboundCheck:
