@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accel, datagen, diagnostics, network, problems, sonata
+from . import accel, datagen, diagnostics, network, problems
 
 # A few extra inner iterations on top of the tuned length keep the inner
 # solves uniformly tight across a sweep, so the measured communication
@@ -323,35 +323,37 @@ def _comms_for_mode(p, oracle, constants, W, alg, mode, eps, T):
     return counter.comms
 
 
+class CalibrationError(problems.RuntimeFailure):
+    """A kappa sweep point's sample size missed its similarity target."""
+
+
 def calibrate_n_for_beta(
-    base: datagen.SyntheticRidgeConfig, beta_target: float, n_start: int, tol: float = 0.06,
-    known: tuple | None = None,
-) -> tuple[datagen.SyntheticRidgeConfig, problems.ProblemSpec, problems.Constants]:
-    """Pick n so the measured similarity lands near beta_target.
+    instance, lam: float, beta_target: float, n_start: int, tol: float = 0.06
+) -> tuple[problems.ProblemSpec, problems.Constants]:
+    """Pick n so the measured similarity of ``instance(n)`` with ridge
+    coefficient lam lands within tol of beta_target; returns the instance
+    and the constants of the first probe that does.
 
-    Secant iteration on log n with the locally measured decay exponent
-    (roughly n^-1/2, steeper at small n); returns the generator config, the
-    instance and the constants of the last probe, whose similarity is within
-    tolerance unless the iteration gave up.  Each config is generated once;
-    ``known``, a (config, instance, constants) already measured, is one of them.
+    Up to 8 secant steps on log n with the locally measured decay exponent
+    (roughly n^-1/2, steeper at small n), then, if none landed, bisection on
+    log n between the closest sizes probed on either side of the target.
+    ``instance(n)`` is a generated instance with n samples per agent, whose
+    lam is replaced.  No size within tolerance raises :class:`CalibrationError`.
     """
-    probes = {} if known is None else {known[0]: known}
+    history = []  # (n, beta_hat) of every probe, in order
+    probes = {}
 
-    def measure(n):
-        cfg = dataclasses.replace(base, n=n)
-        if cfg not in probes:
-            p = datagen.gen_ridge(cfg)
-            probes[cfg] = cfg, p, problems.estimate_constants(p)
-        return probes[cfg]
+    def lands(n):
+        p = dataclasses.replace(instance(n), lam=lam)
+        probes[n] = p, problems.estimate_constants(p)
+        history.append((n, probes[n][1].beta_hat))
+        return 1 - tol <= history[-1][1] / beta_target <= 1 + tol
 
     n = max(int(n_start), 10)
-    last = measure(n)
-    history = [(n, last[2].beta_hat)]
+    if lands(n):
+        return probes[n]
     for _ in range(8):
         n_cur, beta = history[-1]
-        ratio = beta / beta_target
-        if 1 - tol <= ratio <= 1 + tol:
-            break
         exponent = 0.5
         if len(history) >= 2:
             (n1, b1), (n2, b2) = history[-2], history[-1]
@@ -359,12 +361,28 @@ def calibrate_n_for_beta(
                 est = math.log(b1 / b2) / math.log(n2 / n1)
                 if 0.2 <= est <= 1.5:
                     exponent = est
-        n_next = max(10, int(round(n_cur * ratio ** (1.0 / exponent))))
+        n_next = max(10, int(round(n_cur * (beta / beta_target) ** (1.0 / exponent))))
         if n_next == n_cur:
             break
-        last = measure(n_next)
-        history.append((n_next, last[2].beta_hat))
-    return last
+        if lands(n_next):
+            return probes[n_next]
+    # the similarity falls as n grows: too few samples above the target
+    while True:
+        small = [n for n, beta in history if beta > beta_target]
+        large = [n for n, beta in history if beta < beta_target and n > max(small, default=0)]
+        if not small or not large:
+            break
+        lo, hi = max(small), min(large)
+        n_mid = int(round(math.sqrt(lo * hi)))
+        if not lo < n_mid < hi:
+            break
+        if lands(n_mid):
+            return probes[n_mid]
+    n, beta = history[-1]
+    raise CalibrationError(
+        f"similarity {beta:.6g} at n = {n} is {beta / beta_target:.3f} times the "
+        f"target {beta_target:.6g}, outside the {tol:.0%} tolerance"
+    )
 
 
 # Fields a sweep sets itself or has no use for: any other value than the
@@ -381,7 +399,9 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
 
     ``beta_over_mu`` varies the local sample size at fixed covariance;
     ``kappa`` varies the ridge coefficient to hit target condition numbers
-    while recalibrating n to hold the similarity ratio fixed.  T is frozen per
+    while recalibrating n to hold the similarity ratio fixed, and a point
+    whose calibration misses raises :class:`CalibrationError`.  Each sample
+    size is generated once, whatever the points need it for.  T is frozen per
     mode across the sweep (largest tuned value) so the measured communication
     counts isolate the outer-rate dependence.  eps is recorded as the
     effective config's ``algorithm.target_gap``.  out_dir is created only
@@ -409,16 +429,21 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
 
-    prepared = []  # (point, generator config, instance, constants)
+    # A and b do not depend on lam, so each sample size is generated once
+    generated = {}
+
+    def instance(n):
+        if n not in generated:
+            generated[n] = datagen.gen_ridge(dataclasses.replace(base, n=n))
+        return generated[n]
+
+    prepared = []  # (point, instance, constants)
     if axis == "beta_over_mu":
         for n in points:
-            gen_cfg = dataclasses.replace(base, n=int(n))
-            p = datagen.gen_ridge(gen_cfg)
-            prepared.append((float(n), gen_cfg, p, problems.estimate_constants(p)))
+            p = instance(int(n))
+            prepared.append((float(n), p, problems.estimate_constants(p)))
     else:
-        probe = dataclasses.replace(base, lam=0.0)
-        p0 = datagen.gen_ridge(probe)
-        c0 = problems.estimate_constants(p0)
+        c0 = problems.estimate_constants(dataclasses.replace(instance(base.n), lam=0.0))
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
         ratio_target = c0.beta_hat / c0.mu_hat
         for kappa_target in points:
@@ -428,24 +453,23 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             else:
                 lam = 0.5 * (L_sigma - kt * mu_sigma) / (kt - 1.0)
             mu_new = mu_sigma + 2 * lam
-            # a lam = 0 point starts from the probe's instance
-            calibrated = calibrate_n_for_beta(
-                dataclasses.replace(base, lam=lam), ratio_target * mu_new, base.n,
-                known=(probe, p0, c0),
-            )
+            try:
+                calibrated = calibrate_n_for_beta(instance, lam, ratio_target * mu_new, base.n)
+            except CalibrationError as exc:
+                raise CalibrationError(f"kappa point {kt!r}: {exc}") from None
             prepared.append((kt, *calibrated))
-    for _, _, p, _ in prepared:
+    for _, p, _ in prepared:
         p.reg = reg  # the constants are the loss's alone
 
     # T does not depend on delta; a given delta skips the degenerate-instance
     # checks, so instances where a mode cannot accelerate still count.
-    T_f = max(accel.tune(c, "F", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
-    T_l = max(accel.tune(c, "L", delta=0.0).T for _, _, _, c in prepared) + SWEEP_T_EXTRA
+    T_f = max(accel.tune(c, "F", delta=0.0).T for _, _, c in prepared) + SWEEP_T_EXTRA
+    T_l = max(accel.tune(c, "L", delta=0.0).T for _, _, c in prepared) + SWEEP_T_EXTRA
 
     # every point has the base's m agents, so one gossip matrix serves them all
     W = build_gossip(cfg, base.m)
     rows = []
-    for point, gen_cfg, p, constants in prepared:
+    for point, p, constants in prepared:
         oracle = diagnostics.centralized_solve(p)
         comms_f = _comms_for_mode(p, oracle, constants, W, alg, "F", eps, T_f)
         comms_l = _comms_for_mode(p, oracle, constants, W, alg, "L", eps, T_l)
@@ -453,8 +477,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             {
                 "axis": axis,
                 "point": point,
-                "n": gen_cfg.n,
-                "lam": float(gen_cfg.lam),
+                "n": p.n,
+                "lam": float(p.lam),
                 "beta_over_mu_hat": constants.beta_hat / constants.mu_hat,
                 "kappa_hat": constants.kappa_hat,
                 "comms_F": comms_f,

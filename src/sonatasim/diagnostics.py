@@ -1,6 +1,7 @@
 """Centralized oracles and run diagnostics: optimality gap, consensus and
-tracking errors, the inner and outer potential functions with their
-mode-specific constants, and communication-to-accuracy extraction.
+tracking errors, the inner and outer potential functions with the inner
+one's mode-specific error weights, trajectory recording, and
+communication-to-accuracy extraction.
 
 Everything here is offline instrumentation: it reads state snapshots and never
 feeds back into the algorithms.
@@ -16,8 +17,6 @@ import numpy as np
 from . import problems
 from .accel import AccelParams, RunObserver
 from .problems import Constants, ProblemSpec, r_value
-
-INNER_CONTRACTION = {"F": 33.0 / 34.0, "L": 9.0 / 10.0}
 
 
 class OracleNotConvergedError(problems.RuntimeFailure):
@@ -153,19 +152,6 @@ def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
     raise ValueError("mode must be 'F' or 'L'")
 
 
-def admissible_rho(constants: Constants, mode: str) -> float:
-    """Largest network deviation for which the inner potential provably
-    contracts at the mode's nominal factor."""
-    mu, L, beta = constants.mu_hat, constants.L_hat, constants.beta_hat
-    if mode == "F":
-        return float(
-            beta * (2 * beta - mu) / (4 * np.sqrt(1785.0) * (L + 2 * beta - mu) * (L + 4 * beta - mu))
-        )
-    if mode == "L":
-        return float(L**2 / (70 * np.sqrt(15.0) * (2 * L - mu + beta) ** 2))
-    raise ValueError("mode must be 'F' or 'L'")
-
-
 def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> dict:
     """g + e of the inner loop: average shifted suboptimality plus weighted
     consensus and tracking errors.  ``oracle_k`` must solve the same shifted
@@ -186,41 +172,6 @@ def outer_potential(
     V = X_prev + (X - X_prev) / alpha
     dist = float(((V - oracle.x_star) ** 2).sum(axis=1).mean())
     return oracle.suboptimality(X) + 0.5 * mu * dist + e_prev_final
-
-
-@dataclass(frozen=True)
-class PotentialConstants:
-    """Inner error weights, nominal contraction, admissible deviation, and the
-    outer-rate constants of the potential decay bound."""
-
-    c_x: float
-    c_y: float
-    contraction: float
-    rho_bound: float
-    c1: float
-    c2: float
-
-
-def potential_constants(
-    constants: Constants, mode: str, alpha: float, c_seq: float, delta: float
-) -> PotentialConstants:
-    c_x, c_y = error_weights(constants, mode)
-    ca = c_seq * alpha
-    c1 = 1.0 + (delta / c_x) * (1.5 * (1 - ca) ** 2 + 5 - 4 * ca) / (1 - ca) ** 2
-    if alpha < 1.0:
-        c2 = (2.0 + np.sqrt(c1)) ** 2 / (
-            (np.sqrt((1 - ca) / (1 - alpha)) - 1.0) ** 2 * (1 - alpha)
-        )
-    else:
-        c2 = float("inf")  # delta = 0: the outer bound degenerates
-    return PotentialConstants(
-        c_x=c_x,
-        c_y=c_y,
-        contraction=INNER_CONTRACTION[mode],
-        rho_bound=admissible_rho(constants, mode),
-        c1=float(c1),
-        c2=float(c2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +200,11 @@ CSV_FIELDS = tuple(f.name for f in fields(TrajRow))
 
 @dataclass
 class Trajectory:
-    """The rows of trajectory.csv and, when the potentials are recorded, the
-    inner potential at each outer iteration's warm start.  The final inner
-    potential and the outer potential after the extrapolation of outer
-    iteration k are the ``g_plus_e`` and ``P_k`` of its last row."""
+    """The rows of trajectory.csv.  The final inner potential and the outer
+    potential after the extrapolation of outer iteration k are the
+    ``g_plus_e`` and ``P_k`` of its last row."""
 
     rows: list = field(default_factory=list)
-    g_e_warm: list = field(default_factory=list)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -272,24 +221,12 @@ def _csv_cell(v):
     return f"{v:.17g}" if isinstance(v, float) else v
 
 
-def comms_to_accuracy(traj: Trajectory, eps: float):
-    """First cumulative communication count at which the gap is <= eps;
-    None when the trajectory never reaches it."""
-    if not traj.rows:
-        raise ValueError("empty trajectory")
-    for r in traj.rows:
-        if r.gap <= eps:
-            return r.comms
-    return None
-
-
 class TrajectoryBuilder(RunObserver):
     """Observer that assembles a Trajectory from an accelerated run.
 
     It evaluates the outer potential after every extrapolation.  Given
     ``constants`` it also records the potentials: it re-solves the shifted
-    problem at every outer iteration to evaluate the inner potential, and
-    keeps its value at each warm start.
+    problem at every outer iteration to evaluate the inner potential.
     """
 
     def __init__(
@@ -321,13 +258,8 @@ class TrajectoryBuilder(RunObserver):
         self._row(0, 0, comms, X, Y, P_k=self.P0)
 
     def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
-        if self.constants is None:
-            return
-        self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
-        self._last_inner = inner_potential(
-            X, Y_warm, self.constants, self.params.mode, self._oracle_k
-        )
-        self.traj.g_e_warm.append(self._last_inner["total"])
+        if self.constants is not None:
+            self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
 
     def on_inner_step(self, k, t, comms, X, Y):
         g_plus_e = None
@@ -348,10 +280,10 @@ class TrajectoryBuilder(RunObserver):
 
 
 class CommsToAccuracy(RunObserver):
-    """Observer that records only what :func:`comms_to_accuracy` reads of a
-    trajectory: the first cumulative communication count at which the gap is
-    <= eps (``comms``, None until then), and the gap at the latest outer
-    iterate (``gap``, what the run's stop test reads).
+    """Observer that records, of a run's gaps, only the first cumulative
+    communication count at which the gap is <= eps (``comms``, None until
+    then), and the gap at the latest outer iterate (``gap``, what the run's
+    stop test reads).
 
     It holds the inner iterates of one outer iteration and evaluates their
     gaps at its end in one stacked :func:`optimality_gap` call.  A non-finite
@@ -387,26 +319,3 @@ class CommsToAccuracy(RunObserver):
         self._record(optimality_gap(self.p, np.stack(self._X), self.oracle), self._comms)
         self._X, self._comms = [], []
 
-
-def measure_epsilon_constant(P0: float, alpha: float, g_e_finals) -> float:
-    """Largest c in (0, 1) whose geometric error sequence eps_k = P0 (1 - c a)^k
-    dominates the recorded final inner potentials (0 if none works)."""
-    c_best = 1.0 - 1e-9
-    for k, val in enumerate(g_e_finals):
-        if val <= 0:
-            continue
-        ratio = (val / P0) ** (1.0 / (k + 1))
-        c_best = min(c_best, (1.0 - ratio) / alpha)
-    return max(0.0, float(c_best))
-
-
-def fit_contraction_factor(values) -> float:
-    """Geometric fit: exp(slope of log(values) per iteration) over the tail half."""
-    vals = np.asarray(values, dtype=float)
-    vals = vals[vals > 0]
-    tail = vals[len(vals) // 2 :]
-    if len(tail) < 2:
-        raise ValueError("need at least two positive values")
-    t = np.arange(len(tail))
-    slope = np.polyfit(t, np.log(tail), 1)[0]
-    return float(np.exp(slope))

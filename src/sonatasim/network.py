@@ -18,7 +18,8 @@ DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
 
 
 class TopologyError(RuntimeFailure):
-    """Random topology generation failed to produce a connected graph."""
+    """A gossip matrix could not be built as specified: no connected random
+    graph was found, or a built matrix fails its own consistency check."""
 
 
 class UnreachableTargetError(InputError):
@@ -187,8 +188,8 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix:
     The polynomial is the minimax choice for the base's measured bulk interval
     [lo, hi]: P_M(x) = T_M(psi(x)) / T_M(psi(1)) with the affine map psi taking
     [lo, hi] onto [-1, 1].  Applied through the matrix three-term recurrence;
-    the build fails loudly if the measured deviation exceeds the closed-form
-    value 1 / T_M(psi(1)) beyond 1e-8.
+    the build raises :class:`TopologyError` if the measured deviation exceeds
+    the closed-form value 1 / T_M(psi(1)) beyond 1e-8.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -216,17 +217,11 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix:
     predicted = 1.0 / scale
     result = GossipMatrix(W, rounds_per_application=M * base.rounds_per_application)
     if result.rho > predicted + 1e-8:
-        raise AssertionError(
+        raise TopologyError(
             f"chebyshev build inconsistent: measured rho {result.rho} exceeds "
             f"closed-form value {predicted}"
         )
     return result
-
-
-def chebyshev_bound_one_sided(base_rho: float, M: int) -> float:
-    """Classical acceleration bound for a base whose bulk lies in [0, base_rho]."""
-    xi = (1.0 - np.sqrt(1.0 - base_rho)) / (1.0 + np.sqrt(1.0 - base_rho))
-    return float(2.0 * xi**M / (1.0 + xi ** (2 * M)))
 
 
 def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
@@ -283,7 +278,8 @@ def line_gossip_for_rho(
     """Weighted line-graph gossip matrix with deviation exactly rho_target.
 
     Picks the node count m with rho_m < rho_target <= rho_{m+1}, then bisects
-    the weight parameter of one edge until the deviation matches.
+    the weight parameter of one edge until the deviation matches; a matrix
+    that misses it by more than tol raises :class:`TopologyError`.
     """
     if not 0 < rho_target < 1:
         raise FixtureParameterError(f"rho_target must be in (0, 1), got {rho_target}")
@@ -296,7 +292,7 @@ def line_gossip_for_rho(
     lo_a, hi_a = 0.0, 1.0 - 1e-15
     f_lo = max(map(abs, _bulk_interval(_line_gossip_matrix(m, lo_a, rho_target)))) - rho_target
     if f_lo > 0:
-        raise AssertionError("bracket failure: rho at a=0 should be below target")
+        raise TopologyError("bracket failure: rho at a=0 should be below target")
     for _ in range(200):
         mid = 0.5 * (lo_a + hi_a)
         f_mid = max(map(abs, _bulk_interval(_line_gossip_matrix(m, mid, rho_target)))) - rho_target
@@ -311,7 +307,7 @@ def line_gossip_for_rho(
     W = _line_gossip_matrix(m, a, rho_target)
     gm = GossipMatrix(W)
     if abs(gm.rho - rho_target) > tol:
-        raise AssertionError(f"bisection missed target: {gm.rho} vs {rho_target}")
+        raise TopologyError(f"bisection missed target: {gm.rho} vs {rho_target}")
     return gm, m
 
 

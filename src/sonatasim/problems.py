@@ -175,13 +175,6 @@ def _check_point(x, *shape):
     return x
 
 
-def local_value(p: ProblemSpec, i: int, x) -> float:
-    """Value of agent i's local loss f_i at x."""
-    x = _check_point(x, p.d)
-    loss = p.loss.value(p.A[i] @ x, p.b[i])
-    return float(loss.mean() + 0.5 * p.loss.ridge * p.lam * (x @ x))
-
-
 def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
     """Exact gradient of agent i's local loss at x."""
     x = _check_point(x, p.d)
@@ -292,22 +285,6 @@ def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int
         if not active.any():
             return X, True, it + 1
     return X, False, max_iters
-
-
-def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
-    """Data-dependent upper bound H_i on agent i's Hessian.
-
-    Exact for the quadratic loss; for classification losses it caps the scalar
-    curvature at 1 (hinge) or 1/4 (logistic).
-    """
-    return p.loss.cap * (p.A[i].T @ p.A[i]) / p.n + p.loss.ridge * p.lam * np.eye(p.d)
-
-
-def local_hessian(p: ProblemSpec, i: int) -> np.ndarray:
-    """Exact Hessian of f_i for an exact-curvature loss (constant in x)."""
-    if not p.loss.exact:
-        raise ValueError(f"no exact Hessian for the {p.loss_kind} loss")
-    return hessian_bound(p, i)
 
 
 def hessian_bounds(p: ProblemSpec) -> np.ndarray:

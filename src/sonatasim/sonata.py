@@ -209,8 +209,3 @@ def sonata_run(
     result.X, result.Y, result.comms = X, Y, comms
     return result
 
-
-def tracking_gap(p: ProblemSpec, X, Y, delta: float = 0.0, Z=None) -> float:
-    """Norm of avg(y_i) - avg(shifted grad_i(x_i)); zero under exact tracking."""
-    G = shifted_grads(p, np.asarray(X, dtype=float), delta, Z)
-    return float(np.linalg.norm(Y.mean(axis=0) - G.mean(axis=0)))

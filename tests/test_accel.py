@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import hinge_problem, logistic_problem
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.accel import (
@@ -136,12 +137,12 @@ class TestAccSonataRun:
             def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
                 self.delta_z = np.array(Z)
                 worst[0] = max(
-                    worst[0], sonata.tracking_gap(p, X, Y_warm, params.delta, Z)
+                    worst[0], reference.tracking_gap(p, X, Y_warm, params.delta, Z)
                 )
 
             def on_inner_step(self, k, t, comms, X, Y):
                 worst[0] = max(
-                    worst[0], sonata.tracking_gap(p, X, Y, params.delta, self.delta_z)
+                    worst[0], reference.tracking_gap(p, X, Y, params.delta, self.delta_z)
                 )
 
         acc_sonata_run(p, replace(params, K_max=20), small_gossip, observer=Watch())
@@ -230,7 +231,7 @@ class TestAccSonataRun:
             small_gossip,
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
         )
-        factor = diagnostics.fit_contraction_factor(res.gaps)
+        factor = reference.fit_contraction_factor(res.gaps)
         assert factor < 1.0
 
 
@@ -264,7 +265,7 @@ class TestTrackingProperty:
 
             def on_inner_step(self, k, t, comms, X, Y):
                 G = sonata.shifted_grads(p, X, params.delta, self.Z)
-                gap = sonata.tracking_gap(p, X, Y, params.delta, self.Z)
+                gap = reference.tracking_gap(p, X, Y, params.delta, self.Z)
                 worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
 
         acc_sonata_run(p, replace(params, K_max=K_max), small_gossip, observer=Watch())
@@ -398,7 +399,7 @@ class TestSingleMachineEquivalence:
 
         acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
 
-        H = problems.local_hessian(p, 0)
+        H = reference.hessian_bound(p, 0)
         h = p.A[0].T @ p.b[0] / p.n
         x = np.zeros(p.d)
         z = x.copy()
@@ -426,7 +427,7 @@ class TestSingleMachineEquivalence:
 
         acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
 
-        H = problems.local_hessian(p, 0)
+        H = reference.hessian_bound(p, 0)
         h = p.A[0].T @ p.b[0] / p.n
         x = np.zeros(p.d)
         z = x.copy()

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonatasim import accel, cli, datagen, diagnostics, network, problems, sonata, star
+import reference
+from sonatasim import accel, cli, datagen, diagnostics, network, problems, sonata
 
 
 def _report(number, name, elapsed, budget, detail=""):
@@ -117,11 +118,11 @@ def test_criterion_03_tracking_conservation():
 
         def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
             self.Z = np.array(Z)
-            worst[0] = max(worst[0], sonata.tracking_gap(p, X, Y_warm, params.delta, Z))
+            worst[0] = max(worst[0], reference.tracking_gap(p, X, Y_warm, params.delta, Z))
             checks[0] += 1
 
         def on_inner_step(self, k, t, comms, X, Y):
-            worst[0] = max(worst[0], sonata.tracking_gap(p, X, Y, params.delta, self.Z))
+            worst[0] = max(worst[0], reference.tracking_gap(p, X, Y, params.delta, self.Z))
             checks[0] += 1
 
     accel.acc_sonata_run(p, replace(params, K_max=20), W, observer=Watch())
@@ -138,7 +139,7 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     c = problems.estimate_constants(p)
     params = accel.tune(c, mode)
     base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.5, seed=4))
-    rho_adm = diagnostics.admissible_rho(c, mode)
+    rho_adm = reference.admissible_rho(c, mode)
     M = network.rounds_for_target(base.rho, rho_adm)
     W = network.chebyshev_accelerate(base, M)
     assert W.rho <= rho_adm
@@ -184,7 +185,7 @@ def test_criterion_05_outer_linear_rate():
         target_gap=1e-4,
     )
     assert res.converged, "did not reach the 1e-4 gap"
-    factor = diagnostics.fit_contraction_factor(res.gaps)
+    factor = reference.fit_contraction_factor(res.gaps)
     required = 1.0 - 0.05 * math.sqrt(c.mu_hat / c.beta_hat)
     assert factor <= required
     _report(5, "outer linear rate", done(), 30.0,
@@ -309,7 +310,7 @@ def test_criterion_10_degenerate_equivalences():
             outs.append(X[0].copy())
 
     accel.acc_sonata_run(p1, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
-    H = problems.local_hessian(p1, 0)
+    H = reference.hessian_bound(p1, 0)
     h = p1.A[0].T @ p1.b[0] / p1.n
     x = np.zeros(8)
     z = x.copy()
@@ -356,7 +357,7 @@ def test_criterion_10_degenerate_equivalences():
     Y0_hub = np.tile(problems.batch_grads(p, X0).mean(axis=0), (p.m, 1))
     accel.acc_sonata_run(p, replace(params_star, K_max=7), Wavg, observer=Cap3(), Y0=Y0_hub)
     star_outer = []
-    star.acc_sonata_star_run(
+    reference.acc_sonata_star_run(
         p, replace(params_star, K_max=7),
         on_inner_step=lambda k, t, cm, xs: star_outer.append(xs.copy())
         if t == params_star.T else None,
@@ -390,7 +391,7 @@ def test_criterion_11_oracle_and_gradient_checks():
             for j in range(p.d):
                 e = np.zeros(p.d)
                 e[j] = h
-                fd[j] = (problems.local_value(p, i, x + e) - problems.local_value(p, i, x - e)) / (2 * h)
+                fd[j] = (reference.local_value(p, i, x + e) - reference.local_value(p, i, x - e)) / (2 * h)
             rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             worst = max(worst, rel)
     assert worst <= 1e-5

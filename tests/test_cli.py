@@ -282,6 +282,43 @@ class TestMainEntry:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_kappa_calibration_miss_exit_1(self, tmp_path, capsys):
+        # kappa 1.01 needs a similarity that no n >= 10 reaches: the
+        # calibration used to return the n = 10 instance and say nothing
+        synthetic = {"m": 4, "n": 60, "d": 4, "mu0": 1.0, "L0": 50.0, "lam": 0.0}
+        path = write_config(tmp_path, base_config(tmp_path, problem={"synthetic": synthetic}))
+        argv = ["sweep", "-c", path, "--axis", "kappa", "--points", "1.01", "--eps", "1e-3"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: kappa point 1.01: ") and "Traceback" not in err
+        assert "at n = 10 " in err and "times the target" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_chebyshev_inconsistency_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a base whose recorded bulk is half its measured one gives a
+        # polynomial whose measured deviation exceeds the closed form; the
+        # check raised a bare AssertionError that escaped main
+        metropolis_hastings = network.metropolis_hastings
+
+        def halved_bulk(g):
+            W = metropolis_hastings(g)
+            return network.GossipMatrix(W.W, bulk=(W.bulk[0] / 2, W.bulk[1] / 2))
+
+        monkeypatch.setattr(network, "metropolis_hastings", halved_bulk)
+        cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 0.1})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: chebyshev build inconsistent")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_line_gossip_bracket_failure_exit_1(self, capsys, monkeypatch):
+        # a line matrix whose deviation sits above the target at every weight
+        monkeypatch.setattr(network, "_bulk_interval", lambda W: (0.0, 0.999))
+        assert cli.main(["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: bracket failure") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [["run"], ["sweep", "--axis", "beta_over_mu", "--points", "100"]],
@@ -762,8 +799,9 @@ class TestSweep:
 
     def test_kappa_sweep_generates_each_instance_once(self, tmp_path, monkeypatch):
         # a lam = 0 point used to regenerate the sweep's probe as its first
-        # calibration probe, and a calibration that revisits an n (here the
-        # second point's) regenerated that instance
+        # calibration probe, a calibration that revisits an n (here the
+        # second point's) regenerated that instance, and each lam > 0 point
+        # regenerated the base n; A and b do not depend on lam
         made = []
         gen_ridge = datagen.gen_ridge
 
@@ -779,6 +817,7 @@ class TestSweep:
         meta = execute_sweep(cfg, "kappa", [kappa0, kappa0 / 2.0], out, 1e-3)
         assert meta["rows"][0]["lam"] == 0.0 and meta["rows"][1]["lam"] > 0.0
         assert len(made) == len(set(made)) >= 3
+        assert len(made) == len({c.n for c in made})
 
 
 class TestLowerboundCheck:

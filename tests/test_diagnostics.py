@@ -4,25 +4,73 @@ import numpy as np
 import pytest
 
 from conftest import classification_problem, hinge_problem, logistic_problem
+from reference import admissible_rho, fit_contraction_factor, local_value
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
     CommsToAccuracy,
     Oracle,
     ShiftedObjective,
     TrajectoryBuilder,
-    admissible_rho,
     centralized_solve,
-    comms_to_accuracy,
     consensus_error,
     error_weights,
-    fit_contraction_factor,
     inner_potential,
-    measure_epsilon_constant,
     optimality_gap,
     outer_potential,
-    potential_constants,
 )
 from sonatasim.problems import Constants, Regularizer
+
+
+def comms_to_accuracy(traj: diagnostics.Trajectory, eps: float):
+    """First cumulative communication count at which the gap is <= eps;
+    None when the trajectory never reaches it."""
+    if not traj.rows:
+        raise ValueError("empty trajectory")
+    for r in traj.rows:
+        if r.gap <= eps:
+            return r.comms
+    return None
+
+
+def measure_epsilon_constant(P0: float, alpha: float, g_e_finals) -> float:
+    """Largest c in (0, 1) whose geometric error sequence eps_k = P0 (1 - c a)^k
+    dominates the recorded final inner potentials (0 if none works)."""
+    c_best = 1.0 - 1e-9
+    for k, val in enumerate(g_e_finals):
+        if val <= 0:
+            continue
+        ratio = (val / P0) ** (1.0 / (k + 1))
+        c_best = min(c_best, (1.0 - ratio) / alpha)
+    return max(0.0, float(c_best))
+
+
+def potential_decay_c2(
+    constants: Constants, mode: str, alpha: float, c_seq: float, delta: float
+) -> float:
+    """The constant c2 of the outer potential's decay bound."""
+    c_x, _ = error_weights(constants, mode)
+    ca = c_seq * alpha
+    c1 = 1.0 + (delta / c_x) * (1.5 * (1 - ca) ** 2 + 5 - 4 * ca) / (1 - ca) ** 2
+    if alpha >= 1.0:
+        return float("inf")  # delta = 0: the outer bound degenerates
+    return float(
+        (2.0 + np.sqrt(c1)) ** 2 / ((np.sqrt((1 - ca) / (1 - alpha)) - 1.0) ** 2 * (1 - alpha))
+    )
+
+
+class WarmStartBuilder(TrajectoryBuilder):
+    """A TrajectoryBuilder that also keeps the inner potential at each outer
+    iteration's warm start."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.g_e_warm = []
+
+    def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+        super().on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
+        self.g_e_warm.append(
+            inner_potential(X, Y_warm, self.constants, self.params.mode, self._oracle_k)["total"]
+        )
 
 
 class TestCentralizedSolve:
@@ -338,7 +386,7 @@ class TestPotentialDecay:
         M = network.rounds_for_target(base.rho, admissible_rho(c, "F"))
         W = network.chebyshev_accelerate(base, M)
         oracle = centralized_solve(p)
-        builder = TrajectoryBuilder(p, oracle, params, constants=c)
+        builder = WarmStartBuilder(p, oracle, params, constants=c)
         accel.acc_sonata_run(p, replace(params, K_max=20), W, observer=builder)
         return p, c, params, builder
 
@@ -359,9 +407,9 @@ class TestPotentialDecay:
         # termination rule holds at c_eval for every outer iteration
         for k, r in enumerate(ends):
             assert r.g_plus_e <= P0 * (1 - c_eval * params.alpha) ** (k + 1) + 1e-12
-        pc = potential_constants(c, "F", params.alpha, c_eval, params.delta)
+        c2 = potential_decay_c2(c, "F", params.alpha, c_eval, params.delta)
         for k, r in enumerate(ends):
-            bound = pc.c2 * P0 * (1 - c_eval * params.alpha) ** (k + 1)
+            bound = c2 * P0 * (1 - c_eval * params.alpha) ** (k + 1)
             assert r.P_k <= bound
 
     def test_warm_start_potential_stays_bounded_relative_to_eps(self):
@@ -373,7 +421,7 @@ class TestPotentialDecay:
         )
         ratios = [
             g_e_warm / (P0 * (1 - c_meas * params.alpha) ** k)
-            for k, g_e_warm in enumerate(builder.traj.g_e_warm)
+            for k, g_e_warm in enumerate(builder.g_e_warm)
         ]
         assert len(ratios) == 20
         assert max(ratios) <= 50.0  # bounded, no blow-up across restarts
@@ -418,7 +466,7 @@ def _reference_values(p, delta, Z, X):
     """u at each row of X by a loop over rows and agents."""
     out = []
     for x in X:
-        v = sum(problems.local_value(p, i, x) for i in range(p.m)) / p.m
+        v = sum(local_value(p, i, x) for i in range(p.m)) / p.m
         if delta != 0.0:
             v += delta / (2 * p.m) * np.sum((x[None, :] - Z) ** 2)
         if p.reg.kind == "l1":

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hinge_problem, local_solver, logistic_problem
+from reference import hessian_bound, local_value
 from sonatasim import diagnostics, problems
 from sonatasim.sonata import Surrogate
 from sonatasim.problems import (
@@ -12,7 +13,6 @@ from sonatasim.problems import (
     Regularizer,
     estimate_constants,
     local_grad,
-    local_value,
     prox_r,
     smooth_hinge,
     smooth_hinge_deriv,
@@ -206,7 +206,7 @@ class TestConstants:
 
     def test_beta_is_exact_hessian_deviation_for_quadratic(self, small_ridge):
         p = small_ridge
-        H = [problems.local_hessian(p, i) for i in range(p.m)]
+        H = [hessian_bound(p, i) for i in range(p.m)]
         H_bar = np.mean(H, axis=0)
         expect = max(np.abs(np.linalg.eigvalsh(Hi - H_bar)).max() for Hi in H)
         c = estimate_constants(p)
@@ -225,8 +225,8 @@ class TestConstants:
         # logistic Hessian bound uses 1/4, hinge uses 1
         ph = hinge_problem(seed=8)
         pl = logistic_problem(seed=8)
-        Hh = problems.hessian_bound(ph, 0) - ph.lam * np.eye(ph.d)
-        Hl = problems.hessian_bound(pl, 0) - pl.lam * np.eye(pl.d)
+        Hh = hessian_bound(ph, 0) - ph.lam * np.eye(ph.d)
+        Hl = hessian_bound(pl, 0) - pl.lam * np.eye(pl.d)
         assert Hh == pytest.approx(4.0 * Hl)
 
 
@@ -271,7 +271,7 @@ class TestGramMemo:
     )
     def test_hessian_bounds_equal_the_stacked_bounds(self, make):
         p = make()
-        expect = np.stack([problems.hessian_bound(p, i) for i in range(p.m)])
+        expect = np.stack([hessian_bound(p, i) for i in range(p.m)])
         assert np.array_equal(problems.hessian_bounds(p), expect)
         assert np.array_equal(problems.hessian_bounds(p), expect)  # the memo is not written
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import hinge_problem, local_solver
+from reference import admissible_rho, hessian_bound, tracking_gap
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
@@ -12,7 +13,6 @@ from sonatasim.sonata import (
     gossip_round,
     shifted_grads,
     sonata_run,
-    tracking_gap,
 )
 
 
@@ -25,7 +25,7 @@ def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000, 
     """Reference for one agent's iterative local step, written as a plain
     accelerated proximal-gradient loop.  The agent's own tolerance is
     max(tol, forcing * its gradient mapping at the start x)."""
-    step = 1.0 / (np.linalg.eigvalsh(problems.hessian_bound(p, i))[-1] + delta + beta)
+    step = 1.0 / (np.linalg.eigvalsh(hessian_bound(p, i))[-1] + delta + beta)
     q = (p.loss.ridge * p.lam + beta + delta) * step
     theta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
     u, v = x.copy(), x.copy()
@@ -61,7 +61,7 @@ class TestLocalSubproblem:
         out, ok, _ = local_solver(p, Surrogate("F", beta), delta).solve(X, Y, G, Z)
         assert ok
         x, z, g = X[i], Z[i], G[i]
-        H = problems.local_hessian(p, i)
+        H = hessian_bound(p, i)
         L_sub = np.linalg.eigvalsh(H)[-1] + delta + beta
         v = x.copy()
         lin = Y[i] - g
@@ -278,7 +278,7 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = local_solver(p, Surrogate("F", beta))
         res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver)
-        H = problems.local_hessian(p, 0)
+        H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
         x = np.zeros(6)
         for _ in range(9):
@@ -292,7 +292,7 @@ class TestSonataRun:
         c = problems.estimate_constants(p)
         delta = c.beta_hat - c.mu_hat
         base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=4))
-        M = network.rounds_for_target(base.rho, diagnostics.admissible_rho(c, "F"))
+        M = network.rounds_for_target(base.rho, admissible_rho(c, "F"))
         W = network.chebyshev_accelerate(base, M)
         Z = np.zeros((p.m, p.d))
         X0 = np.zeros((p.m, p.d))

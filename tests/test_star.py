@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 
+import reference
 from conftest import hinge_problem, local_solver
-from sonatasim import accel, network, problems, sonata, star
+from sonatasim import accel, network, problems, sonata
 from sonatasim.sonata import Surrogate
 
 
@@ -21,7 +22,7 @@ class TestSonataStarEquivalence:
         Y0 = np.tile(g_avg, (m, 1))
         solver = local_solver(p, surrogate, delta)
         mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z)
-        xs, comms = star.sonata_star_run(p, x0, T, solver, z=z)
+        xs, comms = reference.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
 
     def test_full_surrogate_quadratic(self, small_ridge, small_ridge_constants):
@@ -67,7 +68,7 @@ class TestAccStarEquivalence:
         accel.acc_sonata_run(p, replace(params, K_max=7), W, observer=Cap(), Y0=Y0)
 
         star_outer = []
-        star.acc_sonata_star_run(
+        reference.acc_sonata_star_run(
             p,
             replace(params, K_max=7),
             on_inner_step=lambda k, t, c, x: star_outer.append(x.copy())
@@ -94,7 +95,7 @@ class TestAccStarEquivalence:
         Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
         accel.acc_sonata_run(p, params, W, observer=Cap(), Y0=Y0)
         star_outer = []
-        star.acc_sonata_star_run(
+        reference.acc_sonata_star_run(
             p,
             params,
             on_inner_step=lambda k, t, c, x: star_outer.append(x.copy())
@@ -111,7 +112,7 @@ class TestAccStarEquivalence:
         p = small_ridge
         oracle = diagnostics.centralized_solve(p)
         params = accel.tune(small_ridge_constants, "F")
-        res = star.acc_sonata_star_run(
+        res = reference.acc_sonata_star_run(
             p,
             replace(params, K_max=100),
             gap_fn=lambda X: diagnostics.optimality_gap(p, X, oracle),
