@@ -165,7 +165,8 @@ def acc_sonata_run(
     """Run up to params.K_max outer iterations from X = 0, every local step
     by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap.
 
-    W is a :class:`~sonatasim.network.GossipMatrix`; every inner iteration
+    W is a :class:`~sonatasim.network.GossipMatrix` or
+    :class:`~sonatasim.network.ChebyshevGossip`; every inner iteration
     costs its ``rounds_per_application`` communication rounds.  Y0 defaults
     to each agent's own local gradient at the start point.  On a
     star-equivalent (exact averaging) network the caller may override it with
@@ -173,7 +174,9 @@ def acc_sonata_run(
 
     The shifted gradients at each outer boundary are evaluated once: they
     check the tracking identity (a violated or non-finite drift raises) and
-    seed the inner loop's gradient cache.
+    seed the inner loop's gradient cache.  They shift local gradients already
+    computed at the same X: those that seed Y at the start, then those of
+    each inner loop's last gossip round.
     """
     observer = observer or RunObserver()
     delta = params.delta
@@ -181,7 +184,8 @@ def acc_sonata_run(
     X = np.zeros((p.m, p.d))
     Z = X.copy()
     Z_prev = X.copy()
-    Y = problems.batch_grads(p, X) if Y0 is None else np.array(Y0, dtype=float)
+    grads = problems.batch_grads(p, X)
+    Y = grads if Y0 is None else np.array(Y0, dtype=float)
 
     solver = params.local_solver(p)
 
@@ -192,7 +196,7 @@ def acc_sonata_run(
     for k in range(params.K_max):
         Y_warm = Y + delta * (Z_prev - Z)
         observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
-        G = sonata.shifted_grads(p, X, delta, Z)
+        G = sonata.shifted_grads(p, X, delta, Z, grads)
         drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
         scale = 1.0 + np.linalg.norm(G.mean(axis=0))
         if not drift <= 1e-8 * scale:  # also catches a NaN drift
@@ -210,7 +214,7 @@ def acc_sonata_run(
             comms_start=comms,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )
-        X_prev, X, Y, comms = X, inner.X, inner.Y, inner.comms
+        X_prev, X, Y, grads, comms = X, inner.X, inner.Y, inner.grads, inner.comms
         result.subproblem_converged.append(all(inner.subproblem_converged))
 
         Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)

@@ -194,7 +194,7 @@ _GRAPHS = {
 }
 
 
-def build_gossip(cfg: dict, m: int) -> network.GossipMatrix:
+def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevGossip:
     topo = {"seed": cfg["seed"], **cfg["topology"]}
     kind, target = topo.pop("kind", None), topo.pop("target_rho", None)
     if kind == "exact_averaging":  # W = 11^T/m: no graph and nothing to accelerate

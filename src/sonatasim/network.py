@@ -1,18 +1,30 @@
-"""Topologies and gossip matrices: Metropolis-Hastings weights, Chebyshev
+"""Topologies and gossip operators: Metropolis-Hastings weights, Chebyshev
 polynomial acceleration, the exact-averaging (star) matrix, and the weighted
 line-graph / split-quadratic fixtures used for lower-bound experiments.
 
-Every matrix built here is symmetric and doubly stochastic; one multiplication
-by W models ``rounds_per_application`` physical communication rounds.
+Every operator built here is symmetric and doubly stochastic, and the
+algorithms apply it only through ``mix(X)``; one application models
+``rounds_per_application`` physical communication rounds.  A plain
+:class:`GossipMatrix` mixes as the dense product ``W @ X``.  A
+:class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its base
+matrix in scipy's CSR format and applies the degree-M polynomial as M sparse
+neighbour exchanges by the three-term recurrence, never forming the dense
+polynomial; its bulk interval comes from evaluating the polynomial on the
+base's measured eigenvalues.  scipy is imported only when such an operator is
+built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .problems import InputError, ProblemSpec, RuntimeFailure
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
 
@@ -104,13 +116,18 @@ def complete_graph(m: int) -> Graph:
     return Graph(m, frozenset((i, j) for i in range(m) for j in range(i + 1, m)))
 
 
-def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
-    """[min, max] of the non-consensus eigenvalues of a symmetric DS matrix:
-    those of W - 11^T/m, whose spectral norm is the larger magnitude."""
+def _spectrum(W: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of W - 11^T/m (symmetrized): the non-consensus
+    eigenvalues of a symmetric DS matrix, with its consensus eigenvalue at 0."""
     m = W.shape[0]
     M = W - np.full((m, m), 1.0 / m)
-    M = 0.5 * (M + M.T)
-    w = np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(0.5 * (M + M.T))
+
+
+def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
+    """[min, max] of :func:`_spectrum`, whose larger magnitude is the spectral
+    norm of W - 11^T/m."""
+    w = _spectrum(W)
     return float(w[0]), float(w[-1])
 
 
@@ -118,10 +135,13 @@ def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
 class GossipMatrix:
     """Doubly stochastic mixing matrix with its bulk interval [lo, hi]
     (measured once, when not given) and spectral deviation rho derived from it.
+    The eigenvalues behind a measured interval are kept for
+    :func:`chebyshev_accelerate`; a matrix given its ``bulk`` measures them
+    when first asked.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
-    the number of physical communication rounds that one multiplication by W
-    stands for (the polynomial degree after Chebyshev acceleration).  The
+    the number of physical communication rounds that one ``mix`` stands for
+    (the polynomial degree in a :class:`ChebyshevGossip`).  The
     algorithms count communication from this field alone, so a different
     accounting is a W built with a different value, e.g. doubled to count
     half-duplex rounds.
@@ -130,6 +150,7 @@ class GossipMatrix:
     W: np.ndarray
     bulk: tuple[float, float] = field(default=None)  # type: ignore[assignment]
     rounds_per_application: int = 1
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -140,7 +161,8 @@ class GossipMatrix:
         ) > DS_TOL:
             raise ValueError("matrix is not doubly stochastic within 1e-12")
         if self.bulk is None:
-            self.bulk = _bulk_interval(self.W)
+            w = self.spectrum()
+            self.bulk = (float(w[0]), float(w[-1]))
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if self.rounds_per_application < 1:
@@ -153,6 +175,16 @@ class GossipMatrix:
     @property
     def rho(self) -> float:
         return max(map(abs, self.bulk))
+
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of W - 11^T/m, measured once."""
+        if self._eigenvalues is None:
+            self._eigenvalues = _spectrum(self.W)
+        return self._eigenvalues
+
+    def mix(self, X: np.ndarray) -> np.ndarray:
+        """One application: the dense product W @ X."""
+        return self.W @ X
 
 
 def metropolis_hastings(g: Graph) -> GossipMatrix:
@@ -173,7 +205,7 @@ def exact_averaging(m: int) -> GossipMatrix:
 
 
 def _cheb_scalars(z: float, M: int) -> float:
-    """T_M(z) by the three-term recurrence (z may be any real)."""
+    """T_M(z) by the three-term recurrence (z may be any real, or an array)."""
     t_prev, t = 1.0, z
     if M == 0:
         return t_prev
@@ -182,14 +214,72 @@ def _cheb_scalars(z: float, M: int) -> float:
     return t
 
 
-def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix:
+@dataclass
+class ChebyshevGossip:
+    """P_M(W) = T_M(psi(W)) / T_M(psi(1)) of a sparse base W, with psi the
+    affine map taking the base's bulk [lo, hi] onto [-1, 1], applied without
+    forming it: ``mix`` runs the three-term recurrence
+    T_{k+1} = 2 psi(W) T_k - T_{k-1}, one sparse product per round.
+
+    ``bulk`` is the range of P_M over ``spectrum``, the base's eigenvalues of
+    W - 11^T/m, whose consensus entry (the one nearest 0) maps to 0, as
+    P_M(1) - 1 does; rho derives from it as for a :class:`GossipMatrix`.
+    ``scale`` is T_M(psi(1)), so 1 / scale is the closed-form deviation.
+    """
+
+    base: sparse.csr_array
+    lo: float
+    hi: float
+    M: int
+    rounds_per_application: int
+    spectrum: InitVar[np.ndarray]
+    bulk: tuple[float, float] = field(init=False)
+    scale: float = field(init=False)
+
+    def __post_init__(self, spectrum):
+        from scipy import sparse
+
+        lo, hi = self.lo, self.hi
+        # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
+        eye = sparse.identity(self.m, format="csr")
+        self._twice_psi = (2.0 * (2.0 * self.base - (hi + lo) * eye) / (hi - lo)).tocsr()
+        self.scale = _cheb_scalars((2.0 - hi - lo) / (hi - lo), self.M)
+        values = _cheb_scalars((2.0 * spectrum - hi - lo) / (hi - lo), self.M) / self.scale
+        values[np.argmin(np.abs(spectrum))] = 0.0
+        self.bulk = (float(values.min()), float(values.max()))
+
+    @property
+    def m(self) -> int:
+        return self.base.shape[0]
+
+    @property
+    def rho(self) -> float:
+        return max(map(abs, self.bulk))
+
+    def mix(self, X: np.ndarray) -> np.ndarray:
+        """One application: M sparse neighbour exchanges."""
+        S = self._twice_psi
+        T_prev, T = X, 0.5 * (S @ X)
+        for _ in range(self.M - 1):
+            T_next = S @ T
+            T_next -= T_prev
+            T_prev, T = T, T_next
+        T /= self.scale
+        return T
+
+
+def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | ChebyshevGossip:
     """Degree-M Chebyshev polynomial of the base matrix, fixing P_M(1) = 1.
 
     The polynomial is the minimax choice for the base's measured bulk interval
     [lo, hi]: P_M(x) = T_M(psi(x)) / T_M(psi(1)) with the affine map psi taking
-    [lo, hi] onto [-1, 1].  Applied through the matrix three-term recurrence;
-    the build raises :class:`TopologyError` if the measured deviation exceeds
-    the closed-form value 1 / T_M(psi(1)) beyond 1e-8.
+    [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
+    the base's sparsity pattern, or as a plain matrix when the bulk is one
+    point.  Its bulk interval is P_M on the base's eigenvalues
+    (:meth:`GossipMatrix.spectrum`), so the build decomposes nothing.  It
+    raises :class:`TopologyError` if the deviation so measured exceeds the
+    closed-form value 1 / T_M(psi(1)) beyond 1e-8, or if the operator moves
+    the all-ones vector by more than 1e-12.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -204,23 +294,21 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix:
         W = (base.W - c * np.eye(m)) / (1.0 - c)
         return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
 
-    def psi(x):
-        return (2.0 * x - hi - lo) / (hi - lo)
+    from scipy import sparse
 
-    Y = (2.0 * base.W - (hi + lo) * np.eye(m)) / (hi - lo)
-    T_prev, T_cur = np.eye(m), Y
-    for _ in range(M - 1):
-        T_prev, T_cur = T_cur, 2.0 * Y @ T_cur - T_prev
-    scale = _cheb_scalars(psi(1.0), M)
-    W = T_cur / scale
-
-    predicted = 1.0 / scale
-    result = GossipMatrix(W, rounds_per_application=M * base.rounds_per_application)
+    result = ChebyshevGossip(
+        sparse.csr_array(base.W), lo, hi, M, M * base.rounds_per_application, base.spectrum()
+    )
+    predicted = 1.0 / result.scale
     if result.rho > predicted + 1e-8:
         raise TopologyError(
             f"chebyshev build inconsistent: measured rho {result.rho} exceeds "
             f"closed-form value {predicted}"
         )
+    ones = np.ones(m)
+    drift = np.max(np.abs(result.mix(ones) - ones))
+    if drift > DS_TOL:
+        raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
     return result
 
 

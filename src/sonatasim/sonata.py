@@ -8,8 +8,9 @@ estimates the global gradient.  One iteration is
   gossip: x_i  = sum_j w_ij x_j+ ;  y_i = sum_j w_ij (y_j + grad_j(x_j_new) - grad_j(x_j_old))
 
 where grad_i is the gradient of the (possibly proximally shifted) local loss
-f_i(x) + delta/2 ||x - z_i||^2.  Both exchanges ride the same gossip round, so
-one iteration costs W.rounds_per_application communication rounds.
+f_i(x) + delta/2 ||x - z_i||^2.  Both exchanges are one ``W.mix`` each and ride
+the same gossip round, so one iteration costs W.rounds_per_application
+communication rounds.
 
 Two surrogates are supported: the full local function plus a similarity-sized
 proximal term ("F"), and plain linearization with an L-sized proximal term
@@ -66,11 +67,13 @@ class SonataResult:
     Y: np.ndarray
     comms: int
     subproblem_converged: list = field(default_factory=list)  # one flag per iteration
+    grads: np.ndarray | None = None  # batch_grads at X, when the run computed them
 
 
-def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z) -> np.ndarray:
-    """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point."""
-    G = problems.batch_grads(p, X)
+def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads=None) -> np.ndarray:
+    """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point;
+    ``grads`` is ``problems.batch_grads(p, X)`` when the caller has it."""
+    G = problems.batch_grads(p, X) if grads is None else grads
     if delta != 0.0:
         G = G + delta * (X - Z)
     return G
@@ -160,12 +163,14 @@ class LocalSolver:
 
 def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float = 0.0, Z=None):
     """Communication step: mix the x's, refresh gradients at the mixed points, mix the
-    tracking variables with the fresh gradient differences folded in."""
-    X_new = W.W @ X_half
-    G_new = shifted_grads(p, X_new, delta, Z)
+    tracking variables with the fresh gradient differences folded in.  Returns
+    (X, Y, shifted gradients, unshifted gradients) at the mixed points."""
+    X_new = W.mix(X_half)
+    grads = problems.batch_grads(p, X_new)
+    G_new = shifted_grads(p, X_new, delta, Z, grads)
     # associate as y + (difference): the correction is small near convergence
-    Y_new = W.W @ (Y + (G_new - G))
-    return X_new, Y_new, G_new
+    Y_new = W.mix(Y + (G_new - G))
+    return X_new, Y_new, G_new, grads
 
 
 def sonata_run(
@@ -187,7 +192,9 @@ def sonata_run(
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
-    ``on_step(t, comms, X, Y)`` fires after every completed iteration.
+    ``on_step(t, comms, X, Y)`` fires after every completed iteration.  The
+    result carries the unshifted local gradients at its X when T >= 1, for a
+    caller that shifts them toward new proximal centers.
     """
     X = np.array(X0, dtype=float)
     Y = np.array(Y0, dtype=float)
@@ -200,7 +207,7 @@ def sonata_run(
 
     for t in range(1, T + 1):
         X_half, converged, _ = solver.solve(X, Y, G, Z)
-        X, Y, G = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
+        X, Y, G, result.grads = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
         comms += W.rounds_per_application
         result.subproblem_converged.append(converged)
         if on_step is not None:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import hinge_problem, logistic_problem
-from sonatasim import accel, diagnostics, network, problems, sonata
+from sonatasim import diagnostics, network, problems, sonata
 from sonatasim.accel import (
     AccelParams,
     DegenerateSimilarityError,
@@ -185,6 +185,23 @@ class TestAccSonataRun:
             acc_sonata_run(
                 p, replace(params, K_max=2), small_gossip, Y0=np.full((p.m, p.d), np.nan)
             )
+
+    def test_boundary_gradients_are_computed_once(
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
+    ):
+        # the start-up Y and each inner loop's last gossip round hold the local
+        # gradients at the next boundary's X; mode L's local step takes none,
+        # so a run makes one call at X = 0 and one per gossip round
+        params = replace(tune(small_ridge_constants, "L"), K_max=4)
+        batch_grads, calls = problems.batch_grads, []
+
+        def counting(p, X):
+            calls.append(1)
+            return batch_grads(p, X)
+
+        monkeypatch.setattr(problems, "batch_grads", counting)
+        acc_sonata_run(small_ridge, params, small_gossip)
+        assert len(calls) == 1 + params.K_max * params.T
 
     def test_comm_counter_is_k_times_t_times_rounds(
         self, small_ridge, small_ridge_constants, small_gossip

@@ -80,9 +80,10 @@ def test_criterion_01_gossip_matrix_contract():
     ]
     for gm in matrices:
         ones = np.ones(gm.m)
-        assert np.max(np.abs(gm.W @ ones - ones)) <= 1e-12
-        assert np.max(np.abs(gm.W.T @ ones - ones)) <= 1e-12
-        fresh = max(map(abs, network._bulk_interval(gm.W)))
+        W = gm.mix(np.eye(gm.m))
+        assert np.max(np.abs(W @ ones - ones)) <= 1e-12
+        assert np.max(np.abs(W.T @ ones - ones)) <= 1e-12
+        fresh = max(map(abs, network._bulk_interval(W)))
         assert abs(gm.rho - fresh) <= 1e-10
         assert gm.rho < 1
     _report(1, "gossip matrix contract", done(), 1.0, f"{len(matrices)} matrices")
@@ -96,7 +97,7 @@ def test_criterion_02_chebyshev_acceleration():
         M = network.rounds_for_target(base.rho, 0.1)
         acc = network.chebyshev_accelerate(base, M)
         ones = np.ones(base.m)
-        assert np.max(np.abs(acc.W @ ones - ones)) <= 1e-12
+        assert np.max(np.abs(acc.mix(np.eye(base.m)) @ ones - ones)) <= 1e-12
         assert acc.rho <= 0.1
         details.append(f"rho={rho_bar}:M={M},achieved={acc.rho:.3g}")
     _report(2, "chebyshev acceleration", done(), 5.0, " ".join(details))

@@ -231,15 +231,16 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "mode,good_calls,message",
         [
-            ("F", 1, "tracking identity violated"),
-            ("F", 2, "non-finite iterate"),
-            ("L", 3, "tracking identity violated at outer 1: drift nan"),
+            ("F", 0, "tracking identity violated"),
+            ("F", 1, "non-finite iterate"),
+            ("L", 2, "tracking identity violated at outer 1: drift nan"),
         ],
         ids=["tracking-check", "local-step", "mode-L-gap"],
     )
     def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch, mode, good_calls, message):
         # gradients turn NaN after good_calls calls: the first call seeds the
-        # trackers, the second is the tracking check, the third the local step.
+        # trackers and is the tracking check at outer 0; in mode F the second
+        # is the local step, in mode L every later call a gossip round's refresh.
         # Each failure used to escape main as a traceback; in mode L the local
         # step takes a NaN gradient without failing, and the gap of its NaN
         # iterate raised ValueError where it is now NaN.

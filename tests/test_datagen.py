@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonatasim import datagen, diagnostics, problems
+from sonatasim import diagnostics, problems
 from sonatasim.datagen import (
     InsufficientDataError,
     LibsvmParseError,

@@ -8,7 +8,6 @@ from reference import admissible_rho, fit_contraction_factor, local_value
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
     CommsToAccuracy,
-    Oracle,
     ShiftedObjective,
     TrajectoryBuilder,
     centralized_solve,

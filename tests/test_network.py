@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -142,14 +147,14 @@ class TestChebyshev:
         W0 = metropolis_hastings(line_graph(5))
         acc = chebyshev_accelerate(W0, 1)
         assert acc.rho <= W0.rho + 1e-12
-        assert_doubly_stochastic(acc.W)
+        assert_doubly_stochastic(acc.mix(np.eye(5)))
 
     def test_fixes_consensus_eigenvector(self):
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         for M in (1, 2, 5):
             acc = chebyshev_accelerate(base, M)
             ones = np.ones(12)
-            assert np.max(np.abs(acc.W @ ones - ones)) <= 1e-12
+            assert np.max(np.abs(acc.mix(np.eye(12)) @ ones - ones)) <= 1e-12
             assert acc.rounds_per_application == M
 
     def test_never_increases_rho(self):
@@ -177,16 +182,15 @@ class TestChebyshev:
     def test_respects_hop_locality(self):
         base = metropolis_hastings(line_graph(9))
         for M in (1, 2, 3):
-            acc = chebyshev_accelerate(base, M)
+            W = chebyshev_accelerate(base, M).mix(np.eye(9))
             for i in range(9):
                 for j in range(9):
                     if abs(i - j) > M:
-                        assert acc.W[i, j] == 0.0
+                        assert W[i, j] == 0.0
 
-    def test_base_spectrum_is_not_decomposed_again(self, monkeypatch):
-        # the base's bulk interval is read from the base, measured when it was
-        # built; the only decomposition left is the result's own rho check
-        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
+    @pytest.fixture
+    def eigvalsh_shapes(self, monkeypatch):
+        """Shapes of the matrices np.linalg.eigvalsh decomposes from here on."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -195,9 +199,73 @@ class TestChebyshev:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return shapes
+
+    def test_base_spectrum_is_not_decomposed_again(self, eigvalsh_shapes):
+        # the base's eigenvalues are read from the base, measured when it was
+        # built, and the result's bulk is the polynomial on them
+        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
+        eigvalsh_shapes.clear()
         acc = chebyshev_accelerate(base, 4)
-        assert shapes == [(12, 12)]
+        assert eigvalsh_shapes == []
         assert acc.rho == max(abs(acc.bulk[0]), abs(acc.bulk[1]))
+
+    def test_given_bulk_is_decomposed_once_on_demand(self, eigvalsh_shapes):
+        mh = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
+        base = GossipMatrix(mh.W, bulk=mh.bulk)
+        eigvalsh_shapes.clear()
+        first, second = chebyshev_accelerate(base, 4), chebyshev_accelerate(base, 4)
+        assert eigvalsh_shapes == [(12, 12)]
+        assert first.bulk == second.bulk == chebyshev_accelerate(mh, 4).bulk
+
+    def test_operator_holds_no_dense_matrix(self):
+        g = erdos_renyi(40, 0.1, seed=2)
+        acc = chebyshev_accelerate(metropolis_hastings(g), 3)
+        assert acc.base.nnz == g.m + 2 * len(g.edges)
+        assert not any(isinstance(v, np.ndarray) and v.shape == (40, 40) for v in vars(acc).values())
+
+    # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(2, 30),
+        p=st.floats(0.4, 1.0),
+        seed=st.integers(0, 2**16),
+        M=st.integers(1, 6),
+    )
+    def test_sparse_recurrence_matches_dense_polynomial(self, m, p, seed, M):
+        base = metropolis_hastings(erdos_renyi(m, p, seed=seed))
+        lo, hi = base.bulk
+        assume(hi - lo >= 1e-13)  # a point bulk stays a plain matrix
+        # dense T_M(Y) / T_M(psi(1)), Y = psi(W), by the matrix recurrence
+        Y = (2.0 * base.W - (hi + lo) * np.eye(m)) / (hi - lo)
+        T_prev, T = np.eye(m), Y
+        for _ in range(M - 1):
+            T_prev, T = T, 2.0 * Y @ T - T_prev
+        dense = T / np.cosh(M * np.arccosh((2.0 - hi - lo) / (hi - lo)))
+        acc = chebyshev_accelerate(base, M)
+        assert np.max(np.abs(acc.mix(np.eye(m)) - dense)) <= 1e-12
+        X = np.random.default_rng(seed).standard_normal((m, 3))
+        assert np.max(np.abs(acc.mix(X) - dense @ X)) <= 1e-12
+        # the bulk evaluated on the base's eigenvalues is the dense matrix's
+        fresh = np.linalg.eigvalsh(dense - np.full((m, m), 1.0 / m))
+        assert acc.bulk == pytest.approx((fresh[0], fresh[-1]), abs=1e-10)
+
+    def test_plain_topologies_do_not_import_scipy(self):
+        # importing scipy costs about 0.2 s and 20 MB; only a Chebyshev build needs it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sonatasim import cli, network\n"
+            "W = cli.build_gossip({'seed': 1, 'topology': {'kind': 'erdos_renyi', 'p': 0.5}}, 8)\n"
+            "W.mix(np.ones((8, 2)))\n"
+            "assert 'scipy' not in sys.modules\n"
+            "network.chebyshev_accelerate(W, 2)\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_point_bulk_collapses_to_averaging(self):
         W = exact_averaging(4)
@@ -215,8 +283,9 @@ class TestChebyshev:
     def test_random_graphs_stay_doubly_stochastic_within_closed_form(self, m, p, seed, M):
         base = metropolis_hastings(erdos_renyi(m, p, seed=seed))
         acc = chebyshev_accelerate(base, M)
-        assert np.max(np.abs(acc.W - acc.W.T)) <= 1e-12
-        assert_doubly_stochastic(acc.W)
+        W = acc.mix(np.eye(m))
+        assert np.max(np.abs(W - W.T)) <= 1e-12
+        assert_doubly_stochastic(W)
         # closed form 1 / T_M(psi(1)), psi mapping the bulk [lo, hi] onto [-1, 1]
         bulk = np.linalg.eigvalsh(base.W - np.full((m, m), 1.0 / m))
         lo, hi = bulk[0], bulk[-1]
