@@ -104,10 +104,8 @@ def tune(
     delta = L - mu with T = ceil(log(kappa)); T is at least 1.  Any other
     inner length is a given T.  Only a tuned delta needs the mode's premise
     (beta > mu for F, kappa > 1 for L), so ``delta=0.0``, the plain inner
-    method, runs on any instance.
+    method, runs on any instance.  :class:`AccelParams` checks the mode.
     """
-    if mode not in ("F", "L"):
-        raise ValueError("mode must be 'F' or 'L'")
     mu, beta, L = constants.mu_hat, constants.beta_hat, constants.L_hat
     if delta is None:
         if mode == "F" and beta <= mu:
@@ -144,7 +142,6 @@ class RunObserver:
 @dataclass
 class AccelResult:
     X: np.ndarray
-    Y: np.ndarray
     K_done: int
     comms: int
     converged: bool
@@ -176,7 +173,8 @@ def acc_sonata_run(
     check the tracking identity (a violated or non-finite drift raises) and
     seed the inner loop's gradient cache.  They shift local gradients already
     computed at the same X: those that seed Y at the start, then those of
-    each inner loop's last gossip round.
+    each inner loop's last gossip round, the final loop's included, whether
+    the run stops at K_max or on its target.
     """
     observer = observer or RunObserver()
     delta = params.delta
@@ -191,16 +189,19 @@ def acc_sonata_run(
 
     comms = 0
     observer.on_init(comms, X, Y, Z)
-    result = AccelResult(X, Y, 0, comms, False)
+    result = AccelResult(X, 0, comms, False)
 
-    for k in range(params.K_max):
+    # boundary k checks the state that outer k - 1 left, the last one's too
+    for k in range(params.K_max + 1):
         Y_warm = Y + delta * (Z_prev - Z)
-        observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
         G = sonata.shifted_grads(p, X, delta, Z, grads)
         drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
         scale = 1.0 + np.linalg.norm(G.mean(axis=0))
         if not drift <= 1e-8 * scale:  # also catches a NaN drift
             raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
+        if k == params.K_max or result.converged:
+            break
+        observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
 
         inner = sonata.sonata_run(
             p,
@@ -224,9 +225,7 @@ def acc_sonata_run(
         if gap_fn is not None:
             gap = float(gap_fn(X))
             result.gaps.append(gap)
-            if target_gap is not None and gap <= target_gap:
-                result.converged = True
-                break
+            result.converged = target_gap is not None and gap <= target_gap
 
-    result.X, result.Y, result.comms = X, Y, comms
+    result.X, result.comms = X, comms
     return result

@@ -5,6 +5,7 @@ Outputs per run: a trajectory CSV (one row per inner iteration) and a metadata
 JSON sidecar recording every effective parameter.  Sweeps additionally write a
 summary CSV with one row per sweep point.  The environment variable
 ``SONATASIM_OUTPUT_DIR``, when set, is prepended to relative output paths.
+Calibration and support cutoffs are :data:`CALIBRATION_TOL`, :data:`SUPPORT_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from . import accel, datagen, diagnostics, network, problems
 # solves uniformly tight across a sweep, so the measured communication
 # counts isolate the outer-rate scaling.
 SWEEP_T_EXTRA = 4
+CALIBRATION_TOL = 0.06  # largest relative miss of a kappa point's similarity target
+SUPPORT_THRESHOLD = 1e-12  # support cutoff, relative to max(1, the left block's largest entry)
 
 
 def _keyword_defaults(fn, *skip) -> dict:
@@ -328,11 +331,11 @@ class CalibrationError(problems.RuntimeFailure):
 
 
 def calibrate_n_for_beta(
-    instance, lam: float, beta_target: float, n_start: int, tol: float = 0.06
+    instance, lam: float, beta_target: float, n_start: int
 ) -> tuple[problems.ProblemSpec, problems.Constants]:
     """Pick n so the measured similarity of ``instance(n)`` with ridge
-    coefficient lam lands within tol of beta_target; returns the instance
-    and the constants of the first probe that does.
+    coefficient lam lands within :data:`CALIBRATION_TOL` of beta_target;
+    returns the instance and the constants of the first probe that does.
 
     Up to 8 secant steps on log n with the locally measured decay exponent
     (roughly n^-1/2, steeper at small n), then, if none landed, bisection on
@@ -347,7 +350,7 @@ def calibrate_n_for_beta(
         p = dataclasses.replace(instance(n), lam=lam)
         probes[n] = p, problems.estimate_constants(p)
         history.append((n, probes[n][1].beta_hat))
-        return 1 - tol <= history[-1][1] / beta_target <= 1 + tol
+        return 1 - CALIBRATION_TOL <= history[-1][1] / beta_target <= 1 + CALIBRATION_TOL
 
     n = max(int(n_start), 10)
     if lands(n):
@@ -381,7 +384,7 @@ def calibrate_n_for_beta(
     n, beta = history[-1]
     raise CalibrationError(
         f"similarity {beta:.6g} at n = {n} is {beta / beta_target:.3f} times the "
-        f"target {beta_target:.6g}, outside the {tol:.0%} tolerance"
+        f"target {beta_target:.6g}, outside the {CALIBRATION_TOL:.0%} tolerance"
     )
 
 
@@ -512,17 +515,16 @@ class SupportTracker(accel.RunObserver):
     """Asserts that nonzero coordinates of left-class agents grow no faster
     than one index per cut crossing (plus the always-available first two)."""
 
-    def __init__(self, left_agents, d_c, threshold=1e-12):
+    def __init__(self, left_agents, d_c):
         self.left = list(left_agents)
         self.d_c = d_c
-        self.threshold = threshold
         self.max_index_per_round = []  # (comms, max 1-based nonzero index, allowed)
         self.ok = True
 
     def _check(self, comms, X):
         block = np.abs(X[self.left])
         scale = max(1.0, float(block.max()))
-        nz = np.nonzero(block.max(axis=0) > self.threshold * scale)[0]
+        nz = np.nonzero(block.max(axis=0) > SUPPORT_THRESHOLD * scale)[0]
         max_idx = int(nz[-1]) + 1 if nz.size else 0
         allowed = comms // self.d_c + 2
         self.max_index_per_round.append((comms, max_idx, allowed))
@@ -533,7 +535,7 @@ class SupportTracker(accel.RunObserver):
         self._check(comms, X)
 
 
-def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: int = 50) -> dict:
+def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: int) -> dict:
     """Build the prescribed-deviation line gossip and the split-quadratic
     instance, run the accelerated method, and report cut and support metrics."""
     if rounds < 1:

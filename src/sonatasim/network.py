@@ -11,7 +11,8 @@ matrix in scipy's CSR format and applies the degree-M polynomial as M sparse
 neighbour exchanges by the three-term recurrence, never forming the dense
 polynomial; its bulk interval comes from evaluating the polynomial on the
 base's measured eigenvalues.  scipy is imported only when such an operator is
-built.
+built.  The builders' limits are constants: :data:`MAX_RESAMPLES`,
+:data:`MAX_ROUNDS` and :data:`LINE_RHO_TOL`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
+MAX_RESAMPLES = 100  # random graphs drawn by erdos_renyi before it gives up
+MAX_ROUNDS = 10_000  # largest polynomial degree rounds_for_target tries
+LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
 
 
 class TopologyError(RuntimeFailure):
@@ -83,19 +87,20 @@ def _connected(m, edges) -> bool:
     return len({find(i) for i in range(m)}) == 1
 
 
-def erdos_renyi(m: int, p: float, seed: int = 0, max_resamples: int = 100) -> Graph:
+def erdos_renyi(m: int, p: float, seed: int = 0) -> Graph:
     """Sample each pair independently with probability p (one uniform per pair
-    i < j, in row-major order); resample until connected."""
+    i < j, in row-major order); resample until connected, at most
+    :data:`MAX_RESAMPLES` times."""
     if m < 2 or not 0 < p <= 1:
         raise ValueError("need m >= 2 and p in (0, 1]")
     rows, cols = np.triu_indices(m, 1)
     root = np.random.SeedSequence(seed)
-    for attempt_seq in root.spawn(max_resamples):
+    for attempt_seq in root.spawn(MAX_RESAMPLES):
         keep = np.random.default_rng(attempt_seq).random(rows.size) < p
         edges = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
         if _connected(m, edges):
             return Graph(m, edges)
-    raise TopologyError(f"no connected graph in {max_resamples} resamples (p={p})")
+    raise TopologyError(f"no connected graph in {MAX_RESAMPLES} resamples (p={p})")
 
 
 def line_graph(m: int) -> Graph:
@@ -317,8 +322,9 @@ def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
     return 1.0 / _cheb_scalars(1.0 / base_rho, M)
 
 
-def rounds_for_target(base_rho: float, target_rho: float, max_rounds: int = 10_000) -> int:
-    """Smallest polynomial degree M whose accelerated deviation is <= target_rho.
+def rounds_for_target(base_rho: float, target_rho: float) -> int:
+    """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, whose
+    accelerated deviation is <= target_rho.
 
     Uses the two-sided worst-case closed form, so the spectrally measured
     deviation of :func:`chebyshev_accelerate` meets the target for any base
@@ -330,10 +336,10 @@ def rounds_for_target(base_rho: float, target_rho: float, max_rounds: int = 10_0
         return 1
     if target_rho == 0.0:
         raise UnreachableTargetError("only exact averaging achieves rho = 0")
-    for M in range(1, max_rounds + 1):
+    for M in range(1, MAX_ROUNDS + 1):
         if chebyshev_bound_two_sided(base_rho, M) <= target_rho:
             return M
-    raise UnreachableTargetError(f"target {target_rho} not reached within {max_rounds} rounds")
+    raise UnreachableTargetError(f"target {target_rho} not reached within {MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +366,13 @@ def _line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:
     return np.eye(m) - L / (2.0 + rho)
 
 
-def line_gossip_for_rho(
-    rho_target: float, max_m: int = 4096, tol: float = 1e-6
-) -> tuple[GossipMatrix, int]:
+def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> tuple[GossipMatrix, int]:
     """Weighted line-graph gossip matrix with deviation exactly rho_target.
 
     Picks the node count m with rho_m < rho_target <= rho_{m+1}, then bisects
     the weight parameter of one edge until the deviation matches; a matrix
-    that misses it by more than tol raises :class:`TopologyError`.
+    that misses it by more than :data:`LINE_RHO_TOL` raises
+    :class:`TopologyError`.
     """
     if not 0 < rho_target < 1:
         raise FixtureParameterError(f"rho_target must be in (0, 1), got {rho_target}")
@@ -384,7 +389,7 @@ def line_gossip_for_rho(
     for _ in range(200):
         mid = 0.5 * (lo_a + hi_a)
         f_mid = max(map(abs, _bulk_interval(_line_gossip_matrix(m, mid, rho_target)))) - rho_target
-        if abs(f_mid) <= tol * 1e-3:
+        if abs(f_mid) <= LINE_RHO_TOL * 1e-3:
             lo_a = hi_a = mid
             break
         if f_mid < 0:
@@ -394,7 +399,7 @@ def line_gossip_for_rho(
     a = 0.5 * (lo_a + hi_a)
     W = _line_gossip_matrix(m, a, rho_target)
     gm = GossipMatrix(W)
-    if abs(gm.rho - rho_target) > tol:
+    if abs(gm.rho - rho_target) > LINE_RHO_TOL:
         raise TopologyError(f"bisection missed target: {gm.rho} vs {rho_target}")
     return gm, m
 
@@ -423,22 +428,14 @@ def _pair_coupling(d: int, start: int) -> np.ndarray:
     return A
 
 
-def _structured_sqrt(Q: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of c*(I + pair couplings); exact zero fill-in."""
-    d = Q.shape[0]
-    S = np.zeros((d, d))
-    i = 0
-    while i < d:
-        if i + 1 < d and Q[i, i + 1] != 0.0:
-            q1, q2 = Q[i, i], -Q[i, i + 1]
-            s_plus = np.sqrt(q1 + q2)
-            s_minus = np.sqrt(max(q1 - q2, 0.0))
-            S[i, i] = S[i + 1, i + 1] = 0.5 * (s_plus + s_minus)
-            S[i, i + 1] = S[i + 1, i] = -0.5 * (s_plus - s_minus)
-            i += 2
-        else:
-            S[i, i] = np.sqrt(Q[i, i])
-            i += 1
+def _pair_coupling_root(d: int, start: int, c: float) -> np.ndarray:
+    """Symmetric PSD square root of c * _pair_coupling(d, start): each coupled
+    pair's block B = [[1, -1], [-1, 1]] has B^2 = 2B, so its root is
+    sqrt(c/2) B, and each unpaired index's is sqrt(c)."""
+    A = _pair_coupling(d, start)
+    S = np.sqrt(c / 2.0) * A
+    unpaired = np.count_nonzero(A, axis=1) == 1
+    S[unpaired, unpaired] = np.sqrt(c)
     return S
 
 
@@ -456,13 +453,12 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
     left, right = boundary_classes(m)
     scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
 
-    A1 = _pair_coupling(d, 1)  # couples (2,3), (4,5), ... in 1-based indexing
-    A2 = _pair_coupling(d, 0)  # couples (1,2), (3,4), ...
     n = d
     A = np.zeros((m, n, d))
     b = np.zeros((m, n))
-    S1 = _structured_sqrt(scale * A1) * np.sqrt(n)
-    S2 = _structured_sqrt(scale * A2) * np.sqrt(n)
+    # each class's Gram matrix S^T S / n is scale * _pair_coupling
+    S1 = _pair_coupling_root(d, 1, scale) * np.sqrt(n)  # couples (2,3), (4,5), ... 1-based
+    S2 = _pair_coupling_root(d, 0, scale) * np.sqrt(n)  # couples (1,2), (3,4), ...
     # linear term -scale * e_1 on left agents, encoded through b: A^T b = n*scale*e_1
     b_left = np.zeros(d)
     b_left[0] = n * scale / S1[0, 0]

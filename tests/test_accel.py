@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -185,6 +186,22 @@ class TestAccSonataRun:
             acc_sonata_run(
                 p, replace(params, K_max=2), small_gossip, Y0=np.full((p.m, p.d), np.nan)
             )
+
+    def test_state_of_a_run_stopped_on_target_is_checked(
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
+    ):
+        # the last gossip refresh of outer 0 turns NaN and outer 0 meets the
+        # target: the run used to return converged=True with NaN trackers
+        params = tune(small_ridge_constants, "F")
+        batch_grads, calls = problems.batch_grads, itertools.count()
+
+        def failing(p, X):
+            return batch_grads(p, X) * (1.0 if next(calls) < params.T else math.nan)
+
+        monkeypatch.setattr(problems, "batch_grads", failing)
+        with pytest.raises(problems.DivergenceError, match="at outer 1: drift nan"):
+            acc_sonata_run(small_ridge, params, small_gossip, gap_fn=lambda X: 0.0, target_gap=1e9)
+        assert next(calls) == 1 + params.T  # the check takes no gradient of its own
 
     def test_boundary_gradients_are_computed_once(
         self, small_ridge, small_ridge_constants, small_gossip, monkeypatch

@@ -256,6 +256,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure:") and message in err and "Traceback" not in err
 
+    def test_state_after_last_outer_iteration_is_checked(self, tmp_path, capsys, monkeypatch):
+        # the default run makes one gradient call at X = 0 and one per gossip
+        # round, T = 4 with --k-max 1; the last, which no later outer
+        # iteration checked, turns NaN: the run used to exit 0 and write a
+        # trajectory whose last tracking_err is nan
+        batch_grads, calls = problems.batch_grads, itertools.count()
+
+        def failing(p, X):
+            return batch_grads(p, X) * (1.0 if next(calls) < 4 else math.nan)
+
+        monkeypatch.setattr(problems, "batch_grads", failing)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--k-max", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: tracking identity violated at outer 1: drift nan")
+        assert next(calls) == 5 and not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["run", "--k-max", "3"], ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"]],

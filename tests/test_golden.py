@@ -1,10 +1,12 @@
-"""Golden outputs: two ``sonatasim run`` configs rerun byte for byte.
+"""Golden outputs: three ``sonatasim run`` configs and one
+``sonatasim lowerbound-check`` rerun byte for byte.
 
 ``tests/data/golden/<name>/`` holds the ``trajectory.csv`` and
 ``metadata.json`` of each run below.  The metadata is stored without its
 ``effective_config`` output path and dataset path, which name where a run
-happened rather than what it computed.  A change that moves either file
-regenerates it and says why.
+happened rather than what it computed.  ``tests/data/golden/lowerbound/``
+holds the ``lowerbound.json`` of :data:`LOWERBOUND_ARGV`.  A change that
+moves any of these files regenerates it and says why.
 """
 
 import json
@@ -28,7 +30,12 @@ CONFIGS = {
         "regularizer": {"kind": "l1", "weight": 1e-3},
         "algorithm": {"target_gap": 1e-8},
     },
+    # degree-3 Chebyshev gossip on a sparse random graph: the sparse recurrence
+    "chebyshev-er": {"topology": {"kind": "erdos_renyi", "p": 0.3, "target_rho": 0.2}},
 }
+
+# the split-quadratic fixture on weighted line gossip (m = 5 agents)
+LOWERBOUND_ARGV = ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "30"]
 
 
 def _without_paths(metadata_text: str) -> str:
@@ -48,3 +55,10 @@ def test_run_reproduces_golden_output(name, tmp_path):
     golden = GOLDEN / name
     assert (out / "trajectory.csv").read_bytes() == (golden / "trajectory.csv").read_bytes()
     assert _without_paths((out / "metadata.json").read_text()) == (golden / "metadata.json").read_text()
+
+
+def test_lowerbound_check_reproduces_golden_output(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*LOWERBOUND_ARGV, "--output", str(out)]) == 0
+    golden = GOLDEN / "lowerbound" / "lowerbound.json"
+    assert (out / "lowerbound.json").read_bytes() == golden.read_bytes()

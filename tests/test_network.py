@@ -353,6 +353,22 @@ class TestHardInstance:
         assert off_left == {(1, 2), (3, 4)}  # 1-based pairs (2,3), (4,5)
         assert off_right == {(0, 1), (2, 3), (4, 5)}  # 1-based pairs (1,2), (3,4), (5,6)
 
+    @pytest.mark.parametrize("d", range(4, 41, 2))
+    def test_class_gram_is_scaled_pair_coupling(self, d):
+        # left agents hold the root of scale * I + couplings on 1-based pairs
+        # (2,3), (4,5), ..., right agents on (1,2), (3,4), ...; middle agents none
+        mu, beta, m = 0.03, 0.4, 40
+        p = hard_instance(mu, beta, m, d)
+        left, right = boundary_classes(m)
+        scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
+        gram = np.einsum("mnd,mne->mde", p.A, p.A) / p.n
+        for agents, start in ((left, 1), (right, 0)):
+            expected = scale * network._pair_coupling(d, start)
+            for i in agents:
+                assert np.max(np.abs(gram[i] - expected)) <= 1e-14 * scale
+        middle = [i for i in range(m) if i not in left and i not in right]
+        assert middle and not gram[middle].any()
+
     def test_strong_convexity_floor(self):
         p = hard_instance(0.03, 0.4, 10, 8)
         for i in range(p.m):
