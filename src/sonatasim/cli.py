@@ -551,7 +551,7 @@ def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: 
     K = math.ceil(rounds / (W.rounds_per_application * params.T))
     params = dataclasses.replace(params, K_max=K)
     d_c = network.cut_distance(m)
-    tracker = SupportTracker(p.meta["left"], d_c)
+    tracker = SupportTracker(network.boundary_classes(m)[0], d_c)
     oracle = diagnostics.centralized_solve(p)
     result = accel.acc_sonata_run(
         p,

@@ -2,8 +2,8 @@
 polynomial acceleration, the exact-averaging (star) matrix, and the weighted
 line-graph / split-quadratic fixtures used for lower-bound experiments.
 
-Every operator built here is symmetric and doubly stochastic, and the
-algorithms apply it only through ``mix(X)``; one application models
+Every operator built here is symmetric and doubly stochastic, and checks so
+when it is built; the algorithms apply it only through ``mix(X)``; one application models
 ``rounds_per_application`` physical communication rounds.  A plain
 :class:`GossipMatrix` mixes as the dense product ``W @ X``.  A
 :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its base
@@ -17,7 +17,7 @@ built.  The builders' limits are constants: :data:`MAX_RESAMPLES`,
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,7 +27,7 @@ from .problems import InputError, ProblemSpec, RuntimeFailure
 if TYPE_CHECKING:
     from scipy import sparse
 
-DS_TOL = 1e-12  # doubly-stochastic row/col sum tolerance
+DS_TOL = 1e-12  # symmetry and unit row-sum tolerance
 MAX_RESAMPLES = 100  # random graphs drawn by erdos_renyi before it gives up
 MAX_ROUNDS = 10_000  # largest polynomial degree rounds_for_target tries
 LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
@@ -122,24 +122,17 @@ def complete_graph(m: int) -> Graph:
 
 
 def _spectrum(W: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of W - 11^T/m (symmetrized): the non-consensus
-    eigenvalues of a symmetric DS matrix, with its consensus eigenvalue at 0."""
-    m = W.shape[0]
-    M = W - np.full((m, m), 1.0 / m)
-    return np.linalg.eigvalsh(0.5 * (M + M.T))
-
-
-def _bulk_interval(W: np.ndarray) -> tuple[float, float]:
-    """[min, max] of :func:`_spectrum`, whose larger magnitude is the spectral
-    norm of W - 11^T/m."""
-    w = _spectrum(W)
-    return float(w[0]), float(w[-1])
+    """Ascending eigenvalues of W - 11^T/m for a symmetric W with unit row
+    sums: its non-consensus eigenvalues, with the consensus one at 0.  The
+    largest magnitude is the spectral norm of W - 11^T/m."""
+    return np.linalg.eigvalsh(W - 1.0 / W.shape[0])
 
 
 @dataclass
 class GossipMatrix:
-    """Doubly stochastic mixing matrix with its bulk interval [lo, hi]
-    (measured once, when not given) and spectral deviation rho derived from it.
+    """Symmetric mixing matrix with unit row sums (so doubly stochastic),
+    checked within :data:`DS_TOL`, with its bulk interval [lo, hi] (measured
+    once, when not given) and spectral deviation rho derived from it.
     The eigenvalues behind a measured interval are kept for
     :func:`chebyshev_accelerate`; a matrix given its ``bulk`` measures them
     when first asked.
@@ -159,18 +152,17 @@ class GossipMatrix:
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
-        m = self.m
-        ones = np.ones(m)
-        if np.max(np.abs(self.W @ ones - ones)) > DS_TOL or np.max(
-            np.abs(self.W.T @ ones - ones)
-        ) > DS_TOL:
-            raise ValueError("matrix is not doubly stochastic within 1e-12")
+        # written `not x <= tol` so that a NaN fails each check
+        if not np.max(np.abs(self.W - self.W.T)) <= DS_TOL:
+            raise ValueError(f"matrix is not symmetric within {DS_TOL}")
+        if not np.max(np.abs(self.W.sum(axis=1) - 1.0)) <= DS_TOL:
+            raise ValueError(f"matrix rows do not sum to 1 within {DS_TOL}")
         if self.bulk is None:
             w = self.spectrum()
             self.bulk = (float(w[0]), float(w[-1]))
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
-        if self.rounds_per_application < 1:
+        if not self.rounds_per_application >= 1:
             raise ValueError("rounds_per_application must be >= 1")
 
     @property
@@ -179,7 +171,7 @@ class GossipMatrix:
 
     @property
     def rho(self) -> float:
-        return max(map(abs, self.bulk))
+        return float(np.max(np.abs(self.bulk)))  # NaN if either end is
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of W - 11^T/m, measured once."""
@@ -210,10 +202,8 @@ def exact_averaging(m: int) -> GossipMatrix:
 
 
 def _cheb_scalars(z: float, M: int) -> float:
-    """T_M(z) by the three-term recurrence (z may be any real, or an array)."""
+    """T_M(z), M >= 1, by the three-term recurrence (z any real, or an array)."""
     t_prev, t = 1.0, z
-    if M == 0:
-        return t_prev
     for _ in range(M - 1):
         t_prev, t = t, 2.0 * z * t - t_prev
     return t
@@ -230,6 +220,9 @@ class ChebyshevGossip:
     W - 11^T/m, whose consensus entry (the one nearest 0) maps to 0, as
     P_M(1) - 1 does; rho derives from it as for a :class:`GossipMatrix`.
     ``scale`` is T_M(psi(1)), so 1 / scale is the closed-form deviation.
+    Construction raises :class:`TopologyError` if rho exceeds 1 / scale by
+    1e-8 or ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if either
+    is NaN, and ``ValueError`` if ``rounds_per_application`` is below 1.
     """
 
     base: sparse.csr_array
@@ -237,21 +230,32 @@ class ChebyshevGossip:
     hi: float
     M: int
     rounds_per_application: int
-    spectrum: InitVar[np.ndarray]
+    spectrum: np.ndarray = field(repr=False, compare=False)
     bulk: tuple[float, float] = field(init=False)
     scale: float = field(init=False)
 
-    def __post_init__(self, spectrum):
+    def __post_init__(self):
         from scipy import sparse
 
+        if not self.rounds_per_application >= 1:
+            raise ValueError("rounds_per_application must be >= 1")
         lo, hi = self.lo, self.hi
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         eye = sparse.identity(self.m, format="csr")
         self._twice_psi = (2.0 * (2.0 * self.base - (hi + lo) * eye) / (hi - lo)).tocsr()
         self.scale = _cheb_scalars((2.0 - hi - lo) / (hi - lo), self.M)
-        values = _cheb_scalars((2.0 * spectrum - hi - lo) / (hi - lo), self.M) / self.scale
-        values[np.argmin(np.abs(spectrum))] = 0.0
+        values = _cheb_scalars((2.0 * self.spectrum - hi - lo) / (hi - lo), self.M) / self.scale
+        values[np.argmin(np.abs(self.spectrum))] = 0.0
         self.bulk = (float(values.min()), float(values.max()))
+        if not self.rho <= 1.0 / self.scale + 1e-8:
+            raise TopologyError(
+                f"chebyshev build inconsistent: measured rho {self.rho} exceeds "
+                f"closed-form value {1.0 / self.scale}"
+            )
+        ones = np.ones(self.m)
+        drift = np.max(np.abs(self.mix(ones) - ones))
+        if not drift <= DS_TOL:
+            raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
 
     @property
     def m(self) -> int:
@@ -259,7 +263,7 @@ class ChebyshevGossip:
 
     @property
     def rho(self) -> float:
-        return max(map(abs, self.bulk))
+        return float(np.max(np.abs(self.bulk)))  # NaN if either end is
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """One application: M sparse neighbour exchanges."""
@@ -281,40 +285,23 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
     the base's sparsity pattern, or as a plain matrix when the bulk is one
     point.  Its bulk interval is P_M on the base's eigenvalues
-    (:meth:`GossipMatrix.spectrum`), so the build decomposes nothing.  It
-    raises :class:`TopologyError` if the deviation so measured exceeds the
-    closed-form value 1 / T_M(psi(1)) beyond 1e-8, or if the operator moves
-    the all-ones vector by more than 1e-12.
+    (:meth:`GossipMatrix.spectrum`), so the build decomposes nothing; the
+    operator checks that bulk against the closed form when it is built.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not base.rho < 1:
-        raise ValueError("base must have rho < 1")
-    m = base.m
     lo, hi = base.bulk
-
     if hi - lo < 1e-13:
         # bulk collapsed to a point c: the affine (W - cI)/(1 - c) zeroes it
         c = 0.5 * (hi + lo)
-        W = (base.W - c * np.eye(m)) / (1.0 - c)
+        W = (base.W - c * np.eye(base.m)) / (1.0 - c)
         return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
 
     from scipy import sparse
 
-    result = ChebyshevGossip(
+    return ChebyshevGossip(
         sparse.csr_array(base.W), lo, hi, M, M * base.rounds_per_application, base.spectrum()
     )
-    predicted = 1.0 / result.scale
-    if result.rho > predicted + 1e-8:
-        raise TopologyError(
-            f"chebyshev build inconsistent: measured rho {result.rho} exceeds "
-            f"closed-form value {predicted}"
-        )
-    ones = np.ones(m)
-    drift = np.max(np.abs(result.mix(ones) - ones))
-    if drift > DS_TOL:
-        raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
-    return result
 
 
 def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
@@ -328,17 +315,21 @@ def rounds_for_target(base_rho: float, target_rho: float) -> int:
 
     Uses the two-sided worst-case closed form, so the spectrally measured
     deviation of :func:`chebyshev_accelerate` meets the target for any base
-    with the given rho, whatever the sign pattern of its bulk.
+    with the given rho, whatever the sign pattern of its bulk.  One running
+    recurrence gives :func:`chebyshev_bound_two_sided` for each M in turn.
     """
     if not 0 <= target_rho < 1 or not 0 <= base_rho < 1:
         raise ValueError("rho values must lie in [0, 1)")
-    if base_rho <= target_rho or base_rho < 1e-15:
+    if base_rho <= target_rho:
         return 1
     if target_rho == 0.0:
         raise UnreachableTargetError("only exact averaging achieves rho = 0")
+    z = 1.0 / base_rho
+    t_prev, t = 1.0, z  # T_0(z), T_1(z)
     for M in range(1, MAX_ROUNDS + 1):
-        if chebyshev_bound_two_sided(base_rho, M) <= target_rho:
+        if 1.0 / t <= target_rho:
             return M
+        t_prev, t = t, 2.0 * z * t - t_prev
     raise UnreachableTargetError(f"target {target_rho} not reached within {MAX_ROUNDS} rounds")
 
 
@@ -382,13 +373,15 @@ def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> tuple[GossipMat
         if m > max_m:
             raise InstanceTooLargeError(f"needs more than {max_m} nodes")
 
+    def excess(a):  # deviation above the target at first-edge weight 1 - a
+        return np.abs(_spectrum(_line_gossip_matrix(m, a, rho_target))).max() - rho_target
+
     lo_a, hi_a = 0.0, 1.0 - 1e-15
-    f_lo = max(map(abs, _bulk_interval(_line_gossip_matrix(m, lo_a, rho_target)))) - rho_target
-    if f_lo > 0:
+    if not excess(lo_a) <= 0:
         raise TopologyError("bracket failure: rho at a=0 should be below target")
     for _ in range(200):
         mid = 0.5 * (lo_a + hi_a)
-        f_mid = max(map(abs, _bulk_interval(_line_gossip_matrix(m, mid, rho_target)))) - rho_target
+        f_mid = excess(mid)
         if abs(f_mid) <= LINE_RHO_TOL * 1e-3:
             lo_a = hi_a = mid
             break
@@ -472,5 +465,4 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
         A=A,
         b=b,
         lam=mu / 2.0,  # ridge term lam*||x||^2 contributes mu*I to every Hessian
-        meta={"left": left},
     )

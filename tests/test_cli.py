@@ -1,9 +1,11 @@
 import collections
 import csv
+import dataclasses
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +209,34 @@ class TestConfigValidation:
             cli.build_gossip(cfg, 5)
 
 
+class TestReadmeLibraryCode:
+    """The code under README's "Library quick start" runs as written."""
+
+    SECTION = README.read_text().split("## Library quick start", 1)[1]
+
+    def test_quick_start_runs(self, capsys):
+        scope = {}
+        exec(self.SECTION.split("```python", 1)[1].split("```", 1)[0], scope)
+        result = scope["result"]
+        assert result.converged and result.gaps[-1] <= 1e-6
+        printed = capsys.readouterr().out.split()
+        assert printed == [str(result.K_done), str(result.comms), str(result.gaps[-1])]
+
+    @pytest.mark.parametrize("target_rho", [None, 0.1], ids=["plain", "chebyshev"])
+    def test_accounting_recipe_doubles_the_rounds(self, target_rho):
+        recipe = re.search(r"`(dataclasses\.replace\(W,.*?)`", self.SECTION, re.S).group(1)
+        W = network.metropolis_hastings(network.erdos_renyi(12, 0.4, seed=3))
+        if target_rho is not None:
+            W = network.chebyshev_accelerate(W, network.rounds_for_target(W.rho, target_rho))
+            assert W.rounds_per_application > 1
+        doubled = eval(recipe, {"dataclasses": dataclasses, "W": W})
+        assert type(doubled) is type(W)
+        assert doubled.rounds_per_application == 2 * W.rounds_per_application
+        assert doubled.rho == W.rho
+        X = np.random.default_rng(0).standard_normal((12, 3))
+        assert np.array_equal(doubled.mix(X), W.mix(X))
+
+
 class TestMainEntry:
     def test_run_and_estimate_constants(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
@@ -330,9 +360,20 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_chebyshev_degree_exit_1(self, tmp_path, capsys):
+        # target_rho 1e-300 needs a degree whose T_M(psi(1)) overflows: the
+        # operator's rho was NaN, passed both build checks, and the run failed
+        # at its first outer iteration with a NaN tracking drift
+        cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 1e-300})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: chebyshev build inconsistent")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_line_gossip_bracket_failure_exit_1(self, capsys, monkeypatch):
         # a line matrix whose deviation sits above the target at every weight
-        monkeypatch.setattr(network, "_bulk_interval", lambda W: (0.0, 0.999))
+        monkeypatch.setattr(network, "_spectrum", lambda W: np.array([0.0, 0.999]))
         assert cli.main(["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: bracket failure") and "Traceback" not in err

@@ -1,15 +1,19 @@
-"""Golden outputs: three ``sonatasim run`` configs and one
-``sonatasim lowerbound-check`` rerun byte for byte.
+"""Golden outputs: four ``sonatasim run`` invocations, two ``sonatasim sweep``
+invocations and one ``sonatasim lowerbound-check`` rerun byte for byte.
 
-``tests/data/golden/<name>/`` holds the ``trajectory.csv`` and
-``metadata.json`` of each run below.  The metadata is stored without its
+``tests/data/golden/<name>/`` holds the files that ``ARGV[name]`` writes:
+``trajectory.csv`` and ``metadata.json`` for a run, ``summary.csv`` and
+``metadata.json`` for a sweep, ``lowerbound.json`` for the lower-bound check.
+A run or sweep reads ``CONFIGS[name]``.  The metadata is stored without its
 ``effective_config`` output path and dataset path, which name where a run
-happened rather than what it computed.  ``tests/data/golden/lowerbound/``
-holds the ``lowerbound.json`` of :data:`LOWERBOUND_ARGV`.  A change that
-moves any of these files regenerates it and says why.
+happened rather than what it computed.  A change that moves any of these
+files regenerates them with ``python tests/test_golden.py --write`` and says
+why.
 """
 
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,9 @@ from sonatasim import cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+
+# a small synthetic instance whose kappa points calibrate n with lam > 0
+SWEEP_CONFIG = {"problem": {"synthetic": {"m": 6, "n": 400, "d": 6, "L0": 100}}}
 
 CONFIGS = {
     # the default config
@@ -32,10 +39,27 @@ CONFIGS = {
     },
     # degree-3 Chebyshev gossip on a sparse random graph: the sparse recurrence
     "chebyshev-er": {"topology": {"kind": "erdos_renyi", "p": 0.3, "target_rho": 0.2}},
+    # the default config in mode L with potentials: the shifted oracle's error weights
+    "potentials-L": {},
+    # the sample-size axis, and the kappa axis with its calibration of n
+    "sweep-bmu": SWEEP_CONFIG,
+    "sweep-kappa": SWEEP_CONFIG,
 }
 
-# the split-quadratic fixture on weighted line gossip (m = 5 agents)
-LOWERBOUND_ARGV = ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "30"]
+# the command line of each golden, without its -c and --output
+ARGV = {
+    "default": ["run"],
+    "logistic-l1": ["run"],
+    "chebyshev-er": ["run"],
+    "potentials-L": ["run", "--potentials", "--mode", "L", "--k-max", "10"],
+    "sweep-bmu": ["sweep", "--eps", "1e-4", "--axis", "beta_over_mu", "--points", "100,400"],
+    "sweep-kappa": ["sweep", "--eps", "1e-4", "--axis", "kappa", "--points", "3,5"],
+    # the split-quadratic fixture on weighted line gossip (m = 5 agents)
+    "lowerbound": ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "30"],
+}
+
+RUNS = sorted(name for name in ARGV if ARGV[name][0] == "run")
+SWEEPS = sorted(name for name in ARGV if ARGV[name][0] == "sweep")
 
 
 def _without_paths(metadata_text: str) -> str:
@@ -46,19 +70,62 @@ def _without_paths(metadata_text: str) -> str:
     return json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_run_reproduces_golden_output(name, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIGS[name]))
-    out = tmp_path / "out"
-    assert cli.main(["run", "-c", str(config), "--output", str(out)]) == 0
+def outputs(name: str, work: Path) -> dict[str, bytes]:
+    """Run golden ``name`` in ``work``; the bytes of each file it writes, its
+    metadata without paths."""
+    argv = list(ARGV[name])
+    if name in CONFIGS:
+        config = work / "config.json"
+        config.write_text(json.dumps(CONFIGS[name]))
+        argv += ["-c", str(config)]
+    out = work / "out"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "metadata.json":
+            data = _without_paths(data.decode()).encode()
+        files[path.name] = data
+    return files
+
+
+def _check(name, work):
     golden = GOLDEN / name
-    assert (out / "trajectory.csv").read_bytes() == (golden / "trajectory.csv").read_bytes()
-    assert _without_paths((out / "metadata.json").read_text()) == (golden / "metadata.json").read_text()
+    files = outputs(name, work)
+    assert sorted(files) == sorted(path.name for path in golden.iterdir())
+    for fname, data in files.items():
+        assert data == (golden / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_reproduces_golden_output(name, tmp_path):
+    _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_reproduces_golden_output(name, tmp_path):
+    _check(name, tmp_path)
 
 
 def test_lowerbound_check_reproduces_golden_output(tmp_path):
-    out = tmp_path / "out"
-    assert cli.main([*LOWERBOUND_ARGV, "--output", str(out)]) == 0
-    golden = GOLDEN / "lowerbound" / "lowerbound.json"
-    assert (out / "lowerbound.json").read_bytes() == golden.read_bytes()
+    _check("lowerbound", tmp_path)
+
+
+def write_goldens() -> None:
+    """Regenerate every golden directory from :data:`ARGV` and :data:`CONFIGS`."""
+    for name in ARGV:
+        with tempfile.TemporaryDirectory() as work:
+            files = outputs(name, Path(work))
+        golden = GOLDEN / name
+        golden.mkdir(parents=True, exist_ok=True)
+        for stale in golden.iterdir():
+            stale.unlink()
+        for fname, data in files.items():
+            (golden / fname).write_bytes(data)
+        print(f"wrote {golden}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    write_goldens()

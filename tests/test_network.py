@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -49,6 +50,15 @@ def fresh_rho(W):
     M = W - np.full((m, m), 1.0 / m)
     M = 0.5 * (M + M.T)
     return np.abs(np.linalg.eigvalsh(M)).max()
+
+
+def rounds_by_nested_search(base_rho, target_rho):
+    """The degree search as first written: the closed form from scratch for
+    each candidate M, O(M^2) in all; a reference for rounds_for_target."""
+    for M in range(1, network.MAX_ROUNDS + 1):
+        if chebyshev_bound_two_sided(base_rho, M) <= target_rho:
+            return M
+    raise UnreachableTargetError(f"target {target_rho} not reached")
 
 
 class TestGraphs:
@@ -138,6 +148,30 @@ class TestExactAveraging:
             GossipMatrix(np.array([[0.5, 0.4], [0.5, 0.6]]))  # rows don't sum to 1
         with pytest.raises(ValueError):
             GossipMatrix(np.eye(3))  # rho = 1
+
+
+class TestOperatorChecks:
+    """Each operator checks itself on construction, and a NaN fails each check."""
+
+    def test_rejects_a_permutation_that_never_mixes(self):
+        # a cyclic shift has unit row and column sums, but it is not symmetric
+        # and never mixes; its symmetrised spectrum gave rho 0.809
+        with pytest.raises(ValueError, match="not symmetric"):
+            GossipMatrix(np.roll(np.eye(5), 1, axis=1))
+
+    def test_rejects_a_nan_bulk(self):
+        # max(map(abs, bulk)) read 0.1 for the bulk (0.1, nan)
+        W = metropolis_hastings(line_graph(4)).W
+        with pytest.raises(ValueError, match="rho must be < 1, got nan"):
+            GossipMatrix(W, bulk=(0.1, np.nan))
+
+    @pytest.mark.parametrize("M", [None, 3], ids=["plain", "chebyshev"])
+    def test_rounds_per_application_below_one_raises(self, M):
+        W = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
+        if M is not None:
+            W = chebyshev_accelerate(W, M)
+        with pytest.raises(ValueError, match="rounds_per_application must be >= 1"):
+            dataclasses.replace(W, rounds_per_application=0)
 
 
 class TestChebyshev:
@@ -267,6 +301,19 @@ class TestChebyshev:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_operator_checks_itself_on_construction(self):
+        # a halved bulk makes the polynomial's measured deviation exceed its
+        # closed form, which the operator's own constructor checks
+        acc = chebyshev_accelerate(metropolis_hastings(erdos_renyi(12, 0.4, seed=3)), 3)
+        with pytest.raises(network.TopologyError, match="exceeds closed-form"):
+            dataclasses.replace(acc, lo=acc.lo / 2, hi=acc.hi / 2)
+
+    def test_overflowing_degree_fails_its_check(self):
+        # T_M(psi(1)) overflows, so scale and rho are NaN
+        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
+        with pytest.raises(network.TopologyError, match="measured rho nan"):
+            chebyshev_accelerate(base, 5000)
+
     def test_point_bulk_collapses_to_averaging(self):
         W = exact_averaging(4)
         acc = chebyshev_accelerate(W, 3)
@@ -312,6 +359,22 @@ class TestRoundsForTarget:
         assert acc.rho <= 0.1
         # M is minimal wrt the worst-case closed form
         assert chebyshev_bound_two_sided(0.9, M - 1) > 0.1
+
+    def test_tiny_base_rho_is_searched(self):
+        # M = 1 reaches only 1e-16; a shortcut returned 1 for any base below 1e-15
+        assert chebyshev_bound_two_sided(1e-16, 1) > 1e-17
+        assert rounds_for_target(1e-16, 1e-17) == 2
+
+    def test_unreachable_target_stops_at_max_rounds(self):
+        with pytest.raises(UnreachableTargetError, match=f"within {network.MAX_ROUNDS} rounds"):
+            rounds_for_target(1 - 1e-9, 0.01)
+
+    @pytest.mark.parametrize("base_rho", [1e-16, 1e-3, 0.3, 0.9, 0.99, 0.999, 1 - 1e-4])
+    def test_matches_nested_search(self, base_rho):
+        deep = (1e-17, 1e-300) if base_rho <= 0.9 else ()  # the reference is quadratic in M
+        for target in (0.5, 0.1, 1e-2, 1e-4, 1e-8, *deep):
+            if target < base_rho:
+                assert rounds_for_target(base_rho, target) == rounds_by_nested_search(base_rho, target)
 
     def test_monotone_in_target(self):
         Ms = [rounds_for_target(0.95, t) for t in (0.5, 0.2, 0.05, 0.01)]
