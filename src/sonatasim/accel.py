@@ -124,18 +124,28 @@ def tune(
 
 
 class RunObserver:
-    """No-op observer; diagnostics subclass the events they need."""
+    """No-op observer; diagnostics subclass the events they need.
 
-    def on_init(self, comms, X, Y, Z):
+    Each event receives what some observer reads:
+
+    - ``on_init(comms, X, Y)``: the start point and its tracking variable;
+    - ``on_outer_start(X, Y_warm, Z)``: the warm start of an outer
+      iteration and the extrapolation point its shifted problem is centered at;
+    - ``on_inner_step(k, t, comms, X, Y)``: step t of outer iteration k and
+      the cumulative communication count after it;
+    - ``on_outer_end(X, X_prev)``: the outer iterate and the one before it.
+    """
+
+    def on_init(self, comms, X, Y):
         pass
 
-    def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+    def on_outer_start(self, X, Y_warm, Z):
         pass
 
     def on_inner_step(self, k, t, comms, X, Y):
         pass
 
-    def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+    def on_outer_end(self, X, X_prev):
         pass
 
 
@@ -188,7 +198,7 @@ def acc_sonata_run(
     solver = params.local_solver(p)
 
     comms = 0
-    observer.on_init(comms, X, Y, Z)
+    observer.on_init(comms, X, Y)
     result = AccelResult(X, 0, comms, False)
 
     # boundary k checks the state that outer k - 1 left, the last one's too
@@ -201,7 +211,7 @@ def acc_sonata_run(
             raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
         if k == params.K_max or result.converged:
             break
-        observer.on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
+        observer.on_outer_start(X, Y_warm, Z)
 
         inner = sonata.sonata_run(
             p,
@@ -219,7 +229,7 @@ def acc_sonata_run(
         result.subproblem_converged.append(all(inner.subproblem_converged))
 
         Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)
-        observer.on_outer_end(k, comms, X, X_prev, Y, Z, Z_prev)
+        observer.on_outer_end(X, X_prev)
 
         result.K_done = k + 1
         if gap_fn is not None:

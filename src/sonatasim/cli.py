@@ -519,20 +519,13 @@ class SupportTracker(accel.RunObserver):
         self.left = list(left_agents)
         self.d_c = d_c
         self.max_index_per_round = []  # (comms, max 1-based nonzero index, allowed)
-        self.ok = True
 
-    def _check(self, comms, X):
+    def on_inner_step(self, k, t, comms, X, Y):
         block = np.abs(X[self.left])
         scale = max(1.0, float(block.max()))
         nz = np.nonzero(block.max(axis=0) > SUPPORT_THRESHOLD * scale)[0]
         max_idx = int(nz[-1]) + 1 if nz.size else 0
-        allowed = comms // self.d_c + 2
-        self.max_index_per_round.append((comms, max_idx, allowed))
-        if max_idx > allowed:
-            self.ok = False
-
-    def on_inner_step(self, k, t, comms, X, Y):
-        self._check(comms, X)
+        self.max_index_per_round.append((comms, max_idx, comms // self.d_c + 2))
 
 
 def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: int) -> dict:
@@ -569,7 +562,7 @@ def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: 
         "cut_bound": cut_bound,
         "cut_bound_ok": (d_c >= cut_bound) if m >= 3 else None,
         "rounds_run": result.comms,
-        "support_ok": tracker.ok,
+        "support_ok": all(idx <= allowed for _, idx, allowed in tracker.max_index_per_round),
         "max_index_per_round": tracker.max_index_per_round,
         "final_gap": result.gaps[-1] if result.gaps else None,
     }

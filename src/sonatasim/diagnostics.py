@@ -30,12 +30,13 @@ class ShiftedObjective:
     def __init__(self, p: ProblemSpec, delta: float = 0.0, Z=None):
         self.p = p
         self.delta = float(delta)
-        self.Z = None if Z is None else np.asarray(Z, dtype=float)
-        self.z_bar = None if self.Z is None else self.Z.mean(axis=0)
-        self.z_sq_mean = 0.0 if self.Z is None else float((self.Z**2).sum(axis=1).mean())
-        self.exact = p.loss.exact
+        if Z is None:
+            self.z_bar, self.z_sq_mean = None, 0.0
+        else:
+            Z = np.asarray(Z, dtype=float)
+            self.z_bar, self.z_sq_mean = Z.mean(axis=0), float((Z**2).sum(axis=1).mean())
         self._H = problems.curvature(p).H_bar
-        if self.exact:
+        if p.loss.exact:
             stats = problems.gram(p)
             if stats is not None:
                 self._h = stats[1].mean(axis=0)
@@ -47,7 +48,7 @@ class ShiftedObjective:
         """u at a (d,) point (a float), at every row of a (k, d) stack, or at
         every row of each slice of a (k, m, d) stack, a slice computed as on its own."""
         X = np.asarray(X, dtype=float)
-        if self.exact:  # a stacked matmul runs one X @ H per slice
+        if self.p.loss.exact:  # a stacked matmul runs one X @ H per slice
             v = 0.5 * np.einsum("...d,...d->...", X @ self._H, X) - X @ self._h + self._c
         elif X.ndim == 3:
             v = np.stack([problems.average_value(self.p, x) for x in X])
@@ -61,7 +62,7 @@ class ShiftedObjective:
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.exact:
+        if self.p.loss.exact:
             g = self._H @ x - self._h
         else:
             g = problems.average_grad(self.p, x)
@@ -104,7 +105,7 @@ def centralized_solve(
     on one row until the gradient-mapping norm drops below tol.
     """
     obj = ShiftedObjective(p, delta, Z)
-    if obj.exact and p.reg.kind == "zero":
+    if p.loss.exact and p.reg.kind == "zero":
         K = obj._H + delta * np.eye(p.d)
         rhs = obj._h + (delta * obj.z_bar if delta != 0.0 else 0.0)
         x = np.linalg.solve(K, rhs)
@@ -113,7 +114,7 @@ def centralized_solve(
 
     w = np.linalg.eigvalsh(obj._H)
     L = w[-1] + delta
-    mu = (w[0] if obj.exact else p.lam) + delta
+    mu = (w[0] if p.loss.exact else p.lam) + delta
     if mu <= 0:
         raise ValueError("centralized solve requires a strongly convex problem")
     step = np.array([1.0 / L])
@@ -242,8 +243,7 @@ class TrajectoryBuilder(RunObserver):
         self.constants = constants
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
-        self._last_inner: dict | None = None
-        self.P0: float | None = None
+        self._e_final = 0.0  # the last inner step's weighted errors
 
     def _row(self, k, t, comms, X, Y, g_plus_e=None, P_k=None):
         self.traj.rows.append(
@@ -253,30 +253,25 @@ class TrajectoryBuilder(RunObserver):
             )
         )
 
-    def on_init(self, comms, X, Y, Z):
-        self.P0 = outer_potential(X, X, self.params.alpha, self.params.mu, 0.0, self.oracle)
-        self._row(0, 0, comms, X, Y, P_k=self.P0)
+    def on_init(self, comms, X, Y):
+        P0 = outer_potential(X, X, self.params.alpha, self.params.mu, 0.0, self.oracle)
+        self._row(0, 0, comms, X, Y, P_k=P0)
 
-    def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+    def on_outer_start(self, X, Y_warm, Z):
         if self.constants is not None:
             self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
 
     def on_inner_step(self, k, t, comms, X, Y):
         g_plus_e = None
         if self._oracle_k is not None:
-            self._last_inner = inner_potential(
-                X, Y, self.constants, self.params.mode, self._oracle_k
-            )
-            g_plus_e = self._last_inner["total"]
+            inner = inner_potential(X, Y, self.constants, self.params.mode, self._oracle_k)
+            g_plus_e, self._e_final = inner["total"], inner["e"]
         self._row(k, t, comms, X, Y, g_plus_e=g_plus_e)
 
-    def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
-        e_final = self._last_inner["e"] if self._last_inner else 0.0
-        P_next = outer_potential(
-            X_prev, X, self.params.alpha, self.params.mu, e_final, self.oracle
+    def on_outer_end(self, X, X_prev):
+        self.traj.rows[-1].P_k = outer_potential(
+            X_prev, X, self.params.alpha, self.params.mu, self._e_final, self.oracle
         )
-        if self.traj.rows:
-            self.traj.rows[-1].P_k = P_next
 
 
 class CommsToAccuracy(RunObserver):
@@ -308,14 +303,14 @@ class CommsToAccuracy(RunObserver):
                 self.comms = comms[hit[0]]
         self.gap = float(gaps[-1])
 
-    def on_init(self, comms, X, Y, Z):
+    def on_init(self, comms, X, Y):
         self._record(optimality_gap(self.p, X[None], self.oracle), [comms])
 
     def on_inner_step(self, k, t, comms, X, Y):
         self._X.append(X)
         self._comms.append(comms)
 
-    def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+    def on_outer_end(self, X, X_prev):
         self._record(optimality_gap(self.p, np.stack(self._X), self.oracle), self._comms)
         self._X, self._comms = [], []
 

@@ -134,8 +134,8 @@ class GossipMatrix:
     checked within :data:`DS_TOL`, with its bulk interval [lo, hi] (measured
     once, when not given) and spectral deviation rho derived from it.
     The eigenvalues behind a measured interval are kept for
-    :func:`chebyshev_accelerate`; a matrix given its ``bulk`` measures them
-    when first asked.
+    :func:`chebyshev_accelerate`, and ``dataclasses.replace`` copies them with
+    the bulk; a matrix given its ``bulk`` measures them when first asked.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
@@ -148,7 +148,7 @@ class GossipMatrix:
     W: np.ndarray
     bulk: tuple[float, float] = field(default=None)  # type: ignore[assignment]
     rounds_per_application: int = 1
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -304,19 +304,15 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     )
 
 
-def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
-    """Worst-case deviation after degree-M acceleration of a bulk in [-rho, rho]."""
-    return 1.0 / _cheb_scalars(1.0 / base_rho, M)
-
-
 def rounds_for_target(base_rho: float, target_rho: float) -> int:
     """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, whose
     accelerated deviation is <= target_rho.
 
-    Uses the two-sided worst-case closed form, so the spectrally measured
-    deviation of :func:`chebyshev_accelerate` meets the target for any base
-    with the given rho, whatever the sign pattern of its bulk.  One running
-    recurrence gives :func:`chebyshev_bound_two_sided` for each M in turn.
+    Uses the two-sided worst-case closed form 1 / T_M(1 / base_rho), the
+    deviation after degree-M acceleration of a bulk in [-rho, rho], so the
+    spectrally measured deviation of :func:`chebyshev_accelerate` meets the
+    target for any base with the given rho, whatever the sign pattern of its
+    bulk.  One running recurrence gives it for each M in turn.
     """
     if not 0 <= target_rho < 1 or not 0 <= base_rho < 1:
         raise ValueError("rho values must lie in [0, 1)")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sonatasim import problems
+from sonatasim import network, problems
 from sonatasim.accel import AccelParams
 from sonatasim.problems import Constants, ProblemSpec
 from sonatasim.sonata import LocalSolver, shifted_grads
@@ -60,6 +60,11 @@ def admissible_rho(constants: Constants, mode: str) -> float:
     if mode == "L":
         return float(L**2 / (70 * np.sqrt(15.0) * (2 * L - mu + beta) ** 2))
     raise ValueError("mode must be 'F' or 'L'")
+
+
+def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
+    """Worst-case deviation after degree-M acceleration of a bulk in [-rho, rho]."""
+    return 1.0 / network._cheb_scalars(1.0 / base_rho, M)
 
 
 def fit_contraction_factor(values) -> float:

@@ -135,7 +135,7 @@ class TestAccSonataRun:
             def __init__(self):
                 self.delta_z = None
 
-            def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+            def on_outer_start(self, X, Y_warm, Z):
                 self.delta_z = np.array(Z)
                 worst[0] = max(
                     worst[0], reference.tracking_gap(p, X, Y_warm, params.delta, Z)
@@ -294,7 +294,7 @@ class TestTrackingProperty:
         worst = []
 
         class Watch(RunObserver):
-            def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+            def on_outer_start(self, X, Y_warm, Z):
                 self.Z = np.array(Z)
 
             def on_inner_step(self, k, t, comms, X, Y):
@@ -428,7 +428,7 @@ class TestSingleMachineEquivalence:
         outs = []
 
         class Cap(RunObserver):
-            def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+            def on_outer_end(self, X, X_prev):
                 outs.append(X[0].copy())
 
         acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
@@ -456,7 +456,7 @@ class TestSingleMachineEquivalence:
         outs = []
 
         class Cap(RunObserver):
-            def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+            def on_outer_end(self, X, X_prev):
                 outs.append(X[0].copy())
 
         acc_sonata_run(p, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())

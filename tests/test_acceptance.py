@@ -2,7 +2,6 @@
 its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import csv
 import json
 import math
 import time
@@ -25,28 +24,25 @@ def _report(number, name, elapsed, budget, detail=""):
 RUNS = Path(__file__).resolve().parent.parent / "runs"
 
 
+def _without_output(metadata_text):
+    """metadata.json text with its effective_config output path masked."""
+    output = json.loads(metadata_text)["effective_config"]["output"]
+    line = f'"output": {json.dumps(output)},'
+    assert metadata_text.count(line) == 1
+    return metadata_text.replace(line, '"output": null,')
+
+
 def _assert_matches_committed(out, name):
-    """The regenerated sweep equals the committed reference copy: in the
-    summary, integer columns and sweep points exactly and measured floats to
-    1e-9; in the metadata, the effective config in every key but the output,
-    which loads back as a config unchanged."""
-    fresh_config = json.loads((out / "metadata.json").read_text())["effective_config"]
-    committed_config = json.loads((RUNS / name / "metadata.json").read_text())["effective_config"]
+    """The regenerated sweep equals the committed reference copy byte for
+    byte: the summary whole, the metadata in every byte but the output path;
+    the committed effective config loads back as a config unchanged."""
+    committed = RUNS / name
+    committed_meta = (committed / "metadata.json").read_text()
+    committed_config = json.loads(committed_meta)["effective_config"]
     assert cli.load_config(None, committed_config) == committed_config
-    fresh_config.pop("output"), committed_config.pop("output")
-    assert fresh_config == committed_config
-    with open(out / "summary.csv", newline="") as fh:
-        fresh = list(csv.DictReader(fh))
-    with open(RUNS / name / "summary.csv", newline="") as fh:
-        committed = list(csv.DictReader(fh))
-    assert len(fresh) == len(committed)
-    for got, want in zip(fresh, committed):
-        assert got.keys() == want.keys()
-        for key in ("axis", "n", "comms_F", "comms_L"):
-            assert got[key] == want[key], (key, got, want)
-        assert float(got["point"]) == float(want["point"])
-        for key in ("lam", "beta_over_mu_hat", "kappa_hat"):
-            assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-9), key
+    fresh_meta = (out / "metadata.json").read_text()
+    assert _without_output(fresh_meta) == _without_output(committed_meta)
+    assert (out / "summary.csv").read_bytes() == (committed / "summary.csv").read_bytes()
 
 
 def _timer():
@@ -117,7 +113,7 @@ def test_criterion_03_tracking_conservation():
         def __init__(self):
             self.Z = None
 
-        def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
+        def on_outer_start(self, X, Y_warm, Z):
             self.Z = np.array(Z)
             worst[0] = max(worst[0], reference.tracking_gap(p, X, Y_warm, params.delta, Z))
             checks[0] += 1
@@ -307,7 +303,7 @@ def test_criterion_10_degenerate_equivalences():
     outs = []
 
     class Cap(accel.RunObserver):
-        def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+        def on_outer_end(self, X, X_prev):
             outs.append(X[0].copy())
 
     accel.acc_sonata_run(p1, replace(params, K_max=8), network.exact_averaging(1), observer=Cap())
@@ -352,7 +348,7 @@ def test_criterion_10_degenerate_equivalences():
     mesh_outer = []
 
     class Cap3(accel.RunObserver):
-        def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+        def on_outer_end(self, X, X_prev):
             mesh_outer.append(X[0].copy())
 
     Y0_hub = np.tile(problems.batch_grads(p, X0).mean(axis=0), (p.m, 1))

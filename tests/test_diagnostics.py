@@ -65,8 +65,8 @@ class WarmStartBuilder(TrajectoryBuilder):
         super().__init__(*args, **kwargs)
         self.g_e_warm = []
 
-    def on_outer_start(self, k, comms, X, Y_warm, Z, Z_prev):
-        super().on_outer_start(k, comms, X, Y_warm, Z, Z_prev)
+    def on_outer_start(self, X, Y_warm, Z):
+        super().on_outer_start(X, Y_warm, Z)
         self.g_e_warm.append(
             inner_potential(X, Y_warm, self.constants, self.params.mode, self._oracle_k)["total"]
         )
@@ -266,11 +266,11 @@ class TestCommsToAccuracyObserver:
     def test_non_finite_gap_raises(self, small_ridge):
         counter = CommsToAccuracy(small_ridge, centralized_solve(small_ridge), 1e-4)
         X = np.zeros((small_ridge.m, small_ridge.d))
-        counter.on_init(0, X, X, X)
+        counter.on_init(0, X, X)
         counter.on_inner_step(0, 1, 1, X + np.inf, X)
         with np.errstate(invalid="ignore"):
             with pytest.raises(problems.DivergenceError, match="non-finite optimality gap"):
-                counter.on_outer_end(0, 1, X, X, X, X, X)
+                counter.on_outer_end(X, X)
 
 
 class TestInnerPotential:
@@ -399,7 +399,7 @@ class TestPotentialDecay:
         p, c, params, builder = self._compliant_run()
         ends = self._outer_ends(builder)
         assert len(ends) == 20
-        P0 = builder.P0
+        P0 = builder.traj.rows[0].P_k
         c_meas = measure_epsilon_constant(P0, params.alpha, [r.g_plus_e for r in ends])
         assert c_meas > 0
         c_eval = min(c_meas, 0.9)
@@ -414,7 +414,7 @@ class TestPotentialDecay:
     def test_warm_start_potential_stays_bounded_relative_to_eps(self):
         p, c, params, builder = self._compliant_run()
         ends = self._outer_ends(builder)
-        P0 = builder.P0
+        P0 = builder.traj.rows[0].P_k
         c_meas = min(
             measure_epsilon_constant(P0, params.alpha, [r.g_plus_e for r in ends]), 0.9
         )
@@ -441,7 +441,7 @@ class TestNonnegativity:
         oracle = centralized_solve(p)
         builder = TrajectoryBuilder(p, oracle, params, constants=c)
         accel.acc_sonata_run(p, replace(params, K_max=10), W, observer=builder)
-        tol = -1e-9 * builder.P0
+        tol = -1e-9 * builder.traj.rows[0].P_k
         for row in builder.traj.rows:
             assert row.gap >= tol
             assert row.consensus_err >= 0 and row.tracking_err >= 0

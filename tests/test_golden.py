@@ -1,4 +1,4 @@
-"""Golden outputs: four ``sonatasim run`` invocations, two ``sonatasim sweep``
+"""Golden outputs: seven ``sonatasim run`` invocations, two ``sonatasim sweep``
 invocations and one ``sonatasim lowerbound-check`` rerun byte for byte.
 
 ``tests/data/golden/<name>/`` holds the files that ``ARGV[name]`` writes:
@@ -41,6 +41,22 @@ CONFIGS = {
     "chebyshev-er": {"topology": {"kind": "erdos_renyi", "p": 0.3, "target_rho": 0.2}},
     # the default config in mode L with potentials: the shifted oracle's error weights
     "potentials-L": {},
+    # n < d under Chebyshev gossip: gradients, Hessian bounds and the objective from A
+    "d-gt-n": {
+        "problem": {"synthetic": {"m": 12, "n": 5, "d": 10}},
+        "topology": {"kind": "erdos_renyi", "p": 0.4, "target_rho": 0.3},
+        "algorithm": {"mode": "L"},
+    },
+    # l1 on an exact loss: the reference solver's proximal path on the closed form
+    "ridge-l1": {
+        "problem": {"synthetic": {"m": 8, "n": 100, "d": 10, "L0": 100}},
+        "regularizer": {"kind": "l1", "weight": 200.0},
+    },
+    # the default smooth-hinge loss on a LIBSVM file under a box constraint
+    "hinge-box": {
+        "problem": {"dataset": {"path": str(DATA / "sample200.libsvm"), "m": 4, "lam": 0.01}},
+        "regularizer": {"kind": "box", "lo": -0.25, "hi": 0.25},
+    },
     # the sample-size axis, and the kappa axis with its calibration of n
     "sweep-bmu": SWEEP_CONFIG,
     "sweep-kappa": SWEEP_CONFIG,
@@ -52,6 +68,9 @@ ARGV = {
     "logistic-l1": ["run"],
     "chebyshev-er": ["run"],
     "potentials-L": ["run", "--potentials", "--mode", "L", "--k-max", "10"],
+    "d-gt-n": ["run"],
+    "ridge-l1": ["run"],
+    "hinge-box": ["run"],
     "sweep-bmu": ["sweep", "--eps", "1e-4", "--axis", "beta_over_mu", "--points", "100,400"],
     "sweep-kappa": ["sweep", "--eps", "1e-4", "--axis", "kappa", "--points", "3,5"],
     # the split-quadratic fixture on weighted line gossip (m = 5 agents)

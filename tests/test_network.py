@@ -18,7 +18,6 @@ from sonatasim.network import (
     UnreachableTargetError,
     boundary_classes,
     chebyshev_accelerate,
-    chebyshev_bound_two_sided,
     complete_graph,
     cut_distance,
     erdos_renyi,
@@ -56,7 +55,7 @@ def rounds_by_nested_search(base_rho, target_rho):
     """The degree search as first written: the closed form from scratch for
     each candidate M, O(M^2) in all; a reference for rounds_for_target."""
     for M in range(1, network.MAX_ROUNDS + 1):
-        if chebyshev_bound_two_sided(base_rho, M) <= target_rho:
+        if reference.chebyshev_bound_two_sided(base_rho, M) <= target_rho:
             return M
     raise UnreachableTargetError(f"target {target_rho} not reached")
 
@@ -211,7 +210,7 @@ class TestChebyshev:
         base = metropolis_hastings(erdos_renyi(14, 0.4, seed=6))
         for M in (1, 3, 6):
             acc = chebyshev_accelerate(base, M)
-            assert acc.rho <= chebyshev_bound_two_sided(base.rho, M) + 1e-8
+            assert acc.rho <= reference.chebyshev_bound_two_sided(base.rho, M) + 1e-8
 
     def test_respects_hop_locality(self):
         base = metropolis_hastings(line_graph(9))
@@ -251,6 +250,15 @@ class TestChebyshev:
         first, second = chebyshev_accelerate(base, 4), chebyshev_accelerate(base, 4)
         assert eigvalsh_shapes == [(12, 12)]
         assert first.bulk == second.bulk == chebyshev_accelerate(mh, 4).bulk
+
+    def test_replaced_matrix_keeps_its_spectrum(self, eigvalsh_shapes):
+        # replace copies the measured eigenvalues with the bulk, so the
+        # half-duplex copy of a base is accelerated without a decomposition
+        base = metropolis_hastings(erdos_renyi(200, 0.1, seed=1))
+        eigvalsh_shapes.clear()
+        acc = chebyshev_accelerate(dataclasses.replace(base, rounds_per_application=2), 3)
+        assert eigvalsh_shapes == []
+        assert acc.bulk == chebyshev_accelerate(base, 3).bulk
 
     def test_operator_holds_no_dense_matrix(self):
         g = erdos_renyi(40, 0.1, seed=2)
@@ -358,11 +366,11 @@ class TestRoundsForTarget:
         acc = chebyshev_accelerate(base, M)
         assert acc.rho <= 0.1
         # M is minimal wrt the worst-case closed form
-        assert chebyshev_bound_two_sided(0.9, M - 1) > 0.1
+        assert reference.chebyshev_bound_two_sided(0.9, M - 1) > 0.1
 
     def test_tiny_base_rho_is_searched(self):
         # M = 1 reaches only 1e-16; a shortcut returned 1 for any base below 1e-15
-        assert chebyshev_bound_two_sided(1e-16, 1) > 1e-17
+        assert reference.chebyshev_bound_two_sided(1e-16, 1) > 1e-17
         assert rounds_for_target(1e-16, 1e-17) == 2
 
     def test_unreachable_target_stops_at_max_rounds(self):

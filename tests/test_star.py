@@ -59,7 +59,7 @@ class TestAccStarEquivalence:
         mesh_outer = []
 
         class Cap(accel.RunObserver):
-            def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+            def on_outer_end(self, X, X_prev):
                 mesh_outer.append(X[0].copy())
 
         # supply the hub-averaged gradient as the tracking start so the first
@@ -89,7 +89,7 @@ class TestAccStarEquivalence:
         mesh_outer = []
 
         class Cap(accel.RunObserver):
-            def on_outer_end(self, k, comms, X, X_prev, Y, Z, Z_prev):
+            def on_outer_end(self, X, X_prev):
                 mesh_outer.append(X.copy())
 
         Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
