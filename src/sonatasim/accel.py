@@ -179,12 +179,12 @@ def acc_sonata_run(
     star-equivalent (exact averaging) network the caller may override it with
     the averaged gradient, which the hub can compute in one round.
 
-    The shifted gradients at each outer boundary are evaluated once: they
-    check the tracking identity (a violated or non-finite drift raises) and
-    seed the inner loop's gradient cache.  They shift local gradients already
-    computed at the same X: those that seed Y at the start, then those of
-    each inner loop's last gossip round, the final loop's included, whether
-    the run stops at K_max or on its target.
+    The local gradients at each outer boundary are evaluated once: those
+    that seed Y at the start, then those of each inner loop's last gossip
+    round, the final loop's included, whether the run stops at K_max or on
+    its target.  Shifted toward the new centers, they check the tracking
+    identity (a violated or non-finite drift raises); unshifted, they seed
+    the next inner loop and its first local step.
     """
     observer = observer or RunObserver()
     delta = params.delta
@@ -221,7 +221,7 @@ def acc_sonata_run(
             W,
             solver,
             Z=Z,
-            G0=G,
+            grads0=grads,
             comms_start=comms,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )

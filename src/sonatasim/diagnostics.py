@@ -164,15 +164,16 @@ def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> 
 
 
 def outer_potential(
-    X_prev, X, alpha: float, mu: float, e_prev_final: float, oracle: Oracle
+    X_prev, X, alpha: float, mu: float, e_prev_final: float, oracle: Oracle, sub: float
 ) -> float:
-    """Suboptimality plus a momentum-corrected distance to the solution plus
+    """Suboptimality ``sub`` = ``oracle.suboptimality(X)``, which the caller
+    has evaluated, plus a momentum-corrected distance to the solution plus
     the carried-over inner error: decays linearly on compliant runs."""
     X = np.asarray(X, dtype=float)
     X_prev = np.asarray(X_prev, dtype=float)
     V = X_prev + (X - X_prev) / alpha
     dist = float(((V - oracle.x_star) ** 2).sum(axis=1).mean())
-    return oracle.suboptimality(X) + 0.5 * mu * dist + e_prev_final
+    return sub + 0.5 * mu * dist + e_prev_final
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +226,14 @@ def _csv_cell(v):
 class TrajectoryBuilder(RunObserver):
     """Observer that assembles a Trajectory from an accelerated run.
 
-    It evaluates the outer potential after every extrapolation.  Given
-    ``constants`` it also records the potentials: it re-solves the shifted
-    problem at every outer iteration to evaluate the inner potential.
+    Each row evaluates the suboptimality and the consensus error of its X
+    once: the row's gap is their max, as :func:`optimality_gap` takes it, and
+    its ``consensus_err`` column is the latter.  The outer potential at the
+    start and after every extrapolation is the ``P_k`` of the row at the
+    same X (row 0, or the outer iteration's last inner step, since T >= 1)
+    and reads that row's suboptimality.  Given ``constants`` it also records
+    the potentials: it re-solves the shifted problem at every outer
+    iteration to evaluate the inner potential.
     """
 
     def __init__(
@@ -244,18 +250,22 @@ class TrajectoryBuilder(RunObserver):
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
         self._e_final = 0.0  # the last inner step's weighted errors
+        self._sub = 0.0  # the last row's suboptimality
 
-    def _row(self, k, t, comms, X, Y, g_plus_e=None, P_k=None):
-        self.traj.rows.append(
-            TrajRow(
-                k, t, comms, optimality_gap(self.p, X, self.oracle),
-                consensus_error(X), consensus_error(Y), g_plus_e, P_k,
-            )
+    def _row(self, k, t, comms, X, Y, g_plus_e=None):
+        self._sub, cons = self.oracle.suboptimality(X), consensus_error(X)
+        gap = float(np.maximum(self._sub, cons))  # NaN in either arm is NaN
+        self.traj.rows.append(TrajRow(k, t, comms, gap, cons, consensus_error(Y), g_plus_e))
+
+    def _outer_potential(self, X_prev, X, e_prev_final):
+        """P_k of the last row, which is at X."""
+        self.traj.rows[-1].P_k = outer_potential(
+            X_prev, X, self.params.alpha, self.params.mu, e_prev_final, self.oracle, self._sub
         )
 
     def on_init(self, comms, X, Y):
-        P0 = outer_potential(X, X, self.params.alpha, self.params.mu, 0.0, self.oracle)
-        self._row(0, 0, comms, X, Y, P_k=P0)
+        self._row(0, 0, comms, X, Y)
+        self._outer_potential(X, X, 0.0)
 
     def on_outer_start(self, X, Y_warm, Z):
         if self.constants is not None:
@@ -269,9 +279,7 @@ class TrajectoryBuilder(RunObserver):
         self._row(k, t, comms, X, Y, g_plus_e=g_plus_e)
 
     def on_outer_end(self, X, X_prev):
-        self.traj.rows[-1].P_k = outer_potential(
-            X_prev, X, self.params.alpha, self.params.mu, self._e_final, self.oracle
-        )
+        self._outer_potential(X_prev, X, self._e_final)
 
 
 class CommsToAccuracy(RunObserver):

@@ -136,6 +136,8 @@ class GossipMatrix:
     The eigenvalues behind a measured interval are kept for
     :func:`chebyshev_accelerate`, and ``dataclasses.replace`` copies them with
     the bulk; a matrix given its ``bulk`` measures them when first asked.
+    Both belong to the array ``W`` they were built with: a ``replace`` that
+    gives another ``W`` measures them again.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
@@ -149,9 +151,13 @@ class GossipMatrix:
     bulk: tuple[float, float] = field(default=None)  # type: ignore[assignment]
     rounds_per_application: int = 1
     _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _bulk_of: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
+        if self._bulk_of is not None and self._bulk_of is not self.W:
+            self.bulk = self._eigenvalues = None  # they describe the replaced W
+        self._bulk_of = self.W
         # written `not x <= tol` so that a NaN fails each check
         if not np.max(np.abs(self.W - self.W.T)) <= DS_TOL:
             raise ValueError(f"matrix is not symmetric within {DS_TOL}")

@@ -125,10 +125,12 @@ def smooth_hinge_deriv(t):
     return np.where(t > 1.0, 0.0, np.where(t < 0.0, -1.0, t - 1.0))
 
 
-def _sigmoid(t):
-    """1 / (1 + exp(-t)), from e = exp(-|t|) <= 1 so neither branch overflows."""
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _logistic_deriv(t, b):
+    """-b * sigmoid(-b t), the sigmoid s = -b t taken as 1 / (1 + e) or
+    e / (1 + e) by its sign, from e = exp(-|s|) <= 1 so neither overflows."""
+    s = -b * t
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e) * -b
 
 
 def _log1pexp(z):
@@ -161,7 +163,7 @@ LOSSES = {
         lambda t, b: smooth_hinge(b * t), lambda t, b: smooth_hinge_deriv(b * t) * b, 1.0, 1.0, False
     ),
     "logistic": Loss(
-        lambda t, b: _log1pexp(-b * t), lambda t, b: -_sigmoid(-b * t) * b, 0.25, 1.0, False
+        lambda t, b: _log1pexp(-b * t), _logistic_deriv, 0.25, 1.0, False
     ),
 }
 
@@ -290,12 +292,13 @@ def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int
 def hessian_bounds(p: ProblemSpec) -> np.ndarray:
     """All m Hessian bounds stacked (m, d, d), a new array on every call;
     callers must not keep it on p."""
+    ridge = p.loss.ridge * p.lam * np.eye(p.d)
     stats = gram(p)
-    if stats is not None:
-        H = stats[0]
-    else:
-        H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
-    return H + p.loss.ridge * p.lam * np.eye(p.d)
+    if stats is not None:  # the memo is read-only
+        return stats[0] + ridge
+    H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
+    H += ridge  # in place: the (m, d, d) stack is this call's own
+    return H
 
 
 @dataclass(frozen=True)

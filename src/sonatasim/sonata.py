@@ -32,7 +32,7 @@ terms and Catalyst's relative stopping test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class SonataResult:
     X: np.ndarray
     Y: np.ndarray
     comms: int
-    subproblem_converged: list = field(default_factory=list)  # one flag per iteration
-    grads: np.ndarray | None = None  # batch_grads at X, when the run computed them
+    subproblem_converged: list  # one flag per iteration
+    grads: np.ndarray  # batch_grads at X
 
 
 def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads=None) -> np.ndarray:
@@ -79,19 +79,23 @@ def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads=None) ->
     return G
 
 
-def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters):
+def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters, grads=None):
     """Iterative mode-F local step of all agents at once.
 
     Agent i minimizes f_i(v) + delta/2||v-z_i||^2 + beta/2||v-x_i||^2
     + <y_i - g_i, v> + r(v), which is (ridge*lam + beta + delta)-strongly
     convex, by :func:`problems.prox_gradient` from x_i with step steps[i] to
-    tolerance tol, a scalar or one entry per agent.  Returns (X_half,
+    tolerance tol, a scalar or one entry per agent.  The routine's first
+    gradient is taken at its start X; given ``grads``, the unshifted
+    ``problems.batch_grads(p, X)``, it reads them there.  Returns (X_half,
     whether all agents converged, the largest iteration count).
     """
     lin = Y - G
+    carried = [] if grads is None else [grads]
 
     def grad(V):
-        return problems.batch_grads(p, V) + beta * (V - X) + lin + delta * (V - Z)
+        F = carried.pop() if carried else problems.batch_grads(p, V)
+        return F + beta * (V - X) + lin + delta * (V - Z)
 
     q = (p.loss.ridge * p.lam + beta + delta) * steps
     return problems.prox_gradient(p, grad, X, steps, q, tol, max_iters)
@@ -138,10 +142,13 @@ class LocalSolver:
         else:
             self.steps = 1.0 / (problems.curvature(p).lmax + delta + surrogate.weight)
 
-    def solve(self, X, Y, G, Z=None):
+    def solve(self, X, Y, G, Z=None, grads=None):
         """Local step from (m, d) stacks of points X, trackers Y, shifted local
         gradients G and proximal centers Z (default X); returns
-        (X_half, converged, inner_iters)."""
+        (X_half, converged, inner_iters).  ``grads`` is the unshifted
+        ``problems.batch_grads(p, X)`` when the caller holds it: the
+        iterative step's first iterate is X, so it reads them rather than
+        evaluating the gradients at X again."""
         if self.surrogate.kind == "L":
             step = 1.0 / self.surrogate.weight
             return prox_r(self.p, X - step * Y, step), True, 0
@@ -157,7 +164,7 @@ class LocalSolver:
             r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
             tol = np.maximum(tol, self.forcing * r0)
         return _prox_gradient_subproblem(
-            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, self.max_iters
+            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, self.max_iters, grads
         )
 
 
@@ -182,7 +189,7 @@ def sonata_run(
     solver: LocalSolver,
     *,
     Z=None,
-    G0=None,
+    grads0=None,
     comms_start: int = 0,
     on_step=None,
 ) -> SonataResult:
@@ -192,27 +199,29 @@ def sonata_run(
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
+    ``grads0`` is ``problems.batch_grads(p, X0)`` when the caller has it.
+    Each iterate's unshifted local gradients are evaluated once, at the
+    start or in the gossip round that mixed it, and serve both its shifted
+    gradients and the first iterate of its local step.
     ``on_step(t, comms, X, Y)`` fires after every completed iteration.  The
-    result carries the unshifted local gradients at its X when T >= 1, for a
-    caller that shifts them toward new proximal centers.
+    result carries the unshifted local gradients at its X, for a caller that
+    shifts them toward new proximal centers.
     """
     X = np.array(X0, dtype=float)
     Y = np.array(Y0, dtype=float)
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
-    G = np.array(G0, dtype=float) if G0 is not None else shifted_grads(p, X, solver.delta, Z)
+    grads = problems.batch_grads(p, X) if grads0 is None else grads0
+    G = shifted_grads(p, X, solver.delta, Z, grads)
 
     comms = comms_start
-    result = SonataResult(X, Y, comms)
-
+    converged = []
     for t in range(1, T + 1):
-        X_half, converged, _ = solver.solve(X, Y, G, Z)
-        X, Y, G, result.grads = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
+        X_half, ok, _ = solver.solve(X, Y, G, Z, grads)
+        X, Y, G, grads = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
         comms += W.rounds_per_application
-        result.subproblem_converged.append(converged)
+        converged.append(ok)
         if on_step is not None:
             on_step(t, comms, X, Y)
-
-    result.X, result.Y, result.comms = X, Y, comms
-    return result
+    return SonataResult(X, Y, comms, converged, grads)
 

@@ -310,7 +310,7 @@ class TestMainEntry:
     )
     def test_non_finite_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
         # a NaN gap used to be written to metadata.json as NaN with exit 0
-        monkeypatch.setattr(diagnostics, "optimality_gap", lambda p, X, oracle: math.nan)
+        monkeypatch.setattr(diagnostics.Oracle, "suboptimality", lambda self, X: math.nan)
         if argv[0] == "run":
             argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1

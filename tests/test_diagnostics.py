@@ -334,7 +334,10 @@ class TestOuterPotential:
         oracle = centralized_solve(p)
         mu = 3.7
         X0 = np.zeros((p.m, p.d))
-        P0 = outer_potential(X0, X0, alpha=0.5, mu=mu, e_prev_final=0.0, oracle=oracle)
+        P0 = outer_potential(
+            X0, X0, alpha=0.5, mu=mu, e_prev_final=0.0, oracle=oracle,
+            sub=oracle.suboptimality(X0),
+        )
         expect = (oracle.objective.values(np.zeros(p.d)) - oracle.u_star) + 0.5 * mu * (
             oracle.x_star @ oracle.x_star
         )
@@ -345,7 +348,7 @@ class TestOuterPotential:
         oracle = centralized_solve(p)
         X_prev = rng.standard_normal((p.m, p.d))
         X = rng.standard_normal((p.m, p.d))
-        P = outer_potential(X_prev, X, 0.6, 2.0, 0.1, oracle)
+        P = outer_potential(X_prev, X, 0.6, 2.0, 0.1, oracle, oracle.suboptimality(X))
         sub = oracle.objective.values(X).mean() - oracle.u_star
         assert P >= sub
 

@@ -14,11 +14,13 @@ why.
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sonatasim import cli
+from sonatasim import cli, diagnostics, problems
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -119,6 +121,31 @@ def _check(name, work):
 @pytest.mark.parametrize("name", RUNS)
 def test_run_reproduces_golden_output(name, tmp_path):
     _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_evaluates_each_point_once(name, tmp_path, monkeypatch):
+    # the local step re-evaluated the gradients its caller held, and the
+    # outer potential the suboptimality of the trajectory row just written
+    calls = Counter()
+    batch_grads, suboptimality = problems.batch_grads, diagnostics.Oracle.suboptimality
+
+    def counted_grads(p, X):
+        calls["batch_grads", X.tobytes()] += 1
+        return batch_grads(p, X)
+
+    def counted_suboptimality(oracle, X):  # keyed by the problem the oracle solves
+        calls["suboptimality", oracle.x_star.tobytes(), np.asarray(X).tobytes()] += 1
+        return suboptimality(oracle, X)
+
+    monkeypatch.setattr(problems, "batch_grads", counted_grads)
+    monkeypatch.setattr(diagnostics.Oracle, "suboptimality", counted_suboptimality)
+    outputs(name, tmp_path)
+    repeated = {"batch_grads": 0, "suboptimality": 0}
+    for (kind, *_), n in calls.items():
+        repeated[kind] += n - 1
+    assert {kind for kind, *_ in calls} == set(repeated)
+    assert repeated == {"batch_grads": 0, "suboptimality": 0}
 
 
 @pytest.mark.parametrize("name", SWEEPS)

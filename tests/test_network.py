@@ -260,6 +260,19 @@ class TestChebyshev:
         assert eigvalsh_shapes == []
         assert acc.bulk == chebyshev_accelerate(base, 3).bulk
 
+    def test_replaced_W_is_measured_again(self):
+        # replace(W=...) used to keep the old bulk (-0.312, 0.624) and, with
+        # it, the old rho and eigenvalues, measured or given
+        mh = metropolis_hastings(erdos_renyi(14, 0.4, seed=6))
+        lazy = 0.5 * (mh.W + np.eye(14))
+        fresh = GossipMatrix(lazy)
+        for W in (mh, GossipMatrix(mh.W, bulk=mh.bulk)):
+            replaced = dataclasses.replace(W, W=lazy)
+            assert replaced.bulk == fresh.bulk and replaced.rho == fresh.rho
+            assert replaced.bulk == pytest.approx((1.1e-16, 0.812), abs=1e-3)
+            np.testing.assert_array_equal(replaced.spectrum(), fresh.spectrum())
+            assert chebyshev_accelerate(replaced, 3).bulk == chebyshev_accelerate(fresh, 3).bulk
+
     def test_operator_holds_no_dense_matrix(self):
         g = erdos_renyi(40, 0.1, seed=2)
         acc = chebyshev_accelerate(metropolis_hastings(g), 3)

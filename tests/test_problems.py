@@ -308,8 +308,27 @@ class TestLossKernels:
 
     def test_sigmoid_bit_identical_to_masked_formula(self):
         t = self.grid()
-        got, want = problems._sigmoid(t), masked_sigmoid(t)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for label in (1.0, -1.0):
+            got = problems.LOSSES["logistic"].deriv(t, np.full_like(t, label))
+            want = -masked_sigmoid(-label * t) * label
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_logistic_derivative_bit_identical_to_sigmoid_form(self):
+        # the kernel computed -sigmoid(-b t) * b in 13 array passes, with
+        # sigmoid(s) = where(s >= 0, 1 / (1 + e), e / (1 + e)), e = exp(-|s|)
+        def before(t, b):
+            s = -b * t
+            e = np.exp(-np.abs(s))
+            return -np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) * b
+
+        edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+        rng = np.random.default_rng(9)
+        draws = rng.standard_normal(24_000) * np.logspace(-3, 3, 24_000)
+        t = np.concatenate([edges, edges, draws])
+        signs = np.where(rng.random(draws.size) < 0.5, -1.0, 1.0)
+        b = np.concatenate([np.ones(len(edges)), -np.ones(len(edges)), signs])
+        got = problems.LOSSES["logistic"].deriv(t, b)
+        assert np.array_equal(got.view(np.int64), before(t, b).view(np.int64))
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_logistic_value_within_4_ulp_of_logaddexp(self, label):
