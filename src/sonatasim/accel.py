@@ -28,7 +28,6 @@ import numpy as np
 
 from . import problems, sonata
 from .problems import Constants, DivergenceError, InputError, ProblemSpec
-from .sonata import Surrogate
 
 
 class DegenerateSimilarityError(InputError):
@@ -68,11 +67,9 @@ class AccelParams:
         return math.sqrt(self.mu / (self.mu + self.delta))
 
     @property
-    def surrogate(self) -> Surrogate:
+    def surrogate_weight(self) -> float:
         """Mode L models the shifted loss, whose smoothness is L + delta."""
-        if self.mode == "L":
-            return Surrogate("L", self.weight + self.delta)
-        return Surrogate("F", self.weight)
+        return self.weight + self.delta if self.mode == "L" else self.weight
 
     @property
     def extrapolation_coef(self) -> float:
@@ -83,7 +80,7 @@ class AccelParams:
         accuracy of :data:`sonata.SUBPROBLEM_TOL`, :data:`sonata.MAX_INNER_ITERS`
         and :data:`sonata.FORCING`, read here rather than bound as defaults."""
         return sonata.LocalSolver(
-            p, self.surrogate, self.delta,
+            p, self.mode, self.surrogate_weight, self.delta,
             sonata.SUBPROBLEM_TOL, sonata.MAX_INNER_ITERS, sonata.FORCING,
         )
 

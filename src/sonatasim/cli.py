@@ -251,14 +251,10 @@ def _constants_dict(c: problems.Constants) -> dict:
 
 def _params_dict(params: accel.AccelParams) -> dict:
     return {
-        "mode": params.mode,
         "delta": params.delta,
         "alpha": params.alpha,
         "T": params.T,
-        "mu": params.mu,
-        "surrogate_kind": params.surrogate.kind,
-        "surrogate_weight": params.surrogate.weight,
-        "K_max": params.K_max,
+        "surrogate_weight": params.surrogate_weight,
     }
 
 
@@ -289,14 +285,12 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
     builder.traj.write_csv(out_dir / "trajectory.csv")
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
-        "seed": cfg["seed"],
         "effective_config": effective_config(cfg),
         "constants": _constants_dict(constants),
         "params": _params_dict(params),
         "network": {
             "rho": W.rho,
             "rounds_per_application": W.rounds_per_application,
-            "m": W.m,
         },
         "result": {
             "K_done": result.K_done,
@@ -397,7 +391,9 @@ _SWEEP_UNUSED = {
 }
 
 
-def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps: float) -> dict:
+def execute_sweep(
+    cfg: dict, axis: str, points: list[float], out_dir: Path, eps: float
+) -> list[dict]:
     """Sweep an instance axis and record comms-to-eps for both surrogate modes.
 
     ``beta_over_mu`` varies the local sample size at fixed covariance;
@@ -408,7 +404,8 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
     mode across the sweep (largest tuned value) so the measured communication
     counts isolate the outer-rate dependence.  eps is recorded as the
     effective config's ``algorithm.target_gap``.  out_dir is created only
-    once every point has run.
+    once every point has run.  Returns the rows of summary.csv, with None
+    where it has ``not-reached``.
     """
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
@@ -499,16 +496,12 @@ def execute_sweep(cfg: dict, axis: str, points: list[float], out_dir: Path, eps:
             )
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
-        "axis": axis,
-        "points": points,
-        "eps": eps,
         "T_F": T_f,
         "T_L": T_l,
-        "rows": rows,
         "effective_config": effective_config(dict(cfg, algorithm=dict(alg, target_gap=eps))),
     }
     _write_json(out_dir / "metadata.json", meta)
-    return meta
+    return rows
 
 
 class SupportTracker(accel.RunObserver):
@@ -642,8 +635,8 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"--points: not a list of numbers: {args.points!r}") from None
             out_dir = output_path(cfg["output"])
-            meta = execute_sweep(cfg, args.axis, points, out_dir, cfg["algorithm"]["target_gap"])
-            print(_json({"output": str(out_dir), "rows": meta["rows"]}))
+            rows = execute_sweep(cfg, args.axis, points, out_dir, cfg["algorithm"]["target_gap"])
+            print(_json({"output": str(out_dir), "rows": rows}))
             return 0
         if args.command == "lowerbound-check":
             report = lowerbound_check(args.mu, args.beta, args.rho, args.d, args.rounds)

@@ -1,6 +1,6 @@
 """Centralized oracles and run diagnostics: optimality gap, consensus and
-tracking errors, the inner and outer potential functions with the inner
-one's mode-specific error weights, trajectory recording, and
+tracking errors, the outer potential function and the inner one's
+mode-specific error weights, trajectory recording, and
 communication-to-accuracy extraction.
 
 Everything here is offline instrumentation: it reads state snapshots and never
@@ -153,16 +153,6 @@ def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
     raise ValueError("mode must be 'F' or 'L'")
 
 
-def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> dict:
-    """g + e of the inner loop: average shifted suboptimality plus weighted
-    consensus and tracking errors.  ``oracle_k`` must solve the same shifted
-    problem the states are evolving on."""
-    c_x, c_y = error_weights(constants, mode)
-    g = oracle_k.suboptimality(X)
-    e = c_x * consensus_error(X) + c_y * consensus_error(Y)
-    return {"g": g, "e": e, "total": g + e}
-
-
 def outer_potential(
     X_prev, X, alpha: float, mu: float, e_prev_final: float, oracle: Oracle, sub: float
 ) -> float:
@@ -180,7 +170,7 @@ def outer_potential(
 # Trajectory recording
 # ---------------------------------------------------------------------------
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -233,7 +223,8 @@ class TrajectoryBuilder(RunObserver):
     same X (row 0, or the outer iteration's last inner step, since T >= 1)
     and reads that row's suboptimality.  Given ``constants`` it also records
     the potentials: it re-solves the shifted problem at every outer
-    iteration to evaluate the inner potential.
+    iteration, and an inner step's row adds the shifted suboptimality g to
+    e, its consensus and tracking errors weighted by :func:`error_weights`.
     """
 
     def __init__(
@@ -252,10 +243,16 @@ class TrajectoryBuilder(RunObserver):
         self._e_final = 0.0  # the last inner step's weighted errors
         self._sub = 0.0  # the last row's suboptimality
 
-    def _row(self, k, t, comms, X, Y, g_plus_e=None):
-        self._sub, cons = self.oracle.suboptimality(X), consensus_error(X)
+    def _row(self, k, t, comms, X, Y):
+        self._sub = self.oracle.suboptimality(X)
+        cons, track = consensus_error(X), consensus_error(Y)
         gap = float(np.maximum(self._sub, cons))  # NaN in either arm is NaN
-        self.traj.rows.append(TrajRow(k, t, comms, gap, cons, consensus_error(Y), g_plus_e))
+        g_plus_e = None
+        if self._oracle_k is not None:  # an inner step of a run with potentials
+            c_x, c_y = error_weights(self.constants, self.params.mode)
+            self._e_final = c_x * cons + c_y * track
+            g_plus_e = self._oracle_k.suboptimality(X) + self._e_final
+        self.traj.rows.append(TrajRow(k, t, comms, gap, cons, track, g_plus_e))
 
     def _outer_potential(self, X_prev, X, e_prev_final):
         """P_k of the last row, which is at X."""
@@ -272,11 +269,7 @@ class TrajectoryBuilder(RunObserver):
             self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
 
     def on_inner_step(self, k, t, comms, X, Y):
-        g_plus_e = None
-        if self._oracle_k is not None:
-            inner = inner_potential(X, Y, self.constants, self.params.mode, self._oracle_k)
-            g_plus_e, self._e_final = inner["total"], inner["e"]
-        self._row(k, t, comms, X, Y, g_plus_e=g_plus_e)
+        self._row(k, t, comms, X, Y)
 
     def on_outer_end(self, X, X_prev):
         self._outer_potential(X_prev, X, self._e_final)

@@ -131,13 +131,12 @@ def _spectrum(W: np.ndarray) -> np.ndarray:
 @dataclass
 class GossipMatrix:
     """Symmetric mixing matrix with unit row sums (so doubly stochastic),
-    checked within :data:`DS_TOL`, with its bulk interval [lo, hi] (measured
-    once, when not given) and spectral deviation rho derived from it.
-    The eigenvalues behind a measured interval are kept for
-    :func:`chebyshev_accelerate`, and ``dataclasses.replace`` copies them with
-    the bulk; a matrix given its ``bulk`` measures them when first asked.
-    Both belong to the array ``W`` they were built with: a ``replace`` that
-    gives another ``W`` measures them again.
+    checked within :data:`DS_TOL`, with its bulk interval [lo, hi], the two
+    ends of its measured spectrum, and spectral deviation rho derived from it.
+    The eigenvalues are kept for :func:`chebyshev_accelerate`, and
+    ``dataclasses.replace`` copies them; they belong to the array ``W`` they
+    were measured on, so a ``replace`` that gives another ``W`` measures them
+    again.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
@@ -148,24 +147,22 @@ class GossipMatrix:
     """
 
     W: np.ndarray
-    bulk: tuple[float, float] = field(default=None)  # type: ignore[assignment]
     rounds_per_application: int = 1
+    bulk: tuple[float, float] = field(init=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _bulk_of: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _eigenvalues_of: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
-        if self._bulk_of is not None and self._bulk_of is not self.W:
-            self.bulk = self._eigenvalues = None  # they describe the replaced W
-        self._bulk_of = self.W
         # written `not x <= tol` so that a NaN fails each check
         if not np.max(np.abs(self.W - self.W.T)) <= DS_TOL:
             raise ValueError(f"matrix is not symmetric within {DS_TOL}")
         if not np.max(np.abs(self.W.sum(axis=1) - 1.0)) <= DS_TOL:
             raise ValueError(f"matrix rows do not sum to 1 within {DS_TOL}")
-        if self.bulk is None:
-            w = self.spectrum()
-            self.bulk = (float(w[0]), float(w[-1]))
+        if self._eigenvalues_of is not self.W:  # built, or replaced with another W
+            self._eigenvalues, self._eigenvalues_of = _spectrum(self.W), self.W
+        w = self._eigenvalues
+        self.bulk = (float(w[0]), float(w[-1]))
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if not self.rounds_per_application >= 1:
@@ -181,8 +178,6 @@ class GossipMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of W - 11^T/m, measured once."""
-        if self._eigenvalues is None:
-            self._eigenvalues = _spectrum(self.W)
         return self._eigenvalues
 
     def mix(self, X: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ def exact_averaging(m: int) -> GossipMatrix:
     """W = 11^T/m: one round of exact averaging (master-node consensus)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return GossipMatrix(np.full((m, m), 1.0 / m), bulk=(0.0, 0.0))
+    return GossipMatrix(np.full((m, m), 1.0 / m))
 
 
 def _cheb_scalars(z: float, M: int) -> float:

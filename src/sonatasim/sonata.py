@@ -46,21 +46,6 @@ SUBPROBLEM_TOL = 1e-10
 MAX_INNER_ITERS = 5000
 
 
-@dataclass(frozen=True)
-class Surrogate:
-    """Local model choice: kind "F" with prox weight beta, or "L" with model
-    constant l_surr (smoothness of the shifted loss)."""
-
-    kind: str  # "F" | "L"
-    weight: float
-
-    def __post_init__(self):
-        if self.kind not in ("F", "L"):
-            raise ValueError("surrogate kind must be 'F' or 'L'")
-        if self.weight <= 0:
-            raise ValueError("surrogate weight must be > 0")
-
-
 @dataclass
 class SonataResult:
     X: np.ndarray
@@ -103,9 +88,13 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters,
 
 class LocalSolver:
     """The local step of all m agents for one surrogate and proximal shift,
-    within ``max_iters`` iterations when iterative.  An iterative step stops
-    agent i at max(tol, forcing * r0_i), r0_i the gradient mapping of its
-    subproblem at the warm start x_i; ``forcing=0`` is the absolute rule.
+    within ``max_iters`` iterations when iterative.  The surrogate is
+    ``mode`` "F" with prox weight beta = ``weight``, or "L" with model
+    constant ``weight``, the smoothness of the shifted loss (see
+    :attr:`~sonatasim.accel.AccelParams.surrogate_weight`).  An iterative
+    step stops agent i at max(tol, forcing * r0_i), r0_i the gradient
+    mapping of its subproblem at the warm start x_i; ``forcing=0`` is the
+    absolute rule.
 
     Mode L is one proximal-gradient step on the whole stack.  Mode F on an
     exact-curvature loss with r = zero is the closed form
@@ -120,27 +109,29 @@ class LocalSolver:
     def __init__(
         self,
         p: ProblemSpec,
-        surrogate: Surrogate,
+        mode: str,
+        weight: float,
         delta: float,
         tol: float,
         max_iters: int,
         forcing: float = 0.0,
     ):
         self.p = p
-        self.surrogate = surrogate
+        self.mode = mode
+        self.weight = weight
         self.delta = delta
         self.tol = tol
         self.max_iters = max_iters
         self.forcing = forcing
         self.K_inv = self.steps = None
-        if surrogate.kind == "L":
+        if mode == "L":
             return
         if p.loss.exact and p.reg.kind == "zero":
             K = problems.hessian_bounds(p)
-            K += (delta + surrogate.weight) * np.eye(p.d)
+            K += (delta + weight) * np.eye(p.d)
             self.K_inv = np.linalg.inv(K)
         else:
-            self.steps = 1.0 / (problems.curvature(p).lmax + delta + surrogate.weight)
+            self.steps = 1.0 / (problems.curvature(p).lmax + delta + weight)
 
     def solve(self, X, Y, G, Z=None, grads=None):
         """Local step from (m, d) stacks of points X, trackers Y, shifted local
@@ -149,13 +140,12 @@ class LocalSolver:
         ``problems.batch_grads(p, X)`` when the caller holds it: the
         iterative step's first iterate is X, so it reads them rather than
         evaluating the gradients at X again."""
-        if self.surrogate.kind == "L":
-            step = 1.0 / self.surrogate.weight
+        if self.mode == "L":
+            step = 1.0 / self.weight
             return prox_r(self.p, X - step * Y, step), True, 0
         if self.K_inv is not None:
             return X - np.einsum("mab,mb->ma", self.K_inv, Y), True, 0
         Z = X if Z is None else Z
-        beta = self.surrogate.weight
         tol = self.tol
         if self.forcing:
             # at v = x_i the subproblem's gradient is y_i: the linear term
@@ -164,7 +154,7 @@ class LocalSolver:
             r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
             tol = np.maximum(tol, self.forcing * r0)
         return _prox_gradient_subproblem(
-            self.p, X, Y, G, Z, beta, self.delta, self.steps, tol, self.max_iters, grads
+            self.p, X, Y, G, Z, self.weight, self.delta, self.steps, tol, self.max_iters, grads
         )
 
 

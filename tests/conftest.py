@@ -34,13 +34,14 @@ def rng():
 
 def local_solver(
     p,
-    surrogate,
+    mode,
+    weight,
     delta=0.0,
     tol=sonata.SUBPROBLEM_TOL,
     max_iters=sonata.MAX_INNER_ITERS,
 ):
     """A LocalSolver with a run's floor and cap unless given, without its forcing term."""
-    return sonata.LocalSolver(p, surrogate, delta, tol, max_iters)
+    return sonata.LocalSolver(p, mode, weight, delta, tol, max_iters)
 
 
 def classification_problem(loss_kind, m, n, d, lam, seed, reg=None):

@@ -14,6 +14,7 @@ import numpy as np
 
 from sonatasim import network, problems
 from sonatasim.accel import AccelParams
+from sonatasim.diagnostics import Oracle, consensus_error, error_weights
 from sonatasim.problems import Constants, ProblemSpec
 from sonatasim.sonata import LocalSolver, shifted_grads
 
@@ -60,6 +61,16 @@ def admissible_rho(constants: Constants, mode: str) -> float:
     if mode == "L":
         return float(L**2 / (70 * np.sqrt(15.0) * (2 * L - mu + beta) ** 2))
     raise ValueError("mode must be 'F' or 'L'")
+
+
+def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> dict:
+    """g + e of the inner loop: average shifted suboptimality plus weighted
+    consensus and tracking errors.  ``oracle_k`` must solve the same shifted
+    problem the states are evolving on."""
+    c_x, c_y = error_weights(constants, mode)
+    g = oracle_k.suboptimality(X)
+    e = c_x * consensus_error(X) + c_y * consensus_error(Y)
+    return {"g": g, "e": e, "total": g + e}
 
 
 def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:

@@ -19,7 +19,6 @@ from sonatasim.accel import (
     tune,
 )
 from sonatasim.problems import Constants, Regularizer
-from sonatasim.sonata import Surrogate
 
 
 class TestTune:
@@ -54,10 +53,11 @@ class TestTune:
 
     def test_surrogate_weights(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
-        assert tune(c, "F").surrogate == Surrogate("F", 4.0)
+        pf = tune(c, "F")
+        assert (pf.mode, pf.surrogate_weight) == ("F", 4.0)
         pl = tune(c, "L")
-        assert pl.surrogate.kind == "L"
-        assert pl.surrogate.weight == pytest.approx(10.0 + 9.0)  # L + delta
+        assert pl.mode == "L"
+        assert pl.surrogate_weight == pytest.approx(10.0 + 9.0)  # L + delta
 
     def test_replace_delta_recomputes_alpha(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
@@ -68,18 +68,19 @@ class TestTune:
     def test_replace_delta_rederives_mode_l_weight(self):
         c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=12.0, beta_hat=4.0)
         p = replace(tune(c, "L"), delta=100.0)
-        assert p.surrogate.kind == "L"
-        assert p.surrogate.weight == pytest.approx(10.0 + 100.0)
-        assert replace(tune(c, "F"), delta=100.0).surrogate == Surrogate("F", 4.0)
+        assert p.mode == "L"
+        assert p.surrogate_weight == pytest.approx(10.0 + 100.0)
+        pf = replace(tune(c, "F"), delta=100.0)
+        assert (pf.mode, pf.surrogate_weight) == ("F", 4.0)
 
     def test_given_delta_skips_degenerate_checks(self):
         # delta = 0 is the plain inner method; it needs no acceleration premise
         c = Constants(mu_hat=5.0, L_hat=5.0, Lmx_hat=5.0, beta_hat=0.0)
         pf = tune(c, "F", delta=0.0)
         assert pf.alpha == 1.0 and pf.T == 1
-        assert pf.surrogate == Surrogate("F", 5.0)  # beta = 0 falls back to mu
+        assert (pf.mode, pf.surrogate_weight) == ("F", 5.0)  # beta = 0 falls back to mu
         pl = tune(c, "L", delta=0.0)
-        assert pl.surrogate == Surrogate("L", 5.0)
+        assert (pl.mode, pl.surrogate_weight) == ("L", 5.0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -95,7 +96,9 @@ class TestTune:
     def test_local_solver_carries_run_settings(self, small_ridge, small_ridge_constants):
         params = tune(small_ridge_constants, "L")
         solver = params.local_solver(small_ridge)
-        assert (solver.surrogate, solver.delta) == (params.surrogate, params.delta)
+        assert (solver.mode, solver.weight, solver.delta) == (
+            params.mode, params.surrogate_weight, params.delta
+        )
         assert (solver.tol, solver.max_iters, solver.forcing) == (
             sonata.SUBPROBLEM_TOL, sonata.MAX_INNER_ITERS, sonata.FORCING
         )
@@ -118,9 +121,9 @@ class TestTune:
         for p in (tuned, replace(tuned, delta=new_delta)):
             assert abs(p.alpha**2 * (p.mu + p.delta) - p.mu) <= 1e-12 * max(1.0, p.mu)
             if mode == "L":
-                assert p.surrogate.weight == p.weight + p.delta
+                assert p.surrogate_weight == p.weight + p.delta
             else:
-                assert p.surrogate.weight == p.weight
+                assert p.surrogate_weight == p.weight
 
 
 class TestAccSonataRun:
@@ -424,7 +427,7 @@ class TestSingleMachineEquivalence:
     def test_full_surrogate_matches_reference(self):
         p = single_agent_problem()
         params, c = self._params(p, "F")
-        beta = params.surrogate.weight
+        beta = params.surrogate_weight
         outs = []
 
         class Cap(RunObserver):
@@ -452,7 +455,7 @@ class TestSingleMachineEquivalence:
     def test_linearized_surrogate_matches_reference(self):
         p = single_agent_problem(seed=3)
         params, c = self._params(p, "L")
-        L_surr = params.surrogate.weight
+        L_surr = params.surrogate_weight
         outs = []
 
         class Cap(RunObserver):

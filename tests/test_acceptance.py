@@ -1,9 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
+
+Criteria 6 and 7 also compare their sweeps byte for byte with the committed
+copies under ``runs/``; a change that moves either regenerates both with
+``python tests/test_acceptance.py --write`` and says why.
 """
 
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 from functools import lru_cache
@@ -24,25 +29,14 @@ def _report(number, name, elapsed, budget, detail=""):
 RUNS = Path(__file__).resolve().parent.parent / "runs"
 
 
-def _without_output(metadata_text):
-    """metadata.json text with its effective_config output path masked."""
-    output = json.loads(metadata_text)["effective_config"]["output"]
-    line = f'"output": {json.dumps(output)},'
-    assert metadata_text.count(line) == 1
-    return metadata_text.replace(line, '"output": null,')
-
-
 def _assert_matches_committed(out, name):
     """The regenerated sweep equals the committed reference copy byte for
-    byte: the summary whole, the metadata in every byte but the output path;
-    the committed effective config loads back as a config unchanged."""
+    byte, and the committed effective config loads back as a config unchanged."""
     committed = RUNS / name
-    committed_meta = (committed / "metadata.json").read_text()
-    committed_config = json.loads(committed_meta)["effective_config"]
+    committed_config = json.loads((committed / "metadata.json").read_text())["effective_config"]
     assert cli.load_config(None, committed_config) == committed_config
-    fresh_meta = (out / "metadata.json").read_text()
-    assert _without_output(fresh_meta) == _without_output(committed_meta)
-    assert (out / "summary.csv").read_bytes() == (committed / "summary.csv").read_bytes()
+    for fname in ("metadata.json", "summary.csv"):
+        assert (out / fname).read_bytes() == (committed / fname).read_bytes(), fname
 
 
 def _timer():
@@ -60,6 +54,39 @@ def _pilot_seed(m=30, d=25, min_ratio=25.0):
         if c.beta_hat / c.mu_hat >= min_ratio:
             return seed
     raise RuntimeError("no candidate seed qualifies")
+
+
+def _sweep_config(n):
+    """Config of criteria 6 and 7's sweeps: the pilot family at base size n."""
+    return {
+        "seed": _pilot_seed(),
+        "problem": {"synthetic": {"m": 30, "d": 25, "n": n, "mu0": 1.0, "L0": 1000.0, "lam": 0.0}},
+        "topology": {"kind": "erdos_renyi", "p": 0.5},
+    }
+
+
+def _bmu_sweep():
+    """(config, axis, points) of criterion 6."""
+    return _sweep_config(400), "beta_over_mu", [50, 180, 600, 2000, 7000]
+
+
+def _kappa_sweep():
+    """(config, axis, points) of criterion 7: the base instance's condition
+    number down to a thirteenth of it."""
+    cfg = _sweep_config(5000)
+    kappa0 = problems.estimate_constants(datagen.gen_ridge(cli.ridge_config(cfg))).kappa_hat
+    return cfg, "kappa", [kappa0, kappa0 / 2.0, kappa0 / 4.0, kappa0 / 8.0, kappa0 / 13.0]
+
+
+SWEEPS = {"acceptance-bmu": _bmu_sweep, "acceptance-kappa": _kappa_sweep}
+
+
+def run_sweep(name, out):
+    """Run sweep ``name`` to eps 1e-4 into out and return its rows; the
+    metadata records the committed copy's output path, runs/<name>."""
+    cfg, axis, points = SWEEPS[name]()
+    cfg = cli.load_config(None, dict(cfg, output=f"runs/{name}"))
+    return cli.execute_sweep(cfg, axis, points, out, 1e-4)
 
 
 def test_criterion_01_gossip_matrix_contract():
@@ -146,11 +173,11 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     X0 = np.zeros((p.m, p.d))
     Y0 = sonata.shifted_grads(p, X0, params.delta, Z)
     oracle_k = diagnostics.centralized_solve(p, delta=params.delta, Z=Z)
-    vals = [diagnostics.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
+    vals = [reference.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
     sonata.sonata_run(
         p, X0, Y0, T, W, params.local_solver(p), Z=Z,
         on_step=lambda t, cm, X, Y: vals.append(
-            diagnostics.inner_potential(X, Y, c, mode, oracle_k)["total"]
+            reference.inner_potential(X, Y, c, mode, oracle_k)["total"]
         ),
     )
     ratios = np.array(vals[1:]) / np.array(vals[:-1])
@@ -191,17 +218,8 @@ def test_criterion_05_outer_linear_rate():
 
 def test_criterion_06_sqrt_beta_over_mu_scaling(tmp_path):
     done = _timer()
-    seed = _pilot_seed()
-    cfg = cli.load_config(None, {
-        "seed": seed,
-        "problem": {"synthetic": {"m": 30, "d": 25, "n": 400, "mu0": 1.0, "L0": 1000.0, "lam": 0.0}},
-        "topology": {"kind": "erdos_renyi", "p": 0.5},
-        "output": str(tmp_path / "acceptance-bmu"),
-    })
-    out = cli.resolve_output(cfg["output"])
-    meta = cli.execute_sweep(cfg, "beta_over_mu", [50, 180, 600, 2000, 7000], out, 1e-4)
-    _assert_matches_committed(out, "acceptance-bmu")
-    rows = meta["rows"]
+    rows = run_sweep("acceptance-bmu", tmp_path)
+    _assert_matches_committed(tmp_path, "acceptance-bmu")
     assert all(r["comms_F"] is not None and r["comms_L"] is not None for r in rows)
     bm = np.array([r["beta_over_mu_hat"] for r in rows])
     kap = np.array([r["kappa_hat"] for r in rows])
@@ -221,21 +239,8 @@ def test_criterion_06_sqrt_beta_over_mu_scaling(tmp_path):
 
 def test_criterion_07_sqrt_kappa_scaling(tmp_path):
     done = _timer()
-    seed = _pilot_seed()
-    base_n = 5000
-    probe = datagen.SyntheticRidgeConfig(m=30, n=base_n, d=25, mu0=1.0, L0=1000.0, seed=seed)
-    kappa0 = problems.estimate_constants(datagen.gen_ridge(probe)).kappa_hat
-    targets = [kappa0, kappa0 / 2.0, kappa0 / 4.0, kappa0 / 8.0, kappa0 / 13.0]
-    cfg = cli.load_config(None, {
-        "seed": seed,
-        "problem": {"synthetic": {"m": 30, "d": 25, "n": base_n, "mu0": 1.0, "L0": 1000.0, "lam": 0.0}},
-        "topology": {"kind": "erdos_renyi", "p": 0.5},
-        "output": str(tmp_path / "acceptance-kappa"),
-    })
-    out = cli.resolve_output(cfg["output"])
-    meta = cli.execute_sweep(cfg, "kappa", targets, out, 1e-4)
-    _assert_matches_committed(out, "acceptance-kappa")
-    rows = meta["rows"]
+    rows = run_sweep("acceptance-kappa", tmp_path)
+    _assert_matches_committed(tmp_path, "acceptance-kappa")
     assert all(r["comms_F"] is not None and r["comms_L"] is not None for r in rows)
     kap = np.array([r["kappa_hat"] for r in rows])
     bm = np.array([r["beta_over_mu_hat"] for r in rows])
@@ -401,3 +406,18 @@ def test_criterion_11_oracle_and_gradient_checks():
     assert err <= 1e-8
     _report(11, "oracle and gradient checks", done(), 5.0,
             f"fd-rel={worst:.1e} recovery={err:.1e}")
+
+
+def write_committed() -> None:
+    """Regenerate the committed copy of every sweep in :data:`SWEEPS`."""
+    for name in SWEEPS:
+        out = RUNS / name
+        out.mkdir(parents=True, exist_ok=True)
+        run_sweep(name, out)
+        print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_acceptance.py --write")
+    write_committed()

@@ -343,16 +343,15 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     def test_chebyshev_inconsistency_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a base whose recorded bulk is half its measured one gives a
-        # polynomial whose measured deviation exceeds the closed form; the
-        # check raised a bare AssertionError that escaped main
-        metropolis_hastings = network.metropolis_hastings
+        # a polynomial built on half the base's measured bulk interval has a
+        # measured deviation above the closed form; the check raised a bare
+        # AssertionError that escaped main
+        ChebyshevGossip = network.ChebyshevGossip
 
-        def halved_bulk(g):
-            W = metropolis_hastings(g)
-            return network.GossipMatrix(W.W, bulk=(W.bulk[0] / 2, W.bulk[1] / 2))
+        def halved_interval(base, lo, hi, *args):
+            return ChebyshevGossip(base, lo / 2, hi / 2, *args)
 
-        monkeypatch.setattr(network, "metropolis_hastings", halved_bulk)
+        monkeypatch.setattr(network, "ChebyshevGossip", halved_interval)
         cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 0.1})
         assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
@@ -464,8 +463,8 @@ class TestMainEntry:
     def test_run_seed_and_potentials_flags(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         assert cli.main(["run", "-c", path, "--seed", "9", "--potentials", "--k-max", "3"]) == 0
-        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        assert meta["seed"] == 9 and meta["effective_config"]["diagnostics"]["potentials"]
+        cfg = json.loads((tmp_path / "out" / "metadata.json").read_text())["effective_config"]
+        assert cfg["seed"] == 9 and cfg["diagnostics"]["potentials"]
         with open(tmp_path / "out" / "trajectory.csv") as fh:
             inner = [r for r in csv.DictReader(fh) if int(r["t"]) >= 1]
         assert inner and all(r["g_plus_e"] != "" for r in inner)
@@ -724,8 +723,8 @@ class TestSweep:
         count(cli, "build_gossip")
         count(diagnostics, "centralized_solve")
         cfg = load_config(None, base_config(tmp_path))
-        meta = execute_sweep(cfg, "beta_over_mu", [100.0, 400.0], tmp_path / "sweep", 1e-3)
-        assert len(meta["rows"]) == 2
+        rows = execute_sweep(cfg, "beta_over_mu", [100.0, 400.0], tmp_path / "sweep", 1e-3)
+        assert len(rows) == 2
         assert counts == {"build_gossip": 1, "centralized_solve": 2}
 
     def test_degenerate_mode_f_runs_plain(self, tmp_path):
@@ -735,7 +734,7 @@ class TestSweep:
             "problem": {"synthetic": {"m": 6, "n": 400, "d": 4, "mu0": 1, "L0": 1}},
             "output": str(tmp_path / "out"),
         })
-        row = execute_sweep(cfg, "beta_over_mu", [400.0], tmp_path / "out", 1e-4)["rows"][0]
+        row = execute_sweep(cfg, "beta_over_mu", [400.0], tmp_path / "out", 1e-4)[0]
         assert row["beta_over_mu_hat"] < 1
         assert row["comms_F"] == 6
 
@@ -743,8 +742,8 @@ class TestSweep:
         cfg = load_config(None, base_config(tmp_path))
         cfg["algorithm"]["K_max"] = 1  # far too few outer iterations
         out = cli.resolve_output(cfg["output"])
-        meta = execute_sweep(cfg, "beta_over_mu", [100.0], out, 1e-12)
-        assert meta["rows"][0]["comms_F"] is None
+        rows = execute_sweep(cfg, "beta_over_mu", [100.0], out, 1e-12)
+        assert rows[0]["comms_F"] is None
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["comms_F"] == "not-reached"
@@ -797,7 +796,7 @@ class TestSweep:
         path = write_config(tmp_path, cfg)
         assert cli.main(["sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100", *eps_flag]) == 0
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        assert meta["eps"] == recorded
+        assert "eps" not in meta
         assert meta["effective_config"]["algorithm"]["target_gap"] == recorded
 
     def test_samples_axis_is_gone(self, tmp_path):
@@ -849,8 +848,7 @@ class TestSweep:
         cfg = load_config(None, base_config(tmp_path))
         cfg["problem"]["synthetic"].update({"m": 10, "d": 15, "n": 1500, "L0": 300.0})
         out = cli.resolve_output(cfg["output"])
-        meta = execute_sweep(cfg, "kappa", [40.0, 12.0], out, 1e-3)
-        rows = meta["rows"]
+        rows = execute_sweep(cfg, "kappa", [40.0, 12.0], out, 1e-3)
         bm = [r["beta_over_mu_hat"] for r in rows]
         assert abs(bm[0] - bm[1]) / min(bm) <= 0.3
         kap = [r["kappa_hat"] for r in rows]
@@ -873,8 +871,8 @@ class TestSweep:
         kappa0 = problems.estimate_constants(gen_ridge(cli.ridge_config(cfg))).kappa_hat
         monkeypatch.setattr(datagen, "gen_ridge", recording)
         out = cli.output_path(cfg["output"])
-        meta = execute_sweep(cfg, "kappa", [kappa0, kappa0 / 2.0], out, 1e-3)
-        assert meta["rows"][0]["lam"] == 0.0 and meta["rows"][1]["lam"] > 0.0
+        rows = execute_sweep(cfg, "kappa", [kappa0, kappa0 / 2.0], out, 1e-3)
+        assert rows[0]["lam"] == 0.0 and rows[1]["lam"] > 0.0
         assert len(made) == len(set(made)) >= 3
         assert len(made) == len({c.n for c in made})
 

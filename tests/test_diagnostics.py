@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import classification_problem, hinge_problem, logistic_problem
-from reference import admissible_rho, fit_contraction_factor, local_value
+from reference import admissible_rho, fit_contraction_factor, inner_potential, local_value
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
     CommsToAccuracy,
@@ -13,7 +13,6 @@ from sonatasim.diagnostics import (
     centralized_solve,
     consensus_error,
     error_weights,
-    inner_potential,
     optimality_gap,
     outer_potential,
 )

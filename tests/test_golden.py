@@ -125,10 +125,12 @@ def test_run_reproduces_golden_output(name, tmp_path):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_run_evaluates_each_point_once(name, tmp_path, monkeypatch):
-    # the local step re-evaluated the gradients its caller held, and the
-    # outer potential the suboptimality of the trajectory row just written
+    # the local step re-evaluated the gradients its caller held, the outer
+    # potential the suboptimality of the trajectory row just written, and
+    # the inner potential that row's consensus and tracking errors
     calls = Counter()
     batch_grads, suboptimality = problems.batch_grads, diagnostics.Oracle.suboptimality
+    consensus_error = diagnostics.consensus_error
 
     def counted_grads(p, X):
         calls["batch_grads", X.tobytes()] += 1
@@ -138,14 +140,19 @@ def test_run_evaluates_each_point_once(name, tmp_path, monkeypatch):
         calls["suboptimality", oracle.x_star.tobytes(), np.asarray(X).tobytes()] += 1
         return suboptimality(oracle, X)
 
+    def counted_consensus_error(X):
+        calls["consensus_error", np.asarray(X).tobytes()] += 1
+        return consensus_error(X)
+
     monkeypatch.setattr(problems, "batch_grads", counted_grads)
     monkeypatch.setattr(diagnostics.Oracle, "suboptimality", counted_suboptimality)
+    monkeypatch.setattr(diagnostics, "consensus_error", counted_consensus_error)
     outputs(name, tmp_path)
-    repeated = {"batch_grads": 0, "suboptimality": 0}
+    repeated = {"batch_grads": 0, "suboptimality": 0, "consensus_error": 0}
     for (kind, *_), n in calls.items():
         repeated[kind] += n - 1
     assert {kind for kind, *_ in calls} == set(repeated)
-    assert repeated == {"batch_grads": 0, "suboptimality": 0}
+    assert repeated == {"batch_grads": 0, "suboptimality": 0, "consensus_error": 0}
 
 
 @pytest.mark.parametrize("name", SWEEPS)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import hinge_problem, local_solver
-from reference import admissible_rho, hessian_bound, tracking_gap
+from reference import admissible_rho, hessian_bound, inner_potential, tracking_gap
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
-    Surrogate,
     gossip_round,
     shifted_grads,
     sonata_run,
@@ -46,7 +45,7 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, ok, _ = local_solver(p, Surrogate("L", 7.0)).solve(X, Y, None)
+        out, ok, _ = local_solver(p, "L", 7.0).solve(X, Y, None)
         assert ok
         assert out == pytest.approx(X - Y / 7.0, abs=1e-14)
 
@@ -58,7 +57,7 @@ class TestLocalSubproblem:
         Z = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
         G = shifted_grads(p, X, delta, Z)
-        out, ok, _ = local_solver(p, Surrogate("F", beta), delta).solve(X, Y, G, Z)
+        out, ok, _ = local_solver(p, "F", beta, delta).solve(X, Y, G, Z)
         assert ok
         x, z, g = X[i], Z[i], G[i]
         H = hessian_bound(p, i)
@@ -74,14 +73,14 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, _, _ = local_solver(p, Surrogate("F", 1e12)).solve(X, Y, problems.batch_grads(p, X))
+        out, _, _ = local_solver(p, "F", 1e12).solve(X, Y, problems.batch_grads(p, X))
         assert np.linalg.norm(out - X) <= 1e-9
 
     def test_iterative_path_with_l1(self, rng):
         p = hinge_problem(reg=Regularizer("l1", weight=0.01))
         X = rng.standard_normal((p.m, p.d))
         Y = problems.batch_grads(p, X)
-        out, ok, iters = local_solver(p, Surrogate("F", 3.0), tol=1e-10).solve(X, Y, Y)
+        out, ok, iters = local_solver(p, "F", 3.0, tol=1e-10).solve(X, Y, Y)
         assert ok and iters > 0
         # optimality: gradient mapping of every agent's subproblem vanishes
         beta = 3.0
@@ -119,7 +118,7 @@ class TestLocalSubproblem:
 
         ref, counts = reference()
         assert len(set(counts)) > 1
-        solver = local_solver(p, Surrogate("F", beta), delta, tol)
+        solver = local_solver(p, "F", beta, delta, tol)
         out, ok, iters = solver.solve(X, Y, G, Z)
         assert ok and iters == max(counts)
         assert np.max(np.abs(out - ref)) <= 1e-12
@@ -127,7 +126,7 @@ class TestLocalSubproblem:
         # every row must have moved exactly min(cut, count_i) times
         for cut in sorted({c + s for c in counts for s in (0, 1)}):
             ref_cut, _ = reference(cut)
-            cut_solver = local_solver(p, Surrogate("F", beta), delta, tol, cut)
+            cut_solver = local_solver(p, "F", beta, delta, tol, cut)
             out_cut, ok_cut, iters_cut = cut_solver.solve(X, Y, G, Z)
             assert np.max(np.abs(out_cut - ref_cut)) <= 1e-12
             assert ok_cut == (cut >= max(counts))
@@ -163,13 +162,13 @@ class TestLocalSubproblem:
         ref, counts = reference(forcing)
         _, exact_counts = reference(0.0)
         assert all(c < e for c, e in zip(counts, exact_counts)) and len(set(counts)) > 1
-        solver = sonata.LocalSolver(p, Surrogate("F", beta), delta, tol, 5000, forcing=forcing)
+        solver = sonata.LocalSolver(p, "F", beta, delta, tol, 5000, forcing=forcing)
         out, ok, iters = solver.solve(X, Y, G, Z)
         assert ok and iters == max(counts)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
         # forcing 0 is the absolute rule, bit for bit
-        absolute = sonata.LocalSolver(p, Surrogate("F", beta), delta, tol, 5000, forcing=0.0)
+        absolute = sonata.LocalSolver(p, "F", beta, delta, tol, 5000, forcing=0.0)
         steps = absolute.steps
         direct = sonata._prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, 5000)
         out0, ok0, iters0 = absolute.solve(X, Y, G, Z)
@@ -231,7 +230,7 @@ class TestSonataRun:
     def test_zero_iterations_returns_input(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 0, small_gossip, local_solver(p, Surrogate("F", 5.0)))
+        res = sonata_run(p, X0, Y0, 0, small_gossip, local_solver(p, "F", 5.0))
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
 
@@ -242,13 +241,13 @@ class TestSonataRun:
             "quadratic-ridge", np.stack([A] * 6), np.stack([b] * 6), lam=0.1
         )
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 8, small_gossip, local_solver(p, Surrogate("F", 1.0)))
+        res = sonata_run(p, X0, Y0, 8, small_gossip, local_solver(p, "F", 1.0))
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
     def test_comm_counting(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, Surrogate("F", 5.0))
+        solver = local_solver(p, "F", 5.0)
         res = sonata_run(p, X0, Y0, 7, small_gossip, solver, comms_start=3)
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
@@ -262,7 +261,7 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, Surrogate("L", L_surr))
+        solver = local_solver(p, "L", L_surr)
         res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), solver)
         x = np.zeros(6)
         for _ in range(12):
@@ -276,7 +275,7 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         beta = 2.0
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, Surrogate("F", beta))
+        solver = local_solver(p, "F", beta)
         res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver)
         H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
@@ -298,17 +297,17 @@ class TestSonataRun:
         X0 = np.zeros((p.m, p.d))
         Y0 = shifted_grads(p, X0, delta, Z)
         oracle_k = diagnostics.centralized_solve(p, delta=delta, Z=Z)
-        vals = [diagnostics.inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
+        vals = [inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
         sonata_run(
             p,
             X0,
             Y0,
             11,
             W,
-            local_solver(p, Surrogate("F", c.beta_hat), delta),
+            local_solver(p, "F", c.beta_hat, delta),
             Z=Z,
             on_step=lambda t, cm, X, Y: vals.append(
-                diagnostics.inner_potential(X, Y, c, "F", oracle_k)["total"]
+                inner_potential(X, Y, c, "F", oracle_k)["total"]
             ),
         )
         ratios = np.array(vals[1:]) / np.array(vals[:-1])

@@ -5,7 +5,6 @@ import numpy as np
 import reference
 from conftest import hinge_problem, local_solver
 from sonatasim import accel, network, problems, sonata
-from sonatasim.sonata import Surrogate
 
 
 class TestSonataStarEquivalence:
@@ -20,33 +19,33 @@ class TestSonataStarEquivalence:
         if delta != 0.0:
             g_avg = g_avg + delta * (x0 - z)
         Y0 = np.tile(g_avg, (m, 1))
-        solver = local_solver(p, surrogate, delta)
+        solver = local_solver(p, *surrogate, delta)
         mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z)
         xs, comms = reference.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
 
     def test_full_surrogate_quadratic(self, small_ridge, small_ridge_constants):
-        sur = Surrogate("F", small_ridge_constants.beta_hat)
+        sur = ("F", small_ridge_constants.beta_hat)
         mesh, xs, comms = self._mesh_vs_star(small_ridge, sur)
         assert np.max(np.abs(mesh.X - xs[None, :])) <= 1e-12
         assert comms == 6
 
     def test_linearized_surrogate(self, small_ridge, small_ridge_constants):
-        sur = Surrogate("L", small_ridge_constants.L_hat)
+        sur = ("L", small_ridge_constants.L_hat)
         mesh, xs, _ = self._mesh_vs_star(small_ridge, sur)
         assert np.max(np.abs(mesh.X - xs[None, :])) <= 1e-12
 
     def test_with_proximal_shift(self, small_ridge, small_ridge_constants):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(small_ridge.d)
-        sur = Surrogate("F", small_ridge_constants.beta_hat)
+        sur = ("F", small_ridge_constants.beta_hat)
         mesh, xs, _ = self._mesh_vs_star(small_ridge, sur, delta=1.7, z=z)
         assert np.max(np.abs(mesh.X - xs[None, :])) <= 1e-12
 
     def test_nonquadratic_iterative_path(self):
         p = hinge_problem(m=3, n=25, d=5, lam=0.05)
         c = problems.estimate_constants(p)
-        sur = Surrogate("F", max(c.beta_hat, 0.5))
+        sur = ("F", max(c.beta_hat, 0.5))
         mesh, xs, _ = self._mesh_vs_star(p, sur, T=4)
         assert np.max(np.abs(mesh.X - xs[None, :])) <= 1e-9
 
