@@ -186,25 +186,26 @@ def build_problem(cfg: dict) -> problems.ProblemSpec:
     return p
 
 
-# topology.kind -> graph builder, called with the node count, the topology
-# seed and the block's remaining fields.  Each looks its network function up
-# at call time, so a wrapper installed on the module (bench/tracing.py) sees it.
-_GRAPHS = {
-    "erdos_renyi": lambda m, seed, p=0.5: network.erdos_renyi(m, p, seed),
-    "line": lambda m, seed: network.line_graph(m),
-    "star": lambda m, seed: network.star_graph(m),
-    "complete": lambda m, seed: network.complete_graph(m),
-}
-
-
 def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevGossip:
-    topo = {"seed": cfg["seed"], **cfg["topology"]}
+    """The topology block's operator on m nodes: its kind's base matrix (a
+    graph's weighted by Metropolis-Hastings), accelerated to target_rho when
+    set.  Only erdos_renyi takes a seed, the run's unless the block sets one.
+    Each builder looks its network function up at call time, so a wrapper
+    installed on the module (bench/tracing.py) sees it."""
+    topo = dict(cfg["topology"])
     kind, target = topo.pop("kind", None), topo.pop("target_rho", None)
-    if kind == "exact_averaging":  # W = 11^T/m: no graph and nothing to accelerate
-        return _call("topology", lambda m, seed: network.exact_averaging(m), m=m, **topo)
-    if kind not in _GRAPHS:
+    bases = {
+        "erdos_renyi": lambda p=0.5, seed=cfg["seed"]: network.erdos_renyi(m, p, seed),
+        "line": lambda: network.line_graph(m),
+        "star": lambda: network.star_graph(m),
+        "complete": lambda: network.complete_graph(m),
+        "exact_averaging": lambda: network.exact_averaging(m),
+    }
+    if kind not in bases:
         raise ConfigError(f"topology.kind: unknown kind {kind!r}")
-    W = network.metropolis_hastings(_call("topology", _GRAPHS[kind], m=m, **topo))
+    W = _call("topology", bases[kind], **topo)
+    if isinstance(W, network.Graph):
+        W = network.metropolis_hastings(W)
     if target is not None:
         M = _call("topology", network.rounds_for_target, base_rho=W.rho, target_rho=target)
         W = network.chebyshev_accelerate(W, M)
@@ -526,7 +527,8 @@ def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: 
     instance, run the accelerated method, and report cut and support metrics."""
     if rounds < 1:
         raise problems.InputError(f"rounds must be >= 1, got {rounds}")
-    W, m = network.line_gossip_for_rho(rho_target)
+    W = network.line_gossip_for_rho(rho_target)
+    m = W.m
     # Half-duplex counting: the tracking exchange reads gradients at the
     # already-mixed x, so one local+gossip iteration moves information up to
     # two hops.  The support bound is stated in physical rounds.

@@ -3,16 +3,17 @@ polynomial acceleration, the exact-averaging (star) matrix, and the weighted
 line-graph / split-quadratic fixtures used for lower-bound experiments.
 
 Every operator built here is symmetric and doubly stochastic, and checks so
-when it is built; the algorithms apply it only through ``mix(X)``; one application models
-``rounds_per_application`` physical communication rounds.  A plain
-:class:`GossipMatrix` mixes as the dense product ``W @ X``.  A
-:class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its base
-matrix in scipy's CSR format and applies the degree-M polynomial as M sparse
-neighbour exchanges by the three-term recurrence, never forming the dense
-polynomial; its bulk interval comes from evaluating the polynomial on the
-base's measured eigenvalues.  scipy is imported only when such an operator is
-built.  The builders' limits are constants: :data:`MAX_RESAMPLES`,
-:data:`MAX_ROUNDS` and :data:`LINE_RHO_TOL`.
+when it is built; the algorithms apply it only through ``mix(X)``; one
+application models ``rounds_per_application`` physical communication rounds.
+A plain :class:`GossipMatrix` is built from ``W`` and that count alone,
+measures its eigenvalues (and from them its bulk and rho) on every build, and
+mixes as the dense product ``W @ X``.  A :class:`ChebyshevGossip` (from
+:func:`chebyshev_accelerate`) keeps its base matrix in scipy's CSR format and
+applies the degree-M polynomial as M sparse neighbour exchanges by the
+three-term recurrence, never forming the dense polynomial; its bulk interval
+comes from evaluating the polynomial on the base's measured eigenvalues.
+scipy is imported only when such an operator is built.  The builders' limits
+are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS` and :data:`LINE_RHO_TOL`.
 """
 
 from __future__ import annotations
@@ -131,12 +132,10 @@ def _spectrum(W: np.ndarray) -> np.ndarray:
 @dataclass
 class GossipMatrix:
     """Symmetric mixing matrix with unit row sums (so doubly stochastic),
-    checked within :data:`DS_TOL`, with its bulk interval [lo, hi], the two
-    ends of its measured spectrum, and spectral deviation rho derived from it.
-    The eigenvalues are kept for :func:`chebyshev_accelerate`, and
-    ``dataclasses.replace`` copies them; they belong to the array ``W`` they
-    were measured on, so a ``replace`` that gives another ``W`` measures them
-    again.
+    checked within :data:`DS_TOL`.  Its ``eigenvalues`` (those of
+    W - 11^T/m, ascending) are measured whenever it is built, a
+    ``dataclasses.replace`` included; its bulk interval [lo, hi] is their two
+    ends and its spectral deviation rho their largest magnitude.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
@@ -148,9 +147,7 @@ class GossipMatrix:
 
     W: np.ndarray
     rounds_per_application: int = 1
-    bulk: tuple[float, float] = field(init=False)
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _eigenvalues_of: np.ndarray | None = field(default=None, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -159,10 +156,7 @@ class GossipMatrix:
             raise ValueError(f"matrix is not symmetric within {DS_TOL}")
         if not np.max(np.abs(self.W.sum(axis=1) - 1.0)) <= DS_TOL:
             raise ValueError(f"matrix rows do not sum to 1 within {DS_TOL}")
-        if self._eigenvalues_of is not self.W:  # built, or replaced with another W
-            self._eigenvalues, self._eigenvalues_of = _spectrum(self.W), self.W
-        w = self._eigenvalues
-        self.bulk = (float(w[0]), float(w[-1]))
+        self.eigenvalues = _spectrum(self.W)
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if not self.rounds_per_application >= 1:
@@ -173,12 +167,12 @@ class GossipMatrix:
         return self.W.shape[0]
 
     @property
+    def bulk(self) -> tuple[float, float]:
+        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+
+    @property
     def rho(self) -> float:
         return float(np.max(np.abs(self.bulk)))  # NaN if either end is
-
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of W - 11^T/m, measured once."""
-        return self._eigenvalues
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """One application: the dense product W @ X."""
@@ -286,7 +280,7 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
     the base's sparsity pattern, or as a plain matrix when the bulk is one
     point.  Its bulk interval is P_M on the base's eigenvalues
-    (:meth:`GossipMatrix.spectrum`), so the build decomposes nothing; the
+    (:attr:`GossipMatrix.eigenvalues`), so the build decomposes nothing; the
     operator checks that bulk against the closed form when it is built.
     """
     if M < 1:
@@ -301,7 +295,7 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     from scipy import sparse
 
     return ChebyshevGossip(
-        sparse.csr_array(base.W), lo, hi, M, M * base.rounds_per_application, base.spectrum()
+        sparse.csr_array(base.W), lo, hi, M, M * base.rounds_per_application, base.eigenvalues
     )
 
 
@@ -354,13 +348,13 @@ def _line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:
     return np.eye(m) - L / (2.0 + rho)
 
 
-def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> tuple[GossipMatrix, int]:
+def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> GossipMatrix:
     """Weighted line-graph gossip matrix with deviation exactly rho_target.
 
-    Picks the node count m with rho_m < rho_target <= rho_{m+1}, then bisects
-    the weight parameter of one edge until the deviation matches; a matrix
-    that misses it by more than :data:`LINE_RHO_TOL` raises
-    :class:`TopologyError`.
+    Picks the node count m (the result's ``m``) with rho_m < rho_target <=
+    rho_{m+1}, then bisects the weight parameter of one edge until the
+    deviation matches; a matrix that misses it by more than
+    :data:`LINE_RHO_TOL` raises :class:`TopologyError`.
     """
     if not 0 < rho_target < 1:
         raise FixtureParameterError(f"rho_target must be in (0, 1), got {rho_target}")
@@ -386,12 +380,10 @@ def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> tuple[GossipMat
             lo_a = mid
         else:
             hi_a = mid
-    a = 0.5 * (lo_a + hi_a)
-    W = _line_gossip_matrix(m, a, rho_target)
-    gm = GossipMatrix(W)
+    gm = GossipMatrix(_line_gossip_matrix(m, 0.5 * (lo_a + hi_a), rho_target))
     if abs(gm.rho - rho_target) > LINE_RHO_TOL:
         raise TopologyError(f"bisection missed target: {gm.rho} vs {rho_target}")
-    return gm, m
+    return gm
 
 
 def boundary_classes(m: int) -> tuple[list[int], list[int]]:

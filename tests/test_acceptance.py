@@ -3,7 +3,9 @@ its runtime.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 Criteria 6 and 7 also compare their sweeps byte for byte with the committed
 copies under ``runs/``; a change that moves either regenerates both with
-``python tests/test_acceptance.py --write`` and says why.
+``python tests/test_acceptance.py --write`` and says why; that also records
+the environment that wrote them (``environment.py``), which a byte mismatch
+compares with the current one.
 """
 
 import json
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import environment
 import reference
 from sonatasim import accel, cli, datagen, diagnostics, network, problems, sonata
 
@@ -36,7 +39,7 @@ def _assert_matches_committed(out, name):
     committed_config = json.loads((committed / "metadata.json").read_text())["effective_config"]
     assert cli.load_config(None, committed_config) == committed_config
     for fname in ("metadata.json", "summary.csv"):
-        assert (out / fname).read_bytes() == (committed / fname).read_bytes(), fname
+        environment.assert_same_bytes((out / fname).read_bytes(), committed / fname)
 
 
 def _timer():
@@ -96,7 +99,7 @@ def test_criterion_01_gossip_matrix_contract():
         network.metropolis_hastings(network.line_graph(12)),
         network.metropolis_hastings(network.star_graph(9)),
         network.exact_averaging(7),
-        network.line_gossip_for_rho(0.9, 200)[0],
+        network.line_gossip_for_rho(0.9, 200),
         network.chebyshev_accelerate(
             network.metropolis_hastings(network.erdos_renyi(20, 0.4, seed=2)), 4
         ),
@@ -116,7 +119,7 @@ def test_criterion_02_chebyshev_acceleration():
     done = _timer()
     details = []
     for rho_bar in (0.5, 0.9, 0.99):
-        base, _ = network.line_gossip_for_rho(rho_bar, 500)
+        base = network.line_gossip_for_rho(rho_bar, 500)
         M = network.rounds_for_target(base.rho, 0.1)
         acc = network.chebyshev_accelerate(base, M)
         ones = np.ones(base.m)
@@ -409,12 +412,14 @@ def test_criterion_11_oracle_and_gradient_checks():
 
 
 def write_committed() -> None:
-    """Regenerate the committed copy of every sweep in :data:`SWEEPS`."""
+    """Regenerate the committed copy of every sweep in :data:`SWEEPS`, and
+    record the environment that wrote them."""
     for name in SWEEPS:
         out = RUNS / name
         out.mkdir(parents=True, exist_ok=True)
         run_sweep(name, out)
         print(f"wrote {out}")
+    environment.write()
 
 
 if __name__ == "__main__":

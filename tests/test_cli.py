@@ -208,6 +208,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="topology: .*'p'"):
             cli.build_gossip(cfg, 5)
 
+    def test_exact_averaging_target_changes_nothing(self, tmp_path):
+        # exact averaging is accelerated like any kind, and its spectrum of
+        # zeros is a point bulk, so the accelerated operator is W bit for bit
+        blobs = []
+        for sub, topology in (("plain", {}), ("target", {"target_rho": 0.5})):
+            cfg = base_config(tmp_path, topology={"kind": "exact_averaging", **topology})
+            cfg = load_config(None, dict(cfg, output=str(tmp_path / sub)))
+            out = cli.resolve_output(cfg["output"])
+            execute_run(cfg, out)
+            blobs.append((out / "trajectory.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestReadmeLibraryCode:
     """The code under README's "Library quick start" runs as written."""
@@ -573,6 +585,9 @@ class TestMainEntry:
             ("topology", {"kind": "erdos_renyi", "p": 0.6, "target-rho": 0.01}),
             ("topology", {"kind": "line", "p": 0.3}),
             ("topology", {"kind": "erdos_renyi", "p": 2}),
+            ("topology", {"kind": "line", "seed": 3}),
+            ("topology", {"kind": "exact_averaging", "target_rho": 7}),
+            ("topology", {"kind": "exact_averaging", "target_rho": "abc"}),
             ("problem.dataset", {"dataset": dict(DATASET)}),
             ("problem.dataset", {"dataset": dict(DATASET, m=4, loss_kind="logistic")}),
             ("problem.dataset", {"dataset": dict(DATASET, m=4, loss="logit")}),
@@ -583,7 +598,8 @@ class TestMainEntry:
             "synthetic-bool-d",
             "l1-without-weight", "box-without-bounds", "box-lo-above-hi",
             "zero-with-weight", "box-with-weight",
-            "target-rho-misspelt", "line-with-p", "erdos-renyi-p-2",
+            "target-rho-misspelt", "line-with-p", "erdos-renyi-p-2", "line-with-seed",
+            "exact-averaging-target-7", "exact-averaging-target-string",
             "dataset-missing-m", "dataset-loss_kind", "dataset-unknown-loss",
             "dataset-negative-limit",
         ],

@@ -8,7 +8,8 @@ A run or sweep reads ``CONFIGS[name]``.  The metadata is stored without its
 ``effective_config`` output path and dataset path, which name where a run
 happened rather than what it computed.  A change that moves any of these
 files regenerates them with ``python tests/test_golden.py --write`` and says
-why.
+why; that also records the environment that wrote them (``environment.py``),
+which a byte mismatch compares with the current one.
 """
 
 import json
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import environment
 from sonatasim import cli, diagnostics, problems
 
 DATA = Path(__file__).parent / "data"
@@ -115,7 +117,7 @@ def _check(name, work):
     files = outputs(name, work)
     assert sorted(files) == sorted(path.name for path in golden.iterdir())
     for fname, data in files.items():
-        assert data == (golden / fname).read_bytes(), fname
+        environment.assert_same_bytes(data, golden / fname)
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -164,8 +166,33 @@ def test_lowerbound_check_reproduces_golden_output(tmp_path):
     _check("lowerbound", tmp_path)
 
 
+def test_byte_mismatch_names_each_environment_field_that_differs(tmp_path, monkeypatch):
+    here = environment.current()
+    monkeypatch.setattr(environment, "RECORD", tmp_path / "environment.json")
+    committed = tmp_path / "trajectory.csv"
+    committed.write_bytes(b"k,gap\n0,1.0\n")
+    environment.assert_same_bytes(b"k,gap\n0,1.0\n", committed)
+    environment.RECORD.write_text(json.dumps(dict(here, numpy="1.0.0", openblas_core="Haswell")))
+    with pytest.raises(AssertionError) as failure:
+        environment.assert_same_bytes(b"k,gap\n0,1.1\n", committed)
+    message = str(failure.value)
+    assert message.startswith(f"{committed}: bytes differ; the environment differs")
+    assert f"numpy 1.0.0 recorded, {here['numpy']} here" in message
+    assert f"openblas_core Haswell recorded, {here['openblas_core']} here" in message
+    assert "python" not in message and "scipy" not in message
+    environment.RECORD.write_text(json.dumps(here))
+    with pytest.raises(AssertionError, match="the environment is the one that wrote"):
+        environment.assert_same_bytes(b"", committed)
+
+
+def test_environment_record_names_every_field():
+    recorded = json.loads(environment.RECORD.read_text())
+    assert sorted(recorded) == sorted(environment.current())
+
+
 def write_goldens() -> None:
-    """Regenerate every golden directory from :data:`ARGV` and :data:`CONFIGS`."""
+    """Regenerate every golden directory from :data:`ARGV` and :data:`CONFIGS`,
+    and record the environment that wrote them."""
     for name in ARGV:
         with tempfile.TemporaryDirectory() as work:
             files = outputs(name, Path(work))
@@ -176,6 +203,7 @@ def write_goldens() -> None:
         for fname, data in files.items():
             (golden / fname).write_bytes(data)
         print(f"wrote {golden}")
+    environment.write()
 
 
 if __name__ == "__main__":

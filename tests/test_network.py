@@ -244,14 +244,28 @@ class TestChebyshev:
         assert eigvalsh_shapes == []
         assert acc.rho == max(abs(acc.bulk[0]), abs(acc.bulk[1]))
 
-    def test_replaced_matrix_keeps_its_spectrum(self, eigvalsh_shapes):
-        # replace copies the measured eigenvalues with the bulk, so the
-        # half-duplex copy of a base is accelerated without a decomposition
-        base = metropolis_hastings(erdos_renyi(200, 0.1, seed=1))
+    def test_replace_measures_the_matrix_again(self, eigvalsh_shapes):
+        # replace is a rebuild: it decomposes W once, as a fresh build does
+        base = metropolis_hastings(erdos_renyi(20, 0.3, seed=1))
         eigvalsh_shapes.clear()
-        acc = chebyshev_accelerate(dataclasses.replace(base, rounds_per_application=2), 3)
-        assert eigvalsh_shapes == []
-        assert acc.bulk == chebyshev_accelerate(base, 3).bulk
+        doubled = dataclasses.replace(base, rounds_per_application=2)
+        assert eigvalsh_shapes == [(20, 20)]
+        fresh = GossipMatrix(base.W, 2)
+        np.testing.assert_array_equal(doubled.eigenvalues, fresh.eigenvalues)
+        assert doubled.bulk == fresh.bulk and doubled.rho == fresh.rho
+        assert doubled.rounds_per_application == 2
+
+    def test_eigenvalues_are_not_an_argument(self):
+        # given eigenvalues were trusted: these zeros made the line matrix
+        # (measured rho 0.911) report rho 0
+        W = metropolis_hastings(line_graph(6)).W
+        with pytest.raises(TypeError):
+            GossipMatrix(W, 1, np.zeros(6), W)
+        assert [f.name for f in dataclasses.fields(GossipMatrix) if f.init] == [
+            "W",
+            "rounds_per_application",
+        ]
+        assert GossipMatrix(W).rho == pytest.approx(0.911, abs=1e-3)
 
     def test_replaced_W_is_measured_again(self):
         # replace(W=...) used to keep the old bulk (-0.312, 0.624) and, with
@@ -262,7 +276,7 @@ class TestChebyshev:
         replaced = dataclasses.replace(mh, W=lazy)
         assert replaced.bulk == fresh.bulk and replaced.rho == fresh.rho
         assert replaced.bulk == pytest.approx((1.1e-16, 0.812), abs=1e-3)
-        np.testing.assert_array_equal(replaced.spectrum(), fresh.spectrum())
+        np.testing.assert_array_equal(replaced.eigenvalues, fresh.eigenvalues)
         assert chebyshev_accelerate(replaced, 3).bulk == chebyshev_accelerate(fresh, 3).bulk
 
     def test_operator_holds_no_dense_matrix(self):
@@ -366,7 +380,7 @@ class TestRoundsForTarget:
             rounds_for_target(0.5, 0.0)
 
     def test_formula_then_spectral_check(self):
-        base, _ = line_gossip_for_rho(0.9, 200)
+        base = line_gossip_for_rho(0.9, 200)
         M = rounds_for_target(base.rho, 0.1)
         acc = chebyshev_accelerate(base, M)
         assert acc.rho <= 0.1
@@ -397,20 +411,20 @@ class TestRoundsForTarget:
 class TestLineGossip:
     def test_unweighted_matches_cosine_formula(self):
         for rho in (0.7, 0.9, 0.99):
-            gm, m = line_gossip_for_rho(rho, 500)
+            m = line_gossip_for_rho(rho, 500).m
             W0 = network._line_gossip_matrix(m, 0.0, rho)
             assert abs(fresh_rho(W0) - line_rho_value(rho, m)) <= 1e-10
 
     def test_hits_target_and_doubly_stochastic(self):
         for rho in (0.6, 0.9, 0.97):
-            gm, m = line_gossip_for_rho(rho, 500)
+            gm = line_gossip_for_rho(rho, 500)
             assert abs(gm.rho - rho) <= 1e-6
             assert_doubly_stochastic(gm.W)
             assert abs(gm.rho - fresh_rho(gm.W)) <= 1e-10
 
     def test_bracketing_property(self):
         for rho in (0.7, 0.9, 0.99):
-            _, m = line_gossip_for_rho(rho, 500)
+            m = line_gossip_for_rho(rho, 500).m
             assert line_rho_value(rho, m) < rho <= line_rho_value(rho, m + 1)
 
     def test_too_large_raises(self):
