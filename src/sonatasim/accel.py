@@ -76,13 +76,10 @@ class AccelParams:
         return (1.0 - self.alpha) / (1.0 + self.alpha)
 
     def local_solver(self, p: ProblemSpec) -> sonata.LocalSolver:
-        """The local step of every inner iteration of a run on p, to the
-        accuracy of :data:`sonata.SUBPROBLEM_TOL`, :data:`sonata.MAX_INNER_ITERS`
-        and :data:`sonata.FORCING`, read here rather than bound as defaults."""
-        return sonata.LocalSolver(
-            p, self.mode, self.surrogate_weight, self.delta,
-            sonata.SUBPROBLEM_TOL, sonata.MAX_INNER_ITERS, sonata.FORCING,
-        )
+        """The local step of every inner iteration of a run on p; its accuracy
+        is :data:`sonata.SUBPROBLEM_TOL`, :data:`sonata.MAX_INNER_ITERS` and
+        :data:`sonata.FORCING`, which the solver reads when it is built."""
+        return sonata.LocalSolver(p, self.mode, self.surrogate_weight, self.delta)
 
 
 def tune(

@@ -5,7 +5,8 @@ Outputs per run: a trajectory CSV (one row per inner iteration) and a metadata
 JSON sidecar recording every effective parameter.  Sweeps additionally write a
 summary CSV with one row per sweep point.  The environment variable
 ``SONATASIM_OUTPUT_DIR``, when set, is prepended to relative output paths.
-Calibration and support cutoffs are :data:`CALIBRATION_TOL`, :data:`SUPPORT_THRESHOLD`.
+Calibration and support cutoffs are :data:`CALIBRATION_TOL`,
+:data:`CALIBRATION_MAX_PROBES` and :data:`SUPPORT_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import accel, datagen, diagnostics, network, problems
 # counts isolate the outer-rate scaling.
 SWEEP_T_EXTRA = 4
 CALIBRATION_TOL = 0.06  # largest relative miss of a kappa point's similarity target
+CALIBRATION_MAX_PROBES = 20  # sample sizes a kappa point's calibration tries
 SUPPORT_THRESHOLD = 1e-12  # support cutoff, relative to max(1, the left block's largest entry)
 
 
@@ -138,13 +140,6 @@ def output_path(cfg_output: str) -> Path:
     path = Path(cfg_output)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def resolve_output(cfg_output: str) -> Path:
-    """:func:`output_path`, created."""
-    path = output_path(cfg_output)
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -332,11 +327,13 @@ def calibrate_n_for_beta(
     coefficient lam lands within :data:`CALIBRATION_TOL` of beta_target;
     returns the instance and the constants of the first probe that does.
 
-    Up to 8 secant steps on log n with the locally measured decay exponent
-    (roughly n^-1/2, steeper at small n), then, if none landed, bisection on
-    log n between the closest sizes probed on either side of the target.
+    Each step is a secant step on log n with the locally measured decay
+    exponent (roughly n^-1/2, steeper at small n).  Once the target is
+    bracketed by the closest sizes probed on either side of it, a step that
+    is not strictly inside the bracket probes its geometric midpoint instead.
     ``instance(n)`` is a generated instance with n samples per agent, whose
-    lam is replaced.  No size within tolerance raises :class:`CalibrationError`.
+    lam is replaced.  A size probed twice, or :data:`CALIBRATION_MAX_PROBES`
+    probes, without landing raises :class:`CalibrationError`.
     """
     history = []  # (n, beta_hat) of every probe, in order
     probes = {}
@@ -348,9 +345,7 @@ def calibrate_n_for_beta(
         return 1 - CALIBRATION_TOL <= history[-1][1] / beta_target <= 1 + CALIBRATION_TOL
 
     n = max(int(n_start), 10)
-    if lands(n):
-        return probes[n]
-    for _ in range(8):
+    while not lands(n):
         n_cur, beta = history[-1]
         exponent = 0.5
         if len(history) >= 2:
@@ -359,28 +354,21 @@ def calibrate_n_for_beta(
                 est = math.log(b1 / b2) / math.log(n2 / n1)
                 if 0.2 <= est <= 1.5:
                     exponent = est
-        n_next = max(10, int(round(n_cur * (beta / beta_target) ** (1.0 / exponent))))
-        if n_next == n_cur:
-            break
-        if lands(n_next):
-            return probes[n_next]
-    # the similarity falls as n grows: too few samples above the target
-    while True:
-        small = [n for n, beta in history if beta > beta_target]
-        large = [n for n, beta in history if beta < beta_target and n > max(small, default=0)]
-        if not small or not large:
-            break
-        lo, hi = max(small), min(large)
-        n_mid = int(round(math.sqrt(lo * hi)))
-        if not lo < n_mid < hi:
-            break
-        if lands(n_mid):
-            return probes[n_mid]
-    n, beta = history[-1]
-    raise CalibrationError(
-        f"similarity {beta:.6g} at n = {n} is {beta / beta_target:.3f} times the "
-        f"target {beta_target:.6g}, outside the {CALIBRATION_TOL:.0%} tolerance"
-    )
+        n = max(10, int(round(n_cur * (beta / beta_target) ** (1.0 / exponent))))
+        # the similarity falls as n grows: too few samples above the target
+        small = [k for k, b in history if b > beta_target]
+        large = [k for k, b in history if b < beta_target and k > max(small, default=0)]
+        if small and large:
+            lo, hi = max(small), min(large)
+            if not lo < n < hi:
+                n = int(round(math.sqrt(lo * hi)))
+        if n in probes or len(history) == CALIBRATION_MAX_PROBES:
+            n, beta = history[-1]
+            raise CalibrationError(
+                f"similarity {beta:.6g} at n = {n} is {beta / beta_target:.3f} times the "
+                f"target {beta_target:.6g}, outside the {CALIBRATION_TOL:.0%} tolerance"
+            )
+    return probes[n]
 
 
 # Fields a sweep sets itself or has no use for: any other value than the
@@ -643,7 +631,8 @@ def main(argv=None) -> int:
         if args.command == "lowerbound-check":
             report = lowerbound_check(args.mu, args.beta, args.rho, args.d, args.rounds)
             if args.output:
-                out_dir = resolve_output(args.output)
+                out_dir = output_path(args.output)
+                out_dir.mkdir(parents=True, exist_ok=True)
                 _write_json(out_dir / "lowerbound.json", report)
             summary = {k: v for k, v in report.items() if k != "max_index_per_round"}
             print(_json(summary))

@@ -19,6 +19,11 @@ from .accel import AccelParams, RunObserver
 from .problems import Constants, ProblemSpec, r_value
 
 
+# gradient-mapping tolerance and iteration cap of the iterative centralized solve
+ORACLE_TOL = 1e-12
+ORACLE_MAX_ITERS = 500_000
+
+
 class OracleNotConvergedError(problems.RuntimeFailure):
     """The centralized reference solver hit its iteration cap."""
 
@@ -91,18 +96,14 @@ class Oracle:
         return float(gap) if X.ndim == 2 else gap
 
 
-def centralized_solve(
-    p: ProblemSpec,
-    tol: float = 1e-12,
-    delta: float = 0.0,
-    Z=None,
-    max_iters: int = 500_000,
-) -> Oracle:
+def centralized_solve(p: ProblemSpec, delta: float = 0.0, Z=None) -> Oracle:
     """Solve the (shifted) global problem to high accuracy.
 
     Quadratic losses with r = zero use a direct symmetric solve plus one round
     of iterative refinement; everything else runs :func:`problems.prox_gradient`
-    on one row until the gradient-mapping norm drops below tol.
+    on one row until the gradient-mapping norm drops below :data:`ORACLE_TOL`,
+    and raises :class:`OracleNotConvergedError` after :data:`ORACLE_MAX_ITERS`
+    iterations.
     """
     obj = ShiftedObjective(p, delta, Z)
     if p.loss.exact and p.reg.kind == "zero":
@@ -119,10 +120,13 @@ def centralized_solve(
         raise ValueError("centralized solve requires a strongly convex problem")
     step = np.array([1.0 / L])
     X, converged, _ = problems.prox_gradient(
-        p, lambda V: obj.grad(V[0])[None], np.zeros((1, p.d)), step, mu * step, tol, max_iters
+        p, lambda V: obj.grad(V[0])[None], np.zeros((1, p.d)), step, mu * step,
+        ORACLE_TOL, ORACLE_MAX_ITERS,
     )
     if not converged:
-        raise OracleNotConvergedError(f"no convergence to {tol} in {max_iters} iterations")
+        raise OracleNotConvergedError(
+            f"no convergence to {ORACLE_TOL} in {ORACLE_MAX_ITERS} iterations"
+        )
     return Oracle(X[0], obj.values(X[0]), obj)
 
 

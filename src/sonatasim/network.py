@@ -12,8 +12,10 @@ mixes as the dense product ``W @ X``.  A :class:`ChebyshevGossip` (from
 applies the degree-M polynomial as M sparse neighbour exchanges by the
 three-term recurrence, never forming the dense polynomial; its bulk interval
 comes from evaluating the polynomial on the base's measured eigenvalues.
-scipy is imported only when such an operator is built.  The builders' limits
-are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS` and :data:`LINE_RHO_TOL`.
+scipy is imported only when such an operator is built.  Two operators are
+equal only when they are the same object.  The builders' limits
+are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`, :data:`LINE_RHO_TOL`
+and :data:`MAX_LINE_NODES`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ DS_TOL = 1e-12  # symmetry and unit row-sum tolerance
 MAX_RESAMPLES = 100  # random graphs drawn by erdos_renyi before it gives up
 MAX_ROUNDS = 10_000  # largest polynomial degree rounds_for_target tries
 LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
+MAX_LINE_NODES = 4096  # largest line line_gossip_for_rho builds
 
 
 class TopologyError(RuntimeFailure):
@@ -129,7 +132,7 @@ def _spectrum(W: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(W - 1.0 / W.shape[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class GossipMatrix:
     """Symmetric mixing matrix with unit row sums (so doubly stochastic),
     checked within :data:`DS_TOL`.  Its ``eigenvalues`` (those of
@@ -147,7 +150,7 @@ class GossipMatrix:
 
     W: np.ndarray
     rounds_per_application: int = 1
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=float)
@@ -204,7 +207,7 @@ def _cheb_scalars(z: float, M: int) -> float:
     return t
 
 
-@dataclass
+@dataclass(eq=False)
 class ChebyshevGossip:
     """P_M(W) = T_M(psi(W)) / T_M(psi(1)) of a sparse base W, with psi the
     affine map taking the base's bulk [lo, hi] onto [-1, 1], applied without
@@ -225,7 +228,7 @@ class ChebyshevGossip:
     hi: float
     M: int
     rounds_per_application: int
-    spectrum: np.ndarray = field(repr=False, compare=False)
+    spectrum: np.ndarray = field(repr=False)
     bulk: tuple[float, float] = field(init=False)
     scale: float = field(init=False)
 
@@ -348,21 +351,23 @@ def _line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:
     return np.eye(m) - L / (2.0 + rho)
 
 
-def line_gossip_for_rho(rho_target: float, max_m: int = 4096) -> GossipMatrix:
+def line_gossip_for_rho(rho_target: float) -> GossipMatrix:
     """Weighted line-graph gossip matrix with deviation exactly rho_target.
 
     Picks the node count m (the result's ``m``) with rho_m < rho_target <=
     rho_{m+1}, then bisects the weight parameter of one edge until the
     deviation matches; a matrix that misses it by more than
-    :data:`LINE_RHO_TOL` raises :class:`TopologyError`.
+    :data:`LINE_RHO_TOL` raises :class:`TopologyError`, and a target that
+    needs more than :data:`MAX_LINE_NODES` nodes raises
+    :class:`InstanceTooLargeError`.
     """
     if not 0 < rho_target < 1:
         raise FixtureParameterError(f"rho_target must be in (0, 1), got {rho_target}")
     m = 2
     while line_rho_value(rho_target, m + 1) < rho_target:
         m += 1
-        if m > max_m:
-            raise InstanceTooLargeError(f"needs more than {max_m} nodes")
+        if m > MAX_LINE_NODES:
+            raise InstanceTooLargeError(f"needs more than {MAX_LINE_NODES} nodes")
 
     def excess(a):  # deviation above the target at first-edge weight 1 - a
         return np.abs(_spectrum(_line_gossip_matrix(m, a, rho_target))).max() - rho_target

@@ -21,8 +21,7 @@ closed form, one proximal step, or accelerated proximal gradient on the whole
 stack.  The subproblems only read previous-round state, so results are
 identical to any parallel schedule.
 
-The iterative local step is inexact by design: a run's solver (built by
-:meth:`~sonatasim.accel.AccelParams.local_solver`) stops agent i at
+The iterative local step is inexact by design: it stops agent i at
 max(SUBPROBLEM_TOL, FORCING * r0_i), where r0_i is the gradient mapping of
 its subproblem at the warm start x_i, or after MAX_INNER_ITERS iterations.
 r0_i shrinks with the outer error, so the local accuracy tightens
@@ -39,8 +38,8 @@ import numpy as np
 from . import problems
 from .problems import ProblemSpec, prox_r
 
-# forcing term, tolerance floor and iteration cap of a run's iterative local
-# step (see the module docstring)
+# forcing term, tolerance floor and iteration cap of the iterative local step
+# (see the module docstring)
 FORCING = 1e-2
 SUBPROBLEM_TOL = 1e-10
 MAX_INNER_ITERS = 5000
@@ -55,28 +54,27 @@ class SonataResult:
     grads: np.ndarray  # batch_grads at X
 
 
-def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads=None) -> np.ndarray:
-    """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point;
-    ``grads`` is ``problems.batch_grads(p, X)`` when the caller has it."""
-    G = problems.batch_grads(p, X) if grads is None else grads
+def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads) -> np.ndarray:
+    """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point,
+    from its unshifted ``grads = problems.batch_grads(p, X)``."""
     if delta != 0.0:
-        G = G + delta * (X - Z)
-    return G
+        return grads + delta * (X - Z)
+    return grads
 
 
-def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters, grads=None):
+def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters, grads):
     """Iterative mode-F local step of all agents at once.
 
     Agent i minimizes f_i(v) + delta/2||v-z_i||^2 + beta/2||v-x_i||^2
     + <y_i - g_i, v> + r(v), which is (ridge*lam + beta + delta)-strongly
     convex, by :func:`problems.prox_gradient` from x_i with step steps[i] to
     tolerance tol, a scalar or one entry per agent.  The routine's first
-    gradient is taken at its start X; given ``grads``, the unshifted
-    ``problems.batch_grads(p, X)``, it reads them there.  Returns (X_half,
-    whether all agents converged, the largest iteration count).
+    gradient is taken at its start X, where it reads ``grads``, the unshifted
+    ``problems.batch_grads(p, X)``.  Returns (X_half, whether all agents
+    converged, the largest iteration count).
     """
     lin = Y - G
-    carried = [] if grads is None else [grads]
+    carried = [grads]
 
     def grad(V):
         F = carried.pop() if carried else problems.batch_grads(p, V)
@@ -87,14 +85,14 @@ def _prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, max_iters,
 
 
 class LocalSolver:
-    """The local step of all m agents for one surrogate and proximal shift,
-    within ``max_iters`` iterations when iterative.  The surrogate is
-    ``mode`` "F" with prox weight beta = ``weight``, or "L" with model
-    constant ``weight``, the smoothness of the shifted loss (see
+    """The local step of all m agents for one surrogate and proximal shift.
+    The surrogate is ``mode`` "F" with prox weight beta = ``weight``, or "L"
+    with model constant ``weight``, the smoothness of the shifted loss (see
     :attr:`~sonatasim.accel.AccelParams.surrogate_weight`).  An iterative
-    step stops agent i at max(tol, forcing * r0_i), r0_i the gradient
-    mapping of its subproblem at the warm start x_i; ``forcing=0`` is the
-    absolute rule.
+    step stops agent i at max(SUBPROBLEM_TOL, FORCING * r0_i), r0_i the
+    gradient mapping of its subproblem at the warm start x_i, or after
+    MAX_INNER_ITERS iterations; the three constants are read when the solver
+    is built.
 
     Mode L is one proximal-gradient step on the whole stack.  Mode F on an
     exact-curvature loss with r = zero is the closed form
@@ -106,23 +104,14 @@ class LocalSolver:
     (the memoized Gram stack when d <= n).
     """
 
-    def __init__(
-        self,
-        p: ProblemSpec,
-        mode: str,
-        weight: float,
-        delta: float,
-        tol: float,
-        max_iters: int,
-        forcing: float = 0.0,
-    ):
+    def __init__(self, p: ProblemSpec, mode: str, weight: float, delta: float):
         self.p = p
         self.mode = mode
         self.weight = weight
         self.delta = delta
-        self.tol = tol
-        self.max_iters = max_iters
-        self.forcing = forcing
+        self.tol = SUBPROBLEM_TOL
+        self.max_iters = MAX_INNER_ITERS
+        self.forcing = FORCING
         self.K_inv = self.steps = None
         if mode == "L":
             return
@@ -133,26 +122,22 @@ class LocalSolver:
         else:
             self.steps = 1.0 / (problems.curvature(p).lmax + delta + weight)
 
-    def solve(self, X, Y, G, Z=None, grads=None):
+    def solve(self, X, Y, G, Z, grads):
         """Local step from (m, d) stacks of points X, trackers Y, shifted local
-        gradients G and proximal centers Z (default X); returns
-        (X_half, converged, inner_iters).  ``grads`` is the unshifted
-        ``problems.batch_grads(p, X)`` when the caller holds it: the
-        iterative step's first iterate is X, so it reads them rather than
+        gradients G and proximal centers Z; returns (X_half, converged,
+        inner_iters).  ``grads`` is the unshifted ``problems.batch_grads(p, X)``:
+        the iterative step's first iterate is X, so it reads them rather than
         evaluating the gradients at X again."""
         if self.mode == "L":
             step = 1.0 / self.weight
             return prox_r(self.p, X - step * Y, step), True, 0
         if self.K_inv is not None:
             return X - np.einsum("mab,mb->ma", self.K_inv, Y), True, 0
-        Z = X if Z is None else Z
-        tol = self.tol
-        if self.forcing:
-            # at v = x_i the subproblem's gradient is y_i: the linear term
-            # y_i - g_i cancels the shifted local gradient g_i
-            step = self.steps[:, None]
-            r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
-            tol = np.maximum(tol, self.forcing * r0)
+        # at v = x_i the subproblem's gradient is y_i: the linear term
+        # y_i - g_i cancels the shifted local gradient g_i
+        step = self.steps[:, None]
+        r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
+        tol = np.maximum(self.tol, self.forcing * r0)
         return _prox_gradient_subproblem(
             self.p, X, Y, G, Z, self.weight, self.delta, self.steps, tol, self.max_iters, grads
         )
@@ -178,18 +163,19 @@ def sonata_run(
     W,
     solver: LocalSolver,
     *,
-    Z=None,
-    grads0=None,
+    Z,
+    grads0,
     comms_start: int = 0,
     on_step=None,
 ) -> SonataResult:
     """Run T iterations (local step + communication step) from (X0, Y0); each
     costs ``W.rounds_per_application`` communication rounds.  The local step
-    and the gradients' proximal shift delta are ``solver``'s.
+    and the gradients' proximal shift delta toward the centers Z are
+    ``solver``'s.
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
-    ``grads0`` is ``problems.batch_grads(p, X0)`` when the caller has it.
+    ``grads0`` is ``problems.batch_grads(p, X0)``, which the caller holds.
     Each iterate's unshifted local gradients are evaluated once, at the
     start or in the gossip round that mixed it, and serve both its shifted
     gradients and the first iterate of its local step.
@@ -201,7 +187,7 @@ def sonata_run(
     Y = np.array(Y0, dtype=float)
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
-    grads = problems.batch_grads(p, X) if grads0 is None else grads0
+    grads = grads0
     G = shifted_grads(p, X, solver.delta, Z, grads)
 
     comms = comms_start
@@ -214,4 +200,3 @@ def sonata_run(
         if on_step is not None:
             on_step(t, comms, X, Y)
     return SonataResult(X, Y, comms, converged, grads)
-

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sonatasim import datagen, network, problems, sonata
+from sonatasim import datagen, network, problems
 
 
 @pytest.fixture(scope="session")
@@ -30,18 +30,6 @@ def small_gossip():
 @pytest.fixture
 def rng():
     return np.random.default_rng(np.random.SeedSequence(99))
-
-
-def local_solver(
-    p,
-    mode,
-    weight,
-    delta=0.0,
-    tol=sonata.SUBPROBLEM_TOL,
-    max_iters=sonata.MAX_INNER_ITERS,
-):
-    """A LocalSolver with a run's floor and cap unless given, without its forcing term."""
-    return sonata.LocalSolver(p, mode, weight, delta, tol, max_iters)
 
 
 def classification_problem(loss_kind, m, n, d, lam, seed, reg=None):

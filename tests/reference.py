@@ -41,7 +41,8 @@ def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
 
 def tracking_gap(p: ProblemSpec, X, Y, delta: float = 0.0, Z=None) -> float:
     """Norm of avg(y_i) - avg(shifted grad_i(x_i)); zero under exact tracking."""
-    G = shifted_grads(p, np.asarray(X, dtype=float), delta, Z)
+    X = np.asarray(X, dtype=float)
+    G = shifted_grads(p, X, delta, Z, problems.batch_grads(p, X))
     return float(np.linalg.norm(Y.mean(axis=0) - G.mean(axis=0)))
 
 
@@ -126,9 +127,10 @@ def sonata_star_run(
     comms = comms_start
     for t in range(1, T + 1):
         X = np.tile(x, (p.m, 1))
-        G = shifted_grads(p, X, solver.delta, Z)
+        grads = problems.batch_grads(p, X)
+        G = shifted_grads(p, X, solver.delta, Z, grads)
         Y = np.tile(G.mean(axis=0), (p.m, 1))
-        halves, _, _ = solver.solve(X, Y, G, Z)
+        halves, _, _ = solver.solve(X, Y, G, Z, grads)
         x = halves.mean(axis=0)
         comms += 1
         if on_step is not None:

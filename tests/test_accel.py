@@ -174,6 +174,8 @@ class TestAccSonataRun:
             18,
             small_gossip,
             params.local_solver(p),
+            Z=X0,
+            grads0=Y0,
             on_step=lambda t, cm, X, Y: plain.append(np.array(X)),
         )
         for a, b in zip(seen, plain):
@@ -301,7 +303,7 @@ class TestTrackingProperty:
                 self.Z = np.array(Z)
 
             def on_inner_step(self, k, t, comms, X, Y):
-                G = sonata.shifted_grads(p, X, params.delta, self.Z)
+                G = sonata.shifted_grads(p, X, params.delta, self.Z, problems.batch_grads(p, X))
                 gap = reference.tracking_gap(p, X, Y, params.delta, self.Z)
                 worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
 
@@ -324,7 +326,7 @@ class TestInexactLocalSteps:
         # stopping each local step at FORCING times its warm-start gradient
         # mapping must not cost a single extra communication round
         p = make()
-        oracle = diagnostics.centralized_solve(p, tol=1e-12)
+        oracle = diagnostics.centralized_solve(p)
         params = replace(tune(problems.estimate_constants(p), "F"), K_max=200)
         target = 1e-8
         solve = sonata._prox_gradient_subproblem
@@ -364,7 +366,7 @@ class TestCompositeObjective:
         p = datagen.gen_ridge(cfg)
         p.reg = Regularizer("l1", weight=0.5)
         c = problems.estimate_constants(p)
-        oracle = diagnostics.centralized_solve(p, tol=1e-12)
+        oracle = diagnostics.centralized_solve(p)
         params = tune(c, "F")
         res = acc_sonata_run(
             p, replace(params, K_max=150), small_gossip,

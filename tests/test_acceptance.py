@@ -99,7 +99,7 @@ def test_criterion_01_gossip_matrix_contract():
         network.metropolis_hastings(network.line_graph(12)),
         network.metropolis_hastings(network.star_graph(9)),
         network.exact_averaging(7),
-        network.line_gossip_for_rho(0.9, 200),
+        network.line_gossip_for_rho(0.9),
         network.chebyshev_accelerate(
             network.metropolis_hastings(network.erdos_renyi(20, 0.4, seed=2)), 4
         ),
@@ -119,7 +119,7 @@ def test_criterion_02_chebyshev_acceleration():
     done = _timer()
     details = []
     for rho_bar in (0.5, 0.9, 0.99):
-        base = network.line_gossip_for_rho(rho_bar, 500)
+        base = network.line_gossip_for_rho(rho_bar)
         M = network.rounds_for_target(base.rho, 0.1)
         acc = network.chebyshev_accelerate(base, M)
         ones = np.ones(base.m)
@@ -174,11 +174,12 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     T = 12
     Z = np.zeros((p.m, p.d))
     X0 = np.zeros((p.m, p.d))
-    Y0 = sonata.shifted_grads(p, X0, params.delta, Z)
+    grads0 = problems.batch_grads(p, X0)
+    Y0 = sonata.shifted_grads(p, X0, params.delta, Z, grads0)
     oracle_k = diagnostics.centralized_solve(p, delta=params.delta, Z=Z)
     vals = [reference.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
     sonata.sonata_run(
-        p, X0, Y0, T, W, params.local_solver(p), Z=Z,
+        p, X0, Y0, T, W, params.local_solver(p), Z=Z, grads0=grads0,
         on_step=lambda t, cm, X, Y: vals.append(
             reference.inner_potential(X, Y, c, mode, oracle_k)["total"]
         ),
@@ -345,7 +346,7 @@ def test_criterion_10_degenerate_equivalences():
     X0 = np.zeros((p.m, p.d))
     Y0 = problems.batch_grads(p, X0)
     plain_iters = []
-    sonata.sonata_run(p, X0, Y0, 18, W, pp.local_solver(p),
+    sonata.sonata_run(p, X0, Y0, 18, W, pp.local_solver(p), Z=X0, grads0=Y0,
                       on_step=lambda t, cm, X, Y: plain_iters.append(np.array(X)))
     worst_b = max(float(np.max(np.abs(a - b))) for a, b in zip(acc_iters, plain_iters))
     assert worst_b <= 1e-12

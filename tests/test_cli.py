@@ -45,7 +45,7 @@ def write_config(tmp_path, cfg):
 class TestRun:
     def test_outputs_and_metadata(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         assert (out / "trajectory.csv").exists()
         assert (out / "metadata.json").exists()
@@ -66,7 +66,7 @@ class TestRun:
         blobs = []
         for sub in ("a", "b"):
             cfg = load_config(None, base_config(tmp_path, output=str(tmp_path / sub)))
-            out = cli.resolve_output(cfg["output"])
+            out = cli.output_path(cfg["output"])
             execute_run(cfg, out)
             blobs.append((out / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]
@@ -76,7 +76,7 @@ class TestRun:
         cfg["algorithm"]["mode"] = "L"
         cfg["algorithm"]["K_max"] = 120
         cfg = load_config(None, cfg)
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         assert meta["result"]["converged"]
 
@@ -87,7 +87,7 @@ class TestRun:
             "problem": {"synthetic": {"m": 10, "n": 100, "d": 10}},
             "output": str(tmp_path / "out"),
         })
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         L_hat = meta["constants"]["L_hat"]
         assert meta["params"]["surrogate_weight"] == pytest.approx(L_hat + 1e5, rel=1e-12)
@@ -104,7 +104,7 @@ class TestRun:
         cfg["algorithm"]["K_max"] = 15
         cfg["algorithm"]["target_gap"] = 1e-3
         cfg = load_config(None, cfg)
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         assert meta["constants"]["mu_hat"] == pytest.approx(0.1)
 
@@ -135,11 +135,14 @@ class TestRun:
             a, b = ((tmp_path / sub / name).read_text() for sub in "ab")
             assert a == b.replace(str(tmp_path / "b"), str(tmp_path / "a"))
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
+    def test_output_dir_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SONATASIM_OUTPUT_DIR", str(tmp_path / "redirected"))
-        out = cli.resolve_output("runs/exp")
+        out = cli.output_path("runs/exp")
         assert out == tmp_path / "redirected" / "runs" / "exp"
-        assert out.is_dir()
+        assert not out.exists()
+        argv = ["lowerbound-check", "--rho", "0.5", "--rounds", "20", "--output", "runs/exp"]
+        assert cli.main(argv) == 0
+        assert (out / "lowerbound.json").is_file()
 
     def test_potentials_column_present_when_enabled(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -147,7 +150,7 @@ class TestRun:
         cfg["algorithm"]["K_max"] = 5
         cfg["algorithm"]["target_gap"] = None
         cfg = load_config(None, cfg)
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         execute_run(cfg, out)
         with open(out / "trajectory.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -160,7 +163,7 @@ class TestDefaultConfig:
         # stock settings: 30 agents, edge probability 0.5, covariance
         # eigenvalues in [1, 1000], mode F, gap target 1e-4
         cfg = load_config(None, {"output": str(tmp_path / "default")})
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         assert meta["result"]["converged"]
         assert meta["result"]["final_gap"] <= 1e-4
@@ -215,7 +218,7 @@ class TestConfigValidation:
         for sub, topology in (("plain", {}), ("target", {"target_rho": 0.5})):
             cfg = base_config(tmp_path, topology={"kind": "exact_averaging", **topology})
             cfg = load_config(None, dict(cfg, output=str(tmp_path / sub)))
-            out = cli.resolve_output(cfg["output"])
+            out = cli.output_path(cfg["output"])
             execute_run(cfg, out)
             blobs.append((out / "trajectory.csv").read_bytes())
         assert blobs[0] == blobs[1]
@@ -757,7 +760,7 @@ class TestSweep:
     def test_not_reached_recorded(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
         cfg["algorithm"]["K_max"] = 1  # far too few outer iterations
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         rows = execute_sweep(cfg, "beta_over_mu", [100.0], out, 1e-12)
         assert rows[0]["comms_F"] is None
         with open(out / "summary.csv") as fh:
@@ -766,7 +769,7 @@ class TestSweep:
 
     def test_empty_points_rejected(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         with pytest.raises(ConfigError, match="at least one"):
             execute_sweep(cfg, "beta_over_mu", [], out, 1e-3)
 
@@ -774,7 +777,7 @@ class TestSweep:
     def test_bad_eps_rejected(self, tmp_path, eps):
         # a NaN eps used to be echoed into metadata.json; -1 ran to "not-reached"
         cfg = load_config(None, base_config(tmp_path))
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         with pytest.raises(ConfigError, match="eps"):
             execute_sweep(cfg, "beta_over_mu", [100], out, eps)
 
@@ -827,7 +830,7 @@ class TestSweep:
 
     def test_kappa_target_below_one_rejected(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         with pytest.raises(ConfigError, match="exceed 1"):
             execute_sweep(cfg, "kappa", [0.5], out, 1e-3)
 
@@ -863,7 +866,7 @@ class TestSweep:
     def test_kappa_axis_holds_similarity_ratio(self, tmp_path):
         cfg = load_config(None, base_config(tmp_path))
         cfg["problem"]["synthetic"].update({"m": 10, "d": 15, "n": 1500, "L0": 300.0})
-        out = cli.resolve_output(cfg["output"])
+        out = cli.output_path(cfg["output"])
         rows = execute_sweep(cfg, "kappa", [40.0, 12.0], out, 1e-3)
         bm = [r["beta_over_mu_hat"] for r in rows]
         assert abs(bm[0] - bm[1]) / min(bm) <= 0.3
@@ -891,6 +894,23 @@ class TestSweep:
         assert rows[0]["lam"] == 0.0 and rows[1]["lam"] > 0.0
         assert len(made) == len(set(made)) >= 3
         assert len(made) == len({c.n for c in made})
+
+    def test_kappa_calibration_probes_each_size_once(self, tmp_path, monkeypatch):
+        # the secant steps on this point used to wander: n = 400, 39, 21, 30,
+        # 26, 31, 19, 26, 29, 27, probing 26 twice; a step outside the
+        # bracket now probes its geometric midpoint
+        calibrate, probed = cli.calibrate_n_for_beta, []
+
+        def recording(instance, *args):
+            return calibrate(lambda n: probed.append(n) or instance(n), *args)
+
+        synthetic = {"m": 8, "n": 400, "d": 6, "L0": 100}
+        cfg = load_config(None, base_config(tmp_path, seed=3, problem={"synthetic": synthetic}))
+        kappa0 = problems.estimate_constants(datagen.gen_ridge(cli.ridge_config(cfg))).kappa_hat
+        monkeypatch.setattr(cli, "calibrate_n_for_beta", recording)
+        rows = execute_sweep(cfg, "kappa", [kappa0 / 2.0], cli.output_path(cfg["output"]), 1e-3)
+        assert len(rows) == 1 and rows[0]["lam"] > 0.0
+        assert probed[0] == 400 and len(probed) == len(set(probed)) <= 6
 
 
 class TestLowerboundCheck:

@@ -85,16 +85,18 @@ class TestCentralizedSolve:
             x = oracle.x_star + rng.standard_normal(small_ridge.d)
             assert obj.values(x) >= oracle.u_star - 1e-12
 
-    def test_gradient_mapping_at_solution(self):
+    def test_gradient_mapping_at_solution(self, monkeypatch):
         p = hinge_problem(lam=0.05)
         tol = 1e-10
-        oracle = centralized_solve(p, tol=tol)
+        monkeypatch.setattr(diagnostics, "ORACLE_TOL", tol)
+        oracle = centralized_solve(p)
         g = oracle.objective.grad(oracle.x_star)
         assert np.linalg.norm(g) <= 10 * tol
 
-    def test_iterative_path_with_l1(self):
+    def test_iterative_path_with_l1(self, monkeypatch):
         p = hinge_problem(lam=0.05, reg=Regularizer("l1", weight=0.01))
-        oracle = centralized_solve(p, tol=1e-11)
+        monkeypatch.setattr(diagnostics, "ORACLE_TOL", 1e-11)
+        oracle = centralized_solve(p)
         # fixed point of the proximal-gradient map
         L = np.linalg.eigvalsh(problems.curvature(p).H_bar)[-1]
         step = 1.0 / L
@@ -115,10 +117,12 @@ class TestCentralizedSolve:
         shift = np.linalg.solve(H, delta * (Z2.mean(axis=0) - Z1.mean(axis=0)))
         assert np.linalg.norm((o1.x_star + shift) - o2.x_star) <= 1e-9
 
-    def test_oracle_cap_raises(self):
+    def test_oracle_cap_raises(self, monkeypatch):
         p = hinge_problem(lam=1e-4)
+        monkeypatch.setattr(diagnostics, "ORACLE_TOL", 1e-14)
+        monkeypatch.setattr(diagnostics, "ORACLE_MAX_ITERS", 5)
         with pytest.raises(diagnostics.OracleNotConvergedError):
-            centralized_solve(p, tol=1e-14, max_iters=5)
+            centralized_solve(p)
 
 
 class TestOptimalityGap:

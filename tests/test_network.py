@@ -173,6 +173,18 @@ class TestOperatorChecks:
         with pytest.raises(ValueError, match="rounds_per_application must be >= 1"):
             dataclasses.replace(W, rounds_per_application=0)
 
+    @pytest.mark.parametrize("M", [None, 3], ids=["plain", "chebyshev"])
+    def test_equality_is_identity(self, M):
+        # the generated __eq__ compared the W arrays inside a tuple and raised
+        # "The truth value of an array ... is ambiguous"
+        def build():
+            W = metropolis_hastings(line_graph(4))
+            return W if M is None else chebyshev_accelerate(W, M)
+
+        a, b = build(), build()
+        assert a == a and not a == b and a != b
+        assert len({a, b}) == 2
+
 
 class TestChebyshev:
     def test_degree_one_on_symmetric_bulk_is_identity_polynomial(self):
@@ -380,7 +392,7 @@ class TestRoundsForTarget:
             rounds_for_target(0.5, 0.0)
 
     def test_formula_then_spectral_check(self):
-        base = line_gossip_for_rho(0.9, 200)
+        base = line_gossip_for_rho(0.9)
         M = rounds_for_target(base.rho, 0.1)
         acc = chebyshev_accelerate(base, M)
         assert acc.rho <= 0.1
@@ -411,25 +423,26 @@ class TestRoundsForTarget:
 class TestLineGossip:
     def test_unweighted_matches_cosine_formula(self):
         for rho in (0.7, 0.9, 0.99):
-            m = line_gossip_for_rho(rho, 500).m
+            m = line_gossip_for_rho(rho).m
             W0 = network._line_gossip_matrix(m, 0.0, rho)
             assert abs(fresh_rho(W0) - line_rho_value(rho, m)) <= 1e-10
 
     def test_hits_target_and_doubly_stochastic(self):
         for rho in (0.6, 0.9, 0.97):
-            gm = line_gossip_for_rho(rho, 500)
+            gm = line_gossip_for_rho(rho)
             assert abs(gm.rho - rho) <= 1e-6
             assert_doubly_stochastic(gm.W)
             assert abs(gm.rho - fresh_rho(gm.W)) <= 1e-10
 
     def test_bracketing_property(self):
         for rho in (0.7, 0.9, 0.99):
-            m = line_gossip_for_rho(rho, 500).m
+            m = line_gossip_for_rho(rho).m
             assert line_rho_value(rho, m) < rho <= line_rho_value(rho, m + 1)
 
-    def test_too_large_raises(self):
+    def test_too_large_raises(self, monkeypatch):
+        monkeypatch.setattr(network, "MAX_LINE_NODES", 16)
         with pytest.raises(InstanceTooLargeError):
-            line_gossip_for_rho(0.999999, max_m=16)
+            line_gossip_for_rho(0.999999)
 
 
 class TestHardInstance:

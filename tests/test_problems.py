@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hinge_problem, local_solver, logistic_problem
+from conftest import hinge_problem, logistic_problem
 from reference import hessian_bound, local_value
-from sonatasim import diagnostics, problems
+from sonatasim import diagnostics, problems, sonata
 from sonatasim.problems import (
     DegenerateProblemError,
     ProblemSpec,
@@ -260,7 +260,7 @@ class TestGramMemo:
         problems.batch_grads(p, np.ones((p.m, p.d)))
         estimate_constants(p)
         diagnostics.ShiftedObjective(p)
-        local_solver(p, "F", 1.0)
+        sonata.LocalSolver(p, "F", 1.0, 0.0)
         assert problems.gram(p) is None and p._gram is None
 
     @pytest.mark.parametrize(

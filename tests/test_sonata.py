@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import hinge_problem, local_solver
+from conftest import hinge_problem
 from reference import admissible_rho, hessian_bound, inner_potential, tracking_gap
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
@@ -45,7 +45,8 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, ok, _ = local_solver(p, "L", 7.0).solve(X, Y, None)
+        grads = problems.batch_grads(p, X)
+        out, ok, _ = sonata.LocalSolver(p, "L", 7.0, 0.0).solve(X, Y, grads, X, grads)
         assert ok
         assert out == pytest.approx(X - Y / 7.0, abs=1e-14)
 
@@ -56,8 +57,9 @@ class TestLocalSubproblem:
         X = rng.standard_normal((p.m, p.d))
         Z = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        G = shifted_grads(p, X, delta, Z)
-        out, ok, _ = local_solver(p, "F", beta, delta).solve(X, Y, G, Z)
+        grads = problems.batch_grads(p, X)
+        G = shifted_grads(p, X, delta, Z, grads)
+        out, ok, _ = sonata.LocalSolver(p, "F", beta, delta).solve(X, Y, G, Z, grads)
         assert ok
         x, z, g = X[i], Z[i], G[i]
         H = hessian_bound(p, i)
@@ -73,14 +75,17 @@ class TestLocalSubproblem:
         p = small_ridge
         X = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
-        out, _, _ = local_solver(p, "F", 1e12).solve(X, Y, problems.batch_grads(p, X))
+        grads = problems.batch_grads(p, X)
+        out, _, _ = sonata.LocalSolver(p, "F", 1e12, 0.0).solve(X, Y, grads, X, grads)
         assert np.linalg.norm(out - X) <= 1e-9
 
-    def test_iterative_path_with_l1(self, rng):
+    def test_iterative_path_with_l1(self, rng, monkeypatch):
         p = hinge_problem(reg=Regularizer("l1", weight=0.01))
         X = rng.standard_normal((p.m, p.d))
         Y = problems.batch_grads(p, X)
-        out, ok, iters = local_solver(p, "F", 3.0, tol=1e-10).solve(X, Y, Y)
+        monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", 1e-10)
+        monkeypatch.setattr(sonata, "FORCING", 0.0)
+        out, ok, iters = sonata.LocalSolver(p, "F", 3.0, 0.0).solve(X, Y, Y, X, Y)
         assert ok and iters > 0
         # optimality: gradient mapping of every agent's subproblem vanishes
         beta = 3.0
@@ -98,7 +103,7 @@ class TestLocalSubproblem:
         ],
         ids=["hinge-l1", "logistic-box", "quadratic-l1"],
     )
-    def test_batched_prox_gradient_matches_per_agent_loop(self, rng, loss_kind, reg):
+    def test_batched_prox_gradient_matches_per_agent_loop(self, rng, monkeypatch, loss_kind, reg):
         # agents with feature scales a decade apart take different steps and
         # stop after different numbers of iterations
         m, n, d = 4, 30, 5
@@ -107,7 +112,10 @@ class TestLocalSubproblem:
         p = problems.ProblemSpec(loss_kind, A, b, lam=0.05, reg=reg)
         beta, delta, tol = 0.7, 0.4, 1e-6
         X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
-        G = shifted_grads(p, X, delta, Z)
+        grads = problems.batch_grads(p, X)
+        G = shifted_grads(p, X, delta, Z, grads)
+        monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", tol)
+        monkeypatch.setattr(sonata, "FORCING", 0.0)
 
         def reference(max_iters=5000):
             runs = [
@@ -118,16 +126,17 @@ class TestLocalSubproblem:
 
         ref, counts = reference()
         assert len(set(counts)) > 1
-        solver = local_solver(p, "F", beta, delta, tol)
-        out, ok, iters = solver.solve(X, Y, G, Z)
+        solver = sonata.LocalSolver(p, "F", beta, delta)
+        out, ok, iters = solver.solve(X, Y, G, Z, grads)
         assert ok and iters == max(counts)
         assert np.max(np.abs(out - ref)) <= 1e-12
         # cut the batched run just at and just past each agent's own count:
         # every row must have moved exactly min(cut, count_i) times
         for cut in sorted({c + s for c in counts for s in (0, 1)}):
             ref_cut, _ = reference(cut)
-            cut_solver = local_solver(p, "F", beta, delta, tol, cut)
-            out_cut, ok_cut, iters_cut = cut_solver.solve(X, Y, G, Z)
+            monkeypatch.setattr(sonata, "MAX_INNER_ITERS", cut)
+            cut_solver = sonata.LocalSolver(p, "F", beta, delta)
+            out_cut, ok_cut, iters_cut = cut_solver.solve(X, Y, G, Z, grads)
             assert np.max(np.abs(out_cut - ref_cut)) <= 1e-12
             assert ok_cut == (cut >= max(counts))
             assert iters_cut == min(cut, max(counts))
@@ -141,16 +150,20 @@ class TestLocalSubproblem:
         ],
         ids=["hinge-l1", "logistic-box", "quadratic-l1"],
     )
-    def test_forcing_term_stops_each_row_at_its_own_tolerance(self, rng, loss_kind, reg):
+    def test_forcing_term_stops_each_row_at_its_own_tolerance(
+        self, rng, monkeypatch, loss_kind, reg
+    ):
         # the agents of the batched test, each stopped at
         # max(tol, forcing * its warm-start gradient mapping)
         m, n, d = 4, 30, 5
         A = rng.standard_normal((m, n, d)) * np.array([0.3, 1.0, 2.0, 4.0])[:, None, None]
         b = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
         p = problems.ProblemSpec(loss_kind, A, b, lam=0.05, reg=reg)
-        beta, delta, tol, forcing = 0.7, 0.4, 1e-6, 1e-2
+        beta, delta, tol, forcing = 0.7, 0.4, 1e-6, sonata.FORCING
         X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
-        G = shifted_grads(p, X, delta, Z)
+        grads = problems.batch_grads(p, X)
+        G = shifted_grads(p, X, delta, Z, grads)
+        monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", tol)
 
         def reference(c):
             runs = [
@@ -162,16 +175,19 @@ class TestLocalSubproblem:
         ref, counts = reference(forcing)
         _, exact_counts = reference(0.0)
         assert all(c < e for c, e in zip(counts, exact_counts)) and len(set(counts)) > 1
-        solver = sonata.LocalSolver(p, "F", beta, delta, tol, 5000, forcing=forcing)
-        out, ok, iters = solver.solve(X, Y, G, Z)
+        solver = sonata.LocalSolver(p, "F", beta, delta)
+        out, ok, iters = solver.solve(X, Y, G, Z, grads)
         assert ok and iters == max(counts)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
         # forcing 0 is the absolute rule, bit for bit
-        absolute = sonata.LocalSolver(p, "F", beta, delta, tol, 5000, forcing=0.0)
+        monkeypatch.setattr(sonata, "FORCING", 0.0)
+        absolute = sonata.LocalSolver(p, "F", beta, delta)
         steps = absolute.steps
-        direct = sonata._prox_gradient_subproblem(p, X, Y, G, Z, beta, delta, steps, tol, 5000)
-        out0, ok0, iters0 = absolute.solve(X, Y, G, Z)
+        direct = sonata._prox_gradient_subproblem(
+            p, X, Y, G, Z, beta, delta, steps, tol, 5000, grads
+        )
+        out0, ok0, iters0 = absolute.solve(X, Y, G, Z, grads)
         assert np.array_equal(out0, direct[0]) and (ok0, iters0) == direct[1:]
         assert iters0 == max(exact_counts)
 
@@ -185,9 +201,10 @@ class TestLocalSubproblem:
         for poisoned in ("X", "Y"):
             X, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
             {"X": X, "Y": Y}[poisoned][2, 1] = np.nan
-            G = shifted_grads(p, X, params.delta, Z)
+            grads = problems.batch_grads(p, X)
+            G = shifted_grads(p, X, params.delta, Z, grads)
             with pytest.raises(problems.DivergenceError, match="iteration 1$"):
-                solver.solve(X, Y, G, Z)
+                solver.solve(X, Y, G, Z, grads)
 
 
 class TestGossipRound:
@@ -230,7 +247,8 @@ class TestSonataRun:
     def test_zero_iterations_returns_input(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 0, small_gossip, local_solver(p, "F", 5.0))
+        solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
+        res = sonata_run(p, X0, Y0, 0, small_gossip, solver, Z=X0, grads0=Y0)
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
 
@@ -241,17 +259,18 @@ class TestSonataRun:
             "quadratic-ridge", np.stack([A] * 6), np.stack([b] * 6), lam=0.1
         )
         X0, Y0 = cold_start(p)
-        res = sonata_run(p, X0, Y0, 8, small_gossip, local_solver(p, "F", 1.0))
+        solver = sonata.LocalSolver(p, "F", 1.0, 0.0)
+        res = sonata_run(p, X0, Y0, 8, small_gossip, solver, Z=X0, grads0=Y0)
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
     def test_comm_counting(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, "F", 5.0)
-        res = sonata_run(p, X0, Y0, 7, small_gossip, solver, comms_start=3)
+        solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
+        res = sonata_run(p, X0, Y0, 7, small_gossip, solver, Z=X0, grads0=Y0, comms_start=3)
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
-        res2 = sonata_run(p, X0, Y0, 7, doubled, solver)
+        res2 = sonata_run(p, X0, Y0, 7, doubled, solver, Z=X0, grads0=Y0)
         assert res2.comms == 14
 
     def test_single_agent_reduces_to_proximal_gradient(self):
@@ -261,8 +280,8 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, "L", L_surr)
-        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), solver)
+        solver = sonata.LocalSolver(p, "L", L_surr, 0.0)
+        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), solver, Z=X0, grads0=Y0)
         x = np.zeros(6)
         for _ in range(12):
             x = x - problems.local_grad(p, 0, x) / L_surr
@@ -275,8 +294,8 @@ class TestSonataRun:
         p = problems.ProblemSpec("quadratic-ridge", A, b, lam=0.05)
         beta = 2.0
         X0, Y0 = cold_start(p)
-        solver = local_solver(p, "F", beta)
-        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver)
+        solver = sonata.LocalSolver(p, "F", beta, 0.0)
+        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver, Z=X0, grads0=Y0)
         H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
         x = np.zeros(6)
@@ -295,7 +314,8 @@ class TestSonataRun:
         W = network.chebyshev_accelerate(base, M)
         Z = np.zeros((p.m, p.d))
         X0 = np.zeros((p.m, p.d))
-        Y0 = shifted_grads(p, X0, delta, Z)
+        grads0 = problems.batch_grads(p, X0)
+        Y0 = shifted_grads(p, X0, delta, Z, grads0)
         oracle_k = diagnostics.centralized_solve(p, delta=delta, Z=Z)
         vals = [inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
         sonata_run(
@@ -304,8 +324,9 @@ class TestSonataRun:
             Y0,
             11,
             W,
-            local_solver(p, "F", c.beta_hat, delta),
+            sonata.LocalSolver(p, "F", c.beta_hat, delta),
             Z=Z,
+            grads0=grads0,
             on_step=lambda t, cm, X, Y: vals.append(
                 inner_potential(X, Y, c, "F", oracle_k)["total"]
             ),

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 
 import reference
-from conftest import hinge_problem, local_solver
+from conftest import hinge_problem
 from sonatasim import accel, network, problems, sonata
 
 
@@ -13,14 +13,15 @@ class TestSonataStarEquivalence:
         W = network.exact_averaging(m)
         x0 = np.zeros(p.d)
         X0 = np.tile(x0, (m, 1))
-        Z = None if z is None else np.tile(z, (m, 1))
+        Z = X0 if z is None else np.tile(z, (m, 1))
         # consensus tracking start: the hub can average gradients in one round
-        g_avg = problems.batch_grads(p, X0).mean(axis=0)
+        grads0 = problems.batch_grads(p, X0)
+        g_avg = grads0.mean(axis=0)
         if delta != 0.0:
             g_avg = g_avg + delta * (x0 - z)
         Y0 = np.tile(g_avg, (m, 1))
-        solver = local_solver(p, *surrogate, delta)
-        mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z)
+        solver = sonata.LocalSolver(p, *surrogate, delta)
+        mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z, grads0=grads0)
         xs, comms = reference.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
 
@@ -42,7 +43,8 @@ class TestSonataStarEquivalence:
         mesh, xs, _ = self._mesh_vs_star(small_ridge, sur, delta=1.7, z=z)
         assert np.max(np.abs(mesh.X - xs[None, :])) <= 1e-12
 
-    def test_nonquadratic_iterative_path(self):
+    def test_nonquadratic_iterative_path(self, monkeypatch):
+        monkeypatch.setattr(sonata, "FORCING", 0.0)
         p = hinge_problem(m=3, n=25, d=5, lam=0.05)
         c = problems.estimate_constants(p)
         sur = ("F", max(c.beta_hat, 0.5))
