@@ -7,15 +7,23 @@ when it is built; the algorithms apply it only through ``mix(X)``; one
 application models ``rounds_per_application`` physical communication rounds.
 A plain :class:`GossipMatrix` is built from ``W`` and that count alone,
 measures its eigenvalues (and from them its bulk and rho) on every build, and
-mixes as the dense product ``W @ X``.  A :class:`ChebyshevGossip` (from
-:func:`chebyshev_accelerate`) keeps its base matrix in scipy's CSR format and
-applies the degree-M polynomial as M sparse neighbour exchanges by the
-three-term recurrence, never forming the dense polynomial; its bulk interval
-comes from evaluating the polynomial on the base's measured eigenvalues.
-scipy is imported only when such an operator is built.  Two operators are
-equal only when they are the same object.  The builders' limits
-are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`, :data:`LINE_RHO_TOL`
-and :data:`MAX_LINE_NODES`.
+mixes as the product ``W @ X``.  Its ``W`` is a dense array, except for a
+Metropolis-Hastings matrix of a graph with more than :data:`DENSE_MAX_M`
+nodes that stores at most :data:`SPARSE_MAX_FILL` of its m^2 entries: that
+one is a scipy CSR array built from the edge list, and its spectrum is
+measured by Lanczos (:data:`LANCZOS_MAX_STEPS`, :data:`LANCZOS_TOL`), so no
+m x m array is formed on that path.  Small graphs stay dense because dense
+BLAS is as fast there and needs no scipy; dense graphs stay dense because
+above that fill a CSR product is slower than a dense one.
+A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its
+base matrix in CSR and applies the degree-M polynomial as M sparse neighbour
+exchanges by the three-term recurrence, never forming the dense polynomial;
+its bulk interval comes from evaluating the polynomial on the base's
+measured eigenvalues, and a short Lanczos run on ``mix`` checks it.
+scipy is imported only when a CSR matrix or such an operator is built.  Two
+operators are equal only when they are the same object.  The builders'
+limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
+:data:`LINE_RHO_TOL`, :data:`MAX_LINE_NODES` and those above.
 """
 
 from __future__ import annotations
@@ -35,6 +43,17 @@ MAX_RESAMPLES = 100  # random graphs drawn by erdos_renyi before it gives up
 MAX_ROUNDS = 10_000  # largest polynomial degree rounds_for_target tries
 LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
 MAX_LINE_NODES = 4096  # largest line line_gossip_for_rho builds
+ER_BLOCK = 1 << 16  # uniforms erdos_renyi draws at a time
+# A Metropolis-Hastings W is CSR only above this size and at most this fill
+# (stored entries m + 2|E| over m^2).  At m = 1000, d = 40, W @ X takes about
+# 1.3 ms dense and 0.26 / 1.4 / 6.7 ms in CSR at fill 0.011 / 0.10 / 0.50
+# (2-core Xeon, OpenBLAS): CSR breaks even near fill 0.1.
+DENSE_MAX_M = 256
+SPARSE_MAX_FILL = 1 / 16
+LANCZOS_MAX_STEPS = 300  # a CSR spectrum not converged by then raises
+LANCZOS_TOL = 1e-8  # residual bound of the extreme Ritz pairs at convergence
+LANCZOS_BLOCK = 8  # steps between convergence tests (each an eigh of T)
+CHEB_CHECK_STEPS = 32  # Lanczos steps ChebyshevGossip's check runs on mix
 
 
 class TopologyError(RuntimeFailure):
@@ -94,14 +113,23 @@ def _connected(m, edges) -> bool:
 def erdos_renyi(m: int, p: float, seed: int = 0) -> Graph:
     """Sample each pair independently with probability p (one uniform per pair
     i < j, in row-major order); resample until connected, at most
-    :data:`MAX_RESAMPLES` times."""
+    :data:`MAX_RESAMPLES` times.  The uniforms are drawn :data:`ER_BLOCK`
+    at a time, the same stream, and only the kept pairs are indexed."""
     if m < 2 or not 0 < p <= 1:
         raise ValueError("need m >= 2 and p in (0, 1]")
-    rows, cols = np.triu_indices(m, 1)
+    pairs = m * (m - 1) // 2
+    row_start = np.arange(m) * (2 * m - np.arange(m) - 1) // 2  # index of pair (i, i+1)
     root = np.random.SeedSequence(seed)
     for attempt_seq in root.spawn(MAX_RESAMPLES):
-        keep = np.random.default_rng(attempt_seq).random(rows.size) < p
-        edges = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
+        rng = np.random.default_rng(attempt_seq)
+        kept = [
+            start + np.flatnonzero(rng.random(min(ER_BLOCK, pairs - start)) < p)
+            for start in range(0, pairs, ER_BLOCK)
+        ]
+        k = np.concatenate(kept)
+        rows = np.searchsorted(row_start, k, side="right") - 1
+        cols = k - row_start[rows] + rows + 1
+        edges = frozenset(zip(rows.tolist(), cols.tolist()))
         if _connected(m, edges):
             return Graph(m, edges)
     raise TopologyError(f"no connected graph in {MAX_RESAMPLES} resamples (p={p})")
@@ -125,11 +153,57 @@ def complete_graph(m: int) -> Graph:
     return Graph(m, frozenset((i, j) for i in range(m) for j in range(i + 1, m)))
 
 
-def _spectrum(W: np.ndarray) -> np.ndarray:
+def _lanczos(apply, m: int, max_steps: int) -> tuple[np.ndarray, bool]:
+    """Ritz values, ascending, of a symmetric operator that keeps the
+    complement of the all-ones vector, restricted to that complement: at most
+    ``max_steps`` Lanczos steps from a fixed start, fully reorthogonalised
+    and kept orthogonal to the ones vector.  Also returns whether the run
+    converged: both extreme Ritz pairs' residual bounds are at most
+    :data:`LANCZOS_TOL`, tested every :data:`LANCZOS_BLOCK` steps, or the
+    Krylov space is exhausted."""
+    n = min(max_steps, m - 1)
+    Q = np.empty((n, m))
+    alpha, beta = np.empty(n), np.empty(n)
+    q = np.random.default_rng(0).standard_normal(m)
+    q -= q.mean()
+    Q[0] = q / np.linalg.norm(q)
+    for k in range(n):
+        w = apply(Q[k])
+        alpha[k] = Q[k] @ w
+        w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+        w -= w.mean()
+        beta[k] = np.linalg.norm(w)
+        if (k + 1) % LANCZOS_BLOCK == 0 or k + 1 == n or beta[k] <= LANCZOS_TOL:
+            T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, S = np.linalg.eigh(T)
+            # the residual of Ritz pair i is beta_k times its vector's last entry
+            if k + 1 == m - 1 or beta[k] * np.abs(S[-1, [0, -1]]).max() <= LANCZOS_TOL:
+                return theta, True
+        if k + 1 < n:
+            Q[k + 1] = w / beta[k]
+    return theta, False
+
+
+def _spectrum(W) -> np.ndarray:
     """Ascending eigenvalues of W - 11^T/m for a symmetric W with unit row
     sums: its non-consensus eigenvalues, with the consensus one at 0.  The
-    largest magnitude is the spectral norm of W - 11^T/m."""
-    return np.linalg.eigvalsh(W - 1.0 / W.shape[0])
+    largest magnitude is the spectral norm of W - 11^T/m.  A CSR W is
+    measured by :func:`_lanczos`: its Ritz values, whose two ends converge to
+    the spectrum's, and the 0; a run that has not converged in
+    :data:`LANCZOS_MAX_STEPS` raises :class:`TopologyError`."""
+    m = W.shape[0]
+    if isinstance(W, np.ndarray):
+        return np.linalg.eigvalsh(W - 1.0 / m)
+    ritz, converged = _lanczos(W.__matmul__, m, LANCZOS_MAX_STEPS)
+    if not converged:
+        raise TopologyError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps (m={m})")
+    return np.sort(np.append(ritz, 0.0))
+
+
+def _check_rounds(rounds) -> None:
+    # a float count (1.5, NaN) would make every run's comms a float
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or not rounds >= 1:
+        raise ValueError(f"rounds_per_application must be >= 1 and an integer, got {rounds!r}")
 
 
 @dataclass(eq=False)
@@ -138,32 +212,34 @@ class GossipMatrix:
     checked within :data:`DS_TOL`.  Its ``eigenvalues`` (those of
     W - 11^T/m, ascending) are measured whenever it is built, a
     ``dataclasses.replace`` included; its bulk interval [lo, hi] is their two
-    ends and its spectral deviation rho their largest magnitude.
+    ends and its spectral deviation rho their largest magnitude.  ``W`` is a
+    dense array or a scipy CSR array; the eigenvalues of a CSR W are its
+    Lanczos Ritz values (see :func:`_spectrum`), ends included.
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
-    (the polynomial degree in a :class:`ChebyshevGossip`).  The
-    algorithms count communication from this field alone, so a different
+    (the polynomial degree in a :class:`ChebyshevGossip`), an integer >= 1.
+    The algorithms count communication from this field alone, so a different
     accounting is a W built with a different value, e.g. doubled to count
     half-duplex rounds.
     """
 
-    W: np.ndarray
+    W: np.ndarray | sparse.csr_array
     rounds_per_application: int = 1
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
+        _check_rounds(self.rounds_per_application)
+        if not hasattr(self.W, "tocsr"):  # a scipy sparse W is kept as given
+            self.W = np.asarray(self.W, dtype=float)
         # written `not x <= tol` so that a NaN fails each check
-        if not np.max(np.abs(self.W - self.W.T)) <= DS_TOL:
+        if not abs(self.W - self.W.T).max() <= DS_TOL:
             raise ValueError(f"matrix is not symmetric within {DS_TOL}")
-        if not np.max(np.abs(self.W.sum(axis=1) - 1.0)) <= DS_TOL:
+        if not np.max(np.abs(self.W @ np.ones(self.m) - 1.0)) <= DS_TOL:
             raise ValueError(f"matrix rows do not sum to 1 within {DS_TOL}")
         self.eigenvalues = _spectrum(self.W)
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
-        if not self.rounds_per_application >= 1:
-            raise ValueError("rounds_per_application must be >= 1")
 
     @property
     def m(self) -> int:
@@ -178,18 +254,33 @@ class GossipMatrix:
         return float(np.max(np.abs(self.bulk)))  # NaN if either end is
 
     def mix(self, X: np.ndarray) -> np.ndarray:
-        """One application: the dense product W @ X."""
+        """One application: the product W @ X."""
         return self.W @ X
 
 
 def metropolis_hastings(g: Graph) -> GossipMatrix:
-    """w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal fills to row sum 1."""
+    """w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal fills to row sum 1.
+
+    Dense, unless g has more than :data:`DENSE_MAX_M` nodes and W would store
+    at most :data:`SPARSE_MAX_FILL` of its entries: then a CSR array built
+    from the edge list, its diagonal from the sparse row sums."""
     deg = g.degrees()
-    i, j = np.array(list(g.edges), dtype=int).reshape(-1, 2).T
-    W = np.zeros((g.m, g.m))
-    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return GossipMatrix(W)
+    # int32, the index type scipy gives a CSR array converted from a dense one
+    i, j = np.array(list(g.edges), dtype=np.int32).reshape(-1, 2).T
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    if g.m <= DENSE_MAX_M or g.m + 2 * len(g.edges) > SPARSE_MAX_FILL * g.m**2:
+        W = np.zeros((g.m, g.m))
+        W[i, j] = W[j, i] = w
+        np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+        return GossipMatrix(W)
+
+    from scipy import sparse
+
+    shape = (g.m, g.m)
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    off = sparse.csr_array((np.concatenate([w, w]), (rows, cols)), shape)
+    diag = np.arange(g.m, dtype=np.int32)
+    return GossipMatrix(off + sparse.csr_array((1.0 - off @ np.ones(g.m), (diag, diag)), shape))
 
 
 def exact_averaging(m: int) -> GossipMatrix:
@@ -219,8 +310,14 @@ class ChebyshevGossip:
     P_M(1) - 1 does; rho derives from it as for a :class:`GossipMatrix`.
     ``scale`` is T_M(psi(1)), so 1 / scale is the closed-form deviation.
     Construction raises :class:`TopologyError` if rho exceeds 1 / scale by
-    1e-8 or ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if either
-    is NaN, and ``ValueError`` if ``rounds_per_application`` is below 1.
+    1e-8, if ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if a
+    Ritz value of ``mix`` on the complement of the ones vector, from
+    :data:`CHEB_CHECK_STEPS` Lanczos steps, exceeds 1 / scale by 1e-8 in
+    magnitude, or if any of these is NaN; and ``ValueError`` if
+    ``rounds_per_application`` is not an integer >= 1.  Ritz values never
+    exceed the true spectrum, so the last check catches a build whose
+    deviation is clearly above the closed form, at the cost of a few dozen
+    applications.
     """
 
     base: sparse.csr_array
@@ -235,8 +332,7 @@ class ChebyshevGossip:
     def __post_init__(self):
         from scipy import sparse
 
-        if not self.rounds_per_application >= 1:
-            raise ValueError("rounds_per_application must be >= 1")
+        _check_rounds(self.rounds_per_application)
         lo, hi = self.lo, self.hi
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         eye = sparse.identity(self.m, format="csr")
@@ -254,6 +350,13 @@ class ChebyshevGossip:
         drift = np.max(np.abs(self.mix(ones) - ones))
         if not drift <= DS_TOL:
             raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
+        ritz, _ = _lanczos(self.mix, self.m, CHEB_CHECK_STEPS)
+        measured = np.max(np.abs(ritz))
+        if not measured <= 1.0 / self.scale + 1e-8:
+            raise TopologyError(
+                f"chebyshev build inconsistent: mix has a Ritz value of magnitude "
+                f"{measured} above closed-form value {1.0 / self.scale}"
+            )
 
     @property
     def m(self) -> int:
@@ -284,7 +387,8 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     the base's sparsity pattern, or as a plain matrix when the bulk is one
     point.  Its bulk interval is P_M on the base's eigenvalues
     (:attr:`GossipMatrix.eigenvalues`), so the build decomposes nothing; the
-    operator checks that bulk against the closed form when it is built.
+    operator checks that bulk, and a short Lanczos run on its own ``mix``,
+    against the closed form when it is built.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -143,10 +143,11 @@ class LocalSolver:
         )
 
 
-def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float = 0.0, Z=None):
+def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float, Z):
     """Communication step: mix the x's, refresh gradients at the mixed points, mix the
-    tracking variables with the fresh gradient differences folded in.  Returns
-    (X, Y, shifted gradients, unshifted gradients) at the mixed points."""
+    tracking variables with the fresh gradient differences folded in; the
+    gradients are shifted by delta toward the centers Z (:func:`shifted_grads`).
+    Returns (X, Y, shifted gradients, unshifted gradients) at the mixed points."""
     X_new = W.mix(X_half)
     grads = problems.batch_grads(p, X_new)
     G_new = shifted_grads(p, X_new, delta, Z, grads)

@@ -2,15 +2,17 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import reference
-from sonatasim import network, problems
+from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.network import (
     Graph,
     GossipMatrix,
@@ -58,6 +60,20 @@ def rounds_by_nested_search(base_rho, target_rho):
         if reference.chebyshev_bound_two_sided(base_rho, M) <= target_rho:
             return M
     raise UnreachableTargetError(f"target {target_rho} not reached")
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.eigvalsh decomposes from here on."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes
 
 
 class TestGraphs:
@@ -166,12 +182,20 @@ class TestOperatorChecks:
             GossipMatrix(W)
 
     @pytest.mark.parametrize("M", [None, 3], ids=["plain", "chebyshev"])
-    def test_rounds_per_application_below_one_raises(self, M):
+    def test_rounds_per_application_below_one_raises(self, M, monkeypatch):
         W = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         if M is not None:
             W = chebyshev_accelerate(W, M)
-        with pytest.raises(ValueError, match="rounds_per_application must be >= 1"):
-            dataclasses.replace(W, rounds_per_application=0)
+
+        def unmeasured(*args):
+            raise AssertionError("measured before the count was checked")
+
+        # 1.5 was accepted and made every run's comms a float
+        monkeypatch.setattr(network, "_spectrum", unmeasured)
+        monkeypatch.setattr(network, "_lanczos", unmeasured)
+        for bad in (0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="rounds_per_application must be >= 1"):
+                dataclasses.replace(W, rounds_per_application=bad)
 
     @pytest.mark.parametrize("M", [None, 3], ids=["plain", "chebyshev"])
     def test_equality_is_identity(self, M):
@@ -233,19 +257,6 @@ class TestChebyshev:
                 for j in range(9):
                     if abs(i - j) > M:
                         assert W[i, j] == 0.0
-
-    @pytest.fixture
-    def eigvalsh_shapes(self, monkeypatch):
-        """Shapes of the matrices np.linalg.eigvalsh decomposes from here on."""
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        return shapes
 
     def test_base_spectrum_is_not_decomposed_again(self, eigvalsh_shapes):
         # the base's eigenvalues are read from the base, measured when it was
@@ -347,6 +358,13 @@ class TestChebyshev:
         with pytest.raises(network.TopologyError, match="exceeds closed-form"):
             dataclasses.replace(acc, lo=acc.lo / 2, hi=acc.hi / 2)
 
+    def test_mix_is_measured_not_only_the_given_spectrum(self):
+        # a halved spectrum given with the halved bulk passes the closed-form
+        # check; Lanczos on mix sees the true eigenvalues outside [lo, hi]
+        acc = chebyshev_accelerate(metropolis_hastings(erdos_renyi(40, 0.2, seed=3)), 3)
+        with pytest.raises(network.TopologyError, match="Ritz value of magnitude"):
+            dataclasses.replace(acc, lo=acc.lo / 2, hi=acc.hi / 2, spectrum=acc.spectrum / 2)
+
     def test_overflowing_degree_fails_its_check(self):
         # T_M(psi(1)) overflows, so scale and rho are NaN
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
@@ -380,6 +398,97 @@ class TestChebyshev:
         else:
             bound = 1.0 / np.cosh(M * np.arccosh((2.0 - hi - lo) / (hi - lo)))
         assert acc.rho <= bound + 1e-8
+
+
+@pytest.fixture
+def small_graphs_sparse(monkeypatch):
+    """Make every Metropolis-Hastings matrix from here on a CSR array."""
+
+    def use_csr():
+        monkeypatch.setattr(network, "DENSE_MAX_M", 1)
+        monkeypatch.setattr(network, "SPARSE_MAX_FILL", 1.0)
+
+    return use_csr
+
+
+class TestSparsePath:
+    """Above DENSE_MAX_M nodes and below SPARSE_MAX_FILL, W is CSR and its
+    spectrum comes from Lanczos; on small graphs both paths can be compared."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [erdos_renyi(30, 0.3, seed=1), erdos_renyi(17, 0.5, seed=4), line_graph(20), star_graph(12)],
+        ids=["er30", "er17", "line", "star"],
+    )
+    def test_csr_path_matches_dense(self, g, small_graphs_sparse):
+        dense = metropolis_hastings(g)
+        small_graphs_sparse()
+        csr = metropolis_hastings(g)
+        assert isinstance(dense.W, np.ndarray) and not isinstance(csr.W, np.ndarray)
+        assert csr.bulk == pytest.approx(dense.bulk, abs=1e-12)
+        assert abs(csr.rho - dense.rho) <= 1e-12
+        X = np.random.default_rng(0).standard_normal((g.m, 4))
+        assert np.max(np.abs(csr.mix(X) - dense.mix(X))) <= 1e-12
+        for M in (2, 5):
+            a, b = chebyshev_accelerate(dense, M), chebyshev_accelerate(csr, M)
+            assert np.max(np.abs(a.mix(X) - b.mix(X))) <= 1e-12
+            assert abs(a.rho - b.rho) <= 1e-10
+
+    def test_short_run_spends_the_same_communication(self, small_graphs_sparse):
+        p = datagen.gen_ridge(datagen.SyntheticRidgeConfig(m=20, n=40, d=8, L0=50.0, seed=3))
+        cfg = {"seed": 5, "topology": {"kind": "erdos_renyi", "p": 0.3, "target_rho": 0.2}}
+        params = accel.tune(problems.estimate_constants(p), "L")
+        oracle = diagnostics.centralized_solve(p)
+
+        def gap(X):
+            return diagnostics.optimality_gap(p, X, oracle)
+
+        def run():
+            W = cli.build_gossip(cfg, p.m)
+            return W, accel.acc_sonata_run(p, params, W, gap_fn=gap, target_gap=1e-6)
+
+        W_dense, dense = run()
+        small_graphs_sparse()
+        assert not isinstance(metropolis_hastings(erdos_renyi(20, 0.3, seed=5)).W, np.ndarray)
+        W_csr, csr = run()
+        assert W_dense.M == W_csr.M and abs(W_dense.rho - W_csr.rho) <= 1e-10
+        assert dense.converged and csr.converged
+        assert (csr.K_done, csr.comms) == (dense.K_done, dense.comms)
+
+    def test_large_sparse_build_forms_no_square_array(self, eigvalsh_shapes):
+        # one dense float64 2000 x 2000 array is 32 MB
+        m = 2000
+        cfg = {"seed": 3, "topology": {"kind": "erdos_renyi", "p": 0.005, "target_rho": 0.3}}
+        tracemalloc.start()
+        try:
+            W = cli.build_gossip(cfg, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
+        assert (m, m) not in eigvalsh_shapes
+        assert W.rho <= 0.3
+
+    def test_unconverged_lanczos_raises(self, small_graphs_sparse, monkeypatch):
+        g = erdos_renyi(30, 0.3, seed=1)
+        small_graphs_sparse()
+        monkeypatch.setattr(network, "LANCZOS_MAX_STEPS", 5)
+        with pytest.raises(network.TopologyError, match="did not converge in 5 steps"):
+            metropolis_hastings(g)
+
+    @pytest.mark.parametrize("fault", ["nan", "row_sum"])
+    def test_csr_fails_the_dense_checks(self, fault):
+        W = metropolis_hastings(line_graph(6)).W
+        if fault == "nan":
+            W[0, 1] = W[1, 0] = np.nan
+        else:
+            W[2, 2] += 1e-9
+        messages = []
+        for kind in (np.asarray, sparse.csr_array):
+            with pytest.raises(ValueError) as err:
+                GossipMatrix(kind(W))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestRoundsForTarget:

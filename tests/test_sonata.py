@@ -214,7 +214,7 @@ class TestGossipRound:
         Y = rng.standard_normal((p.m, p.d))
         G = problems.batch_grads(p, X)
         identity = SimpleNamespace(mix=lambda X: np.eye(p.m) @ X, rounds_per_application=1)
-        X2, Y2, _, _ = gossip_round(X, Y, G, identity, p)
+        X2, Y2, _, _ = gossip_round(X, Y, G, identity, p, 0.0, X)
         assert np.array_equal(X2, X)
         assert Y2 == pytest.approx(Y, abs=1e-14)
 
@@ -225,7 +225,7 @@ class TestGossipRound:
         Y = G.copy()
         for _ in range(5):
             X_half = X + 0.1 * rng.standard_normal((p.m, p.d))
-            X, Y, G, _ = gossip_round(X_half, Y, G, small_gossip, p)
+            X, Y, G, _ = gossip_round(X_half, Y, G, small_gossip, p, 0.0, X_half)
             assert tracking_gap(p, X, Y) <= 1e-10
 
     def test_exact_averaging_reaches_consensus_in_one_round(self, small_ridge, rng):
@@ -233,7 +233,7 @@ class TestGossipRound:
         W = network.exact_averaging(p.m)
         X = rng.standard_normal((p.m, p.d))
         G = problems.batch_grads(p, X)
-        X2, _, _, _ = gossip_round(X, G.copy(), G, W, p)
+        X2, _, _, _ = gossip_round(X, G.copy(), G, W, p, 0.0, X)
         assert np.max(np.abs(X2 - X2.mean(axis=0))) <= 1e-12
 
     def test_consensus_error_contracts_by_rho(self, small_gossip, rng):
