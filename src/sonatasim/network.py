@@ -12,9 +12,11 @@ Metropolis-Hastings matrix of a graph with more than :data:`DENSE_MAX_M`
 nodes that stores at most :data:`SPARSE_MAX_FILL` of its m^2 entries: that
 one is a scipy CSR array built from the edge list, and its spectrum is
 measured by Lanczos (:data:`LANCZOS_MAX_STEPS`, :data:`LANCZOS_TOL`), so no
-m x m array is formed on that path.  Small graphs stay dense because dense
-BLAS is as fast there and needs no scipy; dense graphs stay dense because
-above that fill a CSR product is slower than a dense one.
+m x m array is formed on that path unless Lanczos does not converge (a long
+line, whose extreme eigenvalues cluster): then the spectrum is measured
+densely, as for a dense W.  Small graphs stay dense because dense BLAS is
+as fast there and needs no scipy; dense graphs stay dense because above
+that fill a CSR product is slower than a dense one.
 A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its
 base matrix in CSR and applies the degree-M polynomial as M sparse neighbour
 exchanges by the three-term recurrence, never forming the dense polynomial;
@@ -45,14 +47,20 @@ LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
 MAX_LINE_NODES = 4096  # largest line line_gossip_for_rho builds
 ER_BLOCK = 1 << 16  # uniforms erdos_renyi draws at a time
 # A Metropolis-Hastings W is CSR only above this size and at most this fill
-# (stored entries m + 2|E| over m^2).  At m = 1000, d = 40, W @ X takes about
-# 1.3 ms dense and 0.26 / 1.4 / 6.7 ms in CSR at fill 0.011 / 0.10 / 0.50
-# (2-core Xeon, OpenBLAS): CSR breaks even near fill 0.1.
+# (stored entries m + 2|E| over m^2), where a CSR product is no slower than a
+# dense one.  At m = 1000, d = 40, W @ X takes 1.2-1.5 ms dense at any fill
+# and 0.17 / 0.73 / 1.18 / 2.07 / 7.08 ms in CSR at fill 0.011 / 0.051 /
+# 0.081 / 0.101 / 0.501 (best of 15, 2-core Xeon, OpenBLAS with 2 threads),
+# so CSR breaks even between fill 0.08 and 0.10.
 DENSE_MAX_M = 256
-SPARSE_MAX_FILL = 1 / 16
-LANCZOS_MAX_STEPS = 300  # a CSR spectrum not converged by then raises
+SPARSE_MAX_FILL = 0.09
+LANCZOS_MAX_STEPS = 300  # a CSR spectrum not converged by then is measured densely
 LANCZOS_TOL = 1e-8  # residual bound of the extreme Ritz pairs at convergence
-LANCZOS_BLOCK = 8  # steps between convergence tests (each an eigh of T)
+# Steps between convergence tests, each an eigh of the k x k tridiagonal.
+# Testing every step took the Metropolis-Hastings build of an m = 1000,
+# p = 0.01 graph from 14 to 52 ms, and of a 1000-node line (300 steps, then
+# the dense fallback) from 0.26 to 1.13 s (one thread).
+LANCZOS_BLOCK = 8
 CHEB_CHECK_STEPS = 32  # Lanczos steps ChebyshevGossip's check runs on mix
 
 
@@ -189,15 +197,15 @@ def _spectrum(W) -> np.ndarray:
     sums: its non-consensus eigenvalues, with the consensus one at 0.  The
     largest magnitude is the spectral norm of W - 11^T/m.  A CSR W is
     measured by :func:`_lanczos`: its Ritz values, whose two ends converge to
-    the spectrum's, and the 0; a run that has not converged in
-    :data:`LANCZOS_MAX_STEPS` raises :class:`TopologyError`."""
+    the spectrum's, and the 0; one whose run has not converged in
+    :data:`LANCZOS_MAX_STEPS` is measured by a dense ``eigvalsh`` instead."""
     m = W.shape[0]
-    if isinstance(W, np.ndarray):
-        return np.linalg.eigvalsh(W - 1.0 / m)
-    ritz, converged = _lanczos(W.__matmul__, m, LANCZOS_MAX_STEPS)
-    if not converged:
-        raise TopologyError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps (m={m})")
-    return np.sort(np.append(ritz, 0.0))
+    if not isinstance(W, np.ndarray):
+        ritz, converged = _lanczos(W.__matmul__, m, LANCZOS_MAX_STEPS)
+        if converged:
+            return np.sort(np.append(ritz, 0.0))
+        W = W.toarray()  # clustered ends (a long line, say): measured densely
+    return np.linalg.eigvalsh(W - 1.0 / m)
 
 
 def _check_rounds(rounds) -> None:
@@ -214,7 +222,8 @@ class GossipMatrix:
     ``dataclasses.replace`` included; its bulk interval [lo, hi] is their two
     ends and its spectral deviation rho their largest magnitude.  ``W`` is a
     dense array or a scipy CSR array; the eigenvalues of a CSR W are its
-    Lanczos Ritz values (see :func:`_spectrum`), ends included.
+    Lanczos Ritz values, ends included, unless Lanczos does not converge
+    (see :func:`_spectrum`).
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for

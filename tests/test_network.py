@@ -469,12 +469,30 @@ class TestSparsePath:
         assert (m, m) not in eigvalsh_shapes
         assert W.rho <= 0.3
 
-    def test_unconverged_lanczos_raises(self, small_graphs_sparse, monkeypatch):
+    def test_unconverged_lanczos_is_measured_densely(self, small_graphs_sparse, monkeypatch, eigvalsh_shapes):
         g = erdos_renyi(30, 0.3, seed=1)
+        dense = metropolis_hastings(g)
         small_graphs_sparse()
         monkeypatch.setattr(network, "LANCZOS_MAX_STEPS", 5)
-        with pytest.raises(network.TopologyError, match="did not converge in 5 steps"):
-            metropolis_hastings(g)
+        csr = metropolis_hastings(g)
+        assert not isinstance(csr.W, np.ndarray)
+        assert eigvalsh_shapes == [(30, 30), (30, 30)]
+        assert np.max(np.abs(csr.eigenvalues - dense.eigenvalues)) <= 1e-12
+
+    @pytest.mark.parametrize("target_rho", [None, 0.99])
+    def test_long_line_builds_at_default_constants(self, target_rho, monkeypatch):
+        # a line's extreme eigenvalues cluster, so Lanczos stops at its cap
+        # and the CSR spectrum is measured densely
+        topology = {"kind": "line"} if target_rho is None else {"kind": "line", "target_rho": target_rho}
+        cfg = {"seed": 0, "topology": topology}
+        m = 400
+        assert not isinstance(metropolis_hastings(line_graph(m)).W, np.ndarray)
+        csr = cli.build_gossip(cfg, m)
+        monkeypatch.setattr(network, "DENSE_MAX_M", m)
+        dense = cli.build_gossip(cfg, m)
+        assert abs(csr.rho - dense.rho) <= 1e-12
+        if target_rho is not None:
+            assert csr.M == dense.M and csr.rho <= target_rho
 
     @pytest.mark.parametrize("fault", ["nan", "row_sum"])
     def test_csr_fails_the_dense_checks(self, fault):
