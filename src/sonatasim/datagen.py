@@ -20,6 +20,7 @@ from .problems import InputError, ProblemSpec
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 _MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
+SCATTER_ROWS = 128  # lines load_libsvm scatters into the dense array at a time
 
 
 class LibsvmParseError(InputError):
@@ -143,16 +144,24 @@ def load_libsvm(
     Every line must parse, with a finite label and finite values, or a
     LibsvmParseError names it; a repeated index keeps its last value, and a
     dense matrix larger than physical memory is refused.  Keeps the first
-    ``limit`` samples (post-parse, pre-shuffle) when given; drops the
-    remainder of an uneven split so every agent holds the same n.
+    ``limit`` samples (post-parse, pre-shuffle) when given: the lines past
+    them are validated but not kept.  Drops the remainder of an uneven split
+    so every agent holds the same n.
+
+    Besides the dense (m, n, d) result the reader holds one float per stored
+    value of the kept lines, and a run of lines sharing an index list holds
+    that list once; the values are scattered :data:`SCATTER_ROWS` lines at a
+    time straight into their shuffled rows of the result.
     """
     _check_int("m", m, 1)
     if limit is not None:
         _check_int("limit", limit, 1)
-    # Streamed into flat buffers: per sample its label and feature count, per
-    # feature its 1-based index and value.
-    labels, counts, index, values = array("d"), array("q"), array("q"), array("d")
-    keys_prev = index_prev = None
+    # Streamed into flat buffers: per kept line its label, its values, its
+    # feature count and the offset of its 1-based index list in ``index``.
+    labels, values, counts, starts = array("d"), array("d"), array("q"), array("q")
+    index = array("q")  # each run of lines sharing an index list holds it once
+    keys_prev = None
+    repeats = False  # whether some kept line repeats an index
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -173,46 +182,66 @@ def load_libsvm(
                     raise ValueError
                 label = float(pieces[0])
                 keys = pieces[1::2]
-                if keys != keys_prev:  # the rows of a dense file share their indices
-                    keys_prev, index_prev = keys, array("q", map(int, keys))
-                    if keys and min(index_prev) < 1:
+                new_list = keys != keys_prev  # the lines of a dense file share their indices
+                if new_list:
+                    keys_prev, cols = keys, array("q", map(int, keys))
+                    if keys and min(cols) < 1:
                         raise ValueError
                 row = array("d", map(float, pieces[2::2]))
                 if not (math.isfinite(label) and all(map(math.isfinite, row))):
                     raise ValueError
             except (ValueError, OverflowError):
                 raise _line_error(line, lineno) from None
+            if len(labels) == limit:  # past limit: validated, not kept
+                continue
+            if new_list:
+                at = len(index)
+                index.extend(cols)
+                repeats = repeats or len(set(cols)) < F
             labels.append(label)
-            counts.append(F)
-            index.extend(index_prev)
             values.extend(row)
-    N = len(labels) if limit is None else min(len(labels), limit)
+            counts.append(F)
+            starts.append(at)
+    N = len(labels)
     if N < m:
         raise InsufficientDataError(f"{N} samples for {m} agents")
 
-    counts = np.frombuffer(counts, dtype=np.int64)[:N]
-    nnz = int(counts.sum())
-    index = np.frombuffer(index, dtype=np.int64)[:nnz]
-    vals = np.frombuffer(values)[:nnz]
-    d = int(index.max()) if nnz else 0
+    index = np.frombuffer(index, dtype=np.int64)
+    d = int(index.max()) if len(index) else 0
     if d == 0:
         raise LibsvmParseError("no features found in file")
     nbytes = N * d * 8  # Python ints: no overflow
     if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         size = f"{N} x {d} matrix of {nbytes / 2**30:.4g} GiB"
         raise LibsvmParseError(f"largest feature index {d} needs a dense {size}, more than memory")
-    flat = np.repeat(np.arange(N) * d - 1, counts)  # position of row r, index idx: r*d + idx-1
-    flat += index
-    if not np.all(flat[1:] > flat[:-1]):  # unsorted or repeated: an index's last value wins
-        flat, last = np.unique(flat[::-1], return_index=True)
-        vals = vals[::-1][last]
-    features = np.zeros((N, d))
-    features.reshape(-1)[flat] = vals
-    labels = _map_labels(np.frombuffer(labels)[:N])
+    labels = _map_labels(np.frombuffer(labels))
 
     order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(N)
     n = N // m
     keep = order[: n * m]
-    A = features[keep].reshape(m, n, d)
-    b = labels[keep].reshape(m, n)
-    return ProblemSpec(loss_kind=loss, A=A, b=b, lam=lam)
+    A = np.zeros((n * m, d))
+    dest = np.full(N, -1)  # line r is row dest[r] of A, or -1 past the split
+    dest[keep] = np.arange(n * m)
+    counts = np.frombuffer(counts, dtype=np.int64)
+    starts = np.frombuffer(starts, dtype=np.int64)
+    values = np.frombuffer(values)
+    ends = np.cumsum(counts)  # line r's values are values[ends[r] - counts[r] : ends[r]]
+    for r in range(0, N, SCATTER_ROWS):
+        rows = slice(r, r + SCATTER_ROWS)
+        F, last = counts[rows], ends[rows]
+        first = last - F
+        # value v of line l goes to row dest[l], column index[starts[l] + v - first[l]] - 1
+        pos = np.repeat(starts[rows] - first, F)
+        pos += np.arange(first[0], last[-1])
+        pos = index[pos]
+        pos += np.repeat(dest[rows] * d - 1, F)
+        vals = values[first[0] : last[-1]]
+        live = np.repeat(dest[rows] >= 0, F)
+        if not live.all():
+            pos, vals = pos[live], vals[live]
+        if repeats:  # an index's last value in its line wins; numpy does not
+            # promise which of repeated fancy-assignment targets is written last
+            pos, kept = np.unique(pos[::-1], return_index=True)
+            vals = vals[::-1][kept]
+        A.reshape(-1)[pos] = vals
+    return ProblemSpec(loss_kind=loss, A=A.reshape(m, n, d), b=labels[keep].reshape(m, n), lam=lam)

@@ -137,9 +137,10 @@ def erdos_renyi(m: int, p: float, seed: int = 0) -> Graph:
         k = np.concatenate(kept)
         rows = np.searchsorted(row_start, k, side="right") - 1
         cols = k - row_start[rows] + rows + 1
-        edges = frozenset(zip(rows.tolist(), cols.tolist()))
-        if _connected(m, edges):
-            return Graph(m, edges)
+        try:  # the Graph's own connectivity check is this draw's only one
+            return Graph(m, frozenset(zip(rows.tolist(), cols.tolist())))
+        except ValueError:  # disconnected: every pair is in range by construction
+            pass
     raise TopologyError(f"no connected graph in {MAX_RESAMPLES} resamples (p={p})")
 
 

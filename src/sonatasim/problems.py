@@ -115,8 +115,25 @@ class ProblemSpec:
 
 def smooth_hinge(t):
     """Smoothed hinge loss: 0 past margin 1, quadratic on [0, 1], linear below 0."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t > 1.0, 0.0, np.where(t < 0.0, 0.5 - t, 0.5 * (t - 1.0) ** 2))
+    return _smooth_hinge_into(np.array(t, dtype=float))
+
+
+def _smooth_hinge_into(t):
+    """:func:`smooth_hinge` of the float array t, written over t, which is
+    returned; one more array of t's size holds the quadratic piece.
+
+    Evaluated without branches as 0.5 * (clip(t, 0, 1) - 1)^2 + max(-t, 0),
+    which is each piece to the bit: the quadratic one plus +0 on [0, 1],
+    0 + 0 above 1, and 0.5 + (-t), which is 0.5 - t, below 0 (a NaN may
+    differ only in its sign bit)."""
+    w = np.maximum(t, 0.0, out=np.empty_like(t))  # an array for a 0-d t too
+    np.minimum(w, 1.0, out=w)
+    np.subtract(w, 1.0, out=w)
+    np.square(w, out=w)
+    np.multiply(0.5, w, out=w)
+    np.negative(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    return np.add(t, w, out=t)
 
 
 def smooth_hinge_deriv(t):
@@ -133,9 +150,16 @@ def _logistic_deriv(t, b):
     return np.where(s >= 0, 1.0, e) / (1.0 + e) * -b
 
 
-def _log1pexp(z):
-    """log(1 + exp(z)) = max(z, 0) + log(1 + exp(-|z|)), overflow-free."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _log1pexp_into(z):
+    """log(1 + exp(z)) = max(z, 0) + log(1 + exp(-|z|)), overflow-free, of
+    the float array z, written over z, which is returned; one more array of
+    z's size holds the second term."""
+    w = np.abs(z, out=np.empty_like(z))  # an array for a 0-d z too
+    np.negative(w, out=w)
+    np.exp(w, out=w)
+    np.log1p(w, out=w)
+    np.maximum(z, 0.0, out=z)
+    return np.add(z, w, out=z)
 
 
 @dataclass(frozen=True)
@@ -144,26 +168,42 @@ class Loss:
 
     f_i(x) = mean_j value(t_ij, b_ij) + ridge/2 * lam * ||x||^2, and its
     Hessian is bounded by H_i = cap * A_i^T A_i / n + ridge * lam * I, with
-    equality when ``exact`` is set.
+    equality when ``exact`` is set.  ``value_into(t, b)`` writes the values
+    over t, a float array of the full shape that the caller owns, and returns
+    it; :meth:`value` leaves t alone.
     """
 
-    value: Callable  # elementwise loss value
+    value_into: Callable  # elementwise loss value, in place
     deriv: Callable  # elementwise derivative in t
     cap: float  # bound on the second derivative in t
     ridge: float
     exact: bool
+
+    def value(self, t, b):
+        """The elementwise loss value at predictions t and labels b."""
+        return self.value_into(np.array(t, dtype=float), b)
 
 
 # Labels enter the classification losses through the margin b * t.
 # log(1 + exp(-bt)) and its derivative -b * sigmoid(-bt) are evaluated stably
 # for either sign of the margin.
 LOSSES = {
-    "quadratic-ridge": Loss(lambda t, b: 0.5 * (t - b) ** 2, lambda t, b: t - b, 1.0, 2.0, True),
+    "quadratic-ridge": Loss(
+        lambda t, b: np.multiply(0.5, np.square(np.subtract(t, b, out=t), out=t), out=t),
+        lambda t, b: t - b,
+        1.0,
+        2.0,
+        True,
+    ),
     "smooth-hinge": Loss(
-        lambda t, b: smooth_hinge(b * t), lambda t, b: smooth_hinge_deriv(b * t) * b, 1.0, 1.0, False
+        lambda t, b: _smooth_hinge_into(np.multiply(b, t, out=t)),
+        lambda t, b: smooth_hinge_deriv(b * t) * b,
+        1.0,
+        1.0,
+        False,
     ),
     "logistic": Loss(
-        lambda t, b: _log1pexp(-b * t), _logistic_deriv, 0.25, 1.0, False
+        lambda t, b: _log1pexp_into(np.multiply(-b, t, out=t)), _logistic_deriv, 0.25, 1.0, False
     ),
 }
 
@@ -215,9 +255,11 @@ def average_value(p: ProblemSpec, X):
     stack = np.atleast_2d(X)
     A, b = p.A.reshape(-1, p.d), p.b.reshape(-1)
     out = 0.5 * p.loss.ridge * p.lam * np.einsum("kd,kd->k", stack, stack)
-    # Blocks of at most d rows keep the (rows, m*n) predictions no larger than A.
+    # Blocks of at most d rows keep the (rows, m*n) predictions no larger
+    # than A.  The loss is evaluated in place in each fresh predictions block,
+    # so at most two blocks are live (the logistic value's second term).
     for s in range(0, len(stack), p.d):
-        out[s : s + p.d] += p.loss.value(stack[s : s + p.d] @ A.T, b).mean(axis=1)
+        out[s : s + p.d] += p.loss.value_into(stack[s : s + p.d] @ A.T, b).mean(axis=1)
     return float(out[0]) if X.ndim == 1 else out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,16 @@ def hinge_problem(m=4, n=40, d=6, lam=1e-2, seed=5, reg=None):
 
 def logistic_problem(m=4, n=40, d=6, lam=1e-2, seed=6, reg=None):
     return classification_problem("logistic", m, n, d, lam, seed, reg)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most memory, in bytes, that tracemalloc (to which
+    numpy reports its buffers) saw held during the call beyond what was held
+    before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

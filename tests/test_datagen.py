@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonatasim import diagnostics, problems
+from conftest import traced_peak
+from sonatasim import datagen, diagnostics, problems
 from sonatasim.datagen import (
     InsufficientDataError,
     LibsvmParseError,
@@ -31,6 +32,32 @@ IRREGULAR = """# header comment
 +1 1:9 2:8 3:7 4:6 5:5 6:4
 -1 1:.5 2:+1.5E2 3:1_0
 """
+
+
+def sparse_text(rows=90, d=30, seed=8):
+    """A sparse file: each row its own unsorted index list, every third one
+    repeating an index; label-only rows, comment and blank lines between."""
+    rng = np.random.default_rng(seed)
+    lines = ["# generated sparse file"]
+    for r in range(rows):
+        label = rng.choice(["+1", "-1"])
+        if r % 11 == 5:
+            lines += ["", "  # comment", label]
+            continue
+        idx = rng.permutation(d)[: rng.integers(1, 8)] + 1
+        if r % 3 == 0:
+            idx = np.append(idx, idx[0])
+        vals = rng.standard_normal(idx.size) * 10.0 ** rng.integers(-3, 4, idx.size)
+        lines.append(" ".join([label] + [f"{i}:{v:.17g}" for i, v in zip(idx, vals)]))
+    return "\n".join(lines) + "\n"
+
+
+def dense_text(rows, d, seed):
+    rng = np.random.default_rng(seed)
+    return "".join(
+        " ".join([rng.choice(["+1", "-1"])] + [f"{j + 1}:{v:.6f}" for j, v in enumerate(row)]) + "\n"
+        for row in rng.standard_normal((rows, d))
+    )
 
 
 def reference_load(path, m, limit=None, seed=0):
@@ -157,16 +184,37 @@ class TestLoadLibsvm:
 
     @pytest.mark.parametrize(
         "source,m,limit,seed",
-        [("fixture", 5, None, 0), ("fixture", 3, 99, 4), ("irregular", 3, None, 1), ("irregular", 2, 7, 3)],
+        [
+            ("fixture", 5, None, 0),
+            ("fixture", 3, 99, 4),
+            ("irregular", 3, None, 1),
+            ("irregular", 2, 7, 3),
+            ("sparse", 9, None, 2),
+            ("sparse", 7, None, 5),
+            ("sparse", 4, 61, 6),
+        ],
     )
-    def test_bit_identical_to_reference_parse(self, tmp_path, source, m, limit, seed):
+    def test_bit_identical_to_reference_parse(self, tmp_path, monkeypatch, source, m, limit, seed):
+        # 7-line scatter chunks: every file spans several, and a sparse one
+        # has label-only and skipped rows in some of them
+        monkeypatch.setattr(datagen, "SCATTER_ROWS", 7)
         path = FIXTURE
-        if source == "irregular":
-            path = tmp_path / "irregular.libsvm"
-            path.write_text(IRREGULAR)
+        if source != "fixture":
+            path = tmp_path / f"{source}.libsvm"
+            path.write_text(IRREGULAR if source == "irregular" else sparse_text())
         p = load_libsvm(path, m=m, limit=limit, seed=seed, lam=0.1)
         A, b = reference_load(path, m, limit, seed)
         assert same_bits(p.A, A) and same_bits(p.b, b)
+
+    def test_peak_memory_is_the_result_and_one_float_per_value(self, tmp_path):
+        # parsed values (one float each) plus the dense result, and a little
+        # more: not the per-entry index arrays and dense copies
+        path = tmp_path / "dense.libsvm"
+        path.write_text(dense_text(4000, 40, seed=3))
+        load_libsvm(path, m=4)  # the first call pays one-time imports and caches
+        p, peak = traced_peak(lambda: load_libsvm(path, m=4))
+        assert p.A.shape == (4, 1000, 40)
+        assert peak <= 2.5 * p.A.nbytes
 
     @pytest.mark.parametrize(
         "text,message",

@@ -172,13 +172,14 @@ def test_byte_mismatch_names_each_environment_field_that_differs(tmp_path, monke
     committed = tmp_path / "trajectory.csv"
     committed.write_bytes(b"k,gap\n0,1.0\n")
     environment.assert_same_bytes(b"k,gap\n0,1.0\n", committed)
-    environment.RECORD.write_text(json.dumps(dict(here, numpy="1.0.0", openblas_core="Haswell")))
+    other_core = f"not-{here['openblas_core']}"  # differs from this host's core, whatever it is
+    environment.RECORD.write_text(json.dumps(dict(here, numpy="1.0.0", openblas_core=other_core)))
     with pytest.raises(AssertionError) as failure:
         environment.assert_same_bytes(b"k,gap\n0,1.1\n", committed)
     message = str(failure.value)
     assert message.startswith(f"{committed}: bytes differ; the environment differs")
     assert f"numpy 1.0.0 recorded, {here['numpy']} here" in message
-    assert f"openblas_core Haswell recorded, {here['openblas_core']} here" in message
+    assert f"openblas_core {other_core} recorded, {here['openblas_core']} here" in message
     assert "python" not in message and "scipy" not in message
     environment.RECORD.write_text(json.dumps(here))
     with pytest.raises(AssertionError, match="the environment is the one that wrote"):

@@ -103,6 +103,20 @@ class TestGraphs:
                 break
         assert erdos_renyi(m, p, seed).edges == edges
 
+    @pytest.mark.parametrize("m,p,seed,draws", [(3, 0.4, 0, 5), (30, 0.5, 1, 1), (100, 0.05, 7, 2)])
+    def test_er_checks_connectivity_once_per_draw(self, monkeypatch, m, p, seed, draws):
+        # draws: how many the per-pair recipe above takes to a connected graph
+        calls = []
+        connected = network._connected
+
+        def counting(m, edges):
+            calls.append(len(edges))
+            return connected(m, edges)
+
+        monkeypatch.setattr(network, "_connected", counting)
+        g = erdos_renyi(m, p, seed)
+        assert len(calls) == draws and calls[-1] == len(g.edges)
+
     def test_line_and_star(self):
         assert line_graph(3).edges == frozenset({(0, 1), (1, 2)})
         assert star_graph(4).edges == frozenset({(0, 1), (0, 2), (0, 3)})

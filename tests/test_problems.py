@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hinge_problem, logistic_problem
+from conftest import classification_problem, hinge_problem, logistic_problem, traced_peak
 from reference import hessian_bound, local_value
 from sonatasim import diagnostics, problems, sonata
 from sonatasim.problems import (
@@ -329,6 +329,15 @@ class TestLossKernels:
         got = problems.LOSSES["logistic"].deriv(t, b)
         assert np.array_equal(got.view(np.int64), before(t, b).view(np.int64))
 
+    def test_smooth_hinge_bit_identical_to_piecewise_form(self):
+        # the kernel evaluates 0.5 (clip(t, 0, 1) - 1)^2 + max(-t, 0) without branches
+        edges = [1.0, 1.0 + 2**-52, 1.0 - 2**-53, 5e-324, -5e-324, 0.5, 2.0, 1e308, -1e308]
+        t = np.concatenate([self.grid(), edges, np.random.default_rng(3).uniform(-2, 2, 10_000)])
+        with np.errstate(over="ignore"):  # the piecewise form squares every t
+            want = np.where(t > 1.0, 0.0, np.where(t < 0.0, 0.5 - t, 0.5 * (t - 1.0) ** 2))
+        for got in (smooth_hinge(t), problems.LOSSES["smooth-hinge"].value(t, np.ones_like(t))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_logistic_value_within_4_ulp_of_logaddexp(self, label):
         t = self.grid()
@@ -350,6 +359,30 @@ class TestLossKernels:
         g = problems.average_grad(p, x)
         expect = np.mean([local_grad(p, i, x) for i in range(p.m)], axis=0)
         assert np.linalg.norm(g - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+class TestAverageValue:
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (15, 6)], ids=["point", "k<d", "k>d"])
+    @pytest.mark.parametrize("loss", sorted(problems.LOSSES))
+    def test_bit_equal_to_mean_loss_value(self, loss, shape):
+        # lam = 0: the value is the mean loss alone, evaluated in place in
+        # blocks of d points
+        p = classification_problem(loss, 3, 50, 6, 0.0, seed=2)
+        X = np.random.default_rng(4).standard_normal(shape)
+        stack = np.atleast_2d(X)
+        A, b = p.A.reshape(-1, p.d), p.b.reshape(-1)
+        want = p.loss.value(stack @ A.T, b).mean(axis=1)
+        got = np.atleast_1d(problems.average_value(p, X))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("loss", ["logistic", "smooth-hinge"])
+    def test_peak_memory_at_most_two_and_a_half_blocks(self, loss):
+        p = classification_problem(loss, 4, 2000, 10, 0.1, seed=3)
+        X = np.random.default_rng(5).standard_normal((2 * p.d, p.d))
+        block = p.d * p.m * p.n * 8  # the predictions of d points
+        problems.average_value(p, X)  # the first call pays one-time imports and caches
+        _, peak = traced_peak(lambda: problems.average_value(p, X))
+        assert peak <= 2.5 * block
 
 
 class TestLabelsValidation:
