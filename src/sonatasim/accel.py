@@ -166,9 +166,9 @@ def acc_sonata_run(
     """Run up to params.K_max outer iterations from X = 0, every local step
     by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap.
 
-    W is a :class:`~sonatasim.network.GossipMatrix` or
-    :class:`~sonatasim.network.ChebyshevGossip`; every inner iteration
-    costs its ``rounds_per_application`` communication rounds.  Y0 defaults
+    W is a :class:`~sonatasim.network.GossipMatrix` or a
+    :class:`~sonatasim.network.ChebyshevGossip` built on one; every inner
+    iteration costs its ``rounds_per_application`` communication rounds.  Y0 defaults
     to each agent's own local gradient at the start point.  On a
     star-equivalent (exact averaging) network the caller may override it with
     the averaged gradient, which the hub can compute in one round.

@@ -17,12 +17,13 @@ line, whose extreme eigenvalues cluster): then the spectrum is measured
 densely, as for a dense W.  Small graphs stay dense because dense BLAS is
 as fast there and needs no scipy; dense graphs stay dense because above
 that fill a CSR product is slower than a dense one.
-A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) keeps its
-base matrix in CSR and applies the degree-M polynomial as M sparse neighbour
-exchanges by the three-term recurrence, never forming the dense polynomial;
-its bulk interval comes from evaluating the polynomial on the base's
-measured eigenvalues, and a short Lanczos run on ``mix`` checks it.
-scipy is imported only when a CSR matrix or such an operator is built.  Two
+A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) is built on
+its base :class:`GossipMatrix`, keeps the affine 2 psi(W) in the base's own
+storage (dense or CSR) and applies the degree-M polynomial as M neighbour
+exchanges by the three-term recurrence, never forming the polynomial; its
+bulk interval comes from evaluating the polynomial on the base's measured
+eigenvalues, and a short Lanczos run on ``mix`` checks it.
+scipy is imported only when a CSR matrix is built or accelerated.  Two
 operators are equal only when they are the same object.  The builders'
 limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
 :data:`LINE_RHO_TOL`, :data:`MAX_LINE_NODES` and those above.
@@ -96,9 +97,6 @@ class Graph:
                 raise ValueError(f"bad edge ({i}, {j})")
         if not _connected(self.m, self.edges):
             raise ValueError("graph must be connected")
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(np.array(list(self.edges), dtype=int).reshape(-1), minlength=self.m)
 
 
 def _connected(m, edges) -> bool:
@@ -274,9 +272,10 @@ def metropolis_hastings(g: Graph) -> GossipMatrix:
     Dense, unless g has more than :data:`DENSE_MAX_M` nodes and W would store
     at most :data:`SPARSE_MAX_FILL` of its entries: then a CSR array built
     from the edge list, its diagonal from the sparse row sums."""
-    deg = g.degrees()
     # int32, the index type scipy gives a CSR array converted from a dense one
     i, j = np.array(list(g.edges), dtype=np.int32).reshape(-1, 2).T
+    rows = np.concatenate([i, j])
+    deg = np.bincount(rows, minlength=g.m)
     w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     if g.m <= DENSE_MAX_M or g.m + 2 * len(g.edges) > SPARSE_MAX_FILL * g.m**2:
         W = np.zeros((g.m, g.m))
@@ -287,8 +286,7 @@ def metropolis_hastings(g: Graph) -> GossipMatrix:
     from scipy import sparse
 
     shape = (g.m, g.m)
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-    off = sparse.csr_array((np.concatenate([w, w]), (rows, cols)), shape)
+    off = sparse.csr_array((np.concatenate([w, w]), (rows, np.concatenate([j, i]))), shape)
     diag = np.arange(g.m, dtype=np.int32)
     return GossipMatrix(off + sparse.csr_array((1.0 - off @ np.ones(g.m), (diag, diag)), shape))
 
@@ -310,46 +308,48 @@ def _cheb_scalars(z: float, M: int) -> float:
 
 @dataclass(eq=False)
 class ChebyshevGossip:
-    """P_M(W) = T_M(psi(W)) / T_M(psi(1)) of a sparse base W, with psi the
-    affine map taking the base's bulk [lo, hi] onto [-1, 1], applied without
-    forming it: ``mix`` runs the three-term recurrence
-    T_{k+1} = 2 psi(W) T_k - T_{k-1}, one sparse product per round.
+    """P_M(W) = T_M(psi(W)) / T_M(psi(1)) of a base :class:`GossipMatrix`,
+    with psi the affine map taking the base's bulk [lo, hi] onto [-1, 1],
+    applied without forming it: ``mix`` runs the three-term recurrence
+    T_{k+1} = 2 psi(W) T_k - T_{k-1}, one product per round, with
+    2 psi(W) kept in the base's storage (a dense array or a CSR array).
 
-    ``bulk`` is the range of P_M over ``spectrum``, the base's eigenvalues of
-    W - 11^T/m, whose consensus entry (the one nearest 0) maps to 0, as
-    P_M(1) - 1 does; rho derives from it as for a :class:`GossipMatrix`.
-    ``scale`` is T_M(psi(1)), so 1 / scale is the closed-form deviation.
-    Construction raises :class:`TopologyError` if rho exceeds 1 / scale by
-    1e-8, if ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if a
-    Ritz value of ``mix`` on the complement of the ones vector, from
+    ``bulk`` is the range of P_M over the base's eigenvalues of W - 11^T/m,
+    whose consensus entry (the one nearest 0) maps to 0, as P_M(1) - 1 does;
+    rho derives from it as for a :class:`GossipMatrix`.  ``scale`` is
+    T_M(psi(1)), so 1 / scale is the closed-form deviation.  Construction
+    raises :class:`TopologyError` if rho exceeds 1 / scale by 1e-8, if
+    ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if a Ritz value
+    of ``mix`` on the complement of the ones vector, from
     :data:`CHEB_CHECK_STEPS` Lanczos steps, exceeds 1 / scale by 1e-8 in
-    magnitude, or if any of these is NaN; and ``ValueError`` if
-    ``rounds_per_application`` is not an integer >= 1.  Ritz values never
-    exceed the true spectrum, so the last check catches a build whose
-    deviation is clearly above the closed form, at the cost of a few dozen
-    applications.
+    magnitude, or if any of these is NaN (T_M(psi(1)) overflows at a high
+    degree); and ``ValueError`` if ``rounds_per_application`` is not an
+    integer >= 1.  Ritz values never exceed the true spectrum, so the last
+    check catches a build whose deviation is clearly above the closed form,
+    at the cost of a few dozen applications.
     """
 
-    base: sparse.csr_array
-    lo: float
-    hi: float
+    base: GossipMatrix
     M: int
     rounds_per_application: int
-    spectrum: np.ndarray = field(repr=False)
     bulk: tuple[float, float] = field(init=False)
     scale: float = field(init=False)
 
     def __post_init__(self):
-        from scipy import sparse
-
         _check_rounds(self.rounds_per_application)
-        lo, hi = self.lo, self.hi
+        (lo, hi), W = self.base.bulk, self.base.W
+        if isinstance(W, np.ndarray):
+            eye = np.eye(self.m)
+        else:
+            from scipy import sparse
+
+            eye = sparse.identity(self.m, format="csr")
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
-        eye = sparse.identity(self.m, format="csr")
-        self._twice_psi = (2.0 * (2.0 * self.base - (hi + lo) * eye) / (hi - lo)).tocsr()
+        self._twice_psi = 2.0 * (2.0 * W - (hi + lo) * eye) / (hi - lo)
         self.scale = _cheb_scalars((2.0 - hi - lo) / (hi - lo), self.M)
-        values = _cheb_scalars((2.0 * self.spectrum - hi - lo) / (hi - lo), self.M) / self.scale
-        values[np.argmin(np.abs(self.spectrum))] = 0.0
+        spectrum = self.base.eigenvalues
+        values = _cheb_scalars((2.0 * spectrum - hi - lo) / (hi - lo), self.M) / self.scale
+        values[np.argmin(np.abs(spectrum))] = 0.0
         self.bulk = (float(values.min()), float(values.max()))
         if not self.rho <= 1.0 / self.scale + 1e-8:
             raise TopologyError(
@@ -370,14 +370,14 @@ class ChebyshevGossip:
 
     @property
     def m(self) -> int:
-        return self.base.shape[0]
+        return self.base.m
 
     @property
     def rho(self) -> float:
         return float(np.max(np.abs(self.bulk)))  # NaN if either end is
 
     def mix(self, X: np.ndarray) -> np.ndarray:
-        """One application: M sparse neighbour exchanges."""
+        """One application: M neighbour exchanges."""
         S = self._twice_psi
         T_prev, T = X, 0.5 * (S @ X)
         for _ in range(self.M - 1):
@@ -394,8 +394,8 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     The polynomial is the minimax choice for the base's measured bulk interval
     [lo, hi]: P_M(x) = T_M(psi(x)) / T_M(psi(1)) with the affine map psi taking
     [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
-    the base's sparsity pattern, or as a plain matrix when the bulk is one
-    point.  Its bulk interval is P_M on the base's eigenvalues
+    the base, in the base's storage, or as a plain matrix when the bulk is
+    one point.  Its bulk interval is P_M on the base's eigenvalues
     (:attr:`GossipMatrix.eigenvalues`), so the build decomposes nothing; the
     operator checks that bulk, and a short Lanczos run on its own ``mix``,
     against the closed form when it is built.
@@ -408,12 +408,7 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
         c = 0.5 * (hi + lo)
         W = (base.W - c * np.eye(base.m)) / (1.0 - c)
         return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
-
-    from scipy import sparse
-
-    return ChebyshevGossip(
-        sparse.csr_array(base.W), lo, hi, M, M * base.rounds_per_application, base.eigenvalues
-    )
+    return ChebyshevGossip(base, M, M * base.rounds_per_application)
 
 
 def rounds_for_target(base_rho: float, target_rho: float) -> int:

@@ -358,19 +358,15 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     def test_chebyshev_inconsistency_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a polynomial built on half the base's measured bulk interval has a
-        # measured deviation above the closed form; the check raised a bare
+        # a polynomial built on a base measured at half its eigenvalues has a
+        # Ritz value above the closed form; the check raised a bare
         # AssertionError that escaped main
-        ChebyshevGossip = network.ChebyshevGossip
-
-        def halved_interval(base, lo, hi, *args):
-            return ChebyshevGossip(base, lo / 2, hi / 2, *args)
-
-        monkeypatch.setattr(network, "ChebyshevGossip", halved_interval)
+        true_spectrum = network._spectrum
+        monkeypatch.setattr(network, "_spectrum", lambda W: true_spectrum(W) / 2)
         cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 0.1})
         assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime failure: chebyshev build inconsistent")
+        assert err.startswith("runtime failure: chebyshev build inconsistent: mix has a Ritz value")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -41,7 +41,7 @@ CONFIGS = {
         "regularizer": {"kind": "l1", "weight": 1e-3},
         "algorithm": {"target_gap": 1e-8},
     },
-    # degree-3 Chebyshev gossip on a sparse random graph: the sparse recurrence
+    # degree-3 Chebyshev gossip on a 30-node random graph: the dense recurrence
     "chebyshev-er": {"topology": {"kind": "erdos_renyi", "p": 0.3, "target_rho": 0.2}},
     # the default config in mode L with potentials: the shifted oracle's error weights
     "potentials-L": {},

@@ -124,10 +124,6 @@ class TestGraphs:
             line_graph(m)
             star_graph(m)  # constructor would raise if disconnected
 
-    def test_degrees(self):
-        assert list(star_graph(4).degrees()) == [3, 1, 1, 1]
-        assert list(Graph(1, frozenset()).degrees()) == [0]
-
 
 class TestMetropolisHastings:
     def test_two_node_complete(self):
@@ -157,6 +153,14 @@ class TestMetropolisHastings:
             ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
         np.fill_diagonal(ref, 1.0 - ref.sum(axis=1))
         assert np.array_equal(metropolis_hastings(g).W, ref)
+
+    def test_degrees_from_the_edge_array(self):
+        # star(4) has degrees [3, 1, 1, 1], so every edge weighs 1/4; one node
+        # has no edges and keeps all its weight
+        W = metropolis_hastings(star_graph(4)).W
+        assert np.array_equal(W[0], [0.25, 0.25, 0.25, 0.25])
+        assert np.array_equal(np.diag(W), [0.25, 0.75, 0.75, 0.75])
+        assert np.array_equal(metropolis_hastings(Graph(1, frozenset())).W, [[1.0]])
 
     def test_doubly_stochastic_and_cached_rho(self):
         for g in (erdos_renyi(15, 0.4, seed=2), line_graph(9), star_graph(7)):
@@ -316,11 +320,15 @@ class TestChebyshev:
         np.testing.assert_array_equal(replaced.eigenvalues, fresh.eigenvalues)
         assert chebyshev_accelerate(replaced, 3).bulk == chebyshev_accelerate(fresh, 3).bulk
 
-    def test_operator_holds_no_dense_matrix(self):
+    def test_operator_keeps_its_base_storage(self, small_graphs_sparse):
         g = erdos_renyi(40, 0.1, seed=2)
+        assert isinstance(chebyshev_accelerate(metropolis_hastings(g), 3)._twice_psi, np.ndarray)
+        small_graphs_sparse()
         acc = chebyshev_accelerate(metropolis_hastings(g), 3)
-        assert acc.base.nnz == g.m + 2 * len(g.edges)
-        assert not any(isinstance(v, np.ndarray) and v.shape == (40, 40) for v in vars(acc).values())
+        assert isinstance(acc._twice_psi, sparse.csr_array)
+        assert acc._twice_psi.nnz == g.m + 2 * len(g.edges)
+        held = {**vars(acc), **vars(acc.base)}.values()
+        assert not any(isinstance(v, np.ndarray) and v.shape == (40, 40) for v in held)
 
     # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
     @settings(max_examples=100, deadline=None)
@@ -349,15 +357,20 @@ class TestChebyshev:
         assert acc.bulk == pytest.approx((fresh[0], fresh[-1]), abs=1e-10)
 
     def test_plain_topologies_do_not_import_scipy(self):
-        # importing scipy costs about 0.2 s and 20 MB; only a Chebyshev build needs it
+        # importing scipy costs about 0.2 s and 20 MB; only a CSR matrix needs it
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from sonatasim import cli, network\n"
-            "W = cli.build_gossip({'seed': 1, 'topology': {'kind': 'erdos_renyi', 'p': 0.5}}, 8)\n"
+            "topology = {'kind': 'erdos_renyi', 'p': 0.5}\n"
+            "W = cli.build_gossip({'seed': 1, 'topology': topology}, 8)\n"
             "W.mix(np.ones((8, 2)))\n"
+            "acc = cli.build_gossip({'seed': 1, 'topology': dict(topology, target_rho=0.05)}, 8)\n"
+            "assert isinstance(acc, network.ChebyshevGossip) and acc.M > 1\n"
+            "acc.mix(np.ones((8, 2)))\n"
             "assert 'scipy' not in sys.modules\n"
-            "network.chebyshev_accelerate(W, 2)\n"
+            "network.DENSE_MAX_M, network.SPARSE_MAX_FILL = 1, 1.0\n"
+            "network.chebyshev_accelerate(network.metropolis_hastings(network.line_graph(8)), 2)\n"
             "assert 'scipy' in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -365,19 +378,14 @@ class TestChebyshev:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    def test_operator_checks_itself_on_construction(self):
-        # a halved bulk makes the polynomial's measured deviation exceed its
-        # closed form, which the operator's own constructor checks
-        acc = chebyshev_accelerate(metropolis_hastings(erdos_renyi(12, 0.4, seed=3)), 3)
-        with pytest.raises(network.TopologyError, match="exceeds closed-form"):
-            dataclasses.replace(acc, lo=acc.lo / 2, hi=acc.hi / 2)
-
-    def test_mix_is_measured_not_only_the_given_spectrum(self):
-        # a halved spectrum given with the halved bulk passes the closed-form
+    def test_mix_is_measured_not_only_the_given_spectrum(self, monkeypatch):
+        # a base measured at half its eigenvalues passes the closed-form
         # check; Lanczos on mix sees the true eigenvalues outside [lo, hi]
-        acc = chebyshev_accelerate(metropolis_hastings(erdos_renyi(40, 0.2, seed=3)), 3)
+        true_spectrum = network._spectrum
+        monkeypatch.setattr(network, "_spectrum", lambda W: true_spectrum(W) / 2)
+        base = metropolis_hastings(erdos_renyi(40, 0.2, seed=3))
         with pytest.raises(network.TopologyError, match="Ritz value of magnitude"):
-            dataclasses.replace(acc, lo=acc.lo / 2, hi=acc.hi / 2, spectrum=acc.spectrum / 2)
+            chebyshev_accelerate(base, 3)
 
     def test_overflowing_degree_fails_its_check(self):
         # T_M(psi(1)) overflows, so scale and rho are NaN
@@ -445,6 +453,7 @@ class TestSparsePath:
         assert np.max(np.abs(csr.mix(X) - dense.mix(X))) <= 1e-12
         for M in (2, 5):
             a, b = chebyshev_accelerate(dense, M), chebyshev_accelerate(csr, M)
+            assert isinstance(a._twice_psi, np.ndarray) and not isinstance(b._twice_psi, np.ndarray)
             assert np.max(np.abs(a.mix(X) - b.mix(X))) <= 1e-12
             assert abs(a.rho - b.rho) <= 1e-10
 
