@@ -3,11 +3,15 @@
 The synthetic generator draws agent rows from N(0, Sigma) with a planted
 solution; data similarity across agents then shrinks as the local sample size
 grows.  RNG streams are split per agent from a single 64-bit seed, so agent
-i's data does not depend on how many agents follow it.
+i's data does not depend on how many agents follow it.  With d <= n an
+instance is held by its statistics, summed over each agent's rows a bounded
+chunk at a time, and its rows are drawn again from the same streams only if
+they are read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -16,11 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec
+from .problems import GramStats, InputError, ProblemSpec
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 _MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
 SCATTER_ROWS = 128  # lines load_libsvm scatters into the dense array at a time
+# Rows of an agent gen_ridge draws at a time for its statistics.  Above every
+# n of a committed output or a test, so each of their agents' statistics is
+# one product over its rows, bit-equal to the Gram stack of the rows.
+GEN_CHUNK_ROWS = 2**15
 
 
 class LibsvmParseError(InputError):
@@ -69,30 +77,70 @@ def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator):
     return root, eigs
 
 
+def _chunk(cfg: SyntheticRidgeConfig, features, noise, k: int, root, x_star):
+    """The next k rows A of an agent, from its features generator, and their
+    labels b = A x_star + noise, from its noise generator."""
+    A = features.standard_normal((k, cfg.d)) @ root
+    return A, A @ x_star + cfg.noise_std * noise.standard_normal(k)
+
+
+def _draw_rows(cfg: SyntheticRidgeConfig, streams, root, x_star):
+    """Every agent's rows, stacked (m, n, d), and labels (m, n): its stream
+    holds the n*d feature normals, then the n noise normals."""
+    A = np.empty((cfg.m, cfg.n, cfg.d))
+    b = np.empty((cfg.m, cfg.n))
+    for i, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        A[i], b[i] = _chunk(cfg, rng, rng, cfg.n, root, x_star)
+    return A, b
+
+
+def _agent_stats(cfg: SyntheticRidgeConfig, stream, root, x_star):
+    """An agent's A_i^T A_i / n, A_i^T b_i / n and |b_i|^2, from the rows
+    :func:`_draw_rows` draws, streamed :data:`GEN_CHUNK_ROWS` at a time."""
+    n, size = cfg.n, GEN_CHUNK_ROWS
+    features = noise = np.random.default_rng(stream)
+    if size < n:  # a second generator on the stream skips the features
+        noise = np.random.default_rng(stream)
+        for s in range(0, n, size):
+            noise.standard_normal((min(size, n - s), cfg.d))
+    H = h = b_sq = 0.0  # 0.0 + x is x: one chunk sums as the rows would
+    for s in range(0, n, size):
+        A, b = _chunk(cfg, features, noise, min(size, n - s), root, x_star)
+        H = H + A.T @ A
+        h = h + A.T @ b
+        b_sq = b_sq + (b**2).sum()
+        del A, b  # freed before the next chunk is drawn
+    return H / n, h / n, b_sq
+
+
 def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
     """Generate a synthetic distributed ridge instance, deterministic in cfg.seed.
 
     Stream 0 of the seed draws the shared covariance and the planted solution;
-    stream i+1 draws agent i's feature rows and noise.
+    stream i+1 draws agent i's feature rows and noise.  With d <= n the spec
+    holds the statistics (:class:`problems.GramStats`), streamed per agent,
+    and draws the rows from the same streams when they are first read; with
+    d > n it holds the rows.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.m + 1)
     shared = np.random.default_rng(streams[0])
     root, eigs = _covariance_root(cfg, shared)
     x_star = 5.0 + shared.standard_normal(cfg.d)
+    meta = {"x_star_planted": x_star, "sigma_eigs": np.sort(eigs)}
 
-    A = np.empty((cfg.m, cfg.n, cfg.d))
-    b = np.empty((cfg.m, cfg.n))
-    for i in range(cfg.m):
-        rng = np.random.default_rng(streams[i + 1])
-        A[i] = rng.standard_normal((cfg.n, cfg.d)) @ root
-        b[i] = A[i] @ x_star + cfg.noise_std * rng.standard_normal(cfg.n)
-
+    rows = functools.partial(_draw_rows, cfg, streams[1:], root, x_star)
+    if cfg.d > cfg.n:
+        A, b = rows()
+        return ProblemSpec("quadratic-ridge", A, b, lam=cfg.lam, meta=meta)
+    stats = [_agent_stats(cfg, stream, root, x_star) for stream in streams[1:]]
     return ProblemSpec(
-        loss_kind="quadratic-ridge",
-        A=A,
-        b=b,
+        "quadratic-ridge",
         lam=cfg.lam,
-        meta={"x_star_planted": x_star, "sigma_eigs": np.sort(eigs)},
+        meta=meta,
+        n=cfg.n,
+        stats=GramStats(*map(np.array, zip(*stats))),
+        rows=functools.cache(rows),
     )
 
 

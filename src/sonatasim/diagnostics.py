@@ -44,10 +44,12 @@ class ShiftedObjective:
         if p.loss.exact:
             stats = problems.gram(p)
             if stats is not None:
-                self._h = stats[1].mean(axis=0)
+                self._h = stats.h.mean(axis=0)
+                b_sq = stats.b_sq
             else:  # d > n: from A
                 self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
-            self._c = float((p.b**2).sum(axis=1).mean() / (2.0 * p.n))
+                b_sq = (p.b**2).sum(axis=1)
+            self._c = float(b_sq.mean() / (2.0 * p.n))
 
     def values(self, X):
         """u at a (d,) point (a float), at every row of a (k, d) stack, or at

@@ -8,14 +8,15 @@ nonsmooth term r.  Three loss families are supported, one entry each in
 * ``smooth-hinge``:     f_i(x) = 1/n sum_j hinge(b_ij <x, a_ij>) + lam/2 ||x||^2
 * ``logistic``:         f_i(x) = 1/n sum_j log(1 + exp(-b_ij <x, a_ij>)) + lam/2 ||x||^2
 
-All oracles are pure functions of immutable arrays and safe to call from
-multiple workers.
+A quadratic instance with d <= n is served by its per-agent statistics
+(:class:`GramStats`), so it may hold them without its rows.  All oracles are
+pure functions of immutable arrays and safe to call from multiple workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,51 +63,113 @@ class Regularizer:
             raise ValueError(f"box requires lo <= hi, got lo={self.lo!r}, hi={self.hi!r}")
 
 
-@dataclass
-class ProblemSpec:
-    """m agents, each holding an (n, d) feature block and an n-vector of labels.
+class GramStats(NamedTuple):
+    """The statistics of an exact-curvature loss's data with d <= n, per
+    agent: H_i = A_i^T A_i / n (m, d, d), h_i = A_i^T b_i / n (m, d) and
+    |b_i|^2 (m,).  Every oracle of such an instance but the rows' own
+    (:func:`local_grad`, :func:`average_value`, :func:`average_grad`) reads
+    them and n alone."""
 
-    ``A`` is stacked (m, n, d), ``b`` is (m, n).  Every agent has identical n
-    and d by construction.  ``meta`` carries generator side-information
-    (planted solution, covariance spectrum) and never affects the oracles.
-    The loss kind and the data are fixed at construction: :func:`curvature`
-    is memoized on the instance, and so, for an exact-curvature loss with
-    d <= n, is the per-agent Gram stack of :func:`gram` that serves the
-    gradients, the curvature and the closed-form local step.
+    H: np.ndarray
+    h: np.ndarray
+    b_sq: np.ndarray
+
+
+def _read_only(stats: GramStats) -> GramStats:
+    for a in stats:
+        a.flags.writeable = False
+    return stats
+
+
+@dataclass(init=False)
+class ProblemSpec:
+    """m agents, each holding n samples: an (n, d) feature block and an
+    n-vector of labels.
+
+    Built from the rows, ``ProblemSpec(loss_kind, A, b, lam=...)`` with
+    ``A`` stacked (m, n, d) and ``b`` (m, n); or, for an exact-curvature
+    loss with d <= n, from the statistics ``stats`` and ``n`` with a
+    ``rows`` callable that returns (A, b), the same arrays on every call,
+    so a generated instance draws its rows only when they are first read.
+    ``p.A`` and ``p.b`` read ``rows()``; m, n and d are read from the
+    statistics when the spec holds them and from ``A`` otherwise.
+    ``dataclasses.replace`` shares the statistics and the rows.  Every agent
+    has identical n and d by construction.  ``meta`` carries generator
+    side-information (planted solution, covariance spectrum) and never
+    affects the oracles.  The loss kind and the data are fixed at
+    construction: :func:`curvature` is memoized on the instance, and so is
+    the statistics field of a spec built from rows, filled by :func:`gram`.
     """
 
+    # A and b are not fields: dataclasses.replace reads every field, and
+    # reading the rows of a generated spec draws them.
     loss_kind: str
-    A: np.ndarray
-    b: np.ndarray
     lam: float
-    reg: Regularizer = field(default_factory=Regularizer)
-    meta: dict = field(default_factory=dict)
+    reg: Regularizer
+    meta: dict
+    n: int
+    stats: GramStats | None
+    rows: Callable[[], tuple[np.ndarray, np.ndarray]]
 
-    def __post_init__(self):
-        if self.loss_kind not in LOSSES:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        self.A = np.ascontiguousarray(self.A, dtype=float)
-        self.b = np.ascontiguousarray(self.b, dtype=float)
-        if self.A.ndim != 3 or self.b.shape != self.A.shape[:2]:
-            raise ValueError("A must be (m, n, d) and b (m, n)")
-        if self.lam < 0:
+    def __init__(
+        self,
+        loss_kind: str,
+        A=None,
+        b=None,
+        *,
+        lam: float,
+        reg: Regularizer = Regularizer(),
+        meta: dict | None = None,
+        n: int | None = None,
+        stats: GramStats | None = None,
+        rows: Callable | None = None,
+    ):
+        self.loss_kind, self.lam, self.reg = loss_kind, lam, reg
+        self.meta = {} if meta is None else meta
+        if loss_kind not in LOSSES:
+            raise ValueError(f"unknown loss kind {loss_kind!r}")
+        if lam < 0:
             raise ValueError("lam must be >= 0")
-        if not self.loss.exact and not np.all(np.abs(self.b) == 1.0):
-            raise ValueError("classification labels must be +/-1")
+        if rows is None:
+            A = np.ascontiguousarray(A, dtype=float)
+            b = np.ascontiguousarray(b, dtype=float)
+            if A.ndim != 3 or b.shape != A.shape[:2] or n not in (None, A.shape[1]):
+                raise ValueError("A must be (m, n, d) and b (m, n)")
+            if not self.loss.exact and not np.all(np.abs(b) == 1.0):
+                raise ValueError("classification labels must be +/-1")
+            n, rows = A.shape[1], lambda: (A, b)
+        elif A is not None or b is not None or n is None:
+            raise ValueError("give the rows as A and b, or n and a rows callable")
+        self.n, self.rows = n, rows
+        if stats is not None:
+            H, h, b_sq = stats
+            if h.ndim != 2 or H.shape != (*h.shape, h.shape[1]) or b_sq.shape != h.shape[:1]:
+                raise ValueError("statistics must be H (m, d, d), h (m, d) and |b_i|^2 (m,)")
+            if not self.loss.exact:
+                raise ValueError(f"a {loss_kind} loss is not served by statistics")
+            if not h.shape[1] <= n:
+                raise ValueError(f"statistics are kept for d <= n, got d = {h.shape[1]}, n = {n}")
+            if not np.all(b_sq >= 0):
+                raise ValueError("|b_i|^2 must be >= 0")
+            _read_only(stats)
+        self.stats = stats
         self._curvature = None
-        self._gram = None
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.rows()[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.rows()[1]
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
+        return len(self.stats.h) if self.stats is not None else self.A.shape[0]
 
     @property
     def d(self) -> int:
-        return self.A.shape[2]
+        return self.stats.h.shape[1] if self.stats is not None else self.A.shape[2]
 
     @property
     def loss(self) -> Loss:
@@ -224,26 +287,24 @@ def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
     return p.A[i].T @ dl / p.n + p.loss.ridge * p.lam * x
 
 
-def gram(p: ProblemSpec):
-    """The data Gram stack A_i^T A_i / n (m, d, d) and A_i^T b_i / n (m, d),
-    memoized on p, or None for a loss without exact curvature or with d > n,
-    where the stack would be larger than A.  Both arrays are read-only."""
-    if not p.loss.exact or p.d > p.n:
-        return None
-    if p._gram is None:
-        At = p.A.transpose(0, 2, 1)
-        H, h = np.matmul(At, p.A) / p.n, np.matmul(At, p.b[:, :, None])[..., 0] / p.n
-        H.flags.writeable = h.flags.writeable = False
-        p._gram = (H, h)
-    return p._gram
+def gram(p: ProblemSpec) -> GramStats | None:
+    """The statistics ``p.stats`` of an exact-curvature loss with d <= n,
+    filled from the rows on the first call for a spec built from them, or
+    None for any other loss or with d > n, where H would be larger than A.
+    Every array is read-only."""
+    if p.stats is None and p.loss.exact and p.d <= p.n:
+        A, b = p.rows()
+        At = A.transpose(0, 2, 1)
+        H, h = np.matmul(At, A) / p.n, np.matmul(At, b[:, :, None])[..., 0] / p.n
+        p.stats = _read_only(GramStats(H, h, (b**2).sum(axis=1)))
+    return p.stats
 
 
 def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Gradients of every agent at its own point: X is (m, d), result is (m, d)."""
     stats = gram(p)
     if stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
-        H, h = stats
-        return np.matmul(H, X[:, :, None])[..., 0] - h + p.loss.ridge * p.lam * X
+        return np.matmul(stats.H, X[:, :, None])[..., 0] - stats.h + p.loss.ridge * p.lam * X
     dl = p.loss.deriv(np.matmul(p.A, X[:, :, None])[..., 0], p.b)  # (m, n)
     return np.matmul(dl[:, None, :], p.A)[:, 0, :] / p.n + p.loss.ridge * p.lam * X
 
@@ -336,8 +397,8 @@ def hessian_bounds(p: ProblemSpec) -> np.ndarray:
     callers must not keep it on p."""
     ridge = p.loss.ridge * p.lam * np.eye(p.d)
     stats = gram(p)
-    if stats is not None:  # the memo is read-only
-        return stats[0] + ridge
+    if stats is not None:  # the statistics are read-only
+        return stats.H + ridge
     H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
     H += ridge  # in place: the (m, d, d) stack is this call's own
     return H

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sonatasim import datagen, diagnostics, problems
+from sonatasim import cli, datagen, diagnostics, problems
 from sonatasim.datagen import (
     InsufficientDataError,
     LibsvmParseError,
@@ -145,6 +148,88 @@ class TestGenRidge:
             SyntheticRidgeConfig(m=2, n=10, d=4, mu0=2.0, L0=1.0)
         with pytest.raises(ValueError):
             SyntheticRidgeConfig(m=0, n=10, d=4)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def committed_sample_sizes():
+    """Every n of a committed sweep summary or run or sweep config: the
+    acceptance sweeps under runs/ and the goldens."""
+    sizes = set()
+    for base in (ROOT / "runs", Path(__file__).parent / "data" / "golden"):
+        for path in base.glob("*/summary.csv"):
+            sizes.update(int(row["n"]) for row in csv.DictReader(path.read_text().splitlines()))
+        for path in base.glob("*/metadata.json"):
+            synthetic = json.loads(path.read_text())["effective_config"]["problem"].get("synthetic")
+            if synthetic:
+                sizes.add(synthetic["n"])
+    return sizes
+
+
+class TestGenRidgeStatistics:
+    """With d <= n a generated spec holds the statistics, and its rows are
+    drawn the first time they are read."""
+
+    @pytest.mark.parametrize(
+        "m,n,d,seed",
+        [(30, 600, 25, 23), (4, 7000, 25, 1), (5, 9, 9, 2)],
+        ids=["ridge-sweep", "n-7000", "n-equals-d"],
+    )
+    def test_statistics_bit_equal_to_the_gram_of_the_rows(self, m, n, d, seed):
+        p = gen_ridge(SyntheticRidgeConfig(m=m, n=n, d=d, seed=seed))
+        assert n <= datagen.GEN_CHUNK_ROWS
+        from_rows = problems.ProblemSpec("quadratic-ridge", p.A, p.b, lam=p.lam)
+        assert all(same_bits(a, b) for a, b in zip(p.stats, problems.gram(from_rows)))
+
+    def test_chunked_statistics_match_and_rows_do_not_move(self, monkeypatch):
+        cfg = SyntheticRidgeConfig(m=3, n=50, d=6, seed=4)
+        whole = gen_ridge(cfg)
+        monkeypatch.setattr(datagen, "GEN_CHUNK_ROWS", 7)  # 8 chunks, the last one row
+        chunked = gen_ridge(cfg)
+        for a, b in zip(chunked.stats, whole.stats):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert same_bits(chunked.A, whole.A) and same_bits(chunked.b, whole.b)
+
+    def test_rows_drawn_once_on_first_read_and_shared_by_replace(self, monkeypatch):
+        calls, draw = [], datagen._draw_rows
+        monkeypatch.setattr(datagen, "_draw_rows", lambda *args: calls.append(1) or draw(*args))
+        p = gen_ridge(SyntheticRidgeConfig(m=3, n=40, d=5, seed=6))
+        q = dataclasses.replace(p, lam=0.5)
+        assert q.stats is p.stats and q.lam == 0.5 and not calls
+        problems.estimate_constants(q)
+        problems.batch_grads(q, np.ones((q.m, q.d)))
+        diagnostics.centralized_solve(q)
+        assert not calls
+        assert q.A is p.A and p.b is q.b and len(calls) == 1
+
+    def test_statistics_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        # a dense A would grow tenfold, 1.6 to 16 MB
+        monkeypatch.setattr(datagen, "GEN_CHUNK_ROWS", 1000)
+
+        def build(n):
+            p = gen_ridge(SyntheticRidgeConfig(m=2, n=n, d=10, seed=3))
+            return problems.estimate_constants(p)
+
+        build(100)  # the first call pays one-time imports and caches
+        peaks = [traced_peak(lambda: build(n))[1] for n in (10**4, 10**5)]
+        assert peaks[1] < 1.2 * peaks[0]
+
+    def test_beta_over_mu_sweep_draws_no_rows(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a sweep drew its rows")
+
+        monkeypatch.setattr(datagen, "_draw_rows", refuse)
+        cfg = cli.load_config(
+            None, {"problem": {"synthetic": {"m": 6, "n": 100, "d": 6, "L0": 100}}, "seed": 2}
+        )
+        rows = cli.execute_sweep(cfg, "beta_over_mu", [60, 200], tmp_path / "out", 1e-4)
+        assert [row["n"] for row in rows] == [60, 200]
+
+    def test_chunk_exceeds_every_committed_sample_size(self):
+        # so every committed output is computed on the one-chunk path
+        sizes = committed_sample_sizes()
+        assert 7000 in sizes and max(sizes) < datagen.GEN_CHUNK_ROWS
 
 
 class TestLoadLibsvm:

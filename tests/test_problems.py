@@ -261,7 +261,7 @@ class TestGramMemo:
         estimate_constants(p)
         diagnostics.ShiftedObjective(p)
         sonata.LocalSolver(p, "F", 1.0, 0.0)
-        assert problems.gram(p) is None and p._gram is None
+        assert problems.gram(p) is None and p.stats is None
 
     @pytest.mark.parametrize(
         "make",
@@ -398,3 +398,59 @@ class TestLabelsValidation:
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             ProblemSpec("quadratic-ridge", np.ones((1, 2, 2)), np.ones((1, 2)), lam=-1.0)
+
+
+def stats_spec(loss_kind="quadratic-ridge", n=6, **changes):
+    """A spec built from the statistics of a random (3, 6, 4) quadratic
+    instance, with any of H, h and b_sq replaced."""
+    src = random_quad(3, 6, 4, lam=0.1)
+    H, h, b_sq = (changes.get(k, a.copy()) for k, a in problems.gram(src)._asdict().items())
+    return ProblemSpec(
+        loss_kind, lam=0.1, n=n, stats=problems.GramStats(H, h, b_sq), rows=src.rows
+    )
+
+
+class TestStatisticsValidation:
+    def test_well_formed_statistics_accepted(self):
+        p = stats_spec()
+        assert (p.m, p.n, p.d) == (3, 6, 4)
+        assert not any(a.flags.writeable for a in p.stats)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"H": np.zeros((3, 4, 5))},
+            {"H": np.zeros((2, 4, 4))},
+            {"h": np.zeros((3, 5))},
+            {"h": np.zeros(4)},
+            {"b_sq": np.zeros((3, 1))},
+            {"b_sq": np.zeros(2)},
+        ],
+        ids=["H-not-square", "H-other-m", "h-other-d", "h-1d", "b_sq-2d", "b_sq-other-m"],
+    )
+    def test_wrong_shapes_rejected(self, changes):
+        with pytest.raises(ValueError, match="statistics must be"):
+            stats_spec(**changes)
+
+    @pytest.mark.parametrize("loss_kind", ["smooth-hinge", "logistic"])
+    def test_non_exact_loss_rejected(self, loss_kind):
+        with pytest.raises(ValueError, match="not served by statistics"):
+            stats_spec(loss_kind)
+
+    @pytest.mark.parametrize("n", [3, float("nan")])
+    def test_d_above_n_rejected(self, n):
+        with pytest.raises(ValueError, match="d <= n"):
+            stats_spec(n=n)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_or_nan_b_sq_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\|b_i\|\^2"):
+            stats_spec(b_sq=np.array([1.0, bad, 2.0]))
+
+    def test_rows_given_once(self):
+        p = random_quad(2, 5, 3, lam=0.1)
+        for kwargs in ({"rows": p.rows}, {"rows": p.rows, "A": p.A, "b": p.b, "n": 5}):
+            with pytest.raises(ValueError, match="rows"):
+                ProblemSpec("quadratic-ridge", lam=0.1, **kwargs)
+        with pytest.raises(ValueError, match="A must be"):
+            ProblemSpec("quadratic-ridge", p.A, p.b, lam=0.1, n=4)
