@@ -161,17 +161,15 @@ def acc_sonata_run(
     observer: RunObserver | None = None,
     gap_fn=None,
     target_gap: float | None = None,
-    Y0=None,
 ) -> AccelResult:
     """Run up to params.K_max outer iterations from X = 0, every local step
     by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap.
 
     W is a :class:`~sonatasim.network.GossipMatrix` or a
     :class:`~sonatasim.network.ChebyshevGossip` built on one; every inner
-    iteration costs its ``rounds_per_application`` communication rounds.  Y0 defaults
-    to each agent's own local gradient at the start point.  On a
-    star-equivalent (exact averaging) network the caller may override it with
-    the averaged gradient, which the hub can compute in one round.
+    iteration costs its ``rounds_per_application`` communication rounds.
+    Each agent's tracking variable starts at its own local gradient at the
+    start point.
 
     The local gradients at each outer boundary are evaluated once: those
     that seed Y at the start, then those of each inner loop's last gossip
@@ -186,8 +184,7 @@ def acc_sonata_run(
     X = np.zeros((p.m, p.d))
     Z = X.copy()
     Z_prev = X.copy()
-    grads = problems.batch_grads(p, X)
-    Y = grads if Y0 is None else np.array(Y0, dtype=float)
+    Y = grads = problems.batch_grads(p, X)
 
     solver = params.local_solver(p)
 
@@ -198,7 +195,7 @@ def acc_sonata_run(
     # boundary k checks the state that outer k - 1 left, the last one's too
     for k in range(params.K_max + 1):
         Y_warm = Y + delta * (Z_prev - Z)
-        G = sonata.shifted_grads(p, X, delta, Z, grads)
+        G = sonata.shifted_grads(X, delta, Z, grads)
         drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
         scale = 1.0 + np.linalg.norm(G.mean(axis=0))
         if not drift <= 1e-8 * scale:  # also catches a NaN drift

@@ -107,17 +107,22 @@ def _check_problem_keys(block):
 
 
 def _check_values(cfg: dict, defaults, path=""):
-    """Reject a JSON true/false in a field whose default is not a boolean
+    """Reject a value of another type in a field whose default is a boolean
+    or a string, a JSON true/false in a field whose default is not a boolean
     (float(True) == 1.0 passes any numeric check) and a non-finite number,
     which metadata.json could not echo back."""
     for key, val in cfg.items():
         default = defaults.get(key) if isinstance(defaults, dict) else None
+        where = path[:-1] or key
+        if isinstance(default, (bool, str)) and type(val) is not type(default):
+            kind = "boolean" if isinstance(default, bool) else "string"
+            raise ConfigError(f"{where}: {key!r} takes a {kind}, got {json.dumps(val)}")
         if isinstance(val, dict):
             _check_values(val, default, path + key + ".")
         elif isinstance(val, bool) and not isinstance(default, bool):
-            raise ConfigError(f"{path[:-1] or key}: {key!r} takes no boolean, got {json.dumps(val)}")
+            raise ConfigError(f"{where}: {key!r} takes no boolean, got {json.dumps(val)}")
         elif isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"{path[:-1] or key}: {key!r} takes a finite number, got {val!r}")
+            raise ConfigError(f"{where}: {key!r} takes a finite number, got {val!r}")
 
 
 def _json(obj, indent=None) -> str:
@@ -174,7 +179,7 @@ def build_problem(cfg: dict) -> problems.ProblemSpec:
     else:
         ds = {"seed": cfg["seed"], **block["dataset"]}
         path = ds.pop("path", None)
-        if path is None or not os.path.isfile(path):
+        if not isinstance(path, str) or not os.path.isfile(path):
             raise ConfigError(f"problem.dataset.path: no such file {path!r}")
         p = _call("problem.dataset", datagen.load_libsvm, path, **ds)
     p.reg = reg

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import GramStats, InputError, ProblemSpec
+from .problems import GramStats, InputError, ProblemSpec, check_int
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 _MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
@@ -56,17 +55,11 @@ class SyntheticRidgeConfig:
 
     def __post_init__(self):
         for name, low in (("m", 1), ("n", 1), ("d", 1), ("seed", 0)):
-            _check_int(name, getattr(self, name), low)
+            check_int(name, getattr(self, name), low)
         if not 0 < self.mu0 <= self.L0:
             raise ValueError("need 0 < mu0 <= L0")
         if not (self.lam >= 0 and self.noise_std >= 0):
             raise ValueError("lam and noise_std must be >= 0")
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """A count or seed is an integer >= low; a fraction, a bool or a string is an error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator):
@@ -201,9 +194,10 @@ def load_libsvm(
     that list once; the values are scattered :data:`SCATTER_ROWS` lines at a
     time straight into their shuffled rows of the result.
     """
-    _check_int("m", m, 1)
+    check_int("m", m, 1)
+    check_int("seed", seed, 0)
     if limit is not None:
-        _check_int("limit", limit, 1)
+        check_int("limit", limit, 1)
     # Streamed into flat buffers: per kept line its label, its values, its
     # feature count and the offset of its 1-based index list in ``index``.
     labels, values, counts, starts = array("d"), array("d"), array("q"), array("q")

@@ -42,10 +42,9 @@ class ShiftedObjective:
             self.z_bar, self.z_sq_mean = Z.mean(axis=0), float((Z**2).sum(axis=1).mean())
         self._H = problems.curvature(p).H_bar
         if p.loss.exact:
-            stats = problems.gram(p)
-            if stats is not None:
-                self._h = stats.h.mean(axis=0)
-                b_sq = stats.b_sq
+            if p.stats is not None:
+                self._h = p.stats.h.mean(axis=0)
+                b_sq = p.stats.b_sq
             else:  # d > n: from A
                 self._h = np.einsum("mnd,mn->d", p.A, p.b) / (p.n * p.m)
                 b_sq = (p.b**2).sum(axis=1)
@@ -115,9 +114,9 @@ def centralized_solve(p: ProblemSpec, delta: float = 0.0, Z=None) -> Oracle:
         x = x + np.linalg.solve(K, rhs - K @ x)  # one refinement pass
         return Oracle(x, obj.values(x), obj)
 
-    w = np.linalg.eigvalsh(obj._H)
-    L = w[-1] + delta
-    mu = (w[0] if p.loss.exact else p.lam) + delta
+    curv = problems.curvature(p)
+    L = curv.H_bar_max + delta
+    mu = (curv.H_bar_min if p.loss.exact else p.loss.ridge * p.lam) + delta
     if mu <= 0:
         raise ValueError("centralized solve requires a strongly convex problem")
     step = np.array([1.0 / L])
@@ -227,18 +226,15 @@ class TrajectoryBuilder(RunObserver):
     its ``consensus_err`` column is the latter.  The outer potential at the
     start and after every extrapolation is the ``P_k`` of the row at the
     same X (row 0, or the outer iteration's last inner step, since T >= 1)
-    and reads that row's suboptimality.  Given ``constants`` it also records
-    the potentials: it re-solves the shifted problem at every outer
-    iteration, and an inner step's row adds the shifted suboptimality g to
-    e, its consensus and tracking errors weighted by :func:`error_weights`.
+    and reads that row's suboptimality.  Given ``constants`` (not None) it
+    also records the potentials: it re-solves the shifted problem at every
+    outer iteration, and an inner step's row adds the shifted suboptimality
+    g to e, its consensus and tracking errors weighted by
+    :func:`error_weights`.
     """
 
     def __init__(
-        self,
-        p: ProblemSpec,
-        oracle: Oracle,
-        params: AccelParams,
-        constants: Constants | None = None,
+        self, p: ProblemSpec, oracle: Oracle, params: AccelParams, constants: Constants | None
     ):
         self.p = p
         self.oracle = oracle

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, RuntimeFailure
+from .problems import InputError, ProblemSpec, RuntimeFailure, check_int
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -116,13 +116,14 @@ def _connected(m, edges) -> bool:
     return len({find(i) for i in range(m)}) == 1
 
 
-def erdos_renyi(m: int, p: float, seed: int = 0) -> Graph:
+def erdos_renyi(m: int, p: float, seed: int) -> Graph:
     """Sample each pair independently with probability p (one uniform per pair
     i < j, in row-major order); resample until connected, at most
     :data:`MAX_RESAMPLES` times.  The uniforms are drawn :data:`ER_BLOCK`
     at a time, the same stream, and only the kept pairs are indexed."""
     if m < 2 or not 0 < p <= 1:
         raise ValueError("need m >= 2 and p in (0, 1]")
+    check_int("seed", seed, 0)
     pairs = m * (m - 1) // 2
     row_start = np.arange(m) * (2 * m - np.arange(m) - 1) // 2  # index of pair (i, i+1)
     root = np.random.SeedSequence(seed)

@@ -9,18 +9,26 @@ nonsmooth term r.  Three loss families are supported, one entry each in
 * ``logistic``:         f_i(x) = 1/n sum_j log(1 + exp(-b_ij <x, a_ij>)) + lam/2 ||x||^2
 
 A quadratic instance with d <= n is served by its per-agent statistics
-(:class:`GramStats`), so it may hold them without its rows.  All oracles are
-pure functions of immutable arrays and safe to call from multiple workers.
+(:class:`GramStats`), fixed when it is built, so it may hold them without its
+rows.  All oracles are pure functions of immutable arrays and safe to call
+from multiple workers.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 FEAS_TOL = 1e-9  # box feasibility tolerance of r_value
+
+
+def check_int(name: str, value, low: int) -> None:
+    """A count or seed is an integer >= low; a fraction, a bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class InputError(ValueError):
@@ -75,12 +83,6 @@ class GramStats(NamedTuple):
     b_sq: np.ndarray
 
 
-def _read_only(stats: GramStats) -> GramStats:
-    for a in stats:
-        a.flags.writeable = False
-    return stats
-
-
 @dataclass(init=False)
 class ProblemSpec:
     """m agents, each holding n samples: an (n, d) feature block and an
@@ -96,9 +98,11 @@ class ProblemSpec:
     ``dataclasses.replace`` shares the statistics and the rows.  Every agent
     has identical n and d by construction.  ``meta`` carries generator
     side-information (planted solution, covariance spectrum) and never
-    affects the oracles.  The loss kind and the data are fixed at
-    construction: :func:`curvature` is memoized on the instance, and so is
-    the statistics field of a spec built from rows, filled by :func:`gram`.
+    affects the oracles.  The loss kind, the data and the statistics are
+    fixed at construction: when not given, ``stats`` is computed from the
+    rows for an exact-curvature loss with d <= n, and is None for any other
+    loss or with d > n, where H would be larger than A; every statistics
+    array is read-only.  :func:`curvature` is memoized on the instance.
     """
 
     # A and b are not fields: dataclasses.replace reads every field, and
@@ -128,8 +132,8 @@ class ProblemSpec:
         self.meta = {} if meta is None else meta
         if loss_kind not in LOSSES:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {lam!r}")
         if rows is None:
             A = np.ascontiguousarray(A, dtype=float)
             b = np.ascontiguousarray(b, dtype=float)
@@ -141,6 +145,12 @@ class ProblemSpec:
         elif A is not None or b is not None or n is None:
             raise ValueError("give the rows as A and b, or n and a rows callable")
         self.n, self.rows = n, rows
+        if stats is None and self.loss.exact:
+            A, b = rows()
+            if A.shape[2] <= n:
+                At = A.transpose(0, 2, 1)
+                H, h = np.matmul(At, A) / n, np.matmul(At, b[:, :, None])[..., 0] / n
+                stats = GramStats(H, h, (b**2).sum(axis=1))
         if stats is not None:
             H, h, b_sq = stats
             if h.ndim != 2 or H.shape != (*h.shape, h.shape[1]) or b_sq.shape != h.shape[:1]:
@@ -151,7 +161,8 @@ class ProblemSpec:
                 raise ValueError(f"statistics are kept for d <= n, got d = {h.shape[1]}, n = {n}")
             if not np.all(b_sq >= 0):
                 raise ValueError("|b_i|^2 must be >= 0")
-            _read_only(stats)
+            for a in stats:
+                a.flags.writeable = False
         self.stats = stats
         self._curvature = None
 
@@ -287,24 +298,10 @@ def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
     return p.A[i].T @ dl / p.n + p.loss.ridge * p.lam * x
 
 
-def gram(p: ProblemSpec) -> GramStats | None:
-    """The statistics ``p.stats`` of an exact-curvature loss with d <= n,
-    filled from the rows on the first call for a spec built from them, or
-    None for any other loss or with d > n, where H would be larger than A.
-    Every array is read-only."""
-    if p.stats is None and p.loss.exact and p.d <= p.n:
-        A, b = p.rows()
-        At = A.transpose(0, 2, 1)
-        H, h = np.matmul(At, A) / p.n, np.matmul(At, b[:, :, None])[..., 0] / p.n
-        p.stats = _read_only(GramStats(H, h, (b**2).sum(axis=1)))
-    return p.stats
-
-
 def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Gradients of every agent at its own point: X is (m, d), result is (m, d)."""
-    stats = gram(p)
-    if stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
-        return np.matmul(stats.H, X[:, :, None])[..., 0] - stats.h + p.loss.ridge * p.lam * X
+    if p.stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
+        return np.matmul(p.stats.H, X[:, :, None])[..., 0] - p.stats.h + p.loss.ridge * p.lam * X
     dl = p.loss.deriv(np.matmul(p.A, X[:, :, None])[..., 0], p.b)  # (m, n)
     return np.matmul(dl[:, None, :], p.A)[:, 0, :] / p.n + p.loss.ridge * p.lam * X
 
@@ -396,9 +393,8 @@ def hessian_bounds(p: ProblemSpec) -> np.ndarray:
     """All m Hessian bounds stacked (m, d, d), a new array on every call;
     callers must not keep it on p."""
     ridge = p.loss.ridge * p.lam * np.eye(p.d)
-    stats = gram(p)
-    if stats is not None:  # the statistics are read-only
-        return stats.H + ridge
+    if p.stats is not None:  # the statistics are read-only
+        return p.stats.H + ridge
     H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
     H += ridge  # in place: the (m, d, d) stack is this call's own
     return H
@@ -406,10 +402,13 @@ def hessian_bounds(p: ProblemSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Curvature:
-    """Small summaries of the Hessian bounds H_i: their mean H_bar, each
-    agent's largest eigenvalue, and beta = max_i ||H_i - H_bar||_2."""
+    """Small summaries of the Hessian bounds H_i: their mean H_bar and its
+    extreme eigenvalues, each agent's largest eigenvalue, and
+    beta = max_i ||H_i - H_bar||_2."""
 
     H_bar: np.ndarray
+    H_bar_min: float
+    H_bar_max: float
     lmax: np.ndarray
     beta: float
 
@@ -419,10 +418,11 @@ def curvature(p: ProblemSpec) -> Curvature:
     if p._curvature is None:
         H = hessian_bounds(p)
         H_bar = H.mean(axis=0)
+        w = np.linalg.eigvalsh(H_bar)
         lmax = np.linalg.eigvalsh(H)[:, -1]
         H -= H_bar
         beta = np.abs(np.linalg.eigvalsh(H)[:, [0, -1]]).max()
-        p._curvature = Curvature(H_bar, lmax, float(beta))
+        p._curvature = Curvature(H_bar, float(w[0]), float(w[-1]), lmax, float(beta))
     return p._curvature
 
 
@@ -445,23 +445,23 @@ class Constants:
                 f"constants must satisfy 0 < mu <= L <= Lmx, got "
                 f"({self.mu_hat}, {self.L_hat}, {self.Lmx_hat})"
             )
-        if self.beta_hat < 0:
-            raise ValueError("beta_hat must be >= 0")
+        if not self.beta_hat >= 0:
+            raise ValueError(f"beta_hat must be >= 0, got {self.beta_hat!r}")
 
 
 def estimate_constants(p: ProblemSpec) -> Constants:
     """Estimate (mu, L, Lmx, beta) from the data.
 
-    Exact-curvature losses use the eigenvalues of the average Hessian.
-    Classification losses use the curvature-capped bounds H_i: mu_hat = lam,
-    L_hat = mean_i lmax(H_i).  beta_hat = max_i ||H_i - mean_j H_j||_2.
+    Exact-curvature losses use the extreme eigenvalues of the average
+    Hessian.  Classification losses use the curvature-capped bounds H_i:
+    mu_hat = ridge * lam, L_hat = mean_i lmax(H_i).
+    beta_hat = max_i ||H_i - mean_j H_j||_2.
     """
     curv = curvature(p)
     if p.loss.exact:
-        w = np.linalg.eigvalsh(curv.H_bar)
-        mu, L = w[0], w[-1]
+        mu, L = curv.H_bar_min, curv.H_bar_max
     else:
-        mu = p.lam
+        mu = p.loss.ridge * p.lam
         L = curv.lmax.mean()
     if mu <= 1e-12 * max(1.0, L):
         raise DegenerateProblemError(

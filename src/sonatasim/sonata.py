@@ -54,7 +54,7 @@ class SonataResult:
     grads: np.ndarray  # batch_grads at X
 
 
-def shifted_grads(p: ProblemSpec, X: np.ndarray, delta: float, Z, grads) -> np.ndarray:
+def shifted_grads(X: np.ndarray, delta: float, Z, grads) -> np.ndarray:
     """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point,
     from its unshifted ``grads = problems.batch_grads(p, X)``."""
     if delta != 0.0:
@@ -101,7 +101,7 @@ class LocalSolver:
     case runs :func:`_prox_gradient_subproblem`, accelerated proximal gradient
     on the whole stack.  Build it once per run; the closed form factors its
     (constant) system matrices here, from :func:`problems.hessian_bounds`
-    (the memoized Gram stack when d <= n).
+    (the statistics ``p.stats`` when d <= n).
     """
 
     def __init__(self, p: ProblemSpec, mode: str, weight: float, delta: float):
@@ -150,7 +150,7 @@ def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float, Z):
     Returns (X, Y, shifted gradients, unshifted gradients) at the mixed points."""
     X_new = W.mix(X_half)
     grads = problems.batch_grads(p, X_new)
-    G_new = shifted_grads(p, X_new, delta, Z, grads)
+    G_new = shifted_grads(X_new, delta, Z, grads)
     # associate as y + (difference): the correction is small near convergence
     Y_new = W.mix(Y + (G_new - G))
     return X_new, Y_new, G_new, grads
@@ -166,8 +166,8 @@ def sonata_run(
     *,
     Z,
     grads0,
-    comms_start: int = 0,
-    on_step=None,
+    comms_start: int,
+    on_step,
 ) -> SonataResult:
     """Run T iterations (local step + communication step) from (X0, Y0); each
     costs ``W.rounds_per_application`` communication rounds.  The local step
@@ -176,7 +176,8 @@ def sonata_run(
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
-    ``grads0`` is ``problems.batch_grads(p, X0)``, which the caller holds.
+    ``grads0`` is ``problems.batch_grads(p, X0)``, which the caller holds,
+    and the count starts at ``comms_start``.
     Each iterate's unshifted local gradients are evaluated once, at the
     start or in the gossip round that mixed it, and serve both its shifted
     gradients and the first iterate of its local step.
@@ -189,7 +190,7 @@ def sonata_run(
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
     grads = grads0
-    G = shifted_grads(p, X, solver.delta, Z, grads)
+    G = shifted_grads(X, solver.delta, Z, grads)
 
     comms = comms_start
     converged = []
@@ -198,6 +199,5 @@ def sonata_run(
         X, Y, G, grads = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
         comms += W.rounds_per_application
         converged.append(ok)
-        if on_step is not None:
-            on_step(t, comms, X, Y)
+        on_step(t, comms, X, Y)
     return SonataResult(X, Y, comms, converged, grads)

@@ -42,7 +42,7 @@ def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
 def tracking_gap(p: ProblemSpec, X, Y, delta: float = 0.0, Z=None) -> float:
     """Norm of avg(y_i) - avg(shifted grad_i(x_i)); zero under exact tracking."""
     X = np.asarray(X, dtype=float)
-    G = shifted_grads(p, X, delta, Z, problems.batch_grads(p, X))
+    G = shifted_grads(X, delta, Z, problems.batch_grads(p, X))
     return float(np.linalg.norm(Y.mean(axis=0) - G.mean(axis=0)))
 
 
@@ -96,10 +96,12 @@ def fit_contraction_factor(values) -> float:
 # broadcasts the aggregate gradient, and no tracking variable is needed.
 #
 # Equivalent to the mesh algorithms run with the rank-one averaging matrix
-# (deviation zero), up to the initialization of the tracking variable.  The
-# outer and inner loops here are written independently of the mesh ones as a
-# cross-check; the workers' local step is the shared LocalSolver, called on
-# stacks in which every row holds the shared point.
+# (deviation zero) when the tracking variables start alike: the accelerated
+# run's first local step takes each worker's own gradient, as the mesh run's
+# tracking variable does before any exchange.  The outer and inner loops here
+# are written independently of the mesh ones as a cross-check; the workers'
+# local step is the shared LocalSolver, called on stacks in which every row
+# holds the shared point.
 # ---------------------------------------------------------------------------
 
 
@@ -112,15 +114,17 @@ def sonata_star_run(
     z=None,
     comms_start: int = 0,
     on_step=None,
+    own_start: bool = False,
 ):
     """T master/workers iterations from the shared point x0, local steps by
     ``solver`` (whose delta shifts the gradients toward z); returns (x_T, comms).
 
     Each iteration: workers send local gradients, master broadcasts the
     average, workers solve their surrogate subproblem with the correction
-    grad_f - grad_f_i, master averages the solutions.  Counted as one
-    communication round per iteration, mirroring the mesh bookkeeping for the
-    rank-one averaging matrix.
+    grad_f - grad_f_i, master averages the solutions.  With ``own_start`` the
+    first iteration's workers step on their own gradients, with no
+    correction.  Counted as one communication round per iteration, mirroring
+    the mesh bookkeeping for the rank-one averaging matrix.
     """
     x = np.array(x0, dtype=float)
     Z = np.tile(x if z is None else z, (p.m, 1))
@@ -128,8 +132,8 @@ def sonata_star_run(
     for t in range(1, T + 1):
         X = np.tile(x, (p.m, 1))
         grads = problems.batch_grads(p, X)
-        G = shifted_grads(p, X, solver.delta, Z, grads)
-        Y = np.tile(G.mean(axis=0), (p.m, 1))
+        G = shifted_grads(X, solver.delta, Z, grads)
+        Y = G if own_start and t == 1 else np.tile(G.mean(axis=0), (p.m, 1))
         halves, _, _ = solver.solve(X, Y, G, Z, grads)
         x = halves.mean(axis=0)
         comms += 1
@@ -156,7 +160,8 @@ def acc_sonata_star_run(
     on_inner_step=None,
 ) -> StarResult:
     """Accelerated outer loop on the star architecture: shared x and z, from
-    x = 0, for up to params.K_max outer iterations with one local solver."""
+    x = 0, for up to params.K_max outer iterations with one local solver; its
+    first local step is on the workers' own gradients, as the mesh run's."""
     x = np.zeros(p.d)
     z = x.copy()
     comms = 0
@@ -171,6 +176,7 @@ def acc_sonata_star_run(
             solver,
             z=z,
             comms_start=comms,
+            own_start=k == 0,
             on_step=(
                 None
                 if on_inner_step is None

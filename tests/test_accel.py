@@ -176,21 +176,27 @@ class TestAccSonataRun:
             params.local_solver(p),
             Z=X0,
             grads0=Y0,
+            comms_start=0,
             on_step=lambda t, cm, X, Y: plain.append(np.array(X)),
         )
         for a, b in zip(seen, plain):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_non_finite_tracking_start_raises(
-        self, small_ridge, small_ridge_constants, small_gossip
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
     ):
-        # a NaN drift compares False against any tolerance
-        p = small_ridge
+        # a NaN drift compares False against any tolerance: the start's
+        # gradients, which seed Y, turn NaN
         params = tune(small_ridge_constants, "F")
-        with pytest.raises(problems.DivergenceError, match="tracking identity"):
-            acc_sonata_run(
-                p, replace(params, K_max=2), small_gossip, Y0=np.full((p.m, p.d), np.nan)
-            )
+        batch_grads, calls = problems.batch_grads, itertools.count()
+
+        def failing(p, X):
+            return batch_grads(p, X) * (math.nan if next(calls) == 0 else 1.0)
+
+        monkeypatch.setattr(problems, "batch_grads", failing)
+        with pytest.raises(problems.DivergenceError, match="at outer 0: drift nan"):
+            acc_sonata_run(small_ridge, replace(params, K_max=2), small_gossip)
+        assert next(calls) == 1
 
     def test_state_of_a_run_stopped_on_target_is_checked(
         self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
@@ -303,7 +309,7 @@ class TestTrackingProperty:
                 self.Z = np.array(Z)
 
             def on_inner_step(self, k, t, comms, X, Y):
-                G = sonata.shifted_grads(p, X, params.delta, self.Z, problems.batch_grads(p, X))
+                G = sonata.shifted_grads(X, params.delta, self.Z, problems.batch_grads(p, X))
                 gap = reference.tracking_gap(p, X, Y, params.delta, self.Z)
                 worst.append(gap / (1.0 + np.linalg.norm(G.mean(axis=0))))
 

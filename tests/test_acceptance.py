@@ -175,11 +175,11 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     Z = np.zeros((p.m, p.d))
     X0 = np.zeros((p.m, p.d))
     grads0 = problems.batch_grads(p, X0)
-    Y0 = sonata.shifted_grads(p, X0, params.delta, Z, grads0)
+    Y0 = sonata.shifted_grads(X0, params.delta, Z, grads0)
     oracle_k = diagnostics.centralized_solve(p, delta=params.delta, Z=Z)
     vals = [reference.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
     sonata.sonata_run(
-        p, X0, Y0, T, W, params.local_solver(p), Z=Z, grads0=grads0,
+        p, X0, Y0, T, W, params.local_solver(p), Z=Z, grads0=grads0, comms_start=0,
         on_step=lambda t, cm, X, Y: vals.append(
             reference.inner_potential(X, Y, c, mode, oracle_k)["total"]
         ),
@@ -346,7 +346,7 @@ def test_criterion_10_degenerate_equivalences():
     X0 = np.zeros((p.m, p.d))
     Y0 = problems.batch_grads(p, X0)
     plain_iters = []
-    sonata.sonata_run(p, X0, Y0, 18, W, pp.local_solver(p), Z=X0, grads0=Y0,
+    sonata.sonata_run(p, X0, Y0, 18, W, pp.local_solver(p), Z=X0, grads0=Y0, comms_start=0,
                       on_step=lambda t, cm, X, Y: plain_iters.append(np.array(X)))
     worst_b = max(float(np.max(np.abs(a - b))) for a, b in zip(acc_iters, plain_iters))
     assert worst_b <= 1e-12
@@ -360,8 +360,7 @@ def test_criterion_10_degenerate_equivalences():
         def on_outer_end(self, X, X_prev):
             mesh_outer.append(X[0].copy())
 
-    Y0_hub = np.tile(problems.batch_grads(p, X0).mean(axis=0), (p.m, 1))
-    accel.acc_sonata_run(p, replace(params_star, K_max=7), Wavg, observer=Cap3(), Y0=Y0_hub)
+    accel.acc_sonata_run(p, replace(params_star, K_max=7), Wavg, observer=Cap3())
     star_outer = []
     reference.acc_sonata_star_run(
         p, replace(params_star, K_max=7),

@@ -642,6 +642,44 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {block or leaf}: {leaf!r}") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field,block",
+        [
+            ("diagnostics.potentials", {"diagnostics": {"potentials": "no"}}),
+            ("diagnostics.potentials", {"diagnostics": {"potentials": 1}}),
+            ("topology.kind", {"topology": {"kind": [1]}}),
+            ("output", {"output": 5}),
+        ],
+        ids=["potentials-string", "potentials-number", "topology-kind-array", "output-number"],
+    )
+    def test_other_type_in_boolean_or_string_field_exit_2(self, tmp_path, capsys, field, block):
+        # "no" and 1 turned the potentials on and were recorded; [1] and 5
+        # escaped main as TypeError tracebacks with exit 1
+        path = write_config(tmp_path, base_config(tmp_path, **block))
+        assert cli.main(["run", "-c", path]) == 2
+        block, _, leaf = field.rpartition(".")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block or leaf}: {leaf!r} takes a ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [[1], -1, 1.5, "1"])
+    def test_topology_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        # [1] was taken as numpy entropy and ran to exit 0
+        topology = {"kind": "erdos_renyi", "p": 0.6, "seed": seed}
+        path = write_config(tmp_path, base_config(tmp_path, topology=topology))
+        assert cli.main(["run", "-c", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: topology: seed must be an integer")
+
+    @pytest.mark.parametrize("seed", [[1], None])
+    def test_dataset_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        # [1] was taken as numpy entropy and null as fresh entropy from the
+        # operating system, a different shuffle on every run; both ran to exit 0
+        problem = {"dataset": dict(DATASET, m=4, seed=seed)}
+        path = write_config(tmp_path, base_config(tmp_path, problem=problem))
+        assert cli.main(["run", "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.dataset: seed must be an integer")
+
     def test_boolean_field_still_takes_a_boolean(self, tmp_path):
         cfg = load_config(None, {"diagnostics": {"potentials": True}})
         assert cfg["diagnostics"]["potentials"] is True
@@ -925,15 +963,57 @@ class TestLowerboundCheck:
         assert report["support_ok"]
 
 
+def _typed_leaves(block, path=()):
+    """(path, default) of each leaf of a config block with a boolean, string
+    or number default."""
+    for key, val in block.items():
+        if isinstance(val, dict):
+            yield from _typed_leaves(val, path + (key,))
+        elif isinstance(val, (bool, str, int, float)):
+            yield path + (key,), val
+
+
+def _json_type(value) -> str:
+    kinds = {bool: "boolean", str: "string", int: "number", float: "number"}
+    kinds.update({type(None): "null", list: "array", dict: "object"})
+    return kinds[type(value)]
+
+
+# one value of each JSON type; algorithm.target_gap takes null (no early stop)
+OTHER_TYPED = [
+    (".".join(leaf), value)
+    for leaf, default in _typed_leaves(cli.DEFAULT_CONFIG)
+    for value in ("text", 3, True, None, [1], {"a": 1})
+    if _json_type(value) != _json_type(default)
+    and not (leaf == ("algorithm", "target_gap") and value is None)
+]
+
+
+@pytest.mark.parametrize("field,value", OTHER_TYPED)
+def test_every_leaf_rejects_a_value_of_another_type(tmp_path, capsys, field, value):
+    cfg = json.loads(json.dumps(cli.DEFAULT_CONFIG))
+    cfg["problem"]["synthetic"] = {"m": 4, "n": 20, "d": 3}
+    cfg["algorithm"]["K_max"] = 2
+    cfg["output"] = str(tmp_path / "out")
+    *parents, leaf = field.split(".")
+    block = cfg
+    for key in parents:
+        block = block[key]
+    block[leaf] = value
+    assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 class TestProcessExit:
     """``python -m sonatasim.cli`` exits with main's code and prints no traceback."""
 
-    def _run(self, tmp_path, *argv):
+    def _run(self, tmp_path, *argv, stdin=None):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
             [sys.executable, "-m", "sonatasim.cli", *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+            stdin=stdin, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
         )
 
     def test_estimate_constants_exit_0(self, tmp_path):
@@ -941,6 +1021,15 @@ class TestProcessExit:
         proc = self._run(tmp_path, "estimate-constants", "-c", write_config(tmp_path, cfg))
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["mu_hat"] > 0
+
+    def test_dataset_path_must_be_a_string(self, tmp_path):
+        # path 0 read the dataset from file descriptor 0, stdin, and ran to exit 0
+        cfg = {"problem": {"dataset": dict(DATASET, m=4, path=0)}, "output": str(tmp_path / "out")}
+        with open(FIXTURE) as stdin:
+            proc = self._run(tmp_path, "run", "-c", write_config(tmp_path, cfg), stdin=stdin)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: problem.dataset.path:")
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = {"problem": TWO_SOURCES, "output": str(tmp_path / "out")}

@@ -180,7 +180,7 @@ class TestGenRidgeStatistics:
         p = gen_ridge(SyntheticRidgeConfig(m=m, n=n, d=d, seed=seed))
         assert n <= datagen.GEN_CHUNK_ROWS
         from_rows = problems.ProblemSpec("quadratic-ridge", p.A, p.b, lam=p.lam)
-        assert all(same_bits(a, b) for a, b in zip(p.stats, problems.gram(from_rows)))
+        assert all(same_bits(a, b) for a, b in zip(p.stats, from_rows.stats))
 
     def test_chunked_statistics_match_and_rows_do_not_move(self, monkeypatch):
         cfg = SyntheticRidgeConfig(m=3, n=50, d=6, seed=4)

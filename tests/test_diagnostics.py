@@ -160,8 +160,8 @@ class TestOptimalityGap:
                 p, replace(params, K_max=40), W, observer=observer, gap_fn=gap_fn, target_gap=0.05
             )
 
-        plain = run(TrajectoryBuilder(p, oracle, params), lambda X: optimality_gap(p, X, oracle))
-        builder = TrajectoryBuilder(p, oracle, params)
+        plain = run(TrajectoryBuilder(p, oracle, params, None), lambda X: optimality_gap(p, X, oracle))
+        builder = TrajectoryBuilder(p, oracle, params, None)
         reused = run(builder, lambda X: builder.traj.rows[-1].gap)
         assert plain.converged and plain.K_done < 40
         assert reused.gaps == plain.gaps
@@ -228,7 +228,7 @@ class TestCommsToAccuracyObserver:
     def _both(self, p, params, eps):
         W = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=4))
         oracle = centralized_solve(p)
-        builder = TrajectoryBuilder(p, oracle, params)
+        builder = TrajectoryBuilder(p, oracle, params, None)
         full = accel.acc_sonata_run(
             p, params, W, observer=builder, gap_fn=lambda X: builder.traj.rows[-1].gap,
             target_gap=eps,

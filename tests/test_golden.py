@@ -157,6 +157,22 @@ def test_run_evaluates_each_point_once(name, tmp_path, monkeypatch):
     assert repeated == {"batch_grads": 0, "suboptimality": 0, "consensus_error": 0}
 
 
+@pytest.mark.parametrize("name", ["ridge-l1", "logistic-l1"])
+def test_average_hessian_decomposed_once(name, monkeypatch):
+    # estimate_constants and centralized_solve each ran an eigvalsh of H_bar
+    p = cli.build_problem(cli.load_config(None, CONFIGS[name]))
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    problems.estimate_constants(p)
+    diagnostics.centralized_solve(p)
+    assert shapes.count((p.d, p.d)) == 1
+
+
 @pytest.mark.parametrize("name", SWEEPS)
 def test_sweep_reproduces_golden_output(name, tmp_path):
     _check(name, tmp_path)

@@ -85,6 +85,11 @@ class TestGraphs:
         g = erdos_renyi(30, 0.5, seed=1)
         assert g.m == 30  # Graph constructor enforces connectivity
 
+    @pytest.mark.parametrize("seed", [[1], -1, 1.5, True])
+    def test_er_seed_is_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            erdos_renyi(8, 0.5, seed)
+
     def test_er_deterministic(self):
         assert erdos_renyi(12, 0.3, seed=5).edges == erdos_renyi(12, 0.3, seed=5).edges
         assert erdos_renyi(12, 0.3, seed=5).edges != erdos_renyi(12, 0.3, seed=6).edges

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,10 @@ class TestConstants:
         with pytest.raises(DegenerateProblemError):
             estimate_constants(hinge_problem(lam=0.0))
 
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta_hat"):
+            problems.Constants(1.0, 2.0, 3.0, float("nan"))
+
     def test_curvature_caps(self):
         # logistic Hessian bound uses 1/4, hinge uses 1
         ph = hinge_problem(seed=8)
@@ -245,12 +251,30 @@ NO_GRAM = {
 class TestGramMemo:
     """Exact-curvature d <= n instances keep one Gram stack; all others use A."""
 
+    def test_statistics_computed_at_construction(self):
+        p = random_quad(5, 40, 6, lam=0.3)
+        assert not any(a.flags.writeable for a in p.stats)
+        A, b = p.A, p.b
+        At = A.transpose(0, 2, 1)
+        expect = (
+            np.matmul(At, A) / p.n,
+            np.matmul(At, b[:, :, None])[..., 0] / p.n,
+            (b**2).sum(axis=1),
+        )
+        assert all(np.array_equal(a, e) for a, e in zip(p.stats, expect))
+        assert dataclasses.replace(p, lam=0.7).stats is p.stats
+
+    @pytest.mark.parametrize("make", NO_GRAM.values(), ids=NO_GRAM.keys())
+    def test_no_statistics_at_construction(self, make):
+        p = make()
+        assert p.stats is None and dataclasses.replace(p, lam=0.7).stats is None
+
     @pytest.mark.parametrize("m,n,d", [(6, 120, 10), (3, 7, 7), (1, 40, 5)])
     def test_gradients_match_the_data_path(self, m, n, d):
         p = random_quad(m, n, d, lam=0.3)
         X = np.random.default_rng(2).standard_normal((m, d))
         G = problems.batch_grads(p, X)
-        assert not any(a.flags.writeable for a in problems.gram(p))
+        assert not any(a.flags.writeable for a in p.stats)
         expect = np.stack([local_grad(p, i, X[i]) for i in range(m)])  # from A
         assert np.all(np.linalg.norm(G - expect, axis=1) <= 1e-12 * np.linalg.norm(expect, axis=1))
 
@@ -261,7 +285,7 @@ class TestGramMemo:
         estimate_constants(p)
         diagnostics.ShiftedObjective(p)
         sonata.LocalSolver(p, "F", 1.0, 0.0)
-        assert problems.gram(p) is None and p.stats is None
+        assert p.stats is None
 
     @pytest.mark.parametrize(
         "make",
@@ -399,12 +423,27 @@ class TestLabelsValidation:
         with pytest.raises(ValueError):
             ProblemSpec("quadratic-ridge", np.ones((1, 2, 2)), np.ones((1, 2)), lam=-1.0)
 
+    def test_nan_lam_rejected(self):
+        # it used to construct, and estimate_constants then raised LinAlgError
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            ProblemSpec("quadratic-ridge", np.ones((1, 2, 2)), np.ones((1, 2)), lam=np.nan)
+        p = random_quad(2, 5, 3, lam=0.1)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            dataclasses.replace(p, lam=np.nan)
+
+    def test_nan_label_of_a_quadratic_rejected(self):
+        # its statistics are computed at construction, and |b_i|^2 is NaN
+        b = np.ones((1, 2))
+        b[0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\|b_i\|\^2"):
+            ProblemSpec("quadratic-ridge", np.ones((1, 2, 2)), b, lam=0.1)
+
 
 def stats_spec(loss_kind="quadratic-ridge", n=6, **changes):
     """A spec built from the statistics of a random (3, 6, 4) quadratic
     instance, with any of H, h and b_sq replaced."""
     src = random_quad(3, 6, 4, lam=0.1)
-    H, h, b_sq = (changes.get(k, a.copy()) for k, a in problems.gram(src)._asdict().items())
+    H, h, b_sq = (changes.get(k, a.copy()) for k, a in src.stats._asdict().items())
     return ProblemSpec(
         loss_kind, lam=0.1, n=n, stats=problems.GramStats(H, h, b_sq), rows=src.rows
     )

@@ -15,6 +15,10 @@ from sonatasim.sonata import (
 )
 
 
+def ignore(t, comms, X, Y):
+    """An on_step that records nothing."""
+
+
 def cold_start(p):
     X0 = np.zeros((p.m, p.d))
     return X0, problems.batch_grads(p, X0)
@@ -58,7 +62,7 @@ class TestLocalSubproblem:
         Z = rng.standard_normal((p.m, p.d))
         Y = rng.standard_normal((p.m, p.d))
         grads = problems.batch_grads(p, X)
-        G = shifted_grads(p, X, delta, Z, grads)
+        G = shifted_grads(X, delta, Z, grads)
         out, ok, _ = sonata.LocalSolver(p, "F", beta, delta).solve(X, Y, G, Z, grads)
         assert ok
         x, z, g = X[i], Z[i], G[i]
@@ -113,7 +117,7 @@ class TestLocalSubproblem:
         beta, delta, tol = 0.7, 0.4, 1e-6
         X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
         grads = problems.batch_grads(p, X)
-        G = shifted_grads(p, X, delta, Z, grads)
+        G = shifted_grads(X, delta, Z, grads)
         monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", tol)
         monkeypatch.setattr(sonata, "FORCING", 0.0)
 
@@ -162,7 +166,7 @@ class TestLocalSubproblem:
         beta, delta, tol, forcing = 0.7, 0.4, 1e-6, sonata.FORCING
         X, Y, Z = (rng.standard_normal((m, d)) for _ in range(3))
         grads = problems.batch_grads(p, X)
-        G = shifted_grads(p, X, delta, Z, grads)
+        G = shifted_grads(X, delta, Z, grads)
         monkeypatch.setattr(sonata, "SUBPROBLEM_TOL", tol)
 
         def reference(c):
@@ -202,7 +206,7 @@ class TestLocalSubproblem:
             X, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
             {"X": X, "Y": Y}[poisoned][2, 1] = np.nan
             grads = problems.batch_grads(p, X)
-            G = shifted_grads(p, X, params.delta, Z, grads)
+            G = shifted_grads(X, params.delta, Z, grads)
             with pytest.raises(problems.DivergenceError, match="iteration 1$"):
                 solver.solve(X, Y, G, Z, grads)
 
@@ -248,7 +252,9 @@ class TestSonataRun:
         p = small_ridge
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
-        res = sonata_run(p, X0, Y0, 0, small_gossip, solver, Z=X0, grads0=Y0)
+        res = sonata_run(
+            p, X0, Y0, 0, small_gossip, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+        )
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
 
@@ -260,17 +266,23 @@ class TestSonataRun:
         )
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 1.0, 0.0)
-        res = sonata_run(p, X0, Y0, 8, small_gossip, solver, Z=X0, grads0=Y0)
+        res = sonata_run(
+            p, X0, Y0, 8, small_gossip, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+        )
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
     def test_comm_counting(self, small_ridge, small_gossip):
         p = small_ridge
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
-        res = sonata_run(p, X0, Y0, 7, small_gossip, solver, Z=X0, grads0=Y0, comms_start=3)
+        res = sonata_run(
+            p, X0, Y0, 7, small_gossip, solver, Z=X0, grads0=Y0, comms_start=3, on_step=ignore
+        )
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
-        res2 = sonata_run(p, X0, Y0, 7, doubled, solver, Z=X0, grads0=Y0)
+        res2 = sonata_run(
+            p, X0, Y0, 7, doubled, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+        )
         assert res2.comms == 14
 
     def test_single_agent_reduces_to_proximal_gradient(self):
@@ -281,7 +293,10 @@ class TestSonataRun:
         L_surr = problems.curvature(p).lmax[0]
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "L", L_surr, 0.0)
-        res = sonata_run(p, X0, Y0, 12, network.exact_averaging(1), solver, Z=X0, grads0=Y0)
+        res = sonata_run(
+            p, X0, Y0, 12, network.exact_averaging(1), solver,
+            Z=X0, grads0=Y0, comms_start=0, on_step=ignore,
+        )
         x = np.zeros(6)
         for _ in range(12):
             x = x - problems.local_grad(p, 0, x) / L_surr
@@ -295,7 +310,10 @@ class TestSonataRun:
         beta = 2.0
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", beta, 0.0)
-        res = sonata_run(p, X0, Y0, 9, network.exact_averaging(1), solver, Z=X0, grads0=Y0)
+        res = sonata_run(
+            p, X0, Y0, 9, network.exact_averaging(1), solver,
+            Z=X0, grads0=Y0, comms_start=0, on_step=ignore,
+        )
         H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
         x = np.zeros(6)
@@ -315,7 +333,7 @@ class TestSonataRun:
         Z = np.zeros((p.m, p.d))
         X0 = np.zeros((p.m, p.d))
         grads0 = problems.batch_grads(p, X0)
-        Y0 = shifted_grads(p, X0, delta, Z, grads0)
+        Y0 = shifted_grads(X0, delta, Z, grads0)
         oracle_k = diagnostics.centralized_solve(p, delta=delta, Z=Z)
         vals = [inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
         sonata_run(
@@ -327,6 +345,7 @@ class TestSonataRun:
             sonata.LocalSolver(p, "F", c.beta_hat, delta),
             Z=Z,
             grads0=grads0,
+            comms_start=0,
             on_step=lambda t, cm, X, Y: vals.append(
                 inner_potential(X, Y, c, "F", oracle_k)["total"]
             ),

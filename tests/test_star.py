@@ -21,7 +21,9 @@ class TestSonataStarEquivalence:
             g_avg = g_avg + delta * (x0 - z)
         Y0 = np.tile(g_avg, (m, 1))
         solver = sonata.LocalSolver(p, *surrogate, delta)
-        mesh = sonata.sonata_run(p, X0, Y0, T, W, solver, Z=Z, grads0=grads0)
+        mesh = sonata.sonata_run(
+            p, X0, Y0, T, W, solver, Z=Z, grads0=grads0, comms_start=0, on_step=lambda *_: None
+        )
         xs, comms = reference.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
 
@@ -63,10 +65,8 @@ class TestAccStarEquivalence:
             def on_outer_end(self, X, X_prev):
                 mesh_outer.append(X[0].copy())
 
-        # supply the hub-averaged gradient as the tracking start so the first
-        # inner correction matches the master/workers algorithm exactly
-        Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
-        accel.acc_sonata_run(p, replace(params, K_max=7), W, observer=Cap(), Y0=Y0)
+        # both runs take their first local step on each agent's own gradient
+        accel.acc_sonata_run(p, replace(params, K_max=7), W, observer=Cap())
 
         star_outer = []
         reference.acc_sonata_star_run(
@@ -93,8 +93,7 @@ class TestAccStarEquivalence:
             def on_outer_end(self, X, X_prev):
                 mesh_outer.append(X.copy())
 
-        Y0 = np.tile(problems.batch_grads(p, np.zeros((p.m, p.d))).mean(axis=0), (p.m, 1))
-        accel.acc_sonata_run(p, params, W, observer=Cap(), Y0=Y0)
+        accel.acc_sonata_run(p, params, W, observer=Cap())
         star_outer = []
         reference.acc_sonata_star_run(
             p,
