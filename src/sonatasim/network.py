@@ -6,23 +6,23 @@ Every operator built here is symmetric and doubly stochastic, and checks so
 when it is built; the algorithms apply it only through ``mix(X)``; one
 application models ``rounds_per_application`` physical communication rounds.
 A plain :class:`GossipMatrix` is built from ``W`` and that count alone,
-measures its eigenvalues (and from them its bulk and rho) on every build, and
-mixes as the product ``W @ X``.  Its ``W`` is a dense array, except for a
-Metropolis-Hastings matrix of a graph with more than :data:`DENSE_MAX_M`
-nodes that stores at most :data:`SPARSE_MAX_FILL` of its m^2 entries: that
-one is a scipy CSR array built from the edge list, and its spectrum is
-measured by Lanczos (:data:`LANCZOS_MAX_STEPS`, :data:`LANCZOS_TOL`), so no
-m x m array is formed on that path unless Lanczos does not converge (a long
-line, whose extreme eigenvalues cluster): then the spectrum is measured
-densely, as for a dense W.  Small graphs stay dense because dense BLAS is
-as fast there and needs no scipy; dense graphs stay dense because above
-that fill a CSR product is slower than a dense one.
+measures the two ends of its spectrum (its bulk, and from it rho) on every
+build, and mixes as the product ``W @ X``.  Its ``W`` is a dense array,
+except for a Metropolis-Hastings matrix of a graph with more than
+:data:`DENSE_MAX_M` nodes that stores at most :data:`SPARSE_MAX_FILL` of its
+m^2 entries: that one is a scipy CSR array built from the edge list, and its
+bulk is measured by Lanczos (:data:`LANCZOS_MAX_STEPS`, :data:`LANCZOS_TOL`),
+so no m x m array is formed on that path unless Lanczos does not converge (a
+long line, whose extreme eigenvalues cluster): then it is measured densely,
+as for a dense W.  Small graphs stay dense because dense BLAS is as fast
+there and needs no scipy; dense graphs stay dense because above that fill a
+CSR product is slower than a dense one.
 A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) is built on
 its base :class:`GossipMatrix`, keeps the affine 2 psi(W) in the base's own
 storage (dense or CSR) and applies the degree-M polynomial as M neighbour
 exchanges by the three-term recurrence, never forming the polynomial; its
-bulk interval comes from evaluating the polynomial on the base's measured
-eigenvalues, and a short Lanczos run on ``mix`` checks it.
+rho is the closed form 1 / T_M(psi(1)), which a short Lanczos run on
+``mix`` checks.
 scipy is imported only when a CSR matrix is built or accelerated.  Two
 operators are equal only when they are the same object.  The builders'
 limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
@@ -192,20 +192,21 @@ def _lanczos(apply, m: int, max_steps: int) -> tuple[np.ndarray, bool]:
     return theta, False
 
 
-def _spectrum(W) -> np.ndarray:
-    """Ascending eigenvalues of W - 11^T/m for a symmetric W with unit row
-    sums: its non-consensus eigenvalues, with the consensus one at 0.  The
-    largest magnitude is the spectral norm of W - 11^T/m.  A CSR W is
-    measured by :func:`_lanczos`: its Ritz values, whose two ends converge to
-    the spectrum's, and the 0; one whose run has not converged in
-    :data:`LANCZOS_MAX_STEPS` is measured by a dense ``eigvalsh`` instead."""
+def _spectrum(W) -> tuple[float, float]:
+    """The smallest and largest eigenvalues of W - 11^T/m for a symmetric W
+    with unit row sums, whose spectrum is W's non-consensus eigenvalues and
+    the consensus one at 0.  A CSR W is measured by :func:`_lanczos`: the
+    ends of its Ritz values, which converge to the spectrum's, and of the 0;
+    one whose run has not converged in :data:`LANCZOS_MAX_STEPS` is measured
+    by a dense ``eigvalsh`` instead."""
     m = W.shape[0]
     if not isinstance(W, np.ndarray):
         ritz, converged = _lanczos(W.__matmul__, m, LANCZOS_MAX_STEPS)
         if converged:
-            return np.sort(np.append(ritz, 0.0))
+            return min(float(ritz[0]), 0.0), max(float(ritz[-1]), 0.0)
         W = W.toarray()  # clustered ends (a long line, say): measured densely
-    return np.linalg.eigvalsh(W - 1.0 / m)
+    spectrum = np.linalg.eigvalsh(W - 1.0 / m)
+    return float(spectrum[0]), float(spectrum[-1])
 
 
 def _check_rounds(rounds) -> None:
@@ -217,13 +218,12 @@ def _check_rounds(rounds) -> None:
 @dataclass(eq=False)
 class GossipMatrix:
     """Symmetric mixing matrix with unit row sums (so doubly stochastic),
-    checked within :data:`DS_TOL`.  Its ``eigenvalues`` (those of
-    W - 11^T/m, ascending) are measured whenever it is built, a
-    ``dataclasses.replace`` included; its bulk interval [lo, hi] is their two
-    ends and its spectral deviation rho their largest magnitude.  ``W`` is a
-    dense array or a scipy CSR array; the eigenvalues of a CSR W are its
-    Lanczos Ritz values, ends included, unless Lanczos does not converge
-    (see :func:`_spectrum`).
+    checked within :data:`DS_TOL`.  Its ``bulk`` [lo, hi], the smallest and
+    largest eigenvalues of W - 11^T/m, is measured whenever it is built, a
+    ``dataclasses.replace`` included; its spectral deviation rho is their
+    larger magnitude.  ``W`` is a dense array or a scipy CSR array, whose
+    bulk is measured by Lanczos unless that does not converge (see
+    :func:`_spectrum`).
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
@@ -235,7 +235,7 @@ class GossipMatrix:
 
     W: np.ndarray | sparse.csr_array
     rounds_per_application: int = 1
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    bulk: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         _check_rounds(self.rounds_per_application)
@@ -246,17 +246,13 @@ class GossipMatrix:
             raise ValueError(f"matrix is not symmetric within {DS_TOL}")
         if not np.max(np.abs(self.W @ np.ones(self.m) - 1.0)) <= DS_TOL:
             raise ValueError(f"matrix rows do not sum to 1 within {DS_TOL}")
-        self.eigenvalues = _spectrum(self.W)
+        self.bulk = _spectrum(self.W)
         if not self.rho < 1:
             raise ValueError(f"rho must be < 1, got {self.rho}")
 
     @property
     def m(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def bulk(self) -> tuple[float, float]:
-        return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 
     @property
     def rho(self) -> float:
@@ -315,25 +311,22 @@ class ChebyshevGossip:
     T_{k+1} = 2 psi(W) T_k - T_{k-1}, one product per round, with
     2 psi(W) kept in the base's storage (a dense array or a CSR array).
 
-    ``bulk`` is the range of P_M over the base's eigenvalues of W - 11^T/m,
-    whose consensus entry (the one nearest 0) maps to 0, as P_M(1) - 1 does;
-    rho derives from it as for a :class:`GossipMatrix`.  ``scale`` is
-    T_M(psi(1)), so 1 / scale is the closed-form deviation.  Construction
-    raises :class:`TopologyError` if rho exceeds 1 / scale by 1e-8, if
-    ``mix`` moves the all-ones vector by :data:`DS_TOL`, or if a Ritz value
-    of ``mix`` on the complement of the ones vector, from
-    :data:`CHEB_CHECK_STEPS` Lanczos steps, exceeds 1 / scale by 1e-8 in
-    magnitude, or if any of these is NaN (T_M(psi(1)) overflows at a high
-    degree); and ``ValueError`` if ``rounds_per_application`` is not an
-    integer >= 1.  Ritz values never exceed the true spectrum, so the last
-    check catches a build whose deviation is clearly above the closed form,
-    at the cost of a few dozen applications.
+    ``scale`` is T_M(psi(1)), and rho is 1 / scale: |P_M| <= 1 / scale on
+    [lo, hi], with equality at both ends, which are measured eigenvalues.
+    Construction raises :class:`TopologyError` if ``scale`` is not finite
+    (T_M(psi(1)) overflows at a high degree), if ``mix`` moves the all-ones
+    vector by :data:`DS_TOL`, or if a Ritz value of ``mix`` on the
+    complement of the ones vector, from :data:`CHEB_CHECK_STEPS` Lanczos
+    steps, exceeds 1 / scale by 1e-8 in magnitude or is NaN; and
+    ``ValueError`` if ``rounds_per_application`` is not an integer >= 1.
+    Ritz values never exceed the true spectrum, so the last check catches a
+    build whose deviation is clearly above the closed form (a base whose
+    bulk was mismeasured, say), at the cost of a few dozen applications.
     """
 
     base: GossipMatrix
     M: int
     rounds_per_application: int
-    bulk: tuple[float, float] = field(init=False)
     scale: float = field(init=False)
 
     def __post_init__(self):
@@ -348,14 +341,9 @@ class ChebyshevGossip:
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         self._twice_psi = 2.0 * (2.0 * W - (hi + lo) * eye) / (hi - lo)
         self.scale = _cheb_scalars((2.0 - hi - lo) / (hi - lo), self.M)
-        spectrum = self.base.eigenvalues
-        values = _cheb_scalars((2.0 * spectrum - hi - lo) / (hi - lo), self.M) / self.scale
-        values[np.argmin(np.abs(spectrum))] = 0.0
-        self.bulk = (float(values.min()), float(values.max()))
-        if not self.rho <= 1.0 / self.scale + 1e-8:
+        if not np.isfinite(self.scale):
             raise TopologyError(
-                f"chebyshev build inconsistent: measured rho {self.rho} exceeds "
-                f"closed-form value {1.0 / self.scale}"
+                f"chebyshev build inconsistent: T_M(psi(1)) is {self.scale} at degree {self.M}"
             )
         ones = np.ones(self.m)
         drift = np.max(np.abs(self.mix(ones) - ones))
@@ -363,10 +351,10 @@ class ChebyshevGossip:
             raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
         ritz, _ = _lanczos(self.mix, self.m, CHEB_CHECK_STEPS)
         measured = np.max(np.abs(ritz))
-        if not measured <= 1.0 / self.scale + 1e-8:
+        if not measured <= self.rho + 1e-8:
             raise TopologyError(
                 f"chebyshev build inconsistent: mix has a Ritz value of magnitude "
-                f"{measured} above closed-form value {1.0 / self.scale}"
+                f"{measured} above closed-form value {self.rho}"
             )
 
     @property
@@ -375,7 +363,7 @@ class ChebyshevGossip:
 
     @property
     def rho(self) -> float:
-        return float(np.max(np.abs(self.bulk)))  # NaN if either end is
+        return 1.0 / self.scale
 
     def mix(self, X: np.ndarray) -> np.ndarray:
         """One application: M neighbour exchanges."""
@@ -396,10 +384,9 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     [lo, hi]: P_M(x) = T_M(psi(x)) / T_M(psi(1)) with the affine map psi taking
     [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
     the base, in the base's storage, or as a plain matrix when the bulk is
-    one point.  Its bulk interval is P_M on the base's eigenvalues
-    (:attr:`GossipMatrix.eigenvalues`), so the build decomposes nothing; the
-    operator checks that bulk, and a short Lanczos run on its own ``mix``,
-    against the closed form when it is built.
+    one point.  Its rho is the closed form 1 / T_M(psi(1)) on the base's
+    measured bulk, so the build decomposes nothing; a short Lanczos run on
+    the operator's own ``mix`` checks it when it is built.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -417,10 +404,11 @@ def rounds_for_target(base_rho: float, target_rho: float) -> int:
     accelerated deviation is <= target_rho.
 
     Uses the two-sided worst-case closed form 1 / T_M(1 / base_rho), the
-    deviation after degree-M acceleration of a bulk in [-rho, rho], so the
-    spectrally measured deviation of :func:`chebyshev_accelerate` meets the
-    target for any base with the given rho, whatever the sign pattern of its
-    bulk.  One running recurrence gives it for each M in turn.
+    deviation after degree-M acceleration of a bulk in [-rho, rho].  A bulk
+    [lo, hi] inside that interval gives a deviation no larger, so the
+    closed-form rho of :func:`chebyshev_accelerate` meets the target for any
+    base with the given rho, whatever the sign pattern of its bulk.  One
+    running recurrence gives it for each M in turn.
     """
     if not 0 <= target_rho < 1 or not 0 <= base_rho < 1:
         raise ValueError("rho values must lie in [0, 1)")
@@ -452,11 +440,9 @@ def line_rho_value(rho: float, m: int) -> float:
 
 def _line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:
     """W = I - L_{m,a}/(2+rho): line Laplacian whose first edge has weight 1-a."""
-    L = np.zeros((m, m))
-    for i in range(m - 1):
-        w = (1.0 - a) if i == 0 else 1.0  # first edge carries the weight parameter
-        L[i, i + 1] = -w
-        L[i + 1, i] = -w
+    w = np.ones(m - 1)
+    w[0] = 1.0 - a  # the first edge carries the weight parameter
+    L = np.diag(-w, 1) + np.diag(-w, -1)
     np.fill_diagonal(L, -L.sum(axis=1))
     return np.eye(m) - L / (2.0 + rho)
 

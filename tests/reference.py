@@ -79,6 +79,17 @@ def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
     return 1.0 / network._cheb_scalars(1.0 / base_rho, M)
 
 
+def line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:
+    """W = I - L_{m,a}/(2+rho), the Laplacian filled one edge at a time."""
+    L = np.zeros((m, m))
+    for i in range(m - 1):
+        w = (1.0 - a) if i == 0 else 1.0  # first edge carries the weight parameter
+        L[i, i + 1] = -w
+        L[i + 1, i] = -w
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return np.eye(m) - L / (2.0 + rho)
+
+
 def fit_contraction_factor(values) -> float:
     """Geometric fit: exp(slope of log(values) per iteration) over the tail half."""
     vals = np.asarray(values, dtype=float)

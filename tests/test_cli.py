@@ -358,11 +358,11 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     def test_chebyshev_inconsistency_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a polynomial built on a base measured at half its eigenvalues has a
-        # Ritz value above the closed form; the check raised a bare
+        # a polynomial built on a base whose bulk is measured at half its ends
+        # has a Ritz value above the closed form; the check raised a bare
         # AssertionError that escaped main
         true_spectrum = network._spectrum
-        monkeypatch.setattr(network, "_spectrum", lambda W: true_spectrum(W) / 2)
+        monkeypatch.setattr(network, "_spectrum", lambda W: tuple(e / 2 for e in true_spectrum(W)))
         cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 0.1})
         assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
@@ -377,13 +377,13 @@ class TestMainEntry:
         cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 1e-300})
         assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime failure: chebyshev build inconsistent")
+        assert err.startswith("runtime failure: chebyshev build inconsistent: T_M(psi(1)) is nan")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_line_gossip_bracket_failure_exit_1(self, capsys, monkeypatch):
         # a line matrix whose deviation sits above the target at every weight
-        monkeypatch.setattr(network, "_spectrum", lambda W: np.array([0.0, 0.999]))
+        monkeypatch.setattr(network, "_spectrum", lambda W: (0.0, 0.999))
         assert cli.main(["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: bracket failure") and "Traceback" not in err

@@ -200,7 +200,7 @@ class TestOperatorChecks:
     def test_rejects_a_nan_bulk(self, monkeypatch):
         # max(map(abs, bulk)) read 0.1 for the bulk (0.1, nan)
         W = metropolis_hastings(line_graph(4)).W
-        monkeypatch.setattr(network, "_spectrum", lambda W: np.array([0.1, np.nan]))
+        monkeypatch.setattr(network, "_spectrum", lambda W: (0.1, np.nan))
         with pytest.raises(ValueError, match="rho must be < 1, got nan"):
             GossipMatrix(W)
 
@@ -282,13 +282,13 @@ class TestChebyshev:
                         assert W[i, j] == 0.0
 
     def test_base_spectrum_is_not_decomposed_again(self, eigvalsh_shapes):
-        # the base's eigenvalues are read from the base, measured when it was
-        # built, and the result's bulk is the polynomial on them
+        # the base's bulk is read from the base, measured when it was built,
+        # and the result's rho is the closed form on it
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
         eigvalsh_shapes.clear()
         acc = chebyshev_accelerate(base, 4)
         assert eigvalsh_shapes == []
-        assert acc.rho == max(abs(acc.bulk[0]), abs(acc.bulk[1]))
+        assert acc.rho == 1 / acc.scale
 
     def test_replace_measures_the_matrix_again(self, eigvalsh_shapes):
         # replace is a rebuild: it decomposes W once, as a fresh build does
@@ -297,7 +297,6 @@ class TestChebyshev:
         doubled = dataclasses.replace(base, rounds_per_application=2)
         assert eigvalsh_shapes == [(20, 20)]
         fresh = GossipMatrix(base.W, 2)
-        np.testing.assert_array_equal(doubled.eigenvalues, fresh.eigenvalues)
         assert doubled.bulk == fresh.bulk and doubled.rho == fresh.rho
         assert doubled.rounds_per_application == 2
 
@@ -315,15 +314,30 @@ class TestChebyshev:
 
     def test_replaced_W_is_measured_again(self):
         # replace(W=...) used to keep the old bulk (-0.312, 0.624) and, with
-        # it, the old rho and eigenvalues
+        # it, the old rho
         mh = metropolis_hastings(erdos_renyi(14, 0.4, seed=6))
         lazy = 0.5 * (mh.W + np.eye(14))
         fresh = GossipMatrix(lazy)
         replaced = dataclasses.replace(mh, W=lazy)
         assert replaced.bulk == fresh.bulk and replaced.rho == fresh.rho
         assert replaced.bulk == pytest.approx((1.1e-16, 0.812), abs=1e-3)
-        np.testing.assert_array_equal(replaced.eigenvalues, fresh.eigenvalues)
-        assert chebyshev_accelerate(replaced, 3).bulk == chebyshev_accelerate(fresh, 3).bulk
+        assert chebyshev_accelerate(replaced, 3).rho == chebyshev_accelerate(fresh, 3).rho
+
+    def test_operators_hold_only_their_measured_numbers(self):
+        # the base kept all m eigenvalues (for a CSR W, its Ritz values), and
+        # the accelerated operator the polynomial on them as a second bulk
+        base = metropolis_hastings(erdos_renyi(20, 0.3, seed=1))
+        acc = chebyshev_accelerate(base, 3)
+        assert [f.name for f in dataclasses.fields(GossipMatrix)] == [
+            "W",
+            "rounds_per_application",
+            "bulk",
+        ]
+        assert [f.name for f in dataclasses.fields(acc) if not f.init] == ["scale"]
+        assert not hasattr(base, "eigenvalues") and not hasattr(acc, "bulk")
+        assert len(base.bulk) == 2 and all(type(end) is float for end in base.bulk)
+        held = {**vars(acc), **vars(base)}.values()
+        assert [v.shape for v in held if isinstance(v, np.ndarray)] == [(20, 20), (20, 20)]
 
     def test_operator_keeps_its_base_storage(self, small_graphs_sparse):
         g = erdos_renyi(40, 0.1, seed=2)
@@ -357,9 +371,9 @@ class TestChebyshev:
         assert np.max(np.abs(acc.mix(np.eye(m)) - dense)) <= 1e-12
         X = np.random.default_rng(seed).standard_normal((m, 3))
         assert np.max(np.abs(acc.mix(X) - dense @ X)) <= 1e-12
-        # the bulk evaluated on the base's eigenvalues is the dense matrix's
+        # the closed-form rho is the dense matrix's deviation
         fresh = np.linalg.eigvalsh(dense - np.full((m, m), 1.0 / m))
-        assert acc.bulk == pytest.approx((fresh[0], fresh[-1]), abs=1e-10)
+        assert acc.rho == pytest.approx(np.abs(fresh).max(), abs=1e-10)
 
     def test_plain_topologies_do_not_import_scipy(self):
         # importing scipy costs about 0.2 s and 20 MB; only a CSR matrix needs it
@@ -384,18 +398,19 @@ class TestChebyshev:
         assert proc.returncode == 0, proc.stderr
 
     def test_mix_is_measured_not_only_the_given_spectrum(self, monkeypatch):
-        # a base measured at half its eigenvalues passes the closed-form
-        # check; Lanczos on mix sees the true eigenvalues outside [lo, hi]
+        # a base whose bulk is measured at half its ends gets a closed-form
+        # rho below the truth; Lanczos on mix sees the eigenvalues outside
+        # [lo, hi]
         true_spectrum = network._spectrum
-        monkeypatch.setattr(network, "_spectrum", lambda W: true_spectrum(W) / 2)
+        monkeypatch.setattr(network, "_spectrum", lambda W: tuple(e / 2 for e in true_spectrum(W)))
         base = metropolis_hastings(erdos_renyi(40, 0.2, seed=3))
         with pytest.raises(network.TopologyError, match="Ritz value of magnitude"):
             chebyshev_accelerate(base, 3)
 
     def test_overflowing_degree_fails_its_check(self):
-        # T_M(psi(1)) overflows, so scale and rho are NaN
+        # T_M(psi(1)) overflows to NaN, which rho = 1 / scale would carry
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
-        with pytest.raises(network.TopologyError, match="measured rho nan"):
+        with pytest.raises(network.TopologyError, match=r"T_M\(psi\(1\)\) is nan at degree 5000"):
             chebyshev_accelerate(base, 5000)
 
     def test_point_bulk_collapses_to_averaging(self):
@@ -505,7 +520,7 @@ class TestSparsePath:
         csr = metropolis_hastings(g)
         assert not isinstance(csr.W, np.ndarray)
         assert eigvalsh_shapes == [(30, 30), (30, 30)]
-        assert np.max(np.abs(csr.eigenvalues - dense.eigenvalues)) <= 1e-12
+        assert csr.bulk == pytest.approx(dense.bulk, abs=1e-12)
 
     @pytest.mark.parametrize("target_rho", [None, 0.99])
     def test_long_line_builds_at_default_constants(self, target_rho, monkeypatch):
@@ -581,6 +596,13 @@ class TestLineGossip:
             m = line_gossip_for_rho(rho).m
             W0 = network._line_gossip_matrix(m, 0.0, rho)
             assert abs(fresh_rho(W0) - line_rho_value(rho, m)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 17, 181, 400])
+    def test_matrix_matches_per_edge_loop(self, m):
+        for a in (0.0, 0.3, 0.5, 1.0 - 1e-15):
+            for rho in (0.6, 0.9, 0.99):
+                got = network._line_gossip_matrix(m, a, rho)
+                assert got.tobytes() == reference.line_gossip_matrix(m, a, rho).tobytes()
 
     def test_hits_target_and_doubly_stochastic(self):
         for rho in (0.6, 0.9, 0.97):
