@@ -165,7 +165,7 @@ def _lanczos(apply, m: int, max_steps: int) -> tuple[np.ndarray, bool]:
     """Ritz values, ascending, of a symmetric operator that keeps the
     complement of the all-ones vector, restricted to that complement: at most
     ``max_steps`` Lanczos steps from a fixed start, fully reorthogonalised
-    and kept orthogonal to the ones vector.  Also returns whether the run
+    in two passes and kept orthogonal to the ones vector.  Also returns whether the run
     converged: both extreme Ritz pairs' residual bounds are at most
     :data:`LANCZOS_TOL`, tested every :data:`LANCZOS_BLOCK` steps, or the
     Krylov space is exhausted."""
@@ -178,7 +178,8 @@ def _lanczos(apply, m: int, max_steps: int) -> tuple[np.ndarray, bool]:
     for k in range(n):
         w = apply(Q[k])
         alpha[k] = Q[k] @ w
-        w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+        for _ in range(2):  # "twice is enough": one pass leaves rounding in Q's span
+            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
         w -= w.mean()
         beta[k] = np.linalg.norm(w)
         if (k + 1) % LANCZOS_BLOCK == 0 or k + 1 == n or beta[k] <= LANCZOS_TOL:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -426,6 +426,9 @@ class TestChebyshev:
         seed=st.integers(0, 2**16),
         M=st.integers(1, 6),
     )
+    # one reorthogonalisation pass in the Lanczos check on mix found a Ritz
+    # value above the closed form 0.00097 and raised TopologyError
+    @example(m=29, p=0.89453125, seed=31729, M=3)
     def test_random_graphs_stay_doubly_stochastic_within_closed_form(self, m, p, seed, M):
         base = metropolis_hastings(erdos_renyi(m, p, seed=seed))
         acc = chebyshev_accelerate(base, M)
