@@ -76,7 +76,7 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
+def load_config(path: str | None, overrides: dict | None) -> dict:
     cfg = DEFAULT_CONFIG
     if path is not None:
         try:
@@ -559,7 +559,6 @@ def lowerbound_check(mu: float, beta: float, rho_target: float, d: int, rounds: 
 def _add_common(parser):
     parser.add_argument("-c", "--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--output", help="override output directory")
 
 
 def _overrides_from_args(args) -> dict:
@@ -591,6 +590,7 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="single experiment -> trajectory CSV")
     _add_common(run_p)
+    run_p.add_argument("--output", help="override output directory")
     run_p.add_argument("--mode", choices=["F", "L"])
     run_p.add_argument("--k-max", dest="k_max", type=int)
     run_p.add_argument("--target-gap", dest="target_gap", type=float)
@@ -599,6 +599,7 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="scaling study -> summary CSV")
     _add_common(sweep_p)
+    sweep_p.add_argument("--output", help="override output directory")
     sweep_p.add_argument("--axis", required=True, choices=["beta_over_mu", "kappa"])
     sweep_p.add_argument("--points", required=True, help="comma-separated axis points")
     sweep_p.add_argument("--eps", dest="target_gap", type=float, help="algorithm.target_gap")

@@ -32,7 +32,7 @@ class ShiftedObjective:
     """u_k(x) = f(x) + delta/(2m) sum_i ||x - z_i||^2 + r(x), with fast batched
     evaluation (closed quadratic form when the loss has exact curvature)."""
 
-    def __init__(self, p: ProblemSpec, delta: float = 0.0, Z=None):
+    def __init__(self, p: ProblemSpec, delta: float, Z):
         self.p = p
         self.delta = float(delta)
         if Z is None:

@@ -44,7 +44,7 @@ def write_config(tmp_path, cfg):
 
 class TestRun:
     def test_outputs_and_metadata(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
+        cfg = load_config(write_config(tmp_path, base_config(tmp_path)), None)
         out = cli.output_path(cfg["output"])
         meta = execute_run(cfg, out)
         assert (out / "trajectory.csv").exists()
@@ -202,7 +202,7 @@ class TestConfigValidation:
         # the JSON block under "Config file" lists every field, each a valid value
         section = README.read_text().split("### Config file", 1)[1]
         example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
-        assert load_config(write_config(tmp_path, example)) == example
+        assert load_config(write_config(tmp_path, example), None) == example
 
     def test_exact_averaging_topology(self):
         W = cli.build_gossip(load_config(None, {"topology": {"kind": "exact_averaging"}}), 5)
@@ -261,6 +261,16 @@ class TestMainEntry:
         assert cli.main(["estimate-constants", "-c", path]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["mu_hat"] > 0
+
+    def test_estimate_constants_takes_no_output_exit_2(self, tmp_path, capsys):
+        # --output was accepted and ignored: exit 0, and nothing written there
+        path = write_config(tmp_path, base_config(tmp_path))
+        out = tmp_path / "constants"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate-constants", "-c", path, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --output" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -457,9 +467,9 @@ class TestMainEntry:
     )
     def test_two_problem_sources_exit_2(self, tmp_path, capsys, argv):
         # sweep used to take the synthetic block and exit 0
-        cfg = base_config(tmp_path, problem=TWO_SOURCES)
         out = tmp_path / "rejected"
-        assert cli.main([*argv, "-c", write_config(tmp_path, cfg), "--output", str(out)]) == 2
+        cfg = base_config(tmp_path, problem=TWO_SOURCES, output=str(out))
+        assert cli.main([*argv, "-c", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: problem: exactly one of 'synthetic' or 'dataset' required\n"
         assert not out.exists()

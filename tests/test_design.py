@@ -8,9 +8,13 @@ A change that adds or removes one edits :data:`DEFAULTED` and says why.
 """
 
 import ast
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sonatasim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sonatasim"
 
 DEFAULTED = {
     "accel.tune(delta)",
@@ -20,7 +24,6 @@ DEFAULTED = {
     "accel.acc_sonata_run(gap_fn)",
     "accel.acc_sonata_run(target_gap)",
     "cli._merge(path)",
-    "cli.load_config(overrides)",
     "cli._check_values(path)",
     "cli._json(indent)",
     "cli.main(argv)",
@@ -30,8 +33,6 @@ DEFAULTED = {
     "datagen.load_libsvm(seed)",
     "diagnostics.centralized_solve(delta)",
     "diagnostics.centralized_solve(Z)",
-    "diagnostics.ShiftedObjective.__init__(delta)",
-    "diagnostics.ShiftedObjective.__init__(Z)",
     "problems.ProblemSpec.__init__(A)",
     "problems.ProblemSpec.__init__(b)",
     "problems.ProblemSpec.__init__(reg)",
@@ -71,4 +72,31 @@ def test_defaulted_parameters_are_the_committed_list():
     assert len(found) == len(set(found))
     added, removed = sorted(set(found) - DEFAULTED), sorted(DEFAULTED - set(found))
     assert not added and not removed, f"added: {added}; removed: {removed}"
-    assert len(DEFAULTED) == 26
+    assert len(DEFAULTED) == 23
+
+
+def test_a_failing_property_test_does_not_abort_the_session(tmp_path):
+    # under the repo's filterwarnings = ["error"], hypothesis's report hook on
+    # a failing @given test raised a DeprecationWarning from mypy_extensions,
+    # and the session stopped with INTERNALERROR before running the next test
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert False\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

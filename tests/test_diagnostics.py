@@ -563,7 +563,7 @@ class TestShiftedObjective:
         X = np.zeros((p.m, p.d))
         X[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ShiftedObjective(p).values(X)
+            ShiftedObjective(p, 0.0, None).values(X)
 
     def test_stack_shape_checked(self):
         p = _problem("logistic", REGULARIZERS["zero"])

@@ -283,7 +283,7 @@ class TestGramMemo:
         p = make()
         problems.batch_grads(p, np.ones((p.m, p.d)))
         estimate_constants(p)
-        diagnostics.ShiftedObjective(p)
+        diagnostics.ShiftedObjective(p, 0.0, None)
         sonata.LocalSolver(p, "F", 1.0, 0.0)
         assert p.stats is None
 
