@@ -196,8 +196,9 @@ def acc_sonata_run(
     for k in range(params.K_max + 1):
         Y_warm = Y + delta * (Z_prev - Z)
         G = sonata.shifted_grads(X, delta, Z, grads)
-        drift = np.linalg.norm(Y_warm.mean(axis=0) - G.mean(axis=0))
-        scale = 1.0 + np.linalg.norm(G.mean(axis=0))
+        G_bar = G.mean(axis=0)
+        drift = np.linalg.norm(Y_warm.mean(axis=0) - G_bar)
+        scale = 1.0 + np.linalg.norm(G_bar)
         if not drift <= 1e-8 * scale:  # also catches a NaN drift
             raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
         if k == params.K_max or result.converged:

@@ -369,7 +369,8 @@ class ChebyshevGossip:
     def mix(self, X: np.ndarray) -> np.ndarray:
         """One application: M neighbour exchanges."""
         S = self._twice_psi
-        T_prev, T = X, 0.5 * (S @ X)
+        T_prev, T = X, S @ X
+        T *= 0.5
         for _ in range(self.M - 1):
             T_next = S @ T
             T_next -= T_prev

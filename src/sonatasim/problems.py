@@ -40,6 +40,10 @@ class DegenerateProblemError(InputError):
     """The problem has no usable strong convexity (mu_hat <= 0)."""
 
 
+class CurvatureOverflowError(InputError):
+    """The Hessian bounds of finite data overflow the float range."""
+
+
 class RuntimeFailure(RuntimeError):
     """A computation on accepted input failed; the CLI reports every subclass
     as a runtime failure with exit code 1."""
@@ -301,9 +305,14 @@ def local_grad(p: ProblemSpec, i: int, x) -> np.ndarray:
 def batch_grads(p: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Gradients of every agent at its own point: X is (m, d), result is (m, d)."""
     if p.stats is not None:  # H_i x_i - h_i + ridge * lam * x_i
-        return np.matmul(p.stats.H, X[:, :, None])[..., 0] - p.stats.h + p.loss.ridge * p.lam * X
-    dl = p.loss.deriv(np.matmul(p.A, X[:, :, None])[..., 0], p.b)  # (m, n)
-    return np.matmul(dl[:, None, :], p.A)[:, 0, :] / p.n + p.loss.ridge * p.lam * X
+        g = np.matmul(p.stats.H, X[:, :, None])[..., 0]
+        g -= p.stats.h
+    else:
+        dl = p.loss.deriv(np.matmul(p.A, X[:, :, None])[..., 0], p.b)  # (m, n)
+        g = np.matmul(dl[:, None, :], p.A)[:, 0, :]
+        g /= p.n
+    g += p.loss.ridge * p.lam * X
+    return g
 
 
 def average_value(p: ProblemSpec, X):
@@ -343,21 +352,34 @@ def r_value(p: ProblemSpec, X):
     return float(r) if X.ndim == 1 else r
 
 
+def check_step(step) -> None:
+    """A proximal step, or every entry of an array of steps, is > 0; a NaN is an error."""
+    if not np.all(np.asarray(step) > 0):
+        raise ValueError("step must be > 0")
+
+
 def prox_r(p: ProblemSpec, x, step) -> np.ndarray:
     """Proximal map of r with the given step: argmin_y r(y) + ||y - x||^2 / (2 step).
 
     Elementwise, so x may be a stack of points with step broadcast against it.
     """
-    if not np.all(np.asarray(step) > 0):
-        raise ValueError("step must be > 0")
-    x = np.asarray(x, dtype=float)
+    check_step(step)
+    return _prox_into(p, np.array(x, dtype=float), step)
+
+
+def _prox_into(p: ProblemSpec, x, step) -> np.ndarray:
+    """:func:`prox_r` of the float array x, whose steps the caller has checked,
+    written over x, which is returned (x itself for r = zero)."""
     reg = p.reg
-    if reg.kind == "zero":
-        return x.copy()
     if reg.kind == "l1":
-        thr = step * reg.weight
-        return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-    return np.clip(x, reg.lo, reg.hi)
+        shrunk = np.abs(x, out=np.empty_like(x))  # an array for a 0-d x too
+        shrunk -= step * reg.weight
+        np.maximum(shrunk, 0.0, out=shrunk)
+        np.sign(x, out=x)
+        x *= shrunk
+    elif reg.kind == "box":
+        np.clip(x, reg.lo, reg.hi, out=x)
+    return x
 
 
 def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int):
@@ -368,16 +390,18 @@ def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int
     mu_i-strongly convex s_i; grad(V) returns the (k, d) gradients of the s_i.
     A row freezes once its gradient mapping at the extrapolated point is at
     most tol, a scalar or a (k,) array of per-row tolerances.  Returns (X,
-    whether all rows converged, the largest iteration count); a non-finite
-    iterate raises DivergenceError.
+    whether all rows converged, the largest iteration count); a step that is
+    not > 0 raises ValueError before any gradient, a non-finite iterate
+    DivergenceError.
     """
+    check_step(steps)
     step = steps[:, None]
     theta = ((1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q)))[:, None]
     X = np.array(X0, dtype=float)
     V = X.copy()
     active = np.ones(len(X), dtype=bool)
     for it in range(max_iters):
-        X_next = prox_r(p, V - step * grad(V), step)
+        X_next = _prox_into(p, V - step * grad(V), step)
         if not np.all(np.isfinite(X_next)):
             raise DivergenceError(f"non-finite iterate at proximal-gradient iteration {it + 1}")
         move = np.linalg.norm(X_next - V, axis=1) / steps
@@ -414,10 +438,19 @@ class Curvature:
 
 
 def curvature(p: ProblemSpec) -> Curvature:
-    """The curvature summaries of p, memoized on p."""
+    """The curvature summaries of p, memoized on p.  Bounds that overflow
+    the float range, from finite but huge feature values, raise
+    :class:`CurvatureOverflowError`."""
     if p._curvature is None:
-        H = hessian_bounds(p)
-        H_bar = H.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = hessian_bounds(p)
+            H_bar = H.mean(axis=0)
+        # an inf or NaN anywhere in the stack reaches its mean
+        if not np.all(np.isfinite(H_bar)):
+            raise CurvatureOverflowError(
+                "the Hessian bounds overflow the float range: A_i^T A_i / n is not "
+                "finite; rescale the features"
+            )
         w = np.linalg.eigvalsh(H_bar)
         lmax = np.linalg.eigvalsh(H)[:, -1]
         H -= H_bar

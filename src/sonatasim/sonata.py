@@ -19,7 +19,11 @@ proximal term ("F"), and plain linearization with an L-sized proximal term
 (surrogate, shift delta, accuracy) and takes it for all m agents at once: a
 closed form, one proximal step, or accelerated proximal gradient on the whole
 stack.  The subproblems only read previous-round state, so results are
-identical to any parallel schedule.
+identical to any parallel schedule.  The solver checks its proximal steps
+once, when it is built, and a round writes only into arrays it creates: the
+local step applies the proximal map over the point it has just formed, and
+the gradients and the mixed tracker are assembled in place in their own new
+arrays, so no function changes an array it was given.
 
 The iterative local step is inexact by design: it stops agent i at
 max(SUBPROBLEM_TOL, FORCING * r0_i), where r0_i is the gradient mapping of
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import problems
-from .problems import ProblemSpec, prox_r
+from .problems import ProblemSpec
 
 # forcing term, tolerance floor and iteration cap of the iterative local step
 # (see the module docstring)
@@ -58,7 +62,10 @@ def shifted_grads(X: np.ndarray, delta: float, Z, grads) -> np.ndarray:
     """Gradients of f_i(x) + delta/2 ||x - z_i||^2 at each agent's own point,
     from its unshifted ``grads = problems.batch_grads(p, X)``."""
     if delta != 0.0:
-        return grads + delta * (X - Z)
+        S = X - Z
+        S *= delta
+        S += grads
+        return S
     return grads
 
 
@@ -91,8 +98,9 @@ class LocalSolver:
     :attr:`~sonatasim.accel.AccelParams.surrogate_weight`).  An iterative
     step stops agent i at max(SUBPROBLEM_TOL, FORCING * r0_i), r0_i the
     gradient mapping of its subproblem at the warm start x_i, or after
-    MAX_INNER_ITERS iterations; the three constants are read when the solver
-    is built.
+    MAX_INNER_ITERS iterations; the three constants are read, and the
+    proximal steps checked (:func:`problems.check_step`), when the solver is
+    built.
 
     Mode L is one proximal-gradient step on the whole stack.  Mode F on an
     exact-curvature loss with r = zero is the closed form
@@ -113,14 +121,15 @@ class LocalSolver:
         self.max_iters = MAX_INNER_ITERS
         self.forcing = FORCING
         self.K_inv = self.steps = None
-        if mode == "L":
-            return
-        if p.loss.exact and p.reg.kind == "zero":
+        if mode == "F" and p.loss.exact and p.reg.kind == "zero":
             K = problems.hessian_bounds(p)
             K += (delta + weight) * np.eye(p.d)
             self.K_inv = np.linalg.inv(K)
-        else:
-            self.steps = 1.0 / (problems.curvature(p).lmax + delta + weight)
+        else:  # mode L takes one step of 1/weight, mode F one per agent
+            self.steps = (
+                1.0 / weight if mode == "L" else 1.0 / (problems.curvature(p).lmax + delta + weight)
+            )
+            problems.check_step(self.steps)
 
     def solve(self, X, Y, G, Z, grads):
         """Local step from (m, d) stacks of points X, trackers Y, shifted local
@@ -129,14 +138,16 @@ class LocalSolver:
         the iterative step's first iterate is X, so it reads them rather than
         evaluating the gradients at X again."""
         if self.mode == "L":
-            step = 1.0 / self.weight
-            return prox_r(self.p, X - step * Y, step), True, 0
+            return problems._prox_into(self.p, X - self.steps * Y, self.steps), True, 0
         if self.K_inv is not None:
-            return X - np.einsum("mab,mb->ma", self.K_inv, Y), True, 0
+            V = np.einsum("mab,mb->ma", self.K_inv, Y)
+            return np.subtract(X, V, out=V), True, 0
         # at v = x_i the subproblem's gradient is y_i: the linear term
         # y_i - g_i cancels the shifted local gradient g_i
         step = self.steps[:, None]
-        r0 = np.linalg.norm(prox_r(self.p, X - step * Y, step) - X, axis=1) / self.steps
+        V = problems._prox_into(self.p, X - step * Y, step)
+        V -= X
+        r0 = np.linalg.norm(V, axis=1) / self.steps
         tol = np.maximum(self.tol, self.forcing * r0)
         return _prox_gradient_subproblem(
             self.p, X, Y, G, Z, self.weight, self.delta, self.steps, tol, self.max_iters, grads
@@ -152,7 +163,9 @@ def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float, Z):
     grads = problems.batch_grads(p, X_new)
     G_new = shifted_grads(X_new, delta, Z, grads)
     # associate as y + (difference): the correction is small near convergence
-    Y_new = W.mix(Y + (G_new - G))
+    D = G_new - G
+    D += Y
+    Y_new = W.mix(D)
     return X_new, Y_new, G_new, grads
 
 
@@ -185,8 +198,8 @@ def sonata_run(
     result carries the unshifted local gradients at its X, for a caller that
     shifts them toward new proximal centers.
     """
-    X = np.array(X0, dtype=float)
-    Y = np.array(Y0, dtype=float)
+    X = np.asarray(X0, dtype=float)
+    Y = np.asarray(Y0, dtype=float)
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
     grads = grads0

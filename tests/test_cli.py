@@ -440,6 +440,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error: largest feature index") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "estimate-constants"])
+    def test_overflowing_curvature_exit_2(self, tmp_path, capsys, command):
+        # a finite value of 1e200 overflowed A^T A / n: both commands printed
+        # RuntimeWarnings and exited 1 on "constants must satisfy 0 < mu <= L"
+        data = tmp_path / "huge.libsvm"
+        data.write_text("+1 1:0.5 2:0.1\n-1 1:1e200 2:0.7\n+1 1:0.9 2:0.3\n-1 1:0.4 2:0.8\n")
+        cfg = base_config(tmp_path, problem={"dataset": {"path": str(data), "m": 2, "lam": 0.1}})
+        assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: the Hessian bounds overflow") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -162,6 +162,30 @@ class TestProx:
         )
         assert prox_r(p, np.array([-3.0, 0.4, 7.0]), 2.0) == pytest.approx([0.0, 0.4, 1.0])
 
+    @pytest.mark.parametrize("reg", ["zero", "l1", "box"])
+    @pytest.mark.parametrize(
+        "step",
+        [0.0, -1.0, np.nan, np.array([[0.5], [np.nan], [0.5]])],
+        ids=["zero", "negative", "nan", "one-bad-row"],
+    )
+    def test_bad_step_rejected(self, rng, step, reg):
+        p = ProblemSpec(
+            "quadratic-ridge",
+            np.zeros((1, 1, 4)),
+            np.zeros((1, 1)),
+            lam=0.0,
+            reg={
+                "zero": Regularizer(),
+                "l1": Regularizer("l1", weight=0.8),
+                "box": Regularizer("box", lo=-1.0, hi=2.0),
+            }[reg],
+        )
+        x = rng.standard_normal((3, 4))
+        before = x.tobytes()
+        with pytest.raises(ValueError, match="step must be > 0"):
+            prox_r(p, x, step)
+        assert x.tobytes() == before
+
     @given(
         kind=st.sampled_from(["zero", "l1", "box"]),
         step=st.floats(0.01, 10.0),

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import hinge_problem
+from conftest import hinge_problem, logistic_problem
 from reference import admissible_rho, hessian_bound, inner_potential, tracking_gap
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
@@ -352,3 +352,121 @@ class TestSonataRun:
         )
         ratios = np.array(vals[1:]) / np.array(vals[:-1])
         assert ratios.max() <= 33.0 / 34.0 + 1e-6
+
+
+def unchanged_by(call, *inputs):
+    """call()'s result, asserting that it left every input array bit for bit
+    as it was."""
+    before = [a.tobytes() for a in inputs]
+    out = call()
+    assert [a.tobytes() for a in inputs] == before
+    return out
+
+
+REGULARIZERS = {
+    "zero": Regularizer(),
+    "l1": Regularizer("l1", weight=0.05),
+    "box": Regularizer("box", lo=-0.3, hi=0.3),
+}
+
+
+class TestInputsUnchanged:
+    """Every step of a round writes only into arrays it creates."""
+
+    @pytest.mark.parametrize("path", ["statistics", "rows"])
+    def test_batch_grads(self, small_ridge, rng, path):
+        p = small_ridge if path == "statistics" else logistic_problem()
+        assert (p.stats is not None) == (path == "statistics")
+        X = rng.standard_normal((p.m, p.d))
+        unchanged_by(lambda: problems.batch_grads(p, X), X)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_shifted_grads(self, small_ridge, rng, delta):
+        X, Z, grads = (rng.standard_normal((small_ridge.m, small_ridge.d)) for _ in range(3))
+        G = unchanged_by(lambda: shifted_grads(X, delta, Z, grads), X, Z, grads)
+        assert (G is grads) == (delta == 0.0)
+
+    @pytest.mark.parametrize("chebyshev", [False, True], ids=["dense", "chebyshev"])
+    def test_gossip_round(self, small_ridge, small_gossip, rng, chebyshev):
+        p = small_ridge
+        W = network.chebyshev_accelerate(small_gossip, 3) if chebyshev else small_gossip
+        assert isinstance(W, network.ChebyshevGossip) == chebyshev
+        X_half, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
+        G = shifted_grads(X_half, 0.5, Z, problems.batch_grads(p, X_half))
+        unchanged_by(lambda: gossip_round(X_half, Y, G, W, p, 0.5, Z), X_half, Y, G, Z)
+
+    @pytest.mark.parametrize("reg", list(REGULARIZERS))
+    @pytest.mark.parametrize("mode", ["L", "F"])
+    def test_local_step(self, small_ridge, rng, mode, reg):
+        p = dataclasses.replace(small_ridge, reg=REGULARIZERS[reg])
+        self._check_local_step(p, rng, mode)
+
+    def test_iterative_local_step_with_r_zero(self, rng):
+        # the iterative step's prox of r = zero is its argument itself
+        self._check_local_step(logistic_problem(), rng, "F")
+
+    @staticmethod
+    def _check_local_step(p, rng, mode):
+        X, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
+        grads = problems.batch_grads(p, X)
+        G = shifted_grads(X, 0.5, Z, grads)
+        solver = sonata.LocalSolver(p, mode, 40.0, 0.5)
+        unchanged_by(lambda: solver.solve(X, Y, G, Z, grads), X, Y, G, Z, grads)
+
+    @pytest.mark.parametrize("reg", ["zero", "l1"])
+    def test_prox_gradient(self, small_ridge, rng, reg):
+        p = dataclasses.replace(small_ridge, reg=REGULARIZERS[reg])
+        X0 = rng.standard_normal((p.m, p.d))
+        steps = 1.0 / (problems.curvature(p).lmax + 1.0)
+        tol = np.full(p.m, 1e-8)
+        # s_i = f_i + ||v||^2 / 2 is (at least) 1-strongly convex: q = steps
+        unchanged_by(
+            lambda: problems.prox_gradient(
+                p, lambda V: problems.batch_grads(p, V) + V, X0, steps, steps, tol, 50
+            ),
+            X0,
+            steps,
+            tol,
+        )
+
+    @pytest.mark.parametrize("mode", ["L", "F"])
+    def test_sonata_run_with_its_tracker_the_gradients(self, small_ridge, small_gossip, mode):
+        p = small_ridge
+        X0, grads0 = cold_start(p)
+        Z = np.ones((p.m, p.d))
+        solver = sonata.LocalSolver(p, mode, 40.0, 0.0)
+        unchanged_by(
+            lambda: sonata_run(
+                p, X0, grads0, 3, small_gossip, solver,
+                Z=Z, grads0=grads0, comms_start=0, on_step=ignore,
+            ),
+            X0,
+            grads0,
+            Z,
+        )
+
+
+class TestStepChecks:
+    """The local step's proximal steps are checked once, before any gradient."""
+
+    @pytest.fixture
+    def no_gradients(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a gradient was evaluated")
+
+        monkeypatch.setattr(problems, "batch_grads", evaluated)
+
+    @pytest.mark.parametrize("mode", ["L", "F"])
+    def test_infinite_weight_rejected_when_built(self, no_gradients, mode):
+        # a weight of inf makes every proximal step 0; mode F on a logistic
+        # loss takes the iterative step
+        with pytest.raises(ValueError, match="step must be > 0"):
+            sonata.LocalSolver(logistic_problem(), mode, np.inf, 0.0)
+
+    def test_nan_step_rejected_by_prox_gradient(self, small_ridge):
+        calls = []
+        X0 = np.zeros((2, small_ridge.d))
+        steps = np.array([0.1, np.nan])
+        with pytest.raises(ValueError, match="step must be > 0"):
+            problems.prox_gradient(small_ridge, calls.append, X0, steps, 0.01 * steps, 1e-8, 10)
+        assert not calls
