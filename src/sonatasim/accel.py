@@ -55,10 +55,10 @@ class AccelParams:
     def __post_init__(self):
         if self.mode not in ("F", "L"):
             raise ValueError("mode must be 'F' or 'L'")
-        if not (isinstance(self.T, int) and self.T >= 1 and self.delta >= 0):
-            raise ValueError(f"need integer T >= 1 and delta >= 0, got {self.T!r}, {self.delta!r}")
-        if not (isinstance(self.K_max, int) and self.K_max >= 0):
-            raise ValueError(f"K_max must be an integer >= 0, got {self.K_max!r}")
+        problems.check_int("T", self.T, 1)
+        problems.check_int("K_max", self.K_max, 0)
+        if not self.delta >= 0:
+            raise ValueError(f"need delta >= 0, got {self.delta!r}")
         if not (self.mu > 0 and self.weight > 0):
             raise ValueError("need mu > 0 and weight > 0")
 
@@ -122,7 +122,8 @@ class RunObserver:
 
     Each event receives what some observer reads:
 
-    - ``on_init(comms, X, Y)``: the start point and its tracking variable;
+    - ``on_init(X, Y)``: the start point and its tracking variable, where
+      the communication count is 0;
     - ``on_outer_start(X, Y_warm, Z)``: the warm start of an outer
       iteration and the extrapolation point its shifted problem is centered at;
     - ``on_inner_step(k, t, comms, X, Y)``: step t of outer iteration k and
@@ -130,7 +131,7 @@ class RunObserver:
     - ``on_outer_end(X, X_prev)``: the outer iterate and the one before it.
     """
 
-    def on_init(self, comms, X, Y):
+    def on_init(self, X, Y):
         pass
 
     def on_outer_start(self, X, Y_warm, Z):
@@ -145,7 +146,6 @@ class RunObserver:
 
 @dataclass
 class AccelResult:
-    X: np.ndarray
     K_done: int
     comms: int
     converged: bool
@@ -175,8 +175,8 @@ def acc_sonata_run(
     that seed Y at the start, then those of each inner loop's last gossip
     round, the final loop's included, whether the run stops at K_max or on
     its target.  Shifted toward the new centers, they check the tracking
-    identity (a violated or non-finite drift raises); unshifted, they seed
-    the next inner loop and its first local step.
+    identity (a violated or non-finite drift raises) and, with the
+    unshifted ones, seed the next inner loop and its first local step.
     """
     observer = observer or RunObserver()
     delta = params.delta
@@ -188,9 +188,8 @@ def acc_sonata_run(
 
     solver = params.local_solver(p)
 
-    comms = 0
-    observer.on_init(comms, X, Y)
-    result = AccelResult(X, 0, comms, False)
+    observer.on_init(X, Y)
+    result = AccelResult(0, 0, False)
 
     # boundary k checks the state that outer k - 1 left, the last one's too
     for k in range(params.K_max + 1):
@@ -214,10 +213,11 @@ def acc_sonata_run(
             solver,
             Z=Z,
             grads0=grads,
-            comms_start=comms,
+            G0=G,
+            comms_start=result.comms,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )
-        X_prev, X, Y, grads, comms = X, inner.X, inner.Y, inner.grads, inner.comms
+        X_prev, X, Y, grads, result.comms = X, inner.X, inner.Y, inner.grads, inner.comms
         result.subproblem_converged.append(all(inner.subproblem_converged))
 
         Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)
@@ -229,5 +229,4 @@ def acc_sonata_run(
             result.gaps.append(gap)
             result.converged = target_gap is not None and gap <= target_gap
 
-    result.X, result.comms = X, comms
     return result

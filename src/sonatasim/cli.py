@@ -140,7 +140,10 @@ def _write_json(path: Path, obj) -> None:
 
 def output_path(cfg_output: str) -> Path:
     """The output directory a config names, under SONATASIM_OUTPUT_DIR when
-    that is set and the name is relative; nothing is created."""
+    that is set and the name is relative; nothing is created.  An empty name
+    is a ConfigError: it would write into the working directory."""
+    if not cfg_output:
+        raise ConfigError("output: the output directory is an empty path")
     base = os.environ.get("SONATASIM_OUTPUT_DIR")
     path = Path(cfg_output)
     if base and not path.is_absolute():
@@ -565,7 +568,7 @@ def _overrides_from_args(args) -> dict:
     over: dict = {}
     if getattr(args, "seed", None) is not None:
         over["seed"] = args.seed
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         over["output"] = args.output
     alg = {}
     for name in ("mode", "K_max", "target_gap"):
@@ -635,9 +638,9 @@ def main(argv=None) -> int:
             print(_json({"output": str(out_dir), "rows": rows}))
             return 0
         if args.command == "lowerbound-check":
+            out_dir = None if args.output is None else output_path(args.output)
             report = lowerbound_check(args.mu, args.beta, args.rho, args.d, args.rounds)
-            if args.output:
-                out_dir = output_path(args.output)
+            if out_dir is not None:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 _write_json(out_dir / "lowerbound.json", report)
             summary = {k: v for k, v in report.items() if k != "max_index_per_round"}

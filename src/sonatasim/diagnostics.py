@@ -262,8 +262,8 @@ class TrajectoryBuilder(RunObserver):
             X_prev, X, self.params.alpha, self.params.mu, e_prev_final, self.oracle, self._sub
         )
 
-    def on_init(self, comms, X, Y):
-        self._row(0, 0, comms, X, Y)
+    def on_init(self, X, Y):
+        self._row(0, 0, 0, X, Y)
         self._outer_potential(X, X, 0.0)
 
     def on_outer_start(self, X, Y_warm, Z):
@@ -306,8 +306,8 @@ class CommsToAccuracy(RunObserver):
                 self.comms = comms[hit[0]]
         self.gap = float(gaps[-1])
 
-    def on_init(self, comms, X, Y):
-        self._record(optimality_gap(self.p, X[None], self.oracle), [comms])
+    def on_init(self, X, Y):
+        self._record(optimality_gap(self.p, X[None], self.oracle), [0])
 
     def on_inner_step(self, k, t, comms, X, Y):
         self._X.append(X)

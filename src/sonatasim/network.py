@@ -210,12 +210,6 @@ def _spectrum(W) -> tuple[float, float]:
     return float(spectrum[0]), float(spectrum[-1])
 
 
-def _check_rounds(rounds) -> None:
-    # a float count (1.5, NaN) would make every run's comms a float
-    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or not rounds >= 1:
-        raise ValueError(f"rounds_per_application must be >= 1 and an integer, got {rounds!r}")
-
-
 @dataclass(eq=False)
 class GossipMatrix:
     """Symmetric mixing matrix with unit row sums (so doubly stochastic),
@@ -228,10 +222,10 @@ class GossipMatrix:
 
     ``rounds_per_application`` is what one iteration of the algorithms costs:
     the number of physical communication rounds that one ``mix`` stands for
-    (the polynomial degree in a :class:`ChebyshevGossip`), an integer >= 1.
-    The algorithms count communication from this field alone, so a different
-    accounting is a W built with a different value, e.g. doubled to count
-    half-duplex rounds.
+    (a :class:`ChebyshevGossip`'s is its degree times its base's), an integer
+    >= 1.  The algorithms count communication from this field alone, so a
+    different accounting is a W built with a different value, e.g. doubled to
+    count half-duplex rounds (a Chebyshev operator's base doubled).
     """
 
     W: np.ndarray | sparse.csr_array
@@ -239,7 +233,7 @@ class GossipMatrix:
     bulk: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        _check_rounds(self.rounds_per_application)
+        check_int("rounds_per_application", self.rounds_per_application, 1)
         if not hasattr(self.W, "tocsr"):  # a scipy sparse W is kept as given
             self.W = np.asarray(self.W, dtype=float)
         # written `not x <= tol` so that a NaN fails each check
@@ -319,7 +313,7 @@ class ChebyshevGossip:
     vector by :data:`DS_TOL`, or if a Ritz value of ``mix`` on the
     complement of the ones vector, from :data:`CHEB_CHECK_STEPS` Lanczos
     steps, exceeds 1 / scale by 1e-8 in magnitude or is NaN; and
-    ``ValueError`` if ``rounds_per_application`` is not an integer >= 1.
+    ``ValueError``, before any mix, if M is not an integer >= 1.
     Ritz values never exceed the true spectrum, so the last check catches a
     build whose deviation is clearly above the closed form (a base whose
     bulk was mismeasured, say), at the cost of a few dozen applications.
@@ -327,11 +321,10 @@ class ChebyshevGossip:
 
     base: GossipMatrix
     M: int
-    rounds_per_application: int
     scale: float = field(init=False)
 
     def __post_init__(self):
-        _check_rounds(self.rounds_per_application)
+        check_int("M", self.M, 1)
         (lo, hi), W = self.base.bulk, self.base.W
         if isinstance(W, np.ndarray):
             eye = np.eye(self.m)
@@ -366,6 +359,10 @@ class ChebyshevGossip:
     def rho(self) -> float:
         return 1.0 / self.scale
 
+    @property
+    def rounds_per_application(self) -> int:
+        return self.M * self.base.rounds_per_application
+
     def mix(self, X: np.ndarray) -> np.ndarray:
         """One application: M neighbour exchanges."""
         S = self._twice_psi
@@ -390,15 +387,14 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     measured bulk, so the build decomposes nothing; a short Lanczos run on
     the operator's own ``mix`` checks it when it is built.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_int("M", M, 1)
     lo, hi = base.bulk
     if hi - lo < 1e-13:
         # bulk collapsed to a point c: the affine (W - cI)/(1 - c) zeroes it
         c = 0.5 * (hi + lo)
         W = (base.W - c * np.eye(base.m)) / (1.0 - c)
         return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
-    return ChebyshevGossip(base, M, M * base.rounds_per_application)
+    return ChebyshevGossip(base, M)
 
 
 def rounds_for_target(base_rho: float, target_rho: float) -> int:

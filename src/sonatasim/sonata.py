@@ -179,6 +179,7 @@ def sonata_run(
     *,
     Z,
     grads0,
+    G0,
     comms_start: int,
     on_step,
 ) -> SonataResult:
@@ -189,8 +190,9 @@ def sonata_run(
 
     Y0 is supplied by the caller: a cold start uses the shifted local
     gradients at X0, the accelerated outer loop supplies its warm restart.
-    ``grads0`` is ``problems.batch_grads(p, X0)``, which the caller holds,
-    and the count starts at ``comms_start``.
+    ``grads0`` is ``problems.batch_grads(p, X0)`` and ``G0`` their
+    :func:`shifted_grads`, both held by the caller, and the count starts at
+    ``comms_start``.
     Each iterate's unshifted local gradients are evaluated once, at the
     start or in the gossip round that mixed it, and serve both its shifted
     gradients and the first iterate of its local step.
@@ -202,8 +204,7 @@ def sonata_run(
     Y = np.asarray(Y0, dtype=float)
     if X.shape != (p.m, p.d) or Y.shape != X.shape:
         raise ValueError("X0 and Y0 must be (m, d)")
-    grads = grads0
-    G = shifted_grads(X, solver.delta, Z, grads)
+    G, grads = G0, grads0
 
     comms = comms_start
     converged = []

@@ -93,6 +93,13 @@ class TestTune:
         with pytest.raises(ValueError, match=field):
             tune(c, "F", **{field: value})
 
+    @pytest.mark.parametrize("field", ["T", "K_max"])
+    def test_counts_reject_booleans(self, field):
+        # isinstance(True, int) holds, so T=True and K_max=True were accepted
+        params = AccelParams("F", 1.0, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(params, **{field: True})
+
     def test_local_solver_carries_run_settings(self, small_ridge, small_ridge_constants):
         params = tune(small_ridge_constants, "L")
         solver = params.local_solver(small_ridge)
@@ -176,6 +183,7 @@ class TestAccSonataRun:
             params.local_solver(p),
             Z=X0,
             grads0=Y0,
+            G0=Y0,
             comms_start=0,
             on_step=lambda t, cm, X, Y: plain.append(np.array(X)),
         )
@@ -230,6 +238,24 @@ class TestAccSonataRun:
         monkeypatch.setattr(problems, "batch_grads", counting)
         acc_sonata_run(small_ridge, params, small_gossip)
         assert len(calls) == 1 + params.K_max * params.T
+
+    @pytest.mark.parametrize("mode", ["F", "L"])
+    def test_shifted_gradients_once_per_boundary_and_round(
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch, mode
+    ):
+        # the inner loop starts from the shifted gradients the boundary
+        # checked; it used to shift them again, 2 K + 1 + K T calls in all
+        params = replace(tune(small_ridge_constants, mode), K_max=5)
+        shifted_grads, calls = sonata.shifted_grads, []
+
+        def counting(*args):
+            calls.append(1)
+            return shifted_grads(*args)
+
+        monkeypatch.setattr(sonata, "shifted_grads", counting)
+        res = acc_sonata_run(small_ridge, params, small_gossip)
+        assert res.K_done == 5
+        assert len(calls) == (res.K_done + 1) + res.K_done * params.T
 
     def test_comm_counter_is_k_times_t_times_rounds(
         self, small_ridge, small_ridge_constants, small_gossip

@@ -239,7 +239,10 @@ class TestReadmeLibraryCode:
 
     @pytest.mark.parametrize("target_rho", [None, 0.1], ids=["plain", "chebyshev"])
     def test_accounting_recipe_doubles_the_rounds(self, target_rho):
-        recipe = re.search(r"`(dataclasses\.replace\(W,.*?)`", self.SECTION, re.S).group(1)
+        # a plain matrix doubles its own count, a Chebyshev operator its base's
+        recipes = re.findall(r"`(dataclasses\.replace\(W,.*?)`", self.SECTION, re.S)
+        assert len(recipes) == 2
+        recipe = recipes[target_rho is not None]
         W = network.metropolis_hastings(network.erdos_renyi(12, 0.4, seed=3))
         if target_rho is not None:
             W = network.chebyshev_accelerate(W, network.rounds_for_target(W.rho, target_rho))
@@ -471,6 +474,41 @@ class TestMainEntry:
         assert cli.main([*argv, "-c", write_config(tmp_path, cfg), "--output", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["sweep", "--axis", "beta_over_mu", "--points", "100"],
+            ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"],
+        ],
+        ids=["run", "sweep", "lowerbound-check"],
+    )
+    def test_empty_output_flag_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # run and sweep ignored --output "" and wrote into the config's
+        # output, and lowerbound-check wrote nothing; each exited 0
+        monkeypatch.chdir(tmp_path)
+        if argv[0] != "lowerbound-check":
+            argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        assert cli.main([*argv, "--output", ""]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: output: the output directory is an empty path\n"
+        assert not {"out", "lowerbound.json"} & {f.name for f in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--axis", "beta_over_mu", "--points", "100"]],
+        ids=["run", "sweep"],
+    )
+    def test_empty_output_in_config_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # "output": "" wrote trajectory.csv, metadata.json and summary.csv
+        # into the working directory, where a sweep overwrote a run's metadata
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, base_config(tmp_path, output=""))
+        assert cli.main([*argv, "-c", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: output: the output directory is an empty path\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,13 +1,18 @@
-"""Design lint: the library's defaulted function parameters are a committed
-list, so a default added for one caller (or for the tests alone) shows up
-as a failing test that names it, and one removed shows up as a stale entry.
+"""Design lint: the library's defaulted function parameters and settable
+fields are committed lists, so a default or a field added for one caller
+(or for the tests alone) shows up as a failing test that names it, and one
+removed shows up as a stale entry.
 
 Counted over ``src/sonatasim/*.py`` by the AST: every positional or keyword
-parameter with a default, of every ``def`` (methods included, lambdas not).
-A change that adds or removes one edits :data:`DEFAULTED` and says why.
+parameter with a default, of every ``def`` (methods included, lambdas not),
+and every init field of every dataclass and NamedTuple (an annotated class
+attribute that is not ``field(init=False)``).  A change that adds or
+removes one edits :data:`DEFAULTED` or :data:`FIELDS` and says why.
 """
 
 import ast
+import dataclasses
+import importlib
 import shutil
 import subprocess
 import sys
@@ -73,6 +78,104 @@ def test_defaulted_parameters_are_the_committed_list():
     added, removed = sorted(set(found) - DEFAULTED), sorted(DEFAULTED - set(found))
     assert not added and not removed, f"added: {added}; removed: {removed}"
     assert len(DEFAULTED) == 23
+
+
+FIELDS = {
+    "accel.AccelParams": ("mode", "delta", "T", "mu", "weight", "K_max"),
+    "accel.AccelResult": ("K_done", "comms", "converged", "gaps", "subproblem_converged"),
+    "datagen.SyntheticRidgeConfig": ("m", "n", "d", "mu0", "L0", "lam", "noise_std", "seed"),
+    "diagnostics.Oracle": ("x_star", "u_star", "objective"),
+    "diagnostics.TrajRow": (
+        "k", "t", "comms", "gap", "consensus_err", "tracking_err", "g_plus_e", "P_k",
+    ),
+    "diagnostics.Trajectory": ("rows",),
+    "network.Graph": ("m", "edges"),
+    "network.GossipMatrix": ("W", "rounds_per_application"),
+    "network.ChebyshevGossip": ("base", "M"),
+    "problems.Regularizer": ("kind", "weight", "lo", "hi"),
+    "problems.GramStats": ("H", "h", "b_sq"),
+    "problems.ProblemSpec": ("loss_kind", "lam", "reg", "meta", "n", "stats", "rows"),
+    "problems.Loss": ("value_into", "deriv", "cap", "ridge", "exact"),
+    "problems.Curvature": ("H_bar", "H_bar_min", "H_bar_max", "lmax", "beta"),
+    "problems.Constants": ("mu_hat", "L_hat", "Lmx_hat", "beta_hat"),
+    "sonata.SonataResult": ("X", "Y", "comms", "subproblem_converged", "grads"),
+}
+
+
+def _name(node) -> str | None:
+    """The last name of a Name, an Attribute or a Call of either."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _init_false(value) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and _name(value) == "field"
+        and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        )
+    )
+
+
+def _settable(node, prefix):
+    """('prefix.Class', init field names) of every dataclass and NamedTuple in node."""
+    for child in ast.walk(node):
+        if not isinstance(child, ast.ClassDef):
+            continue
+        if not (
+            any(_name(d) == "dataclass" for d in child.decorator_list)
+            or any(_name(b) == "NamedTuple" for b in child.bases)
+        ):
+            continue
+        yield f"{prefix}.{child.name}", tuple(
+            stmt.target.id
+            for stmt in child.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and _name(stmt.annotation) != "ClassVar"
+            and not _init_false(stmt.value)
+        )
+
+
+def settable_fields() -> dict[str, tuple]:
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        out.update(_settable(ast.parse(path.read_text()), path.stem))
+    return out
+
+
+def test_settable_fields_are_the_committed_set():
+    found = settable_fields()
+    added = sorted(
+        f"{cls}.{name}" for cls, names in found.items() for name in names
+        if name not in FIELDS.get(cls, ())
+    )
+    removed = sorted(
+        f"{cls}.{name}" for cls, names in FIELDS.items() for name in names
+        if name not in found.get(cls, ())
+    )
+    assert not added and not removed, f"added: {added}; removed: {removed}"
+    assert found == FIELDS  # the order too: it is the positional signature
+
+
+def test_the_ast_count_matches_the_classes():
+    # a class or field the AST misses (a decorator spelled another way, say)
+    # would leave the committed set blind to it
+    runtime = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"sonatasim.{path.stem}".removesuffix(".__init__"))
+        for name, obj in vars(module).items():
+            if not (isinstance(obj, type) and obj.__module__ == module.__name__):
+                continue
+            if dataclasses.is_dataclass(obj):
+                runtime[f"{path.stem}.{name}"] = tuple(
+                    f.name for f in dataclasses.fields(obj) if f.init
+                )
+            elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                runtime[f"{path.stem}.{name}"] = obj._fields
+    assert settable_fields() == runtime
 
 
 def test_a_failing_property_test_does_not_abort_the_session(tmp_path):

@@ -269,7 +269,7 @@ class TestCommsToAccuracyObserver:
     def test_non_finite_gap_raises(self, small_ridge):
         counter = CommsToAccuracy(small_ridge, centralized_solve(small_ridge), 1e-4)
         X = np.zeros((small_ridge.m, small_ridge.d))
-        counter.on_init(0, X, X)
+        counter.on_init(X, X)
         counter.on_inner_step(0, 1, 1, X + np.inf, X)
         with np.errstate(invalid="ignore"):
             with pytest.raises(problems.DivergenceError, match="non-finite optimality gap"):

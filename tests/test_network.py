@@ -14,6 +14,7 @@ from scipy import sparse
 import reference
 from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.network import (
+    ChebyshevGossip,
     Graph,
     GossipMatrix,
     InstanceTooLargeError,
@@ -209,6 +210,8 @@ class TestOperatorChecks:
         W = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         if M is not None:
             W = chebyshev_accelerate(W, M)
+        # a Chebyshev operator's count is its degree times its base's
+        count = "rounds_per_application" if M is None else "M"
 
         def unmeasured(*args):
             raise AssertionError("measured before the count was checked")
@@ -217,8 +220,8 @@ class TestOperatorChecks:
         monkeypatch.setattr(network, "_spectrum", unmeasured)
         monkeypatch.setattr(network, "_lanczos", unmeasured)
         for bad in (0, 1.5, float("nan")):
-            with pytest.raises(ValueError, match="rounds_per_application must be >= 1"):
-                dataclasses.replace(W, rounds_per_application=bad)
+            with pytest.raises(ValueError, match=f"{count} must be an integer >= 1"):
+                dataclasses.replace(W, **{count: bad})
 
     @pytest.mark.parametrize("M", [None, 3], ids=["plain", "chebyshev"])
     def test_equality_is_identity(self, M):
@@ -249,6 +252,35 @@ class TestChebyshev:
             ones = np.ones(12)
             assert np.max(np.abs(acc.mix(np.eye(12)) @ ones - ones)) <= 1e-12
             assert acc.rounds_per_application == M
+
+    def test_round_count_is_degree_times_base_count(self):
+        # ChebyshevGossip(W, 3, 1) was accepted and charged one round for
+        # three neighbour exchanges
+        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
+        acc = ChebyshevGossip(base, 3)
+        assert acc.rounds_per_application == 3
+        doubled = ChebyshevGossip(dataclasses.replace(base, rounds_per_application=2), 3)
+        assert doubled.rounds_per_application == 6
+        assert dataclasses.replace(acc, M=5).rounds_per_application == 5
+        assert dataclasses.replace(doubled, M=5).rounds_per_application == 10
+
+    def test_degree_is_checked_before_any_mix(self, monkeypatch):
+        # ChebyshevGossip(W, 0) was accepted, and chebyshev_accelerate of a
+        # one-point bulk at degree 2.5 returned a plain matrix
+        base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
+
+        def unmixed(*args):
+            raise AssertionError("mixed before the degree was checked")
+
+        monkeypatch.setattr(ChebyshevGossip, "mix", unmixed)
+        monkeypatch.setattr(network, "_lanczos", unmixed)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+                ChebyshevGossip(base, bad)
+            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+                chebyshev_accelerate(base, bad)
+            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+                chebyshev_accelerate(exact_averaging(5), bad)
 
     def test_never_increases_rho(self):
         base = metropolis_hastings(erdos_renyi(10, 0.5, seed=8))

@@ -253,7 +253,8 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
         res = sonata_run(
-            p, X0, Y0, 0, small_gossip, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+            p, X0, Y0, 0, small_gossip, solver,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
         )
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
@@ -267,7 +268,8 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 1.0, 0.0)
         res = sonata_run(
-            p, X0, Y0, 8, small_gossip, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+            p, X0, Y0, 8, small_gossip, solver,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
         )
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
@@ -276,12 +278,14 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
         res = sonata_run(
-            p, X0, Y0, 7, small_gossip, solver, Z=X0, grads0=Y0, comms_start=3, on_step=ignore
+            p, X0, Y0, 7, small_gossip, solver,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=3, on_step=ignore,
         )
         assert res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
         res2 = sonata_run(
-            p, X0, Y0, 7, doubled, solver, Z=X0, grads0=Y0, comms_start=0, on_step=ignore
+            p, X0, Y0, 7, doubled, solver,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
         )
         assert res2.comms == 14
 
@@ -295,7 +299,7 @@ class TestSonataRun:
         solver = sonata.LocalSolver(p, "L", L_surr, 0.0)
         res = sonata_run(
             p, X0, Y0, 12, network.exact_averaging(1), solver,
-            Z=X0, grads0=Y0, comms_start=0, on_step=ignore,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
         )
         x = np.zeros(6)
         for _ in range(12):
@@ -312,7 +316,7 @@ class TestSonataRun:
         solver = sonata.LocalSolver(p, "F", beta, 0.0)
         res = sonata_run(
             p, X0, Y0, 9, network.exact_averaging(1), solver,
-            Z=X0, grads0=Y0, comms_start=0, on_step=ignore,
+            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
         )
         H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
@@ -345,6 +349,7 @@ class TestSonataRun:
             sonata.LocalSolver(p, "F", c.beta_hat, delta),
             Z=Z,
             grads0=grads0,
+            G0=Y0,
             comms_start=0,
             on_step=lambda t, cm, X, Y: vals.append(
                 inner_potential(X, Y, c, "F", oracle_k)["total"]
@@ -438,7 +443,7 @@ class TestInputsUnchanged:
         unchanged_by(
             lambda: sonata_run(
                 p, X0, grads0, 3, small_gossip, solver,
-                Z=Z, grads0=grads0, comms_start=0, on_step=ignore,
+                Z=Z, grads0=grads0, G0=grads0, comms_start=0, on_step=ignore,
             ),
             X0,
             grads0,
