@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import GramStats, InputError, ProblemSpec, check_int
+from .problems import LOSSES, GramStats, InputError, ProblemSpec, check_dense, check_int
 
 DEFAULT_NOISE_STD = float(np.sqrt(0.1))
 _MAX_INDEX = 2**63 - 1  # a feature index is stored as an int64
@@ -64,6 +63,7 @@ class SyntheticRidgeConfig:
 
 def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator):
     """Sigma^(1/2) with eigenvalues uniform in [mu0, L0] and Haar-ish basis from QR."""
+    check_dense(InputError, "the covariance draw", cfg.d, cfg.d)
     eigs = rng.uniform(cfg.mu0, cfg.L0, size=cfg.d)
     Q, _ = np.linalg.qr(rng.standard_normal((cfg.d, cfg.d)))
     root = (Q * np.sqrt(eigs)) @ Q.T
@@ -80,6 +80,7 @@ def _chunk(cfg: SyntheticRidgeConfig, features, noise, k: int, root, x_star):
 def _draw_rows(cfg: SyntheticRidgeConfig, streams, root, x_star):
     """Every agent's rows, stacked (m, n, d), and labels (m, n): its stream
     holds the n*d feature normals, then the n noise normals."""
+    check_dense(InputError, "the stack of generated rows", cfg.m, cfg.n, cfg.d)
     A = np.empty((cfg.m, cfg.n, cfg.d))
     b = np.empty((cfg.m, cfg.n))
     for i, stream in enumerate(streams):
@@ -126,6 +127,7 @@ def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
     if cfg.d > cfg.n:
         A, b = rows()
         return ProblemSpec("quadratic-ridge", A, b, lam=cfg.lam, meta=meta)
+    check_dense(InputError, "the stack of Gram statistics", cfg.m, cfg.d, cfg.d)
     stats = [_agent_stats(cfg, stream, root, x_star) for stream in streams[1:]]
     return ProblemSpec(
         "quadratic-ridge",
@@ -184,16 +186,19 @@ def load_libsvm(
 
     Every line must parse, with a finite label and finite values, or a
     LibsvmParseError names it; a repeated index keeps its last value, and a
-    dense matrix larger than physical memory is refused.  Keeps the first
-    ``limit`` samples (post-parse, pre-shuffle) when given: the lines past
-    them are validated but not kept.  Drops the remainder of an uneven split
-    so every agent holds the same n.
+    dense matrix larger than physical memory is refused.  A classification
+    loss maps the two label values to -1 and +1; ``quadratic-ridge`` keeps
+    the labels as read.  Keeps the first ``limit`` samples (post-parse,
+    pre-shuffle) when given: the lines past them are validated but not kept.
+    Drops the remainder of an uneven split so every agent holds the same n.
 
     Besides the dense (m, n, d) result the reader holds one float per stored
     value of the kept lines, and a run of lines sharing an index list holds
     that list once; the values are scattered :data:`SCATTER_ROWS` lines at a
     time straight into their shuffled rows of the result.
     """
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss kind {loss!r}")
     check_int("m", m, 1)
     check_int("seed", seed, 0)
     if limit is not None:
@@ -252,11 +257,10 @@ def load_libsvm(
     d = int(index.max()) if len(index) else 0
     if d == 0:
         raise LibsvmParseError("no features found in file")
-    nbytes = N * d * 8  # Python ints: no overflow
-    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        size = f"{N} x {d} matrix of {nbytes / 2**30:.4g} GiB"
-        raise LibsvmParseError(f"largest feature index {d} needs a dense {size}, more than memory")
-    labels = _map_labels(np.frombuffer(labels))
+    check_dense(LibsvmParseError, f"largest feature index {d}", N, d)
+    labels = np.frombuffer(labels)
+    if not LOSSES[loss].exact:  # a classification loss: labels +/-1
+        labels = _map_labels(labels)
 
     order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(N)
     n = N // m

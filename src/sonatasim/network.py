@@ -31,12 +31,13 @@ limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, RuntimeFailure, check_int
+from .problems import InputError, ProblemSpec, RuntimeFailure, check_dense, check_int
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -290,12 +291,13 @@ def exact_averaging(m: int) -> GossipMatrix:
     return GossipMatrix(np.full((m, m), 1.0 / m))
 
 
-def _cheb_scalars(z: float, M: int) -> float:
-    """T_M(z), M >= 1, by the three-term recurrence (z any real, or an array)."""
+def _chebyshev(z):
+    """T_1(z), T_2(z), ... without end, by the three-term recurrence
+    T_{k+1}(z) = 2 z T_k(z) - T_{k-1}(z) from T_0 = 1 (z any real, or an array)."""
     t_prev, t = 1.0, z
-    for _ in range(M - 1):
+    while True:
+        yield t
         t_prev, t = t, 2.0 * z * t - t_prev
-    return t
 
 
 @dataclass(eq=False)
@@ -334,7 +336,8 @@ class ChebyshevGossip:
             eye = sparse.identity(self.m, format="csr")
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         self._twice_psi = 2.0 * (2.0 * W - (hi + lo) * eye) / (hi - lo)
-        self.scale = _cheb_scalars((2.0 - hi - lo) / (hi - lo), self.M)
+        z = (2.0 - hi - lo) / (hi - lo)  # psi(1)
+        self.scale = next(itertools.islice(_chebyshev(z), self.M - 1, None))
         if not np.isfinite(self.scale):
             raise TopologyError(
                 f"chebyshev build inconsistent: T_M(psi(1)) is {self.scale} at degree {self.M}"
@@ -414,12 +417,9 @@ def rounds_for_target(base_rho: float, target_rho: float) -> int:
         return 1
     if target_rho == 0.0:
         raise UnreachableTargetError("only exact averaging achieves rho = 0")
-    z = 1.0 / base_rho
-    t_prev, t = 1.0, z  # T_0(z), T_1(z)
-    for M in range(1, MAX_ROUNDS + 1):
+    for M, t in zip(range(1, MAX_ROUNDS + 1), _chebyshev(1.0 / base_rho)):
         if 1.0 / t <= target_rho:
             return M
-        t_prev, t = t, 2.0 * z * t - t_prev
     raise UnreachableTargetError(f"target {target_rho} not reached within {MAX_ROUNDS} rounds")
 
 
@@ -535,6 +535,7 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
     scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
 
     n = d
+    check_dense(InputError, "the stack of split-quadratic rows", m, n, d)
     A = np.zeros((m, n, d))
     b = np.zeros((m, n))
     # each class's Gram matrix S^T S / n is scale * _pair_coupling

@@ -16,8 +16,10 @@ from multiple workers.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +53,22 @@ class RuntimeFailure(RuntimeError):
 
 class DivergenceError(RuntimeFailure):
     """An iterate became non-finite or a run invariant was violated."""
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the most one dense array may take."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_dense(error: type[InputError], what: str, *shape: int) -> None:
+    """Raise error, before a dense float array of this shape is allocated,
+    if it would be larger than physical memory; the message names the array
+    by ``what`` and gives its size."""
+    nbytes = 8 * math.prod(shape)  # Python ints: no overflow
+    if nbytes > _physical_memory():
+        kind = "matrix" if len(shape) == 2 else "array"
+        size = f"{' x '.join(map(str, shape))} {kind} of {nbytes / 2**30:.4g} GiB"
+        raise error(f"{what} needs a dense {size}, more than memory")
 
 
 @dataclass(frozen=True)
@@ -97,8 +115,9 @@ class ProblemSpec:
     loss with d <= n, from the statistics ``stats`` and ``n`` with a
     ``rows`` callable that returns (A, b), the same arrays on every call,
     so a generated instance draws its rows only when they are first read.
-    ``p.A`` and ``p.b`` read ``rows()``; m, n and d are read from the
-    statistics when the spec holds them and from ``A`` otherwise.
+    ``p.A`` and ``p.b`` read ``rows()``; m and d are fixed with n at
+    construction, from the statistics when the spec holds them (its rows
+    are not read for them) and from ``A`` otherwise.
     ``dataclasses.replace`` shares the statistics and the rows.  Every agent
     has identical n and d by construction.  ``meta`` carries generator
     side-information (planted solution, covariance spectrum) and never
@@ -118,6 +137,9 @@ class ProblemSpec:
     n: int
     stats: GramStats | None
     rows: Callable[[], tuple[np.ndarray, np.ndarray]]
+    # not init fields: dataclasses.replace passes every init field to __init__
+    m: int = field(init=False)
+    d: int = field(init=False)
 
     def __init__(
         self,
@@ -167,6 +189,9 @@ class ProblemSpec:
                 raise ValueError("|b_i|^2 must be >= 0")
             for a in stats:
                 a.flags.writeable = False
+            self.m, self.d = stats.h.shape
+        else:
+            self.m, _, self.d = rows()[0].shape
         self.stats = stats
         self._curvature = None
 
@@ -179,26 +204,14 @@ class ProblemSpec:
         return self.rows()[1]
 
     @property
-    def m(self) -> int:
-        return len(self.stats.h) if self.stats is not None else self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.stats.h.shape[1] if self.stats is not None else self.A.shape[2]
-
-    @property
     def loss(self) -> Loss:
         return LOSSES[self.loss_kind]
 
 
-def smooth_hinge(t):
-    """Smoothed hinge loss: 0 past margin 1, quadratic on [0, 1], linear below 0."""
-    return _smooth_hinge_into(np.array(t, dtype=float))
-
-
 def _smooth_hinge_into(t):
-    """:func:`smooth_hinge` of the float array t, written over t, which is
-    returned; one more array of t's size holds the quadratic piece.
+    """Smoothed hinge loss of the float array t: 0 past margin 1, quadratic
+    on [0, 1], linear below 0, written over t, which is returned; one more
+    array of t's size holds the quadratic piece.
 
     Evaluated without branches as 0.5 * (clip(t, 0, 1) - 1)^2 + max(-t, 0),
     which is each piece to the bit: the quadratic one plus +0 on [0, 1],
@@ -215,7 +228,8 @@ def _smooth_hinge_into(t):
 
 
 def smooth_hinge_deriv(t):
-    """Derivative of :func:`smooth_hinge`; continuous at the knots 0 and 1."""
+    """Derivative of the smoothed hinge loss (:func:`_smooth_hinge_into`);
+    continuous at the knots 0 and 1."""
     t = np.asarray(t, dtype=float)
     return np.where(t > 1.0, 0.0, np.where(t < 0.0, -1.0, t - 1.0))
 
@@ -248,7 +262,7 @@ class Loss:
     Hessian is bounded by H_i = cap * A_i^T A_i / n + ridge * lam * I, with
     equality when ``exact`` is set.  ``value_into(t, b)`` writes the values
     over t, a float array of the full shape that the caller owns, and returns
-    it; :meth:`value` leaves t alone.
+    it.
     """
 
     value_into: Callable  # elementwise loss value, in place
@@ -256,10 +270,6 @@ class Loss:
     cap: float  # bound on the second derivative in t
     ridge: float
     exact: bool
-
-    def value(self, t, b):
-        """The elementwise loss value at predictions t and labels b."""
-        return self.value_into(np.array(t, dtype=float), b)
 
 
 # Labels enter the classification losses through the margin b * t.
@@ -358,18 +368,12 @@ def check_step(step) -> None:
         raise ValueError("step must be > 0")
 
 
-def prox_r(p: ProblemSpec, x, step) -> np.ndarray:
-    """Proximal map of r with the given step: argmin_y r(y) + ||y - x||^2 / (2 step).
-
-    Elementwise, so x may be a stack of points with step broadcast against it.
-    """
-    check_step(step)
-    return _prox_into(p, np.array(x, dtype=float), step)
-
-
 def _prox_into(p: ProblemSpec, x, step) -> np.ndarray:
-    """:func:`prox_r` of the float array x, whose steps the caller has checked,
-    written over x, which is returned (x itself for r = zero)."""
+    """Proximal map of r with the given step, argmin_y r(y) + ||y - x||^2 /
+    (2 step), of the float array x, whose steps the caller has checked
+    (:func:`check_step`), written over x, which is returned (x itself for
+    r = zero).  Elementwise, so x may be a stack of points with step
+    broadcast against it."""
     reg = p.reg
     if reg.kind == "l1":
         shrunk = np.abs(x, out=np.empty_like(x))  # an array for a 0-d x too
@@ -416,6 +420,7 @@ def prox_gradient(p: ProblemSpec, grad, X0, steps, q, tol: float, max_iters: int
 def hessian_bounds(p: ProblemSpec) -> np.ndarray:
     """All m Hessian bounds stacked (m, d, d), a new array on every call;
     callers must not keep it on p."""
+    check_dense(InputError, "the stack of Hessian bounds", p.m, p.d, p.d)
     ridge = p.loss.ridge * p.lam * np.eye(p.d)
     if p.stats is not None:  # the statistics are read-only
         return p.stats.H + ridge

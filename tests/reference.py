@@ -8,6 +8,7 @@ computation; no ``sonatasim`` command runs any of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from sonatasim.sonata import LocalSolver, shifted_grads
 def local_value(p: ProblemSpec, i: int, x) -> float:
     """Value of agent i's local loss f_i at x."""
     x = problems._check_point(x, p.d)
-    loss = p.loss.value(p.A[i] @ x, p.b[i])
+    loss = p.loss.value_into(p.A[i] @ x, p.b[i])  # the predictions are this call's own
     return float(loss.mean() + 0.5 * p.loss.ridge * p.lam * (x @ x))
 
 
@@ -76,7 +77,7 @@ def inner_potential(X, Y, constants: Constants, mode: str, oracle_k: Oracle) -> 
 
 def chebyshev_bound_two_sided(base_rho: float, M: int) -> float:
     """Worst-case deviation after degree-M acceleration of a bulk in [-rho, rho]."""
-    return 1.0 / network._cheb_scalars(1.0 / base_rho, M)
+    return 1.0 / next(itertools.islice(network._chebyshev(1.0 / base_rho), M - 1, None))
 
 
 def line_gossip_matrix(m: int, a: float, rho: float) -> np.ndarray:

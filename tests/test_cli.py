@@ -443,6 +443,79 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error: largest feature index") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "problem,message",
+        [
+            (
+                {"synthetic": {"m": 2, "n": 3, "d": 800}},
+                "the covariance draw needs a dense 800 x 800 matrix",
+            ),
+            (
+                {"synthetic": {"m": 800, "n": 4, "d": 200}},
+                "the stack of generated rows needs a dense 800 x 4 x 200 array",
+            ),
+            (
+                {"synthetic": {"m": 300, "n": 100, "d": 50}},
+                "the stack of Gram statistics needs a dense 300 x 50 x 50 array",
+            ),
+            (
+                {"dataset": {"index": 1000}},
+                "the stack of Hessian bounds needs a dense 2 x 1000 x 1000 array",
+            ),
+            (
+                {"dataset": {"index": 200000}},
+                "largest feature index 200000 needs a dense 4 x 200000 matrix of 0.00596 GiB",
+            ),
+        ],
+        ids=["covariance", "rows", "statistics", "curvature", "libsvm-rows"],
+    )
+    @pytest.mark.parametrize("command", ["run", "estimate-constants"])
+    def test_oversized_instance_exit_2(
+        self, tmp_path, capsys, monkeypatch, command, problem, message
+    ):
+        # each instance ended in a numpy MemoryError traceback (exit 1) once
+        # its array was larger than memory; here memory is 4 MiB and every
+        # array an instance needs before the one named is smaller than that
+        monkeypatch.setattr(problems, "_physical_memory", lambda: 4 << 20)
+        if "dataset" in problem:
+            index = problem["dataset"]["index"]
+            data = tmp_path / "wide.libsvm"
+            data.write_text(f"+1 1:0.5\n-1 {index}:1\n+1 2:0.3\n-1 1:0.4\n")
+            problem = {"dataset": {"path": str(data), "m": 2, "lam": 0.1}}
+        cfg = base_config(tmp_path, problem=problem)
+        assert cli.main([command, "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {message}") and "more than memory" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_oversized_lowerbound_instance_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the split-quadratic rows at rho 0.9 (5 agents) and d = 400 are 6.4 MB
+        monkeypatch.setattr(problems, "_physical_memory", lambda: 4 << 20)
+        argv = ["lowerbound-check", "--rho", "0.9", "--d", "400", "--output", str(tmp_path / "lb")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "input error: the stack of split-quadratic rows needs a dense 5 x 400 x 400 array"
+        )
+        assert "Traceback" not in err and not (tmp_path / "lb").exists()
+
+    def test_ridge_runs_on_regression_targets(self, tmp_path):
+        # load_libsvm mapped every file's labels to +/-1, and these exited 2
+        data = tmp_path / "targets.libsvm"
+        data.write_text("1.5 1:1.0 2:0.2\n-0.7 1:2.0\n2.25 2:3.0\n0.3 1:4.0 2:-1.0\n")
+        dataset = {"path": str(data), "m": 2, "loss": "quadratic-ridge", "lam": 0.1}
+        cfg = base_config(tmp_path, problem={"dataset": dataset})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_unknown_loss_is_a_config_error(self, tmp_path, capsys):
+        # checked before the labels are mapped, which look the loss up
+        dataset = dict(DATASET, m=4, loss="hinge")
+        cfg = base_config(tmp_path, problem={"dataset": dataset})
+        assert cli.main(["estimate-constants", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: problem.dataset: unknown loss kind 'hinge'\n"
+
     @pytest.mark.parametrize("command", ["run", "estimate-constants"])
     def test_overflowing_curvature_exit_2(self, tmp_path, capsys, command):
         # a finite value of 1e200 overflowed A^T A / n: both commands printed

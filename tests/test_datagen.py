@@ -386,6 +386,22 @@ class TestLoadLibsvm:
         with pytest.raises(LibsvmParseError, match="cannot map labels"):
             load_libsvm(f, m=1, lam=0.1)
 
+    def test_ridge_keeps_regression_targets(self, tmp_path):
+        # quadratic-ridge refused them with "cannot map labels" (exit 2)
+        f = tmp_path / "targets.txt"
+        f.write_text("1.5 1:1.0 2:0.2\n-0.7 1:2.0\n2.25 2:3.0\n0.3 1:4.0 2:-1.0\n")
+        p = load_libsvm(f, m=2, loss="quadratic-ridge", lam=0.1)
+        assert sorted(p.b.ravel()) == [-0.7, 0.3, 1.5, 2.25]
+
+    def test_ridge_fits_zero_one_labels_as_read(self, tmp_path):
+        # a {0, 1} file was fitted against -1/+1 targets
+        f = tmp_path / "labels.txt"
+        f.write_text("0 1:1.0\n1 1:2.0\n1 1:3.0\n0 1:4.0\n")
+        p = load_libsvm(f, m=1, loss="quadratic-ridge", lam=0.1)
+        assert sorted(p.b[0]) == [0.0, 0.0, 1.0, 1.0]
+        p = load_libsvm(f, m=1, loss="logistic", lam=0.1)
+        assert sorted(p.b[0]) == [-1.0, -1.0, 1.0, 1.0]
+
     def test_fixture_loads_and_estimates(self):
         p = load_libsvm(FIXTURE, m=5, lam=0.05)
         assert p.m == 5 and p.n == 40 and p.d == 12

@@ -8,9 +8,15 @@ parameter with a default, of every ``def`` (methods included, lambdas not),
 and every init field of every dataclass and NamedTuple (an annotated class
 attribute that is not ``field(init=False)``).  A change that adds or
 removes one edits :data:`DEFAULTED` or :data:`FIELDS` and says why.
+
+Every public function in ``src/sonatasim/*.py`` is referenced somewhere
+else in ``src/``, by name or attribute, and every public method by
+attribute, so that no library code exists for the tests alone;
+:data:`UNCALLED` lists the exceptions, each with its reason.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib
 import shutil
@@ -176,6 +182,86 @@ def test_the_ast_count_matches_the_classes():
             elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
                 runtime[f"{path.stem}.{name}"] = obj._fields
     assert settable_fields() == runtime
+
+
+# Public functions and methods that no library code calls, each with the
+# reason it stays.
+UNCALLED = {
+    # bench/tracing.py wraps it by name; it goes with the tracer's rework
+    # (ROADMAP item 1, slice B)
+    "problems.local_grad",
+}
+
+
+def _public_defs(tree, module):
+    """(qualified name, def node, whether a method) of each public function
+    at module level and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item, True
+
+
+def _references(node) -> tuple[collections.Counter, collections.Counter]:
+    """How often each name is read as a Name, and each as an Attribute, in node."""
+    names, attrs = collections.Counter(), collections.Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            attrs[child.attr] += 1
+    return names, attrs
+
+
+def uncalled_definitions() -> list[str]:
+    """Public functions referenced nowhere in src/ but their own body, by
+    name or attribute, and public methods referenced by no attribute there."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    names, attrs = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        n, a = _references(tree)
+        names += n
+        attrs += a
+    out = []
+    for module, tree in trees.items():
+        for qualname, node, method in _public_defs(tree, module):
+            own_names, own_attrs = _references(node)
+            used = attrs[node.name] - own_attrs[node.name]
+            if not method:
+                used += names[node.name] - own_names[node.name]
+            if used == 0:
+                out.append(qualname)
+    return out
+
+
+def test_every_public_function_has_a_library_caller():
+    found = set(uncalled_definitions())
+    added, stale = sorted(found - UNCALLED), sorted(UNCALLED - found)
+    assert not added and not stale, f"uncalled: {added}; called or gone: {stale}"
+
+
+def test_the_caller_check_sees_an_uncalled_function_and_method(tmp_path, monkeypatch):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "def lonely():\n"
+        "    return lonely()\n"
+        "\n"
+        "class K:\n"
+        "    def called(self):\n"
+        "        return used()\n"
+        "\n"
+        "    def lonely(self):\n"
+        "        return K().called()\n"
+    )
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    # a function that only calls itself and a method named like a function
+    # that is called by name only are both uncalled
+    assert uncalled_definitions() == ["mod.lonely", "mod.K.lonely"]
 
 
 def test_a_failing_property_test_does_not_abort_the_session(tmp_path):

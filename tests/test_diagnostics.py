@@ -100,7 +100,9 @@ class TestCentralizedSolve:
         # fixed point of the proximal-gradient map
         L = np.linalg.eigvalsh(problems.curvature(p).H_bar)[-1]
         step = 1.0 / L
-        moved = problems.prox_r(p, oracle.x_star - step * oracle.objective.grad(oracle.x_star), step)
+        moved = problems._prox_into(
+            p, oracle.x_star - step * oracle.objective.grad(oracle.x_star), step
+        )
         assert np.linalg.norm(moved - oracle.x_star) * L <= 1e-9
 
     def test_shifted_solve_matches_prox_update(self, small_ridge):

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import classification_problem, hinge_problem, logistic_problem, traced_peak
 from reference import hessian_bound, local_value
-from sonatasim import diagnostics, problems, sonata
+from sonatasim import datagen, diagnostics, problems, sonata
 from sonatasim.problems import (
     DegenerateProblemError,
     ProblemSpec,
     Regularizer,
     estimate_constants,
     local_grad,
-    prox_r,
-    smooth_hinge,
     smooth_hinge_deriv,
 )
 
@@ -57,9 +55,10 @@ class TestLocalValue:
 
 class TestSmoothHinge:
     def test_pieces(self):
-        assert smooth_hinge(1.5) == 0.0
-        assert smooth_hinge(-1.0) == pytest.approx(1.5)
-        assert smooth_hinge(0.5) == pytest.approx(0.125)
+        past, below, quadratic = problems._smooth_hinge_into(np.array([1.5, -1.0, 0.5]))
+        assert past == 0.0
+        assert below == pytest.approx(1.5)
+        assert quadratic == pytest.approx(0.125)
 
     def test_derivative_continuous_at_knots(self):
         eps = 1e-12
@@ -72,7 +71,7 @@ class TestSmoothHinge:
         # second difference quotients on a grid stay in [0, 1]
         t = np.linspace(-3, 3, 1201)
         h = t[1] - t[0]
-        vals = smooth_hinge(t)
+        vals = problems._smooth_hinge_into(t.copy())
         second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
         assert second.min() >= -1e-9
         assert second.max() <= 1.0 + 1e-9
@@ -139,7 +138,7 @@ class TestRegularizer:
 class TestProx:
     def test_zero_is_identity(self, small_ridge, rng):
         x = rng.standard_normal(small_ridge.d)
-        assert prox_r(small_ridge, x, 0.7) == pytest.approx(x)
+        assert problems._prox_into(small_ridge, x.copy(), 0.7) == pytest.approx(x)
 
     def test_l1_soft_threshold(self):
         p = ProblemSpec(
@@ -149,7 +148,7 @@ class TestProx:
             lam=1.0,
             reg=Regularizer("l1", weight=1.0),
         )
-        out = prox_r(p, np.array([2.0, -0.5]), 1.0)
+        out = problems._prox_into(p, np.array([2.0, -0.5]), 1.0)
         assert out == pytest.approx([1.0, 0.0])
 
     def test_box_clamp(self):
@@ -160,7 +159,8 @@ class TestProx:
             lam=1.0,
             reg=Regularizer("box", lo=0.0, hi=1.0),
         )
-        assert prox_r(p, np.array([-3.0, 0.4, 7.0]), 2.0) == pytest.approx([0.0, 0.4, 1.0])
+        got = problems._prox_into(p, np.array([-3.0, 0.4, 7.0]), 2.0)
+        assert got == pytest.approx([0.0, 0.4, 1.0])
 
     @pytest.mark.parametrize("reg", ["zero", "l1", "box"])
     @pytest.mark.parametrize(
@@ -180,10 +180,17 @@ class TestProx:
                 "box": Regularizer("box", lo=-1.0, hi=2.0),
             }[reg],
         )
+        with pytest.raises(ValueError, match="step must be > 0"):
+            problems.check_step(step)
+        # the proximal-gradient solver checks its steps before any gradient
         x = rng.standard_normal((3, 4))
         before = x.tobytes()
+
+        def grad(V):
+            raise AssertionError("gradient evaluated")
+
         with pytest.raises(ValueError, match="step must be > 0"):
-            prox_r(p, x, step)
+            problems.prox_gradient(p, grad, x, step, np.full(3, 0.5), 1e-8, 10)
         assert x.tobytes() == before
 
     @given(
@@ -203,7 +210,8 @@ class TestProx:
             "quadratic-ridge", np.zeros((1, 1, 4)), np.zeros((1, 1)), lam=0.0, reg=reg
         )
         x, y = np.array(data), np.array(data2)
-        lhs = np.linalg.norm(prox_r(p, x, step) - prox_r(p, y, step))
+        px, py = (problems._prox_into(p, v.copy(), step) for v in (x, y))
+        lhs = np.linalg.norm(px - py)
         assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -270,6 +278,29 @@ NO_GRAM = {
     "hinge": hinge_problem,
     "logistic": logistic_problem,
 }
+
+
+class TestShape:
+    """m and d are fixed with n when a spec is built."""
+
+    @pytest.mark.parametrize("make", [lambda: random_quad(4, 5, 8, lam=0.3), hinge_problem])
+    def test_rows_spec(self, make):
+        p = make()
+        assert (p.m, p.n, p.d) == p.A.shape
+
+    def test_generated_spec_reads_no_rows(self):
+        p = datagen.gen_ridge(datagen.SyntheticRidgeConfig(m=3, n=20, d=4, seed=5))
+        assert (p.m, p.n, p.d) == (3, 20, 4)
+        q = dataclasses.replace(p, lam=0.5)
+        assert (q.m, q.n, q.d) == (3, 20, 4)
+        assert p.rows.cache_info().currsize == 0  # the statistics gave m and d
+        assert p.A.shape == (3, 20, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 8), (5, 40, 6)], ids=["d>n", "d<=n"])
+    def test_after_replace(self, shape):
+        p = random_quad(*shape, lam=0.3)
+        q = dataclasses.replace(p, lam=0.1, reg=Regularizer("l1", weight=0.1))
+        assert (q.m, q.n, q.d) == shape == q.A.shape
 
 
 class TestGramMemo:
@@ -383,13 +414,17 @@ class TestLossKernels:
         t = np.concatenate([self.grid(), edges, np.random.default_rng(3).uniform(-2, 2, 10_000)])
         with np.errstate(over="ignore"):  # the piecewise form squares every t
             want = np.where(t > 1.0, 0.0, np.where(t < 0.0, 0.5 - t, 0.5 * (t - 1.0) ** 2))
-        for got in (smooth_hinge(t), problems.LOSSES["smooth-hinge"].value(t, np.ones_like(t))):
+        hinge = problems.LOSSES["smooth-hinge"]
+        for got in (
+            problems._smooth_hinge_into(t.copy()),
+            hinge.value_into(t.copy(), np.ones_like(t)),
+        ):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_logistic_value_within_4_ulp_of_logaddexp(self, label):
         t = self.grid()
-        got = problems.LOSSES["logistic"].value(t, np.full_like(t, label))
+        got = problems.LOSSES["logistic"].value_into(t.copy(), np.full_like(t, label))
         want = np.logaddexp(0.0, -label * t)
         finite = np.isfinite(want)
         assert np.array_equal(got[~finite], want[~finite])
@@ -419,7 +454,7 @@ class TestAverageValue:
         X = np.random.default_rng(4).standard_normal(shape)
         stack = np.atleast_2d(X)
         A, b = p.A.reshape(-1, p.d), p.b.reshape(-1)
-        want = p.loss.value(stack @ A.T, b).mean(axis=1)
+        want = p.loss.value_into(stack @ A.T, b).mean(axis=1)
         got = np.atleast_1d(problems.average_value(p, X))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

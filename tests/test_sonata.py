@@ -34,7 +34,7 @@ def per_agent_prox_gradient(p, i, x, y, g, z, beta, delta, tol, max_iters=5000, 
     u, v = x.copy(), x.copy()
     for it in range(max_iters):
         grad = problems.local_grad(p, i, v) + beta * (v - x) + (y - g) + delta * (v - z)
-        u_next = problems.prox_r(p, v - step * grad, step)
+        u_next = problems._prox_into(p, v - step * grad, step)
         if it == 0:
             tol = max(tol, forcing * np.linalg.norm(u_next - x) / step)
         done = np.linalg.norm(u_next - v) / step <= tol
@@ -95,7 +95,7 @@ class TestLocalSubproblem:
         beta = 3.0
         grad = problems.batch_grads(p, out) + beta * (out - X)
         step = 1e-3
-        moved = problems.prox_r(p, out - step * grad, step)
+        moved = problems._prox_into(p, out - step * grad, step)
         assert np.linalg.norm(moved - out, axis=1).max() / step <= 1e-6
 
     @pytest.mark.parametrize(
