@@ -388,6 +388,13 @@ _SWEEP_UNUSED = {
 }
 
 
+def _check_unused(field: str, reason: str, val, default) -> None:
+    if val != default:
+        raise ConfigError(
+            f"{field}: {reason}; leave it at {json.dumps(default)}, got {json.dumps(val)}"
+        )
+
+
 def execute_sweep(
     cfg: dict, axis: str, points: list[float], out_dir: Path, eps: float
 ) -> list[dict]:
@@ -395,7 +402,8 @@ def execute_sweep(
 
     ``beta_over_mu`` varies the local sample size at fixed covariance;
     ``kappa`` varies the ridge coefficient to hit target condition numbers
-    while recalibrating n to hold the similarity ratio fixed, and a point
+    while recalibrating n to hold the similarity ratio fixed, so a configured
+    ``problem.synthetic.lam`` other than the default is an error, and a point
     whose calibration misses raises :class:`CalibrationError`.  Each sample
     size is generated once, whatever the points need it for.  T is frozen per
     mode across the sweep (largest tuned value) so the measured communication
@@ -407,11 +415,7 @@ def execute_sweep(
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
     for (block, key), reason in _SWEEP_UNUSED.items():
-        val, default = cfg[block][key], DEFAULT_CONFIG[block][key]
-        if val != default:
-            raise ConfigError(
-                f"{block}.{key}: {reason}; leave it at {json.dumps(default)}, got {json.dumps(val)}"
-            )
+        _check_unused(f"{block}.{key}", reason, cfg[block][key], DEFAULT_CONFIG[block][key])
     if not points:
         raise ConfigError("sweep needs at least one axis point")
     eps = _check_target_gap(eps, sweep=True)
@@ -423,6 +427,9 @@ def execute_sweep(
         if axis != "kappa" and not (1 <= point < math.inf and point == int(point)):
             raise ConfigError(f"{axis} point must be an integer >= 1, got {point!r}")
     base = ridge_config(cfg)
+    if axis == "kappa":
+        lam = _keyword_defaults(datagen.SyntheticRidgeConfig)["lam"]
+        _check_unused("problem.synthetic.lam", "the kappa axis sets lam per point", base.lam, lam)
     reg = build_regularizer(cfg)
     alg = cfg["algorithm"]
 

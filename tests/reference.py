@@ -40,6 +40,22 @@ def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
     return p.loss.cap * (p.A[i].T @ p.A[i]) / p.n + p.loss.ridge * p.lam * np.eye(p.d)
 
 
+def curvature_in_one_call(p: ProblemSpec) -> problems.Curvature:
+    """problems.curvature with each per-agent kernel (the Gram product and
+    both decompositions) one numpy call on the whole (m, d, d) stack."""
+    ridge = p.loss.ridge * p.lam * np.eye(p.d)
+    if p.stats is not None:
+        H = p.stats.H + ridge
+    else:
+        H = p.loss.cap * np.matmul(p.A.transpose(0, 2, 1), p.A) / p.n
+        H += ridge
+    H_bar = H.mean(axis=0)
+    w = np.linalg.eigvalsh(H_bar)
+    lmax = np.linalg.eigvalsh(H)[:, -1]
+    beta = np.abs(np.linalg.eigvalsh(H - H_bar)[:, [0, -1]]).max()
+    return problems.Curvature(H_bar, float(w[0]), float(w[-1]), lmax, float(beta))
+
+
 def tracking_gap(p: ProblemSpec, X, Y, delta: float = 0.0, Z=None) -> float:
     """Norm of avg(y_i) - avg(shifted grad_i(x_i)); zero under exact tracking."""
     X = np.asarray(X, dtype=float)

@@ -973,6 +973,20 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"config error: {block}.{field}: a sweep ")
         assert not (tmp_path / "out").exists()
 
+    def test_lam_on_the_kappa_axis_exit_2(self, tmp_path, capsys):
+        # the kappa axis sets lam per point: lam 5.0 and 0.0 gave identical
+        # rows, yet metadata.json recorded 5.0, with exit 0
+        cfg = base_config(tmp_path)
+        cfg["problem"]["synthetic"].update(m=6, n=400, d=6, lam=5.0)
+        path = write_config(tmp_path, cfg)
+        argv = ["sweep", "-c", path, "--axis", "kappa", "--points", "20,10", "--eps", "1e-3"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: problem.synthetic.lam: the kappa axis sets lam per point; "
+            "leave it at 0.0, got 5.0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eps_flag,recorded", [(["--eps", "1e-3"], 1e-3), ([], 1e-5)])
     def test_eps_is_the_recorded_target_gap(self, tmp_path, capsys, eps_flag, recorded):
         # the config's target_gap, unused, used to be recorded next to --eps;

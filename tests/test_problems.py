@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classification_problem, hinge_problem, logistic_problem, traced_peak
-from reference import hessian_bound, local_value
+from reference import curvature_in_one_call, hessian_bound, local_value
 from sonatasim import datagen, diagnostics, problems, sonata
 from sonatasim.problems import (
     DegenerateProblemError,
@@ -363,6 +365,99 @@ class TestGramMemo:
         second = random_quad(6, 60, 8, lam=0.2)
         estimate_constants(second)
         assert np.array_equal(problems.batch_grads(second, X), G)
+
+
+def bits(*arrays) -> list:
+    """The bytes, shape and dtype of each value, to compare for bit-equality."""
+    return [(a.tobytes(), a.shape, a.dtype) for a in map(np.asarray, arrays)]
+
+
+def curvature_bits(c: problems.Curvature) -> list:
+    return bits(c.H_bar, c.H_bar_min, c.H_bar_max, c.lmax, c.beta)
+
+
+RANGE_CASES = {
+    "rows-n<d-odd-m": lambda: random_quad(7, 5, 8, lam=0.3),
+    "classification": lambda: logistic_problem(m=5),
+    "statistics": lambda: random_quad(5, 40, 6, lam=0.2),
+    "m=1": lambda: random_quad(1, 5, 8, lam=0.3),
+    "d=300": lambda: random_quad(3, 2, 300, lam=0.1),
+}
+
+
+@pytest.fixture
+def agent_ranges(monkeypatch):
+    """Ranges of one agent upwards; returns a setter of the CPU count."""
+    monkeypatch.setattr(problems, "MIN_RANGE_AGENTS", 1)
+    return lambda cpus: monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+
+
+class TestAgentRanges:
+    """The per-agent curvature kernels run in agent ranges, one per CPU, on
+    threads, with every result bit-equal to one call on the whole stack."""
+
+    @pytest.mark.parametrize(
+        "m,cpus,expect",
+        [(7, 3, [(0, 2), (2, 4), (4, 7)]), (2, 5, [(0, 1), (1, 2)]), (5, 1, [(0, 5)])],
+    )
+    def test_ranges_cover_the_agents_in_order(self, agent_ranges, m, cpus, expect):
+        agent_ranges(cpus)
+        assert problems._by_agent_ranges(m, lambda s: (s.start, s.stop)) == expect
+
+    @pytest.mark.parametrize("m", [2 * problems.MIN_RANGE_AGENTS - 1, 4])
+    def test_small_stack_starts_no_thread(self, monkeypatch, m):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(problems.threading, "Thread", no_thread)
+        assert problems._by_agent_ranges(m, lambda s: (s.start, s.stop)) == [(0, m)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64], ids=lambda c: f"cpus={c}")
+    @pytest.mark.parametrize("make", RANGE_CASES.values(), ids=RANGE_CASES.keys())
+    def test_bit_equal_to_one_call(self, agent_ranges, make, cpus):
+        agent_ranges(cpus)
+        start = threading.active_count()
+        p = make()
+        expect = curvature_in_one_call(p)
+        assert curvature_bits(problems.curvature(p)) == curvature_bits(expect)
+        assert bits(problems.hessian_bounds(p)) == bits(
+            np.stack([hessian_bound(p, i) for i in range(p.m)])
+        )
+        one_call = dataclasses.replace(p)
+        one_call._curvature = expect  # the memo estimate_constants reads
+        assert estimate_constants(p) == estimate_constants(one_call)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("agent", [0, -1], ids=["worker-range", "caller-range"])
+    def test_overflow_in_a_range_is_an_input_error(self, agent_ranges, agent):
+        # without the caller's errstate a worker range warned "overflow
+        # encountered in matmul", which the error filter turns into the error
+        agent_ranges(2)
+        A = np.random.default_rng(1).standard_normal((4, 3, 2))
+        A[agent, 0, 0] = 1e200
+        p = ProblemSpec("logistic", A, np.ones((4, 3)), lam=0.1)
+        start = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(problems.CurvatureOverflowError):
+                problems.curvature(p)
+        assert threading.active_count() == start
+
+    def test_error_in_a_worker_range_reaches_the_caller(self, agent_ranges, monkeypatch):
+        agent_ranges(3)
+        caller, eigvalsh = threading.current_thread(), np.linalg.eigvalsh
+
+        def fails_off_the_caller(a):
+            if threading.current_thread() is not caller:
+                raise np.linalg.LinAlgError("a worker range failed")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_off_the_caller)
+        start = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="a worker range failed"):
+            problems.curvature(random_quad(6, 5, 8, lam=0.3))
+        assert threading.active_count() == start
 
 
 def masked_sigmoid(t):
