@@ -61,13 +61,12 @@ class SyntheticRidgeConfig:
             raise ValueError("lam and noise_std must be >= 0")
 
 
-def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator):
+def _covariance_root(cfg: SyntheticRidgeConfig, rng: np.random.Generator) -> np.ndarray:
     """Sigma^(1/2) with eigenvalues uniform in [mu0, L0] and Haar-ish basis from QR."""
     check_dense(InputError, "the covariance draw", cfg.d, cfg.d)
     eigs = rng.uniform(cfg.mu0, cfg.L0, size=cfg.d)
     Q, _ = np.linalg.qr(rng.standard_normal((cfg.d, cfg.d)))
-    root = (Q * np.sqrt(eigs)) @ Q.T
-    return root, eigs
+    return (Q * np.sqrt(eigs)) @ Q.T
 
 
 def _chunk(cfg: SyntheticRidgeConfig, features, noise, k: int, root, x_star):
@@ -119,22 +118,21 @@ def gen_ridge(cfg: SyntheticRidgeConfig) -> ProblemSpec:
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.m + 1)
     shared = np.random.default_rng(streams[0])
-    root, eigs = _covariance_root(cfg, shared)
+    root = _covariance_root(cfg, shared)
     x_star = 5.0 + shared.standard_normal(cfg.d)
-    meta = {"x_star_planted": x_star, "sigma_eigs": np.sort(eigs)}
 
     rows = functools.partial(_draw_rows, cfg, streams[1:], root, x_star)
     if cfg.d > cfg.n:
         A, b = rows()
-        return ProblemSpec("quadratic-ridge", A, b, lam=cfg.lam, meta=meta)
+        return ProblemSpec("quadratic-ridge", A, b, lam=cfg.lam)
     check_dense(InputError, "the stack of Gram statistics", cfg.m, cfg.d, cfg.d)
     stats = [_agent_stats(cfg, stream, root, x_star) for stream in streams[1:]]
     return ProblemSpec(
         "quadratic-ridge",
         lam=cfg.lam,
-        meta=meta,
         n=cfg.n,
         stats=GramStats(*map(np.array, zip(*stats))),
+        # kept for one reader: note_batch_grads in bench/tracing.py reads p.A
         rows=functools.cache(rows),
     )
 

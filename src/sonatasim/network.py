@@ -1,6 +1,8 @@
 """Topologies and gossip operators: Metropolis-Hastings weights, Chebyshev
 polynomial acceleration, the exact-averaging (star) matrix, and the weighted
-line-graph / split-quadratic fixtures used for lower-bound experiments.
+line-graph / split-quadratic fixtures used for lower-bound experiments; the
+split-quadratic instance is held by its statistics, written in closed form,
+and keeps no rows.
 
 Every operator built here is symmetric and doubly stochastic, and checks so
 when it is built; the algorithms apply it only through ``mix(X)``; one
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import InputError, ProblemSpec, RuntimeFailure, check_dense, check_int
+from .problems import GramStats, InputError, ProblemSpec, RuntimeFailure, check_dense, check_int
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -500,30 +502,25 @@ def cut_distance(m: int) -> int:
     return right[0] - left[-1]
 
 
-def _pair_coupling(d: int, start: int) -> np.ndarray:
-    """Identity plus -1 couplings on index pairs (start, start+1), (start+2, ...)."""
-    A = np.eye(d)
-    for i in range(start, d - 1, 2):
-        A[i, i + 1] = -1.0
-        A[i + 1, i] = -1.0
-    return A
-
-
-def _pair_coupling_root(d: int, start: int, c: float) -> np.ndarray:
-    """Symmetric PSD square root of c * _pair_coupling(d, start): each coupled
-    pair's block B = [[1, -1], [-1, 1]] has B^2 = 2B, so its root is
-    sqrt(c/2) B, and each unpaired index's is sqrt(c)."""
-    A = _pair_coupling(d, start)
-    S = np.sqrt(c / 2.0) * A
-    unpaired = np.count_nonzero(A, axis=1) == 1
-    S[unpaired, unpaired] = np.sqrt(c)
-    return S
+def _pair_coupling(H: np.ndarray, start: int, c: float) -> None:
+    """Write c times the identity plus -c couplings on the index pairs
+    (start, start+1), (start+2, start+3), ... into every (d, d) block of the
+    zero stack H."""
+    i = np.arange(H.shape[-1])
+    H[:, i, i] = c
+    i = i[start:-1:2]
+    H[:, i, i + 1] = H[:, i + 1, i] = -c
 
 
 def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
     """Split-quadratic instance: left agents couple odd index pairs and carry the
     only linear term, right agents couple even pairs, middle agents are pure
     ridge.  Communication across the line cut is the only way support spreads.
+
+    Held by its statistics alone, written in closed form with n = d: a
+    boundary agent's H_i is scale times its class's coupling pattern
+    (:func:`_pair_coupling`), a middle agent's is 0, and a left agent's h_i
+    is scale * e_1 with |b_i|^2 = n * scale.  It keeps no rows.
     """
     if not 0 <= mu < 1 or not 0 < beta < 1:
         raise FixtureParameterError(f"need mu in [0, 1) and beta in (0, 1), got {mu}, {beta}")
@@ -535,23 +532,17 @@ def hard_instance(mu: float, beta: float, m: int, d: int) -> ProblemSpec:
     scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
 
     n = d
-    check_dense(InputError, "the stack of split-quadratic rows", m, n, d)
-    A = np.zeros((m, n, d))
-    b = np.zeros((m, n))
-    # each class's Gram matrix S^T S / n is scale * _pair_coupling
-    S1 = _pair_coupling_root(d, 1, scale) * np.sqrt(n)  # couples (2,3), (4,5), ... 1-based
-    S2 = _pair_coupling_root(d, 0, scale) * np.sqrt(n)  # couples (1,2), (3,4), ...
-    # linear term -scale * e_1 on left agents, encoded through b: A^T b = n*scale*e_1
-    b_left = np.zeros(d)
-    b_left[0] = n * scale / S1[0, 0]
-    for i in left:
-        A[i] = S1
-        b[i] = b_left
-    for i in right:
-        A[i] = S2
+    check_dense(InputError, "the stack of split-quadratic statistics", m, d, d)
+    H = np.zeros((m, d, d))
+    _pair_coupling(H[: len(left)], 1, scale)  # the classes are the line's two ends
+    _pair_coupling(H[right[0] :], 0, scale)
+    h = np.zeros((m, d))
+    h[left, 0] = scale
+    b_sq = np.zeros(m)
+    b_sq[left] = n * scale
     return ProblemSpec(
         loss_kind="quadratic-ridge",
-        A=A,
-        b=b,
+        n=n,
+        stats=GramStats(H, h, b_sq),
         lam=mu / 2.0,  # ridge term lam*||x||^2 contributes mu*I to every Hessian
     )

@@ -124,31 +124,30 @@ class ProblemSpec:
 
     Built from the rows, ``ProblemSpec(loss_kind, A, b, lam=...)`` with
     ``A`` stacked (m, n, d) and ``b`` (m, n); or, for an exact-curvature
-    loss with d <= n, from the statistics ``stats`` and ``n`` with a
-    ``rows`` callable that returns (A, b), the same arrays on every call,
-    so a generated instance draws its rows only when they are first read.
-    ``p.A`` and ``p.b`` read ``rows()``; m and d are fixed with n at
-    construction, from the statistics when the spec holds them (its rows
-    are not read for them) and from ``A`` otherwise.
-    ``dataclasses.replace`` shares the statistics and the rows.  Every agent
-    has identical n and d by construction.  ``meta`` carries generator
-    side-information (planted solution, covariance spectrum) and never
-    affects the oracles.  The loss kind, the data and the statistics are
-    fixed at construction: when not given, ``stats`` is computed from the
-    rows for an exact-curvature loss with d <= n, and is None for any other
-    loss or with d > n, where H would be larger than A; every statistics
-    array is read-only.  :func:`curvature` is memoized on the instance.
+    loss with d <= n, from ``n`` and the statistics ``stats`` alone, with
+    an optional ``rows`` recipe that returns (A, b), the same arrays on
+    every call.  ``p.A`` and ``p.b`` read ``rows()``; a spec held by its
+    statistics with no recipe keeps no rows, and reading them raises
+    :class:`InputError`.  m and d are fixed with n at construction, from
+    the statistics when the spec holds them (its rows are not read for
+    them) and from ``A`` otherwise.  ``dataclasses.replace`` shares the
+    statistics and the rows.  Every agent has identical n and d by
+    construction.  The loss kind, the data and the statistics are fixed at
+    construction: when not given, ``stats`` is computed from the rows for an
+    exact-curvature loss with d <= n, and is None for any other loss or with
+    d > n, where H would be larger than A; every statistics array is
+    read-only.  :func:`curvature` is memoized on the instance.
     """
 
     # A and b are not fields: dataclasses.replace reads every field, and
-    # reading the rows of a generated spec draws them.
+    # reading the rows of a generated spec draws them (of a spec held by its
+    # statistics alone, raises).
     loss_kind: str
     lam: float
     reg: Regularizer
-    meta: dict
     n: int
     stats: GramStats | None
-    rows: Callable[[], tuple[np.ndarray, np.ndarray]]
+    rows: Callable[[], tuple[np.ndarray, np.ndarray]] | None
     # not init fields: dataclasses.replace passes every init field to __init__
     m: int = field(init=False)
     d: int = field(init=False)
@@ -161,18 +160,16 @@ class ProblemSpec:
         *,
         lam: float,
         reg: Regularizer = Regularizer(),
-        meta: dict | None = None,
         n: int | None = None,
         stats: GramStats | None = None,
         rows: Callable | None = None,
     ):
         self.loss_kind, self.lam, self.reg = loss_kind, lam, reg
-        self.meta = {} if meta is None else meta
         if loss_kind not in LOSSES:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
-        if rows is None:
+        if rows is None and stats is None:
             A = np.ascontiguousarray(A, dtype=float)
             b = np.ascontiguousarray(b, dtype=float)
             if A.ndim != 3 or b.shape != A.shape[:2] or n not in (None, A.shape[1]):
@@ -181,7 +178,7 @@ class ProblemSpec:
                 raise ValueError("classification labels must be +/-1")
             n, rows = A.shape[1], lambda: (A, b)
         elif A is not None or b is not None or n is None:
-            raise ValueError("give the rows as A and b, or n and a rows callable")
+            raise ValueError("give the rows as A and b, or n with statistics or a rows callable")
         self.n, self.rows = n, rows
         if stats is None and self.loss.exact:
             A, b = rows()
@@ -209,11 +206,16 @@ class ProblemSpec:
 
     @property
     def A(self) -> np.ndarray:
-        return self.rows()[0]
+        return self._rows()[0]
 
     @property
     def b(self) -> np.ndarray:
-        return self.rows()[1]
+        return self._rows()[1]
+
+    def _rows(self):
+        if self.rows is None:
+            raise InputError("the instance is held by its statistics and keeps no rows")
+        return self.rows()
 
     @property
     def loss(self) -> Loss:

@@ -40,6 +40,17 @@ def hessian_bound(p: ProblemSpec, i: int) -> np.ndarray:
     return p.loss.cap * (p.A[i].T @ p.A[i]) / p.n + p.loss.ridge * p.lam * np.eye(p.d)
 
 
+def planted(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The planted solution of ``datagen.gen_ridge(cfg)`` and its covariance
+    spectrum, ascending, drawn again from generator stream 0 as the
+    generator draws them: the eigenvalues, the basis normals, then the
+    solution's normals."""
+    shared = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.m + 1)[0])
+    eigs = shared.uniform(cfg.mu0, cfg.L0, size=cfg.d)
+    shared.standard_normal((cfg.d, cfg.d))  # the covariance basis
+    return 5.0 + shared.standard_normal(cfg.d), np.sort(eigs)
+
+
 def curvature_in_one_call(p: ProblemSpec) -> problems.Curvature:
     """problems.curvature with each per-agent kernel (the Gram product and
     both decompositions) one numpy call on the whole (m, d, d) stack."""

@@ -407,7 +407,7 @@ def test_criterion_11_oracle_and_gradient_checks():
     cfg = datagen.SyntheticRidgeConfig(m=4, n=40, d=10, lam=0.0, noise_std=0.0, seed=19)
     p = datagen.gen_ridge(cfg)
     oracle = diagnostics.centralized_solve(p)
-    err = np.linalg.norm(oracle.x_star - p.meta["x_star_planted"])
+    err = np.linalg.norm(oracle.x_star - reference.planted(cfg)[0])
     assert err <= 1e-8
     _report(11, "oracle and gradient checks", done(), 5.0,
             f"fd-rel={worst:.1e} recovery={err:.1e}")

@@ -489,13 +489,13 @@ class TestMainEntry:
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_oversized_lowerbound_instance_exit_2(self, tmp_path, capsys, monkeypatch):
-        # the split-quadratic rows at rho 0.9 (5 agents) and d = 400 are 6.4 MB
+        # the split-quadratic statistics at rho 0.9 (5 agents) and d = 400 are 6.4 MB
         monkeypatch.setattr(problems, "_physical_memory", lambda: 4 << 20)
         argv = ["lowerbound-check", "--rho", "0.9", "--d", "400", "--output", str(tmp_path / "lb")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "input error: the stack of split-quadratic rows needs a dense 5 x 400 x 400 array"
+            "input error: the stack of split-quadratic statistics needs a dense 5 x 400 x 400 array"
         )
         assert "Traceback" not in err and not (tmp_path / "lb").exists()
 

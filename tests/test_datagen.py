@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from conftest import traced_peak
 from sonatasim import cli, datagen, diagnostics, problems
 from sonatasim.datagen import (
@@ -121,7 +122,16 @@ class TestGenRidge:
         cfg = SyntheticRidgeConfig(m=3, n=40, d=10, lam=0.0, noise_std=0.0, seed=7)
         p = gen_ridge(cfg)
         oracle = diagnostics.centralized_solve(p)
-        assert np.linalg.norm(oracle.x_star - p.meta["x_star_planted"]) <= 1e-8
+        assert np.linalg.norm(oracle.x_star - reference.planted(cfg)[0]) <= 1e-8
+
+    def test_reference_draws_the_planted_solution(self):
+        # noiseless labels are A_i x_star to the bit: the reference's
+        # x_star is the one the generator drew
+        cfg = SyntheticRidgeConfig(m=3, n=12, d=5, noise_std=0.0, seed=4)
+        p = gen_ridge(cfg)
+        x_star = reference.planted(cfg)[0]
+        for A, b in zip(p.A, p.b):
+            assert (A @ x_star).tobytes() == b.tobytes()
 
     def test_similarity_decreases_with_n(self):
         medians = []
@@ -139,7 +149,7 @@ class TestGenRidge:
         rows = p.A.reshape(-1, cfg.d)
         C = rows.T @ rows / rows.shape[0]
         eigs = np.sort(np.linalg.eigvalsh(C))
-        sigma_eigs = p.meta["sigma_eigs"]
+        sigma_eigs = reference.planted(cfg)[1]
         rel = np.abs(eigs - sigma_eigs).max() / sigma_eigs[-1]
         assert rel <= 0.2
 

@@ -47,7 +47,6 @@ DEFAULTED = {
     "problems.ProblemSpec.__init__(A)",
     "problems.ProblemSpec.__init__(b)",
     "problems.ProblemSpec.__init__(reg)",
-    "problems.ProblemSpec.__init__(meta)",
     "problems.ProblemSpec.__init__(n)",
     "problems.ProblemSpec.__init__(stats)",
     "problems.ProblemSpec.__init__(rows)",
@@ -83,7 +82,7 @@ def test_defaulted_parameters_are_the_committed_list():
     assert len(found) == len(set(found))
     added, removed = sorted(set(found) - DEFAULTED), sorted(DEFAULTED - set(found))
     assert not added and not removed, f"added: {added}; removed: {removed}"
-    assert len(DEFAULTED) == 23
+    assert len(DEFAULTED) == 22
 
 
 FIELDS = {
@@ -100,7 +99,7 @@ FIELDS = {
     "network.ChebyshevGossip": ("base", "M"),
     "problems.Regularizer": ("kind", "weight", "lo", "hi"),
     "problems.GramStats": ("H", "h", "b_sq"),
-    "problems.ProblemSpec": ("loss_kind", "lam", "reg", "meta", "n", "stats", "rows"),
+    "problems.ProblemSpec": ("loss_kind", "lam", "reg", "n", "stats", "rows"),
     "problems.Loss": ("value_into", "deriv", "cap", "ridge", "exact"),
     "problems.Curvature": ("H_bar", "H_bar_min", "H_bar_max", "lmax", "beta"),
     "problems.Constants": ("mu_hat", "L_hat", "Lmx_hat", "beta_hat"),

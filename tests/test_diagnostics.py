@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import classification_problem, hinge_problem, logistic_problem
-from reference import admissible_rho, fit_contraction_factor, inner_potential, local_value
+from reference import (
+    admissible_rho,
+    fit_contraction_factor,
+    inner_potential,
+    local_value,
+    planted,
+)
 from sonatasim import accel, datagen, diagnostics, network, problems
 from sonatasim.diagnostics import (
     CommsToAccuracy,
@@ -76,7 +82,7 @@ class TestCentralizedSolve:
         cfg = datagen.SyntheticRidgeConfig(m=4, n=30, d=8, lam=0.0, noise_std=0.0, seed=13)
         p = datagen.gen_ridge(cfg)
         oracle = centralized_solve(p)
-        assert np.linalg.norm(oracle.x_star - p.meta["x_star_planted"]) <= 1e-8
+        assert np.linalg.norm(oracle.x_star - planted(cfg)[0]) <= 1e-8
 
     def test_optimality_against_random_points(self, small_ridge, rng):
         oracle = centralized_solve(small_ridge)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import reference
+from conftest import traced_peak
 from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.network import (
     ChebyshevGossip,
@@ -657,12 +658,20 @@ class TestLineGossip:
             line_gossip_for_rho(0.999999)
 
 
+def pair_coupling(d: int, start: int, scale: float) -> np.ndarray:
+    """scale * I with -scale couplings on the 0-based index pairs
+    (start, start+1), (start+2, start+3), ..."""
+    B = scale * np.eye(d)
+    for i in range(start, d - 1, 2):
+        B[i, i + 1] = B[i + 1, i] = -scale
+    return B
+
+
 class TestHardInstance:
     def test_coupling_patterns(self):
         p = hard_instance(0.05, 0.5, 8, 6)
         left, right = boundary_classes(8)
-        H_left = reference.hessian_bound(p, left[0])
-        H_right = reference.hessian_bound(p, right[0])
+        H_left, H_right = problems.hessian_bounds(p)[[left[0], right[0]]]
         off_left = {(i, j) for i in range(6) for j in range(6) if i < j and H_left[i, j] != 0}
         off_right = {(i, j) for i in range(6) for j in range(6) if i < j and H_right[i, j] != 0}
         assert off_left == {(1, 2), (3, 4)}  # 1-based pairs (2,3), (4,5)
@@ -670,32 +679,35 @@ class TestHardInstance:
 
     @pytest.mark.parametrize("d", range(4, 41, 2))
     def test_class_gram_is_scaled_pair_coupling(self, d):
-        # left agents hold the root of scale * I + couplings on 1-based pairs
-        # (2,3), (4,5), ..., right agents on (1,2), (3,4), ...; middle agents none
+        # left agents hold scale * I + couplings on 1-based pairs (2,3),
+        # (4,5), ..., right agents on (1,2), (3,4), ...; middle agents none;
+        # only the left agents carry the linear term scale * e_1
         mu, beta, m = 0.03, 0.4, 40
         p = hard_instance(mu, beta, m, d)
         left, right = boundary_classes(m)
         scale = beta * (1.0 - mu) / 4.0 * (m / len(left))
-        gram = np.einsum("mnd,mne->mde", p.A, p.A) / p.n
+        H, h, b_sq = p.stats
         for agents, start in ((left, 1), (right, 0)):
-            expected = scale * network._pair_coupling(d, start)
+            expected = pair_coupling(d, start, scale)
             for i in agents:
-                assert np.max(np.abs(gram[i] - expected)) <= 1e-14 * scale
+                assert np.array_equal(H[i], expected)
         middle = [i for i in range(m) if i not in left and i not in right]
-        assert middle and not gram[middle].any()
+        assert middle and not H[middle].any()
+        e_1 = np.eye(d)[0]
+        assert np.array_equal(h, [scale * e_1 if i in left else 0 * e_1 for i in range(m)])
+        assert np.array_equal(b_sq, [d * scale if i in left else 0.0 for i in range(m)])
+        assert p.n == d
 
     def test_strong_convexity_floor(self):
         p = hard_instance(0.03, 0.4, 10, 8)
-        for i in range(p.m):
-            w = np.linalg.eigvalsh(reference.hessian_bound(p, i))
-            assert w[0] >= 0.03 - 1e-10
+        for H in problems.hessian_bounds(p):
+            assert np.linalg.eigvalsh(H)[0] >= 0.03 - 1e-10
 
     def test_only_left_agents_carry_linear_term(self):
         p = hard_instance(0.02, 0.5, 8, 6)
         left, right = boundary_classes(8)
-        zero = np.zeros(6)
-        for i in range(8):
-            g = problems.local_grad(p, i, zero)
+        G = problems.batch_grads(p, np.zeros((8, 6)))
+        for i, g in enumerate(G):
             if i in left:
                 assert g[0] != 0 and np.all(g[1:] == 0)
             else:
@@ -706,9 +718,21 @@ class TestHardInstance:
         left, right = boundary_classes(16)
         mid = [i for i in range(16) if i not in left and i not in right]
         assert mid
-        for i in mid:
-            H = reference.hessian_bound(p, i)
+        for H in problems.hessian_bounds(p)[mid]:
             assert H == pytest.approx(0.02 * np.eye(6), abs=1e-15)
+
+    def test_keeps_no_rows(self):
+        p = hard_instance(0.02, 0.5, 8, 6)
+        for q in (p, dataclasses.replace(p, lam=0.5)):
+            for read in (lambda: q.A, lambda: q.b):
+                with pytest.raises(problems.InputError, match="held by its statistics"):
+                    read()
+
+    def test_holds_only_its_statistics(self):
+        # the build's peak: rows beside their statistics would double it
+        p, peak = traced_peak(lambda: hard_instance(0.01, 0.5, 5, 200))
+        held = sum(a.nbytes for a in p.stats)  # 1.6 MB
+        assert peak <= 1.1 * held
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

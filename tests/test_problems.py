@@ -642,8 +642,23 @@ class TestStatisticsValidation:
 
     def test_rows_given_once(self):
         p = random_quad(2, 5, 3, lam=0.1)
-        for kwargs in ({"rows": p.rows}, {"rows": p.rows, "A": p.A, "b": p.b, "n": 5}):
+        for kwargs in (
+            {"rows": p.rows},
+            {"rows": p.rows, "A": p.A, "b": p.b, "n": 5},
+            {"stats": p.stats, "A": p.A, "b": p.b, "n": 5},
+        ):
             with pytest.raises(ValueError, match="rows"):
                 ProblemSpec("quadratic-ridge", lam=0.1, **kwargs)
         with pytest.raises(ValueError, match="A must be"):
             ProblemSpec("quadratic-ridge", p.A, p.b, lam=0.1, n=4)
+        with pytest.raises(ValueError, match="A must be"):  # n with neither statistics nor rows
+            ProblemSpec("quadratic-ridge", lam=0.1, n=5)
+
+    def test_statistics_alone(self):
+        # a spec held by n and its statistics needs no rows: its oracles are
+        # the rows spec's (the fixture's tests check that it keeps none)
+        src = random_quad(3, 6, 4, lam=0.1)
+        p = ProblemSpec("quadratic-ridge", lam=0.1, n=6, stats=src.stats)
+        X = np.arange(12.0).reshape(3, 4)
+        assert problems.batch_grads(p, X).tobytes() == problems.batch_grads(src, X).tobytes()
+        assert problems.estimate_constants(p) == problems.estimate_constants(src)
