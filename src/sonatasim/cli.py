@@ -210,7 +210,7 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevG
     if isinstance(W, network.Graph):
         W = network.metropolis_hastings(W)
     if target is not None:
-        M = _call("topology", network.rounds_for_target, base_rho=W.rho, target_rho=target)
+        M = _call("topology", network.degree_for_target, W, target_rho=target)
         W = network.chebyshev_accelerate(W, M)
     return W
 

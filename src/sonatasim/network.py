@@ -24,7 +24,11 @@ its base :class:`GossipMatrix`, keeps the affine 2 psi(W) in the base's own
 storage (dense or CSR) and applies the degree-M polynomial as M neighbour
 exchanges by the three-term recurrence, never forming the polynomial; its
 rho is the closed form 1 / T_M(psi(1)), which a short Lanczos run on
-``mix`` checks.
+``mix`` checks.  :func:`degree_for_target` picks the smallest degree whose
+closed-form deviation on the measured bulk meets a target, by the same walk
+over T_M(psi(1)) that sets ``scale``, and a target that T_M overflows before
+meeting is unreachable; :func:`rounds_for_target`, the two-sided worst case
+for a bulk in [-rho, rho], bounds that degree from above.
 scipy is imported only when a CSR matrix is built or accelerated.  Two
 operators are equal only when they are the same object.  The builders'
 limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
@@ -46,7 +50,7 @@ if TYPE_CHECKING:
 
 DS_TOL = 1e-12  # symmetry and unit row-sum tolerance
 MAX_RESAMPLES = 100  # random graphs drawn by erdos_renyi before it gives up
-MAX_ROUNDS = 10_000  # largest polynomial degree rounds_for_target tries
+MAX_ROUNDS = 10_000  # largest polynomial degree a degree search tries
 LINE_RHO_TOL = 1e-6  # deviation error line_gossip_for_rho accepts
 MAX_LINE_NODES = 4096  # largest line line_gossip_for_rho builds
 ER_BLOCK = 1 << 16  # uniforms erdos_renyi draws at a time
@@ -302,6 +306,37 @@ def _chebyshev(z):
         t_prev, t = t, 2.0 * z * t - t_prev
 
 
+def _psi_one(bulk: tuple[float, float]) -> float:
+    """psi(1), the consensus eigenvalue under the affine map taking the bulk
+    [lo, hi] onto [-1, 1]."""
+    lo, hi = bulk
+    return (2.0 - hi - lo) / (hi - lo)
+
+
+def _collapsed(bulk: tuple[float, float]) -> bool:
+    """Whether the bulk is one point, which no polynomial needs to shrink."""
+    lo, hi = bulk
+    return hi - lo < 1e-13
+
+
+def _degree(z: float, target_rho: float) -> tuple[int, float]:
+    """(M, T_M(z)) for the smallest M, at most :data:`MAX_ROUNDS`, with
+    1 / T_M(z) <= target_rho, walking :func:`_chebyshev` (z > 1).  A T_M
+    that overflows to inf is above every finite float, so it meets any target
+    at or above 1 / (largest float); a smaller target, zero included, is
+    unreachable."""
+    if target_rho == 0.0:
+        raise UnreachableTargetError("only exact averaging achieves rho = 0")
+    if target_rho < 1.0 / np.finfo(float).max:
+        raise UnreachableTargetError(
+            f"target {target_rho} not reached: T_M overflows the float range before 1 / T_M is that small"
+        )
+    for M, t in zip(range(1, MAX_ROUNDS + 1), _chebyshev(z)):
+        if 1.0 / t <= target_rho:
+            return M, t
+    raise UnreachableTargetError(f"target {target_rho} not reached within {MAX_ROUNDS} rounds")
+
+
 @dataclass(eq=False)
 class ChebyshevGossip:
     """P_M(W) = T_M(psi(W)) / T_M(psi(1)) of a base :class:`GossipMatrix`,
@@ -338,11 +373,12 @@ class ChebyshevGossip:
             eye = sparse.identity(self.m, format="csr")
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         self._twice_psi = 2.0 * (2.0 * W - (hi + lo) * eye) / (hi - lo)
-        z = (2.0 - hi - lo) / (hi - lo)  # psi(1)
-        self.scale = next(itertools.islice(_chebyshev(z), self.M - 1, None))
-        if not np.isfinite(self.scale):
+        # the same walk that degree_for_target stops on, so the same float
+        self.scale = next(itertools.islice(_chebyshev(_psi_one(self.base.bulk)), self.M - 1, None))
+        if not np.isfinite(self.scale):  # inf, or inf - inf = NaN a step later
             raise TopologyError(
-                f"chebyshev build inconsistent: T_M(psi(1)) is {self.scale} at degree {self.M}"
+                f"chebyshev build inconsistent: the closed form T_M(psi(1)) overflowed "
+                f"the float range at degree {self.M}"
             )
         ones = np.ones(self.m)
         drift = np.max(np.abs(self.mix(ones) - ones))
@@ -393,36 +429,52 @@ def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | Chebyshev
     the operator's own ``mix`` checks it when it is built.
     """
     check_int("M", M, 1)
-    lo, hi = base.bulk
-    if hi - lo < 1e-13:
+    if _collapsed(base.bulk):
         # bulk collapsed to a point c: the affine (W - cI)/(1 - c) zeroes it
+        lo, hi = base.bulk
         c = 0.5 * (hi + lo)
         W = (base.W - c * np.eye(base.m)) / (1.0 - c)
         return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
     return ChebyshevGossip(base, M)
 
 
-def rounds_for_target(base_rho: float, target_rho: float) -> int:
-    """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, whose
-    accelerated deviation is <= target_rho.
+def degree_for_target(base: GossipMatrix, target_rho: float) -> int:
+    """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, at which
+    :func:`chebyshev_accelerate` of ``base`` has rho <= target_rho.
 
-    Uses the two-sided worst-case closed form 1 / T_M(1 / base_rho), the
-    deviation after degree-M acceleration of a bulk in [-rho, rho].  A bulk
-    [lo, hi] inside that interval gives a deviation no larger, so the
-    closed-form rho of :func:`chebyshev_accelerate` meets the target for any
-    base with the given rho, whatever the sign pattern of its bulk.  One
-    running recurrence gives it for each M in turn.
+    It walks T_M(psi(1)) on the base's measured bulk, the sequence whose
+    M-th term is the operator's ``scale``, so the operator's rho 1 / scale
+    meets the target exactly, not up to rounding.  A base that already
+    meets it, or whose bulk is one point, needs degree 1.  A degree whose
+    T_M overflows the float range before the target is met raises
+    :class:`UnreachableTargetError`, as does a zero target.
+    """
+    if not 0 <= target_rho < 1:
+        raise ValueError(f"target_rho must lie in [0, 1), got {target_rho}")
+    if base.rho <= target_rho or _collapsed(base.bulk):
+        return 1
+    M, scale = _degree(_psi_one(base.bulk), target_rho)
+    if scale == np.inf:  # the operator's scale would be inf
+        raise UnreachableTargetError(
+            f"target {target_rho} not reached: T_M(psi(1)) overflows the float range at degree {M}"
+        )
+    return M
+
+
+def rounds_for_target(base_rho: float, target_rho: float) -> int:
+    """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, with
+    1 / T_M(1 / base_rho) <= target_rho: the two-sided worst case, the
+    deviation after degree-M acceleration of a bulk in [-base_rho, base_rho].
+
+    It is the same walk as :func:`degree_for_target` on that symmetric bulk,
+    and a bound that the degree for a measured bulk with this rho never
+    exceeds: a bulk [lo, hi] inside [-rho, rho] has psi(1) >= 1 / rho.
     """
     if not 0 <= target_rho < 1 or not 0 <= base_rho < 1:
         raise ValueError("rho values must lie in [0, 1)")
     if base_rho <= target_rho:
         return 1
-    if target_rho == 0.0:
-        raise UnreachableTargetError("only exact averaging achieves rho = 0")
-    for M, t in zip(range(1, MAX_ROUNDS + 1), _chebyshev(1.0 / base_rho)):
-        if 1.0 / t <= target_rho:
-            return M
-    raise UnreachableTargetError(f"target {target_rho} not reached within {MAX_ROUNDS} rounds")
+    return _degree(1.0 / base_rho, target_rho)[0]
 
 
 # ---------------------------------------------------------------------------

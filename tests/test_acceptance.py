@@ -120,7 +120,7 @@ def test_criterion_02_chebyshev_acceleration():
     details = []
     for rho_bar in (0.5, 0.9, 0.99):
         base = network.line_gossip_for_rho(rho_bar)
-        M = network.rounds_for_target(base.rho, 0.1)
+        M = network.degree_for_target(base, 0.1)
         acc = network.chebyshev_accelerate(base, M)
         ones = np.ones(base.m)
         assert np.max(np.abs(acc.mix(np.eye(base.m)) @ ones - ones)) <= 1e-12
@@ -167,7 +167,7 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     params = accel.tune(c, mode)
     base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.5, seed=4))
     rho_adm = reference.admissible_rho(c, mode)
-    M = network.rounds_for_target(base.rho, rho_adm)
+    M = network.degree_for_target(base, rho_adm)
     W = network.chebyshev_accelerate(base, M)
     assert W.rho <= rho_adm
 
@@ -411,6 +411,45 @@ def test_criterion_11_oracle_and_gradient_checks():
     assert err <= 1e-8
     _report(11, "oracle and gradient checks", done(), 5.0,
             f"fd-rel={worst:.1e} recovery={err:.1e}")
+
+
+def test_criterion_12_network_factor():
+    # comms ~ sqrt((beta/mu) / (1 - rho)): on Metropolis-Hastings lines the
+    # base rho runs from 0.967 to 0.99967 while beta/mu barely moves, so the
+    # network enters only through the Chebyshev degree M.  A line's bulk runs
+    # from about -1/3 to rho, so psi(1) - 1 ~ 1.5 (1 - rho) and T_M(psi(1)) ~
+    # cosh(M sqrt(3 (1 - rho))): meeting target 0.3 takes M sqrt(1 - rho) ~
+    # arccosh(1 / 0.3) / sqrt(3) = 1.082 (the two-sided degree gives 1.325)
+    done = _timer()
+    target, eps = 0.3, 1e-4
+    rows = []
+    for m in (10, 20, 50, 100):
+        cfg = cli.load_config(None, {
+            "seed": 0,
+            "problem": {"synthetic": {"m": m, "n": 500, "d": 25}},
+            "topology": {"kind": "line", "target_rho": target},
+            "algorithm": {"mode": "F", "target_gap": eps},
+        })
+        p = cli.build_problem(cfg)
+        c = problems.estimate_constants(p)
+        W = cli.build_gossip(cfg, m)
+        assert W.rho <= target
+        M, gap = W.rounds_per_application, 1.0 - W.base.rho
+        comms = cli._comms_for_mode(p, diagnostics.centralized_solve(p), c, W, cfg["algorithm"], "F", eps, None)
+        assert comms is not None
+        rows.append((gap, M, math.sqrt(c.beta_hat / c.mu_hat), comms))
+    gap, M, sqrt_bmu, comms = (np.array(col, dtype=float) for col in zip(*rows))
+    network_factor = M * np.sqrt(gap)
+    assert gap.max() / gap.min() >= 50.0, "1 - rho must span more than a decade and a half"
+    assert np.all((1.0 <= network_factor) & (network_factor <= 1.2)), network_factor
+    per_round = comms / (M * sqrt_bmu)
+    spread = per_round.max() / per_round.min()
+    assert spread <= 1.10, f"comms / (M sqrt(beta/mu)) varies by {spread:.3f}"
+    slope = np.polyfit(np.log(1.0 / gap), np.log(comms / sqrt_bmu), 1)[0]
+    assert 0.45 <= slope <= 0.55, f"slope {slope:.3f} outside 0.5 +/- 0.05"
+    _report(12, "network factor", done(), 5.0,
+            f"M*sqrt(1-rho)={network_factor.min():.3f}-{network_factor.max():.3f} "
+            f"comms/(M*sqrt(b/mu))={per_round.min():.1f}-{per_round.max():.1f} slope={slope:.3f}")
 
 
 def write_committed() -> None:

@@ -245,7 +245,7 @@ class TestReadmeLibraryCode:
         recipe = recipes[target_rho is not None]
         W = network.metropolis_hastings(network.erdos_renyi(12, 0.4, seed=3))
         if target_rho is not None:
-            W = network.chebyshev_accelerate(W, network.rounds_for_target(W.rho, target_rho))
+            W = network.chebyshev_accelerate(W, network.degree_for_target(W, target_rho))
             assert W.rounds_per_application > 1
         doubled = eval(recipe, {"dataclasses": dataclasses, "W": W})
         assert type(doubled) is type(W)
@@ -383,14 +383,21 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_chebyshev_degree_exit_1(self, tmp_path, capsys):
-        # target_rho 1e-300 needs a degree whose T_M(psi(1)) overflows: the
-        # operator's rho was NaN, passed both build checks, and the run failed
-        # at its first outer iteration with a NaN tracking drift
+    def test_deep_target_is_met_at_a_finite_scale(self, tmp_path):
+        # target_rho 1e-300 was given the two-sided degree, at which T_M(psi(1))
+        # overflowed, and the run exited 1; the bulk degree stops before that
         cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 1e-300})
-        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        W = cli.build_gossip(cfg, 8)
+        assert np.isfinite(W.scale) and W.rho <= 1e-300
+
+    def test_overflowing_chebyshev_degree_exit_2(self, tmp_path, capsys):
+        # no finite T_M reaches 1 / 5e-324: the degree search returned the
+        # degree at which T_M overflowed, since 1 / inf meets any target, and
+        # the build then exited 1 with "T_M(psi(1)) is nan"
+        cfg = base_config(tmp_path, topology={"kind": "erdos_renyi", "p": 0.6, "target_rho": 5e-324})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime failure: chebyshev build inconsistent: T_M(psi(1)) is nan")
+        assert err.startswith("input error: target 5e-324 not reached: T_M overflows the float range")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -189,6 +189,9 @@ UNCALLED = {
     # bench/tracing.py wraps it by name; it goes with the tracer's rework
     # (ROADMAP item 1, slice B)
     "problems.local_grad",
+    # bench/workloads.py picks gossip-m1000's graph by it; it goes with item
+    # 13's benchmark-scoped remainder
+    "network.rounds_for_target",
 }
 
 

@@ -396,7 +396,7 @@ class TestPotentialDecay:
         c = problems.estimate_constants(p)
         params = accel.tune(c, "F")
         base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.5, seed=2))
-        M = network.rounds_for_target(base.rho, admissible_rho(c, "F"))
+        M = network.degree_for_target(base, admissible_rho(c, "F"))
         W = network.chebyshev_accelerate(base, M)
         oracle = centralized_solve(p)
         builder = WarmStartBuilder(p, oracle, params, constants=c)

@@ -24,6 +24,7 @@ from sonatasim.network import (
     chebyshev_accelerate,
     complete_graph,
     cut_distance,
+    degree_for_target,
     erdos_renyi,
     exact_averaging,
     hard_instance,
@@ -441,9 +442,10 @@ class TestChebyshev:
             chebyshev_accelerate(base, 3)
 
     def test_overflowing_degree_fails_its_check(self):
-        # T_M(psi(1)) overflows to NaN, which rho = 1 / scale would carry
+        # T_M(psi(1)) overflows to inf, then inf - inf = NaN, which rho = 1 / scale
+        # would carry; the error names the overflow, not the NaN
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
-        with pytest.raises(network.TopologyError, match=r"T_M\(psi\(1\)\) is nan at degree 5000"):
+        with pytest.raises(network.TopologyError, match=r"T_M\(psi\(1\)\) overflowed the float range at degree 5000"):
             chebyshev_accelerate(base, 5000)
 
     def test_point_bulk_collapses_to_averaging(self):
@@ -624,6 +626,112 @@ class TestRoundsForTarget:
     def test_monotone_in_target(self):
         Ms = [rounds_for_target(0.95, t) for t in (0.5, 0.2, 0.05, 0.01)]
         assert Ms == sorted(Ms)
+
+
+def walk_scale(bulk, M):
+    """T_M(psi(1)) on the bulk [lo, hi], by the recurrence written out."""
+    lo, hi = bulk
+    z = (2.0 - hi - lo) / (hi - lo)
+    t_prev, t = 1.0, z
+    for _ in range(M - 1):
+        t_prev, t = t, 2.0 * z * t - t_prev
+    return t
+
+
+class TestDegreeForTarget:
+    def assert_minimal_within_bound(self, base, target):
+        M = degree_for_target(base, target)
+        acc = chebyshev_accelerate(base, M)
+        assert acc.rho <= target
+        if M > 1:
+            assert chebyshev_accelerate(base, M - 1).rho > target
+        assert M <= rounds_for_target(base.rho, target)
+        return M, acc
+
+    @pytest.mark.parametrize("target", [0.3, 0.1, 1e-2, 1e-6])
+    def test_minimal_and_within_the_two_sided_degree(self, target):
+        for base in (
+            metropolis_hastings(line_graph(20)),
+            metropolis_hastings(star_graph(15)),
+            metropolis_hastings(erdos_renyi(30, 0.3, seed=4)),
+            line_gossip_for_rho(0.9),
+        ):
+            self.assert_minimal_within_bound(base, target)
+
+    def test_scale_is_the_walk_that_stopped(self):
+        base = metropolis_hastings(erdos_renyi(25, 0.4, seed=7))
+        for target in (0.3, 1e-3, 1e-9):
+            M, acc = self.assert_minimal_within_bound(base, target)
+            assert acc.scale == walk_scale(base.bulk, M)
+            assert 1.0 / walk_scale(base.bulk, M) <= target
+
+    @pytest.mark.parametrize(
+        "m,target,bulk_degree,two_sided",
+        [(20, 0.3, 12, 15), (100, 0.3, 60, 74), (199, 0.3, 119, 146), (20, 1e-2, 34, 42), (100, 1e-2, 169, 207)],
+    )
+    def test_lopsided_line_bulk_needs_fewer_rounds(self, m, target, bulk_degree, two_sided):
+        # a Metropolis-Hastings line's bulk runs from about -1/3 to near 1
+        base = metropolis_hastings(line_graph(m))
+        assert degree_for_target(base, target) == bulk_degree
+        assert rounds_for_target(base.rho, target) == two_sided
+
+    def test_gossip_benchmark_graph(self):
+        # the 1000-node graph that the two-sided rule gives degree 4 at 0.3
+        base = metropolis_hastings(erdos_renyi(1000, 0.01, 102))
+        assert rounds_for_target(base.rho, 0.3) == 4
+        M, acc = self.assert_minimal_within_bound(base, 0.3)
+        assert M == 3 and acc.rho <= 0.3
+
+    def test_base_within_target_needs_degree_1(self):
+        base = metropolis_hastings(erdos_renyi(30, 0.5, seed=1))
+        assert degree_for_target(base, base.rho) == 1
+        assert degree_for_target(exact_averaging(6), 0.0) == 1
+
+    def test_collapsed_bulk_needs_degree_1(self):
+        # a bulk [0, 1e-14] is one point to chebyshev_accelerate, which
+        # ignores the degree; the walk on it would ask for 2
+        m = 6
+        W = np.full((m, m), 1.0 / m) + 1e-14 * (np.eye(m) - 1.0 / m)
+        base = GossipMatrix(W)
+        assert network._collapsed(base.bulk) and base.rho > 1e-15
+        assert network._degree(network._psi_one(base.bulk), 1e-15)[0] == 2
+        assert degree_for_target(base, 1e-15) == 1
+
+    def test_zero_and_overflowing_targets_are_unreachable(self):
+        base = metropolis_hastings(erdos_renyi(30, 0.6, seed=5))
+        with pytest.raises(UnreachableTargetError, match="only exact averaging"):
+            degree_for_target(base, 0.0)
+        with pytest.raises(UnreachableTargetError, match="T_M overflows the float range before"):
+            degree_for_target(base, 5e-324)  # below 1 / (largest float)
+        M = degree_for_target(base, 1e-300)  # met before the overflow
+        assert chebyshev_accelerate(base, M).rho <= 1e-300
+
+    def test_overflow_at_the_degree_that_meets_the_target(self):
+        # a bulk [0, 2e-13] multiplies T_M by about 2e13 a step: T_23 is
+        # finite and short of 1e307, T_24 overflows, so no scale is finite
+        m = 6
+        base = GossipMatrix(np.full((m, m), 1.0 / m) + 2e-13 * (np.eye(m) - 1.0 / m))
+        assert not network._collapsed(base.bulk)
+        with pytest.raises(UnreachableTargetError, match=r"T_M\(psi\(1\)\) overflows the float range at degree 24"):
+            degree_for_target(base, 1e-307)
+        with pytest.raises(network.TopologyError, match="overflowed the float range at degree 24"):
+            chebyshev_accelerate(base, 24)
+
+    @pytest.mark.parametrize("target", [-0.1, 1.0, float("nan")])
+    def test_target_outside_the_unit_interval_is_rejected(self, target):
+        with pytest.raises(ValueError, match="target_rho must lie in"):
+            degree_for_target(metropolis_hastings(line_graph(5)), target)
+
+    # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 30),
+        p=st.floats(0.4, 1.0),
+        seed=st.integers(0, 2**16),
+        target=st.floats(1e-8, 0.99),
+    )
+    def test_random_graphs_meet_their_target(self, m, p, seed, target):
+        self.assert_minimal_within_bound(metropolis_hastings(erdos_renyi(m, p, seed=seed)), target)
 
 
 class TestLineGossip:

@@ -332,7 +332,7 @@ class TestSonataRun:
         c = problems.estimate_constants(p)
         delta = c.beta_hat - c.mu_hat
         base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=4))
-        M = network.rounds_for_target(base.rho, admissible_rho(c, "F"))
+        M = network.degree_for_target(base, admissible_rho(c, "F"))
         W = network.chebyshev_accelerate(base, M)
         Z = np.zeros((p.m, p.d))
         X0 = np.zeros((p.m, p.d))
