@@ -192,9 +192,11 @@ def build_problem(cfg: dict) -> problems.ProblemSpec:
 def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevGossip:
     """The topology block's operator on m nodes: its kind's base matrix (a
     graph's weighted by Metropolis-Hastings), accelerated to target_rho when
-    set.  Only erdos_renyi takes a seed, the run's unless the block sets one.
-    Each builder looks its network function up at call time, so a wrapper
-    installed on the module (bench/tracing.py) sees it."""
+    set; an operator whose rho misses the target raises
+    :class:`network.UnreachableTargetError`.  Only erdos_renyi takes a
+    seed, the run's unless the block sets one.  Each builder looks its
+    network function up at call time, so a wrapper installed on the module
+    (bench/tracing.py) sees it."""
     topo = dict(cfg["topology"])
     kind, target = topo.pop("kind", None), topo.pop("target_rho", None)
     bases = {
@@ -212,6 +214,12 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevG
     if target is not None:
         M = _call("topology", network.degree_for_target, W, target_rho=target)
         W = network.chebyshev_accelerate(W, M)
+        # a collapsed bulk's affine map has a rounding-level rho, which a
+        # target below it misses; NaN fails too
+        if not W.rho <= target:
+            raise network.UnreachableTargetError(
+                f"target_rho {target} not reached: the built operator has rho {W.rho:.4g}"
+            )
     return W
 
 

@@ -445,7 +445,9 @@ def degree_for_target(base: GossipMatrix, target_rho: float) -> int:
     It walks T_M(psi(1)) on the base's measured bulk, the sequence whose
     M-th term is the operator's ``scale``, so the operator's rho 1 / scale
     meets the target exactly, not up to rounding.  A base that already
-    meets it, or whose bulk is one point, needs degree 1.  A degree whose
+    meets it, or whose bulk is one point, needs degree 1; a point's affine
+    map has a rounding-level rho, which a smaller target misses, so
+    ``cli.build_gossip`` checks the built operator.  A degree whose
     T_M overflows the float range before the target is met raises
     :class:`UnreachableTargetError`, as does a zero target.
     """

@@ -11,10 +11,13 @@ nonsmooth term r.  Three loss families are supported, one entry each in
 A quadratic instance with d <= n is served by its per-agent statistics
 (:class:`GramStats`), fixed when it is built, so it may hold them without its
 rows.  All oracles are pure functions of immutable arrays and safe to call
-from multiple workers.  The per-agent kernels of :func:`curvature` (the
-Gram products of the Hessian bounds and both batched decompositions) run
-in agent ranges, one per usable CPU, on threads, bit-equal to one call on
-the whole stack.
+from multiple workers.  :func:`curvature` decomposes the whole stack of
+Hessian bounds H_i once, for both ends of each spectrum, and decomposes
+H_i - H_bar only for the agents that Weyl's bounds from those ends, with a
+derived slack for rounding, leave a candidate for beta.  Its per-agent
+kernels (the Gram products and the decompositions of the stack and of the
+candidates) run in agent ranges, one per usable CPU, on threads, bit-equal
+to one call on the whole stack.
 """
 
 from __future__ import annotations
@@ -511,7 +514,37 @@ class Curvature:
 def curvature(p: ProblemSpec) -> Curvature:
     """The curvature summaries of p, memoized on p.  Bounds that overflow
     the float range, from finite but huge feature values, raise
-    :class:`CurvatureOverflowError`."""
+    :class:`CurvatureOverflowError`.
+
+    One batched decomposition of the whole stack gives both ends of each
+    H_i's spectrum, and lmax.  With H_bar's ends they bound each agent's
+    deviation by Weyl's inequality (Horn & Johnson, Matrix Analysis,
+    Thm 4.3.1)::
+
+        low_i = max(|lmax(H_i) - lmax(H_bar)|, |lmin(H_i) - lmin(H_bar)|)
+             <= ||H_i - H_bar||_2 <=
+        high_i = max(lmax(H_i) - lmin(H_bar), lmax(H_bar) - lmin(H_i))
+
+    and H_i - H_bar is decomposed only for the candidates, the agents with
+    high_i + slack >= max_j low_j.  The argmax of low is always one, since
+    rounding is monotone and so the computed low_i <= high_i.
+
+    slack covers rounding.  LAPACK's symmetric eigensolvers return each
+    eigenvalue of X within c(d) * eps * ||X||_2 (LAPACK Users' Guide,
+    sec. 4.7, c a modestly growing function), taken here as c = d^2.
+    With S the largest |end| computed, ||H_i||_2 and ||H_bar||_2 are below
+    2 S, ||H_i - H_bar||_2 below 4 S and its stored difference below 5 S.
+    So the value a decomposition of H_i - H_bar gives is within 7 c eps S
+    of ||H_i - H_bar||_2 (5 from the decomposition, 2 from storing the
+    difference, whose rounding is below sqrt(d) eps / 2 of its norm), each
+    Weyl bound within 5 c eps S of its side (two ends and one
+    subtraction), and the test's own addition within 2 eps S.  A pruned
+    agent's value is then below the argmax's by at least
+    slack - 26 c eps S, and slack = 32 c eps S.  So beta is the largest of
+    exactly the per-agent values that decomposing every H_i - H_bar gives,
+    bit for bit.  The candidates are moved to the front of the stack and
+    subtracted in place, so no stack is copied.
+    """
     if p._curvature is None:
         with np.errstate(over="ignore", invalid="ignore"):
             H = hessian_bounds(p)
@@ -523,17 +556,28 @@ def curvature(p: ProblemSpec) -> Curvature:
                 "finite; rescale the features"
             )
         w = np.linalg.eigvalsh(H_bar)
-
-        def largest(s):
-            return np.linalg.eigvalsh(H[s])[:, -1]
+        lo, hi = w[0], w[-1]
 
         def extremes(s):
             return np.linalg.eigvalsh(H[s])[:, [0, -1]]
 
-        lmax = np.concatenate(_by_agent_ranges(p.m, largest))
-        H -= H_bar
-        beta = np.abs(np.concatenate(_by_agent_ranges(p.m, extremes))).max()
-        p._curvature = Curvature(H_bar, float(w[0]), float(w[-1]), lmax, float(beta))
+        ends = np.concatenate(_by_agent_ranges(p.m, extremes))
+        lmin, lmax = ends.T.copy()
+        low = np.maximum(np.abs(lmax - hi), np.abs(lmin - lo))
+        high = np.maximum(lmax - lo, hi - lmin)
+        scale = max(np.abs(ends).max(), abs(lo), abs(hi))
+        slack = 32 * p.d**2 * np.finfo(float).eps * scale
+        candidates = np.flatnonzero(~(high + slack < low.max()))
+        for j, i in enumerate(candidates):  # moved to the front, in order
+            if i != j:
+                H[j] = H[i]
+
+        def deviations(s):  # the ends of each H_i - H_bar, subtracted in place
+            H[s] -= H_bar
+            return extremes(s)
+
+        beta = np.abs(np.concatenate(_by_agent_ranges(candidates.size, deviations))).max()
+        p._curvature = Curvature(H_bar, float(lo), float(hi), lmax, float(beta))
     return p._curvature
 
 

@@ -53,7 +53,8 @@ def planted(cfg) -> tuple[np.ndarray, np.ndarray]:
 
 def curvature_in_one_call(p: ProblemSpec) -> problems.Curvature:
     """problems.curvature with each per-agent kernel (the Gram product and
-    both decompositions) one numpy call on the whole (m, d, d) stack."""
+    both decompositions) one numpy call on the whole (m, d, d) stack, and
+    no agent pruned: every H_i - H_bar is decomposed."""
     ridge = p.loss.ridge * p.lam * np.eye(p.d)
     if p.stats is not None:
         H = p.stats.H + ridge

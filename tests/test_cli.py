@@ -401,6 +401,19 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("m", [7, 100])
+    def test_target_below_rounding_level_exit_2(self, tmp_path, capsys, m):
+        # a complete graph's bulk is one point, and its affine map's rho is
+        # rounding-level (1.9e-16 at m = 7); the run used to exit 0 with that
+        # rho in its metadata
+        cfg = base_config(tmp_path, topology={"kind": "complete", "target_rho": 1e-17})
+        cfg["problem"]["synthetic"].update(m=m, n=50, d=5)
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        line = r"input error: target_rho 1e-17 not reached: the built operator has rho [0-9.]+e-1[56]\n"
+        assert re.fullmatch(line, err)
+        assert not (tmp_path / "out").exists()
+
     def test_line_gossip_bracket_failure_exit_1(self, capsys, monkeypatch):
         # a line matrix whose deviation sits above the target at every weight
         monkeypatch.setattr(network, "_spectrum", lambda W: (0.0, 0.999))

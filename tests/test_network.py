@@ -697,6 +697,18 @@ class TestDegreeForTarget:
         assert network._degree(network._psi_one(base.bulk), 1e-15)[0] == 2
         assert degree_for_target(base, 1e-15) == 1
 
+    def test_collapsed_bulk_missing_the_target_is_refused(self, monkeypatch):
+        # the affine map of that bulk has rho 4.996e-15, and the build used
+        # to return it for target 1e-15 and say nothing
+        m = 6
+        base = GossipMatrix(np.full((m, m), 1.0 / m) + 1e-14 * (np.eye(m) - 1.0 / m))
+        assert chebyshev_accelerate(base, degree_for_target(base, 1e-15)).rho > 1e-15
+        monkeypatch.setattr(network, "exact_averaging", lambda m: base)
+        cfg = {"seed": 0, "topology": {"kind": "exact_averaging", "target_rho": 1e-15}}
+        with pytest.raises(UnreachableTargetError, match=r"target_rho 1e-15 not reached: .* rho [0-9.]+e-15$"):
+            cli.build_gossip(cfg, m)
+        assert cli.build_gossip(dict(cfg, topology={"kind": "exact_averaging", "target_rho": 5e-15}), m).rho <= 5e-15
+
     def test_zero_and_overflowing_targets_are_unreachable(self):
         base = metropolis_hastings(erdos_renyi(30, 0.6, seed=5))
         with pytest.raises(UnreachableTargetError, match="only exact averaging"):
