@@ -177,6 +177,16 @@ def acc_sonata_run(
     its target.  Shifted toward the new centers, they check the tracking
     identity (a violated or non-finite drift raises) and, with the
     unshifted ones, seed the next inner loop and its first local step.
+
+    Each (m, d) array has one live name, dropped after its last read: the
+    warm restart replaces the tracker, the previous centers go once the
+    restart has read them and the previous outer iterate once the
+    extrapolation and ``on_outer_end`` have, and every inner loop advances
+    one :class:`~sonatasim.sonata.SonataState` in place.  While an inner
+    loop runs, this loop holds only the centers Z and the outer iterate the
+    extrapolation will read, so a gossip round's working set is those two
+    and :func:`~sonatasim.sonata.sonata_run`'s: at most 9 + min(M, 3)
+    stacks for a mix of M products.
     """
     observer = observer or RunObserver()
     delta = params.delta
@@ -184,44 +194,45 @@ def acc_sonata_run(
     X = np.zeros((p.m, p.d))
     Z = X.copy()
     Z_prev = X.copy()
-    Y = grads = problems.batch_grads(p, X)
+    grads = problems.batch_grads(p, X)
+    # each agent's tracker starts at its own gradient; G is set at each boundary
+    state = sonata.SonataState(X, grads, grads, grads, 0)
+    del grads  # the first gossip round replaces them
 
     solver = params.local_solver(p)
 
-    observer.on_init(X, Y)
+    observer.on_init(X, state.Y)
     result = AccelResult(0, 0, False)
 
     # boundary k checks the state that outer k - 1 left, the last one's too
     for k in range(params.K_max + 1):
-        Y_warm = Y + delta * (Z_prev - Z)
-        G = sonata.shifted_grads(X, delta, Z, grads)
-        G_bar = G.mean(axis=0)
-        drift = np.linalg.norm(Y_warm.mean(axis=0) - G_bar)
+        state.Y = state.Y + delta * (Z_prev - Z)
+        del Z_prev
+        state.G = sonata.shifted_grads(X, delta, Z, state.grads)
+        G_bar = state.G.mean(axis=0)
+        drift = np.linalg.norm(state.Y.mean(axis=0) - G_bar)
         scale = 1.0 + np.linalg.norm(G_bar)
         if not drift <= 1e-8 * scale:  # also catches a NaN drift
             raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
         if k == params.K_max or result.converged:
             break
-        observer.on_outer_start(X, Y_warm, Z)
+        observer.on_outer_start(X, state.Y, Z)
 
-        inner = sonata.sonata_run(
+        sonata.sonata_run(
             p,
-            X,
-            Y_warm,
+            state,
             params.T,
             W,
             solver,
             Z=Z,
-            grads0=grads,
-            G0=G,
-            comms_start=result.comms,
             on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
         )
-        X_prev, X, Y, grads, result.comms = X, inner.X, inner.Y, inner.grads, inner.comms
-        result.subproblem_converged.append(all(inner.subproblem_converged))
+        X_prev, X, result.comms = X, state.X, state.comms
+        result.subproblem_converged.append(all(state.subproblem_converged))
 
         Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)
         observer.on_outer_end(X, X_prev)
+        del X_prev
 
         result.K_done = k + 1
         if gap_fn is not None:

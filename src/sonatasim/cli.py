@@ -86,6 +86,8 @@ def load_config(path: str | None, overrides: dict | None) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
         except OSError as exc:
             raise ConfigError(f"{path}: {exc.strerror}") from None
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: expected an object, got {json.dumps(user)}")
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
@@ -99,21 +101,25 @@ def _check_problem_keys(block):
     source and nothing else, so a misspelt sibling of it does not go unnoticed."""
     if not isinstance(block, dict):
         raise ConfigError(f"problem: expected an object, got {json.dumps(block)}")
-    for key in block:
+    for key, source in block.items():
         if key not in ("synthetic", "dataset"):
             raise ConfigError(f"unknown config field {'problem.' + key!r}")
+        if not isinstance(source, dict):
+            raise ConfigError(f"problem: {key!r} takes an object, got {json.dumps(source)}")
     if len(block) != 1:
         raise ConfigError("problem: exactly one of 'synthetic' or 'dataset' required")
 
 
 def _check_values(cfg: dict, defaults, path=""):
-    """Reject a value of another type in a field whose default is a boolean
-    or a string, a JSON true/false in a field whose default is not a boolean
-    (float(True) == 1.0 passes any numeric check) and a non-finite number,
-    which metadata.json could not echo back."""
+    """Reject a value of another type in a field whose default is an object,
+    a boolean or a string, a JSON true/false in a field whose default is not
+    a boolean (float(True) == 1.0 passes any numeric check) and a non-finite
+    number, which metadata.json could not echo back."""
     for key, val in cfg.items():
         default = defaults.get(key) if isinstance(defaults, dict) else None
         where = path[:-1] or key
+        if isinstance(default, dict) and not isinstance(val, dict):
+            raise ConfigError(f"{where}: {key!r} takes an object, got {json.dumps(val)}")
         if isinstance(default, (bool, str)) and type(val) is not type(default):
             kind = "boolean" if isinstance(default, bool) else "string"
             raise ConfigError(f"{where}: {key!r} takes a {kind}, got {json.dumps(val)}")
@@ -141,13 +147,18 @@ def _write_json(path: Path, obj) -> None:
 def output_path(cfg_output: str) -> Path:
     """The output directory a config names, under SONATASIM_OUTPUT_DIR when
     that is set and the name is relative; nothing is created.  An empty name
-    is a ConfigError: it would write into the working directory."""
+    is a ConfigError: it would write into the working directory.  So is a
+    name whose nearest existing path is not a directory, which no run could
+    write into."""
     if not cfg_output:
         raise ConfigError("output: the output directory is an empty path")
     base = os.environ.get("SONATASIM_OUTPUT_DIR")
     path = Path(cfg_output)
     if base and not path.is_absolute():
         path = Path(base) / path
+    existing = next(q for q in (path, *path.parents) if q.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output: {existing} is not a directory")
     return path
 
 
@@ -645,7 +656,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cfg = load_config(args.config, _overrides_from_args(args))
             try:
-                points = [float(tok) for tok in args.points.split(",") if tok]
+                points = [float(tok) for tok in args.points.split(",")]
             except ValueError:
                 raise ConfigError(f"--points: not a list of numbers: {args.points!r}") from None
             out_dir = output_path(cfg["output"])
@@ -677,6 +688,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except problems.RuntimeFailure as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that cannot be written, say
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -35,7 +35,7 @@ terms and Catalyst's relative stopping test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +50,19 @@ MAX_INNER_ITERS = 5000
 
 
 @dataclass
-class SonataResult:
+class SonataState:
+    """What the inner loop carries from one iteration to the next: the
+    iterates X, the trackers Y, the shifted local gradients G at X, the
+    unshifted ``grads = problems.batch_grads(p, X)`` they came from and the
+    cumulative communication count.  :func:`sonata_run` advances it in place
+    and sets ``subproblem_converged`` to one flag per iteration it ran."""
+
     X: np.ndarray
     Y: np.ndarray
+    G: np.ndarray
+    grads: np.ndarray
     comms: int
-    subproblem_converged: list  # one flag per iteration
-    grads: np.ndarray  # batch_grads at X
+    subproblem_converged: list = field(init=False, default_factory=list)
 
 
 def shifted_grads(X: np.ndarray, delta: float, Z, grads) -> np.ndarray:
@@ -170,48 +177,43 @@ def gossip_round(X_half, Y, G, W, p: ProblemSpec, delta: float, Z):
 
 
 def sonata_run(
-    p: ProblemSpec,
-    X0,
-    Y0,
-    T: int,
-    W,
-    solver: LocalSolver,
-    *,
-    Z,
-    grads0,
-    G0,
-    comms_start: int,
-    on_step,
-) -> SonataResult:
-    """Run T iterations (local step + communication step) from (X0, Y0); each
-    costs ``W.rounds_per_application`` communication rounds.  The local step
-    and the gradients' proximal shift delta toward the centers Z are
-    ``solver``'s.
+    p: ProblemSpec, state: SonataState, T: int, W, solver: LocalSolver, *, Z, on_step
+) -> SonataState:
+    """Advance ``state`` by T iterations (local step + communication step) in
+    place and return it; each iteration costs ``W.rounds_per_application``
+    communication rounds.  The local step and the gradients' proximal shift
+    delta toward the centers Z are ``solver``'s.
 
-    Y0 is supplied by the caller: a cold start uses the shifted local
-    gradients at X0, the accelerated outer loop supplies its warm restart.
-    ``grads0`` is ``problems.batch_grads(p, X0)`` and ``G0`` their
-    :func:`shifted_grads`, both held by the caller, and the count starts at
-    ``comms_start``.
-    Each iterate's unshifted local gradients are evaluated once, at the
-    start or in the gossip round that mixed it, and serve both its shifted
-    gradients and the first iterate of its local step.
+    The state's tracker is supplied by the caller: a cold start uses the
+    shifted local gradients at its X, the accelerated outer loop its warm
+    restart.  Each iterate's unshifted local gradients are evaluated once,
+    at the start or in the gossip round that mixed it, and serve both its
+    shifted gradients and the first iterate of its local step.
     ``on_step(t, comms, X, Y)`` fires after every completed iteration.  The
-    result carries the unshifted local gradients at its X, for a caller that
-    shifts them toward new proximal centers.
-    """
-    X = np.asarray(X0, dtype=float)
-    Y = np.asarray(Y0, dtype=float)
-    if X.shape != (p.m, p.d) or Y.shape != X.shape:
-        raise ValueError("X0 and Y0 must be (m, d)")
-    G, grads = G0, grads0
+    advanced state carries the unshifted local gradients at its X, for a
+    caller that shifts them toward new proximal centers.
 
-    comms = comms_start
-    converged = []
+    Each (m, d) array is dropped after its last read: the iterate and its
+    unshifted gradients once the local step has read them, the local step's
+    output once the gossip round has mixed it.  A gossip round's peak is in
+    its tracker mix, which holds the state's trackers and shifted gradients,
+    the local step's output, the mixed iterate, its unshifted and shifted
+    gradients, the tracker update and min(M, 3) products of a mix of M
+    products (:class:`~sonatasim.network.ChebyshevGossip` keeps the last
+    three of its recurrence): 7 + min(M, 3) (m, d) stacks beside Z and what
+    the caller holds by other names.
+    """
+    if state.X.shape != (p.m, p.d) or state.Y.shape != state.X.shape:
+        raise ValueError("the state's X and Y must be (m, d)")
+    state.subproblem_converged = []
     for t in range(1, T + 1):
-        X_half, ok, _ = solver.solve(X, Y, G, Z, grads)
-        X, Y, G, grads = gossip_round(X_half, Y, G, W, p, solver.delta, Z)
-        comms += W.rounds_per_application
-        converged.append(ok)
-        on_step(t, comms, X, Y)
-    return SonataResult(X, Y, comms, converged, grads)
+        X_half, ok, _ = solver.solve(state.X, state.Y, state.G, Z, state.grads)
+        del state.X, state.grads  # the local step was their last reader
+        state.X, state.Y, state.G, state.grads = gossip_round(
+            X_half, state.Y, state.G, W, p, solver.delta, Z
+        )
+        del X_half
+        state.comms += W.rounds_per_application
+        state.subproblem_converged.append(ok)
+        on_step(t, state.comms, state.X, state.Y)
+    return state

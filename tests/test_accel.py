@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import hinge_problem, logistic_problem
-from sonatasim import diagnostics, network, problems, sonata
+from conftest import hinge_problem, logistic_problem, traced_peak
+from sonatasim import datagen, diagnostics, network, problems, sonata
 from sonatasim.accel import (
     AccelParams,
     DegenerateSimilarityError,
@@ -176,15 +176,11 @@ class TestAccSonataRun:
         plain = []
         sonata.sonata_run(
             p,
-            X0,
-            Y0,
+            sonata.SonataState(X0, Y0, Y0, Y0, 0),
             18,
             small_gossip,
             params.local_solver(p),
             Z=X0,
-            grads0=Y0,
-            G0=Y0,
-            comms_start=0,
             on_step=lambda t, cm, X, Y: plain.append(np.array(X)),
         )
         for a, b in zip(seen, plain):
@@ -304,6 +300,36 @@ class TestAccSonataRun:
         )
         factor = reference.fit_contraction_factor(res.gaps)
         assert factor < 1.0
+
+    @pytest.mark.parametrize(
+        "case, m, edge_p, bound",
+        [("L", 60, 0.2, 11.5), ("L", 300, 0.05, 11.5), ("F-iterative", 60, 0.2, 16.0)],
+        ids=["dense", "csr", "iterative-step"],
+    )
+    def test_solve_holds_no_dead_stack(self, case, m, edge_p, bound):
+        # in mode L the solve's peak is in the tracker mix: Z, the outer
+        # iterate the extrapolation reads, the state's Y and G, the local
+        # step's output, the round's mixed iterate, its two gradient stacks
+        # and tracker update, and the degree-2 mix's two products, 11 (m, d)
+        # stacks.  Holding the pre-restart tracker, the previous centers or
+        # outer iterate, or an iterate or its gradients the local step has
+        # read adds one stack each; the loops used to hold 19 here.  Mode
+        # F's iterative step peaks in its own arrays, 15.6 stacks, into
+        # which the last round's output, held past its mix, adds one (22.6
+        # in the old loops).
+        if case == "L":
+            p = datagen.gen_ridge(
+                datagen.SyntheticRidgeConfig(m=m, n=20, d=40, mu0=1.0, L0=100.0, seed=3)
+            )
+        else:
+            p = logistic_problem(m=m, n=20, d=40, reg=Regularizer("l1", weight=1e-3))
+        base = network.metropolis_hastings(network.erdos_renyi(m, edge_p, seed=3))
+        W = network.chebyshev_accelerate(base, network.degree_for_target(base, 0.3))
+        assert isinstance(base.W, np.ndarray) == (m == 60) and W.M == 2
+        params = replace(tune(problems.estimate_constants(p), case[0]), K_max=2)
+        assert params.T >= 2 and params.local_solver(p).steps is not None
+        _, peak = traced_peak(lambda: acc_sonata_run(p, params, W))
+        assert peak / (m * p.d * 8) <= bound
 
 
 @pytest.fixture(scope="module")

@@ -179,8 +179,7 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     oracle_k = diagnostics.centralized_solve(p, delta=params.delta, Z=Z)
     vals = [reference.inner_potential(X0, Y0, c, mode, oracle_k)["total"]]
     sonata.sonata_run(
-        p, X0, Y0, T, W, params.local_solver(p), Z=Z, grads0=grads0, G0=Y0,
-        comms_start=0,
+        p, sonata.SonataState(X0, Y0, Y0, grads0, 0), T, W, params.local_solver(p), Z=Z,
         on_step=lambda t, cm, X, Y: vals.append(
             reference.inner_potential(X, Y, c, mode, oracle_k)["total"]
         ),
@@ -347,8 +346,8 @@ def test_criterion_10_degenerate_equivalences():
     X0 = np.zeros((p.m, p.d))
     Y0 = problems.batch_grads(p, X0)
     plain_iters = []
-    sonata.sonata_run(p, X0, Y0, 18, W, pp.local_solver(p), Z=X0, grads0=Y0, G0=Y0,
-                      comms_start=0,
+    sonata.sonata_run(p, sonata.SonataState(X0, Y0, Y0, Y0, 0), 18, W, pp.local_solver(p),
+                      Z=X0,
                       on_step=lambda t, cm, X, Y: plain_iters.append(np.array(X)))
     worst_b = max(float(np.max(np.abs(a - b))) for a, b in zip(acc_iters, plain_iters))
     assert worst_b <= 1e-12

@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -22,6 +23,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 DEGENERATE_SYNTHETIC = {"m": 4, "n": 20000, "d": 3, "L0": 1.5}
 DATASET = {"path": str(FIXTURE), "lam": 0.1}
 TWO_SOURCES = {"synthetic": {"m": 6, "n": 100, "d": 5}, "dataset": dict(DATASET, m=4)}
+COMMANDS = [["run"], ["sweep", "--axis", "beta_over_mu", "--points", "100"], ["estimate-constants"]]
+# the commands that write an output directory
+OUTPUT_COMMANDS = [
+    ["run"],
+    ["sweep", "--axis", "beta_over_mu", "--points", "100"],
+    ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"],
+]
 
 
 def base_config(tmp_path, **extra):
@@ -617,6 +625,75 @@ class TestMainEntry:
         assert err == "config error: problem: exactly one of 'synthetic' or 'dataset' required\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[a[0] for a in COMMANDS])
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ([], "config.json: expected an object, got []"),
+            (42, "config.json: expected an object, got 42"),
+            ("x", 'config.json: expected an object, got "x"'),
+            (None, "config.json: expected an object, got null"),
+            ({"algorithm": 5}, "algorithm: 'algorithm' takes an object, got 5"),
+            ({"diagnostics": []}, "diagnostics: 'diagnostics' takes an object, got []"),
+            ({"topology": 7}, "topology: 'topology' takes an object, got 7"),
+            ({"regularizer": "l1"}, "regularizer: 'regularizer' takes an object, got \"l1\""),
+            ({"problem": {"synthetic": 5}}, "problem: 'synthetic' takes an object, got 5"),
+            ({"problem": {"dataset": 3}}, "problem: 'dataset' takes an object, got 3"),
+        ],
+        ids=[
+            "top-array", "top-number", "top-string", "top-null", "algorithm-number",
+            "diagnostics-array", "topology-number", "regularizer-string",
+            "synthetic-number", "dataset-number",
+        ],
+    )
+    def test_block_that_is_not_an_object_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, config, message
+    ):
+        # a top-level non-object raised AttributeError in every command, each
+        # block TypeError in run and sweep; estimate-constants took
+        # {"algorithm": 5} and exited 0
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*argv, "-c", "config.json"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=[a[0] for a in OUTPUT_COMMANDS])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_output_that_cannot_be_a_directory_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, below
+    ):
+        # each command ran the whole job, then raised FileExistsError or
+        # NotADirectoryError with exit 1
+        def no_work(p):
+            raise AssertionError("constants estimated")
+
+        monkeypatch.setattr(problems, "estimate_constants", no_work)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        if argv[0] != "lowerbound-check":
+            argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        assert cli.main([*argv, "--output", str(blocker / below)]) == 2
+        assert capsys.readouterr().err == f"config error: output: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            ["taken"] + (["config.json"] if argv[0] != "lowerbound-check" else [])
+        )
+
+    @pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=[a[0] for a in OUTPUT_COMMANDS])
+    def test_failed_output_write_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        def full(path, obj):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "_write_json", full)
+        if argv[0] != "lowerbound-check":
+            argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: [Errno 28] No space left on device")
+        assert err.count("\n") == 1
+
     def test_sweep_of_a_dataset_exit_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path, problem={"dataset": dict(DATASET, m=4)})
         argv = ["sweep", "-c", write_config(tmp_path, cfg), "--axis", "beta_over_mu", "--points", "100"]
@@ -1047,13 +1124,17 @@ class TestSweep:
             ("kappa", "nan"),
             ("kappa", "inf"),
             ("kappa", "20,1"),
+            ("beta_over_mu", "100,,300"),
+            ("beta_over_mu", "100,"),
+            ("beta_over_mu", ",100"),
+            ("kappa", "20,,10"),
         ],
     )
     def test_bad_points_rejected_before_any_instance(
         self, tmp_path, capsys, monkeypatch, axis, points
     ):
-        # each used to end in a traceback, run a truncated n, or run the whole
-        # sweep before failing on a non-finite output
+        # each used to end in a traceback, run a truncated n, run the whole
+        # sweep before failing on a non-finite output, or drop an empty entry
         def no_instance(*args, **kwargs):
             raise AssertionError("an instance was built")
 
@@ -1062,6 +1143,8 @@ class TestSweep:
         assert cli.main(["sweep", "-c", path, "--axis", axis, "--points", points]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        if "" in points.split(","):
+            assert err == f"config error: --points: not a list of numbers: {points!r}\n"
         assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_kappa_axis_holds_similarity_ratio(self, tmp_path):

@@ -103,7 +103,7 @@ FIELDS = {
     "problems.Loss": ("value_into", "deriv", "cap", "ridge", "exact"),
     "problems.Curvature": ("H_bar", "H_bar_min", "H_bar_max", "lmax", "beta"),
     "problems.Constants": ("mu_hat", "L_hat", "Lmx_hat", "beta_hat"),
-    "sonata.SonataResult": ("X", "Y", "comms", "subproblem_converged", "grads"),
+    "sonata.SonataState": ("X", "Y", "G", "grads", "comms"),
 }
 
 

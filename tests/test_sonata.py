@@ -9,6 +9,7 @@ from reference import admissible_rho, hessian_bound, inner_potential, tracking_g
 from sonatasim import accel, diagnostics, network, problems, sonata
 from sonatasim.problems import Regularizer
 from sonatasim.sonata import (
+    SonataState,
     gossip_round,
     shifted_grads,
     sonata_run,
@@ -253,8 +254,7 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
         res = sonata_run(
-            p, X0, Y0, 0, small_gossip, solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
+            p, SonataState(X0, Y0, Y0, Y0, 0), 0, small_gossip, solver, Z=X0, on_step=ignore
         )
         assert np.array_equal(res.X, X0) and np.array_equal(res.Y, Y0)
         assert res.comms == 0
@@ -268,8 +268,7 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 1.0, 0.0)
         res = sonata_run(
-            p, X0, Y0, 8, small_gossip, solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
+            p, SonataState(X0, Y0, Y0, Y0, 0), 8, small_gossip, solver, Z=X0, on_step=ignore
         )
         assert np.max(np.abs(res.X - res.X[0])) <= 1e-10
 
@@ -277,17 +276,18 @@ class TestSonataRun:
         p = small_ridge
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", 5.0, 0.0)
-        res = sonata_run(
-            p, X0, Y0, 7, small_gossip, solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=3, on_step=ignore,
-        )
-        assert res.comms == 3 + 7 * small_gossip.rounds_per_application
+        state = SonataState(X0, Y0, Y0, Y0, 3)
+        res = sonata_run(p, state, 7, small_gossip, solver, Z=X0, on_step=ignore)
+        assert res is state and res.comms == 3 + 7 * small_gossip.rounds_per_application
         doubled = dataclasses.replace(small_gossip, rounds_per_application=2)
         res2 = sonata_run(
-            p, X0, Y0, 7, doubled, solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
+            p, SonataState(X0, Y0, Y0, Y0, 0), 7, doubled, solver, Z=X0, on_step=ignore
         )
         assert res2.comms == 14
+        # a state run again keeps its count; its flags are the last run's
+        sonata_run(p, state, 5, doubled, solver, Z=X0, on_step=ignore)
+        assert state.comms == 3 + 7 * small_gossip.rounds_per_application + 10
+        assert len(state.subproblem_converged) == 5
 
     def test_single_agent_reduces_to_proximal_gradient(self):
         rng = np.random.default_rng(4)
@@ -298,8 +298,8 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "L", L_surr, 0.0)
         res = sonata_run(
-            p, X0, Y0, 12, network.exact_averaging(1), solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
+            p, SonataState(X0, Y0, Y0, Y0, 0), 12, network.exact_averaging(1), solver,
+            Z=X0, on_step=ignore,
         )
         x = np.zeros(6)
         for _ in range(12):
@@ -315,8 +315,8 @@ class TestSonataRun:
         X0, Y0 = cold_start(p)
         solver = sonata.LocalSolver(p, "F", beta, 0.0)
         res = sonata_run(
-            p, X0, Y0, 9, network.exact_averaging(1), solver,
-            Z=X0, grads0=Y0, G0=Y0, comms_start=0, on_step=ignore,
+            p, SonataState(X0, Y0, Y0, Y0, 0), 9, network.exact_averaging(1), solver,
+            Z=X0, on_step=ignore,
         )
         H = hessian_bound(p, 0)
         h = A[0].T @ b[0] / 30
@@ -342,15 +342,11 @@ class TestSonataRun:
         vals = [inner_potential(X0, Y0, c, "F", oracle_k)["total"]]
         sonata_run(
             p,
-            X0,
-            Y0,
+            SonataState(X0, Y0, Y0, grads0, 0),
             11,
             W,
             sonata.LocalSolver(p, "F", c.beta_hat, delta),
             Z=Z,
-            grads0=grads0,
-            G0=Y0,
-            comms_start=0,
             on_step=lambda t, cm, X, Y: vals.append(
                 inner_potential(X, Y, c, "F", oracle_k)["total"]
             ),
@@ -442,8 +438,8 @@ class TestInputsUnchanged:
         solver = sonata.LocalSolver(p, mode, 40.0, 0.0)
         unchanged_by(
             lambda: sonata_run(
-                p, X0, grads0, 3, small_gossip, solver,
-                Z=Z, grads0=grads0, G0=grads0, comms_start=0, on_step=ignore,
+                p, SonataState(X0, grads0, grads0, grads0, 0), 3, small_gossip, solver,
+                Z=Z, on_step=ignore,
             ),
             X0,
             grads0,

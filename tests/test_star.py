@@ -23,8 +23,8 @@ class TestSonataStarEquivalence:
         solver = sonata.LocalSolver(p, *surrogate, delta)
         G0 = sonata.shifted_grads(X0, delta, Z, grads0)
         mesh = sonata.sonata_run(
-            p, X0, Y0, T, W, solver,
-            Z=Z, grads0=grads0, G0=G0, comms_start=0, on_step=lambda *_: None,
+            p, sonata.SonataState(X0, Y0, G0, grads0, 0), T, W, solver,
+            Z=Z, on_step=lambda *_: None,
         )
         xs, comms = reference.sonata_star_run(p, x0, T, solver, z=z)
         return mesh, xs, comms
