@@ -163,7 +163,8 @@ def acc_sonata_run(
     target_gap: float | None = None,
 ) -> AccelResult:
     """Run up to params.K_max outer iterations from X = 0, every local step
-    by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap.
+    by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap
+    (a target_gap without a gap_fn raises ``ValueError``).
 
     W is a :class:`~sonatasim.network.GossipMatrix` or a
     :class:`~sonatasim.network.ChebyshevGossip` built on one; every inner
@@ -188,6 +189,8 @@ def acc_sonata_run(
     and :func:`~sonatasim.sonata.sonata_run`'s: at most 9 + min(M, 3)
     stacks for a mix of M products.
     """
+    if target_gap is not None and gap_fn is None:
+        raise ValueError("target_gap needs a gap_fn to stop on")
     observer = observer or RunObserver()
     delta = params.delta
 

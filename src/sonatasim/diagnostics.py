@@ -149,9 +149,15 @@ def optimality_gap(p: ProblemSpec, X, oracle: Oracle):
 
 
 def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
-    """(c_x, c_y) weights of the consensus/tracking error in the inner potential."""
+    """(c_x, c_y) weights of the consensus/tracking error in the inner
+    potential; mode F's divide by beta_hat, so beta_hat = 0 raises
+    :class:`problems.InputError`."""
     mu, L, beta = constants.mu_hat, constants.L_hat, constants.beta_hat
     if mode == "F":
+        if not beta > 0:
+            raise problems.InputError(
+                f"mode F's inner potential weighs its errors by 1 / beta_hat, and beta_hat = {beta}"
+            )
         return 8.0 * (L + 2 * beta - mu) ** 2 / beta, 4.0 / beta
     if mode == "L":
         return 56.0 * (2 * L + beta - mu) ** 2 / L, 28.0 / L
@@ -230,7 +236,7 @@ class TrajectoryBuilder(RunObserver):
     also records the potentials: it re-solves the shifted problem at every
     outer iteration, and an inner step's row adds the shifted suboptimality
     g to e, its consensus and tracking errors weighted by
-    :func:`error_weights`.
+    :func:`error_weights`, which it computes once, when it is built.
     """
 
     def __init__(
@@ -239,7 +245,7 @@ class TrajectoryBuilder(RunObserver):
         self.p = p
         self.oracle = oracle
         self.params = params
-        self.constants = constants
+        self._weights = None if constants is None else error_weights(constants, params.mode)
         self.traj = Trajectory()
         self._oracle_k: Oracle | None = None
         self._e_final = 0.0  # the last inner step's weighted errors
@@ -251,7 +257,7 @@ class TrajectoryBuilder(RunObserver):
         gap = float(np.maximum(self._sub, cons))  # NaN in either arm is NaN
         g_plus_e = None
         if self._oracle_k is not None:  # an inner step of a run with potentials
-            c_x, c_y = error_weights(self.constants, self.params.mode)
+            c_x, c_y = self._weights
             self._e_final = c_x * cons + c_y * track
             g_plus_e = self._oracle_k.suboptimality(X) + self._e_final
         self.traj.rows.append(TrajRow(k, t, comms, gap, cons, track, g_plus_e))
@@ -267,7 +273,7 @@ class TrajectoryBuilder(RunObserver):
         self._outer_potential(X, X, 0.0)
 
     def on_outer_start(self, X, Y_warm, Z):
-        if self.constants is not None:
+        if self._weights is not None:
             self._oracle_k = centralized_solve(self.p, delta=self.params.delta, Z=Z)
 
     def on_inner_step(self, k, t, comms, X, Y):

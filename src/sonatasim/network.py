@@ -19,16 +19,15 @@ long line, whose extreme eigenvalues cluster): then it is measured densely,
 as for a dense W.  Small graphs stay dense because dense BLAS is as fast
 there and needs no scipy; dense graphs stay dense because above that fill a
 CSR product is slower than a dense one.
-A :class:`ChebyshevGossip` (from :func:`chebyshev_accelerate`) is built on
-its base :class:`GossipMatrix`, keeps the affine 2 psi(W) in the base's own
-storage (dense or CSR) and applies the degree-M polynomial as M neighbour
-exchanges by the three-term recurrence, never forming the polynomial; its
-rho is the closed form 1 / T_M(psi(1)), which a short Lanczos run on
-``mix`` checks.  :func:`degree_for_target` picks the smallest degree whose
-closed-form deviation on the measured bulk meets a target, by the same walk
-over T_M(psi(1)) that sets ``scale``, and a target that T_M overflows before
-meeting is unreachable; :func:`rounds_for_target`, the two-sided worst case
-for a bulk in [-rho, rho], bounds that degree from above.
+A :class:`ChebyshevGossip` is built on its base :class:`GossipMatrix`,
+keeps the affine 2 psi(W) in the base's own storage (dense or CSR) and
+applies the degree-M polynomial as M neighbour exchanges by the three-term
+recurrence, never forming the polynomial; its rho is the closed form
+1 / T_M(psi(1)), which a short Lanczos run on ``mix`` checks.
+:func:`chebyshev_accelerate` builds the operator for a target at the
+smallest degree whose closed-form deviation meets it, by the walk over
+T_M(psi(1)) that sets ``scale``; :func:`rounds_for_target`, the two-sided
+worst case for a bulk in [-rho, rho], bounds that degree from above.
 scipy is imported only when a CSR matrix is built or accelerated.  Two
 operators are equal only when they are the same object.  The builders'
 limits are constants: :data:`MAX_RESAMPLES`, :data:`MAX_ROUNDS`,
@@ -82,7 +81,7 @@ class UnreachableTargetError(InputError):
 
 
 class InstanceTooLargeError(InputError):
-    """The required node count exceeds the allowed maximum."""
+    """A required node count, or a dense m x m array, exceeds its limit."""
 
 
 class FixtureParameterError(InputError):
@@ -206,13 +205,16 @@ def _spectrum(W) -> tuple[float, float]:
     the consensus one at 0.  A CSR W is measured by :func:`_lanczos`: the
     ends of its Ritz values, which converge to the spectrum's, and of the 0;
     one whose run has not converged in :data:`LANCZOS_MAX_STEPS` is measured
-    by a dense ``eigvalsh`` instead."""
+    by a dense ``eigvalsh`` instead, or refused with
+    :class:`InstanceTooLargeError` if its dense W would exceed memory."""
     m = W.shape[0]
     if not isinstance(W, np.ndarray):
         ritz, converged = _lanczos(W.__matmul__, m, LANCZOS_MAX_STEPS)
         if converged:
             return min(float(ritz[0]), 0.0), max(float(ritz[-1]), 0.0)
-        W = W.toarray()  # clustered ends (a long line, say): measured densely
+        # clustered ends (a long line, say): measured densely
+        check_dense(InstanceTooLargeError, "the dense gossip matrix of an unconverged Lanczos run", m, m)
+        W = W.toarray()
     spectrum = np.linalg.eigvalsh(W - 1.0 / m)
     return float(spectrum[0]), float(spectrum[-1])
 
@@ -294,6 +296,7 @@ def exact_averaging(m: int) -> GossipMatrix:
     """W = 11^T/m: one round of exact averaging (master-node consensus)."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    check_dense(InstanceTooLargeError, "the exact-averaging matrix", m, m)
     return GossipMatrix(np.full((m, m), 1.0 / m))
 
 
@@ -352,7 +355,8 @@ class ChebyshevGossip:
     vector by :data:`DS_TOL`, or if a Ritz value of ``mix`` on the
     complement of the ones vector, from :data:`CHEB_CHECK_STEPS` Lanczos
     steps, exceeds 1 / scale by 1e-8 in magnitude or is NaN; and
-    ``ValueError``, before any mix, if M is not an integer >= 1.
+    ``ValueError``, before any arithmetic, if M is not an integer >= 1 or
+    the base's bulk is one point (which :func:`chebyshev_accelerate` maps).
     Ritz values never exceed the true spectrum, so the last check catches a
     build whose deviation is clearly above the closed form (a base whose
     bulk was mismeasured, say), at the cost of a few dozen applications.
@@ -364,6 +368,11 @@ class ChebyshevGossip:
 
     def __post_init__(self):
         check_int("M", self.M, 1)
+        if _collapsed(self.base.bulk):
+            raise ValueError(
+                f"the base's bulk {self.base.bulk} is one point, on which psi is undefined; "
+                "chebyshev_accelerate maps it affinely"
+            )
         (lo, hi), W = self.base.bulk, self.base.W
         if isinstance(W, np.ndarray):
             eye = np.eye(self.m)
@@ -373,7 +382,7 @@ class ChebyshevGossip:
             eye = sparse.identity(self.m, format="csr")
         # 2 psi(W): doubling is exact, so each step rounds as 2 psi(W) T_k does
         self._twice_psi = 2.0 * (2.0 * W - (hi + lo) * eye) / (hi - lo)
-        # the same walk that degree_for_target stops on, so the same float
+        # the same walk that chebyshev_accelerate stops on, so the same float
         self.scale = next(itertools.islice(_chebyshev(_psi_one(self.base.bulk)), self.M - 1, None))
         if not np.isfinite(self.scale):  # inf, or inf - inf = NaN a step later
             raise TopologyError(
@@ -417,50 +426,37 @@ class ChebyshevGossip:
         return T
 
 
-def chebyshev_accelerate(base: GossipMatrix, M: int) -> GossipMatrix | ChebyshevGossip:
-    """Degree-M Chebyshev polynomial of the base matrix, fixing P_M(1) = 1.
-
-    The polynomial is the minimax choice for the base's measured bulk interval
-    [lo, hi]: P_M(x) = T_M(psi(x)) / T_M(psi(1)) with the affine map psi taking
-    [lo, hi] onto [-1, 1].  It is returned as a :class:`ChebyshevGossip` on
-    the base, in the base's storage, or as a plain matrix when the bulk is
-    one point.  Its rho is the closed form 1 / T_M(psi(1)) on the base's
-    measured bulk, so the build decomposes nothing; a short Lanczos run on
-    the operator's own ``mix`` checks it when it is built.
+def chebyshev_accelerate(base: GossipMatrix, target_rho: float) -> GossipMatrix | ChebyshevGossip:
+    """The operator on ``base`` whose rho meets target_rho, in [0, 1): a
+    one-point bulk's affine map (W - cI)/(1 - c), as a plain matrix, or else
+    a :class:`ChebyshevGossip` of the smallest degree M, at most
+    :data:`MAX_ROUNDS`, whose closed-form deviation on the measured bulk
+    meets the target (1 when the base does).  M is found by the walk over
+    T_M(psi(1)) that sets the operator's ``scale``, so its rho 1 / scale
+    meets the target exactly.  A zero target, one that T_M overflows the
+    float range before meeting, and a built operator whose rho misses it
+    (the affine map's rounding-level rho, or NaN) raise
+    :class:`UnreachableTargetError`.
     """
-    check_int("M", M, 1)
+    if not 0 <= target_rho < 1:
+        raise ValueError(f"target_rho must lie in [0, 1), got {target_rho}")
     if _collapsed(base.bulk):
         # bulk collapsed to a point c: the affine (W - cI)/(1 - c) zeroes it
         lo, hi = base.bulk
         c = 0.5 * (hi + lo)
-        W = (base.W - c * np.eye(base.m)) / (1.0 - c)
-        return GossipMatrix(W, rounds_per_application=base.rounds_per_application)
-    return ChebyshevGossip(base, M)
-
-
-def degree_for_target(base: GossipMatrix, target_rho: float) -> int:
-    """Smallest polynomial degree M, at most :data:`MAX_ROUNDS`, at which
-    :func:`chebyshev_accelerate` of ``base`` has rho <= target_rho.
-
-    It walks T_M(psi(1)) on the base's measured bulk, the sequence whose
-    M-th term is the operator's ``scale``, so the operator's rho 1 / scale
-    meets the target exactly, not up to rounding.  A base that already
-    meets it, or whose bulk is one point, needs degree 1; a point's affine
-    map has a rounding-level rho, which a smaller target misses, so
-    ``cli.build_gossip`` checks the built operator.  A degree whose
-    T_M overflows the float range before the target is met raises
-    :class:`UnreachableTargetError`, as does a zero target.
-    """
-    if not 0 <= target_rho < 1:
-        raise ValueError(f"target_rho must lie in [0, 1), got {target_rho}")
-    if base.rho <= target_rho or _collapsed(base.bulk):
-        return 1
-    M, scale = _degree(_psi_one(base.bulk), target_rho)
-    if scale == np.inf:  # the operator's scale would be inf
+        W = GossipMatrix((base.W - c * np.eye(base.m)) / (1.0 - c), base.rounds_per_application)
+    else:
+        M, scale = _degree(_psi_one(base.bulk), target_rho) if base.rho > target_rho else (1, None)
+        if scale == np.inf:  # the operator's scale would be inf
+            raise UnreachableTargetError(
+                f"target {target_rho} not reached: T_M(psi(1)) overflows the float range at degree {M}"
+            )
+        W = ChebyshevGossip(base, M)
+    if not W.rho <= target_rho:  # written so that a NaN fails too
         raise UnreachableTargetError(
-            f"target {target_rho} not reached: T_M(psi(1)) overflows the float range at degree {M}"
+            f"target_rho {target_rho} not reached: the built operator has rho {W.rho:.4g}"
         )
-    return M
+    return W
 
 
 def rounds_for_target(base_rho: float, target_rho: float) -> int:
@@ -468,9 +464,9 @@ def rounds_for_target(base_rho: float, target_rho: float) -> int:
     1 / T_M(1 / base_rho) <= target_rho: the two-sided worst case, the
     deviation after degree-M acceleration of a bulk in [-base_rho, base_rho].
 
-    It is the same walk as :func:`degree_for_target` on that symmetric bulk,
-    and a bound that the degree for a measured bulk with this rho never
-    exceeds: a bulk [lo, hi] inside [-rho, rho] has psi(1) >= 1 / rho.
+    It is the walk of :func:`chebyshev_accelerate` on that symmetric bulk,
+    and a bound that the degree it picks for a measured bulk with this rho
+    never exceeds: a bulk [lo, hi] inside [-rho, rho] has psi(1) >= 1 / rho.
     """
     if not 0 <= target_rho < 1 or not 0 <= base_rho < 1:
         raise ValueError("rho values must lie in [0, 1)")

@@ -258,7 +258,7 @@ class TestAccSonataRun:
     ):
         p = small_ridge
         base = small_gossip
-        W = network.chebyshev_accelerate(base, 3)
+        W = network.ChebyshevGossip(base, 3)
         params = tune(small_ridge_constants, "F")
         res = acc_sonata_run(p, replace(params, K_max=5), W)
         assert res.comms == 5 * params.T * W.rounds_per_application
@@ -285,6 +285,18 @@ class TestAccSonataRun:
         )
         assert res.converged and res.K_done < 200
         assert res.gaps[-1] <= 1e-6
+
+    def test_target_gap_without_gap_fn_raises(
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
+    ):
+        # the run went on to K_max and returned converged False with no gaps
+        def unevaluated(*args):
+            raise AssertionError("a gradient was evaluated before the target was checked")
+
+        monkeypatch.setattr(problems, "batch_grads", unevaluated)
+        params = tune(small_ridge_constants, "F")
+        with pytest.raises(ValueError, match="target_gap needs a gap_fn"):
+            acc_sonata_run(small_ridge, params, small_gossip, target_gap=1e-6)
 
     def test_gap_decreases_geometrically_in_tail(
         self, small_ridge, small_ridge_constants, small_gossip
@@ -324,7 +336,7 @@ class TestAccSonataRun:
         else:
             p = logistic_problem(m=m, n=20, d=40, reg=Regularizer("l1", weight=1e-3))
         base = network.metropolis_hastings(network.erdos_renyi(m, edge_p, seed=3))
-        W = network.chebyshev_accelerate(base, network.degree_for_target(base, 0.3))
+        W = network.chebyshev_accelerate(base, 0.3)
         assert isinstance(base.W, np.ndarray) == (m == 60) and W.M == 2
         params = replace(tune(problems.estimate_constants(p), case[0]), K_max=2)
         assert params.T >= 2 and params.local_solver(p).steps is not None

@@ -100,7 +100,7 @@ def test_criterion_01_gossip_matrix_contract():
         network.metropolis_hastings(network.star_graph(9)),
         network.exact_averaging(7),
         network.line_gossip_for_rho(0.9),
-        network.chebyshev_accelerate(
+        network.ChebyshevGossip(
             network.metropolis_hastings(network.erdos_renyi(20, 0.4, seed=2)), 4
         ),
     ]
@@ -120,12 +120,11 @@ def test_criterion_02_chebyshev_acceleration():
     details = []
     for rho_bar in (0.5, 0.9, 0.99):
         base = network.line_gossip_for_rho(rho_bar)
-        M = network.degree_for_target(base, 0.1)
-        acc = network.chebyshev_accelerate(base, M)
+        acc = network.chebyshev_accelerate(base, 0.1)
         ones = np.ones(base.m)
         assert np.max(np.abs(acc.mix(np.eye(base.m)) @ ones - ones)) <= 1e-12
         assert acc.rho <= 0.1
-        details.append(f"rho={rho_bar}:M={M},achieved={acc.rho:.3g}")
+        details.append(f"rho={rho_bar}:M={acc.M},achieved={acc.rho:.3g}")
     _report(2, "chebyshev acceleration", done(), 5.0, " ".join(details))
 
 
@@ -167,8 +166,7 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     params = accel.tune(c, mode)
     base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.5, seed=4))
     rho_adm = reference.admissible_rho(c, mode)
-    M = network.degree_for_target(base, rho_adm)
-    W = network.chebyshev_accelerate(base, M)
+    W = network.chebyshev_accelerate(base, rho_adm)
     assert W.rho <= rho_adm
 
     T = 12
@@ -188,7 +186,7 @@ def test_criterion_04_inner_q_linear_contraction(mode, limit):
     assert len(ratios) >= 10
     assert ratios.max() <= limit + 1e-6
     _report(4, f"inner contraction mode {mode}", done(), 30.0,
-            f"max ratio {ratios.max():.4f} <= {limit:.4f} (rho={W.rho:.2e}, M={M})")
+            f"max ratio {ratios.max():.4f} <= {limit:.4f} (rho={W.rho:.2e}, M={W.M})")
 
 
 def test_criterion_05_outer_linear_rate():

@@ -253,7 +253,7 @@ class TestReadmeLibraryCode:
         recipe = recipes[target_rho is not None]
         W = network.metropolis_hastings(network.erdos_renyi(12, 0.4, seed=3))
         if target_rho is not None:
-            W = network.chebyshev_accelerate(W, network.degree_for_target(W, target_rho))
+            W = network.chebyshev_accelerate(W, target_rho)
             assert W.rounds_per_application > 1
         doubled = eval(recipe, {"dataclasses": dataclasses, "W": W})
         assert type(doubled) is type(W)
@@ -526,6 +526,42 @@ class TestMainEntry:
             "input error: the stack of split-quadratic statistics needs a dense 5 x 400 x 400 array"
         )
         assert "Traceback" not in err and not (tmp_path / "lb").exists()
+
+    @pytest.mark.parametrize(
+        "kind,array",
+        [
+            ("exact_averaging", "the exact-averaging matrix"),
+            ("line", "the dense gossip matrix of an unconverged Lanczos run"),
+        ],
+    )
+    def test_oversized_gossip_matrix_exit_2(self, tmp_path, capsys, monkeypatch, kind, array):
+        # both m x m arrays were allocated unchecked; a 1000-node line's
+        # Lanczos run does not converge, so it is measured densely
+        monkeypatch.setattr(problems, "_physical_memory", lambda: 4 << 20)
+        problem = {"synthetic": {"m": 1000, "n": 10, "d": 4}}
+        cfg = base_config(tmp_path, problem=problem, topology={"kind": kind})
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {array} needs a dense 1000 x 1000 matrix of 0.007451 GiB, more than memory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--plain", "--potentials"], ["sweep", "--axis", "kappa", "--points", "3"]],
+        ids=["potentials", "kappa-sweep"],
+    )
+    def test_zero_similarity_exit_2(self, tmp_path, capsys, argv):
+        # one agent has beta_hat = 0: mode F's error weights and the kappa
+        # calibration divided by it and exited 1 with a ZeroDivisionError
+        cfg = {
+            "problem": {"synthetic": {"m": 1, "n": 50, "d": 5}},
+            "topology": {"kind": "exact_averaging"},
+            "output": str(tmp_path / "out"),
+        }
+        assert cli.main([*argv, "-c", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"input error: [^\n]*beta_hat = 0\.0[^\n]*\n", err)
+        assert not (tmp_path / "out").exists()
 
     def test_ridge_runs_on_regression_targets(self, tmp_path):
         # load_libsvm mapped every file's labels to +/-1, and these exited 2

@@ -66,8 +66,9 @@ class WarmStartBuilder(TrajectoryBuilder):
     """A TrajectoryBuilder that also keeps the inner potential at each outer
     iteration's warm start."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, p, oracle, params, constants):
+        super().__init__(p, oracle, params, constants)
+        self.constants = constants
         self.g_e_warm = []
 
     def on_outer_start(self, X, Y_warm, Z):
@@ -315,6 +316,25 @@ class TestInnerPotential:
         assert c_x == pytest.approx(56 * (20 + 4 - 1) ** 2 / 10.0)
         assert c_y == pytest.approx(2.8)
 
+    def test_zero_similarity_has_no_mode_f_weights(self):
+        # mode F's weights divided by beta_hat = 0 (one agent) with a
+        # ZeroDivisionError; mode L's do not read it
+        c = Constants(mu_hat=1.0, L_hat=10.0, Lmx_hat=10.0, beta_hat=0.0)
+        with pytest.raises(problems.InputError, match="beta_hat = 0.0"):
+            error_weights(c, "F")
+        assert error_weights(c, "L") == (56.0 * 19.0**2 / 10.0, 2.8)
+
+    def test_builder_weighs_once(self, small_ridge, small_ridge_constants, monkeypatch):
+        # the weights are run constants, recomputed on every row
+        calls = []
+        monkeypatch.setattr(
+            diagnostics, "error_weights", lambda *a: calls.append(a) or error_weights(*a)
+        )
+        params = replace(accel.tune(small_ridge_constants, "F"), K_max=2)
+        builder = TrajectoryBuilder(small_ridge, centralized_solve(small_ridge), params, small_ridge_constants)
+        accel.acc_sonata_run(small_ridge, params, network.exact_averaging(small_ridge.m), observer=builder)
+        assert len(calls) == 1 and builder.traj.rows[-1].g_plus_e is not None
+
 
 class TestAdmissibleRho:
     def test_closed_forms(self):
@@ -396,8 +416,7 @@ class TestPotentialDecay:
         c = problems.estimate_constants(p)
         params = accel.tune(c, "F")
         base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.5, seed=2))
-        M = network.degree_for_target(base, admissible_rho(c, "F"))
-        W = network.chebyshev_accelerate(base, M)
+        W = network.chebyshev_accelerate(base, admissible_rho(c, "F"))
         oracle = centralized_solve(p)
         builder = WarmStartBuilder(p, oracle, params, constants=c)
         accel.acc_sonata_run(p, replace(params, K_max=20), W, observer=builder)

@@ -24,7 +24,6 @@ from sonatasim.network import (
     chebyshev_accelerate,
     complete_graph,
     cut_distance,
-    degree_for_target,
     erdos_renyi,
     exact_averaging,
     hard_instance,
@@ -211,7 +210,7 @@ class TestOperatorChecks:
     def test_rounds_per_application_below_one_raises(self, M, monkeypatch):
         W = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         if M is not None:
-            W = chebyshev_accelerate(W, M)
+            W = ChebyshevGossip(W, M)
         # a Chebyshev operator's count is its degree times its base's
         count = "rounds_per_application" if M is None else "M"
 
@@ -231,7 +230,7 @@ class TestOperatorChecks:
         # "The truth value of an array ... is ambiguous"
         def build():
             W = metropolis_hastings(line_graph(4))
-            return W if M is None else chebyshev_accelerate(W, M)
+            return W if M is None else ChebyshevGossip(W, M)
 
         a, b = build(), build()
         assert a == a and not a == b and a != b
@@ -243,14 +242,14 @@ class TestChebyshev:
         # the weighted line construction has a (nearly) symmetric bulk only in
         # special cases; use a two-node matrix where bulk = {2p-1}
         W0 = metropolis_hastings(line_graph(5))
-        acc = chebyshev_accelerate(W0, 1)
+        acc = ChebyshevGossip(W0, 1)
         assert acc.rho <= W0.rho + 1e-12
         assert_doubly_stochastic(acc.mix(np.eye(5)))
 
     def test_fixes_consensus_eigenvector(self):
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         for M in (1, 2, 5):
-            acc = chebyshev_accelerate(base, M)
+            acc = ChebyshevGossip(base, M)
             ones = np.ones(12)
             assert np.max(np.abs(acc.mix(np.eye(12)) @ ones - ones)) <= 1e-12
             assert acc.rounds_per_application == M
@@ -267,8 +266,9 @@ class TestChebyshev:
         assert dataclasses.replace(doubled, M=5).rounds_per_application == 10
 
     def test_degree_is_checked_before_any_mix(self, monkeypatch):
-        # ChebyshevGossip(W, 0) was accepted, and chebyshev_accelerate of a
-        # one-point bulk at degree 2.5 returned a plain matrix
+        # ChebyshevGossip(W, 0) was accepted, and the accelerated build of a
+        # one-point bulk at degree 2.5 returned a plain matrix; that build now
+        # takes a target, which is checked as the degree was
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
 
         def unmixed(*args):
@@ -279,16 +279,29 @@ class TestChebyshev:
         for bad in (0, 2.5, True):
             with pytest.raises(ValueError, match="M must be an integer >= 1"):
                 ChebyshevGossip(base, bad)
-            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+        for bad in (1.0, 2.5, True):
+            with pytest.raises(ValueError, match="target_rho must lie in"):
                 chebyshev_accelerate(base, bad)
-            with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            with pytest.raises(ValueError, match="target_rho must lie in"):
                 chebyshev_accelerate(exact_averaging(5), bad)
+
+    @pytest.mark.parametrize(
+        "base", [lambda: exact_averaging(5), lambda: metropolis_hastings(complete_graph(5))],
+        ids=["exact-averaging", "complete"],
+    )
+    def test_point_bulk_is_refused_before_any_arithmetic(self, base):
+        # the bulks (0, 0) and (-5.55e-17, -5.55e-17) divided by zero in
+        # 2 psi(W) and psi(1), and ended in a ZeroDivisionError
+        base = base()
+        assert network._collapsed(base.bulk)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="chebyshev_accelerate maps it"):
+            ChebyshevGossip(base, 3)
 
     def test_never_increases_rho(self):
         base = metropolis_hastings(erdos_renyi(10, 0.5, seed=8))
         prev = base.rho
         for M in (1, 2, 3, 4):
-            acc = chebyshev_accelerate(base, M)
+            acc = ChebyshevGossip(base, M)
             assert acc.rho <= prev + 1e-12
             prev = acc.rho
 
@@ -297,19 +310,19 @@ class TestChebyshev:
         mh = metropolis_hastings(erdos_renyi(14, 0.4, seed=6))
         lazy = GossipMatrix(0.5 * (mh.W + np.eye(14)))
         for M in (1, 2, 4, 7):
-            acc = chebyshev_accelerate(lazy, M)
+            acc = ChebyshevGossip(lazy, M)
             assert acc.rho <= chebyshev_bound_one_sided(lazy.rho, M) + 1e-8
 
     def test_two_sided_bound_for_general_bulk(self):
         base = metropolis_hastings(erdos_renyi(14, 0.4, seed=6))
         for M in (1, 3, 6):
-            acc = chebyshev_accelerate(base, M)
+            acc = ChebyshevGossip(base, M)
             assert acc.rho <= reference.chebyshev_bound_two_sided(base.rho, M) + 1e-8
 
     def test_respects_hop_locality(self):
         base = metropolis_hastings(line_graph(9))
         for M in (1, 2, 3):
-            W = chebyshev_accelerate(base, M).mix(np.eye(9))
+            W = ChebyshevGossip(base, M).mix(np.eye(9))
             for i in range(9):
                 for j in range(9):
                     if abs(i - j) > M:
@@ -320,7 +333,7 @@ class TestChebyshev:
         # and the result's rho is the closed form on it
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=6))
         eigvalsh_shapes.clear()
-        acc = chebyshev_accelerate(base, 4)
+        acc = ChebyshevGossip(base, 4)
         assert eigvalsh_shapes == []
         assert acc.rho == 1 / acc.scale
 
@@ -355,13 +368,13 @@ class TestChebyshev:
         replaced = dataclasses.replace(mh, W=lazy)
         assert replaced.bulk == fresh.bulk and replaced.rho == fresh.rho
         assert replaced.bulk == pytest.approx((1.1e-16, 0.812), abs=1e-3)
-        assert chebyshev_accelerate(replaced, 3).rho == chebyshev_accelerate(fresh, 3).rho
+        assert ChebyshevGossip(replaced, 3).rho == ChebyshevGossip(fresh, 3).rho
 
     def test_operators_hold_only_their_measured_numbers(self):
         # the base kept all m eigenvalues (for a CSR W, its Ritz values), and
         # the accelerated operator the polynomial on them as a second bulk
         base = metropolis_hastings(erdos_renyi(20, 0.3, seed=1))
-        acc = chebyshev_accelerate(base, 3)
+        acc = ChebyshevGossip(base, 3)
         assert [f.name for f in dataclasses.fields(GossipMatrix)] == [
             "W",
             "rounds_per_application",
@@ -375,9 +388,9 @@ class TestChebyshev:
 
     def test_operator_keeps_its_base_storage(self, small_graphs_sparse):
         g = erdos_renyi(40, 0.1, seed=2)
-        assert isinstance(chebyshev_accelerate(metropolis_hastings(g), 3)._twice_psi, np.ndarray)
+        assert isinstance(ChebyshevGossip(metropolis_hastings(g), 3)._twice_psi, np.ndarray)
         small_graphs_sparse()
-        acc = chebyshev_accelerate(metropolis_hastings(g), 3)
+        acc = ChebyshevGossip(metropolis_hastings(g), 3)
         assert isinstance(acc._twice_psi, sparse.csr_array)
         assert acc._twice_psi.nnz == g.m + 2 * len(g.edges)
         held = {**vars(acc), **vars(acc.base)}.values()
@@ -401,7 +414,7 @@ class TestChebyshev:
         for _ in range(M - 1):
             T_prev, T = T, 2.0 * Y @ T - T_prev
         dense = T / np.cosh(M * np.arccosh((2.0 - hi - lo) / (hi - lo)))
-        acc = chebyshev_accelerate(base, M)
+        acc = ChebyshevGossip(base, M)
         assert np.max(np.abs(acc.mix(np.eye(m)) - dense)) <= 1e-12
         X = np.random.default_rng(seed).standard_normal((m, 3))
         assert np.max(np.abs(acc.mix(X) - dense @ X)) <= 1e-12
@@ -423,7 +436,7 @@ class TestChebyshev:
             "acc.mix(np.ones((8, 2)))\n"
             "assert 'scipy' not in sys.modules\n"
             "network.DENSE_MAX_M, network.SPARSE_MAX_FILL = 1, 1.0\n"
-            "network.chebyshev_accelerate(network.metropolis_hastings(network.line_graph(8)), 2)\n"
+            "network.ChebyshevGossip(network.metropolis_hastings(network.line_graph(8)), 2)\n"
             "assert 'scipy' in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -439,18 +452,19 @@ class TestChebyshev:
         monkeypatch.setattr(network, "_spectrum", lambda W: tuple(e / 2 for e in true_spectrum(W)))
         base = metropolis_hastings(erdos_renyi(40, 0.2, seed=3))
         with pytest.raises(network.TopologyError, match="Ritz value of magnitude"):
-            chebyshev_accelerate(base, 3)
+            ChebyshevGossip(base, 3)
 
     def test_overflowing_degree_fails_its_check(self):
         # T_M(psi(1)) overflows to inf, then inf - inf = NaN, which rho = 1 / scale
         # would carry; the error names the overflow, not the NaN
         base = metropolis_hastings(erdos_renyi(12, 0.4, seed=3))
         with pytest.raises(network.TopologyError, match=r"T_M\(psi\(1\)\) overflowed the float range at degree 5000"):
-            chebyshev_accelerate(base, 5000)
+            ChebyshevGossip(base, 5000)
 
     def test_point_bulk_collapses_to_averaging(self):
         W = exact_averaging(4)
-        acc = chebyshev_accelerate(W, 3)
+        acc = chebyshev_accelerate(W, 0.3)
+        assert type(acc) is GossipMatrix and acc.rounds_per_application == 1
         assert acc.rho <= 1e-12
 
     # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
@@ -466,7 +480,8 @@ class TestChebyshev:
     @example(m=29, p=0.89453125, seed=31729, M=3)
     def test_random_graphs_stay_doubly_stochastic_within_closed_form(self, m, p, seed, M):
         base = metropolis_hastings(erdos_renyi(m, p, seed=seed))
-        acc = chebyshev_accelerate(base, M)
+        # a point bulk (a complete graph) is mapped affinely, at any target
+        acc = chebyshev_accelerate(base, 0.3) if network._collapsed(base.bulk) else ChebyshevGossip(base, M)
         W = acc.mix(np.eye(m))
         assert np.max(np.abs(W - W.T)) <= 1e-12
         assert_doubly_stochastic(W)
@@ -510,7 +525,7 @@ class TestSparsePath:
         X = np.random.default_rng(0).standard_normal((g.m, 4))
         assert np.max(np.abs(csr.mix(X) - dense.mix(X))) <= 1e-12
         for M in (2, 5):
-            a, b = chebyshev_accelerate(dense, M), chebyshev_accelerate(csr, M)
+            a, b = ChebyshevGossip(dense, M), ChebyshevGossip(csr, M)
             assert isinstance(a._twice_psi, np.ndarray) and not isinstance(b._twice_psi, np.ndarray)
             assert np.max(np.abs(a.mix(X) - b.mix(X))) <= 1e-12
             assert abs(a.rho - b.rho) <= 1e-10
@@ -602,7 +617,7 @@ class TestRoundsForTarget:
     def test_formula_then_spectral_check(self):
         base = line_gossip_for_rho(0.9)
         M = rounds_for_target(base.rho, 0.1)
-        acc = chebyshev_accelerate(base, M)
+        acc = ChebyshevGossip(base, M)
         assert acc.rho <= 0.1
         # M is minimal wrt the worst-case closed form
         assert reference.chebyshev_bound_two_sided(0.9, M - 1) > 0.1
@@ -639,12 +654,15 @@ def walk_scale(bulk, M):
 
 
 class TestDegreeForTarget:
+    """The degree chebyshev_accelerate(base, target) builds at: the smallest
+    that meets the target on the base's measured bulk."""
+
     def assert_minimal_within_bound(self, base, target):
-        M = degree_for_target(base, target)
-        acc = chebyshev_accelerate(base, M)
+        acc = chebyshev_accelerate(base, target)
+        M = acc.rounds_per_application  # the degree: every base here counts one round
         assert acc.rho <= target
         if M > 1:
-            assert chebyshev_accelerate(base, M - 1).rho > target
+            assert ChebyshevGossip(base, M - 1).rho > target
         assert M <= rounds_for_target(base.rho, target)
         return M, acc
 
@@ -672,7 +690,7 @@ class TestDegreeForTarget:
     def test_lopsided_line_bulk_needs_fewer_rounds(self, m, target, bulk_degree, two_sided):
         # a Metropolis-Hastings line's bulk runs from about -1/3 to near 1
         base = metropolis_hastings(line_graph(m))
-        assert degree_for_target(base, target) == bulk_degree
+        assert chebyshev_accelerate(base, target).M == bulk_degree
         assert rounds_for_target(base.rho, target) == two_sided
 
     def test_gossip_benchmark_graph(self):
@@ -684,39 +702,42 @@ class TestDegreeForTarget:
 
     def test_base_within_target_needs_degree_1(self):
         base = metropolis_hastings(erdos_renyi(30, 0.5, seed=1))
-        assert degree_for_target(base, base.rho) == 1
-        assert degree_for_target(exact_averaging(6), 0.0) == 1
+        assert chebyshev_accelerate(base, base.rho).M == 1
+        exact = chebyshev_accelerate(exact_averaging(6), 0.0)
+        assert type(exact) is GossipMatrix and exact.rounds_per_application == 1 and exact.rho == 0.0
 
     def test_collapsed_bulk_needs_degree_1(self):
-        # a bulk [0, 1e-14] is one point to chebyshev_accelerate, which
-        # ignores the degree; the walk on it would ask for 2
+        # a bulk [0, 1e-14] is one point, which the affine map zeroes in one
+        # round; the walk on it would ask for 2
         m = 6
         W = np.full((m, m), 1.0 / m) + 1e-14 * (np.eye(m) - 1.0 / m)
         base = GossipMatrix(W)
         assert network._collapsed(base.bulk) and base.rho > 1e-15
         assert network._degree(network._psi_one(base.bulk), 1e-15)[0] == 2
-        assert degree_for_target(base, 1e-15) == 1
+        acc = chebyshev_accelerate(base, 5e-15)
+        assert type(acc) is GossipMatrix and acc.rounds_per_application == 1 and acc.rho <= 5e-15
 
     def test_collapsed_bulk_missing_the_target_is_refused(self, monkeypatch):
         # the affine map of that bulk has rho 4.996e-15, and the build used
         # to return it for target 1e-15 and say nothing
         m = 6
         base = GossipMatrix(np.full((m, m), 1.0 / m) + 1e-14 * (np.eye(m) - 1.0 / m))
-        assert chebyshev_accelerate(base, degree_for_target(base, 1e-15)).rho > 1e-15
+        missed = r"target_rho 1e-15 not reached: .* rho [0-9.]+e-15$"
+        with pytest.raises(UnreachableTargetError, match=missed):
+            chebyshev_accelerate(base, 1e-15)
         monkeypatch.setattr(network, "exact_averaging", lambda m: base)
         cfg = {"seed": 0, "topology": {"kind": "exact_averaging", "target_rho": 1e-15}}
-        with pytest.raises(UnreachableTargetError, match=r"target_rho 1e-15 not reached: .* rho [0-9.]+e-15$"):
+        with pytest.raises(UnreachableTargetError, match=missed):
             cli.build_gossip(cfg, m)
         assert cli.build_gossip(dict(cfg, topology={"kind": "exact_averaging", "target_rho": 5e-15}), m).rho <= 5e-15
 
     def test_zero_and_overflowing_targets_are_unreachable(self):
         base = metropolis_hastings(erdos_renyi(30, 0.6, seed=5))
         with pytest.raises(UnreachableTargetError, match="only exact averaging"):
-            degree_for_target(base, 0.0)
+            chebyshev_accelerate(base, 0.0)
         with pytest.raises(UnreachableTargetError, match="T_M overflows the float range before"):
-            degree_for_target(base, 5e-324)  # below 1 / (largest float)
-        M = degree_for_target(base, 1e-300)  # met before the overflow
-        assert chebyshev_accelerate(base, M).rho <= 1e-300
+            chebyshev_accelerate(base, 5e-324)  # below 1 / (largest float)
+        assert chebyshev_accelerate(base, 1e-300).rho <= 1e-300  # met before the overflow
 
     def test_overflow_at_the_degree_that_meets_the_target(self):
         # a bulk [0, 2e-13] multiplies T_M by about 2e13 a step: T_23 is
@@ -725,14 +746,14 @@ class TestDegreeForTarget:
         base = GossipMatrix(np.full((m, m), 1.0 / m) + 2e-13 * (np.eye(m) - 1.0 / m))
         assert not network._collapsed(base.bulk)
         with pytest.raises(UnreachableTargetError, match=r"T_M\(psi\(1\)\) overflows the float range at degree 24"):
-            degree_for_target(base, 1e-307)
+            chebyshev_accelerate(base, 1e-307)
         with pytest.raises(network.TopologyError, match="overflowed the float range at degree 24"):
-            chebyshev_accelerate(base, 24)
+            ChebyshevGossip(base, 24)
 
     @pytest.mark.parametrize("target", [-0.1, 1.0, float("nan")])
     def test_target_outside_the_unit_interval_is_rejected(self, target):
         with pytest.raises(ValueError, match="target_rho must lie in"):
-            degree_for_target(metropolis_hastings(line_graph(5)), target)
+            chebyshev_accelerate(metropolis_hastings(line_graph(5)), target)
 
     # p >= 0.4 keeps a connected draw within erdos_renyi's resampling budget
     @settings(max_examples=60, deadline=None)

@@ -332,8 +332,7 @@ class TestSonataRun:
         c = problems.estimate_constants(p)
         delta = c.beta_hat - c.mu_hat
         base = network.metropolis_hastings(network.erdos_renyi(p.m, 0.6, seed=4))
-        M = network.degree_for_target(base, admissible_rho(c, "F"))
-        W = network.chebyshev_accelerate(base, M)
+        W = network.chebyshev_accelerate(base, admissible_rho(c, "F"))
         Z = np.zeros((p.m, p.d))
         X0 = np.zeros((p.m, p.d))
         grads0 = problems.batch_grads(p, X0)
@@ -390,7 +389,7 @@ class TestInputsUnchanged:
     @pytest.mark.parametrize("chebyshev", [False, True], ids=["dense", "chebyshev"])
     def test_gossip_round(self, small_ridge, small_gossip, rng, chebyshev):
         p = small_ridge
-        W = network.chebyshev_accelerate(small_gossip, 3) if chebyshev else small_gossip
+        W = network.ChebyshevGossip(small_gossip, 3) if chebyshev else small_gossip
         assert isinstance(W, network.ChebyshevGossip) == chebyshev
         X_half, Y, Z = (rng.standard_normal((p.m, p.d)) for _ in range(3))
         G = shifted_grads(X_half, 0.5, Z, problems.batch_grads(p, X_half))
