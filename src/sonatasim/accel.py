@@ -213,9 +213,11 @@ def acc_sonata_run(
         del Z_prev
         state.G = sonata.shifted_grads(X, delta, Z, state.grads)
         G_bar = state.G.mean(axis=0)
-        drift = np.linalg.norm(state.Y.mean(axis=0) - G_bar)
-        scale = 1.0 + np.linalg.norm(G_bar)
-        if not drift <= 1e-8 * scale:  # also catches a NaN drift
+        # math.hypot scales its arguments, so a norm overflows only past the
+        # largest float; a NaN or an inf fails
+        drift = math.hypot(*(state.Y.mean(axis=0) - G_bar).tolist())
+        bound = 1e-8 * (1.0 + math.hypot(*G_bar.tolist()))
+        if not drift <= bound < math.inf:
             raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
         if k == params.K_max or result.converged:
             break

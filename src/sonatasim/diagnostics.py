@@ -151,17 +151,29 @@ def optimality_gap(p: ProblemSpec, X, oracle: Oracle):
 def error_weights(constants: Constants, mode: str) -> tuple[float, float]:
     """(c_x, c_y) weights of the consensus/tracking error in the inner
     potential; mode F's divide by beta_hat, so beta_hat = 0 raises
-    :class:`problems.InputError`."""
+    :class:`problems.InputError`, and weights that overflow the float range
+    raise :class:`problems.CurvatureOverflowError`."""
     mu, L, beta = constants.mu_hat, constants.L_hat, constants.beta_hat
     if mode == "F":
         if not beta > 0:
             raise problems.InputError(
                 f"mode F's inner potential weighs its errors by 1 / beta_hat, and beta_hat = {beta}"
             )
-        return 8.0 * (L + 2 * beta - mu) ** 2 / beta, 4.0 / beta
-    if mode == "L":
-        return 56.0 * (2 * L + beta - mu) ** 2 / L, 28.0 / L
-    raise ValueError("mode must be 'F' or 'L'")
+        c, spread, scale = 8.0, L + 2 * beta - mu, beta
+    elif mode == "L":
+        c, spread, scale = 56.0, 2 * L + beta - mu, L
+    else:
+        raise ValueError("mode must be 'F' or 'L'")
+    try:
+        weights = c * spread**2 / scale, 0.5 * c / scale
+    except OverflowError:  # a float's ** raises where * and / give inf
+        weights = (np.inf,)
+    if not np.all(np.isfinite(weights)):
+        raise problems.CurvatureOverflowError(
+            f"mode {mode}'s inner-potential error weights overflow the float range "
+            f"(L_hat = {L:.3g}, beta_hat = {beta:.3g}); rescale the features"
+        )
+    return weights
 
 
 def outer_potential(

@@ -431,7 +431,7 @@ def chebyshev_accelerate(base: GossipMatrix, target_rho: float) -> GossipMatrix 
     one-point bulk's affine map (W - cI)/(1 - c), as a plain matrix, or else
     a :class:`ChebyshevGossip` of the smallest degree M, at most
     :data:`MAX_ROUNDS`, whose closed-form deviation on the measured bulk
-    meets the target (1 when the base does).  M is found by the walk over
+    meets the target.  M is found by the walk over
     T_M(psi(1)) that sets the operator's ``scale``, so its rho 1 / scale
     meets the target exactly.  A zero target, one that T_M overflows the
     float range before meeting, and a built operator whose rho misses it
@@ -446,7 +446,7 @@ def chebyshev_accelerate(base: GossipMatrix, target_rho: float) -> GossipMatrix 
         c = 0.5 * (hi + lo)
         W = GossipMatrix((base.W - c * np.eye(base.m)) / (1.0 - c), base.rounds_per_application)
     else:
-        M, scale = _degree(_psi_one(base.bulk), target_rho) if base.rho > target_rho else (1, None)
+        M, scale = _degree(_psi_one(base.bulk), target_rho)
         if scale == np.inf:  # the operator's scale would be inf
             raise UnreachableTargetError(
                 f"target {target_rho} not reached: T_M(psi(1)) overflows the float range at degree {M}"

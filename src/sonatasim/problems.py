@@ -16,8 +16,8 @@ Hessian bounds H_i once, for both ends of each spectrum, and decomposes
 H_i - H_bar only for the agents that Weyl's bounds from those ends, with a
 derived slack for rounding, leave a candidate for beta.  Its per-agent
 kernels (the Gram products and the decompositions of the stack and of the
-candidates) run in agent ranges, one per usable CPU, on threads, bit-equal
-to one call on the whole stack.
+candidates) run in agent ranges, one per usable CPU, on the standard
+library's thread pool, bit-equal to one call on the whole stack.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import contextvars
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -34,11 +33,11 @@ import numpy as np
 
 FEAS_TOL = 1e-9  # box feasibility tolerance of r_value
 # Fewest agents a range of the per-agent curvature kernels takes
-# (_by_agent_ranges).  Starting and joining a thread in a copied context
-# takes 43 us (median of 2000; 2-core Xeon, Python 3.11), and the cheapest
-# kernel that runs in ranges, the Gram product of a 20 x 40 block, 6 us per
-# agent; at 64 agents a range costs about 9 starts.  Stacks of fewer than
-# 128 agents stay one call.
+# (_by_agent_ranges).  A pool of two workers runs two empty ranges in copied
+# contexts, start to shutdown, in 140-170 us (medians of 2000; 2-core Xeon,
+# Python 3.11); the cheapest kernel that runs in ranges, the Gram product of
+# a 20 x 40 block, takes 6 us per agent, so at 64 agents a range costs about
+# 5 times its share of the pool.  Stacks of fewer than 128 agents stay one call.
 MIN_RANGE_AGENTS = 64
 
 
@@ -446,36 +445,25 @@ def _by_agent_ranges(m: int, kernel: Callable[[slice], object]) -> list:
     the m agents in order, one per usable CPU, each of at least
     :data:`MIN_RANGE_AGENTS` agents.
 
-    Every range but the last runs on its own thread, in a copy of the
-    caller's context, which carries numpy's errstate; the last runs in the
-    caller.  Once every thread is joined, the error of the first range that
-    raised is raised.  kernel calls numpy only: numpy releases the GIL in its
-    batched products and decompositions and computes each agent's result by
-    the same per-matrix call however the stack is cut, so the results are
-    bit-identical to one call on the whole stack."""
+    A single range is one call in the caller.  More run on a
+    concurrent.futures.ThreadPoolExecutor, one worker per range, each in
+    a copy of the caller's context, which carries numpy's errstate; once
+    every range has run, the error of the first range that raised is
+    raised.  kernel calls numpy only: numpy releases the GIL in its
+    batched products and decompositions and computes each agent's result
+    by the same per-matrix call however the stack is cut, so the results
+    are bit-identical to one call on the whole stack."""
     k = max(1, min(_usable_cpus(), m // MIN_RANGE_AGENTS))
-    cuts = [m * j // k for j in range(k + 1)]
-    results, errors = [None] * k, [None] * k
+    if k == 1:
+        return [kernel(slice(0, m))]
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(j):
-        try:
-            results[j] = kernel(slice(cuts[j], cuts[j + 1]))
-        except BaseException as exc:  # raised in the caller, after the joins
-            errors[j] = exc
-
-    threads = []
-    try:
-        for j in range(k - 1):
-            threads.append(threading.Thread(target=contextvars.copy_context().run, args=(run, j)))
-            threads[-1].start()
-        run(k - 1)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(k) as pool:  # leaving waits for every range
+        futures = [
+            pool.submit(contextvars.copy_context().run, kernel, slice(m * j // k, m * (j + 1) // k))
+            for j in range(k)
+        ]
+    return [f.result() for f in futures]
 
 
 def hessian_bounds(p: ProblemSpec) -> np.ndarray:

@@ -202,6 +202,43 @@ class TestAccSonataRun:
             acc_sonata_run(small_ridge, replace(params, K_max=2), small_gossip)
         assert next(calls) == 1
 
+    def test_tracking_drift_is_caught_when_the_gradients_are_huge(self, monkeypatch):
+        # gradients near 1e300: ||G_bar|| overflowed to inf, so the identity
+        # passed whatever the drift; the clean run passes without a warning
+        cfg = datagen.SyntheticRidgeConfig(m=4, n=50, d=5, mu0=1e-300, L0=1e300)
+        p = datagen.gen_ridge(cfg)
+        params = replace(tune(problems.estimate_constants(p), "F"), K_max=2)
+        W = network.exact_averaging(p.m)
+        assert acc_sonata_run(p, params, W).K_done == 2
+        state = sonata.SonataState
+
+        def corrupted(X, Y, G, grads, comms):  # trackers off by 1e-6 relative
+            return state(X, Y * (1.0 + 1e-6), G, grads, comms)
+
+        monkeypatch.setattr(sonata, "SonataState", corrupted)
+        with pytest.raises(problems.DivergenceError, match="at outer 0: drift [0-9.]+e\\+29[0-9]"):
+            acc_sonata_run(p, params, W)
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["inf", "inf-and-nan"])
+    def test_non_finite_gradient_mean_fails(
+        self, small_ridge, small_ridge_constants, small_gossip, monkeypatch, nan
+    ):
+        # an inf in the start's gradients but not in its trackers made both
+        # norms inf, and inf <= 1e-8 * inf passed; math.hypot gives inf, not
+        # NaN, for an inf beside a NaN
+        state = sonata.SonataState
+
+        def corrupted(X, Y, G, grads, comms):
+            grads = grads.copy()
+            grads[0, 0] = np.inf
+            grads[1, 1] = np.nan if nan else grads[1, 1]
+            return state(X, Y, G, grads, comms)
+
+        monkeypatch.setattr(sonata, "SonataState", corrupted)
+        params = replace(tune(small_ridge_constants, "F"), K_max=2)
+        with pytest.raises(problems.DivergenceError, match="at outer 0: drift inf"):
+            acc_sonata_run(small_ridge, params, small_gossip)
+
     def test_state_of_a_run_stopped_on_target_is_checked(
         self, small_ridge, small_ridge_constants, small_gossip, monkeypatch
     ):

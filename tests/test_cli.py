@@ -563,6 +563,20 @@ class TestMainEntry:
         assert re.fullmatch(r"input error: [^\n]*beta_hat = 0\.0[^\n]*\n", err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["F", "L"])
+    def test_overflowing_error_weights_exit_2(self, tmp_path, capsys, mode):
+        # L_hat near 1e300: squaring it in the error weights raised an
+        # OverflowError traceback and exited 1
+        cfg = {
+            "problem": {"synthetic": {"m": 4, "n": 50, "d": 5, "mu0": 1e-300, "L0": 1e300}},
+            "output": str(tmp_path / "out"),
+        }
+        argv = ["run", "--plain", "--potentials", "--mode", mode, "-c", write_config(tmp_path, cfg)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"input error: mode {mode}'s [^\n]*error weights overflow[^\n]*\n", err)
+        assert not (tmp_path / "out").exists()
+
     def test_ridge_runs_on_regression_targets(self, tmp_path):
         # load_libsvm mapped every file's labels to +/-1, and these exited 2
         data = tmp_path / "targets.libsvm"

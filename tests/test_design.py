@@ -13,12 +13,17 @@ Every public function in ``src/sonatasim/*.py`` is referenced somewhere
 else in ``src/``, by name or attribute, and every public method by
 attribute, so that no library code exists for the tests alone;
 :data:`UNCALLED` lists the exceptions, each with its reason.
+
+Every module constant that README.md quotes as a backticked
+``[module.]NAME = value`` holds that value, so a constant changed in the
+code and not in the README fails by name.
 """
 
 import ast
 import collections
 import dataclasses
 import importlib
+import re
 import shutil
 import subprocess
 import sys
@@ -291,3 +296,52 @@ def test_a_failing_property_test_does_not_abort_the_session(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+# a backticked `[module.]NAME = value`, which a line break may split
+QUOTED_CONSTANT = re.compile(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)\s*=\s*([^`]+)`")
+
+
+def misquoted_constants(text: str) -> list[str]:
+    """Each `[module.]NAME = value` quoted in text whose value, read by
+    ast.literal_eval, is not the module constant's; an unqualified NAME
+    must be assigned at the top level of exactly one module in src/."""
+    owners = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        owners[target.id].append(path.stem)
+    out = []
+    for module, name, value in QUOTED_CONSTANT.findall(text):
+        modules = [module] if module else owners[name]
+        if len(modules) != 1 or modules[0] not in owners[name]:
+            out.append(f"{module or '?'}.{name}: assigned in {owners[name]}")
+            continue
+        actual = getattr(importlib.import_module(f"sonatasim.{modules[0]}"), name)
+        if ast.literal_eval(value) != actual:
+            out.append(f"{modules[0]}.{name}: quoted {value}, is {actual!r}")
+    return out
+
+
+def test_readme_quotes_the_module_constants():
+    text = (ROOT / "README.md").read_text()
+    assert len(QUOTED_CONSTANT.findall(text)) >= 13  # those quoted when the check was written
+    assert misquoted_constants(text) == []
+
+
+def test_the_constant_check_sees_wrong_unknown_and_ambiguous_names(tmp_path, monkeypatch):
+    text = (
+        "`network.DENSE_MAX_M = 255`, `SUBPROBLEM_TOL =\n  1e-9`,"
+        " `LANCZOS_TOL = 1e-8` and `NO_SUCH = 1`"
+    )
+    assert misquoted_constants(text) == [
+        "network.DENSE_MAX_M: quoted 255, is 256",
+        "sonata.SUBPROBLEM_TOL: quoted 1e-9, is 1e-10",
+        "?.NO_SUCH: assigned in []",
+    ]
+    for module in ("a", "b"):
+        (tmp_path / f"{module}.py").write_text("TWICE = 1\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert misquoted_constants("`TWICE = 1`") == ["?.TWICE: assigned in ['a', 'b']"]

@@ -324,6 +324,18 @@ class TestInnerPotential:
             error_weights(c, "F")
         assert error_weights(c, "L") == (56.0 * 19.0**2 / 10.0, 2.8)
 
+    @pytest.mark.parametrize(
+        "mode,L,beta",
+        [("F", 1e300, 1e299), ("L", 1e300, 1e299), ("F", 1.0, 1e-320)],
+        ids=["F-squared", "L-squared", "F-quotient"],
+    )
+    def test_overflowing_weights_are_an_input_error(self, mode, L, beta):
+        # squaring a spread near 1e300 raised OverflowError; dividing by a
+        # subnormal beta_hat gave an inf weight
+        c = Constants(mu_hat=min(beta, 1.0), L_hat=L, Lmx_hat=L, beta_hat=beta)
+        with pytest.raises(problems.CurvatureOverflowError, match=f"mode {mode}'s .* overflow"):
+            error_weights(c, mode)
+
     def test_builder_weighs_once(self, small_ridge, small_ridge_constants, monkeypatch):
         # the weights are run constants, recomputed on every row
         calls = []

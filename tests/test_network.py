@@ -706,6 +706,21 @@ class TestDegreeForTarget:
         exact = chebyshev_accelerate(exact_averaging(6), 0.0)
         assert type(exact) is GossipMatrix and exact.rounds_per_application == 1 and exact.rho == 0.0
 
+    def test_base_rho_target_on_a_symmetric_bulk_is_met(self):
+        # on a bulk [-r, r] degree 1's closed form 1 / psi(1) can exceed r by
+        # one rounding; a degree-1 shortcut for a base within the target built
+        # it and refused the result for 7 of these 400 values of r
+        m = 6
+        Q = np.linalg.qr(np.c_[np.ones(m), np.random.default_rng(0).standard_normal((m, m - 1))])[0]
+        degrees = set()
+        for r in np.linspace(0.05, 0.95, 400):
+            W = Q @ np.diag([1.0, r, -r, r, -r, r / 2]) @ Q.T
+            base = GossipMatrix(0.5 * (W + W.T))
+            acc = chebyshev_accelerate(base, base.rho)
+            assert acc.rho <= base.rho
+            degrees.add(acc.M)
+        assert degrees == {1, 2}
+
     def test_collapsed_bulk_needs_degree_1(self):
         # a bulk [0, 1e-14] is one point, which the affine map zeroes in one
         # round; the walk on it would ask for 2

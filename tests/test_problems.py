@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import threading
 import warnings
@@ -435,8 +436,8 @@ def agent_ranges(monkeypatch):
 
 
 class TestAgentRanges:
-    """The per-agent curvature kernels run in agent ranges, one per CPU, on
-    threads, with every result bit-equal to one call on the whole stack."""
+    """The per-agent curvature kernels run in agent ranges, one per CPU, on a
+    thread pool, with every result bit-equal to one call on the whole stack."""
 
     @pytest.mark.parametrize(
         "m,cpus,expect",
@@ -446,14 +447,42 @@ class TestAgentRanges:
         agent_ranges(cpus)
         assert problems._by_agent_ranges(m, lambda s: (s.start, s.stop)) == expect
 
-    @pytest.mark.parametrize("m", [2 * problems.MIN_RANGE_AGENTS - 1, 4])
-    def test_small_stack_starts_no_thread(self, monkeypatch, m):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+    @pytest.fixture
+    def no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread or a pool was started")
 
+        monkeypatch.setattr(threading, "Thread", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("m", [2 * problems.MIN_RANGE_AGENTS - 1, 4])
+    def test_small_stack_starts_no_thread(self, monkeypatch, no_thread, m):
         monkeypatch.setattr(problems, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(problems.threading, "Thread", no_thread)
         assert problems._by_agent_ranges(m, lambda s: (s.start, s.stop)) == [(0, m)]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, no_thread):
+        monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
+        m = 10 * problems.MIN_RANGE_AGENTS
+        assert problems._by_agent_ranges(m, lambda s: (s.start, s.stop)) == [(0, m)]
+
+    def test_first_range_that_raised_is_raised(self, agent_ranges):
+        # range 2 raises first and range 1 only once it has; range 1's error wins
+        agent_ranges(3)
+        raised = threading.Event()
+
+        def kernel(s):
+            if s.start == 2:
+                raised.set()
+                raise KeyError("range 2")
+            if s.start == 1:
+                assert raised.wait(timeout=10)
+                raise ValueError("range 1")
+            return s.start
+
+        start = threading.active_count()
+        with pytest.raises(ValueError, match="range 1"):
+            problems._by_agent_ranges(3, kernel)
+        assert threading.active_count() == start
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64], ids=lambda c: f"cpus={c}")
     @pytest.mark.parametrize("make", RANGE_CASES.values(), ids=RANGE_CASES.keys())
