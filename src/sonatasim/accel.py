@@ -164,7 +164,9 @@ def acc_sonata_run(
 ) -> AccelResult:
     """Run up to params.K_max outer iterations from X = 0, every local step
     by one :meth:`AccelParams.local_solver`; stop early once gap_fn(X) <= target_gap
-    (a target_gap without a gap_fn raises ``ValueError``).
+    (a target_gap without a gap_fn raises ``ValueError``).  A gap that is not
+    finite raises :class:`DivergenceError` at once, naming outer k as the
+    tracking check does: k outer iterations done.
 
     W is a :class:`~sonatasim.network.GossipMatrix` or a
     :class:`~sonatasim.network.ChebyshevGossip` built on one; every inner
@@ -242,6 +244,8 @@ def acc_sonata_run(
         result.K_done = k + 1
         if gap_fn is not None:
             gap = float(gap_fn(X))
+            if not math.isfinite(gap):  # outer k + 1: the boundary that would check X
+                raise DivergenceError(f"non-finite optimality gap at outer {k + 1}: {gap}")
             result.gaps.append(gap)
             result.converged = target_gap is not None and gap <= target_gap
 

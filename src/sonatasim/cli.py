@@ -61,7 +61,7 @@ class ConfigError(ValueError):
 
 # problem/topology/regularizer blocks are replaced whole and checked by the
 # constructors they feed; algorithm and diagnostics merge field by field.
-_REPLACE_BLOCKS = ("problem", "topology", "regularizer", "output", "seed")
+_REPLACE_BLOCKS = ("problem", "topology", "regularizer")
 
 
 def _merge(base: dict, override: dict, path="") -> dict:
@@ -140,10 +140,6 @@ def _json(obj, indent=None) -> str:
         raise problems.DivergenceError(f"non-finite value in the output ({exc})") from None
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_json(obj, indent=2) + "\n")
-
-
 def output_path(cfg_output: str) -> Path:
     """The output directory a config names, under SONATASIM_OUTPUT_DIR when
     that is set and the name is relative; nothing is created.  An empty name
@@ -210,7 +206,8 @@ def build_gossip(cfg: dict, m: int) -> network.GossipMatrix | network.ChebyshevG
     topo = dict(cfg["topology"])
     kind, target = topo.pop("kind", None), topo.pop("target_rho", None)
     bases = {
-        "erdos_renyi": lambda p=0.5, seed=cfg["seed"]: network.erdos_renyi(m, p, seed),
+        "erdos_renyi": lambda p=DEFAULT_CONFIG["topology"]["p"], seed=cfg["seed"]:
+            network.erdos_renyi(m, p, seed),
         "line": lambda: network.line_graph(m),
         "star": lambda: network.star_graph(m),
         "complete": lambda: network.complete_graph(m),
@@ -254,14 +251,7 @@ def effective_config(cfg: dict) -> dict:
 
 
 def _constants_dict(c: problems.Constants) -> dict:
-    return {
-        "mu_hat": c.mu_hat,
-        "L_hat": c.L_hat,
-        "Lmx_hat": c.Lmx_hat,
-        "beta_hat": c.beta_hat,
-        "kappa_hat": c.kappa_hat,
-        "beta_over_mu_hat": c.beta_hat / c.mu_hat,
-    }
+    return dict(dataclasses.asdict(c), kappa_hat=c.kappa_hat, beta_over_mu_hat=c.beta_over_mu_hat)
 
 
 def _params_dict(params: accel.AccelParams) -> dict:
@@ -275,7 +265,8 @@ def _params_dict(params: accel.AccelParams) -> dict:
 
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     """One full experiment; writes trajectory.csv + metadata.json, returns
-    metadata.  out_dir is created only once the run has finished."""
+    metadata.  out_dir is created only once the run has finished and its
+    metadata is serialised, so a failed run writes nothing."""
     target_gap = _check_target_gap(cfg["algorithm"]["target_gap"], sweep=False)
     p = build_problem(cfg)
     constants = problems.estimate_constants(p)
@@ -296,8 +287,6 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
         gap_fn=lambda X: builder.traj.rows[-1].gap,  # recorded at X, since T >= 1
         target_gap=target_gap,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    builder.traj.write_csv(out_dir / "trajectory.csv")
     meta = {
         "schema_version": diagnostics.CSV_SCHEMA_VERSION,
         "effective_config": effective_config(cfg),
@@ -315,7 +304,10 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
             "subproblems_converged": all(result.subproblem_converged),
         },
     }
-    _write_json(out_dir / "metadata.json", meta)
+    meta_text = _json(meta, indent=2) + "\n"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    builder.traj.write_csv(out_dir / "trajectory.csv")
+    (out_dir / "metadata.json").write_text(meta_text)
     return meta
 
 
@@ -420,8 +412,8 @@ def execute_sweep(
     mode across the sweep (largest tuned value) so the measured communication
     counts isolate the outer-rate dependence.  eps is recorded as the
     effective config's ``algorithm.target_gap``.  out_dir is created only
-    once every point has run.  Returns the rows of summary.csv, with None
-    where it has ``not-reached``.
+    once every point has run and the metadata is serialised.  Returns the
+    rows of summary.csv, with None where it has ``not-reached``.
     """
     if "synthetic" not in cfg["problem"]:
         raise ConfigError("sweep requires a synthetic problem block")
@@ -465,7 +457,7 @@ def execute_sweep(
                 f"instance has beta_hat = {c0.beta_hat}: no sample size can calibrate it"
             )
         mu_sigma, L_sigma = c0.mu_hat, c0.L_hat
-        ratio_target = c0.beta_hat / c0.mu_hat
+        ratio_target = c0.beta_over_mu_hat
         for kappa_target in points:
             kt = float(kappa_target)
             if kt >= L_sigma / mu_sigma:
@@ -499,13 +491,20 @@ def execute_sweep(
                 "point": point,
                 "n": p.n,
                 "lam": float(p.lam),
-                "beta_over_mu_hat": constants.beta_hat / constants.mu_hat,
+                "beta_over_mu_hat": constants.beta_over_mu_hat,
                 "kappa_hat": constants.kappa_hat,
                 "comms_F": comms_f,
                 "comms_L": comms_l,
             }
         )
 
+    meta = {
+        "schema_version": diagnostics.CSV_SCHEMA_VERSION,
+        "T_F": T_f,
+        "T_L": T_l,
+        "effective_config": effective_config(dict(cfg, algorithm=dict(alg, target_gap=eps))),
+    }
+    meta_text = _json(meta, indent=2) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -514,13 +513,7 @@ def execute_sweep(
             writer.writerow(
                 {k: ("not-reached" if v is None else v) for k, v in row.items()}
             )
-    meta = {
-        "schema_version": diagnostics.CSV_SCHEMA_VERSION,
-        "T_F": T_f,
-        "T_L": T_l,
-        "effective_config": effective_config(dict(cfg, algorithm=dict(alg, target_gap=eps))),
-    }
-    _write_json(out_dir / "metadata.json", meta)
+    (out_dir / "metadata.json").write_text(meta_text)
     return rows
 
 
@@ -588,22 +581,15 @@ def _add_common(parser):
 
 
 def _overrides_from_args(args) -> dict:
+    """The config fields set by flags: each such flag's dest is the field's dotted path."""
     over: dict = {}
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    if getattr(args, "output", None) is not None:
-        over["output"] = args.output
-    alg = {}
-    for name in ("mode", "K_max", "target_gap"):
-        val = getattr(args, name.lower(), None)
-        if val is not None:
-            alg[name] = val
-    if getattr(args, "plain", False):
-        alg["delta"] = 0.0
-    if alg:
-        over["algorithm"] = alg
-    if getattr(args, "potentials", False):
-        over["diagnostics"] = {"potentials": True}
+    for dest, val in vars(args).items():
+        path = dest.split(".")
+        if val is not None and path[0] in DEFAULT_CONFIG:
+            node = over
+            for block in path[:-1]:
+                node = node.setdefault(block, {})
+            node[path[-1]] = val
     return over
 
 
@@ -617,18 +603,20 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="single experiment -> trajectory CSV")
     _add_common(run_p)
     run_p.add_argument("--output", help="override output directory")
-    run_p.add_argument("--mode", choices=["F", "L"])
-    run_p.add_argument("--k-max", dest="k_max", type=int)
-    run_p.add_argument("--target-gap", dest="target_gap", type=float)
-    run_p.add_argument("--plain", action="store_true", help="delta = 0 (no acceleration)")
-    run_p.add_argument("--potentials", action="store_true", help="record potential functions")
+    run_p.add_argument("--mode", dest="algorithm.mode", choices=["F", "L"])
+    run_p.add_argument("--k-max", dest="algorithm.K_max", type=int, metavar="N")
+    run_p.add_argument("--target-gap", dest="algorithm.target_gap", type=float, metavar="G")
+    run_p.add_argument("--plain", dest="algorithm.delta", action="store_const", const=0.0)
+    run_p.add_argument(
+        "--potentials", dest="diagnostics.potentials", action="store_const", const=True
+    )
 
     sweep_p = sub.add_parser("sweep", help="scaling study -> summary CSV")
     _add_common(sweep_p)
     sweep_p.add_argument("--output", help="override output directory")
     sweep_p.add_argument("--axis", required=True, choices=["beta_over_mu", "kappa"])
     sweep_p.add_argument("--points", required=True, help="comma-separated axis points")
-    sweep_p.add_argument("--eps", dest="target_gap", type=float, help="algorithm.target_gap")
+    sweep_p.add_argument("--eps", dest="algorithm.target_gap", type=float, metavar="G")
 
     lb_p = sub.add_parser("lowerbound-check", help="hard-instance fixture report")
     lb_p.add_argument("--mu", type=float, default=0.01)
@@ -643,15 +631,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command != "lowerbound-check":  # it reads no config
             cfg = load_config(args.config, _overrides_from_args(args))
+        if args.command == "run":
             out_dir = output_path(cfg["output"])
             meta = execute_run(cfg, out_dir)
             print(_json({"output": str(out_dir), **meta["result"]}))
             print(_json({"params": meta["params"], "constants": meta["constants"]}))
             return 0
         if args.command == "sweep":
-            cfg = load_config(args.config, _overrides_from_args(args))
             try:
                 points = [float(tok) for tok in args.points.split(",")]
             except ValueError:
@@ -664,8 +652,9 @@ def main(argv=None) -> int:
             out_dir = None if args.output is None else output_path(args.output)
             report = lowerbound_check(args.mu, args.beta, args.rho, args.d, args.rounds)
             if out_dir is not None:
+                report_text = _json(report, indent=2) + "\n"
                 out_dir.mkdir(parents=True, exist_ok=True)
-                _write_json(out_dir / "lowerbound.json", report)
+                (out_dir / "lowerbound.json").write_text(report_text)
             summary = {k: v for k, v in report.items() if k != "max_index_per_round"}
             print(_json(summary))
             if not report["support_ok"]:
@@ -673,7 +662,6 @@ def main(argv=None) -> int:
                 return 1
             return 0
         if args.command == "estimate-constants":
-            cfg = load_config(args.config, _overrides_from_args(args))
             p = build_problem(cfg)
             constants = problems.estimate_constants(p)
             print(_json(_constants_dict(constants), indent=2))
@@ -684,10 +672,7 @@ def main(argv=None) -> int:
     except problems.InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except problems.RuntimeFailure as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output that cannot be written, say
+    except (problems.RuntimeFailure, OSError) as exc:  # OSError: an output that cannot be written
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -582,6 +582,10 @@ class Constants:
     def kappa_hat(self) -> float:
         return self.L_hat / self.mu_hat
 
+    @property
+    def beta_over_mu_hat(self) -> float:
+        return self.beta_hat / self.mu_hat
+
     def __post_init__(self):
         if not (0 < self.mu_hat <= self.L_hat <= self.Lmx_hat * (1 + 1e-12)):
             raise ValueError(

@@ -1,9 +1,26 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sonatasim import datagen, network, problems
+from sonatasim import cli, datagen, network, problems
+
+
+def help_options(command: str) -> list[tuple[str, ...]]:
+    """The names of each option that ``sonatasim <command> --help`` lists,
+    one tuple per option (``("-c", "--config")``), but -h/--help."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    options = []
+    for line in text.getvalue().split("\noptions:\n", 1)[1].splitlines():
+        if line.startswith("  -"):  # "  -c CONFIG, --config CONFIG   help text"
+            names = tuple(alias.split()[0] for alias in line.strip().split("  ")[0].split(", "))
+            if names != ("-h", "--help"):
+                options.append(names)
+    return options
 
 
 @pytest.fixture(scope="session")

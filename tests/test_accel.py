@@ -335,6 +335,28 @@ class TestAccSonataRun:
         with pytest.raises(ValueError, match="target_gap needs a gap_fn"):
             acc_sonata_run(small_ridge, params, small_gossip, target_gap=1e-6)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_gap_stops_the_run(
+        self, small_ridge, small_ridge_constants, small_gossip, bad
+    ):
+        # gap_fn turns non-finite after outer iteration 3: the run used to go
+        # on to K_max, recording the gap, with no target to compare it with
+        class Counting(RunObserver):
+            ends = 0
+
+            def on_outer_end(self, X, X_prev):
+                self.ends += 1
+
+        observer, gaps = Counting(), iter([1.0, 0.5, bad, 0.25])
+        params = replace(tune(small_ridge_constants, "F"), K_max=10)
+        with pytest.raises(problems.DivergenceError) as info:
+            acc_sonata_run(
+                small_ridge, params, small_gossip, observer=observer, gap_fn=lambda X: next(gaps)
+            )
+        # counted as the tracking check counts its boundaries: 3 outer iterations done
+        assert str(info.value) == f"non-finite optimality gap at outer 3: {bad}"
+        assert observer.ends == 3
+
     def test_gap_decreases_geometrically_in_tail(
         self, small_ridge, small_ridge_constants, small_gossip
     ):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import help_options
 from sonatasim import accel, cli, datagen, diagnostics, network, problems
 from sonatasim.cli import ConfigError, execute_run, execute_sweep, load_config, lowerbound_check
 
@@ -30,6 +32,20 @@ OUTPUT_COMMANDS = [
     ["sweep", "--axis", "beta_over_mu", "--points", "100"],
     ["lowerbound-check", "--rho", "0.9", "--d", "8", "--rounds", "10"],
 ]
+
+
+# the config field each flag of a config-reading command sets: its argv
+# values and the value they set
+FLAG_FIELDS = {
+    "--seed": (["7"], "seed", 7),
+    "--output": (["elsewhere"], "output", "elsewhere"),
+    "--mode": (["L"], "algorithm.mode", "L"),
+    "--k-max": (["3"], "algorithm.K_max", 3),
+    "--target-gap": (["1e-3"], "algorithm.target_gap", 1e-3),
+    "--eps": (["1e-3"], "algorithm.target_gap", 1e-3),
+    "--plain": ([], "algorithm.delta", 0.0),
+    "--potentials": ([], "diagnostics.potentials", True),
+}
 
 
 def base_config(tmp_path, **extra):
@@ -299,7 +315,7 @@ class TestMainEntry:
         [
             ("F", 0, "tracking identity violated"),
             ("F", 1, "non-finite iterate"),
-            ("L", 2, "tracking identity violated at outer 1: drift nan"),
+            ("L", 2, "non-finite optimality gap at outer 1: nan"),
         ],
         ids=["tracking-check", "local-step", "mode-L-gap"],
     )
@@ -309,7 +325,8 @@ class TestMainEntry:
         # is the local step, in mode L every later call a gossip round's refresh.
         # Each failure used to escape main as a traceback; in mode L the local
         # step takes a NaN gradient without failing, and the gap of its NaN
-        # iterate raised ValueError where it is now NaN.
+        # iterate raised ValueError where it is now NaN.  That NaN gap stops
+        # the run at once, before the tracking check at that boundary.
         batch_grads, calls = problems.batch_grads, itertools.count()
 
         def failing(p, X):
@@ -345,15 +362,52 @@ class TestMainEntry:
         ids=["run", "lowerbound-check"],
     )
     def test_non_finite_output_exit_1(self, tmp_path, capsys, monkeypatch, argv):
-        # a NaN gap used to be written to metadata.json as NaN with exit 0
+        # a NaN gap used to be written to metadata.json as NaN with exit 0,
+        # then stopped the write of metadata.json after trajectory.csv
         monkeypatch.setattr(diagnostics.Oracle, "suboptimality", lambda self, X: math.nan)
         if argv[0] == "run":
             argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("runtime failure: non-finite value")
-        assert "Traceback" not in captured.err and "NaN" not in captured.out
-        assert not any(f.suffix == ".json" for f in (tmp_path / "out").iterdir())
+        assert captured.err == "runtime failure: non-finite optimality gap at outer 1: nan\n"
+        assert "NaN" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=[a[0] for a in OUTPUT_COMMANDS])
+    def test_non_finite_metadata_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        # a NaN in a recorded value that is not a gap stopped the JSON write
+        # after the directory was made: run left trajectory.csv, sweep
+        # summary.csv and lowerbound-check an empty directory
+        recorded = {"run": "_params_dict", "sweep": "effective_config"}.get(
+            argv[0], "lowerbound_check"
+        )
+        true_fn = getattr(cli, recorded)
+        monkeypatch.setattr(cli, recorded, lambda *args: {**true_fn(*args), "extra": math.nan})
+        if argv[0] != "lowerbound-check":
+            argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: non-finite value in the output")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_diverging_config_stops_at_the_first_non_finite_gap(self, tmp_path, capsys):
+        # a 20-node line at target_rho 0.6 diverges: the gap of outer iteration
+        # 225's rows (k = 225 in trajectory.csv) overflows, which the tracking
+        # check would count as boundary 226.  The run used to go on to outer
+        # 400, write a trajectory.csv of inf and nan rows and exit 1 on its
+        # metadata with no metadata.json.
+        cfg = {
+            "problem": {"synthetic": {"m": 20, "n": 500, "d": 25}},
+            "topology": {"kind": "line", "target_rho": 0.6},
+            "algorithm": {"K_max": 400},
+            "output": str(tmp_path / "out"),
+        }
+        with np.errstate(over="ignore", invalid="ignore"):  # the diverging iterates overflow
+            assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "runtime failure: non-finite optimality gap at outer 226: inf\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_non_finite_sweep_gap_exit_1(self, tmp_path, capsys, monkeypatch):
         # a NaN gap never reached eps, so the sweep wrote not-reached with exit 0
@@ -736,9 +790,9 @@ class TestMainEntry:
         def full(path, obj):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
-        monkeypatch.setattr(cli, "_write_json", full)
         if argv[0] != "lowerbound-check":
             argv = [*argv, "-c", write_config(tmp_path, base_config(tmp_path))]
+        monkeypatch.setattr(Path, "write_text", full)  # each JSON output goes through it
         assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: [Errno 28] No space left on device")
@@ -759,6 +813,56 @@ class TestMainEntry:
         with open(tmp_path / "out" / "trajectory.csv") as fh:
             inner = [r for r in csv.DictReader(fh) if int(r["t"]) >= 1]
         assert inner and all(r["g_plus_e"] != "" for r in inner)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[a[0] for a in COMMANDS])
+    def test_each_flag_sets_the_field_it_names(self, monkeypatch, argv):
+        captured = []
+
+        def capture(path, overrides):
+            captured.append(overrides)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(cli, "load_config", capture)
+        # -c names the file, and a sweep's --axis and --points set no field
+        flags = [
+            names[-1]
+            for names in help_options(argv[0])
+            if names[-1] not in ("--config", "--axis", "--points")
+        ]
+        assert "--seed" in flags
+        for flag in flags:
+            values, path, value = FLAG_FIELDS[flag]
+            *blocks, key = path.split(".")
+            node = cli.DEFAULT_CONFIG
+            for block in blocks:
+                node = node[block]
+            assert key in node, f"{flag}: {path} is not a config field"
+            expected = {key: value}
+            for block in reversed(blocks):
+                expected = {block: expected}
+            captured.clear()
+            assert cli.main([*argv, flag, *values]) == 2
+            assert captured == [expected], flag
+        captured.clear()
+        cli.main(argv)
+        assert captured == [{}]
+
+    def test_flags_write_what_the_config_fields_write(self, tmp_path, capsys):
+        flags = ["--mode", "L", "--k-max", "3", "--target-gap", "1e-3", "--plain", "--potentials"]
+        base = base_config(tmp_path, seed=1)
+        fields = base_config(
+            tmp_path,
+            algorithm={"mode": "L", "K_max": 3, "target_gap": 1e-3, "delta": 0.0},
+            diagnostics={"potentials": True},
+        )
+        out, outputs = tmp_path / "out", []
+        for cfg, extra in ((base, [*flags, "--seed", "5"]), (fields, [])):
+            assert cli.main(["run", "-c", write_config(tmp_path, cfg), *extra]) == 0
+            files = ("trajectory.csv", "metadata.json")
+            outputs.append([(out / name).read_bytes() for name in files])
+            shutil.rmtree(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["effective_config"]["seed"] == 5
 
     def test_lowerbound_support_violation_exit_1(self, capsys, monkeypatch):
         # a cut this long allows no support growth past the first two indices

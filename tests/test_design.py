@@ -17,6 +17,9 @@ attribute, so that no library code exists for the tests alone;
 Every module constant that README.md quotes as a backticked
 ``[module.]NAME = value`` holds that value, so a constant changed in the
 code and not in the README fails by name.
+
+README.md's CLI synopsis names each option that each subcommand's
+``--help`` lists, once, and no other.
 """
 
 import ast
@@ -28,6 +31,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import help_options
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sonatasim"
@@ -345,3 +350,47 @@ def test_the_constant_check_sees_wrong_unknown_and_ambiguous_names(tmp_path, mon
         (tmp_path / f"{module}.py").write_text("TWICE = 1\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     assert misquoted_constants("`TWICE = 1`") == ["?.TWICE: assigned in ['a', 'b']"]
+
+
+
+# a synopsis line of README's CLI section and the option names in it
+SYNOPSIS = re.compile(r"^sonatasim ([\w-]+)(.*)$", re.M)
+OPTION = re.compile(r"(?<![\w-])--?[a-z][\w-]*")
+
+
+def synopsis_mismatches(text: str) -> list[str]:
+    """Each synopsis line of text that does not name every option its
+    command's --help lists, under one of its names, once, and no other.
+    The lines show example values, so only option names are compared."""
+    out = []
+    for command, line in SYNOPSIS.findall(text):
+        named = OPTION.findall(line)
+        options = help_options(command)
+        known = {name for names in options for name in names}
+        if (
+            any(len(set(names) & set(named)) != 1 for names in options)
+            or len(set(named)) != len(named)
+            or not set(named) <= known
+        ):
+            out.append(f"{command}: names {named}, --help lists {options}")
+    return out
+
+
+def test_readme_synopsis_names_the_options_of_each_command():
+    # the synopsis left out --seed and --output of run and sweep, and
+    # --seed of estimate-constants
+    text = (ROOT / "README.md").read_text()
+    commands = sorted(command for command, _ in SYNOPSIS.findall(text))
+    assert commands == ["estimate-constants", "lowerbound-check", "run", "sweep"]
+    assert synopsis_mismatches(text) == []
+
+
+def test_the_synopsis_check_sees_missing_unknown_and_repeated_options():
+    assert synopsis_mismatches("sonatasim estimate-constants -c x.json [--seed S]") == []
+    for line in (
+        "sonatasim estimate-constants -c x.json",  # --seed missing
+        "sonatasim estimate-constants -c x.json --seed S --output DIR",  # no --output
+        "sonatasim estimate-constants -c x.json --config x.json --seed S",  # -c twice
+        "sonatasim estimate-constants -c x.json --seed S --seed S",
+    ):
+        assert len(synopsis_mismatches(line)) == 1, line
