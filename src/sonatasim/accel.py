@@ -209,44 +209,46 @@ def acc_sonata_run(
     observer.on_init(X, state.Y)
     result = AccelResult(0, 0, False)
 
-    # boundary k checks the state that outer k - 1 left, the last one's too
-    for k in range(params.K_max + 1):
-        state.Y = state.Y + delta * (Z_prev - Z)
-        del Z_prev
-        state.G = sonata.shifted_grads(X, delta, Z, state.grads)
-        G_bar = state.G.mean(axis=0)
-        # math.hypot scales its arguments, so a norm overflows only past the
-        # largest float; a NaN or an inf fails
-        drift = math.hypot(*(state.Y.mean(axis=0) - G_bar).tolist())
-        bound = 1e-8 * (1.0 + math.hypot(*G_bar.tolist()))
-        if not drift <= bound < math.inf:
-            raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
-        if k == params.K_max or result.converged:
-            break
-        observer.on_outer_start(X, state.Y, Z)
+    # a diverging run's arithmetic overflows; the NaN-aware checks below stop it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # boundary k checks the state that outer k - 1 left, the last one's too
+        for k in range(params.K_max + 1):
+            state.Y = state.Y + delta * (Z_prev - Z)
+            del Z_prev
+            state.G = sonata.shifted_grads(X, delta, Z, state.grads)
+            G_bar = state.G.mean(axis=0)
+            # math.hypot scales its arguments, so a norm overflows only past the
+            # largest float; a NaN or an inf fails
+            drift = math.hypot(*(state.Y.mean(axis=0) - G_bar).tolist())
+            bound = 1e-8 * (1.0 + math.hypot(*G_bar.tolist()))
+            if not drift <= bound < math.inf:
+                raise DivergenceError(f"tracking identity violated at outer {k}: drift {drift}")
+            if k == params.K_max or result.converged:
+                break
+            observer.on_outer_start(X, state.Y, Z)
 
-        sonata.sonata_run(
-            p,
-            state,
-            params.T,
-            W,
-            solver,
-            Z=Z,
-            on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
-        )
-        X_prev, X, result.comms = X, state.X, state.comms
-        result.subproblem_converged.append(all(state.subproblem_converged))
+            sonata.sonata_run(
+                p,
+                state,
+                params.T,
+                W,
+                solver,
+                Z=Z,
+                on_step=lambda t, c, Xs, Ys, _k=k: observer.on_inner_step(_k, t, c, Xs, Ys),
+            )
+            X_prev, X, result.comms = X, state.X, state.comms
+            result.subproblem_converged.append(all(state.subproblem_converged))
 
-        Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)
-        observer.on_outer_end(X, X_prev)
-        del X_prev
+            Z_prev, Z = Z, X + params.extrapolation_coef * (X - X_prev)
+            observer.on_outer_end(X, X_prev)
+            del X_prev
 
-        result.K_done = k + 1
-        if gap_fn is not None:
-            gap = float(gap_fn(X))
-            if not math.isfinite(gap):  # outer k + 1: the boundary that would check X
-                raise DivergenceError(f"non-finite optimality gap at outer {k + 1}: {gap}")
-            result.gaps.append(gap)
-            result.converged = target_gap is not None and gap <= target_gap
+            result.K_done = k + 1
+            if gap_fn is not None:
+                gap = float(gap_fn(X))
+                if not math.isfinite(gap):  # outer k + 1: the boundary that would check X
+                    raise DivergenceError(f"non-finite optimality gap at outer {k + 1}: {gap}")
+                result.gaps.append(gap)
+                result.converged = target_gap is not None and gap <= target_gap
 
     return result

@@ -3,10 +3,9 @@ check, all driven by a JSON config with CLI-flag overrides.
 
 Outputs per run: a trajectory CSV (one row per inner iteration) and a metadata
 JSON sidecar recording every effective parameter.  Sweeps additionally write a
-summary CSV with one row per sweep point.  The environment variable
-``SONATASIM_OUTPUT_DIR``, when set, is prepended to relative output paths.
-Calibration and support cutoffs are :data:`CALIBRATION_TOL`,
-:data:`CALIBRATION_MAX_PROBES` and :data:`SUPPORT_THRESHOLD`.
+summary CSV with one row per sweep point.  Calibration and support cutoffs
+are :data:`CALIBRATION_TOL`, :data:`CALIBRATION_MAX_PROBES` and
+:data:`SUPPORT_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -141,17 +140,13 @@ def _json(obj, indent=None) -> str:
 
 
 def output_path(cfg_output: str) -> Path:
-    """The output directory a config names, under SONATASIM_OUTPUT_DIR when
-    that is set and the name is relative; nothing is created.  An empty name
-    is a ConfigError: it would write into the working directory.  So is a
-    name whose nearest existing path is not a directory, which no run could
+    """The output directory a config names; nothing is created.  An empty
+    name is a ConfigError: it would write into the working directory.  So is
+    a name whose nearest existing path is not a directory, which no run could
     write into."""
     if not cfg_output:
         raise ConfigError("output: the output directory is an empty path")
-    base = os.environ.get("SONATASIM_OUTPUT_DIR")
     path = Path(cfg_output)
-    if base and not path.is_absolute():
-        path = Path(base) / path
     existing = next(q for q in (path, *path.parents) if q.exists())
     if not existing.is_dir():
         raise ConfigError(f"output: {existing} is not a directory")
@@ -265,8 +260,9 @@ def _params_dict(params: accel.AccelParams) -> dict:
 
 def execute_run(cfg: dict, out_dir: Path) -> dict:
     """One full experiment; writes trajectory.csv + metadata.json, returns
-    metadata.  out_dir is created only once the run has finished and its
-    metadata is serialised, so a failed run writes nothing."""
+    metadata.  out_dir is created only once the run has finished, every
+    trajectory value is checked finite and the metadata is serialised, so a
+    failed run writes nothing."""
     target_gap = _check_target_gap(cfg["algorithm"]["target_gap"], sweep=False)
     p = build_problem(cfg)
     constants = problems.estimate_constants(p)
@@ -304,6 +300,13 @@ def execute_run(cfg: dict, out_dir: Path) -> dict:
             "subproblems_converged": all(result.subproblem_converged),
         },
     }
+    for row in builder.traj.rows:  # as _json checks metadata.json
+        bad = [f for f in diagnostics.CSV_FIELDS if not math.isfinite(getattr(row, f) or 0.0)]
+        if bad:
+            raise problems.DivergenceError(
+                f"non-finite value in the output (trajectory.csv, k = {row.k}, t = {row.t}: "
+                f"{bad[0]} = {getattr(row, bad[0])})"
+            )
     meta_text = _json(meta, indent=2) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     builder.traj.write_csv(out_dir / "trajectory.csv")
@@ -403,9 +406,11 @@ def execute_sweep(
 ) -> list[dict]:
     """Sweep an instance axis and record comms-to-eps for both surrogate modes.
 
-    ``beta_over_mu`` varies the local sample size at fixed covariance;
-    ``kappa`` varies the ridge coefficient to hit target condition numbers
-    while recalibrating n to hold the similarity ratio fixed, so a configured
+    ``beta_over_mu`` varies the local sample size at fixed covariance: each
+    point is an n, so it neither uses nor records ``problem.synthetic.n``,
+    which a config may leave out; ``kappa`` varies the ridge
+    coefficient to hit target condition numbers while recalibrating n to
+    hold the similarity ratio fixed, so a configured
     ``problem.synthetic.lam`` other than the default is an error, and a point
     whose calibration misses raises :class:`CalibrationError`.  Each sample
     size is generated once, whatever the points need it for.  T is frozen per
@@ -429,8 +434,12 @@ def execute_sweep(
             raise ConfigError(f"kappa target must be finite and exceed 1, got {point!r}")
         if axis != "kappa" and not (1 <= point < math.inf and point == int(point)):
             raise ConfigError(f"{axis} point must be an integer >= 1, got {point!r}")
-    base = ridge_config(cfg)
-    if axis == "kappa":
+    if axis == "beta_over_mu":  # a configured n is checked, but neither used nor recorded
+        block = cfg["problem"]["synthetic"]
+        base = ridge_config(dict(cfg, problem={"synthetic": {"n": int(points[0]), **block}}))
+        cfg = dict(cfg, problem={"synthetic": {k: v for k, v in block.items() if k != "n"}})
+    else:
+        base = ridge_config(cfg)
         lam = _keyword_defaults(datagen.SyntheticRidgeConfig)["lam"]
         _check_unused("problem.synthetic.lam", "the kappa axis sets lam per point", base.lam, lam)
     reg = build_regularizer(cfg)

@@ -177,7 +177,6 @@ def load_libsvm(
     m: int,
     loss: str = "smooth-hinge",
     lam: float = 0.0,
-    limit: int | None = None,
     seed: int = 0,
 ) -> ProblemSpec:
     """Read a LIBSVM text file, densify, shuffle by seed, shard across m agents.
@@ -186,12 +185,10 @@ def load_libsvm(
     LibsvmParseError names it; a repeated index keeps its last value, and a
     dense matrix larger than physical memory is refused.  A classification
     loss maps the two label values to -1 and +1; ``quadratic-ridge`` keeps
-    the labels as read.  Keeps the first ``limit`` samples (post-parse,
-    pre-shuffle) when given: the lines past them are validated but not kept.
-    Drops the remainder of an uneven split so every agent holds the same n.
+    the labels as read.  Drops the remainder of an uneven split so every agent holds the same n.
 
     Besides the dense (m, n, d) result the reader holds one float per stored
-    value of the kept lines, and a run of lines sharing an index list holds
+    value of the file, and a run of lines sharing an index list holds
     that list once; the values are scattered :data:`SCATTER_ROWS` lines at a
     time straight into their shuffled rows of the result.
     """
@@ -199,14 +196,12 @@ def load_libsvm(
         raise ValueError(f"unknown loss kind {loss!r}")
     check_int("m", m, 1)
     check_int("seed", seed, 0)
-    if limit is not None:
-        check_int("limit", limit, 1)
-    # Streamed into flat buffers: per kept line its label, its values, its
+    # Streamed into flat buffers: per line its label, its values, its
     # feature count and the offset of its 1-based index list in ``index``.
     labels, values, counts, starts = array("d"), array("d"), array("q"), array("q")
     index = array("q")  # each run of lines sharing an index list holds it once
     keys_prev = None
-    repeats = False  # whether some kept line repeats an index
+    repeats = False  # whether some line repeats an index
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -237,8 +232,6 @@ def load_libsvm(
                     raise ValueError
             except (ValueError, OverflowError):
                 raise _line_error(line, lineno) from None
-            if len(labels) == limit:  # past limit: validated, not kept
-                continue
             if new_list:
                 at = len(index)
                 index.extend(cols)

@@ -302,8 +302,8 @@ class CommsToAccuracy(RunObserver):
     stop test reads).
 
     It holds the inner iterates of one outer iteration and evaluates their
-    gaps at its end in one stacked :func:`optimality_gap` call.  A non-finite
-    gap raises :class:`problems.DivergenceError`.
+    gaps at its end in one stacked :func:`optimality_gap` call.  A gap that
+    is not finite stops the run in :func:`accel.acc_sonata_run`, not here.
     """
 
     def __init__(self, p: ProblemSpec, oracle: Oracle, eps: float):
@@ -316,8 +316,6 @@ class CommsToAccuracy(RunObserver):
         self._comms: list = []
 
     def _record(self, gaps, comms):
-        if not np.isfinite(gaps).all():
-            raise problems.DivergenceError(f"non-finite optimality gap by comms {comms[-1]}")
         if self.comms is None:
             hit = np.flatnonzero(gaps <= self.eps)
             if hit.size:

@@ -348,10 +348,16 @@ class ChebyshevGossip:
     T_{k+1} = 2 psi(W) T_k - T_{k-1}, one product per round, with
     2 psi(W) kept in the base's storage (a dense array or a CSR array).
 
-    ``scale`` is T_M(psi(1)), and rho is 1 / scale: |P_M| <= 1 / scale on
-    [lo, hi], with equality at both ends, which are measured eigenvalues.
-    Construction raises :class:`TopologyError` if ``scale`` is not finite
-    (T_M(psi(1)) overflows at a high degree), if ``mix`` moves the all-ones
+    ``scale`` is T_M(psi(1)) from the walk that :func:`chebyshev_accelerate`
+    stops on, times the mean of the recurrence's value on the all-ones vector
+    over that T_M, and rho is 1 / scale: |P_M| <= 1 / scale on [lo, hi],
+    with equality at both ends, which are measured eigenvalues.  The rows of
+    2 psi(W) sum to 2 psi(1) up to a rounding, which T_M amplifies by about
+    M / sqrt(psi(1)^2 - 1); that error is nearly common to every node, so
+    the measured mean takes it out (one more ``mix``) while the operator
+    stays one symmetric, local polynomial.  Construction raises
+    :class:`TopologyError` if ``scale`` is not finite (T_M(psi(1))
+    overflows at a high degree), if ``mix`` moves the all-ones
     vector by :data:`DS_TOL`, or if a Ritz value of ``mix`` on the
     complement of the ones vector, from :data:`CHEB_CHECK_STEPS` Lanczos
     steps, exceeds 1 / scale by 1e-8 in magnitude or is NaN; and
@@ -390,6 +396,7 @@ class ChebyshevGossip:
                 f"the float range at degree {self.M}"
             )
         ones = np.ones(self.m)
+        self.scale *= float(np.mean(self.mix(ones)))
         drift = np.max(np.abs(self.mix(ones) - ones))
         if not drift <= DS_TOL:
             raise TopologyError(f"chebyshev build inconsistent: mix(ones) moves by {drift}")
@@ -432,11 +439,12 @@ def chebyshev_accelerate(base: GossipMatrix, target_rho: float) -> GossipMatrix 
     a :class:`ChebyshevGossip` of the smallest degree M, at most
     :data:`MAX_ROUNDS`, whose closed-form deviation on the measured bulk
     meets the target.  M is found by the walk over
-    T_M(psi(1)) that sets the operator's ``scale``, so its rho 1 / scale
-    meets the target exactly.  A zero target, one that T_M overflows the
-    float range before meeting, and a built operator whose rho misses it
-    (the affine map's rounding-level rho, or NaN) raise
-    :class:`UnreachableTargetError`.
+    T_M(psi(1)) that starts the operator's ``scale``; the measured mean that
+    corrects it can leave rho 1 / scale above a target that the walk met by
+    about one rounding, and the build then takes degree M + 1.  A zero
+    target, one that T_M overflows the float range before meeting, and a
+    built operator whose rho misses it (the affine map's rounding-level rho,
+    or NaN) raise :class:`UnreachableTargetError`.
     """
     if not 0 <= target_rho < 1:
         raise ValueError(f"target_rho must lie in [0, 1), got {target_rho}")
@@ -452,6 +460,8 @@ def chebyshev_accelerate(base: GossipMatrix, target_rho: float) -> GossipMatrix 
                 f"target {target_rho} not reached: T_M(psi(1)) overflows the float range at degree {M}"
             )
         W = ChebyshevGossip(base, M)
+        if W.rho > target_rho:
+            W = ChebyshevGossip(base, M + 1)
     if not W.rho <= target_rho:  # written so that a NaN fails too
         raise UnreachableTargetError(
             f"target_rho {target_rho} not reached: the built operator has rho {W.rho:.4g}"

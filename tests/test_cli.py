@@ -139,7 +139,7 @@ class TestRun:
                 {"synthetic": {"m": 8, "n": 150, "d": 10}},
                 {"mu0": 1.0, "L0": 1000.0, "lam": 0.0, "noise_std": datagen.DEFAULT_NOISE_STD},
             ),
-            ({"dataset": dict(DATASET, m=4)}, {"loss": "smooth-hinge", "limit": None}),
+            ({"dataset": dict(DATASET, m=4)}, {"loss": "smooth-hinge"}),
         ],
         ids=["synthetic", "dataset"],
     )
@@ -158,15 +158,6 @@ class TestRun:
         for name in ("trajectory.csv", "metadata.json"):
             a, b = ((tmp_path / sub / name).read_text() for sub in "ab")
             assert a == b.replace(str(tmp_path / "b"), str(tmp_path / "a"))
-
-    def test_output_dir_env_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SONATASIM_OUTPUT_DIR", str(tmp_path / "redirected"))
-        out = cli.output_path("runs/exp")
-        assert out == tmp_path / "redirected" / "runs" / "exp"
-        assert not out.exists()
-        argv = ["lowerbound-check", "--rho", "0.5", "--rounds", "20", "--output", "runs/exp"]
-        assert cli.main(argv) == 0
-        assert (out / "lowerbound.json").is_file()
 
     def test_potentials_column_present_when_enabled(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -403,15 +394,16 @@ class TestMainEntry:
             "algorithm": {"K_max": 400},
             "output": str(tmp_path / "out"),
         }
-        with np.errstate(over="ignore", invalid="ignore"):  # the diverging iterates overflow
-            assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "runtime failure: non-finite optimality gap at outer 226: inf\n"
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_non_finite_sweep_gap_exit_1(self, tmp_path, capsys, monkeypatch):
         # a NaN gap never reached eps, so the sweep wrote not-reached with exit 0
-        monkeypatch.setattr(diagnostics, "optimality_gap", lambda p, X, oracle: math.nan)
+        monkeypatch.setattr(
+            diagnostics, "optimality_gap", lambda p, X, oracle: np.full(len(X), math.nan)
+        )
         path = write_config(tmp_path, base_config(tmp_path))
         argv = ["sweep", "-c", path, "--axis", "beta_over_mu", "--points", "100", "--eps", "1e-3"]
         assert cli.main(argv) == 1
@@ -444,6 +436,19 @@ class TestMainEntry:
         assert err.startswith("runtime failure: chebyshev build inconsistent: mix has a Ritz value")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_long_line_at_target_0_3_runs(self, tmp_path, capsys):
+        # at M = 120 the recurrence moved the ones vector by 1.18e-12, above
+        # the ones check's 1e-12, and the run exited 1
+        cfg = base_config(
+            tmp_path,
+            problem={"synthetic": {"m": 200, "n": 50, "d": 5}},
+            topology={"kind": "line", "target_rho": 0.3},
+        )
+        assert cli.main(["run", "-c", write_config(tmp_path, cfg), "--k-max", "1"]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["network"]["rounds_per_application"] == 120
+        assert meta["network"]["rho"] <= 0.3
 
     def test_deep_target_is_met_at_a_finite_scale(self, tmp_path):
         # target_rho 1e-300 was given the two-sided degree, at which T_M(psi(1))
@@ -1250,6 +1255,24 @@ class TestSweep:
         assert "eps" not in meta
         assert meta["effective_config"]["algorithm"]["target_gap"] == recorded
 
+    def test_beta_over_mu_axis_takes_no_n(self, tmp_path, capsys):
+        # each point is an n: the config's n used to be recorded in
+        # metadata.json, and a config without one was refused
+        cfg = base_config(tmp_path)
+        argv = ["sweep", "--axis", "beta_over_mu", "--points", "100,300", "--eps", "1e-3"]
+        for name in ("with-n", "without-n"):
+            path = write_config(tmp_path, dict(cfg, output=str(tmp_path / name)))
+            assert cli.main([*argv, "-c", path]) == 0
+            meta = json.loads((tmp_path / name / "metadata.json").read_text())
+            assert "n" not in meta["effective_config"]["problem"]["synthetic"]
+            cfg["problem"]["synthetic"].pop("n", None)
+        a, b = ((tmp_path / name / "summary.csv").read_text() for name in ("with-n", "without-n"))
+        assert a == b
+        cfg["problem"]["synthetic"]["n"] = 0  # still checked
+        path = write_config(tmp_path, dict(cfg, output=str(tmp_path / "bad-n")))
+        assert cli.main([*argv, "-c", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: problem.synthetic:")
+
     def test_samples_axis_is_gone(self, tmp_path):
         # it was a second name for beta_over_mu, building the same instances
         with pytest.raises(SystemExit) as exc:
@@ -1412,12 +1435,14 @@ def test_every_leaf_rejects_a_value_of_another_type(tmp_path, capsys, field, val
 class TestProcessExit:
     """``python -m sonatasim.cli`` exits with main's code and prints no traceback."""
 
-    def _run(self, tmp_path, *argv, stdin=None):
+    def _env(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def _run(self, tmp_path, *argv, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "sonatasim.cli", *argv],
-            stdin=stdin, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+            stdin=stdin, capture_output=True, text=True, env=self._env(), cwd=tmp_path, timeout=300,
         )
 
     def test_estimate_constants_exit_0(self, tmp_path):
@@ -1434,6 +1459,29 @@ class TestProcessExit:
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: problem.dataset.path:")
         assert not (tmp_path / "out").exists()
+
+    def test_diverging_run_under_warnings_as_errors_exit_1(self, tmp_path):
+        # from k = 222 tracking_err overflows while every gap is finite: the
+        # run exited 0 with 11 inf cells in trajectory.csv, after numpy's
+        # overflow warnings, and under -W error ended in a traceback
+        cfg = {
+            "problem": {"synthetic": {"m": 20, "n": 500, "d": 25}},
+            "topology": {"kind": "line", "target_rho": 0.6},
+            "algorithm": {"K_max": 225},
+            "output": str(tmp_path / "out"),
+        }
+        path = write_config(tmp_path, cfg)
+        for flags in ([], ["-W", "error"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "sonatasim.cli", "run", "-c", path],
+                capture_output=True, text=True, env=self._env(), cwd=tmp_path, timeout=300,
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr == (
+                "runtime failure: non-finite value in the output "
+                "(trajectory.csv, k = 222, t = 2: tracking_err = inf)\n"
+            )
+            assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_2(self, tmp_path):
         cfg = {"problem": TWO_SOURCES, "output": str(tmp_path / "out")}

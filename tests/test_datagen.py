@@ -64,7 +64,7 @@ def dense_text(rows, d, seed):
     )
 
 
-def reference_load(path, m, limit=None, seed=0):
+def reference_load(path, m, seed=0):
     """load_libsvm by the plain recipe: each line parsed token by token into
     a dict (a repeated index keeps its last value), densified, labels mapped,
     then shuffled by seed and sharded."""
@@ -79,7 +79,6 @@ def reference_load(path, m, limit=None, seed=0):
             idx, val = token.split(":")
             features[int(idx)] = float(val)
         rows.append((float(label), features))
-    rows = rows[:limit]
     N, d = len(rows), max(max(f, default=0) for _, f in rows)
     X, y = np.zeros((N, d)), np.array([label for label, _ in rows])
     for r, (_, features) in enumerate(rows):
@@ -172,7 +171,7 @@ def committed_sample_sizes():
             sizes.update(int(row["n"]) for row in csv.DictReader(path.read_text().splitlines()))
         for path in base.glob("*/metadata.json"):
             synthetic = json.loads(path.read_text())["effective_config"]["problem"].get("synthetic")
-            if synthetic:
+            if synthetic and "n" in synthetic:  # a beta_over_mu sweep's are in summary.csv
                 sizes.add(synthetic["n"])
     return sizes
 
@@ -253,14 +252,15 @@ class TestLoadLibsvm:
         for row, label in zip(p.A[0], p.b[0]):
             assert label == (1.0 if row[0] == 0.5 else -1.0)
 
-    def test_equal_shards_with_limit(self):
-        p = load_libsvm(FIXTURE, m=3, limit=3 * 33, lam=0.1)
-        assert p.m == 3 and p.n == 33
+    def test_equal_shards_drop_the_remainder(self):
+        p = load_libsvm(FIXTURE, m=3, lam=0.1)
+        assert p.m == 3 and p.n == 200 // 3
 
     def test_union_of_shards_is_permutation_of_capped_prefix(self, tmp_path):
+        # the first 9 of 12 lines, cut before the file is read
         f = tmp_path / "seq.txt"
-        f.write_text("".join(f"+1 1:{i}.0\n" if i % 2 else f"-1 1:{i}.0\n" for i in range(1, 13)))
-        p = load_libsvm(f, m=3, limit=9, lam=0.1, seed=5)
+        f.write_text("".join(f"+1 1:{i}.0\n" if i % 2 else f"-1 1:{i}.0\n" for i in range(1, 10)))
+        p = load_libsvm(f, m=3, lam=0.1, seed=5)
         vals = sorted(p.A.reshape(-1).tolist())
         assert vals == [float(i) for i in range(1, 10)]
 
@@ -273,12 +273,14 @@ class TestLoadLibsvm:
 
     @pytest.mark.parametrize("limit", [-40, 0, 2.5, "99", True])
     def test_bad_limit_rejected(self, limit):
-        # a negative limit used to slice from the end: -40 kept 160 of 200 samples
-        with pytest.raises(ValueError, match="limit"):
+        # a negative limit used to slice from the end: -40 kept 160 of 200
+        # samples; the reader now takes no limit, and a file is cut before it
+        # is read
+        with pytest.raises(TypeError, match="limit"):
             load_libsvm(FIXTURE, m=4, limit=limit)
 
     @pytest.mark.parametrize(
-        "source,m,limit,seed",
+        "source,m,head,seed",
         [
             ("fixture", 5, None, 0),
             ("fixture", 3, 99, 4),
@@ -289,16 +291,20 @@ class TestLoadLibsvm:
             ("sparse", 4, 61, 6),
         ],
     )
-    def test_bit_identical_to_reference_parse(self, tmp_path, monkeypatch, source, m, limit, seed):
+    def test_bit_identical_to_reference_parse(self, tmp_path, monkeypatch, source, m, head, seed):
         # 7-line scatter chunks: every file spans several, and a sparse one
-        # has label-only and skipped rows in some of them
+        # has label-only and skipped rows in some of them; head cuts the file
+        # after that many samples
         monkeypatch.setattr(datagen, "SCATTER_ROWS", 7)
-        path = FIXTURE
-        if source != "fixture":
-            path = tmp_path / f"{source}.libsvm"
-            path.write_text(IRREGULAR if source == "irregular" else sparse_text())
-        p = load_libsvm(path, m=m, limit=limit, seed=seed, lam=0.1)
-        A, b = reference_load(path, m, limit, seed)
+        text = {"fixture": FIXTURE.read_text(), "irregular": IRREGULAR}.get(source) or sparse_text()
+        lines = text.splitlines(keepends=True)
+        if head is not None:
+            samples = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+            lines = lines[: samples[head - 1] + 1]
+        path = tmp_path / f"{source}.libsvm"
+        path.write_text("".join(lines))
+        p = load_libsvm(path, m=m, seed=seed, lam=0.1)
+        A, b = reference_load(path, m, seed)
         assert same_bits(p.A, A) and same_bits(p.b, b)
 
     def test_peak_memory_is_the_result_and_one_float_per_value(self, tmp_path):
@@ -344,12 +350,6 @@ class TestLoadLibsvm:
         f.write_text(text)
         with pytest.raises(LibsvmParseError, match=f"^{re.escape(message)}$"):
             load_libsvm(f, m=1)
-
-    def test_bad_line_past_limit_still_rejected(self, tmp_path):
-        f = tmp_path / "bad.txt"
-        f.write_text("+1 1:0.5\n-1 1:0.25\n+1 1:nan\n")
-        with pytest.raises(LibsvmParseError, match="line 3"):
-            load_libsvm(f, m=1, limit=2)
 
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"

@@ -19,13 +19,19 @@ Every module constant that README.md quotes as a backticked
 code and not in the README fails by name.
 
 README.md's CLI synopsis names each option that each subcommand's
-``--help`` lists, once, and no other.
+``--help`` lists, once, and no other, and its field lists of the
+``problem.synthetic`` and ``problem.dataset`` blocks name the parameters of
+the callables they feed.
+
+No module in ``src/`` reads an environment variable, so every setting of
+a run comes from its config or a flag.
 """
 
 import ast
 import collections
 import dataclasses
 import importlib
+import inspect
 import re
 import shutil
 import subprocess
@@ -33,6 +39,7 @@ import sys
 from pathlib import Path
 
 from conftest import help_options
+from sonatasim import datagen
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sonatasim"
@@ -50,7 +57,6 @@ DEFAULTED = {
     "cli.main(argv)",
     "datagen.load_libsvm(loss)",
     "datagen.load_libsvm(lam)",
-    "datagen.load_libsvm(limit)",
     "datagen.load_libsvm(seed)",
     "diagnostics.centralized_solve(delta)",
     "diagnostics.centralized_solve(Z)",
@@ -92,7 +98,7 @@ def test_defaulted_parameters_are_the_committed_list():
     assert len(found) == len(set(found))
     added, removed = sorted(set(found) - DEFAULTED), sorted(DEFAULTED - set(found))
     assert not added and not removed, f"added: {added}; removed: {removed}"
-    assert len(DEFAULTED) == 22
+    assert len(DEFAULTED) == 21
 
 
 FIELDS = {
@@ -394,3 +400,63 @@ def test_the_synopsis_check_sees_missing_unknown_and_repeated_options():
         "sonatasim estimate-constants -c x.json --seed S --seed S",
     ):
         assert len(synopsis_mismatches(line)) == 1, line
+
+
+def environment_reads(tree) -> list[str]:
+    """Each ``os.environ`` and ``os.getenv`` in tree, with its line."""
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in (("os", "environ"), ("os", "getenv"))
+    ]
+    return [f"os.{n.attr} at line {n.lineno}" for n in sorted(reads, key=lambda n: n.lineno)]
+
+
+def test_the_library_reads_no_environment_variable():
+    # SONATASIM_OUTPUT_DIR was a second source for the output directory,
+    # and metadata.json recorded the name without it
+    found = {path.name: environment_reads(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_the_environment_check_sees_both_reads():
+    tree = ast.parse("import os\nbase = os.environ.get('X')\nhome = os.getenv('HOME')\n")
+    assert environment_reads(tree) == ["os.environ at line 2", "os.getenv at line 3"]
+
+
+# "`synthetic` feeds `datagen.SyntheticRidgeConfig` (...): `m`, `n`, ...":
+# a block, the callable it feeds, and the text up to the next such block,
+# list item or paragraph
+FEEDS = re.compile(r"`(\w+)` feeds `datagen\.(\w+)`(.*?)(?=`\w+` feeds|\n\s*\n|\n- |\Z)", re.S)
+
+
+def readme_field_lists(text: str) -> dict[str, list[str]]:
+    """The field names README lists for each datagen callable that a block
+    feeds: the backticked names between the first colon outside the
+    parentheses after the callable and the end of that sentence."""
+    out = {}
+    for _, callable_name, rest in FEEDS.findall(text):
+        while re.search(r"\([^()]*\)", rest):
+            rest = re.sub(r"\([^()]*\)", "", rest)
+        fields = rest.split(":", 1)[1].split(".", 1)[0]
+        out[callable_name] = re.findall(r"`(\w+)`", fields)
+    return out
+
+
+def test_readme_lists_the_fields_of_each_problem_block():
+    text = (ROOT / "README.md").read_text()
+    assert readme_field_lists(text) == {
+        name: list(inspect.signature(getattr(datagen, name)).parameters)
+        for name in ("SyntheticRidgeConfig", "load_libsvm")
+    }
+
+
+def test_the_field_list_check_reads_past_parentheses():
+    text = (
+        "- `synthetic` feeds `datagen.SyntheticRidgeConfig` (`[mu0, L0]`): `m`, `d`.\n"
+        "  `dataset` feeds `datagen.load_libsvm` (a file): `path`, `m`\n"
+        "  (required), `loss` (`logistic` or `x`), `limit`. In both, `seed` follows.\n"
+    )
+    assert readme_field_lists(text) == {
+        "SyntheticRidgeConfig": ["m", "d"], "load_libsvm": ["path", "m", "loss", "limit"],
+    }

@@ -653,6 +653,17 @@ def walk_scale(bulk, M):
     return t
 
 
+def ones_mean(base, M):
+    """The mean over nodes of T_M(psi(W)) 1 over the walk's T_M(psi(1)), by
+    the recurrence written out as mix runs it."""
+    lo, hi = base.bulk
+    S = 2.0 * (2.0 * base.W - (hi + lo) * np.eye(base.m)) / (hi - lo)
+    t_prev, t = np.ones(base.m), 0.5 * (S @ np.ones(base.m))
+    for _ in range(M - 1):
+        t_prev, t = t, S @ t - t_prev
+    return float(np.mean(t / walk_scale(base.bulk, M)))
+
+
 class TestDegreeForTarget:
     """The degree chebyshev_accelerate(base, target) builds at: the smallest
     that meets the target on the base's measured bulk."""
@@ -677,11 +688,34 @@ class TestDegreeForTarget:
             self.assert_minimal_within_bound(base, target)
 
     def test_scale_is_the_walk_that_stopped(self):
+        # the walk's T_M, times the mean that the recurrence's rounding leaves
+        # on the ones vector
         base = metropolis_hastings(erdos_renyi(25, 0.4, seed=7))
         for target in (0.3, 1e-3, 1e-9):
             M, acc = self.assert_minimal_within_bound(base, target)
-            assert acc.scale == walk_scale(base.bulk, M)
+            assert acc.scale == walk_scale(base.bulk, M) * ones_mean(base, M)
             assert 1.0 / walk_scale(base.bulk, M) <= target
+
+    @pytest.mark.parametrize("target", [0.3, 0.1])
+    @pytest.mark.parametrize("m", [116, 154, 199, 200])
+    def test_long_lines_build_at_the_walks_degree(self, m, target):
+        # the ones check refused these builds: the recurrence moved the ones
+        # vector by up to 1.4e-12, nearly the same at every node
+        base = metropolis_hastings(line_graph(m))
+        acc = chebyshev_accelerate(base, target)
+        assert acc.M == network._degree(network._psi_one(base.bulk), target)[0]
+        assert acc.rho <= target
+
+    def test_corrected_rho_above_the_target_takes_one_more_degree(self, monkeypatch):
+        base = metropolis_hastings(line_graph(20))
+        M = chebyshev_accelerate(base, 0.3).M
+        target = 1.0 / walk_scale(base.bulk, M)  # the walk meets it at M, with no room
+        mix = ChebyshevGossip.mix
+        # a recurrence that leaves every node 1e-13 low on the ones vector
+        monkeypatch.setattr(ChebyshevGossip, "mix", lambda self, X: mix(self, X) * (1 - 1e-13))
+        acc = chebyshev_accelerate(base, target)
+        assert acc.M == M + 1 and acc.rho <= target
+        assert ChebyshevGossip(base, M).rho > target
 
     @pytest.mark.parametrize(
         "m,target,bulk_degree,two_sided",
